@@ -5,7 +5,8 @@ clients and amortizes SQLite's per-transaction commit cost by coalescing
 appended records into one transaction per flush.  This benchmark drives
 the bulk-append endpoint with :class:`~repro.workloads.ServiceWorkload`
 (8 client threads by default) at several batch sizes — ``batch`` controls
-both the records per request and the ingestion queue's ``flush_size`` —
+both the records per request and each shard's ``flush_size`` hand-off
+threshold —
 and reports requests/sec, records/sec and p50/p99 append latency.
 
 Expected shape: records/sec grows steeply with batch size (each batched
@@ -35,7 +36,7 @@ PROJECTS = 4
 
 
 def _drive(tmp_path, name: str, *, batch: int, clients: int) -> ServiceLoadReport:
-    # Pinned to the sync flusher: this benchmark isolates the *queue-level*
+    # Pinned to the sync flusher: this benchmark isolates the *hand-off*
     # batching ablation (transactions per flush_size), which the background
     # flusher's own transaction coalescing would otherwise mask — the T10
     # benchmark measures that second effect on its own.

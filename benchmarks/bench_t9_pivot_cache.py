@@ -155,7 +155,7 @@ def test_service_ingest_read_cycle_invalidates_cache(benchmark, tmp_path):
         assert stats["cold_builds"] == 1
         assert stats["fast_hits"] + stats["warm_hits"] >= 1
 
-        ingest(1)  # a new run arrives through the ingestion queue
+        ingest(1)  # a new run arrives through the append route
         second = read()
         assert second["rows"] == 2
 

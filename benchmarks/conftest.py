@@ -1,10 +1,10 @@
 """Shared fixtures and reporting helpers for the benchmark harness.
 
 Every benchmark module regenerates one figure or quantitative claim from the
-paper (see DESIGN.md §2 and EXPERIMENTS.md).  Benchmarks print the series
-they measure with :func:`report` so that running
-``pytest benchmarks/ --benchmark-only -s`` reproduces the tables in
-EXPERIMENTS.md verbatim.
+paper (catalogued in docs/benchmarks.md).  Benchmarks print the series
+they measure with :func:`report`, so running
+``pytest benchmarks/bench_*.py --benchmark-only -s`` reproduces the tables
+docs/benchmarks.md describes.
 """
 
 from __future__ import annotations

@@ -183,6 +183,11 @@ class Session:
         self._loop_iteration_next: dict[tuple[str, str], int] = {}
         self._query_cache = query_cache
         self._query_engine: "Any | None" = None
+        #: Optional ``(row_count) -> None`` hook, run after each transaction
+        #: that wrote this session's rows commits (on the flusher's thread in
+        #: async mode).  The service pool points it at the tail broker, so a
+        #: woken subscriber can already read the rows.
+        self.on_rows_written: Callable[[int], None] | None = None
         self._replay_plan = replay_plan
         self.replay_stats = {"iterations_executed": 0, "iterations_skipped": 0, "checkpoints_restored": 0}
         if mode == REPLAY:
@@ -245,6 +250,23 @@ class Session:
         database writer.
         """
         return self._buffer.drain_records()
+
+    def stage(self, logs: Iterable[tuple] = (), loops: Iterable[tuple] = ()) -> None:
+        """Stage rows built outside ``log``/``loop`` (the service's append route).
+
+        ``logs`` are ``(tstamp, filename, ctx_id, value_name, value)`` and
+        ``loops`` are ``(tstamp, filename, ctx_id, parent_ctx_id, loop_name,
+        loop_iteration, iteration_value)``; the project id is this
+        session's.  The rows wait in the same buffer as ``log`` calls —
+        values raw, encoded at drain — until the next :meth:`flush`.  Like
+        ``log``, call it from one thread at a time (the service holds the
+        shard lock).
+        """
+        buffer, projid = self._buffer, self.projid
+        for row in logs:
+            buffer.stage_log(projid, *row)
+        for row in loops:
+            buffer.stage_loop(projid, *row)
 
     def _context_for(self, filename: str) -> ContextState:
         if filename not in self._contexts:
@@ -643,7 +665,7 @@ class Session:
         if wait:
             self.flusher.drain()
 
-    def _note_rows_written(self, _count: int) -> None:
+    def _note_rows_written(self, count: int) -> None:
         """Invalidation hook run after each transaction that wrote our rows."""
         if self._query_engine is not None:
             self._query_engine.note_write()
@@ -653,6 +675,8 @@ class Session:
             # different database handle sees neither our write_version
             # nor (without this) a generation bump.
             self._query_cache.bump_generation(self.projid)
+        if self.on_rows_written is not None:
+            self.on_rows_written(count)
 
     def commit(self, message: str = "", root_target: str | None = None) -> str | None:
         """Application-level transaction commit (``flor.commit`` in the paper).

@@ -13,8 +13,8 @@
   it, so the CLI's ``sql --names`` and the service's ``GET .../sql`` warm
   and reuse the same views as ``dataframe``.
 
-Writers call :meth:`note_write` (wired into ``Session.flush`` and the
-service ingestion queue), which bumps the cache's per-project generation
+Writers call :meth:`note_write` (wired into ``Session.flush``, which the
+service's appends go through too), which bumps the cache's per-project generation
 counter — the signal that turns the next read's fast hit into a watermark
 probe.
 """

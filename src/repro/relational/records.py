@@ -79,9 +79,9 @@ class LogRecord:
     def as_row(self) -> tuple:
         """Bind parameters for the ``logs`` INSERT.
 
-        The single record→row conversion shared by the repositories, the
-        service ingester and the background flusher, so each record is
-        materialized as a tuple exactly once on its way into SQLite.
+        The single record→row conversion shared by the repositories and
+        the background flusher, so each record is materialized as a tuple
+        exactly once on its way into SQLite.
         """
         return (
             self.projid,

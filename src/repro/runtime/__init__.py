@@ -21,8 +21,9 @@ everywhere.  This package is where that promise is enforced mechanically:
   on stored checkpoints.
 
 Layering: this package depends only on :mod:`repro.relational` and
-:mod:`repro.errors`; :mod:`repro.core.session` and
-:mod:`repro.service.ingest` build on top of it.
+:mod:`repro.errors`; :mod:`repro.core.session` builds on top of it, and
+the service stages appended rows through the shard's session rather than
+a buffer of its own.
 """
 
 from .buffer import RecordBuffer

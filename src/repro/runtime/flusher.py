@@ -51,7 +51,7 @@ ASYNC = "async"
 class FlushCallbackError(ReproError):
     """An ``on_written`` callback raised *after* its transaction committed.
 
-    Distinct from a write failure so callers (the ingestion queue) know the
+    Distinct from a write failure so callers (``Session.flush``) know the
     rows are durable — retrying the write would duplicate them.
     """
 

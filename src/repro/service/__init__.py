@@ -7,10 +7,10 @@ package is the server side of that story, built on the in-process
 
 * :mod:`repro.service.pool` — a sharded database pool: one SQLite
   :class:`~repro.relational.database.Database` per project, an LRU-capped
-  handle cache and a per-shard re-entrant lock,
-* :mod:`repro.service.ingest` — a batched ingestion queue that coalesces
-  appended records into one transaction per flush (size- or
-  interval-triggered), amortizing commit overhead across records,
+  handle cache and a per-shard re-entrant lock.  Appended records are
+  staged in the shard session's own record buffer and handed to its
+  background flusher by size, interval or an explicit barrier, so many
+  appends share one transaction,
 * :mod:`repro.service.app` — the HTTP surface: bulk append, commit,
   dataframe and read-only SQL endpoints per project, plus the durable job
   endpoints (``POST /projects/<name>/jobs/backfill``, ``GET /jobs/<id>``,
@@ -35,7 +35,6 @@ Quick tour::
 """
 
 from .app import SERVICE_FILENAME, FlorService, create_app
-from .ingest import IngestionQueue, IngestStats
 from .pool import DatabasePool, PoolStats, ProjectShard
 
 __all__ = [
@@ -45,6 +44,4 @@ __all__ = [
     "DatabasePool",
     "PoolStats",
     "ProjectShard",
-    "IngestionQueue",
-    "IngestStats",
 ]

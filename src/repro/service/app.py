@@ -4,18 +4,18 @@ Routes (all JSON; ``<name>`` is a tenant/project name):
 
 * ``POST /projects/<name>/logs`` — bulk-append log and loop records.  The
   body is ``{"records": [...], "loops": [...], "filename": ...}``; records
-  are acknowledged with ``202`` once enqueued — ``"flushed": true`` in the
+  are acknowledged with ``202`` once staged — ``"flushed": true`` in the
   response means the batch was *handed to the shard's writer* (inline with
   ``flush_mode="sync"``, to the background flusher otherwise), not that it
   is already durable.  Durability comes from the next commit or read, both
   of which drain the writer first.
-* ``POST /projects/<name>/commit`` — flush the shard's queue and run
+* ``POST /projects/<name>/commit`` — flush the shard's staged rows and run
   ``flor.commit`` (snapshot tracked files, record the ``ts2vid`` epoch).
 * ``GET /projects/<name>/dataframe?names=a,b[&latest=1]`` — the pivoted
   view of the named log values, as ``{"columns": ..., "records": ...}``.
 * ``GET /projects/<name>/sql?q=SELECT...[&names=a,b]`` — read-only SQL via
   :func:`repro.relational.sql.run_sql`; anything but SELECT/WITH is a 400.
-* ``GET /projects/<name>/stats`` — per-shard row counts and queue stats.
+* ``GET /projects/<name>/stats`` — per-shard row counts and hand-off stats.
 * ``GET /projects/<name>/tail`` — the live observability plane's tenant
   stream: committed log rows as server-sent events, resumable via
   ``Last-Event-ID``/``?since_seq=`` (see :mod:`repro.service.streams` and
@@ -64,7 +64,7 @@ the :class:`~repro.jobs.JobRunner` workers embedded by ``repro serve
 --job-workers N`` (or any external runner sharing the root).
 
 Reads flush before querying, so a client always reads its own writes even
-when its records are still queued.  Handlers run under the shard's lock
+when its records are still staged.  Handlers run under the shard's lock
 (see :mod:`repro.service.pool`), which makes the service safe to drive
 from many threads — the shape the T8 benchmark measures.  Dataframe and
 SQL reads are served by the shard's :class:`~repro.query.QueryEngine`:
@@ -92,10 +92,10 @@ from ..errors import (
 from ..jobs import JOB_KINDS, JOBS_DB_FILENAME, KIND_BACKFILL, JobStore
 from ..obs import MetricsRegistry, TailBroker
 from ..qos import AdmissionController, PolicyStore, rule_from_payload
-from ..relational.records import JOB_STATES, LogRecord, LoopRecord
+from ..relational.records import JOB_STATES
 from ..relational.schema import TABLES
 from ..webapp.framework import HttpError, JsonResponse, Request, WebApp
-from .pool import SERVICE_FILENAME, DatabasePool, ProjectShard
+from .pool import SERVICE_FILENAME, DatabasePool
 from .stats import service_stats_payload, shard_stats_payload, telemetry_payload
 from .streams import (
     DEFAULT_KEEPALIVE,
@@ -119,8 +119,8 @@ class FlorService:
     pool_capacity:
         Maximum simultaneously open shards (LRU beyond that).
     flush_size / flush_interval:
-        Batched-ingestion knobs, passed to each shard's
-        :class:`~repro.service.ingest.IngestionQueue`.  ``flush_size=1``
+        Hand-off policy for appended rows, applied per shard (see
+        :meth:`~repro.service.pool.ProjectShard.append`).  ``flush_size=1``
         disables batching (every append is its own transaction).
     flush_mode:
         ``"async"`` (default) or ``"sync"`` record path per shard; see
@@ -131,7 +131,7 @@ class FlorService:
     replicas:
         When > 0, ``dataframe``/``sql`` reads are routed round-robin to
         that many snapshot read replicas per shard.  Replica reads do not
-        flush the ingestion queue — they trade read-your-writes for
+        flush the shard's staged rows — they trade read-your-writes for
         bounded staleness, and every response carries the serving
         replica's ``logs.seq`` ``watermark`` so clients can reason about
         freshness.  A client that needs read-your-writes passes
@@ -140,7 +140,7 @@ class FlorService:
         Seconds a replica may lag before a read re-ships a snapshot.
     shard_factory:
         ``(name) -> ProjectShard`` hook forwarded to the pool, replacing
-        default shard construction entirely — the chaos harness uses it to
+        how a shard's session is built — the chaos harness uses it to
         build shards over fault-wrapped stores
         (:func:`repro.testing.soak.chaos_shard_factory`).
     """
@@ -468,52 +468,47 @@ def _keepalive_arg(request: Request) -> float:
     )
 
 
-def _build_log_records(
-    shard: ProjectShard, payload: dict[str, Any]
-) -> list[LogRecord]:
+def _staged_rows(session, payload: dict[str, Any]) -> tuple[list[tuple], list[tuple]]:
+    """Validate an append body into :meth:`Session.stage` rows (values raw).
+
+    Raises before anything is staged, so a 400 leaves nothing behind for a
+    later flush to write.
+    """
     default_filename = str(payload.get("filename") or SERVICE_FILENAME)
-    records = []
+    logs, loops = [], []
     for item in _record_list(payload, "records"):
         if "name" not in item:
             raise HttpError(400, "every log record needs a 'name'")
-        records.append(
-            LogRecord.create(
-                projid=shard.session.projid,
-                tstamp=str(item.get("tstamp") or shard.session.tstamp),
-                filename=str(item.get("filename") or default_filename),
-                ctx_id=_int_field(item, "ctx_id"),
-                value_name=str(item["name"]),
-                value=item.get("value"),
+        logs.append(
+            (
+                str(item.get("tstamp") or session.tstamp),
+                str(item.get("filename") or default_filename),
+                _int_field(item, "ctx_id"),
+                str(item["name"]),
+                item.get("value"),
             )
         )
-    return records
-
-
-def _build_loop_records(
-    shard: ProjectShard, payload: dict[str, Any]
-) -> list[LoopRecord]:
-    default_filename = str(payload.get("filename") or SERVICE_FILENAME)
-    loops = []
     for item in _record_list(payload, "loops"):
         if "loop_name" not in item:
             raise HttpError(400, "every loop record needs a 'loop_name'")
         loops.append(
-            LoopRecord(
-                projid=shard.session.projid,
-                tstamp=str(item.get("tstamp") or shard.session.tstamp),
-                filename=str(item.get("filename") or default_filename),
-                ctx_id=_int_field(item, "ctx_id"),
-                parent_ctx_id=(
+            (
+                str(item.get("tstamp") or session.tstamp),
+                str(item.get("filename") or default_filename),
+                _int_field(item, "ctx_id"),
+                (
                     None
                     if item.get("parent_ctx_id") is None
                     else _int_field(item, "parent_ctx_id")
                 ),
-                loop_name=str(item["loop_name"]),
-                loop_iteration=_int_field(item, "loop_iteration"),
-                iteration_value=str(item.get("iteration_value", "")),
+                str(item["loop_name"]),
+                _int_field(item, "loop_iteration"),
+                str(item.get("iteration_value", "")),
             )
         )
-    return loops
+    if not logs and not loops:
+        raise HttpError(400, "no records to append ('records' and 'loops' both empty)")
+    return logs, loops
 
 
 def create_app(service: FlorService) -> WebApp:
@@ -572,16 +567,13 @@ def create_app(service: FlorService) -> WebApp:
         enforce_admission(service.admission, name, len(request.body))
         payload = _json_body(request)
         with pool.checkout(name) as shard:
-            logs = _build_log_records(shard, payload)
-            loops = _build_loop_records(shard, payload)
-            if not logs and not loops:
-                raise HttpError(400, "no records to append ('records' and 'loops' both empty)")
-            flushed = shard.queue.append(logs=logs, loops=loops)
+            logs, loops = _staged_rows(shard.session, payload)
+            flushed = shard.append(logs, loops)
             return JsonResponse(
                 {
                     "queued": len(logs) + len(loops),
                     "flushed": flushed,
-                    "pending": shard.queue.pending,
+                    "pending": shard.pending,
                 },
                 status=202,
             )
@@ -635,7 +627,7 @@ def create_app(service: FlorService) -> WebApp:
         name = _existing(name)
         enforce_admission(service.admission, name)
         if not force_primary:
-            # Bounded-staleness read: no queue flush, served from a snapshot
+            # Bounded-staleness read: no flush barrier, served from a snapshot
             # replica; the watermark tells the client the highest logs.seq
             # the replica had when it answered.
             outcome = _replica_read(

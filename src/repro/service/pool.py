@@ -9,9 +9,16 @@ dropped independently (the "one metadata home per project" layout of
 Open handles are cached in an :class:`~collections.OrderedDict` used as an
 LRU: :meth:`DatabasePool.get` moves the shard to the hot end, and opening a
 shard beyond ``capacity`` closes the coldest one.  Closing flushes the
-shard's ingestion queue first, so eviction never loses acknowledged
-records — a re-opened shard sees everything that was appended before
-eviction (exercised by the pool tests).
+shard's staged rows first, so eviction never loses acknowledged records —
+a re-opened shard sees everything that was appended before eviction
+(exercised by the pool tests).
+
+Appended rows wait in exactly one place: the shard session's
+:class:`~repro.runtime.RecordBuffer`, the same buffer ``Session.log``
+stages into.  SQLite pays a fixed cost per committed transaction that
+dwarfs one extra ``executemany`` row, so :meth:`ProjectShard.append` hands
+the buffer to the session's flusher only by size or interval, and
+:meth:`ProjectShard.flush` is the explicit read-your-writes barrier.
 
 Concurrency model: the pool dict is guarded by a pool-level lock; each
 shard carries its own :class:`threading.RLock` that request handlers hold
@@ -25,17 +32,18 @@ observes ``shard.closed`` and retries the lookup — see
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from ..config import ProjectConfig
 from ..core.session import Session
 from ..query.engine import QueryEngine
-from .ingest import IngestionQueue
 
 #: Filename stamped on records that arrive without one; mirrors how the
 #: feedback webapp stamps ``app.py`` on human-in-the-loop records.
@@ -71,7 +79,7 @@ class ShardReplicas:
     its ``write_version``, so without this hook the per-replica materialized
     views would serve stale fast hits forever.
 
-    Reads here deliberately do NOT flush the shard's ingestion queue: the
+    Reads here deliberately do NOT flush the shard's staged rows: the
     whole point of replica routing is bounded staleness instead of
     read-your-writes, and every response carries the replica's ``logs.seq``
     watermark so clients can see exactly how fresh their read was.
@@ -123,29 +131,95 @@ _incarnations = count(1)
 
 
 class ProjectShard:
-    """One open tenant: a session, its ingestion queue and a lock."""
+    """One open tenant: a session, its hand-off policy and a lock.
+
+    ``clock`` is the monotonic time source behind the interval trigger,
+    injectable so tests drive it deterministically.
+    """
 
     def __init__(
         self,
         name: str,
         session: Session,
-        queue: IngestionQueue | None = None,
         replicas: ShardReplicas | None = None,
+        *,
+        flush_size: int = 64,
+        flush_interval: float | None = 0.5,
+        clock: Callable[[], float] = time.monotonic,
     ):
         self.name = name
         self.session = session
-        self.queue = queue
         self.replicas = replicas
+        self.flush_size = flush_size
+        self.flush_interval = flush_interval
+        self.clock = clock
+        #: The ``ingest`` block of ``GET /projects/<name>/stats``.
+        self.ingest = {
+            "appended": 0,
+            "size_flushes": 0,
+            "interval_flushes": 0,
+            "explicit_flushes": 0,
+        }
+        self._last_handoff = clock()
         self.incarnation = next(_incarnations)
         self.lock = threading.RLock()
         self.closed = False
 
+    @property
+    def pending(self) -> int:
+        """Rows staged in the session's buffer, not yet handed to the flusher.
+
+        Rows already submitted to an async flusher are tracked by the
+        flusher's own ``pending_rows``, not here.
+        """
+        return self.session.pending_log_records + self.session.pending_loop_records
+
+    def append(self, logs: Sequence[tuple] = (), loops: Sequence[tuple] = ()) -> bool:
+        """Stage rows (see :meth:`Session.stage`); True when handed off.
+
+        A hand-off is due once ``flush_size`` rows are staged
+        (``flush_size=1`` is the unbatched baseline T8 compares against) or
+        ``flush_interval`` seconds passed since the last one — checked only
+        here, so an idle shard holds its tail rows until the next append or
+        barrier.  It does not wait for the write: with an async session the
+        rows ride the background flusher and the request thread moves on.
+        Call with the shard lock held (:meth:`DatabasePool.checkout`) — the
+        session's buffer is not thread-safe on its own.
+        """
+        self.session.stage(logs, loops)
+        self.ingest["appended"] += len(logs) + len(loops)
+        if self.pending >= self.flush_size:
+            trigger = "size_flushes"
+        elif (
+            self.flush_interval is not None
+            and self.clock() - self._last_handoff >= self.flush_interval
+        ):
+            trigger = "interval_flushes"
+        else:
+            return False
+        self._hand_off(trigger, wait=False)
+        return True
+
     def flush(self) -> int:
-        """Drain the ingestion queue (if any) and the session's buffers."""
+        """Make every staged row durable now; returns how many were staged.
+
+        The read-your-writes barrier: it returns only once every row —
+        including earlier size/interval hand-offs still riding the
+        background flusher — is committed, and it is where a deferred
+        flusher error surfaces.
+        """
         with self.lock:
-            flushed = self.queue.flush() if self.queue is not None else 0
-            self.session.flush()
-            return flushed
+            return self._hand_off("explicit_flushes", wait=True)
+
+    def _hand_off(self, trigger: str, *, wait: bool) -> int:
+        count = self.pending
+        # A failed inline write leaves the rows staged (Session.flush
+        # restores them) and this hand-off uncounted, so a later one retries.
+        self.session.flush(wait=wait)
+        self._last_handoff = self.clock()
+        if count:
+            self.ingest[trigger] += 1
+        return count
 
     def close(self) -> None:
         """Flush pending records, then release the database handle."""
@@ -169,14 +243,13 @@ class DatabasePool:
     capacity:
         Maximum number of simultaneously open shards (SQLite handles).
     flush_size / flush_interval:
-        Batching knobs for each shard's
-        :class:`~repro.service.ingest.IngestionQueue`.
+        Hand-off policy for appended rows, set on every shard the pool
+        opens (see :meth:`ProjectShard.append`).
     flush_mode:
         ``"async"`` (default) or ``"sync"``, forwarded to each shard's
-        :class:`~repro.core.session.Session`.  The shard's ingestion queue
-        reuses the session's flusher, so with the default one background
-        writer per shard serves both the batched ingest path and the
-        session's own record path.
+        :class:`~repro.core.session.Session`.  With the default, one
+        background writer per shard serves appended rows and the
+        session's own ``log`` calls alike.
     backend:
         ``"sqlite"`` (default) stores each shard at
         ``<root>/<name>/.flor/flor.db``; ``"memory"`` builds shards on
@@ -191,16 +264,18 @@ class DatabasePool:
     replica_staleness:
         Seconds a replica snapshot may lag before a read re-syncs it.
     shard_factory:
-        ``(name) -> ProjectShard`` hook replacing the default construction
-        entirely (mainly for tests).
+        ``(name) -> ProjectShard`` hook replacing how a shard's session is
+        built (the chaos harness wraps its stores in faults).  The pool
+        still applies its policy values, hooks and metrics to the result.
     metrics:
         Optional :class:`repro.obs.MetricsRegistry`.  The pool records its
         own hit/miss/evict churn and hands the registry to each shard's
         flusher so flush latency aggregates across tenants.
     on_ingest:
-        Optional ``(tenant, rows) -> None`` hook, invoked after a shard's
-        ingestion batch *commits* (piggybacking on the flusher's
-        ``on_written`` ordering).  The service layer points this at its
+        Optional ``(tenant, rows) -> None`` hook, invoked after a
+        transaction writing a shard's rows *commits* (the session's
+        ``on_rows_written``, which rides the flusher's ``on_written``
+        ordering).  The service layer points this at its
         :class:`~repro.obs.TailBroker` so tail subscribers wake only for
         rows a backfill query can already see.
     """
@@ -224,6 +299,8 @@ class DatabasePool:
     ):
         if capacity < 1:
             raise ValueError(f"pool capacity must be >= 1, got {capacity}")
+        if flush_size < 1:
+            raise ValueError(f"flush_size must be >= 1, got {flush_size}")
         if backend not in self.BACKENDS:
             raise ValueError(f"unknown pool backend: {backend!r}")
         if replicas < 0:
@@ -246,7 +323,7 @@ class DatabasePool:
         # Names whose evicted shard is still closing.  A lookup blocks on
         # this the same way it blocks on _building: were the name rebuilt
         # while the old incarnation's close was in flight, a failed close
-        # could no longer reinstate the shard — orphaning its queued,
+        # could no longer reinstate the shard — orphaning its staged,
         # already-acknowledged records.
         self._closing: dict[str, threading.Event] = {}
         # Dropped-row counts banked from closed incarnations, per tenant.
@@ -268,58 +345,49 @@ class DatabasePool:
 
     def _default_factory(self, name: str) -> ProjectShard:
         config = ProjectConfig(self.root / name, name)
+        db = repository = None  # sqlite: the session opens its own files
         if self.backend == "memory":
             from ..storage.memory import MemoryBlobStore, MemoryRelationalStore
             from ..versioning.repository import Repository
 
-            retained = self._retained.get(name)
-            if retained is None:
-                db = MemoryRelationalStore()
-                repository = Repository(None, config.root, store=MemoryBlobStore())
-                self._retained[name] = (db, repository)
-            else:
-                db, repository = retained
-            session = Session(
-                config,
-                db=db,
-                repository=repository,
-                default_filename=SERVICE_FILENAME,
-                flush_mode=self.flush_mode,
-            )
-        else:
-            session = Session(
-                config, default_filename=SERVICE_FILENAME, flush_mode=self.flush_mode
-            )
-        # The session's query engine carries the shard's materialized pivot
-        # views (one cache per shard, warm across requests).  The ingestion
-        # queue writes straight to the database, so each of its flushed
-        # batches must bump the cache generation the same way Session.flush
-        # does — after the batch's transaction commits, which the flusher's
-        # on_written hook guarantees.  The engine is resolved here, once,
-        # so the callback never races its lazy construction.
-        engine = session.query
-        if self.metrics is not None:
-            session.flusher.metrics = self.metrics
-            engine.cache.metrics = self.metrics
-
-        def _on_flush(count: int, _name: str = name, _engine=engine) -> None:
-            _engine.note_write()
-            if self.on_ingest is not None:
-                self.on_ingest(_name, count)
-
-        queue = IngestionQueue(
-            session.db,
-            flush_size=self.flush_size,
-            flush_interval=self.flush_interval,
-            on_flush=_on_flush,
-            flusher=session.flusher,
+            if name not in self._retained:
+                self._retained[name] = (
+                    MemoryRelationalStore(),
+                    Repository(None, config.root, store=MemoryBlobStore()),
+                )
+            db, repository = self._retained[name]
+        session = Session(
+            config,
+            db=db,
+            repository=repository,
+            default_filename=SERVICE_FILENAME,
+            flush_mode=self.flush_mode,
         )
         shard_replicas = None
         if self.replicas > 0:
             shard_replicas = ShardReplicas(
                 session, count=self.replicas, max_staleness=self.replica_staleness
             )
-        return ProjectShard(name, session, queue, replicas=shard_replicas)
+        return ProjectShard(name, session, replicas=shard_replicas)
+
+    def _open(self, name: str) -> ProjectShard:
+        """Build a shard, then apply the pool's policy, hooks and metrics —
+        here only, whichever factory built the session."""
+        shard = self._factory(name)
+        shard.flush_size = self.flush_size
+        shard.flush_interval = self.flush_interval
+        session = shard.session
+        # The session's query engine carries the shard's materialized pivot
+        # views (one cache per shard, warm across requests).  Resolve it
+        # here, once, so the session's post-commit invalidation hook — which
+        # runs on the flusher's thread — never races its lazy construction.
+        engine = session.query
+        if self.metrics is not None:
+            session.flusher.metrics = self.metrics
+            engine.cache.metrics = self.metrics
+        if self.on_ingest is not None:
+            session.on_rows_written = partial(self.on_ingest, name)
+        return shard
 
     # ----------------------------------------------------------------- lookup
     def get(self, name: str) -> ProjectShard:
@@ -353,7 +421,7 @@ class DatabasePool:
         # unrelated hot shards.
         evicted: list[ProjectShard] = []
         try:
-            shard = self._factory(name)
+            shard = self._open(name)
         except BaseException:
             with self._lock:
                 self._building.pop(name, None)
@@ -378,7 +446,7 @@ class DatabasePool:
         """Close a shard evicted from the cache without losing records.
 
         If the close fails (the flush raised), the shard still holds its
-        queued records, so it is reinstated into the cache rather than
+        staged records, so it is reinstated into the cache rather than
         orphaned — acknowledged appends stay reachable and the flush is
         retried on the next eviction or :meth:`close`.  The ``_closing``
         reservation taken when the shard was popped guarantees the name was
@@ -404,13 +472,13 @@ class DatabasePool:
             event.set()
 
     def _bank_dropped_locked(self, shard: ProjectShard) -> None:
-        flusher = getattr(shard.session, "flusher", None)
-        if flusher is not None and flusher.stats.dropped_rows:
+        dropped = shard.session.flusher.stats.dropped_rows
+        if dropped:
             self._dropped_banked[shard.name] = (
-                self._dropped_banked.get(shard.name, 0) + flusher.stats.dropped_rows
+                self._dropped_banked.get(shard.name, 0) + dropped
             )
             if self._m_dropped is not None:
-                self._m_dropped.inc(flusher.stats.dropped_rows)
+                self._m_dropped.inc(dropped)
 
     def dropped_rows_total(self, name: str) -> int:
         """Rows dropped by this tenant's writers over the pool's lifetime.
@@ -425,9 +493,7 @@ class DatabasePool:
             total = self._dropped_banked.get(name, 0)
             shard = self._shards.get(name)
         if shard is not None:
-            flusher = getattr(shard.session, "flusher", None)
-            if flusher is not None:
-                total += flusher.stats.dropped_rows
+            total += shard.session.flusher.stats.dropped_rows
         return total
 
     @contextmanager

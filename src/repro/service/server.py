@@ -20,13 +20,12 @@ the worker thread, so one bad request never takes the service down.
 
 from __future__ import annotations
 
-import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
-from ..webapp.framework import Request, Response, StreamingResponse, WebApp
+from ..webapp.framework import JsonResponse, Request, Response, StreamingResponse, WebApp
 
 
 def _handler_class(app: WebApp, quiet: bool) -> type[BaseHTTPRequestHandler]:
@@ -35,7 +34,16 @@ def _handler_class(app: WebApp, quiet: bool) -> type[BaseHTTPRequestHandler]:
         server_version = "flordb-service"
 
         def _dispatch(self) -> None:
-            length = int(self.headers.get("Content-Length") or 0)
+            raw_length = self.headers.get("Content-Length") or "0"
+            if not (raw_length.isascii() and raw_length.isdigit()):
+                # Without a usable length the body's end — and so the next
+                # request's start — is unknown: answer, then drop the
+                # connection.  (read(-1) would block until the peer closes.)
+                self.close_connection = True
+                error = {"error": f"invalid Content-Length: {raw_length!r}"}
+                self._send(JsonResponse(error, status=400, headers={"Connection": "close"}))
+                return
+            length = int(raw_length)
             body = self.rfile.read(length) if length else b""
             parts = urlsplit(self.path)
             query = {k: v[-1] for k, v in parse_qs(parts.query).items()}
@@ -49,14 +57,13 @@ def _handler_class(app: WebApp, quiet: bool) -> type[BaseHTTPRequestHandler]:
             try:
                 response = app.handle(request)
             except Exception as exc:  # noqa: BLE001 - keep the worker alive
-                response = Response(
-                    body=json.dumps({"error": f"internal error: {exc}"}),
-                    status=500,
-                    headers={"Content-Type": "application/json"},
-                )
+                response = JsonResponse({"error": f"internal error: {exc}"}, status=500)
             if isinstance(response, StreamingResponse):
                 self._send_stream(response)
                 return
+            self._send(response)
+
+        def _send(self, response: Response) -> None:
             payload = response.body.encode("utf-8")
             self.send_response(response.status)
             for key, value in response.headers.items():

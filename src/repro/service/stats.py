@@ -16,12 +16,6 @@ from typing import Any
 from .pool import ProjectShard
 
 
-def flusher_stats(session) -> dict[str, int]:
-    """The session flusher's lifetime counters (empty dict when sync-only)."""
-    flusher = getattr(session, "flusher", None)
-    return flusher.stats.as_dict() if flusher is not None else {}
-
-
 def replica_stats(shard: ProjectShard) -> dict[str, Any] | None:
     """The shard's replica-routing counters, or None without replicas."""
     if shard.replicas is None:
@@ -51,9 +45,9 @@ def shard_stats_payload(service, shard: ProjectShard) -> dict[str, Any]:
         "project": shard.session.projid,
         "incarnation": shard.incarnation,
         "dropped_rows_total": pool.dropped_rows_total(shard.name),
-        "pending": shard.queue.pending if shard.queue else 0,
-        "ingest": shard.queue.stats.as_dict() if shard.queue else {},
-        "flusher": flusher_stats(shard.session),
+        "pending": shard.pending,
+        "ingest": shard.ingest,
+        "flusher": shard.session.flusher.stats.as_dict(),
         "qos": qos_stats(service, shard.session.projid),
         "query_cache": shard.session.query.stats.as_dict(),
         "replicas": replica_stats(shard),

@@ -57,26 +57,19 @@ AGENT_NAMES = "tokens_in,tokens_out,tool,tool_latency,tool_status,eval_score"
 _UNBORN = -1
 
 
-def chaos_shard_factory(
-    root: Path | str,
-    plan: FaultPlan,
-    *,
-    flush_size: int = 32,
-    flush_interval: float | None = 0.05,
-    flush_mode: str | None = None,
-):
+def chaos_shard_factory(root: Path | str, plan: FaultPlan):
     """A ``DatabasePool.shard_factory`` building fault-wrapped shards.
 
-    Mirrors the pool's default construction but threads ``plan`` through
-    both storage seams: the relational store may stall or raise ``database
-    is locked`` (absorbed by the background flusher's retry loop or
-    surfaced to the client as a failed request), and the blob store may
-    stall.  Each tenant gets its own fault sites, so per-tenant schedules
-    are independent of pool churn.
+    Builds only the session — over stores that thread ``plan`` through both
+    storage seams: the relational store may stall or raise ``database is
+    locked`` (absorbed by the background flusher's retry loop or surfaced
+    to the client as a failed request), and the blob store may stall.  The
+    pool applies its hand-off policy, hooks and metrics to the returned
+    shard exactly as it does to its own.  Each tenant gets its own fault
+    sites, so per-tenant schedules are independent of pool churn.
     """
     from ..config import ProjectConfig
     from ..core.session import Session
-    from ..service.ingest import IngestionQueue
     from ..service.pool import SERVICE_FILENAME, ProjectShard
     from ..storage.faults import FaultyBlobStore, FaultyRelationalStore
     from ..storage.tiering import TieredBlobStore
@@ -99,21 +92,9 @@ def chaos_shard_factory(
         )
         repository = Repository(config.objects_dir, config.root, store=blob_store)
         session = Session(
-            config,
-            db=db,
-            repository=repository,
-            default_filename=SERVICE_FILENAME,
-            flush_mode=flush_mode,
+            config, db=db, repository=repository, default_filename=SERVICE_FILENAME
         )
-        engine = session.query
-        queue = IngestionQueue(
-            session.db,
-            flush_size=flush_size,
-            flush_interval=flush_interval,
-            on_flush=lambda _count: engine.note_write(),
-            flusher=session.flusher,
-        )
-        return ProjectShard(name, session, queue)
+        return ProjectShard(name, session)
 
     return factory
 
@@ -237,12 +218,7 @@ class ChaosSoak:
             pool_capacity=self.pool_capacity,
             flush_size=self.flush_size,
             flush_interval=self.flush_interval,
-            shard_factory=chaos_shard_factory(
-                self.root,
-                self.plan,
-                flush_size=self.flush_size,
-                flush_interval=self.flush_interval,
-            ),
+            shard_factory=chaos_shard_factory(self.root, self.plan),
             job_store=store,
         )
         return service, store

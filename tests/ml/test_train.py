@@ -58,6 +58,9 @@ class TestInstrumentedTraining:
         with active_session(session):
             train_classifier(train_data, test_data, TrainingConfig(epochs=3, lr=5e-3))
         assert session.checkpoints.saved >= 1
+        # Async sessions write checkpoints on the writer's thread and
+        # train_classifier never commits: wait for them before listing.
+        session.checkpoints.drain()
         keys = session.objects.list_keys(session.projid)
         assert any(name.startswith("ckpt::") for *_rest, name in keys)
 

@@ -76,6 +76,17 @@ class TestAppend:
         assert response.status == 400
         assert "name" in response.json()["error"]
 
+    def test_a_rejected_payload_stages_none_of_its_records(self, client, service):
+        _append(client, "alpha", [0.5])
+        response = client.post(
+            "/projects/alpha/logs",
+            json_body={"records": [{"name": "a"}, {"name": "b"}, {"value": 3}]},
+        )
+        assert response.status == 400
+        with service.pool.checkout("alpha") as shard:
+            assert shard.pending == 1  # only the earlier, valid append
+            assert shard.ingest["appended"] == 1
+
     def test_malformed_json_body_is_rejected(self, client):
         response = client.post("/projects/alpha/logs", body=b"{not json")
         assert response.status == 400
@@ -188,7 +199,7 @@ class TestCommit:
         assert response.status == 200
         assert response.json()["vid"]
         with service.pool.checkout("alpha") as shard:
-            assert shard.queue.pending == 0
+            assert shard.pending == 0
             assert shard.session.db.count("logs") == 1
             assert shard.session.db.count("ts2vid") == 1
 

@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro.relational.records import LogRecord
 from repro.service.pool import DatabasePool
 
 
@@ -17,15 +16,8 @@ def pool(tmp_path):
     pool.close()
 
 
-def _log(shard, i: int) -> LogRecord:
-    return LogRecord.create(
-        projid=shard.session.projid,
-        tstamp=shard.session.tstamp,
-        filename="load.py",
-        ctx_id=i,
-        value_name="m",
-        value=i,
-    )
+def _log(shard, i: int) -> tuple:
+    return (shard.session.tstamp, "load.py", i, "m", i)
 
 
 class TestLookup:
@@ -59,8 +51,8 @@ class TestEviction:
 
     def test_eviction_flushes_pending_records(self, pool):
         alpha = pool.get("alpha")
-        alpha.queue.append(logs=[_log(alpha, 0), _log(alpha, 1)])
-        assert alpha.queue.pending == 2
+        alpha.append([_log(alpha, 0), _log(alpha, 1)])
+        assert alpha.pending == 2
         pool.get("beta")
         pool.get("gamma")  # evicts alpha with queued records
         assert alpha.closed
@@ -87,25 +79,25 @@ class TestEviction:
     def test_failed_eviction_flush_reinstates_the_shard(self, pool, monkeypatch):
         """A flush failure during eviction must not drop acknowledged records."""
         alpha = pool.get("alpha")
-        alpha.queue.append(logs=[_log(alpha, 0)])
+        alpha.append([_log(alpha, 0)])
         attempts = []
-        original_flush = alpha.queue.flush
+        original_flush = alpha.session.flush
 
-        def failing_flush():
+        def failing_flush(wait=True):
             if not attempts:
                 attempts.append(1)
                 raise RuntimeError("disk hiccup")
-            return original_flush()
+            return original_flush(wait)
 
-        monkeypatch.setattr(alpha.queue, "flush", failing_flush)
+        monkeypatch.setattr(alpha.session, "flush", failing_flush)
         pool.get("beta")
         pool.get("gamma")  # eviction of alpha: close fails, shard reinstated
         assert not alpha.closed
         assert "alpha" in pool
-        assert alpha.queue.pending == 1  # records still reachable
+        assert alpha.pending == 1  # records still reachable
         pool.close()  # second attempt succeeds
         assert alpha.closed
-        assert alpha.queue.pending == 0
+        assert alpha.pending == 0
 
     def test_factory_failure_does_not_wedge_the_pool(self, tmp_path):
         calls = []
@@ -123,6 +115,37 @@ class TestEviction:
             # The failed open left no reservation behind; a retry succeeds.
             shard = pool.get("alpha")
             assert not shard.closed
+        finally:
+            pool.close()
+
+    def test_pool_equips_shards_from_a_custom_factory(self, tmp_path):
+        """Policy values, the post-commit hook and metrics are applied by the
+        pool, so a factory only has to build the session."""
+        from repro.config import ProjectConfig
+        from repro.core.session import Session
+        from repro.obs import MetricsRegistry
+        from repro.service.pool import ProjectShard
+
+        def bare_factory(name):
+            session = Session(ProjectConfig(tmp_path / "p" / name, name), flush_mode="sync")
+            return ProjectShard(name, session)
+
+        metrics = MetricsRegistry()
+        published = []
+        pool = DatabasePool(
+            tmp_path / "p",
+            flush_size=2,
+            flush_interval=None,
+            shard_factory=bare_factory,
+            metrics=metrics,
+            on_ingest=lambda name, rows: published.append((name, rows)),
+        )
+        try:
+            shard = pool.get("alpha")
+            assert (shard.flush_size, shard.flush_interval) == (2, None)
+            assert shard.append([_log(shard, 0), _log(shard, 1)]) is True
+            assert published == [("alpha", 2)]
+            assert metrics.snapshot()["counters"]["flush.rows"] == 2
         finally:
             pool.close()
 
@@ -174,7 +197,7 @@ class TestCheckout:
             def worker(worker_id: int) -> None:
                 for i in range(20):
                     with pool.checkout("shared") as shard:
-                        shard.queue.append(logs=[_log(shard, worker_id * 100 + i)])
+                        shard.append([_log(shard, worker_id * 100 + i)])
 
             threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
             for thread in threads:
@@ -190,8 +213,8 @@ class TestCheckout:
     def test_flush_all_reports_written_records(self, pool):
         alpha = pool.get("alpha")
         beta = pool.get("beta")
-        alpha.queue.append(logs=[_log(alpha, 0)])
-        beta.queue.append(logs=[_log(beta, 0), _log(beta, 1)])
+        alpha.append([_log(alpha, 0)])
+        beta.append([_log(beta, 0), _log(beta, 1)])
         assert pool.flush_all() == 3
 
 

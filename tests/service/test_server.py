@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -109,6 +110,31 @@ class TestBridge:
         assert errors == []
         _, body = _get(base + "/projects/shared/sql?q=SELECT%20COUNT(*)%20AS%20n%20FROM%20logs")
         assert body["records"] == [{"n": 40}]
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("content_length", ["-1", "abc"])
+    def test_unusable_content_length_is_a_400_and_closes(self, running_service, content_length):
+        """``-1`` used to park the handler thread in ``rfile.read(-1)``;
+        ``abc`` raised out of it and dropped the connection unanswered."""
+        base, _ = running_service
+        host, port = base.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=2) as sock:
+            sock.sendall(
+                b"POST /projects/alpha/logs HTTP/1.1\r\n"
+                b"Host: test\r\n"
+                b"Content-Length: " + content_length.encode() + b"\r\n"
+                b"\r\n"
+            )
+            raw = b""
+            while chunk := sock.recv(4096):  # until the server closes, within the timeout
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"connection: close" in head.lower()
+        assert "Content-Length" in json.loads(body)["error"]
+        # The listener is unharmed.
+        assert _get(base + "/healthz")[0] == 200
 
 
 class TestMakeServer:
