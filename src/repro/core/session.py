@@ -194,8 +194,11 @@ class Session:
             if not replay_tstamp:
                 raise ReplayError("replay sessions require replay_tstamp")
             self.tstamp = replay_tstamp
+            # Only this run's rows: ``log`` probes keys under ``self.tstamp``,
+            # which a replay session never rotates.
             self._existing_log_keys = {
-                (r.tstamp, r.filename, r.ctx_id, r.value_name) for r in self.logs.all(self.projid)
+                (r.tstamp, r.filename, r.ctx_id, r.value_name)
+                for r in self.logs.by_tstamp(self.projid, replay_tstamp)
             }
         else:
             self.tstamp = _timestamps.next()

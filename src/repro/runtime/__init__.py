@@ -10,8 +10,9 @@ everywhere.  This package is where that promise is enforced mechanically:
 * :class:`~repro.runtime.flusher.BackgroundFlusher` — a double-buffered
   writer thread that drains staged rows to SQLite in single transactions,
   coalescing every batch queued since its last wakeup.  Memory is bounded:
-  submitters block (backpressure) once ``max_pending_rows`` rows are in
-  flight.  A ``sync`` mode executes submissions inline on the caller's
+  submitters block (backpressure) once ``max_pending_rows`` rows (1,024 by
+  default, which also caps a coalesced transaction) are in flight.  A
+  ``sync`` mode executes submissions inline on the caller's
   thread, preserving the pre-runtime semantics for replay sandboxes and
   tests.
 * :class:`~repro.runtime.checkpoint_writer.AsyncCheckpointWriter` — moves

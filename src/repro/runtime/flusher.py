@@ -17,8 +17,12 @@ Semantics:
   sandboxes, tests, and anyone passing ``flush_mode="sync"``.
 * **drain()** is the read-your-writes barrier: it returns only once every
   submitted row is durable (or raises the error that prevented it).
-* **backpressure**: submitters block once ``max_pending_rows`` rows are
+* **backpressure**: submitters block once ``max_pending_rows`` rows
+  (:data:`DEFAULT_MAX_PENDING_ROWS` unless a caller says otherwise) are
   queued or in flight, bounding memory under a writer that cannot keep up.
+  The worker takes everything queued per transaction, so the same number
+  caps a coalesced transaction: a blocked producer waits for one short
+  write, never behind a giant one.
 * **errors** raised by the worker (or by ``on_written`` callbacks) are
   captured and re-raised on the *recording* thread at the next ``drain`` or
   ``close`` (never from an async ``submit`` — a submit that raised after
@@ -46,6 +50,15 @@ from ..relational.repositories import INSERT_LOG_SQL, INSERT_LOOP_SQL
 
 SYNC = "sync"
 ASYNC = "async"
+
+#: Rows one flusher may hold (queued + in flight) before ``submit`` blocks.
+#: Per database handle — a service pool of 8 shards holds at most 8× this.
+#: Sized on the perf ledger's ``ingest_bulk`` (80 rows per POST): the serve
+#: process's resident memory reads 53 MB with producers throttled to 3k
+#: rows/s and 54 MB unthrottled at this bound, against 56 MB at 2,048,
+#: 57 MB at 4,096 and 154 MB at the former 100,000; ingest throughput is
+#: flat from 512 to 4,096 and a third lower at 100,000.
+DEFAULT_MAX_PENDING_ROWS = 1_024
 
 
 class FlushCallbackError(ReproError):
@@ -101,7 +114,8 @@ class BackgroundFlusher:
         (inline execution on the submitting thread).
     max_pending_rows:
         Backpressure bound: submit blocks while this many rows are already
-        queued or in flight.
+        queued or in flight (a single larger submission is still admitted
+        once nothing else is pending).
     write_retries / retry_backoff:
         The worker retries a failed transaction this many times (after
         ``retry_backoff`` seconds each) before dropping the batch and
@@ -115,7 +129,7 @@ class BackgroundFlusher:
         db: RelationalStore,
         *,
         mode: str = ASYNC,
-        max_pending_rows: int = 100_000,
+        max_pending_rows: int = DEFAULT_MAX_PENDING_ROWS,
         write_retries: int = 2,
         retry_backoff: float = 0.05,
         name: str = "flor-flusher",

@@ -32,6 +32,9 @@ def _handler_class(app: WebApp, quiet: bool) -> type[BaseHTTPRequestHandler]:
     class FrameworkHTTPHandler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "flordb-service"
+        # Small responses must not wait on the peer's delayed ACK; with one
+        # write per response (see _send) there is nothing for Nagle to merge.
+        disable_nagle_algorithm = True
 
         def _dispatch(self) -> None:
             raw_length = self.headers.get("Content-Length") or "0"
@@ -63,14 +66,39 @@ def _handler_class(app: WebApp, quiet: bool) -> type[BaseHTTPRequestHandler]:
                 return
             self._send(response)
 
+        def _head(self, status: int, headers: dict[str, str]) -> bytes:
+            """Status line and header block as bytes, so they leave in the
+            same write as the body (what ``send_response`` + ``send_header``
+            + ``end_headers`` would have written on their own)."""
+            self.log_request(status)
+            if self.request_version == "HTTP/0.9":
+                return b""
+            reason = self.responses[status][0] if status in self.responses else ""
+            lines = [
+                f"{self.protocol_version} {status} {reason}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                *(f"{key}: {value}" for key, value in headers.items()),
+            ]
+            return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
         def _send(self, response: Response) -> None:
+            """Write head and body as one segment.
+
+            Written separately, the body — a second small segment — waited
+            ≈40 ms for the client's delayed ACK of the first (Nagle).  A
+            client that resets the connection mid-write gets the same
+            treatment as a departed stream subscriber: drop the connection,
+            keep the handler thread.
+            """
             payload = response.body.encode("utf-8")
-            self.send_response(response.status)
-            for key, value in response.headers.items():
-                self.send_header(key, value)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            head = self._head(
+                response.status, {**response.headers, "Content-Length": str(len(payload))}
+            )
+            try:
+                self.wfile.write(head + payload)
+            except OSError:
+                self.close_connection = True
 
         def _send_stream(self, response: StreamingResponse) -> None:
             """Write an iterator body with chunked transfer encoding.
@@ -78,24 +106,25 @@ def _handler_class(app: WebApp, quiet: bool) -> type[BaseHTTPRequestHandler]:
             Each chunk is flushed as soon as the handler yields it — that
             is the entire point of a streaming response: an SSE tail event
             reaches the subscriber the moment its row commits, not when
-            the (never-ending) body completes.  A client that disconnects
-            surfaces as a broken pipe on write; the handler closes the
-            body iterator (releasing its tail subscription) and drops the
-            connection instead of killing the worker thread.
+            the (never-ending) body completes.  The header block rides with
+            the first chunk (every stream route yields one at once), for
+            the same one-segment reason as :meth:`_send`.  A client that
+            disconnects surfaces as a broken pipe on write; the handler
+            closes the body iterator (releasing its tail subscription) and
+            drops the connection instead of killing the worker thread.
             """
-            self.send_response(response.status)
-            for key, value in response.headers.items():
-                self.send_header(key, value)
-            self.send_header("Transfer-Encoding", "chunked")
-            self.end_headers()
+            head = self._head(
+                response.status, {**response.headers, "Transfer-Encoding": "chunked"}
+            )
             try:
                 for chunk in response.chunks:
                     data = chunk.encode("utf-8") if isinstance(chunk, str) else chunk
                     if not data:
                         continue
-                    self.wfile.write(b"%x\r\n" % len(data) + data + b"\r\n")
+                    self.wfile.write(head + b"%x\r\n" % len(data) + data + b"\r\n")
                     self.wfile.flush()
-                self.wfile.write(b"0\r\n\r\n")
+                    head = b""
+                self.wfile.write(head + b"0\r\n\r\n")
             except (BrokenPipeError, ConnectionError, TimeoutError, OSError):
                 # Subscriber went away mid-stream; nothing to answer.
                 self.close_connection = True

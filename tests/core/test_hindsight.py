@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import HindsightEngine, ReplayPlan
+from repro import HindsightEngine, ReplayPlan, Session
+from repro.core.session import REPLAY
 from repro.workloads import VersionedScriptWorkload
 
 
@@ -121,6 +122,43 @@ class TestBackfill:
         engine = HindsightEngine(session)
         with pytest.raises(ReplayError):
             engine.backfill("train.py", new_source=workload.hindsight_source(), parallelism="gpu")
+
+
+class TestReplayKeyScope:
+    """A replay session dedups against its own run's rows, not the project's."""
+
+    @pytest.fixture()
+    def four_runs(self, free_session):
+        workload = VersionedScriptWorkload(versions=4, epochs=3, steps=2)
+        workload.record_all_versions(free_session)
+        return free_session, workload
+
+    def test_second_backfill_over_many_runs_adds_no_rows(self, four_runs):
+        session, workload = four_runs
+        engine = HindsightEngine(session)
+        first = engine.backfill("train.py", new_source=workload.hindsight_source())
+        assert first.new_records == 4 * workload.epochs * workload.steps
+        rows_after_first = session.logs.count()
+        second = engine.backfill("train.py", new_source=workload.hindsight_source())
+        assert second.versions_replayed == 4
+        assert second.new_records == 0
+        assert session.logs.count() == rows_after_first
+
+    def test_replay_session_keys_hold_only_its_own_run(self, four_runs):
+        session, _workload = four_runs
+        session.flush()
+        tstamps = session.logs.distinct_tstamps(session.projid)
+        assert len(tstamps) == 4
+        replay = Session(
+            session.config,
+            db=session.db,
+            mode=REPLAY,
+            default_filename="train.py",
+            replay_tstamp=tstamps[1],
+        )
+        keys = replay._existing_log_keys
+        assert {key[0] for key in keys} == {tstamps[1]}
+        assert len(keys) == len(session.logs.by_tstamp(session.projid, tstamps[1])) > 0
 
 
 class TestParallelBackfill:

@@ -7,6 +7,7 @@ connection, not N.
 
 from __future__ import annotations
 
+import socket
 import socketserver
 import threading
 
@@ -71,6 +72,14 @@ class TestKeepAlive:
                 assert client.get("/ping").ok
         assert backend.requests == 10
         assert backend.connections == 1
+
+    def test_connected_socket_has_nagle_off(self, backend):
+        """``http.client`` sets ``TCP_NODELAY`` on connect; the router→worker
+        hop's sub-millisecond latency rests on it, so pin it here."""
+        with HttpClient(backend.url) as client:
+            assert client.post("/ping", json_body={"n": 1}).ok
+            sock = client._connection().sock
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
     def test_each_thread_gets_its_own_connection(self, backend):
         with HttpClient(backend.url) as client:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.relational.database import Database
 from repro.runtime import ASYNC, SYNC, BackgroundFlusher, FlushCallbackError
+from repro.runtime.flusher import DEFAULT_MAX_PENDING_ROWS
 
 
 @pytest.fixture()
@@ -38,6 +39,23 @@ class GatedDB:
     def transaction(self):
         self.gate.wait(5.0)
         self.transactions += 1
+        with self.real.transaction() as connection:
+            yield connection
+
+
+class SteppedDB:
+    """Database stand-in that commits one transaction per ``step()``."""
+
+    def __init__(self, real: Database):
+        self.real = real
+        self._permits = threading.Semaphore(0)
+
+    def step(self, transactions: int = 1) -> None:
+        self._permits.release(transactions)
+
+    @contextmanager
+    def transaction(self):
+        self._permits.acquire(timeout=5.0)
         with self.real.transaction() as connection:
             yield connection
 
@@ -226,3 +244,100 @@ class TestBackpressure:
             BackgroundFlusher(db, mode="weird")
         with pytest.raises(ValueError):
             BackgroundFlusher(db, max_pending_rows=0)
+
+
+class TestDefaultBacklogBound:
+    """The default bound is what every session and service shard runs with:
+    it caps both resident rows and the size of one coalesced transaction."""
+
+    BATCH = 64
+
+    def batch(self, index: int) -> list[tuple]:
+        return [log_row(index * self.BATCH + i) for i in range(self.BATCH)]
+
+    def test_default_is_at_most_two_thousand_rows(self, db):
+        flusher = BackgroundFlusher(db)
+        assert flusher.max_pending_rows == DEFAULT_MAX_PENDING_ROWS
+        assert self.BATCH < DEFAULT_MAX_PENDING_ROWS <= 2_048
+        flusher.close()
+
+    def test_four_producers_never_outgrow_the_bound(self, db):
+        gated = GatedDB(db)
+        flusher = BackgroundFlusher(gated, mode=ASYNC)
+        producers, batches = 4, 40  # 10,240 rows: ten times the bound
+        peaks = []
+
+        def produce(worker: int) -> None:
+            peak = 0
+            for b in range(batches):
+                flusher.submit(self.batch(worker * batches + b))
+                peak = max(peak, flusher.pending_rows)
+            peaks.append(peak)
+
+        threads = [threading.Thread(target=produce, args=(w,), daemon=True) for w in range(producers)]
+        for thread in threads:
+            thread.start()
+        # The store is gated shut: every producer ends up parked at the bound.
+        deadline = time.monotonic() + 5.0
+        while flusher.stats.backpressure_waits < producers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert flusher.stats.backpressure_waits == producers
+        parked = flusher.pending_rows
+        assert DEFAULT_MAX_PENDING_ROWS - self.BATCH < parked <= DEFAULT_MAX_PENDING_ROWS
+        assert gated.transactions == 0
+
+        gated.gate.set()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        flusher.drain()  # still the read-your-writes barrier
+        total = producers * batches * self.BATCH
+        assert db.count("logs") == flusher.stats.written_rows == total
+        assert max(peaks) <= DEFAULT_MAX_PENDING_ROWS + self.BATCH
+        # Several bounded writes, not one giant one.
+        assert flusher.stats.transactions >= total // DEFAULT_MAX_PENDING_ROWS >= 2
+        flusher.close()
+
+    def test_blocked_submit_resumes_after_a_single_transaction(self, db):
+        stepped = SteppedDB(db)
+        flusher = BackgroundFlusher(stepped, mode=ASYNC)
+        filling = DEFAULT_MAX_PENDING_ROWS // self.BATCH
+        flusher.submit(self.batch(0))
+        time.sleep(0.05)  # the worker takes the first batch alone, waits on the store
+        for index in range(1, filling):
+            flusher.submit(self.batch(index))
+        assert flusher.pending_rows == DEFAULT_MAX_PENDING_ROWS
+
+        resumed = threading.Event()
+
+        def one_more() -> None:
+            flusher.submit(self.batch(filling))
+            resumed.set()
+
+        thread = threading.Thread(target=one_more, daemon=True)
+        thread.start()
+        assert not resumed.wait(0.2)  # full: held back
+        stepped.step()  # one 64-row transaction commits ...
+        assert resumed.wait(5.0)  # ... and that is all the producer waited for
+        assert flusher.stats.transactions == 1
+        assert flusher.stats.backpressure_waits == 1
+
+        stepped.step(10)
+        flusher.drain()
+        # What queued behind it coalesced (the late batch may miss that
+        # swap and ride alone); no write was larger than the bound.
+        assert flusher.stats.transactions in (2, 3)
+        assert flusher.stats.max_coalesced_batches * self.BATCH <= DEFAULT_MAX_PENDING_ROWS
+        assert db.count("logs") == DEFAULT_MAX_PENDING_ROWS + self.BATCH
+        flusher.close()
+
+    def test_failed_writes_free_the_backlog_and_surface_at_drain(self):
+        flusher = BackgroundFlusher(BrokenDB(), mode=ASYNC, write_retries=0)
+        batches = 3 * DEFAULT_MAX_PENDING_ROWS // self.BATCH
+        for index in range(batches):
+            flusher.submit(self.batch(index))  # never raises, never deadlocks at the bound
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            flusher.drain()
+        assert flusher.stats.dropped_rows == batches * self.BATCH
+        assert flusher.pending_rows == 0
+        flusher.close()

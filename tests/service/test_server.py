@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
+import statistics
+import struct
 import threading
+import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
+from repro.fleet import FleetRouter, FleetSupervisor
 from repro.service import FlorService
 from repro.service.server import make_server, serve
+from repro.webapp.framework import Request, Response, WebApp
 
 
 @pytest.fixture()
@@ -135,6 +142,207 @@ class TestMalformedRequests:
         assert "Content-Length" in json.loads(body)["error"]
         # The listener is unharmed.
         assert _get(base + "/healthz")[0] == 200
+
+
+@contextlib.contextmanager
+def _listening(app):
+    """``make_server(app)`` serving on a thread; yields the server."""
+    server = make_server(app)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=2)
+        assert not thread.is_alive()
+
+
+class _AliveProcess:
+    """Stands in for a supervised worker's Popen (see tests/fleet)."""
+
+    pid = 1000
+
+    def poll(self):
+        return None
+
+
+@pytest.fixture(params=["plain", "router"])
+def front(request, tmp_path):
+    """The two shapes ``make_server`` is deployed in, with tenant ``alpha``
+    written once: a service on its own socket, and the fleet router's socket
+    in front of one in-process worker.  ``small_get`` is a cheap keep-alive
+    GET that, behind the router, crosses the router→worker hop too (the
+    router answers ``/healthz`` itself)."""
+    service = FlorService(tmp_path / "host", flush_interval=None)
+    with contextlib.ExitStack() as stack:
+        stack.callback(service.close)
+        address = stack.enter_context(_listening(service.app())).server_address[:2]
+        small_get = "/healthz"
+        if request.param == "router":
+            supervisor = FleetSupervisor(lambda wid, url: ["unused"], workers=1)
+            supervisor._handles["w0"].process = _AliveProcess()
+            supervisor.on_register("w0", "http://%s:%d" % address, pid=_AliveProcess.pid)
+            router = FleetRouter(supervisor, failover_timeout=0.5)
+            stack.callback(router.close)
+            address = stack.enter_context(_listening(router)).server_address[:2]
+            small_get = "/projects/alpha/stats"
+        base = "http://%s:%d" % address
+        assert _post(base + "/projects/alpha/logs", {"records": [{"name": "m", "value": 0}]})[0] == 202
+        yield SimpleNamespace(address=address, base=base, service=service, small_get=small_get)
+
+
+def _get_bytes(path: str) -> bytes:
+    return b"GET " + path.encode() + b" HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+def _read_response(sock: socket.socket) -> tuple[bytes, bytes]:
+    """One ``Content-Length``-framed response off a keep-alive socket."""
+    raw = b""
+    while b"\r\n\r\n" not in raw:
+        raw += sock.recv(65536)
+    head, _, body = raw.partition(b"\r\n\r\n")
+    length = int(_header(head, b"content-length"))
+    while len(body) < length:
+        body += sock.recv(65536)
+    return head, body
+
+
+def _header(head: bytes, name: bytes) -> bytes:
+    for line in head.split(b"\r\n")[1:]:
+        key, _, value = line.partition(b":")
+        if key.strip().lower() == name:
+            return value.strip()
+    raise AssertionError(f"no {name!r} header in {head!r}")
+
+
+def _recv_until(sock: socket.socket, marker: bytes, seen: bytes = b"") -> bytes:
+    while marker not in seen:
+        chunk = sock.recv(65536)
+        assert chunk, f"stream closed before {marker!r}: {seen!r}"
+        seen += chunk
+    return seen
+
+
+class TestSmallResponseFloor:
+    """Head and body used to leave as two small segments, the second held
+    ≈40 ms by Nagle until the client's delayed ACK — on every keep-alive
+    exchange after the connection's first few (which Linux ACKs quickly,
+    hence the warm-ups)."""
+
+    def test_keep_alive_round_trips_take_milliseconds(self, front):
+        with socket.create_connection(front.address, timeout=5) as sock:
+            trips = []
+            for i in range(22):
+                started = time.perf_counter()
+                sock.sendall(_get_bytes(front.small_get))
+                head, _ = _read_response(sock)
+                if i >= 2:
+                    trips.append(time.perf_counter() - started)
+                assert head.startswith(b"HTTP/1.1 200 ")
+        assert statistics.median(trips) < 0.010, sorted(trips)
+
+    def test_small_response_arrives_in_one_piece(self, front):
+        with socket.create_connection(front.address, timeout=5) as sock:
+            for _ in range(2):
+                sock.sendall(_get_bytes(front.small_get))
+                _read_response(sock)
+            sock.sendall(_get_bytes(front.small_get))
+            first = sock.recv(65536)
+        head, separator, body = first.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ") and separator
+        assert len(body) == int(_header(head, b"content-length")) > 0
+        json.loads(body)
+
+    def test_accepted_sockets_have_nagle_off(self, tmp_path):
+        """One write per response leaves Nagle nothing to hold; bursts of
+        stream frames are what still need ``TCP_NODELAY``."""
+        service = FlorService(tmp_path / "host")
+        accepted = []
+        with _listening(service.app()) as server:
+            accept = server.get_request
+
+            def recording_accept():
+                connection, peer = accept()
+                accepted.append(connection)
+                return connection, peer
+
+            server.get_request = recording_accept
+            with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+                sock.sendall(_get_bytes("/healthz"))
+                _read_response(sock)
+                (connection,) = accepted
+                assert connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        service.close()
+
+
+class TestStreamIsNotHeldBack:
+    def test_tail_opens_at_once_and_frames_follow_their_commit(self, front):
+        with socket.create_connection(front.address, timeout=5) as sock:
+            started = time.perf_counter()
+            sock.sendall(_get_bytes("/projects/alpha/tail?keepalive=0.05"))
+            seen = _recv_until(sock, b": tail of alpha")
+            assert time.perf_counter() - started < 0.050
+            head = seen.partition(b"\r\n\r\n")[0]
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert _header(head, b"transfer-encoding") == b"chunked"
+            # A row committed while the subscriber is parked on the broker.
+            _post(front.base + "/projects/alpha/logs", {"records": [{"name": "live", "value": 1}]})
+            with front.service.pool.checkout("alpha") as shard:
+                shard.flush()
+            committed = time.perf_counter()
+            _recv_until(sock, b'"name": "live"', seen)
+            assert time.perf_counter() - committed < 0.050
+
+
+class TestClientDisconnect:
+    """A peer that resets mid-response costs its own connection only — no
+    traceback on stderr (``--quiet`` means quiet), no dead listener."""
+
+    @pytest.fixture()
+    def app_address(self):
+        release = threading.Event()
+        app = WebApp("disconnects")
+
+        @app.route("/big")
+        def big(_request: Request):
+            return Response(body="x" * (8 << 20), headers={"Content-Type": "text/plain"})
+
+        @app.route("/slow")
+        def slow(_request: Request):
+            release.wait(5)
+            return Response(body="late", headers={"Content-Type": "text/plain"})
+
+        @app.route("/ok")
+        def ok(_request: Request):
+            return Response(body="ok", headers={"Content-Type": "text/plain"})
+
+        with _listening(app) as server:
+            yield server.server_address[:2], release
+
+    @pytest.mark.parametrize("path", ["/big", "/slow"])
+    def test_reset_while_sending_is_silent_and_survivable(self, app_address, capsys, path):
+        address, release = app_address
+        handlers_before = threading.active_count()
+        sock = socket.create_connection(address, timeout=5)
+        sock.sendall(_get_bytes(path))
+        if path == "/big":
+            assert sock.recv(100)  # the response has started ...
+        # ... and the peer vanishes with an RST, not a FIN.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        time.sleep(0.05)
+        release.set()
+        deadline = time.monotonic() + 5
+        while threading.active_count() > handlers_before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= handlers_before, "handler thread still running"
+        with urllib.request.urlopen("http://%s:%d/ok" % address) as response:
+            assert response.read() == b"ok"
+        assert capsys.readouterr().err == ""
 
 
 class TestMakeServer:
