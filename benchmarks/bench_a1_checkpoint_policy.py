@@ -1,9 +1,10 @@
 """A1 — Ablation: adaptive vs. fixed-interval vs. no checkpointing.
 
-DESIGN.md calls out adaptive checkpointing as a key design decision.  This
-ablation records the same run under four policies and measures (a) how many
-checkpoints each takes (recording cost) and (b) how many iterations a
-targeted hindsight query must re-execute under each (replay cost).
+docs/architecture.md calls out adaptive checkpointing as a key design
+decision.  This ablation records the same run under four policies and
+measures (a) how many checkpoints each takes (recording cost) and (b) how
+many iterations a targeted hindsight query must re-execute under each
+(replay cost).
 Expected shape: "never" minimizes record cost but forces full re-execution;
 "every iteration" minimizes replay work at maximum record cost; adaptive
 lands in between on both axes.

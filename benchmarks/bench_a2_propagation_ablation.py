@@ -1,7 +1,8 @@
 """A2 — Ablation: AST-anchored propagation vs. naive line-number propagation.
 
-DESIGN.md's propagation design anchors injected statements to matched source
-lines.  The strawman alternative inserts at the same absolute line number.
+docs/architecture.md's propagation design anchors injected statements to
+matched source lines.  The strawman alternative inserts at the same absolute
+line number.
 This ablation evolves a script through increasingly invasive refactorings and
 measures, for each strategy, how often the injected statement lands in the
 correct position (immediately after the anchor statement, inside the loop

@@ -32,6 +32,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..config import ProjectConfig
 from ..errors import RecordingError, ReplayError
+from ..obs.metrics import MetricsRegistry
 from ..relational.database import Database
 from ..relational.records import LogRecord, LoopRecord, Ts2VidRecord
 from ..storage.protocols import RelationalStore
@@ -161,13 +162,21 @@ class Session:
             else Repository(self.config.objects_dir, self.config.root)
         )
         self._buffer = RecordBuffer()
+        #: Registry scope of everything this session's workers count (the
+        #: flusher, the checkpoint writer, its own pivot cache).  Private to
+        #: a bare session; the service pool attaches it to the process's.
+        self.metrics = MetricsRegistry()
         self.flusher = BackgroundFlusher(
             self.db, mode=self.flush_mode, name=f"flor-flush-{self.projid or 'default'}"
         )
+        self.flusher.metrics.attach(self.metrics)
         # Past this many staged records an async session submits to the
         # flusher opportunistically, overlapping SQLite work with the loop.
         self._stage_threshold = 512
-        ckpt_writer = AsyncCheckpointWriter(self.objects) if self.flush_mode == ASYNC else None
+        ckpt_writer = None
+        if self.flush_mode == ASYNC:
+            ckpt_writer = AsyncCheckpointWriter(self.objects)
+            ckpt_writer.metrics.attach(self.metrics)
         self.checkpoints = CheckpointManager(
             self.objects, policy=checkpoint_policy, writer=ckpt_writer
         )
@@ -725,6 +734,10 @@ class Session:
             from ..query import QueryEngine
 
             self._query_engine = QueryEngine(self.db, self.projid, cache=self._query_cache)
+            if self._query_cache is None:
+                # A cache this session made counts in this session's scope;
+                # a shared one belongs to whoever handed it in.
+                self._query_engine.cache.metrics.attach(self.metrics)
         return self._query_engine
 
     def dataframe(

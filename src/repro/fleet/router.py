@@ -42,7 +42,7 @@ import json
 import random
 import threading
 import time
-from typing import Callable
+from typing import Callable, TypeVar
 from urllib.parse import urlencode
 
 from ..errors import FleetError, TransportError
@@ -50,6 +50,7 @@ from ..qos import AdmissionController, PolicyStore
 from ..service.app import (
     enforce_admission,
     register_policy_routes,
+    register_telemetry_route,
     request_header,
     validate_project_name,
 )
@@ -60,10 +61,11 @@ from ..webapp.framework import (
     Response,
     StreamingResponse,
     WebApp,
-    sse_event,
 )
 from .supervisor import FleetSupervisor
 from .transport import HttpClient
+
+T = TypeVar("T")
 
 #: Seconds a proxy attempt will wait for a crashed owner to come back.
 DEFAULT_FAILOVER_TIMEOUT = 20.0
@@ -72,18 +74,6 @@ DEFAULT_FAILOVER_TIMEOUT = 20.0
 #: doubling (with jitter) up to ``_BACKOFF_CAP`` per attempt.
 _BACKOFF_BASE = 0.05
 _BACKOFF_CAP = 1.0
-
-#: ``/projects/<name>/...`` sub-paths that count against the tenant's
-#: admission limits (the same set the single-process service enforces).
-#: Everything else — stats, unknown paths — proxies unchecked.
-_ADMITTED_SUBPATHS = (
-    ("logs",),
-    ("commit",),
-    ("dataframe",),
-    ("sql",),
-    ("tail",),
-    ("jobs", "backfill"),
-)
 
 #: Headers that describe the router↔worker connection, not the payload;
 #: never relayed to the client (the router's own server re-frames the
@@ -153,8 +143,7 @@ class FleetRouter:
         segments = [s for s in request.path.split("/") if s]
         if len(segments) >= 2 and segments[0] == "projects":
             name = validate_project_name(segments[1])
-            if tuple(segments[2:]) in _ADMITTED_SUBPATHS:
-                enforce_admission(self.admission, name, len(request.body))
+            enforce_admission(self.admission, name, tuple(segments[2:]), request)
             if segments[2:] == ["tail"]:
                 return self._proxy_stream(self.supervisor.route(name), request)
             annotate = None
@@ -208,6 +197,38 @@ class FleetRouter:
                 self._clients[url] = client
             return client
 
+    def _with_failover(self, worker_id: str, attempt: Callable[[HttpClient], T]) -> "T | Response":
+        """Run ``attempt`` against the worker's client, riding out a restart.
+
+        A :class:`TransportError` means the owner vanished (crash, restart):
+        flag it so ``url_for`` blocks on re-registration instead of handing
+        back the same dead url, then retry — with exponential backoff and
+        jitter, so a hundred concurrent requests do not hammer the reborn
+        worker in lockstep — until the failover budget runs out and the
+        client gets a 503 with a Retry-After instead of blocking forever.
+        Retried appends are at-least-once.
+        """
+        deadline = time.monotonic() + self.failover_timeout
+        retries = 0
+        while True:
+            try:
+                worker_url = self.supervisor.url_for(
+                    worker_id, wait_timeout=max(0.0, deadline - time.monotonic())
+                )
+            except FleetError as exc:
+                return self._unavailable(f"worker {worker_id!r} unavailable: {exc}")
+            try:
+                return attempt(self._client_for(worker_url))
+            except TransportError as exc:
+                self.supervisor.note_unreachable(worker_id)
+                now = time.monotonic()
+                if now >= deadline:
+                    return self._unavailable(f"worker {worker_id!r} unreachable: {exc}")
+                delay = min(_BACKOFF_BASE * (2**retries), _BACKOFF_CAP)
+                delay *= 0.5 + random.random() / 2  # jitter in [0.5x, 1.0x)
+                retries += 1
+                time.sleep(min(delay, max(deadline - now, 0.0)))
+
     def _proxy(
         self,
         worker_id: str,
@@ -218,44 +239,19 @@ class FleetRouter:
         query = urlencode(request.query)
         url = request.path + (f"?{query}" if query else "")
         headers = {"Content-Type": request.headers.get("Content-Type", "application/json")}
-        deadline = time.monotonic() + self.failover_timeout
-        attempt = 0
-        while True:
+        response = self._with_failover(
+            worker_id,
+            lambda client: client.request(
+                request.method, url, body=request.body, headers=headers
+            ),
+        )
+        if annotate is not None and response.ok:
             try:
-                worker_url = self.supervisor.url_for(
-                    worker_id, wait_timeout=max(0.0, deadline - time.monotonic())
-                )
-            except FleetError as exc:
-                return self._unavailable(f"worker {worker_id!r} unavailable: {exc}")
-            try:
-                response = self._client_for(worker_url).request(
-                    request.method, url, body=request.body, headers=headers
-                )
-            except TransportError as exc:
-                # The owner vanished mid-request (crash, restart).  Flag it
-                # so url_for blocks on re-registration instead of handing
-                # back the same dead url, then retry — with exponential
-                # backoff and jitter, so a hundred concurrent requests do
-                # not hammer the reborn worker in lockstep — until the
-                # failover budget runs out and the client gets a 503 with
-                # a Retry-After instead of blocking forever.  Retried
-                # appends are at-least-once.
-                self.supervisor.note_unreachable(worker_id)
-                now = time.monotonic()
-                if now >= deadline:
-                    return self._unavailable(f"worker {worker_id!r} unreachable: {exc}")
-                delay = min(_BACKOFF_BASE * (2**attempt), _BACKOFF_CAP)
-                delay *= 0.5 + random.random() / 2  # jitter in [0.5x, 1.0x)
-                attempt += 1
-                time.sleep(min(delay, max(deadline - now, 0.0)))
-                continue
-            if annotate is not None and response.ok:
-                try:
-                    payload = annotate(json.loads(response.body))
-                except (json.JSONDecodeError, TypeError):  # pragma: no cover
-                    return response
-                return JsonResponse(payload, status=response.status)
-            return response
+                payload = annotate(json.loads(response.body))
+            except (json.JSONDecodeError, TypeError):  # pragma: no cover
+                return response
+            return JsonResponse(payload, status=response.status)
+        return response
 
     def _proxy_stream(self, worker_id: str, request: Request) -> Response | StreamingResponse:
         """Relay a streaming route (an SSE tail) without buffering it.
@@ -274,51 +270,56 @@ class FleetRouter:
         last_id = request_header(request, "Last-Event-ID")
         if last_id is not None:
             headers["Last-Event-ID"] = last_id
-        deadline = time.monotonic() + self.failover_timeout
-        attempt = 0
-        while True:
-            try:
-                worker_url = self.supervisor.url_for(
-                    worker_id, wait_timeout=max(0.0, deadline - time.monotonic())
-                )
-            except FleetError as exc:
-                return self._unavailable(f"worker {worker_id!r} unavailable: {exc}")
-            try:
-                upstream = self._client_for(worker_url).stream(url, headers=headers)
-            except TransportError as exc:
-                self.supervisor.note_unreachable(worker_id)
-                now = time.monotonic()
-                if now >= deadline:
-                    return self._unavailable(f"worker {worker_id!r} unreachable: {exc}")
-                delay = min(_BACKOFF_BASE * (2**attempt), _BACKOFF_CAP)
-                delay *= 0.5 + random.random() / 2  # jitter, as in _proxy
-                attempt += 1
-                time.sleep(min(delay, max(deadline - now, 0.0)))
-                continue
-            passthrough = {
-                k: v for k, v in upstream.headers.items() if k.lower() not in _HOP_BY_HOP
-            }
-            if not upstream.ok:
-                # Upstream refused the subscription (404 unknown job, 503
-                # backpressure + Retry-After): a small buffered answer.
-                body = upstream.read()
-                return Response(
-                    body=body.decode("utf-8", "replace"),
-                    status=upstream.status,
-                    headers=passthrough,
-                )
-
-            def relay(upstream=upstream):
-                try:
-                    yield from upstream.chunks()
-                except TransportError:
-                    # Worker died mid-stream; end the relay cleanly so the
-                    # subscriber notices EOF and reconnects with its cursor.
-                    return
-
-            return StreamingResponse(
-                relay(), status=upstream.status, headers=passthrough
+        upstream = self._with_failover(
+            worker_id, lambda client: client.stream(url, headers=headers)
+        )
+        if isinstance(upstream, Response):
+            return upstream  # the failover budget ran out: a 503
+        passthrough = {
+            k: v for k, v in upstream.headers.items() if k.lower() not in _HOP_BY_HOP
+        }
+        if not upstream.ok:
+            # Upstream refused the subscription (404 unknown job, 503
+            # backpressure + Retry-After): a small buffered answer.
+            body = upstream.read()
+            return Response(
+                body=body.decode("utf-8", "replace"),
+                status=upstream.status,
+                headers=passthrough,
             )
+
+        def relay():
+            try:
+                yield from upstream.chunks()
+            except TransportError:
+                # Worker died mid-stream; end the relay cleanly so the
+                # subscriber notices EOF and reconnects with its cursor.
+                return
+
+        return StreamingResponse(relay(), status=upstream.status, headers=passthrough)
+
+    def _fan_in(self, path: str) -> tuple[dict[str, dict], list[dict]]:
+        """``GET path`` from every registered, live worker.
+
+        Returns the per-worker blocks — a worker that is down or
+        unreachable contributes its registry view plus an ``error`` instead
+        of failing the aggregation — and the answers that did arrive, in
+        worker order, for the caller to sum.
+        """
+        per_worker: dict[str, dict] = {}
+        answers: list[dict] = []
+        for view in self.supervisor.worker_views():
+            if not (view["registered"] and view["alive"]):
+                per_worker[view["id"]] = {"error": "worker not registered", **view}
+                continue
+            try:
+                answer = self._client_for(view["url"]).get_json(path)
+            except TransportError as exc:
+                per_worker[view["id"]] = {"error": str(exc), **view}
+                continue
+            per_worker[view["id"]] = answer
+            answers.append(answer)
+        return per_worker, answers
 
     # -------------------------------------------------------------- control
     def _build_control_app(self) -> WebApp:
@@ -390,38 +391,23 @@ class FleetRouter:
 
         @app.route("/service/stats")
         def service_stats(_request: Request):
-            per_worker: dict[str, dict] = {}
-            open_shards: list[str] = []
-            capacity = 0
+            per_worker, answers = self._fan_in("/service/stats")
             pool_totals: dict[str, int] = {}
-            jobs: dict | None = None
-            for view in supervisor.worker_views():
-                worker_id = view["id"]
-                if not (view["registered"] and view["alive"]):
-                    per_worker[worker_id] = {"error": "worker not registered", **view}
-                    continue
-                try:
-                    stats = self._client_for(view["url"]).get_json("/service/stats")
-                except TransportError as exc:
-                    per_worker[worker_id] = {"error": str(exc), **view}
-                    continue
-                per_worker[worker_id] = stats
-                open_shards.extend(stats.get("open_shards", []))
-                capacity += int(stats.get("capacity", 0))
+            for stats in answers:
                 for key, value in stats.get("pool", {}).items():
                     pool_totals[key] = pool_totals.get(key, 0) + int(value)
-                if jobs is None:
-                    # The job store is host-level and shared; every worker
-                    # reads the same SQLite file, so one answer covers all.
-                    jobs = stats.get("jobs")
             payload = {
                 "role": "router",
                 "fleet": supervisor.summary(),
                 "workers": per_worker,
-                "open_shards": sorted(open_shards),
-                "capacity": capacity,
+                "open_shards": sorted(
+                    name for stats in answers for name in stats.get("open_shards", [])
+                ),
+                "capacity": sum(int(stats.get("capacity", 0)) for stats in answers),
                 "pool": pool_totals,
-                "jobs": jobs or {},
+                # The job store is host-level and shared; every worker reads
+                # the same SQLite file, so the first answer covers all.
+                "jobs": (answers[0].get("jobs") if answers else None) or {},
             }
             if self.admission is not None:
                 # Admission happens here, not on workers, so the router's
@@ -434,7 +420,7 @@ class FleetRouter:
             summed across workers (they are cumulative, so sums stay
             cumulative and consumers difference them for rates);
             histograms stay per-worker — percentiles do not add."""
-            per_worker: dict[str, dict] = {}
+            per_worker, answers = self._fan_in("/service/telemetry")
             counters: dict[str, float] = {}
             gauges: dict[str, float] = {}
             tail_totals = {
@@ -443,18 +429,7 @@ class FleetRouter:
                 "subscribed_total": 0,
                 "evicted_total": 0,
             }
-            jobs: dict | None = None
-            for view in supervisor.worker_views():
-                worker_id = view["id"]
-                if not (view["registered"] and view["alive"]):
-                    per_worker[worker_id] = {"error": "worker not registered", **view}
-                    continue
-                try:
-                    snap = self._client_for(view["url"]).get_json("/service/telemetry")
-                except TransportError as exc:
-                    per_worker[worker_id] = {"error": str(exc), **view}
-                    continue
-                per_worker[worker_id] = snap
+            for snap in answers:
                 for key, value in snap.get("counters", {}).items():
                     counters[key] = counters.get(key, 0) + value
                 for key, value in snap.get("gauges", {}).items():
@@ -462,10 +437,6 @@ class FleetRouter:
                 tail = snap.get("tail", {})
                 for key in tail_totals:
                     tail_totals[key] += int(tail.get(key, 0))
-                if jobs is None:
-                    # Shared host-level job store; one worker's view covers
-                    # the fleet (same reasoning as /service/stats).
-                    jobs = snap.get("jobs")
             payload = {
                 "role": "router",
                 "fleet": supervisor.summary(),
@@ -473,30 +444,13 @@ class FleetRouter:
                 "counters": counters,
                 "gauges": gauges,
                 "tail": tail_totals,
-                "jobs": jobs or {},
+                # Shared host-level job store; one worker's view covers the
+                # fleet (same reasoning as /service/stats).
+                "jobs": (answers[0].get("jobs") if answers else None) or {},
             }
             if self.admission is not None:
                 payload["qos"] = self.admission.snapshot()
             return payload
 
-        @app.route("/service/telemetry")
-        def service_telemetry(request: Request):
-            if (request.arg("stream") or "").lower() in ("1", "true", "yes", "sse"):
-                raw = request.arg("interval") or "2.0"
-                try:
-                    interval = float(raw)
-                except ValueError as exc:
-                    raise HttpError(400, f"interval must be a number, got {raw!r}") from exc
-                interval = min(max(interval, 0.05), 60.0)
-
-                def generate():
-                    seq = 0
-                    while True:
-                        seq += 1
-                        yield sse_event(_telemetry_fanin(), event="telemetry", id=seq)
-                        time.sleep(interval)
-
-                return StreamingResponse(generate())
-            return JsonResponse(_telemetry_fanin())
-
+        register_telemetry_route(app, _telemetry_fanin)
         return app

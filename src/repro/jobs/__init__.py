@@ -48,13 +48,12 @@ from .executor import (
     JobLeaseLost,
     execute_job,
 )
-from .runner import JobRunner, RunnerStats, directory_session_provider, pool_session_provider
+from .runner import JobRunner, directory_session_provider, pool_session_provider
 from .store import JOBS_DB_FILENAME, JobStore
 
 __all__ = [
     "JobStore",
     "JobRunner",
-    "RunnerStats",
     "execute_job",
     "pool_session_provider",
     "directory_session_provider",

@@ -32,13 +32,13 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from ..config import FLOR_DIR_NAME, ProjectConfig
 from ..core.session import Session
 from ..errors import JobError
+from ..obs.metrics import StatsView
 from .executor import (
     JobCancelled,
     JobInterrupted,
@@ -49,28 +49,20 @@ from .executor import (
 from .store import JobStore
 
 
-@dataclass
-class RunnerStats:
-    """Lifetime counters of one runner (thread-safe via the runner lock)."""
-
-    claims: int = 0
-    succeeded: int = 0
-    failed: int = 0
-    retried: int = 0
-    cancelled: int = 0
-    released: int = 0
-    lease_lost: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "claims": self.claims,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-            "retried": self.retried,
-            "cancelled": self.cancelled,
-            "released": self.released,
-            "lease_lost": self.lease_lost,
-        }
+#: ``JobRunner.stats`` field → telemetry counter (what this runner's
+#: workers did; the store's ``jobs.*`` counters are the queue's transitions).
+_STATS = {
+    field: f"runner.{field}"
+    for field in (
+        "claims",
+        "succeeded",
+        "failed",
+        "retried",
+        "cancelled",
+        "released",
+        "lease_lost",
+    )
+}
 
 
 def pool_session_provider(pool) -> SessionProvider:
@@ -142,7 +134,10 @@ class JobRunner:
             heartbeat_interval if heartbeat_interval is not None else max(self.lease_seconds / 3.0, 0.01)
         )
         self.name = name or f"jobs-{os.getpid()}"
-        self.stats = RunnerStats()
+        #: A scope of the store's registry: per-runner counts here, the
+        #: ``jobs.active`` gauge wherever the store's scope leads.
+        self.metrics = store.metrics.scope()
+        self.stats = StatsView(self.metrics, _STATS)
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
@@ -225,31 +220,25 @@ class JobRunner:
             if job is None:
                 self._stop.wait(self.poll_interval)
                 continue
+            self.stats["claims"].inc()
             with self._lock:
-                self.stats.claims += 1
                 cancel_event = threading.Event()
                 self._active[job.id] = (worker_id, cancel_event)
-                metrics = getattr(self.store, "metrics", None)
-                if metrics is not None:
-                    metrics.set("jobs.active", len(self._active))
+                self.metrics.set("jobs.active", len(self._active))
             try:
                 self._execute(job, worker_id, cancel_event)
             finally:
                 with self._lock:
                     self._active.pop(job.id, None)
-                    metrics = getattr(self.store, "metrics", None)
-                    if metrics is not None:
-                        metrics.set("jobs.active", len(self._active))
+                    self.metrics.set("jobs.active", len(self._active))
 
     def _execute(self, job, worker_id: str, cancel_event: threading.Event) -> None:
         if job.cancel_requested:
             self.store.mark_cancelled(job.id, worker_id)
-            with self._lock:
-                self.stats.cancelled += 1
+            self.stats["cancelled"].inc()
             return
         if not self.store.mark_running(job.id, worker_id):
-            with self._lock:
-                self.stats.lease_lost += 1
+            self.stats["lease_lost"].inc()
             return
         try:
             summary = execute_job(
@@ -263,26 +252,19 @@ class JobRunner:
             )
         except JobCancelled:
             self.store.mark_cancelled(job.id, worker_id)
-            with self._lock:
-                self.stats.cancelled += 1
+            self.stats["cancelled"].inc()
         except JobInterrupted as exc:
             self.store.release(job.id, worker_id, reason=str(exc) or "shutdown")
-            with self._lock:
-                self.stats.released += 1
+            self.stats["released"].inc()
         except JobLeaseLost:
-            with self._lock:
-                self.stats.lease_lost += 1
+            self.stats["lease_lost"].inc()
         except Exception as exc:  # noqa: BLE001 - worker errors become job state
             after = self.store.fail(job.id, worker_id, f"{type(exc).__name__}: {exc}")
-            with self._lock:
-                if after is not None and after.state == "queued":
-                    self.stats.retried += 1
-                else:
-                    self.stats.failed += 1
+            retried = after is not None and after.state == "queued"
+            self.stats["retried" if retried else "failed"].inc()
         else:
             self.store.finish(job.id, worker_id, summary)
-            with self._lock:
-                self.stats.succeeded += 1
+            self.stats["succeeded"].inc()
 
     # -------------------------------------------------------------- heartbeat
     def _heartbeat_loop(self) -> None:

@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from ..errors import JobError, JobNotFoundError
+from ..obs.metrics import MetricsRegistry
 from ..relational.database import Database
 from ..storage.protocols import RelationalStore
 from ..relational.records import (
@@ -125,11 +126,11 @@ class JobStore:
         self._claim_count = 0
         self._clock = clock
         self._owns_db = False
-        # Observability hooks, assigned post-construction by the service:
-        # ``metrics`` is a repro.obs.MetricsRegistry (duck-typed); ``on_event``
-        # is called with a job id *after* a transition's transaction commits,
-        # so a tail subscriber woken by it can already read the new event row.
-        self.metrics = None
+        #: The store's registry scope (the service attaches it to its own).
+        self.metrics = MetricsRegistry()
+        # Assigned post-construction by the service: called with a job id
+        # *after* a transition's transaction commits, so a tail subscriber
+        # woken by it can already read the new event row.
         self.on_event: Callable[[int], None] | None = None
 
     def _notify(self, job_id: int) -> None:
@@ -141,11 +142,10 @@ class JobStore:
                 pass
 
     def _note_queue_depth(self) -> None:
-        if self.metrics is not None:
-            row = self.db.query_one(
-                "SELECT COUNT(*) FROM jobs WHERE state = ?", (JOB_QUEUED,)
-            )
-            self.metrics.set("jobs.queue_depth", int(row[0]) if row else 0)
+        row = self.db.query_one(
+            "SELECT COUNT(*) FROM jobs WHERE state = ?", (JOB_QUEUED,)
+        )
+        self.metrics.set("jobs.queue_depth", int(row[0]) if row else 0)
 
     @classmethod
     def open(cls, root: Path | str, **kwargs: Any) -> "JobStore":
@@ -196,8 +196,7 @@ class JobStore:
             )
             job_id = int(cursor.lastrowid)
             self._append_event(conn, job_id, EVENT_SUBMITTED, {"kind": kind, "project": project}, now)
-        if self.metrics is not None:
-            self.metrics.inc("jobs.submitted")
+        self.metrics.inc("jobs.submitted")
         self._note_queue_depth()
         self._notify(job_id)
         return self.require(job_id)
@@ -294,8 +293,7 @@ class JobStore:
             if cursor.rowcount != 1:  # pragma: no cover - CAS under the txn lock
                 return None
             self._append_event(conn, job_id, EVENT_LEASED, {"worker": worker}, now)
-        if self.metrics is not None:
-            self.metrics.inc("jobs.claimed")
+        self.metrics.inc("jobs.claimed")
         self._note_queue_depth()
         self._notify(job_id)
         return self.require(job_id)
@@ -329,8 +327,7 @@ class JobStore:
                     (JOB_QUEUED, now, int(job_id)),
                 )
                 self._append_event(conn, int(job_id), EVENT_RECLAIMED, detail, now)
-                if self.metrics is not None:
-                    self.metrics.inc("jobs.lease_reclaims")
+                self.metrics.inc("jobs.lease_reclaims")
 
     def _finish_cancelled_queued(self, conn, now: float) -> None:
         """Transition queued rows with a pending cancel to ``cancelled``.
@@ -417,8 +414,7 @@ class JobStore:
             if cursor.rowcount != 1:
                 return False
             self._append_event(conn, job_id, EVENT_SUCCEEDED, result or {}, now)
-        if self.metrics is not None:
-            self.metrics.inc("jobs.succeeded")
+        self.metrics.inc("jobs.succeeded")
         self._notify(job_id)
         return True
 
@@ -462,8 +458,7 @@ class JobStore:
                     {"error": error, "attempts": attempts, "delay_seconds": delay},
                     now,
                 )
-        if self.metrics is not None:
-            self.metrics.inc("jobs.failed_attempts")
+        self.metrics.inc("jobs.failed_attempts")
         self._notify(job_id)
         return self.get(job_id)
 

@@ -4,10 +4,10 @@
 ``make_server(AccessLog(app, metrics))`` — timing every dispatch.  Two
 outputs, both cheap:
 
-* **Registry** (always, when a registry is given): ``http.requests`` /
-  ``http.errors`` counters and an ``http.request_ms`` latency histogram,
-  so request latency percentiles show up in ``GET /service/telemetry``
-  without any log parsing.
+* **Registry** (always; a private one unless a registry is given):
+  ``http.requests`` / ``http.errors`` counters and an ``http.request_ms``
+  latency histogram, so request latency percentiles show up in
+  ``GET /service/telemetry`` without any log parsing.
 * **Log lines** (only when ``emit`` is set, i.e. ``serve --access-log``):
   ``method path status latency_ms tenant`` — one space-separated line per
   *sampled* request.  Sampling is deterministic (every Nth request, not
@@ -25,10 +25,15 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from ..webapp.framework import Request, Response
 from .metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    # Annotations only: ``repro.obs`` sits below the recording runtime and
+    # the query layer, which import its instruments, so it must not pull in
+    # the web stack (``repro.webapp`` imports the session, a cycle).
+    from ..webapp.framework import Request, Response
 
 
 def tenant_of(path: str) -> str:
@@ -53,7 +58,7 @@ class AccessLog:
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
         self.app = app
-        self.metrics = metrics
+        self.metrics = metrics or MetricsRegistry()
         self.emit = emit
         self.sample = sample
         self._seen = 0
@@ -72,11 +77,10 @@ class AccessLog:
             self._record(request, status, latency_ms)
 
     def _record(self, request: Request, status: int, latency_ms: float) -> None:
-        if self.metrics is not None:
-            self.metrics.inc("http.requests")
-            if status >= 500:
-                self.metrics.inc("http.errors")
-            self.metrics.observe("http.request_ms", latency_ms)
+        self.metrics.inc("http.requests")
+        if status >= 500:
+            self.metrics.inc("http.errors")
+        self.metrics.observe("http.request_ms", latency_ms)
         if self.emit is None:
             return
         self._seen += 1

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from ..obs.metrics import MetricsRegistry, StatsView
 from .bucket import QuotaWindow, TokenBucket
 from .policy import PolicyStore, Resolution
 
@@ -52,21 +53,25 @@ class AdmissionDecision:
 
 ALLOWED = AdmissionDecision(allowed=True)
 
+#: Verdict → telemetry counter; each tenant counts in a scope of the
+#: controller's registry, so the controller's own counters are the totals.
+_VERDICTS = {
+    "admitted": "qos.admitted",
+    "throttled": "qos.throttled",
+    "rejected": "qos.rejected",
+}
+
 
 class _TenantState:
-    """One tenant's buckets, counters, and the rule they were built from."""
+    """One tenant's buckets, verdict counts, and the rule they were built from."""
 
-    __slots__ = (
-        "resolution",
-        "bucket",
-        "quota",
-        "admitted",
-        "throttled",
-        "rejected",
-    )
+    __slots__ = ("resolution", "bucket", "quota", "verdicts")
 
-    def __init__(self, resolution: Resolution, clock: Callable[[], float]):
+    def __init__(
+        self, resolution: Resolution, clock: Callable[[], float], verdicts: StatsView
+    ):
         self.resolution = resolution
+        self.verdicts = verdicts
         rule = resolution.rule
         self.bucket = (
             None
@@ -78,9 +83,6 @@ class _TenantState:
             if rule.byte_quota is None
             else QuotaWindow(rule.byte_quota, rule.window_seconds, clock=clock)
         )
-        self.admitted = 0
-        self.throttled = 0
-        self.rejected = 0
 
 
 class AdmissionController:
@@ -115,9 +117,10 @@ class AdmissionController:
         self._generation = policies.generation()
         self._next_refresh = clock() + self.refresh_interval
         self._dirty = False
-        # Optional repro.obs.MetricsRegistry (duck-typed), assigned by the
-        # service so admission verdicts show up in /service/telemetry.
-        self.metrics = None
+        #: The controller's scope (the service attaches it to its own, so
+        #: verdicts show up in /service/telemetry); ``stats`` reads its totals.
+        self.metrics = MetricsRegistry()
+        self.stats = StatsView(self.metrics, _VERDICTS)
         policies.on_change = self._mark_dirty
 
     def _mark_dirty(self) -> None:
@@ -138,9 +141,7 @@ class AdmissionController:
             state = self._tenant(tenant)
             rule = state.resolution.rule
             if rule.byte_quota is not None and nbytes > rule.byte_quota:
-                state.rejected += 1
-                if self.metrics is not None:
-                    self.metrics.inc("qos.rejected")
+                state.verdicts["rejected"].inc()
                 return AdmissionDecision(
                     allowed=False,
                     retry_after=rule.window_seconds,
@@ -151,23 +152,17 @@ class AdmissionController:
             # before either is charged, so a rate-throttled request does not
             # silently eat byte quota (and vice versa).
             if state.bucket is not None and state.bucket.level < 1.0:
-                state.throttled += 1
-                if self.metrics is not None:
-                    self.metrics.inc("qos.throttled")
+                state.verdicts["throttled"].inc()
                 wait = max((1.0 - state.bucket.level) / state.bucket.rate, 1e-9)
                 return AdmissionDecision(False, retry_after=wait, reason="rate")
             if state.quota is not None and nbytes > 0:
                 wait = state.quota.try_consume(nbytes)
                 if wait > 0.0:
-                    state.throttled += 1
-                    if self.metrics is not None:
-                        self.metrics.inc("qos.throttled")
+                    state.verdicts["throttled"].inc()
                     return AdmissionDecision(False, retry_after=wait, reason="quota")
             if state.bucket is not None:
                 state.bucket.try_take(1.0)
-            state.admitted += 1
-            if self.metrics is not None:
-                self.metrics.inc("qos.admitted")
+            state.verdicts["admitted"].inc()
             return ALLOWED
 
     def resolve(self, tenant: str) -> Resolution:
@@ -198,18 +193,14 @@ class AdmissionController:
             }
             return {
                 "generation": self._generation,
-                "admitted": sum(s["admitted"] for s in tenants.values()),
-                "throttled": sum(s["throttled"] for s in tenants.values()),
-                "rejected": sum(s["rejected"] for s in tenants.values()),
+                **self.stats.as_dict(),
                 "tenants": tenants,
             }
 
     @staticmethod
     def _tenant_stats(state: _TenantState) -> dict[str, Any]:
         stats: dict[str, Any] = {
-            "admitted": state.admitted,
-            "throttled": state.throttled,
-            "rejected": state.rejected,
+            **state.verdicts.as_dict(),
             "policy": state.resolution.as_dict(),
         }
         if state.bucket is not None:
@@ -222,7 +213,11 @@ class AdmissionController:
     def _tenant(self, tenant: str) -> _TenantState:
         state = self._tenants.get(tenant)
         if state is None:
-            state = _TenantState(self.policies.resolve(tenant), self._clock)
+            state = _TenantState(
+                self.policies.resolve(tenant),
+                self._clock,
+                StatsView(self.metrics.scope(), _VERDICTS),
+            )
             self._tenants[tenant] = state
         return state
 
@@ -241,8 +236,4 @@ class AdmissionController:
             resolution = self.policies.resolve(name)
             if resolution == state.resolution:
                 continue
-            fresh = _TenantState(resolution, self._clock)
-            fresh.admitted = state.admitted
-            fresh.throttled = state.throttled
-            fresh.rejected = state.rejected
-            self._tenants[name] = fresh
+            self._tenants[name] = _TenantState(resolution, self._clock, state.verdicts)

@@ -20,11 +20,10 @@ See ``docs/architecture.md`` ("Query engine") for the data-flow picture
 and benchmark T9 for the measured cold vs. warm/incremental latencies.
 """
 
-from .cache import CacheStats, PivotViewCache
+from .cache import PivotViewCache
 from .engine import QueryEngine
 
 __all__ = [
-    "CacheStats",
     "PivotViewCache",
     "QueryEngine",
 ]

@@ -46,6 +46,7 @@ from ..core.dataframe_view import (
     pivot_run,
 )
 from ..dataframe import DataFrame
+from ..obs.metrics import MetricsRegistry, StatsView
 from ..storage.protocols import RelationalStore
 from ..relational.queries import (
     AnnotatedLog,
@@ -59,32 +60,29 @@ from ..relational.queries import (
 RunPair = tuple[str, str]
 
 
-@dataclass
-class CacheStats:
-    """Counters describing a cache's lifetime behaviour."""
+#: ``PivotViewCache.stats`` field → telemetry counter.
+_STATS = {
+    field: f"cache.{field}"
+    for field in (
+        "lookups",
+        "fast_hits",
+        "warm_hits",
+        "incremental_refreshes",
+        "cold_builds",
+        "evictions",
+        "invalidations",
+    )
+}
 
-    lookups: int = 0
-    fast_hits: int = 0
-    warm_hits: int = 0
-    incremental_refreshes: int = 0
-    cold_builds: int = 0
-    evictions: int = 0
-    invalidations: int = 0
+
+class _TierCounts(StatsView):
+    """The cache's stats view, plus the one derived number callers ask for."""
+
+    __slots__ = ()
 
     @property
     def hits(self) -> int:
         return self.fast_hits + self.warm_hits
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "lookups": self.lookups,
-            "fast_hits": self.fast_hits,
-            "warm_hits": self.warm_hits,
-            "incremental_refreshes": self.incremental_refreshes,
-            "cold_builds": self.cold_builds,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
 
 
 @dataclass
@@ -124,11 +122,8 @@ class PivotViewCache:
         self._entries: "OrderedDict[tuple[str, tuple[str, ...]], _ViewState]" = OrderedDict()
         self._generations: dict[str, int] = {}
         self._lock = threading.RLock()
-        self.stats = CacheStats()
-        # Optional repro.obs.MetricsRegistry, assigned post-construction by
-        # the service pool; duck-typed so the query layer stays free of any
-        # observability dependency.
-        self.metrics = None
+        self.metrics = MetricsRegistry()
+        self.stats = _TierCounts(self.metrics, _STATS)
 
     # ------------------------------------------------------------ freshness
     def generation(self, projid: str) -> int:
@@ -158,16 +153,12 @@ class PivotViewCache:
                 for key in keys:
                     del self._entries[key]
             if dropped:
-                self.stats.invalidations += 1
+                self.stats["invalidations"].inc()
             return dropped
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def _note(self, tier: str) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(f"cache.{tier}")
 
     # --------------------------------------------------------------- lookup
     def dataframe(self, db: RelationalStore, projid: str, names: Sequence[str]) -> DataFrame:
@@ -187,23 +178,21 @@ class PivotViewCache:
             return DataFrame()
         key = (projid, tuple(sorted(ordered)))
         with self._lock:
-            self.stats.lookups += 1
+            self.stats["lookups"].inc()
             generation = self._generations.get(projid, 0)
             db_version = db.write_version
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 if entry.generation == generation and entry.db_version == db_version:
-                    self.stats.fast_hits += 1
-                    self._note("fast_hits")
+                    self.stats["fast_hits"].inc()
                     return self._frame_for(entry, ordered)
                 current_seq = log_watermark(db, projid)
                 current_loop = loop_watermark(db, projid)
                 if current_seq == entry.log_seq and current_loop == entry.loop_rowid:
                     entry.generation = generation
                     entry.db_version = db_version
-                    self.stats.warm_hits += 1
-                    self._note("warm_hits")
+                    self.stats["warm_hits"].inc()
                     return self._frame_for(entry, ordered)
                 self._refresh(db, entry, current_seq, current_loop)
                 entry.generation = generation
@@ -212,17 +201,15 @@ class PivotViewCache:
                 # must leave the entry looking stale so the next read probes
                 # the watermarks again instead of fast-hitting past it.
                 entry.db_version = db_version
-                self.stats.incremental_refreshes += 1
-                self._note("incremental_refreshes")
+                self.stats["incremental_refreshes"].inc()
                 return self._frame_for(entry, ordered)
             entry = self._cold_build(db, projid, key[1], generation)
             entry.db_version = db_version
             self._entries[key] = entry
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
-            self.stats.cold_builds += 1
-            self._note("cold_builds")
+                self.stats["evictions"].inc()
+            self.stats["cold_builds"].inc()
             return self._frame_for(entry, ordered)
 
     # ---------------------------------------------------------- maintenance

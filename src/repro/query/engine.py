@@ -27,7 +27,8 @@ from ..core.dataframe_view import build_dataframe
 from ..dataframe import DataFrame
 from ..storage.protocols import RelationalStore
 from ..relational.queries import latest as latest_rows
-from .cache import CacheStats, PivotViewCache
+from ..obs.metrics import StatsView
+from .cache import PivotViewCache
 
 
 class QueryEngine:
@@ -111,5 +112,5 @@ class QueryEngine:
         return self.cache.invalidate(self.projid)
 
     @property
-    def stats(self) -> CacheStats:
+    def stats(self) -> StatsView:
         return self.cache.stats

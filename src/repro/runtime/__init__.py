@@ -21,23 +21,23 @@ everywhere.  This package is where that promise is enforced mechanically:
   barrier that ``restore()``/``commit()``/``close()`` take before relying
   on stored checkpoints.
 
-Layering: this package depends only on :mod:`repro.relational` and
-:mod:`repro.errors`; :mod:`repro.core.session` builds on top of it, and
+Layering: this package depends only on :mod:`repro.relational`,
+:mod:`repro.errors` and the instruments of :mod:`repro.obs.metrics` (both
+workers count what they do in a registry scope of their own);
+:mod:`repro.core.session` builds on top of it, and
 the service stages appended rows through the shard's session rather than
 a buffer of its own.
 """
 
 from .buffer import RecordBuffer
-from .checkpoint_writer import AsyncCheckpointWriter, CheckpointWriteStats
-from .flusher import ASYNC, SYNC, BackgroundFlusher, FlushCallbackError, FlushStats
+from .checkpoint_writer import AsyncCheckpointWriter
+from .flusher import ASYNC, SYNC, BackgroundFlusher, FlushCallbackError
 
 __all__ = [
     "ASYNC",
     "SYNC",
     "AsyncCheckpointWriter",
     "BackgroundFlusher",
-    "CheckpointWriteStats",
     "FlushCallbackError",
-    "FlushStats",
     "RecordBuffer",
 ]

@@ -20,34 +20,26 @@ import pickle
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..errors import CheckpointError
+from ..obs.metrics import MetricsRegistry, StatsView
 from ..relational.records import ObjectRecord
 from ..relational.repositories import ObjectRepository
 
 
-@dataclass
-class CheckpointWriteStats:
-    """Counters for one writer's lifetime behaviour."""
-
-    submitted: int = 0
-    written: int = 0
-    errors: int = 0
-    backpressure_waits: int = 0
-    pickle_seconds: float = 0.0
-    write_seconds: float = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "submitted": self.submitted,
-            "written": self.written,
-            "errors": self.errors,
-            "backpressure_waits": self.backpressure_waits,
-            "pickle_seconds": self.pickle_seconds,
-            "write_seconds": self.write_seconds,
-        }
+#: ``AsyncCheckpointWriter.stats`` field → telemetry counter.
+_STATS = {
+    field: f"checkpoint.{field}"
+    for field in (
+        "submitted",
+        "written",
+        "errors",
+        "backpressure_waits",
+        "pickle_seconds",
+        "write_seconds",
+    )
+}
 
 
 class AsyncCheckpointWriter:
@@ -75,7 +67,8 @@ class AsyncCheckpointWriter:
         self._objects = objects
         self.name = name
         self.max_pending = max_pending
-        self.stats = CheckpointWriteStats()
+        self.metrics = MetricsRegistry()
+        self.stats = StatsView(self.metrics, _STATS)
         self._cond = threading.Condition()
         self._queue: "deque[tuple[Any, Any, Callable[[float, float], None] | None]]" = deque()
         self._inflight = 0
@@ -104,14 +97,14 @@ class AsyncCheckpointWriter:
             blocked = False
             while len(self._queue) + self._inflight >= self.max_pending:
                 if not blocked:
-                    self.stats.backpressure_waits += 1
+                    self.stats["backpressure_waits"].inc()
                     blocked = True
                 self._cond.wait(0.1)
                 self._raise_pending_locked()
                 if self._closed:
                     raise CheckpointError("checkpoint writer is closed")
             self._queue.append((key, state, on_written))
-            self.stats.submitted += 1
+            self.stats["submitted"].inc()
             self._ensure_worker_locked()
             self._cond.notify_all()
 
@@ -161,7 +154,7 @@ class AsyncCheckpointWriter:
                 self._store(key, state, on_written)
             except BaseException as exc:  # noqa: BLE001 - surfaces on the recording thread
                 with self._cond:
-                    self.stats.errors += 1
+                    self.stats["errors"].inc()
                     if self._error is None:
                         self._error = exc
             finally:
@@ -187,9 +180,9 @@ class AsyncCheckpointWriter:
             )
         )
         wrote = time.perf_counter()
-        self.stats.written += 1
-        self.stats.pickle_seconds += pickled - started
-        self.stats.write_seconds += wrote - pickled
+        self.stats["written"].inc()
+        self.stats["pickle_seconds"].inc(pickled - started)
+        self.stats["write_seconds"].inc(wrote - pickled)
         if on_written is not None:
             on_written(pickled - started, wrote - pickled)
 

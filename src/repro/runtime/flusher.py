@@ -41,10 +41,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..errors import ReproError
+from ..obs.metrics import MetricsRegistry, StatsView
 from ..storage.protocols import RelationalStore
 from ..relational.repositories import INSERT_LOG_SQL, INSERT_LOOP_SQL
 
@@ -72,32 +72,18 @@ class FlushCallbackError(ReproError):
 _Batch = tuple[Sequence[tuple], Sequence[tuple], "Callable[[int], None] | None", int]
 
 
-@dataclass
-class FlushStats:
-    """Counters describing a flusher's lifetime behaviour."""
-
-    submitted_batches: int = 0
-    submitted_rows: int = 0
-    transactions: int = 0
-    written_rows: int = 0
-    max_coalesced_batches: int = 0
-    backpressure_waits: int = 0
-    write_retries: int = 0
-    dropped_batches: int = 0
-    dropped_rows: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "submitted_batches": self.submitted_batches,
-            "submitted_rows": self.submitted_rows,
-            "transactions": self.transactions,
-            "written_rows": self.written_rows,
-            "max_coalesced_batches": self.max_coalesced_batches,
-            "backpressure_waits": self.backpressure_waits,
-            "write_retries": self.write_retries,
-            "dropped_batches": self.dropped_batches,
-            "dropped_rows": self.dropped_rows,
-        }
+#: ``BackgroundFlusher.stats`` field → telemetry counter.
+_STATS = {
+    "submitted_batches": "flush.submitted_batches",
+    "submitted_rows": "flush.submitted_rows",
+    "transactions": "flush.transactions",
+    "written_rows": "flush.rows",
+    "max_coalesced_batches": None,  # this flusher's high-water mark
+    "backpressure_waits": "flush.backpressure_waits",
+    "write_retries": "flush.write_retries",
+    "dropped_batches": "flush.dropped_batches",
+    "dropped_rows": "flush.dropped_rows",
+}
 
 
 class BackgroundFlusher:
@@ -146,12 +132,9 @@ class BackgroundFlusher:
         self.write_retries = write_retries
         self.retry_backoff = retry_backoff
         self.name = name
-        self.stats = FlushStats()
-        # Optional observability hook (repro.obs.MetricsRegistry); assigned
-        # post-construction by whoever owns a registry (the service's pool).
-        # Duck-typed rather than imported so the recording runtime carries no
-        # dependency on the observability plane.
-        self.metrics = None
+        #: This flusher's scope; its owner (the session) attaches it upward.
+        self.metrics = MetricsRegistry()
+        self.stats = StatsView(self.metrics, _STATS)
         self._cond = threading.Condition()
         self._queue: "deque[_Batch]" = deque()
         self._pending_rows = 0  # queued + in-flight rows (memory bound)
@@ -192,8 +175,8 @@ class BackgroundFlusher:
         if self.mode == SYNC or self._closed:
             self._raise_pending()
             if count:
-                self.stats.submitted_batches += 1
-                self.stats.submitted_rows += count
+                self.stats["submitted_batches"].inc()
+                self.stats["submitted_rows"].inc(count)
                 self._write([(log_rows, loop_rows, on_written, count)])
             return count
         with self._cond:
@@ -202,15 +185,15 @@ class BackgroundFlusher:
             blocked = False
             while self._pending_rows and self._pending_rows + count > self.max_pending_rows:
                 if not blocked:
-                    self.stats.backpressure_waits += 1
+                    self.stats["backpressure_waits"].inc()
                     blocked = True
                 # The timeout is a safety net only; the worker notifies after
                 # every transaction (including failed ones, which free rows).
                 self._cond.wait(0.1)
             self._queue.append((log_rows, loop_rows, on_written, count))
             self._pending_rows += count
-            self.stats.submitted_batches += 1
-            self.stats.submitted_rows += count
+            self.stats["submitted_batches"].inc()
+            self.stats["submitted_rows"].inc(count)
             self._ensure_worker_locked()
             self._cond.notify_all()
         return count
@@ -284,17 +267,10 @@ class BackgroundFlusher:
                                 # /stats endpoint, the chaos harness's seal
                                 # protocol) can still tell that acknowledged
                                 # rows were lost on this handle.
-                                self.stats.dropped_batches += len(batches)
-                                self.stats.dropped_rows += sum(
-                                    batch[3] for batch in batches
-                                )
-                            if self.metrics is not None:
-                                self.metrics.inc(
-                                    "flush.dropped_rows",
-                                    sum(batch[3] for batch in batches),
-                                )
+                                self.stats["dropped_batches"].inc(len(batches))
+                                self.stats["dropped_rows"].inc(self._inflight)
                             break
-                        self.stats.write_retries += 1
+                        self.stats["write_retries"].inc()
                         time.sleep(self.retry_backoff)
             finally:
                 with self._cond:
@@ -312,15 +288,13 @@ class BackgroundFlusher:
                     connection.executemany(INSERT_LOG_SQL, log_rows)
                 if loop_rows:
                     connection.executemany(INSERT_LOOP_SQL, loop_rows)
-            self.stats.transactions += 1
-            self.stats.written_rows += len(log_rows) + len(loop_rows)
-            self.stats.max_coalesced_batches = max(self.stats.max_coalesced_batches, len(batches))
-            metrics = self.metrics
-            if metrics is not None:
-                metrics.observe("flush.ms", (time.perf_counter() - started) * 1000.0)
-                metrics.inc("flush.rows", len(log_rows) + len(loop_rows))
-                metrics.inc("flush.transactions")
-                metrics.set("flush.pending_rows", self.pending_rows)
+            self.metrics.observe("flush.ms", (time.perf_counter() - started) * 1000.0)
+            self.stats["transactions"].inc()
+            self.stats["written_rows"].inc(len(log_rows) + len(loop_rows))
+            high_water = self.stats["max_coalesced_batches"]
+            if len(batches) > high_water.value:
+                high_water.set(len(batches))
+            self.metrics.set("flush.pending_rows", self.pending_rows)
         # Every batch's callback runs even if an earlier one raised: a skipped
         # callback is a skipped query-cache invalidation for rows that *did*
         # commit, which would serve stale views indefinitely.  The first

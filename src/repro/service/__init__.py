@@ -35,13 +35,12 @@ Quick tour::
 """
 
 from .app import SERVICE_FILENAME, FlorService, create_app
-from .pool import DatabasePool, PoolStats, ProjectShard
+from .pool import DatabasePool, ProjectShard
 
 __all__ = [
     "FlorService",
     "create_app",
     "SERVICE_FILENAME",
     "DatabasePool",
-    "PoolStats",
     "ProjectShard",
 ]

@@ -169,11 +169,13 @@ class FlorService:
         self.flush_interval = flush_interval
         self.flush_mode = flush_mode
         self.replicas = replicas
-        #: The observability plane: one metrics registry and one tail
-        #: broker per service process.  Hot paths receive the registry
-        #: (the pool hands it to each shard's flusher and pivot cache) and
-        #: the pool's post-commit ``on_ingest`` hook feeds the broker, so
-        #: a tail subscriber woken by a publish can already read the rows.
+        #: The observability plane: one outermost metrics registry and one
+        #: tail broker per service process.  Every component counts in its
+        #: own scope; the pool attaches each shard session's to this
+        #: registry, the job store's and the admission controller's are
+        #: attached below.  The pool's post-commit ``on_ingest`` hook feeds
+        #: the broker, so a tail subscriber woken by a publish can already
+        #: read the rows.
         self.metrics = MetricsRegistry()
         self.tail = TailBroker(
             max_subscribers=tail_max_subscribers, max_lag=tail_max_lag
@@ -193,6 +195,8 @@ class FlorService:
         )
         self._job_store = job_store
         self._owns_job_store = job_store is None
+        if job_store is not None:
+            self._adopt_job_store(job_store)
         self._jobs_lock = threading.Lock()
         self._policy_store: PolicyStore | None = None
         self._policy_lock = threading.Lock()
@@ -210,7 +214,7 @@ class FlorService:
             self.admission = AdmissionController(
                 self.policies, refresh_interval=admission_refresh
             )
-            self.admission.metrics = self.metrics
+            self.admission.metrics.attach(self.metrics)
         self._app: WebApp | None = None
         #: Set by the CLI when this service runs as one worker of a fleet
         #: (:mod:`repro.fleet`); ``/service/stats`` then carries the worker
@@ -227,6 +231,11 @@ class FlorService:
         """Job-store post-commit hook → wakeups for the job's tail stream."""
         self.tail.publish(f"job:{job_id}")
 
+    def _adopt_job_store(self, store: JobStore) -> None:
+        """Count the store's transitions here and tail its events."""
+        store.metrics.attach(self.metrics)
+        store.on_event = self._publish_job_event
+
     def project_exists(self, name: str) -> bool:
         """Whether ``name`` is an open shard or has a ``.flor`` home on disk."""
         return name in self.pool or (self.root / name / FLOR_DIR_NAME).is_dir()
@@ -240,9 +249,7 @@ class FlorService:
         with self._jobs_lock:
             if self._job_store is None:
                 self._job_store = JobStore.open(self.root)
-            if self._job_store.metrics is None:
-                self._job_store.metrics = self.metrics
-                self._job_store.on_event = self._publish_job_event
+                self._adopt_job_store(self._job_store)
             return self._job_store
 
     @property
@@ -294,8 +301,26 @@ def validate_project_name(name: str) -> str:
 _validated_name = validate_project_name
 
 
+#: ``/projects/<name>/<sub-path>`` → whether the request body counts against
+#: the tenant's byte quota.  Every sub-path listed costs one rate token;
+#: anything else — stats, unknown paths — is not admission-controlled.  The
+#: one table both admission points read (this service, and the fleet router
+#: in front of workers that run with admission off).
+ADMITTED_SUBPATHS = {
+    ("logs",): True,
+    ("commit",): False,
+    ("dataframe",): False,
+    ("sql",): False,
+    ("tail",): False,
+    ("jobs", "backfill"): False,
+}
+
+
 def enforce_admission(
-    admission: AdmissionController | None, tenant: str, nbytes: int = 0
+    admission: AdmissionController | None,
+    tenant: str,
+    subpath: tuple[str, ...],
+    request: Request,
 ) -> None:
     """Run one admission check and raise its HTTP mapping when denied.
 
@@ -305,8 +330,10 @@ def enforce_admission(
     ``Retry-After`` header (decimal seconds) and a structured ``detail``
     body — never silent queuing.
     """
-    if admission is None:
+    charges_body = ADMITTED_SUBPATHS.get(subpath)
+    if admission is None or charges_body is None:
         return
+    nbytes = len(request.body) if charges_body else 0
     decision = admission.admit(tenant, nbytes)
     if decision.allowed:
         return
@@ -407,6 +434,20 @@ def register_policy_routes(app: WebApp, get_policies, get_admission) -> None:
         if not removed:
             raise HttpError(404, f"no policy rule for selector {selector!r}")
         return JsonResponse({"deleted": selector, "generation": policies.generation()})
+
+
+def register_telemetry_route(app: WebApp, snapshot) -> None:
+    """Mount ``GET /service/telemetry``: one ``snapshot()`` as JSON, or with
+    ``?stream=1[&interval=S]`` a periodic SSE feed of it.  Shared by the
+    single-process service (its registry) and the fleet router (its fan-in
+    over the workers), so both speak the same protocol."""
+
+    @app.route("/service/telemetry")
+    def service_telemetry(request: Request):
+        if (request.arg("stream") or "").lower() in ("1", "true", "yes", "sse"):
+            interval = _float_arg(request, "interval", 2.0, lo=0.05, hi=60.0)
+            return telemetry_stream_response(snapshot, interval=interval)
+        return JsonResponse(snapshot())
 
 
 def _record_list(payload: dict[str, Any], key: str) -> list[dict[str, Any]]:
@@ -537,13 +578,7 @@ def create_app(service: FlorService) -> WebApp:
     def service_stats(_request: Request):
         return JsonResponse(service_stats_payload(service))
 
-    @app.route("/service/telemetry")
-    def service_telemetry(request: Request):
-        if request.arg("stream") in ("1", "true", "yes", "sse"):
-            interval = _float_arg(request, "interval", 2.0, lo=0.05, hi=60.0)
-            return telemetry_stream_response(service, interval=interval)
-        return JsonResponse(telemetry_payload(service))
-
+    register_telemetry_route(app, lambda: telemetry_payload(service))
     register_policy_routes(app, lambda: service.policies, lambda: service.admission)
 
     @app.route("/fleet/drain", methods=("POST",))
@@ -564,7 +599,7 @@ def create_app(service: FlorService) -> WebApp:
     @app.route("/projects/<name>/logs", methods=("POST",))
     def append_logs(request: Request, name: str):
         name = _validated_name(name)
-        enforce_admission(service.admission, name, len(request.body))
+        enforce_admission(service.admission, name, ("logs",), request)
         payload = _json_body(request)
         with pool.checkout(name) as shard:
             logs, loops = _staged_rows(shard.session, payload)
@@ -581,7 +616,7 @@ def create_app(service: FlorService) -> WebApp:
     @app.route("/projects/<name>/commit", methods=("POST",))
     def commit(request: Request, name: str):
         name = _validated_name(name)
-        enforce_admission(service.admission, name)
+        enforce_admission(service.admission, name, ("commit",), request)
         payload = _json_body(request)
         message = str(payload.get("message", ""))
         with pool.checkout(name) as shard:
@@ -625,7 +660,7 @@ def create_app(service: FlorService) -> WebApp:
         latest = request.arg("latest") in ("1", "true", "yes")
         force_primary = request.arg("primary") in ("1", "true", "yes")
         name = _existing(name)
-        enforce_admission(service.admission, name)
+        enforce_admission(service.admission, name, ("dataframe",), request)
         if not force_primary:
             # Bounded-staleness read: no flush barrier, served from a snapshot
             # replica; the watermark tells the client the highest logs.seq
@@ -659,7 +694,7 @@ def create_app(service: FlorService) -> WebApp:
         names = [n for n in names_arg.split(",") if n]
         force_primary = request.arg("primary") in ("1", "true", "yes")
         name = _existing(name)
-        enforce_admission(service.admission, name)
+        enforce_admission(service.admission, name, ("sql",), request)
         if not force_primary:
             try:
                 outcome = _replica_read(
@@ -693,7 +728,7 @@ def create_app(service: FlorService) -> WebApp:
     def project_tail(request: Request, name: str):
         """Live SSE tail of a tenant's committed log rows (resumable)."""
         name = _existing(name)
-        enforce_admission(service.admission, name)
+        enforce_admission(service.admission, name, ("tail",), request)
         return project_tail_response(
             service,
             name,
@@ -723,7 +758,7 @@ def create_app(service: FlorService) -> WebApp:
         job row the client polls via ``GET /jobs/<id>``.
         """
         name = _existing(name)
-        enforce_admission(service.admission, name)
+        enforce_admission(service.admission, name, ("jobs", "backfill"), request)
         payload = _json_body(request)
         filename = payload.get("filename")
         if not filename or not isinstance(filename, str):

@@ -35,7 +35,6 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from itertools import count
 from pathlib import Path
@@ -43,6 +42,7 @@ from typing import Callable, Iterator, Sequence
 
 from ..config import ProjectConfig
 from ..core.session import Session
+from ..obs.metrics import MetricsRegistry, StatsView
 from ..query.engine import QueryEngine
 
 #: Filename stamped on records that arrive without one; mirrors how the
@@ -50,22 +50,11 @@ from ..query.engine import QueryEngine
 SERVICE_FILENAME = "service"
 
 
-@dataclass
-class PoolStats:
-    """Counters describing a pool's lifetime behaviour."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    reopens: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "reopens": self.reopens,
-        }
+#: ``DatabasePool.stats`` field → telemetry counter.  ``evictions`` counts
+#: closes that succeeded; a shard whose close failed is reinstated, not evicted.
+_STATS = {
+    field: f"pool.{field}" for field in ("hits", "misses", "evictions", "reopens")
+}
 
 
 class ShardReplicas:
@@ -95,6 +84,7 @@ class ShardReplicas:
             max_staleness=max_staleness,
             on_sync=self._on_sync,
         )
+        self.replicated.metrics.attach(session.metrics)
         self._engines = [
             QueryEngine(replica.db, session.projid)
             for replica in self.replicated.replicas
@@ -268,9 +258,10 @@ class DatabasePool:
         built (the chaos harness wraps its stores in faults).  The pool
         still applies its policy values, hooks and metrics to the result.
     metrics:
-        Optional :class:`repro.obs.MetricsRegistry`.  The pool records its
-        own hit/miss/evict churn and hands the registry to each shard's
-        flusher so flush latency aggregates across tenants.
+        The :class:`repro.obs.MetricsRegistry` the pool counts its own
+        hit/miss/evict churn in and attaches every shard session's scope
+        to, so per-shard counts also sum across tenants; a private one
+        when omitted.
     on_ingest:
         Optional ``(tenant, rows) -> None`` hook, invoked after a
         transaction writing a shard's rows *commits* (the session's
@@ -326,22 +317,19 @@ class DatabasePool:
         # could no longer reinstate the shard — orphaning its staged,
         # already-acknowledged records.
         self._closing: dict[str, threading.Event] = {}
+        self._lock = threading.RLock()
+        self._ever_opened: set[str] = set()
+        self.metrics = metrics or MetricsRegistry()
+        self.stats = StatsView(self.metrics, _STATS)
         # Dropped-row counts banked from closed incarnations, per tenant.
         # A shard's flusher counters die with it; summing the bank with the
         # live counter gives each tenant a drop total that is monotone for
-        # the pool's lifetime (served by the /stats endpoint).
+        # the pool's lifetime (served by the /stats endpoint).  The counter
+        # is the bank's total; ``flush.dropped_rows`` counts drops as they
+        # happen.
         self._dropped_banked: dict[str, int] = {}
-        self._lock = threading.RLock()
-        self._ever_opened: set[str] = set()
-        self.stats = PoolStats()
-        self.metrics = metrics
+        self._banked_total = self.metrics.counter("pool.dropped_rows")
         self.on_ingest = on_ingest
-        # Resolve the hot-path counters once; get() runs per request and
-        # should not pay a registry lookup per hit.
-        self._m_hits = metrics.counter("pool.hits") if metrics is not None else None
-        self._m_misses = metrics.counter("pool.misses") if metrics is not None else None
-        self._m_evictions = metrics.counter("pool.evictions") if metrics is not None else None
-        self._m_dropped = metrics.counter("pool.dropped_rows") if metrics is not None else None
 
     def _default_factory(self, name: str) -> ProjectShard:
         config = ProjectConfig(self.root / name, name)
@@ -381,10 +369,8 @@ class DatabasePool:
         # views (one cache per shard, warm across requests).  Resolve it
         # here, once, so the session's post-commit invalidation hook — which
         # runs on the flusher's thread — never races its lazy construction.
-        engine = session.query
-        if self.metrics is not None:
-            session.flusher.metrics = self.metrics
-            engine.cache.metrics = self.metrics
+        _ = session.query
+        session.metrics.attach(self.metrics)
         if self.on_ingest is not None:
             session.on_rows_written = partial(self.on_ingest, name)
         return shard
@@ -397,19 +383,15 @@ class DatabasePool:
                 shard = self._shards.get(name)
                 if shard is not None:
                     self._shards.move_to_end(name)
-                    self.stats.hits += 1
-                    if self._m_hits is not None:
-                        self._m_hits.inc()
+                    self.stats["hits"].inc()
                     return shard
                 pending = self._building.get(name) or self._closing.get(name)
                 if pending is None:
                     opening = threading.Event()
                     self._building[name] = opening
-                    self.stats.misses += 1
-                    if self._m_misses is not None:
-                        self._m_misses.inc()
+                    self.stats["misses"].inc()
                     if name in self._ever_opened:
-                        self.stats.reopens += 1
+                        self.stats["reopens"].inc()
                     self._ever_opened.add(name)
                     break
             # Another thread is opening (or closing) this shard; wait and
@@ -432,53 +414,49 @@ class DatabasePool:
             self._building.pop(name, None)
             while len(self._shards) > self.capacity:
                 cold_name, cold = self._shards.popitem(last=False)
-                self.stats.evictions += 1
-                if self._m_evictions is not None:
-                    self._m_evictions.inc()
                 self._closing[cold_name] = threading.Event()
                 evicted.append(cold)
         opening.set()
         for cold in evicted:
-            self._close_evicted(cold)
+            try:
+                self._close_evicted(cold)
+            except Exception:  # noqa: BLE001 - reinstated; retried on the next eviction or close()
+                pass
         return shard
 
     def _close_evicted(self, shard: ProjectShard) -> None:
-        """Close a shard evicted from the cache without losing records.
+        """Close a shard popped from the cache without losing records.
 
         If the close fails (the flush raised), the shard still holds its
         staged records, so it is reinstated into the cache rather than
         orphaned — acknowledged appends stay reachable and the flush is
-        retried on the next eviction or :meth:`close`.  The ``_closing``
-        reservation taken when the shard was popped guarantees the name was
-        not concurrently rebuilt, so reinstating always succeeds.  On a
-        successful close the incarnation's dropped-row count is banked so
-        the tenant's drop total stays monotone across reopens.
+        retried on the next eviction or :meth:`close` — and the failure
+        propagates.  The ``_closing`` reservation taken when the shard was
+        popped guarantees the name was not concurrently rebuilt, so
+        reinstating always succeeds.  Only a successful close counts as an
+        eviction, and banks the incarnation's dropped-row count so the
+        tenant's drop total stays monotone across reopens.
         """
         try:
             shard.close()
-        except Exception:
+        except BaseException:
             with self._lock:
                 self._shards[shard.name] = shard
                 self._shards.move_to_end(shard.name, last=False)
-                self.stats.evictions -= 1
-                event = self._closing.pop(shard.name, None)
-            if event is not None:
-                event.set()
-            return
-        with self._lock:
-            self._bank_dropped_locked(shard)
-            event = self._closing.pop(shard.name, None)
-        if event is not None:
+            raise
+        else:
+            self.stats["evictions"].inc()
+            dropped = shard.session.flusher.stats.dropped_rows
+            if dropped:
+                with self._lock:
+                    self._dropped_banked[shard.name] = (
+                        self._dropped_banked.get(shard.name, 0) + dropped
+                    )
+                self._banked_total.inc(dropped)
+        finally:
+            with self._lock:
+                event = self._closing.pop(shard.name)
             event.set()
-
-    def _bank_dropped_locked(self, shard: ProjectShard) -> None:
-        dropped = shard.session.flusher.stats.dropped_rows
-        if dropped:
-            self._dropped_banked[shard.name] = (
-                self._dropped_banked.get(shard.name, 0) + dropped
-            )
-            if self._m_dropped is not None:
-                self._m_dropped.inc(dropped)
 
     def dropped_rows_total(self, name: str) -> int:
         """Rows dropped by this tenant's writers over the pool's lifetime.
@@ -530,29 +508,12 @@ class DatabasePool:
         with self._lock:
             shard = self._shards.pop(name, None)
             if shard is not None:
-                self.stats.evictions += 1
                 self._closing[name] = threading.Event()
         if shard is None:
             return False
-        try:
-            shard.close()
-        except BaseException:
-            # Same contract as LRU eviction: a failed close reinstates the
-            # shard (records stay reachable) — but here the failure also
-            # propagates, since the caller asked for this specific close.
-            with self._lock:
-                self._shards[shard.name] = shard
-                self._shards.move_to_end(shard.name, last=False)
-                self.stats.evictions -= 1
-                event = self._closing.pop(name, None)
-            if event is not None:
-                event.set()
-            raise
-        with self._lock:
-            self._bank_dropped_locked(shard)
-            event = self._closing.pop(name, None)
-        if event is not None:
-            event.set()
+        # Same contract as LRU eviction, except that a failed close reaches
+        # the caller, who asked for this specific one.
+        self._close_evicted(shard)
         return True
 
     def flush_all(self) -> int:

@@ -1,12 +1,16 @@
-"""Shared stats payload builders for the service's introspection routes.
+"""Payload builders for the service's introspection routes.
 
 ``GET /projects/<name>/stats``, ``GET /service/stats`` and ``GET
-/service/telemetry`` all serve views of the same underlying counters
-(flusher, pool, qos, replicas, job queue).  Before this module the qos /
-flusher / replica blocks were assembled independently inside each route
-closure in :mod:`repro.service.app` and had started to drift; every block
-now has exactly one builder, used by the single-process service routes and
-re-aggregated by the fleet router's control plane.
+/service/telemetry`` serve the same counters at three scopes: every
+component counts once, in its own :class:`~repro.obs.MetricsRegistry`
+scope, and scopes feed upward (flusher → shard session → service
+process).  The per-tenant blocks here read the live shard's ``.stats``
+views, the host block the pool's, the telemetry payload the outermost
+registry — so the routes cannot drift apart, and summing a per-shard field
+over every incarnation gives the telemetry counter of the matching name
+(``docs/observability.md`` has the table).  Every block has exactly one
+builder, used by the single-process service routes and re-aggregated by
+the fleet router's control plane.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from ..errors import TailBackpressureError
 from ..relational.queries import log_watermark
 from ..relational.records import JOB_TERMINAL_STATES
 from ..webapp.framework import HttpError, StreamingResponse, sse_comment, sse_event
-from .stats import telemetry_payload
 
 #: Rows fetched per backfill query; a deep backlog streams as successive
 #: batches without ever materializing the whole tail in memory.
@@ -115,7 +114,7 @@ def project_tail_response(
         watermark = log_watermark(shard.session.db, shard.session.projid)
     cursor = min(max(0, cursor), watermark)
     subscription = _subscribe(service, f"project:{name}", cursor)
-    metrics = service.metrics
+    delivered = service.metrics.counter("tail.rows")
 
     def generate() -> Iterator[str]:
         try:
@@ -133,8 +132,7 @@ def project_tail_response(
                     for row in rows:
                         yield sse_event(_row_payload(row), event="log", id=int(row[0]))
                     subscription.advance(int(rows[-1][0]), len(rows))
-                    if metrics is not None:
-                        metrics.inc("tail.rows", len(rows))
+                    delivered.inc(len(rows))
                     continue  # drain the backlog before sleeping again
                 if not subscription.wait(keepalive):
                     yield sse_comment()
@@ -201,8 +199,8 @@ def job_tail_response(
     return _tail_stream(generate(), subscription)
 
 
-def telemetry_stream_response(service, *, interval: float = 2.0) -> StreamingResponse:
-    """``GET /service/telemetry?stream=1`` — registry snapshots as SSE.
+def telemetry_stream_response(snapshot, *, interval: float = 2.0) -> StreamingResponse:
+    """``GET /service/telemetry?stream=1`` — periodic ``snapshot()``s as SSE.
 
     The ``id`` is a per-connection sequence number, not a resume cursor:
     snapshots are self-contained (cumulative counters), so a reconnecting
@@ -213,7 +211,7 @@ def telemetry_stream_response(service, *, interval: float = 2.0) -> StreamingRes
         seq = 0
         while True:
             seq += 1
-            yield sse_event(telemetry_payload(service), event="telemetry", id=seq)
+            yield sse_event(snapshot(), event="telemetry", id=seq)
             time.sleep(interval)
 
     return StreamingResponse(generate())

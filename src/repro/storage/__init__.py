@@ -19,7 +19,6 @@ __all__ = [
     "MemoryRelationalStore",
     "ReplicatedDatabase",
     "Replica",
-    "ReplicaStats",
     "TieredBlobStore",
     "select_cold_ids",
 ]
@@ -31,7 +30,6 @@ _LAZY = {
     "MemoryRelationalStore": ".memory",
     "ReplicatedDatabase": ".replica",
     "Replica": ".replica",
-    "ReplicaStats": ".replica",
     "TieredBlobStore": ".tiering",
     "select_cold_ids": ".tiering",
 }

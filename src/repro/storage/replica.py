@@ -31,28 +31,18 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
+from ..obs.metrics import MetricsRegistry, StatsView
 from ..relational.database import Database
 
 
-@dataclass
-class ReplicaStats:
-    """Counters describing a replicated store's lifetime behaviour."""
-
-    syncs: int = 0
-    replica_reads: int = 0
-    primary_writes: int = 0
-    skipped_syncs: int = 0  # reads served within the staleness bound
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "syncs": self.syncs,
-            "replica_reads": self.replica_reads,
-            "primary_writes": self.primary_writes,
-            "skipped_syncs": self.skipped_syncs,
-        }
+#: ``ReplicatedDatabase.stats`` field → telemetry counter
+#: (``skipped_syncs``: reads served within the staleness bound).
+_STATS = {
+    field: f"replica.{field}"
+    for field in ("syncs", "replica_reads", "primary_writes", "skipped_syncs")
+}
 
 
 class Replica:
@@ -115,7 +105,8 @@ class ReplicatedDatabase:
         self.max_staleness = max_staleness
         self.clock = clock
         self.on_sync = on_sync
-        self.stats = ReplicaStats()
+        self.metrics = MetricsRegistry()
+        self.stats = StatsView(self.metrics, _STATS)
         self.replicas = [Replica(i) for i in range(replicas)]
         self._round_robin = 0
         self._rr_lock = threading.Lock()
@@ -131,15 +122,15 @@ class ReplicatedDatabase:
         return self.primary.write_version
 
     def transaction(self):
-        self.stats.primary_writes += 1
+        self.stats["primary_writes"].inc()
         return self.primary.transaction()
 
     def execute(self, sql: str, params: Sequence[Any] = ()):
-        self.stats.primary_writes += 1
+        self.stats["primary_writes"].inc()
         return self.primary.execute(sql, params)
 
     def executemany(self, sql: str, rows: Sequence[Sequence[Any]]) -> None:
-        self.stats.primary_writes += 1
+        self.stats["primary_writes"].inc()
         self.primary.executemany(sql, rows)
 
     # -------------------------------------------------------------- reads
@@ -168,7 +159,7 @@ class ReplicatedDatabase:
             replica = self.replicas[self._round_robin % len(self.replicas)]
             self._round_robin += 1
         self._ensure_fresh(replica)
-        self.stats.replica_reads += 1
+        self.stats["replica_reads"].inc()
         yield replica
 
     def _ensure_fresh(self, replica: Replica) -> None:
@@ -179,7 +170,7 @@ class ReplicatedDatabase:
             replica.synced_version >= 0
             and self.clock() - replica.synced_at < self.max_staleness
         ):
-            self.stats.skipped_syncs += 1
+            self.stats["skipped_syncs"].inc()
             return
         self._sync(replica)
 
@@ -195,7 +186,7 @@ class ReplicatedDatabase:
             row = replica.db.query_one("SELECT COALESCE(MAX(seq), 0) FROM logs")
             replica.watermark = int(row[0]) if row else 0
             replica.synced_at = self.clock()
-            self.stats.syncs += 1
+            self.stats["syncs"].inc()
         if self.on_sync is not None:
             self.on_sync(replica.index)
 

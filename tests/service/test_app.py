@@ -258,6 +258,17 @@ class TestIntrospection:
         assert body["capacity"] == 4
         assert body["pool"]["misses"] == 1
 
+    def test_drain_evictions_agree_between_stats_and_telemetry(self, client):
+        """``/fleet/drain`` seals through ``pool.evict``; the stats route and
+        the telemetry feed read the same counter, so they cannot disagree."""
+        _append(client, "alpha", [0.5])
+        _append(client, "beta", [0.6])
+        assert client.post("/fleet/drain").json()["sealed_shards"] == ["alpha", "beta"]
+        stats = client.get("/service/stats").json()
+        telemetry = client.get("/service/telemetry").json()
+        assert stats["pool"]["evictions"] == 2
+        assert telemetry["counters"]["pool.evictions"] == 2
+
     def test_project_stats_reports_counts_and_queue(self, client):
         _append(client, "alpha", [0.5])
         body = client.get("/projects/alpha/stats").json()
@@ -276,7 +287,7 @@ class TestIntrospection:
         assert body["flusher"]["dropped_rows"] == 0
         # The total must survive an eviction cycle, not reset with the
         # shard's own counters: simulate a shed batch, evict, reopen.
-        service.pool.get("alpha").session.flusher.stats.dropped_rows = 2
+        service.pool.get("alpha").session.flusher.stats["dropped_rows"].inc(2)
         assert service.pool.evict("alpha")
         _append(client, "alpha", [0.6])
         after = client.get("/projects/alpha/stats").json()

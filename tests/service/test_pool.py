@@ -168,6 +168,56 @@ class TestEviction:
             pool.close()
 
 
+class TestEvictionsAreCountedOnce:
+    """``pool.stats.evictions`` and the registry's ``pool.evictions`` are one
+    counter, bumped when a close succeeds — whichever path closed the shard."""
+
+    def test_explicit_evict_shows_in_stats_and_registry_alike(self, tmp_path):
+        from repro.obs import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        pool = DatabasePool(tmp_path / "p", capacity=2, metrics=metrics)
+        try:
+            pool.get("alpha")
+            assert pool.evict("alpha")
+            assert pool.stats.evictions == 1
+            assert metrics.snapshot()["counters"]["pool.evictions"] == 1
+        finally:
+            pool.close()
+
+    def test_failed_lru_close_reinstates_and_counts_no_eviction(self, tmp_path):
+        from repro.obs import MetricsRegistry
+        from repro.testing import FaultPlan, chaos_shard_factory
+
+        root = tmp_path / "p"
+        plan = FaultPlan(seed=7)
+        metrics = MetricsRegistry()
+        pool = DatabasePool(
+            root,
+            capacity=1,
+            flush_interval=None,
+            shard_factory=chaos_shard_factory(root, plan),
+            metrics=metrics,
+        )
+        try:
+            alpha = pool.get("alpha")
+            alpha.append([_log(alpha, 0)])
+            # Every attempt of the closing flush (1 + 2 retries) finds the
+            # database locked: the batch is dropped and the close raises.
+            plan.force("locked", "shard.alpha.db.transaction", times=3)
+            pool.get("beta")  # capacity 1: the LRU path tries to close alpha
+            assert "alpha" in pool and not alpha.closed
+            assert pool.stats.evictions == 0
+            assert metrics.snapshot()["counters"]["pool.evictions"] == 0
+            assert pool.dropped_rows_total("alpha") == 1
+            # The next eviction of the reinstated shard succeeds and counts.
+            assert pool.evict("alpha")
+            assert pool.stats.evictions == 1
+            assert metrics.snapshot()["counters"]["pool.evictions"] == 1
+        finally:
+            pool.close()
+
+
 class TestCheckout:
     def test_checkout_holds_the_shard_lock(self, pool):
         with pool.checkout("alpha") as shard:
@@ -226,7 +276,7 @@ class TestDurabilityCounters:
         try:
             first = pool.get("alpha")
             assert pool.dropped_rows_total("alpha") == 0
-            first.session.flusher.stats.dropped_rows = 3
+            first.session.flusher.stats["dropped_rows"].inc(3)
             assert pool.dropped_rows_total("alpha") == 3
             assert pool.evict("alpha")  # banks the incarnation's count
             assert pool.dropped_rows_total("alpha") == 3
@@ -234,7 +284,7 @@ class TestDurabilityCounters:
             assert second.incarnation > first.incarnation
             assert second.session.flusher.stats.dropped_rows == 0
             assert pool.dropped_rows_total("alpha") == 3  # bank + fresh live
-            second.session.flusher.stats.dropped_rows = 2
+            second.session.flusher.stats["dropped_rows"].inc(2)
             assert pool.dropped_rows_total("alpha") == 5
         finally:
             pool.close()
@@ -242,7 +292,7 @@ class TestDurabilityCounters:
     def test_lru_eviction_banks_drops_too(self, tmp_path):
         pool = DatabasePool(tmp_path / "p", capacity=1, flush_mode="async")
         try:
-            pool.get("alpha").session.flusher.stats.dropped_rows = 4
+            pool.get("alpha").session.flusher.stats["dropped_rows"].inc(4)
             pool.get("beta")  # capacity 1: alpha evicted via the LRU path
             assert "alpha" not in pool
             assert pool.dropped_rows_total("alpha") == 4

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.fleet import FleetRouter, FleetSupervisor
+from repro.qos import AdmissionController, PolicyRule, PolicyStore
 from repro.service import FlorService
 from repro.service.server import make_server, serve
 from repro.webapp.framework import Request, Response, WebApp
@@ -170,29 +171,81 @@ class _AliveProcess:
         return None
 
 
-@pytest.fixture(params=["plain", "router"])
-def front(request, tmp_path):
+@contextlib.contextmanager
+def _front(kind: str, root, *, qos: bool = False):
     """The two shapes ``make_server`` is deployed in, with tenant ``alpha``
-    written once: a service on its own socket, and the fleet router's socket
-    in front of one in-process worker.  ``small_get`` is a cheap keep-alive
-    GET that, behind the router, crosses the router→worker hop too (the
-    router answers ``/healthz`` itself)."""
-    service = FlorService(tmp_path / "host", flush_interval=None)
+    written once: a service on its own socket (``plain``), and the fleet
+    router's socket in front of one in-process worker (``router``).
+    ``small_get`` is a cheap keep-alive GET that, behind the router, crosses
+    the router→worker hop too (the router answers ``/healthz`` itself).
+    With ``qos`` the deployment's one admission point enforces ``policies``:
+    the service itself, or the router in front of a worker that does not."""
+    service = FlorService(
+        root, flush_interval=None, qos=qos and kind == "plain", admission_refresh=0.0
+    )
     with contextlib.ExitStack() as stack:
         stack.callback(service.close)
         address = stack.enter_context(_listening(service.app())).server_address[:2]
         small_get = "/healthz"
-        if request.param == "router":
+        policies = service.policies if qos else None
+        if kind == "router":
+            admission = None
+            if qos:
+                policies = PolicyStore.open(root)
+                admission = AdmissionController(policies, refresh_interval=0.0)
             supervisor = FleetSupervisor(lambda wid, url: ["unused"], workers=1)
             supervisor._handles["w0"].process = _AliveProcess()
             supervisor.on_register("w0", "http://%s:%d" % address, pid=_AliveProcess.pid)
-            router = FleetRouter(supervisor, failover_timeout=0.5)
+            router = FleetRouter(
+                supervisor, failover_timeout=0.5, policies=policies, admission=admission
+            )
             stack.callback(router.close)
             address = stack.enter_context(_listening(router)).server_address[:2]
             small_get = "/projects/alpha/stats"
         base = "http://%s:%d" % address
         assert _post(base + "/projects/alpha/logs", {"records": [{"name": "m", "value": 0}]})[0] == 202
-        yield SimpleNamespace(address=address, base=base, service=service, small_get=small_get)
+        yield SimpleNamespace(
+            address=address, base=base, service=service, small_get=small_get, policies=policies
+        )
+
+
+@pytest.fixture(params=["plain", "router"])
+def front(request, tmp_path):
+    with _front(request.param, tmp_path / "host") as deployed:
+        yield deployed
+
+
+@pytest.fixture(params=["plain", "router"])
+def qos_front(request, tmp_path):
+    with _front(request.param, tmp_path / "host", qos=True) as deployed:
+        yield deployed
+
+
+def _post_status(url: str, payload: dict) -> tuple[int, dict]:
+    try:
+        return _post(url, payload)
+    except urllib.error.HTTPError as error:
+        return error.code, json.load(error)
+
+
+class TestAdmissionChargesAlikeAtBothFronts:
+    def test_only_an_append_body_counts_against_the_byte_quota(self, qos_front):
+        """One sub-path table (``service.app.ADMITTED_SUBPATHS``) says what a
+        request costs, so the same body gets the same verdict through plain
+        ``serve`` and through ``serve --workers N``."""
+        qos_front.policies.put(PolicyRule(selector="alpha", byte_quota=64, window_seconds=60.0))
+        bulky = "x" * 200  # alone larger than the tenant's whole quota
+        project = qos_front.base + "/projects/alpha"
+        assert _post_status(project + "/commit", {"message": bulky})[0] == 200
+        status, _ = _post_status(
+            project + "/jobs/backfill", {"filename": "train.py", "new_source": bulky}
+        )
+        assert status == 202
+        status, body = _post_status(
+            project + "/logs", {"records": [{"name": "m", "value": bulky}]}
+        )
+        assert status == 413
+        assert body["detail"]["reason"] == "too_large"
 
 
 def _get_bytes(path: str) -> bytes:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Enforce the storage seam: ``sqlite3`` stays behind the storage layer.
+"""Enforce the storage seam (``sqlite3`` stays behind the storage layer) and
+the metrics seam (no component holds an optional registry).
 
 The whole point of the :mod:`repro.storage` protocols is that every layer
 above storage is backend-agnostic — repositories, the query engine, the
@@ -11,10 +12,17 @@ module outside ``repro.storage`` or ``repro.relational`` imports
 ``sqlite3`` (via ``import sqlite3``, ``from sqlite3 import ...``, or an
 aliased form).
 
-Detection is AST-based — docstrings and comments that merely *mention*
-sqlite3 are fine; only actual import statements count.
+The same walk guards a second seam: every instrumented component always
+holds a :class:`~repro.obs.MetricsRegistry` scope and records each event
+once, so there is no "metrics off" branch to test for.  A comparison of
+anything named ``metrics`` with ``None`` (``if self.metrics is not None``)
+anywhere under ``src/repro`` means an optional registry — and with it a
+second, hand-kept copy of the counts — is creeping back in.
 
-Exit status is the number of violating imports, so CI can run simply::
+Detection is AST-based — docstrings and comments that merely *mention*
+sqlite3 or the guard are fine; only actual statements count.
+
+Exit status is the number of violations, so CI can run simply::
 
     python tools/check_storage_seam.py
 
@@ -42,9 +50,8 @@ def module_name(src_root: Path, path: Path) -> str:
     return ".".join(parts)
 
 
-def sqlite_imports(path: Path) -> list[int]:
-    """Line numbers of sqlite3 import statements in ``path``."""
-    tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+def sqlite_imports(tree: ast.AST) -> list[int]:
+    """Line numbers of sqlite3 import statements in a parsed module."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -59,14 +66,39 @@ def sqlite_imports(path: Path) -> list[int]:
     return lines
 
 
+def metrics_none_guards(tree: ast.AST) -> list[int]:
+    """Line numbers comparing a ``metrics`` name or attribute with ``None``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or len(node.ops) != 1:
+            continue
+        subject, other = node.left, node.comparators[0]
+        name = getattr(subject, "id", None) or getattr(subject, "attr", None)
+        if (
+            name == "metrics"
+            and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(other, ast.Constant)
+            and other.value is None
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
 def main(argv: list[str]) -> int:
     src_root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src"
     violations = 0
     for path in sorted(src_root.rglob("*.py")):
         name = module_name(src_root, path)
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        for lineno in metrics_none_guards(tree):
+            print(
+                f"{path}:{lineno}: {name} tests a metrics registry for None — "
+                f"components always hold a scope (see repro.obs.metrics)"
+            )
+            violations += 1
         if any(name == p or name.startswith(p + ".") for p in ALLOWED_PREFIXES):
             continue
-        for lineno in sqlite_imports(path):
+        for lineno in sqlite_imports(tree):
             print(
                 f"{path}:{lineno}: {name} imports sqlite3 directly — "
                 f"go through repro.storage.protocols.RelationalStore instead"
@@ -74,6 +106,7 @@ def main(argv: list[str]) -> int:
             violations += 1
     if violations == 0:
         print("storage seam intact: sqlite3 imports confined to", ", ".join(ALLOWED_PREFIXES))
+        print("metrics seam intact: no registry is tested for None")
     return violations
 
 

@@ -13,9 +13,14 @@ What CI runs (and any developer can run locally):
    the cursor — no duplicates, no gap;
 5. read ``GET /service/telemetry`` before and after the ingest and
    assert the counters actually moved;
-6. render one ``repro monitor --once`` frame against the live server;
-7. SIGTERM the server and assert the structured access log recorded the
-   requests (``method path status latency_ms tenant``).
+6. check the counters agree across scopes: the telemetry feed's
+   ``pool.*`` / ``flush.*`` / ``cache.*`` equal the ``/service/stats`` pool
+   block and the sums of the per-project ``/stats`` blocks;
+7. render one ``repro monitor --once`` frame against the live server;
+8. SIGTERM the server and assert the structured access log recorded the
+   requests (``method path status latency_ms tenant``);
+9. boot ``repro serve --workers 2``, ingest to one project per worker and
+   repeat the agreement check through the router's fan-in.
 
 Exits non-zero with a diagnostic on any failure.  Usage::
 
@@ -36,10 +41,17 @@ from urllib.parse import urlparse
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.testing import ServerProcess  # noqa: E402
+from repro.testing import FleetProcess, ServerProcess  # noqa: E402
 
 BATCH = 6
 READ_TIMEOUT = 15.0
+
+#: ``/projects/<n>/stats`` block → telemetry prefix, and the fields whose
+#: counter is not simply ``<prefix>.<field>``.  ``max_coalesced_batches`` is
+#: each flusher's own high-water mark, which has no process-wide sum.
+_SHARD_BLOCKS = {"flusher": "flush", "query_cache": "cache"}
+_RENAMED = {"written_rows": "rows"}
+_UNSUMMED = {"max_coalesced_batches"}
 
 
 def _ingest(server: ServerProcess, project: str, tag: str) -> None:
@@ -59,6 +71,35 @@ def _ingest(server: ServerProcess, project: str, tag: str) -> None:
 
 def _seal(server: ServerProcess, project: str) -> None:
     server.get(f"/projects/{project}/dataframe?names=metric&primary=1")
+
+
+def _check_agreement(server: ServerProcess, projects: list[str]) -> int:
+    """The three routes read one set of counters at three scopes.
+
+    Call after a seal (nothing in flight) on a server that has evicted
+    nothing, so every shard that ever counted still answers ``/stats``.
+    The per-project reads come first: a checkout is itself a ``pool.hits``.
+    Returns how many counters were compared.
+    """
+    shards = [server.get(f"/projects/{project}/stats") for project in projects]
+    pool = server.get("/service/stats")["pool"]
+    counters = server.get("/service/telemetry")["counters"]
+    if pool["evictions"]:
+        raise AssertionError(f"the smoke evicted shards; sums would miss them: {pool}")
+    expected = {f"pool.{field}": value for field, value in pool.items()}
+    for block, prefix in _SHARD_BLOCKS.items():
+        for field in shards[0][block]:
+            if field not in _UNSUMMED:
+                name = f"{prefix}.{_RENAMED.get(field, field)}"
+                expected[name] = sum(shard[block][field] for shard in shards)
+    wrong = {
+        name: {"telemetry": counters.get(name), "stats": value}
+        for name, value in expected.items()
+        if counters.get(name) != value
+    }
+    if wrong:
+        raise AssertionError(f"telemetry and stats routes disagree: {wrong}")
+    return len(expected)
 
 
 def _open_tail(base_url: str, project: str, last_event_id: int = 0):
@@ -154,6 +195,9 @@ def main() -> int:
                 f"subscribed_total={telemetry['tail']['subscribed_total']}"
             )
 
+            compared = _check_agreement(server, ["alpha"])
+            print(f"telemetry agrees with /service/stats and /projects/alpha/stats on {compared} counters")
+
             env = {**os.environ}
             env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
                 os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -190,6 +234,20 @@ def main() -> int:
                 print(f"FAIL: malformed access-log line {access_lines[0]!r}", file=sys.stderr)
                 return 1
             print(f"access log recorded {len(access_lines)} request lines, e.g. {access_lines[0]!r}")
+
+        with FleetProcess(Path(tmp) / "fleet", workers=2) as fleet:
+            placed = fleet.projects_on_distinct_workers(2)
+            for project in placed:
+                _ingest(fleet, project, "fleet")
+                _seal(fleet, project)
+            compared = _check_agreement(fleet, list(placed))
+            print(
+                f"router fan-in agrees with the workers' stats on {compared} counters "
+                f"({', '.join(f'{p}->{w}' for p, w in placed.items())})"
+            )
+            if fleet.terminate() != 0:  # graceful: the supervisor drains its workers
+                print("FAIL: fleet did not exit 0 after SIGTERM", file=sys.stderr)
+                return 1
 
     print("obs smoke: OK")
     return 0
