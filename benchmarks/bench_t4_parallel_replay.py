@@ -6,6 +6,13 @@ non-trivial CPU work, then backfills a new statement across all versions
 serially and with a process pool.  Expected shape: once per-version replay
 cost clears pool start-up, the parallel backfill wins, approaching
 ``serial / min(workers, versions)``.
+
+What is asserted: both modes materialize the same records and replay every
+version — from the first round of each, the one that writes — and the
+parallel backfill is not slower, judged on the **best of three** rounds per
+mode (later rounds replay everything again and add no rows).  A single
+round on a small shared host, whose cores switch between two speed modes,
+failed that comparison about one run in two with no code change.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ VERSIONS = 6
 WORKERS = 3
 EPOCHS = 8
 WORK_PER_EPOCH = 60000  # busy-loop units so each version's replay is measurable
+ROUNDS = 3  # per mode; the timing guard compares the fastest of each
 
 _SCRIPT = textwrap.dedent(
     """
@@ -63,43 +71,53 @@ def _record_versions(session) -> None:
 def test_parallel_replay_scaling(benchmark, make_session):
     serial_session = make_session("t4_serial")
     _record_versions(serial_session)
-    serial = HindsightEngine(serial_session).backfill(
-        "train.py", new_source=_new_source(), parallelism="serial"
-    )
+    serial_rounds = [
+        HindsightEngine(serial_session).backfill(
+            "train.py", new_source=_new_source(), parallelism="serial"
+        )
+        for _ in range(ROUNDS)
+    ]
 
     parallel_session = make_session("t4_parallel")
     _record_versions(parallel_session)
-    parallel = benchmark.pedantic(
-        lambda: HindsightEngine(parallel_session).backfill(
-            "train.py",
-            new_source=_new_source(),
-            parallelism="process",
-            max_workers=WORKERS,
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    parallel_rounds = []
 
-    speedup = serial.wall_seconds / parallel.wall_seconds if parallel.wall_seconds else float("inf")
+    def parallel_backfill():
+        parallel_rounds.append(
+            HindsightEngine(parallel_session).backfill(
+                "train.py",
+                new_source=_new_source(),
+                parallelism="process",
+                max_workers=WORKERS,
+            )
+        )
+
+    benchmark.pedantic(parallel_backfill, rounds=ROUNDS, iterations=1)
+
+    serial, parallel = serial_rounds[0], parallel_rounds[0]
+    serial_best = min(r.wall_seconds for r in serial_rounds)
+    parallel_best = min(r.wall_seconds for r in parallel_rounds)
+    speedup = serial_best / parallel_best if parallel_best else float("inf")
     report(
-        "T4: serial vs. process-parallel multiversion replay",
+        f"T4: serial vs. process-parallel multiversion replay (best of {ROUNDS})",
         [
             {
                 "mode": "serial",
                 "versions": VERSIONS,
-                "seconds": serial.wall_seconds,
+                "seconds": serial_best,
                 "new_records": serial.new_records,
             },
             {
                 "mode": f"process pool ({WORKERS} workers)",
                 "versions": VERSIONS,
-                "seconds": parallel.wall_seconds,
+                "seconds": parallel_best,
                 "new_records": parallel.new_records,
                 "speedup_x": speedup,
             },
         ],
     )
     # Both modes materialize identical data, and parallel replay is not slower.
-    assert parallel.new_records == serial.new_records
-    assert parallel.versions_replayed == serial.versions_replayed == VERSIONS
-    assert parallel.wall_seconds < serial.wall_seconds * 1.2
+    assert parallel.new_records == serial.new_records == VERSIONS * EPOCHS
+    assert all(r.versions_replayed == VERSIONS for r in serial_rounds + parallel_rounds)
+    assert all(r.new_records == 0 for r in serial_rounds[1:] + parallel_rounds[1:])
+    assert parallel_best < serial_best * 1.2

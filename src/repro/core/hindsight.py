@@ -10,7 +10,11 @@ into the database — each one attributed to the *original* run timestamp, so
 
 Replay across versions is embarrassingly parallel; the engine supports
 serial, thread-pool and process-pool execution (benchmark T4 measures the
-scaling shape).
+scaling shape).  The three modes differ only in where the replays run: each
+replay collects its new records (already deduplicated against its own run —
+two tasks never share a tstamp), and the engine lands them all through its
+session in one transaction per :meth:`~HindsightEngine.backfill` call,
+durable before the call returns.
 """
 
 from __future__ import annotations
@@ -203,78 +207,47 @@ class HindsightEngine:
     ) -> None:
         if parallelism not in {"serial", "thread", "process"}:
             raise ReplayError(f"unknown parallelism mode: {parallelism!r}")
-        if parallelism == "serial" or len(tasks) <= 1:
-            for entry, source in tasks:
-                entry.replay = self._replay_one(source, entry, plan, extra_globals, collect_only=False)
-            return
-        if parallelism == "thread":
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(self._replay_one, source, entry, plan, extra_globals, True)
-                    for entry, source in tasks
-                ]
-                for (entry, _), future in zip(tasks, futures):
-                    entry.replay = future.result()
-            self._merge_collected(tasks)
-            return
-        # Process pool: ship picklable task tuples, merge results in the parent.
-        worker_args = [
-            (
-                str(self.session.config.root),
-                self.session.projid,
-                self.session.db.path,
+
+        def replay_one(task: tuple[VersionBackfill, str]) -> ReplayResult:
+            entry, source = task
+            return replay_source(
                 source,
-                entry.filename,
-                entry.tstamp,
-                plan.to_dict(),
+                config=self.session.config,
+                filename=entry.filename,
+                tstamp=entry.tstamp,
+                db=self.session.db,
+                repository=self.session.repository,
+                plan=plan,
+                extra_globals=extra_globals,
+                collect_only=True,
             )
-            for entry, source in tasks
-        ]
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(replay_worker, worker_args))
+
+        if parallelism == "serial" or len(tasks) <= 1:
+            results = [replay_one(task) for task in tasks]
+        elif parallelism == "thread":
+            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                results = list(pool.map(replay_one, tasks))
+        else:
+            # Process pool: ship picklable task tuples; workers open their own
+            # database handle and version store.
+            worker_args = [
+                (
+                    str(self.session.config.root),
+                    self.session.projid,
+                    self.session.db.path,
+                    source,
+                    entry.filename,
+                    entry.tstamp,
+                    plan.to_dict(),
+                )
+                for entry, source in tasks
+            ]
+            with ProcessPoolExecutor(max_workers=max_workers) as pool:
+                results = list(pool.map(replay_worker, worker_args))
+        new_logs, new_loops = [], []
         for (entry, _), result in zip(tasks, results):
             entry.replay = result
-        self._merge_collected(tasks)
-
-    def _replay_one(
-        self,
-        source: str,
-        entry: VersionBackfill,
-        plan: ReplayPlan,
-        extra_globals: dict | None,
-        collect_only: bool,
-    ) -> ReplayResult:
-        return replay_source(
-            source,
-            config=self.session.config,
-            filename=entry.filename,
-            tstamp=entry.tstamp,
-            db=self.session.db,
-            plan=plan,
-            extra_globals=extra_globals,
-            collect_only=collect_only,
-        )
-
-    def _merge_collected(self, tasks: list[tuple[VersionBackfill, str]]) -> None:
-        """Write records collected by parallel workers, deduplicating by key."""
-        existing = {
-            (r.tstamp, r.filename, r.ctx_id, r.value_name)
-            for r in self.session.logs.all(self.session.projid)
-        }
-        new_logs = []
-        new_loops = []
-        for entry, _ in tasks:
-            result = entry.replay
-            if result is None or not result.ok:
-                continue
-            for record in result.pending_logs:
-                key = (record.tstamp, record.filename, record.ctx_id, record.value_name)
-                if key in existing:
-                    continue
-                existing.add(key)
-                new_logs.append(record)
-            new_loops.extend(result.pending_loops)
-        if new_logs:
-            self.session.logs.add_many(new_logs)
-        if new_loops:
-            self.session.loops.add_many(new_loops)
+            if result.ok:
+                new_logs.extend(result.pending_logs)
+                new_loops.extend(result.pending_loops)
+        self.session.write_records(new_logs, new_loops)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from ..errors import PropagationError
@@ -62,8 +63,18 @@ def find_flor_statements(
     Only *expression statements* and simple assignments whose right-hand side
     is a direct ``flor.<name>(...)`` call are considered — these are the
     forms hindsight logging adds post hoc.
+
+    A pure function of the source text, answered once per distinct text: a
+    backfill asks about its one new source once per version, and a version
+    still inside the next backfill's window is not parsed again.
     """
-    call_names = call_names or _FLOR_CALL_NAMES
+    return list(_flor_statements(source, frozenset(call_names or _FLOR_CALL_NAMES), module_alias))
+
+
+@lru_cache(maxsize=128)
+def _flor_statements(
+    source: str, call_names: frozenset[str], module_alias: str
+) -> tuple[FlorStatement, ...]:
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
@@ -106,7 +117,7 @@ def find_flor_statements(
             )
         )
     found.sort(key=lambda s: s.lineno)
-    return found
+    return tuple(found)
 
 
 @dataclass

@@ -6,6 +6,11 @@ a replay-mode :class:`~repro.core.session.Session` that is pinned to the
 original run's timestamp.  The :class:`ReplayPlan` controls differential
 execution — which loop iterations actually run — and the session restores
 checkpoints to skip over the rest.
+
+A replay reads its recorded run once (the session's snapshot of that run's
+log and loop rows) and nothing else of the project, and it borrows the
+caller's ``db`` and ``repository`` when given them: what one replay costs
+does not depend on how many other versions the project holds.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import Any, Mapping
 
 from ..config import ProjectConfig
 from ..relational.database import Database
+from ..versioning.repository import Repository
 from .session import REPLAY, Session, active_session
 
 
@@ -92,6 +98,7 @@ def replay_source(
     filename: str,
     tstamp: str,
     db: Database | None = None,
+    repository: Repository | None = None,
     plan: ReplayPlan | None = None,
     extra_globals: Mapping[str, Any] | None = None,
     collect_only: bool = False,
@@ -101,8 +108,10 @@ def replay_source(
     The executed namespace receives a ``flor`` binding to the facade so both
     ``import``-style and injected-name usage hit the replay session.  With
     ``collect_only`` the newly produced records are returned on the result
-    instead of being written to the database (used by parallel backfill
-    workers, whose parent performs a single write).
+    instead of being written to the database (how the hindsight engine runs
+    every replay: it lands a whole backfill in one transaction).  Pass the
+    caller's ``repository`` along with its ``db``: a replay never reads the
+    version store, and opening a second one costs a journal load.
     """
     from .api import flor as flor_facade  # local import to avoid a cycle
 
@@ -110,6 +119,7 @@ def replay_source(
     session = Session(
         config,
         db=db,
+        repository=repository,
         mode=REPLAY,
         default_filename=filename,
         replay_tstamp=tstamp,
@@ -154,9 +164,9 @@ def replay_worker(args: tuple) -> ReplayResult:
     """Process-pool entry point for parallel multiversion replay.
 
     ``args`` is ``(root, projid, db_path, source, filename, tstamp, plan_dict)``
-    — all picklable.  The worker opens its own database handle, replays with
-    ``collect_only`` and ships the new records back to the parent, which is
-    the sole writer.
+    — all picklable.  The worker opens its own database handle (and version
+    store), replays with ``collect_only`` and ships the new records back to
+    the parent, which is the sole writer.
     """
     root, projid, db_path, source, filename, tstamp, plan_dict = args
     config = ProjectConfig(root, projid)

@@ -11,7 +11,10 @@ checkpoint manager, and implements both execution modes:
   historical ``(tstamp, filename)`` run, loops re-use the recorded context
   ids, iterations outside the replay plan are skipped (restoring the nearest
   checkpoint when needed), ``flor.arg`` returns historical values, and newly
-  logged values are attributed to the historical timestamp.
+  logged values are attributed to the historical timestamp.  The recorded
+  run is read once — its log rows when the session opens, its loop rows on
+  the first loop of each file — so a replay costs the same number of
+  statements however many other runs the project holds.
 
 Sessions are activated on a stack so that exec'd replay scripts and nested
 tools always reach the intended runtime through the module-level facade.
@@ -199,19 +202,21 @@ class Session:
         self.on_rows_written: Callable[[int], None] | None = None
         self._replay_plan = replay_plan
         self.replay_stats = {"iterations_executed": 0, "iterations_skipped": 0, "checkpoints_restored": 0}
+        # The recorded run of a replay session: its log rows (``log`` probes
+        # their keys, ``arg`` reads their values) and, per filename, its loop
+        # rows.  Only this run's rows — a replay never rotates ``self.tstamp``.
+        self._recorded_logs: list[LogRecord] = []
+        self._recorded_loops: dict[str, list[LoopRecord]] = {}
         if mode == REPLAY:
             if not replay_tstamp:
                 raise ReplayError("replay sessions require replay_tstamp")
             self.tstamp = replay_tstamp
-            # Only this run's rows: ``log`` probes keys under ``self.tstamp``,
-            # which a replay session never rotates.
-            self._existing_log_keys = {
-                (r.tstamp, r.filename, r.ctx_id, r.value_name)
-                for r in self.logs.by_tstamp(self.projid, replay_tstamp)
-            }
+            self._recorded_logs = self.logs.by_tstamp(self.projid, replay_tstamp)
         else:
             self.tstamp = _timestamps.next()
-            self._existing_log_keys = set()
+        self._existing_log_keys = {
+            (r.tstamp, r.filename, r.ctx_id, r.value_name) for r in self._recorded_logs
+        }
         self.epoch_start = self.tstamp
 
     # ------------------------------------------------------------ bookkeeping
@@ -279,6 +284,21 @@ class Session:
             buffer.stage_log(projid, *row)
         for row in loops:
             buffer.stage_loop(projid, *row)
+
+    def write_records(self, logs: Sequence[LogRecord], loops: Sequence[LoopRecord]) -> None:
+        """Write records built elsewhere — a backfill's collected replays.
+
+        One transaction through this session's flusher (counted, and
+        followed by the same post-commit hooks as a flush), durable on
+        return.  Unlike staged rows they are not kept for a retry when the
+        write fails: the error propagates and the caller replays again.
+        """
+        self.flusher.submit(
+            [r.as_row() for r in logs],
+            [r.as_row() for r in loops],
+            on_written=self._note_rows_written,
+        )
+        self.flusher.drain()
 
     def _context_for(self, filename: str) -> ContextState:
         if filename not in self._contexts:
@@ -391,13 +411,21 @@ class Session:
         return value
 
     def _historical_arg(self, name: str, filename: str) -> Any:
-        for record in self.logs.by_names(self.projid, [name]):
-            if record.tstamp == self.tstamp and record.filename == filename:
+        """The replayed run's first value of ``name``, this file's if it has one."""
+        named = [r for r in self._recorded_logs if r.value_name == name]
+        for record in named:
+            if record.filename == filename:
                 return record.decoded()
-        for record in self.logs.by_names(self.projid, [name]):
-            if record.tstamp == self.tstamp:
-                return record.decoded()
-        return None
+        return named[0].decoded() if named else None
+
+    def _recorded_loop_rows(self, filename: str) -> list[LoopRecord]:
+        """Loop rows the replayed run recorded for ``filename`` (one query per file)."""
+        rows = self._recorded_loops.get(filename)
+        if rows is None:
+            rows = self._recorded_loops[filename] = self.loops.by_context(
+                self.projid, self.tstamp, filename
+            )
+        return rows
 
     # ------------------------------------------------------------------ loop
     def loop(self, name: str, vals: Iterable[Any], filename: str | None = None) -> Iterator[Any]:
@@ -461,7 +489,7 @@ class Session:
         parent = frame.parent_ctx_id
         recorded = [
             r
-            for r in self.loops.by_context(self.projid, self.tstamp, filename)
+            for r in self._recorded_loop_rows(filename)
             if r.loop_name == name and (r.parent_ctx_id or TOP_LEVEL_CTX) == parent
         ]
         recorded.sort(key=lambda r: r.loop_iteration)
@@ -585,19 +613,20 @@ class Session:
         ctx = self._context_for(filename)
         frame = ctx.push_loop(name)
         if index is None:
-            if self.mode == RECORD:
-                # O(1): the epoch-local counter already accounts for every
-                # loop row this session staged under its fresh tstamp — and
-                # nobody else can write rows under that tstamp — so neither
-                # a flush barrier nor a database scan is needed.
-                index = self._loop_iteration_next.get((filename, name), 0)
-            else:
+            # O(1) in record mode: the epoch-local counter already accounts
+            # for every loop row this session staged under its fresh tstamp
+            # — and nobody else can write rows under that tstamp — so neither
+            # a flush barrier nor a database scan is needed.
+            index = self._loop_iteration_next.get((filename, name), 0)
+            if self.mode == REPLAY:
+                # A replayed run also holds what it recorded (the snapshot)
+                # and what ``_replay_loop`` staged beyond that (the buffer).
                 existing = [
                     r.loop_iteration
-                    for r in self.loops.by_context(self.projid, self.tstamp, filename)
+                    for r in self._recorded_loop_rows(filename)
                     if r.loop_name == name
                 ] + self._buffer.staged_loop_iterations(self.tstamp, filename, name)
-                index = (max(existing) + 1) if existing else 0
+                index = max([index, *(i + 1 for i in existing)])
         frame.ctx_id = ctx.allocate_ctx_id()
         frame.iteration = index
         frame.iteration_value = value

@@ -147,7 +147,8 @@ def execute_job(
         }
         if entry["ok"]:
             # The checkpoint is the durable resume point: written only after
-            # the version's records are flushed by the replay session.
+            # the version's records are durable (the backfill's one
+            # transaction, or the replay session's flush).
             store.checkpoint_version(job.id, vid, detail=event)
             summary["versions_replayed"] += 1
             summary["new_records"] += int(entry.get("new_records") or 0)
@@ -221,6 +222,7 @@ def _replay_version(
         filename=filename,
         tstamp=tstamp,
         db=session.db,
+        repository=session.repository,
         plan=plan,
     )
     return {

@@ -7,10 +7,13 @@ the ingestion path already does: do the work once, amortize it across
 requests.
 
 * :class:`PivotViewCache` — materialized pivot views keyed by
-  ``(projid, sorted names)``.  Each view records ``logs.seq`` /
-  ``loops.rowid`` watermarks; appends only annotate-and-merge the delta
-  (per-run re-pivot through the same primitives as a cold rebuild), and
-  writers invalidate cheaply through per-project generation counters.
+  ``(projid, sorted names)`` over records held once per ``(project,
+  name)`` and per-run pivots that every view of the project shares.  The
+  records carry ``logs.seq`` / ``loops.rowid`` watermarks; appends only
+  annotate-and-merge the delta (per-run re-pivot through the same
+  primitives as a cold rebuild), a new name set reads in full only the
+  names no view holds yet, and writers invalidate cheaply through
+  per-project generation counters.
 * :class:`QueryEngine` — the planner façade sessions, the CLI and the
   service layer all route reads through: pushdown filters (name set,
   timestamp range) go to SQLite via :mod:`repro.relational.queries`;

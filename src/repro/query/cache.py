@@ -1,13 +1,27 @@
 """Materialized pivot views with append-aware incremental maintenance.
 
-A cache entry holds one *view state* per ``(projid, sorted names)``: the
-annotated long-format records bucketed per run, the per-run pivots of every
-co-occurrence group, and the finished frames per requested column order.
-Because the pivot is computed run-by-run (see
-:mod:`repro.core.dataframe_view`), maintenance is local: an append only
-re-pivots the runs it touched and every other run's rows are reused
-verbatim, so the refreshed frame equals a from-scratch rebuild by
-construction (benchmark T9 asserts this at scale).
+Two layers of state per project.  The **records** layer holds the annotated
+long-format records once per ``(project, name)``, bucketed per run and kept
+in ``seq`` (append) order, plus the per-run pivots computed from them, keyed
+by the names actually *present* in the run.  A **view** — one per
+``(projid, sorted names)`` — is thin: its finished frames per requested
+column order and the watermarks they were built at.  Views that name the
+same log share its records, and a run's pivot is shared by every view whose
+names select the same records in it — so after a backfill logs a new name
+into a few old runs, the first read of ``(loss, new_name)`` fetches only the
+new name's rows and the rows appended to ``loss`` since it was last read,
+re-pivots only the runs that now hold both, and reuses every other run's
+rows verbatim.  Because the pivot is computed run-by-run through the same
+functions as the cold rebuild (see :mod:`repro.core.dataframe_view`), the
+served frame equals ``build_dataframe`` from scratch by construction — run
+order is first appearance among the *requested* names (lowest ``seq``), and
+a run's records are merged back into ``seq`` order before pivoting, so
+last-write-wins is preserved (benchmark T9 and a stateful property test
+assert the equality).
+
+A name's records live only while some live view names it: evicting or
+invalidating the last such view drops them, so ``capacity`` (views, LRU)
+remains the one bound.
 
 Freshness is detected in two tiers:
 
@@ -15,16 +29,22 @@ Freshness is detected in two tiers:
   (:meth:`~repro.core.session.Session.flush`, which service appends go
   through as well) bump a per-project counter, and the database handle's
   :attr:`~repro.relational.database.Database.write_version` catches any
-  other writer sharing the connection (replay backfills, raw repository
-  writes).  A read whose entry matches both returns the cached frame
-  without touching SQLite at all (a *fast hit*).
+  other writer sharing the connection (raw repository writes).  A read
+  whose view matches both returns the cached frame without touching SQLite
+  at all (a *fast hit*).
 * **watermarks** — after a generation bump the cache probes
   ``MAX(logs.seq)`` and ``MAX(loops.rowid)`` (indexed, O(1)).  Unchanged
-  watermarks re-validate the entry (*warm hit*); advanced watermarks
-  trigger an incremental refresh that fetches only ``seq > watermark``
-  log rows, plus a full re-read of any cached run whose loop rows were
-  rewritten (``INSERT OR REPLACE`` allocates a fresh rowid, so rewrites
-  advance the loop watermark and show up in ``runs_touched_since``).
+  watermarks re-validate the view (*warm hit*); advanced watermarks trigger
+  an *incremental refresh*: the project's cached names are brought up to the
+  new watermarks by fetching only ``seq > watermark`` log rows, plus a full
+  re-read of any cached run whose loop rows were rewritten (``INSERT OR
+  REPLACE`` allocates a fresh rowid, so rewrites advance the loop watermark
+  and show up in ``runs_touched_since``).
+
+The first read of a name set is a *cold build* whatever it finds cached: it
+probes the watermarks, syncs the names other views already hold and fetches
+in full only the names nobody has read (``cache.fetched_rows`` counts the
+log rows each of these pulls from SQLite).
 
 Returned frames are defensive copies; the cached master is never handed
 to callers.  The cache is thread-safe and LRU-capped — one instance is
@@ -36,7 +56,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from operator import attrgetter
+from typing import Sequence
 
 from ..core.dataframe_view import (
     RunPivot,
@@ -71,6 +92,7 @@ _STATS = {
         "cold_builds",
         "evictions",
         "invalidations",
+        "fetched_rows",
     )
 }
 
@@ -86,21 +108,26 @@ class _TierCounts(StatsView):
 
 
 @dataclass
-class _ViewState:
-    """One materialized view: records, per-run pivots, finished frames."""
+class _ProjectRecords:
+    """What the views of one project share: records per name, pivots per run."""
 
-    projid: str
-    names_key: tuple[str, ...]
-    #: run -> annotated records, runs in first-appearance order.
-    records: "OrderedDict[RunPair, list[AnnotatedLog]]" = field(default_factory=OrderedDict)
-    #: name -> runs using it (drives the co-occurrence partition).
-    runs_by_name: dict[str, set[RunPair]] = field(default_factory=dict)
-    #: group (as a frozenset of names) -> run -> pivoted rows.
-    pivots: dict[frozenset, dict[RunPair, RunPivot]] = field(default_factory=dict)
-    #: requested column order -> finished frame.
-    frames: dict[tuple[str, ...], DataFrame] = field(default_factory=dict)
+    #: name -> run -> that name's annotated records in the run, in seq order.
+    names: dict[str, dict[RunPair, list[AnnotatedLog]]] = field(default_factory=dict)
+    #: run -> names whose records the pivot was made from -> pivoted rows.
+    pivots: dict[RunPair, dict[frozenset, RunPivot]] = field(default_factory=dict)
+    #: Every cached name is complete up to these watermarks.
     log_seq: int = 0
     loop_rowid: int = 0
+
+
+@dataclass
+class _ViewState:
+    """One materialized view: finished frames, and the watermarks they hold at."""
+
+    #: requested column order -> finished frame.
+    frames: dict[tuple[str, ...], DataFrame] = field(default_factory=dict)
+    log_seq: int = -1
+    loop_rowid: int = -1
     generation: int = -1
     db_version: int = -1
 
@@ -112,7 +139,8 @@ class PivotViewCache:
     ----------
     capacity:
         Maximum number of simultaneously materialized views; the coldest
-        entry is dropped beyond that.
+        entry is dropped beyond that, and with it the records of any name
+        no remaining view asks for.
     """
 
     def __init__(self, capacity: int = 32):
@@ -120,6 +148,7 @@ class PivotViewCache:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[tuple[str, tuple[str, ...]], _ViewState]" = OrderedDict()
+        self._records: dict[str, _ProjectRecords] = {}
         self._generations: dict[str, int] = {}
         self._lock = threading.RLock()
         self.metrics = MetricsRegistry()
@@ -142,19 +171,16 @@ class PivotViewCache:
             return value
 
     def invalidate(self, projid: str | None = None) -> int:
-        """Drop materialized views (all of them, or one project's); returns the count."""
+        """Drop materialized views (all of them, or one project's) and the
+        records under them; returns the count of views."""
         with self._lock:
-            if projid is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-            else:
-                keys = [k for k in self._entries if k[0] == projid]
-                dropped = len(keys)
-                for key in keys:
-                    del self._entries[key]
-            if dropped:
+            keys = [k for k in self._entries if projid is None or k[0] == projid]
+            for key in keys:
+                del self._entries[key]
+                self._records.pop(key[0], None)
+            if keys:
                 self.stats["invalidations"].inc()
-            return dropped
+            return len(keys)
 
     def __len__(self) -> int:
         with self._lock:
@@ -182,152 +208,156 @@ class PivotViewCache:
             generation = self._generations.get(projid, 0)
             db_version = db.write_version
             entry = self._entries.get(key)
-            if entry is not None:
+            if entry is None:
+                tier = "cold_builds"
+                entry = _ViewState()
+            else:
                 self._entries.move_to_end(key)
                 if entry.generation == generation and entry.db_version == db_version:
                     self.stats["fast_hits"].inc()
-                    return self._frame_for(entry, ordered)
-                current_seq = log_watermark(db, projid)
-                current_loop = loop_watermark(db, projid)
-                if current_seq == entry.log_seq and current_loop == entry.loop_rowid:
-                    entry.generation = generation
-                    entry.db_version = db_version
-                    self.stats["warm_hits"].inc()
-                    return self._frame_for(entry, ordered)
-                self._refresh(db, entry, current_seq, current_loop)
-                entry.generation = generation
-                # The snapshot from the top of this lookup, NOT a re-read:
-                # a concurrent untracked write landing during the refresh
-                # must leave the entry looking stale so the next read probes
-                # the watermarks again instead of fast-hitting past it.
-                entry.db_version = db_version
-                self.stats["incremental_refreshes"].inc()
-                return self._frame_for(entry, ordered)
-            entry = self._cold_build(db, projid, key[1], generation)
+                    return self._frame_for(projid, entry, ordered)
+                tier = "incremental_refreshes"
+            # Watermarks are read *before* any record fetch and bound it
+            # (max_seq), so a concurrent append lands entirely after the
+            # watermark and is picked up — exactly once — by the next refresh.
+            current_seq = log_watermark(db, projid)
+            current_loop = loop_watermark(db, projid)
+            if current_seq == entry.log_seq and current_loop == entry.loop_rowid:
+                tier = "warm_hits"
+            else:
+                self._sync(db, projid, key[1], current_seq, current_loop)
+                self._entries[key] = entry
+            entry.generation = generation
+            # The snapshot from the top of this lookup, NOT a re-read: a
+            # concurrent untracked write landing during the refresh must
+            # leave the entry looking stale so the next read probes the
+            # watermarks again instead of fast-hitting past it.
             entry.db_version = db_version
-            self._entries[key] = entry
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                evicted, _ = self._entries.popitem(last=False)
+                self._drop_unreferenced(evicted[0])
                 self.stats["evictions"].inc()
-            self.stats["cold_builds"].inc()
-            return self._frame_for(entry, ordered)
+            self.stats[tier].inc()
+            return self._frame_for(projid, entry, ordered)
 
     # ---------------------------------------------------------- maintenance
-    def _cold_build(
-        self, db: RelationalStore, projid: str, names_key: tuple[str, ...], generation: int
-    ) -> _ViewState:
-        # Watermarks are read *before* the record fetch and bound it
-        # (max_seq), so a concurrent append lands entirely after the
-        # watermark and is picked up — exactly once — by the next refresh.
-        current_seq = log_watermark(db, projid)
-        current_loop = loop_watermark(db, projid)
-        entry = _ViewState(
-            projid=projid,
-            names_key=names_key,
-            runs_by_name={name: set() for name in names_key},
-            log_seq=current_seq,
-            loop_rowid=current_loop,
-            generation=generation,
-        )
-        records = long_format_records(db, projid, list(names_key), max_seq=current_seq)
-        for record in records:
-            pair = (record.tstamp, record.filename)
-            entry.records.setdefault(pair, []).append(record)
-            entry.runs_by_name[record.value_name].add(pair)
-        return entry
-
-    def _refresh(
-        self, db: RelationalStore, entry: _ViewState, current_seq: int, current_loop: int
+    def _sync(
+        self,
+        db: RelationalStore,
+        projid: str,
+        wanted: Sequence[str],
+        current_seq: int,
+        current_loop: int,
     ) -> None:
-        """Merge the append delta into the view, re-pivoting only touched runs."""
-        touched: set[RunPair] = set()
+        """Bring the project's records up to the watermarks, and ``wanted`` into them.
+
+        Names some view already holds get the append delta (and a wholesale
+        re-read of runs whose loop rows were rewritten); only names nobody
+        has read are fetched in full.  Runs that gained records lose their
+        pivots — the next compose re-pivots exactly those.
+        """
+        records = self._records.get(projid) or _ProjectRecords()
+        cached = sorted(records.names)
         rewritten: set[RunPair] = set()
-        if current_loop > entry.loop_rowid:
+        refetched: list[AnnotatedLog] = []
+        delta: list[AnnotatedLog] = []
+        if cached and current_loop > records.loop_rowid:
             # Runs whose loop rows changed: new runs are cheap (no cached
             # state), but a *cached* run whose ancestry was rewritten via
             # INSERT OR REPLACE must be re-read wholesale — its existing
             # annotations may name stale iteration values.
-            dirty = runs_touched_since(db, entry.projid, entry.loop_rowid)
-            rewritten = {pair for pair in dirty if pair in entry.records}
-            if rewritten:
-                refetched = long_format_records(
-                    db,
-                    entry.projid,
-                    list(entry.names_key),
-                    run_keys=sorted(rewritten),
-                    max_seq=current_seq,
-                )
-                by_run: dict[RunPair, list[AnnotatedLog]] = {pair: [] for pair in rewritten}
-                for record in refetched:
-                    by_run[(record.tstamp, record.filename)].append(record)
-                for pair, records in by_run.items():
-                    entry.records[pair] = records
-                    touched.add(pair)
-        if current_seq > entry.log_seq:
-            delta = long_format_records(
-                db,
-                entry.projid,
-                list(entry.names_key),
-                min_seq=entry.log_seq,
-                max_seq=current_seq,
+            dirty = runs_touched_since(db, projid, records.loop_rowid)
+            rewritten = {
+                pair for pair in dirty if any(pair in by_run for by_run in records.names.values())
+            }
+            refetched = long_format_records(
+                db, projid, cached, run_keys=sorted(rewritten), max_seq=current_seq
             )
-            for record in delta:
-                pair = (record.tstamp, record.filename)
-                if pair in rewritten:
-                    continue  # already covered by the wholesale re-read
-                entry.records.setdefault(pair, []).append(record)
-                touched.add(pair)
+        if cached and current_seq > records.log_seq:
+            delta = long_format_records(
+                db, projid, cached, min_seq=records.log_seq, max_seq=current_seq
+            )
+        new = [name for name in wanted if name not in records.names]
+        fresh = long_format_records(db, projid, new, max_seq=current_seq)
+        # Every read is done; from here on nothing can fail half-applied.
+        for by_run in records.names.values():
+            for pair in rewritten:
+                by_run.pop(pair, None)
+        records.names.update((name, {}) for name in new)
+        # Rewritten runs are covered by the wholesale re-read, not the delta.
+        touched = rewritten | self._add(
+            records, refetched + [r for r in delta if (r.tstamp, r.filename) not in rewritten]
+        )
+        self._add(records, fresh)
         for pair in touched:
-            for record in entry.records.get(pair, ()):
-                entry.runs_by_name[record.value_name].add(pair)
-        # The partition can only coarsen as runs append (co-occurrence sets
-        # grow monotonically); groups that merged are dropped and rebuilt
-        # lazily, surviving groups only re-pivot the touched runs.
-        partition = {
-            frozenset(group)
-            for group in co_occurrence_groups(entry.runs_by_name, entry.names_key)
-        }
-        for group_key in [g for g in entry.pivots if g not in partition]:
-            del entry.pivots[group_key]
-        for group_key, per_run in entry.pivots.items():
-            for pair in touched:
-                per_run[pair] = pivot_run(
-                    (entry.projid, *pair), entry.records.get(pair, []), set(group_key)
-                )
-        entry.frames.clear()
-        entry.log_seq = current_seq
-        entry.loop_rowid = current_loop
+            records.pivots.pop(pair, None)
+        records.log_seq = current_seq
+        records.loop_rowid = current_loop
+        self._records[projid] = records
+
+    def _add(self, records: _ProjectRecords, fetched: list[AnnotatedLog]) -> set[RunPair]:
+        """File fetched records (seq-ordered) under name and run; returns the runs."""
+        self.stats["fetched_rows"].inc(len(fetched))
+        touched: set[RunPair] = set()
+        for record in fetched:
+            pair = (record.tstamp, record.filename)
+            records.names[record.value_name].setdefault(pair, []).append(record)
+            touched.add(pair)
+        return touched
+
+    def _drop_unreferenced(self, projid: str) -> None:
+        """Forget the records (and pivots over them) no live view names."""
+        live = {name for project, names in self._entries if project == projid for name in names}
+        if not live:
+            del self._records[projid]
+            return
+        records = self._records[projid]
+        for name in [n for n in records.names if n not in live]:
+            del records.names[name]
+        for per_run in records.pivots.values():
+            for present in [p for p in per_run if not p <= live]:
+                del per_run[present]
 
     # ------------------------------------------------------------- compose
-    def _group_pivots(self, entry: _ViewState, group_key: frozenset) -> dict[RunPair, RunPivot]:
-        per_run = entry.pivots.get(group_key)
-        if per_run is None:
-            wanted = set(group_key)
-            per_run = {
-                pair: pivot_run((entry.projid, *pair), records, wanted)
-                for pair, records in entry.records.items()
-            }
-            entry.pivots[group_key] = per_run
-        return per_run
-
-    def _frame_for(self, entry: _ViewState, ordered: list[str]) -> DataFrame:
+    def _frame_for(self, projid: str, entry: _ViewState, ordered: list[str]) -> DataFrame:
+        records = self._records[projid]
+        if (entry.log_seq, entry.loop_rowid) != (records.log_seq, records.loop_rowid):
+            # The shared records moved (this read's sync, or another view's):
+            # frames composed before that are of an older snapshot.
+            entry.frames.clear()
+            entry.log_seq, entry.loop_rowid = records.log_seq, records.loop_rowid
         order_key = tuple(ordered)
         frame = entry.frames.get(order_key)
         if frame is None:
-            groups = co_occurrence_groups(entry.runs_by_name, ordered)
-            frames = []
-            for group in groups:
-                per_run = self._group_pivots(entry, frozenset(group))
-                pivots: list[RunPivot] = []
-                for pair, records in entry.records.items():
-                    run_pivot = per_run.get(pair)
-                    if run_pivot is None:
-                        run_pivot = pivot_run((entry.projid, *pair), records, set(group))
-                        per_run[pair] = run_pivot
-                    pivots.append(run_pivot)
-                frames.append(compose_group(pivots, group))
-            frame = finalize(frames, ordered)
-            entry.frames[order_key] = frame
+            frame = entry.frames[order_key] = self._compose(projid, records, ordered)
         # Hand out a copy: cached masters must survive callers that mutate
         # their result (adding columns, fillna, ...).
         return frame.copy()
+
+    def _compose(self, projid: str, records: _ProjectRecords, ordered: list[str]) -> DataFrame:
+        """Pivot ``ordered`` from the shared records, as ``build_dataframe`` would."""
+        by_name = {name: records.names[name] for name in ordered}
+        # Runs in first-appearance order among the *requested* names.
+        first_seq: dict[RunPair, int] = {}
+        for by_run in by_name.values():
+            for pair, run_records in by_run.items():
+                seq = run_records[0].seq
+                first_seq[pair] = min(seq, first_seq.get(pair, seq))
+        run_order = sorted(first_seq, key=first_seq.__getitem__)
+        frames = []
+        for group in co_occurrence_groups({n: by_name[n].keys() for n in ordered}, ordered):
+            pivots: list[RunPivot] = []
+            for pair in run_order:
+                present = frozenset(name for name in group if pair in by_name[name])
+                if not present:
+                    continue
+                per_run = records.pivots.setdefault(pair, {})
+                run_pivot = per_run.get(present)
+                if run_pivot is None:
+                    merged = sorted(
+                        (r for name in present for r in by_name[name][pair]), key=attrgetter("seq")
+                    )
+                    run_pivot = per_run[present] = pivot_run((projid, *pair), merged, set(present))
+                pivots.append(run_pivot)
+            frames.append(compose_group(pivots, group))
+        return finalize(frames, ordered)

@@ -34,7 +34,9 @@ class AnnotatedLog:
 
     ``dimensions`` maps loop name to iteration index and ``dimension_values``
     maps ``<loop_name>_value`` to the stringified iteration value, ordered
-    from the outermost loop inward.
+    from the outermost loop inward.  ``seq`` is the row's ``logs.seq`` —
+    append order, which is what lets records fetched name by name be put
+    back into the order one scan would have returned them in.
     """
 
     projid: str
@@ -45,6 +47,7 @@ class AnnotatedLog:
     value: Any
     dimensions: dict[str, int] = field(default_factory=dict)
     dimension_values: dict[str, Any] = field(default_factory=dict)
+    seq: int = 0
 
     @property
     def depth(self) -> int:
@@ -151,7 +154,7 @@ def long_format_records(
     value_names = None if value_names is None else [str(n) for n in value_names]
     where, params = _logs_where(projid, value_names, tstamp_range, min_seq, max_seq, run_keys)
     log_rows = db.query(
-        "SELECT projid, tstamp, filename, ctx_id, value_name, value, value_type"
+        "SELECT projid, tstamp, filename, ctx_id, value_name, value, value_type, seq"
         f" FROM logs WHERE {where} ORDER BY seq",
         params,
     )
@@ -182,7 +185,7 @@ def long_format_records(
         )
 
     annotated: list[AnnotatedLog] = []
-    for _projid, tstamp, filename, ctx_id, value_name, value, value_type in log_rows:
+    for _projid, tstamp, filename, ctx_id, value_name, value, value_type, seq in log_rows:
         loops_by_ctx = loops_index.get((tstamp, filename), {})
         chain = _loop_ancestry(loops_by_ctx, ctx_id)
         dimensions = {loop.loop_name: loop.loop_iteration for loop in chain}
@@ -199,6 +202,7 @@ def long_format_records(
                 value=decode_value(value, value_type),
                 dimensions=dimensions,
                 dimension_values=dimension_values,
+                seq=seq,
             )
         )
     return annotated

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
-from repro import HindsightEngine, ReplayPlan, Session
+from repro import HindsightEngine, ProjectConfig, ReplayPlan, Session
 from repro.core.session import REPLAY
+from repro.relational.repositories import LogRepository
 from repro.workloads import VersionedScriptWorkload
 
 
@@ -193,3 +196,96 @@ class TestParallelBackfill:
         assert summary["versions"] == 3
         assert summary["new_records"] == report.new_records
         assert summary["wall_seconds"] >= 0
+
+
+class TestOneLandingPath:
+    """Every mode collects its replays and lands them once, through the session."""
+
+    MODES = ["serial", "thread", "process"]
+    ROWS = (
+        "SELECT projid, tstamp, filename, ctx_id, value_name, value, value_type FROM logs"
+        " ORDER BY tstamp, ctx_id, value_name"
+    )
+
+    @pytest.fixture()
+    def recorded_copies(self, tmp_path):
+        """One recorded project, copied once per mode: same tstamps, same rows."""
+        workload = VersionedScriptWorkload(versions=3, epochs=3, steps=2)
+        base = Session(ProjectConfig(tmp_path / "base", "shared"))
+        workload.record_all_versions(base)
+        base.close()
+        sessions = {}
+        for mode in self.MODES:
+            shutil.copytree(tmp_path / "base", tmp_path / mode)
+            sessions[mode] = Session(ProjectConfig(tmp_path / mode, "shared"))
+        yield workload, sessions
+        for session in sessions.values():
+            session.close()
+
+    def test_modes_leave_identical_rows(self, recorded_copies):
+        workload, sessions = recorded_copies
+        rows = {}
+        for mode, session in sessions.items():
+            before = session.logs.count()
+            report = HindsightEngine(session).backfill(
+                "train.py", new_source=workload.hindsight_source(), parallelism=mode, max_workers=2
+            )
+            assert report.versions_replayed == 3
+            assert report.new_records == 3 * workload.epochs * workload.steps
+            assert session.logs.count() == before + report.new_records  # durable on return
+            rows[mode] = session.db.query(self.ROWS)
+        assert rows["thread"] == rows["serial"]
+        assert rows["process"] == rows["serial"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_backfill_never_scans_the_projects_logs(self, recorded_copies, monkeypatch, mode):
+        """Each replay dedups against its own run; nothing reads the whole table.
+
+        The spies raise, so a scan fails the replay that made it — also
+        inside a forked process worker, whose calls the parent cannot count.
+        """
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("backfill read every log row of the project")
+
+        workload, sessions = recorded_copies
+        monkeypatch.setattr(LogRepository, "all", forbidden)
+        monkeypatch.setattr(LogRepository, "by_names", forbidden)
+        report = HindsightEngine(sessions[mode]).backfill(
+            "train.py", new_source=workload.hindsight_source(), parallelism=mode, max_workers=2
+        )
+        assert [v.replay.error for v in report.versions] == [None, None, None]
+        assert report.new_records == 3 * workload.epochs * workload.steps
+
+    def test_one_transaction_per_backfill(self, recorded_copies):
+        workload, sessions = recorded_copies
+        session = sessions["serial"]
+        session.flush()
+        before = session.flusher.stats.transactions
+        HindsightEngine(session).backfill("train.py", new_source=workload.hindsight_source())
+        assert session.flusher.stats.transactions == before + 1
+
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_failed_replay_lands_nothing_of_its_run(self, recorded_copies, mode):
+        """A version whose replay raises lands none of the rows it staged before that."""
+        workload, sessions = recorded_copies
+        session = sessions[mode]
+
+        def checked(weight, lr, epoch):
+            if lr == 0.02 and epoch == 1:  # version 1, second epoch
+                raise RuntimeError("replay failed half-way")
+            return weight
+
+        source = workload.hindsight_source().replace(
+            'flor.log("weight", state["w"])', 'flor.log("weight", checked(state["w"], lr, epoch))'
+        )
+        report = HindsightEngine(session).backfill(
+            "train.py", new_source=source, parallelism=mode, extra_globals={"checked": checked}
+        )
+        failed = [v for v in report.versions if not v.ok]
+        assert len(failed) == 1 and "half-way" in failed[0].replay.error
+        assert report.versions_replayed == 2
+        per_run = dict(
+            session.db.query("SELECT tstamp, COUNT(*) FROM logs WHERE value_name = 'weight' GROUP BY tstamp")
+        )
+        assert failed[0].tstamp not in per_run
+        assert sorted(per_run.values()) == [workload.epochs * workload.steps] * 2

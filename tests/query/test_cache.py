@@ -8,9 +8,12 @@ warm, incremental, or cold — the frame must equal a from-scratch
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro.core.dataframe_view import build_dataframe
 from repro.query import PivotViewCache
+from repro.relational.database import Database
 from repro.relational.records import LogRecord, LoopRecord
 from repro.relational.repositories import LogRepository, LoopRepository
 
@@ -167,3 +170,190 @@ class TestLifecycle:
         frame = cache.dataframe(db, "p", [])
         assert frame.empty
         assert len(cache) == 0
+
+
+class TestSharedRecords:
+    """Views share per-name records; what a view shows must not depend on it."""
+
+    def test_run_order_is_first_appearance_among_the_requested_names(self, db):
+        """A logs x, B logs y, then A logs y: ``y`` appeared in B first."""
+        logs = LogRepository(db)
+        logs.add(LogRecord.create("p", "tA", "train.py", 0, "x", 1.0))
+        logs.add(LogRecord.create("p", "tB", "train.py", 0, "y", 2.0))
+        logs.add(LogRecord.create("p", "tA", "train.py", 0, "y", 3.0))
+        for read_x_first in (False, True):
+            cache = PivotViewCache()
+            if read_x_first:
+                assert cache.dataframe(db, "p", ["x"])["tstamp"].to_list() == ["tA"]
+            frame = cache.dataframe(db, "p", ["y"])
+            assert frame["tstamp"].to_list() == ["tB", "tA"]
+            assert frame.equals(build_dataframe(db, "p", ["y"]))
+            both = cache.dataframe(db, "p", ["x", "y"])
+            assert both["tstamp"].to_list() == ["tA", "tB"]
+            assert both.equals(build_dataframe(db, "p", ["x", "y"]))
+
+    def test_new_name_set_fetches_the_backfill_not_the_project(self, db):
+        """After k rows land in old runs, a new name set reads O(k + newest run)."""
+        runs, epochs = 20, 5
+        for n in range(runs):
+            add_run(db, f"t{n:02d}", loops=epochs, names=("loss",))
+        cache = PivotViewCache()
+        cache.dataframe(db, "p", ["loss"])
+        assert cache.stats.fetched_rows == runs * epochs
+        # The backfill shape: one more recorded run, then a name nobody
+        # logged lands in the two newest runs, once per epoch.
+        add_run(db, f"t{runs:02d}", loops=epochs, names=("loss",))
+        backfilled = [
+            LogRecord.create("p", f"t{n:02d}", "train.py", ctx, "hs", float(ctx))
+            for n in (runs - 1, runs)
+            for ctx in range(1, epochs + 1)
+        ]
+        LogRepository(db).add_many(backfilled)
+        frame = cache.dataframe(db, "p", ["loss", "hs"])
+        assert frame.equals(build_dataframe(db, "p", ["loss", "hs"]))
+        assert cache.stats.cold_builds == 2
+        assert cache.stats.fetched_rows == runs * epochs + epochs + len(backfilled)
+
+    def test_a_names_records_leave_with_its_last_view(self, db):
+        add_run(db, "t1")
+        cache = PivotViewCache(capacity=1)
+        cache.dataframe(db, "p", ["loss", "acc"])
+        cache.dataframe(db, "p", ["acc"])  # evicts the only view naming loss
+        assert cache.stats.fetched_rows == 6  # acc was shared, not re-read
+        # While nobody holds loss, a re-log overwrites its first epoch: the
+        # pivots made from the dropped records must have left with them.
+        LogRepository(db).add(LogRecord.create("p", "t1", "train.py", 1, "loss", 99.0))
+        frame = cache.dataframe(db, "p", ["loss"])
+        assert frame.equals(build_dataframe(db, "p", ["loss"]))
+        assert cache.stats.fetched_rows == 10  # loss was dropped, so read again
+        assert cache.invalidate() == 1
+        cache.dataframe(db, "p", ["loss"])
+        assert cache.stats.fetched_rows == 14
+
+    def test_failed_sync_leaves_no_half_applied_state(self, db):
+        """A read that dies mid-refresh must not poison the next one."""
+        add_run(db, "t1", loops=2)
+        cache = PivotViewCache()
+        cache.dataframe(db, "p", ["loss"])
+        LoopRepository(db).add(LoopRecord("p", "t1", "train.py", 1, 0, "epoch", 0, "relabeled"))
+        add_run(db, "t2", loops=2)
+
+        class DiesOnSecondFetch:
+            def __init__(self, inner):
+                self.inner, self.fetches = inner, 0
+
+            def query(self, sql, params=()):
+                if "FROM logs WHERE" in sql and "DISTINCT" not in sql:
+                    self.fetches += 1
+                    if self.fetches == 2:
+                        raise RuntimeError("connection lost")
+                return self.inner.query(sql, params)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        with pytest.raises(RuntimeError):
+            cache.dataframe(DiesOnSecondFetch(db), "p", ["loss", "acc"])
+        for names in (["loss"], ["loss", "acc"]):
+            assert cache.dataframe(db, "p", names).equals(build_dataframe(db, "p", names))
+
+
+# ---------------------------------------------------------------------------
+# The cache equals a rebuild, by property
+# ---------------------------------------------------------------------------
+
+PROPERTY_NAMES = ("a", "b", "c", "d")
+
+
+class CacheEqualsRebuild(RuleBasedStateMachine):
+    """Random appends, backfills, loop rewrites, reads and invalidations over
+    one project; whatever tier serves a read, the frame is ``build_dataframe``'s."""
+
+    capacity = 32
+
+    def __init__(self):
+        super().__init__()
+        self.db = Database(":memory:")
+        self.logs, self.loops = LogRepository(self.db), LoopRepository(self.db)
+        self.cache = PivotViewCache(capacity=self.capacity)
+        self.other = PivotViewCache()  # a second cache on the same handle
+        #: per run: (tstamp, filename, [(ctx_id, parent, loop_name, iteration)])
+        self.runs: list[tuple[str, str, list[tuple[int, int, str, int]]]] = []
+        self.values = 0
+
+    def teardown(self):
+        self.db.close()
+
+    def _log(self, tstamp, filename, ctx_id, name):
+        self.values += 1
+        self.logs.add(LogRecord.create("p", tstamp, filename, ctx_id, name, self.values))
+
+    @rule(
+        names=st.sets(st.sampled_from(PROPERTY_NAMES), min_size=1),
+        epochs=st.integers(0, 3),
+        steps=st.sampled_from([0, 2]),
+        filename=st.sampled_from(["train.py", "infer.py"]),
+        holes=st.integers(0, 255),
+    )
+    def record_run(self, names, epochs, steps, filename, holes):
+        tstamp = f"t{len(self.runs):03d}"
+        contexts, ctx_id = [], 0
+        for epoch in range(epochs):
+            ctx_id += 1
+            epoch_ctx = ctx_id
+            contexts.append((epoch_ctx, 0, "epoch", epoch))
+            for step in range(steps):
+                ctx_id += 1
+                contexts.append((ctx_id, epoch_ctx, "step", step))
+        self.loops.add_many(
+            [LoopRecord("p", tstamp, filename, c, parent, loop, i, str(i)) for c, parent, loop, i in contexts]
+        )
+        deepest = [c for c, _p, loop, _i in contexts if loop == ("step" if steps else "epoch")] or [0]
+        for position, (ctx, name) in enumerate((c, n) for c in deepest for n in sorted(names)):
+            if not holes >> (position % 8) & 1:  # some positions stay unlogged, for later
+                self._log(tstamp, filename, ctx, name)
+        self.runs.append((tstamp, filename, contexts))
+
+    @precondition(lambda self: self.runs)
+    @rule(pick=st.integers(0, 1000), name=st.sampled_from(PROPERTY_NAMES), where=st.integers(0, 1000))
+    def log_into_an_old_run(self, pick, name, where):
+        """The backfill shape: a (maybe new) name lands in a run recorded earlier,
+        at any depth — top level and epoch level broadcast, and re-logs overwrite."""
+        tstamp, filename, contexts = self.runs[pick % len(self.runs)]
+        ctx_ids = [0] + [c for c, *_ in contexts]
+        self._log(tstamp, filename, ctx_ids[where % len(ctx_ids)], name)
+
+    @precondition(lambda self: any(contexts for *_, contexts in self.runs))
+    @rule(pick=st.integers(0, 1000), where=st.integers(0, 1000), label=st.sampled_from(["x", "y"]))
+    def rewrite_a_loop_row(self, pick, where, label):
+        looped = [run for run in self.runs if run[2]]
+        tstamp, filename, contexts = looped[pick % len(looped)]
+        ctx, parent, loop, i = contexts[where % len(contexts)]
+        self.loops.add(LoopRecord("p", tstamp, filename, ctx, parent, loop, i, label))
+
+    @rule(names=st.lists(st.sampled_from(PROPERTY_NAMES), min_size=1, unique=True))
+    def read(self, names):
+        expected = build_dataframe(self.db, "p", names)
+        for cache in (self.cache, self.other):
+            frame = cache.dataframe(self.db, "p", names)
+            assert frame.columns == expected.columns
+            assert frame.to_records() == expected.to_records()
+            assert frame.equals(expected)
+
+    @rule(whole=st.booleans())
+    def invalidate(self, whole):
+        self.cache.invalidate(None if whole else "p")
+
+    @rule()
+    def note_write(self):
+        self.cache.bump_generation("p")
+
+
+class CacheEqualsRebuildAtCapacityOne(CacheEqualsRebuild):
+    capacity = 1
+
+
+for _machine in (CacheEqualsRebuild, CacheEqualsRebuildAtCapacityOne):
+    _machine.TestCase.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
+TestCacheEqualsRebuild = CacheEqualsRebuild.TestCase
+TestCacheEqualsRebuildAtCapacityOne = CacheEqualsRebuildAtCapacityOne.TestCase

@@ -32,7 +32,7 @@ FLUSHER_BLOCK = {
 }
 CACHE_BLOCK = {
     "lookups", "fast_hits", "warm_hits", "incremental_refreshes", "cold_builds",
-    "evictions", "invalidations",
+    "evictions", "invalidations", "fetched_rows",
 }
 INGEST_BLOCK = {"appended", "size_flushes", "interval_flushes", "explicit_flushes"}
 POOL_BLOCK = {"hits", "misses", "evictions", "reopens"}
@@ -57,7 +57,7 @@ TELEMETRY_COUNTERS = {
     "flush.submitted_batches", "flush.submitted_rows", "flush.backpressure_waits",
     "flush.write_retries", "flush.dropped_batches",
     "pool.reopens",
-    "cache.lookups", "cache.evictions", "cache.invalidations",
+    "cache.lookups", "cache.evictions", "cache.invalidations", "cache.fetched_rows",
     "checkpoint.submitted", "checkpoint.written", "checkpoint.errors",
     "checkpoint.backpressure_waits", "checkpoint.pickle_seconds", "checkpoint.write_seconds",
 }
