@@ -1,20 +1,20 @@
 """Multiversion hindsight logging.
 
-The :class:`HindsightEngine` is the orchestration layer that turns "I wish I
-had logged X" into data: given the latest source of a script (containing the
-newly added logging statements), it walks every prior version epoch recorded
-in ``ts2vid``, propagates the new statements into that version's source,
-replays the run differentially, and merges the newly materialized records
-into the database — each one attributed to the *original* run timestamp, so
-``flor.dataframe`` immediately shows the new column across all of history.
+The :class:`HindsightEngine` turns "I wish I had logged X" into data, and it
+alone decides three things.  **Plan** — which recorded runs of a script a
+backfill replays (:meth:`~HindsightEngine.version_epochs`; the job executor
+asks for this plan and keeps none of its own).  **Run and land** — propagate
+the newly added logging statements into each run's historical source
+(:meth:`~HindsightEngine.backfill`) or take it as recorded
+(:meth:`~HindsightEngine.replay`), replay differentially, and write what the
+replays collected through the session in one transaction per call, durable
+on return — each record under the *original* run's timestamp, so
+``flor.dataframe`` shows the new column across all of history.  **Report** —
+one :class:`VersionBackfill` per replayed run.
 
-Replay across versions is embarrassingly parallel; the engine supports
-serial, thread-pool and process-pool execution (benchmark T4 measures the
-scaling shape).  The three modes differ only in where the replays run: each
-replay collects its new records (already deduplicated against its own run —
-two tasks never share a tstamp), and the engine lands them all through its
-session in one transaction per :meth:`~HindsightEngine.backfill` call,
-durable before the call returns.
+Replays are embarrassingly parallel; serial, thread-pool and process-pool
+execution (benchmark T4) differ only in where they run.  A replay never
+writes: it returns its new records, deduplicated against its own run.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..errors import ReplayError
 from .propagation import PropagationResult, propagate_statements
@@ -86,29 +85,52 @@ class BackfillReport:
 
 
 class HindsightEngine:
-    """Coordinates propagation + replay across all prior versions of a script."""
+    """Plans, runs and lands the replays of a script's recorded runs."""
 
     def __init__(self, session: Session):
         self.session = session
 
-    # ------------------------------------------------------------- inventory
-    def version_epochs(self, filename: str) -> list[tuple[str, str]]:
-        """``(vid, tstamp)`` pairs of epochs whose version contains ``filename``.
+    # --------------------------------------------------------------- planner
+    def version_epochs(
+        self, filename: str, versions: list[str] | None = None, include_latest: bool = True
+    ) -> list[tuple[str, str]]:
+        """The replay plan: ``(vid, tstamp)`` of every recorded run of ``filename``.
 
-        Epochs are returned oldest-first.  The timestamp is the epoch start
-        (``ts_start``), which is the tstamp stamped on that epoch's records.
+        Oldest first; ``tstamp`` is the epoch start, the stamp on that run's
+        records.  An epoch is a run of the file iff its version contains the
+        file *and* ``logs`` or ``loops`` holds a row stamped with that epoch
+        and filename.  An epoch without one is not a run of it: it cannot be
+        told apart from another entry point's commit, and it has no recorded
+        ``flor.arg`` / loop context to replay under.  A version committed
+        several times unchanged has one run per epoch.  ``versions`` keeps
+        the runs of those version ids; ``include_latest=False`` drops the
+        file's newest run whatever ``versions`` selects, so per-version
+        calls add up to the unrestricted one.
         """
-        self.session.flush()
-        epochs: list[tuple[str, str]] = []
-        for record in self.session.ts2vid.all(self.session.projid):
-            if self.session.repository.file_exists(record.vid, filename):
-                epochs.append((record.vid, record.ts_start))
-        return epochs
+        session = self.session
+        session.flush()
+        wanted = None if versions is None else {str(vid) for vid in versions}
+        rows = session.ts2vid.runs_of(session.projid, filename, wanted if include_latest else None)
+        runs = [run for run in rows if session.repository.file_exists(run[0], filename)]
+        if not include_latest:
+            runs = [run for run in runs[:-1] if wanted is None or run[0] in wanted]
+        return runs
+
+    def plan_versions(self, filename: str, *selection) -> list[str]:
+        """Distinct vids of the plan ``version_epochs(filename, *selection)``, oldest run first."""
+        return list(dict.fromkeys(vid for vid, _ts in self.version_epochs(filename, *selection)))
 
     def historical_source(self, vid: str, filename: str) -> str:
         return self.session.repository.read_file(vid, filename)
 
-    # -------------------------------------------------------------- backfill
+    def working_source(self, filename: str) -> str:
+        """The working copy of ``filename`` — what a backfill propagates by default."""
+        path = self.session.config.root / filename
+        if not path.exists():
+            raise ReplayError(f"no working-copy source for {filename}; pass new_source")
+        return path.read_text()
+
+    # ---------------------------------------------------------- entry points
     def backfill(
         self,
         filename: str,
@@ -133,8 +155,8 @@ class HindsightEngine:
             Source containing the new logging statements.  Defaults to the
             file's current contents in the working directory.
         versions:
-            Restrict to these version ids; default is every epoch that
-            contains the file.
+            Restrict to every recorded run of these version ids; default is
+            every recorded run of the file (see :meth:`version_epochs`).
         plan:
             Replay plan (differential execution).  Default replays all
             iterations, which is required when the new statement could fire
@@ -142,56 +164,54 @@ class HindsightEngine:
         parallelism:
             ``"serial"``, ``"thread"`` or ``"process"``.
         include_latest:
-            Whether to also replay the most recent epoch (it usually already
-            has the values, but replaying keeps the view complete when the
-            statements were added after its run).
+            Whether to also replay the file's most recent run (it usually
+            has the values already; replaying keeps the view complete when
+            the statements were added after it ran).
         dry_run:
-            Stop after propagation: the report carries each version's patch
-            plan (statements injected, anchors, statements dropped as
-            unparseable) on ``VersionBackfill.propagation`` but nothing is
-            replayed and no records are written.
+            Stop after propagation: the report carries each run's patch plan
+            (statements injected, anchors, statements dropped as unparseable)
+            on ``VersionBackfill.propagation``; nothing is replayed or written.
         """
-        started = time.perf_counter()
         if new_source is None:
-            path = self.session.config.root / filename
-            if not path.exists():
-                raise ReplayError(f"no working-copy source for {filename}; pass new_source")
-            new_source = path.read_text()
-        epochs = self.version_epochs(filename)
-        if versions is not None:
-            # An explicit version list asks for each *version* once.  A no-op
-            # commit maps a fresh epoch onto its parent's vid, so membership
-            # alone would replay that vid once per epoch — double-writing its
-            # records and breaking the job executor's exactly-once checkpoint
-            # contract.  Keep the oldest epoch per requested vid.
-            wanted = set(versions)
-            first_epoch: dict[str, str] = {}
-            for vid, ts in epochs:
-                if vid in wanted and vid not in first_epoch:
-                    first_epoch[vid] = ts
-            epochs = [(vid, ts) for vid, ts in epochs if first_epoch.get(vid) == ts]
-        if not include_latest and epochs:
-            epochs = epochs[:-1]
-        report = BackfillReport(filename=filename)
-        if not epochs:
-            report.wall_seconds = time.perf_counter() - started
-            return report
+            new_source = self.working_source(filename)
+        return self._run(
+            filename, new_source, versions=versions, plan=plan, parallelism=parallelism,
+            max_workers=max_workers, include_latest=include_latest,
+            extra_globals=extra_globals, dry_run=dry_run,
+        )
 
+    def replay(self, filename: str, **options) -> BackfillReport:
+        """Re-execute each recorded run's own source as recorded — no propagation.
+
+        :meth:`backfill`'s sibling: same keyword options, plan, execution and
+        landing, e.g. to regenerate records under a differential ``plan``.
+        """
+        return self._run(filename, None, **options)
+
+    def _run(
+        self, filename, new_source, *, versions=None, plan=None, parallelism="serial",
+        max_workers=4, include_latest=True, extra_globals=None, dry_run=False,
+    ) -> BackfillReport:
+        # Plan, patch (when ``new_source`` is given), execute, land: both entry points.
+        started = time.perf_counter()
+        report = BackfillReport(filename=filename)
         tasks: list[tuple[VersionBackfill, str]] = []
-        for vid, tstamp in epochs:
+        for vid, tstamp in self.version_epochs(filename, versions, include_latest):
             entry = VersionBackfill(vid=vid, tstamp=tstamp, filename=filename)
             try:
-                old_source = self.historical_source(vid, filename)
-                propagation: PropagationResult = propagate_statements(old_source, new_source)
-                entry.injected_statements = propagation.injected_count
-                entry.skipped_statements = len(propagation.skipped)
-                entry.propagation = propagation
-                tasks.append((entry, propagation.patched_source))
+                source = self.historical_source(vid, filename)
+                if new_source is not None:
+                    propagation = propagate_statements(source, new_source)
+                    entry.injected_statements = propagation.injected_count
+                    entry.skipped_statements = len(propagation.skipped)
+                    entry.propagation = propagation
+                    source = propagation.patched_source
+                tasks.append((entry, source))
             except Exception as exc:
                 entry.error = f"{type(exc).__name__}: {exc}"
             report.versions.append(entry)
 
-        if not dry_run:
+        if tasks and not dry_run:
             self._execute(tasks, plan or ReplayPlan.all(), parallelism, max_workers, extra_globals)
         report.wall_seconds = time.perf_counter() - started
         return report
@@ -219,7 +239,6 @@ class HindsightEngine:
                 repository=self.session.repository,
                 plan=plan,
                 extra_globals=extra_globals,
-                collect_only=True,
             )
 
         if parallelism == "serial" or len(tasks) <= 1:

@@ -8,9 +8,10 @@ execution — which loop iterations actually run — and the session restores
 checkpoints to skip over the rest.
 
 A replay reads its recorded run once (the session's snapshot of that run's
-log and loop rows) and nothing else of the project, and it borrows the
-caller's ``db`` and ``repository`` when given them: what one replay costs
-does not depend on how many other versions the project holds.
+log and loop rows) and nothing else of the project, through the caller's
+``db`` (and ``repository``, when given): what one replay costs does not
+depend on how many other versions the project holds.  It writes nothing —
+the hindsight engine lands the records a replay hands back.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class ReplayResult:
     tstamp: str
     filename: str
     new_log_records: int = 0
-    new_loop_records: int = 0
     iterations_executed: int = 0
     iterations_skipped: int = 0
     checkpoints_restored: int = 0
@@ -97,25 +97,22 @@ def replay_source(
     config: ProjectConfig,
     filename: str,
     tstamp: str,
-    db: Database | None = None,
+    db: Database,
     repository: Repository | None = None,
     plan: ReplayPlan | None = None,
     extra_globals: Mapping[str, Any] | None = None,
-    collect_only: bool = False,
 ) -> ReplayResult:
     """Execute ``source`` under a replay session pinned to ``(tstamp, filename)``.
 
     The executed namespace receives a ``flor`` binding to the facade so both
-    ``import``-style and injected-name usage hit the replay session.  With
-    ``collect_only`` the newly produced records are returned on the result
-    instead of being written to the database (how the hindsight engine runs
-    every replay: it lands a whole backfill in one transaction).  Pass the
-    caller's ``repository`` along with its ``db``: a replay never reads the
-    version store, and opening a second one costs a journal load.
+    ``import``-style and injected-name usage hit the replay session.  The
+    newly produced records come back on the result (``pending_logs`` /
+    ``pending_loops``) for the caller to land.  Pass the caller's
+    ``repository`` along with its ``db``: a replay never reads the version
+    store, and opening a second one costs a journal load.
     """
     from .api import flor as flor_facade  # local import to avoid a cycle
 
-    plan = plan or ReplayPlan.all()
     session = Session(
         config,
         db=db,
@@ -127,36 +124,19 @@ def replay_source(
     )
     result = ReplayResult(tstamp=tstamp, filename=filename)
     started = time.perf_counter()
-    namespace: dict[str, Any] = {
-        "__name__": "__flor_replay__",
-        "__file__": filename,
-        "flor": flor_facade,
-    }
-    if extra_globals:
-        namespace.update(extra_globals)
-    try:
-        code = compile(source, filename, "exec")
-    except SyntaxError as exc:
-        result.error = f"syntax error in replayed source: {exc}"
-        result.wall_seconds = time.perf_counter() - started
-        return result
+    namespace = {"__name__": "__flor_replay__", "__file__": filename, "flor": flor_facade}
+    namespace.update(extra_globals or {})
     try:
         with active_session(session):
-            exec(code, namespace)  # noqa: S102 - replay executes user project code by design
-    except Exception as exc:  # pragma: no cover - error path exercised in tests
+            exec(compile(source, filename, "exec"), namespace)  # noqa: S102 - project code by design
+    except Exception as exc:  # a SyntaxError of the patched source included
         result.error = f"{type(exc).__name__}: {exc}"
     result.wall_seconds = time.perf_counter() - started
     result.new_log_records = session.pending_log_records
-    result.new_loop_records = session.pending_loop_records
     result.iterations_executed = session.replay_stats["iterations_executed"]
     result.iterations_skipped = session.replay_stats["iterations_skipped"]
     result.checkpoints_restored = session.replay_stats["checkpoints_restored"]
-    if collect_only:
-        result.pending_logs, result.pending_loops = session.take_pending_records()
-    else:
-        session.flush()
-    if db is None:
-        session.close()
+    result.pending_logs, result.pending_loops = session.take_pending_records()
     return result
 
 
@@ -165,8 +145,8 @@ def replay_worker(args: tuple) -> ReplayResult:
 
     ``args`` is ``(root, projid, db_path, source, filename, tstamp, plan_dict)``
     — all picklable.  The worker opens its own database handle (and version
-    store), replays with ``collect_only`` and ships the new records back to
-    the parent, which is the sole writer.
+    store), replays and ships the new records back to the parent, which is
+    the sole writer.
     """
     root, projid, db_path, source, filename, tstamp, plan_dict = args
     config = ProjectConfig(root, projid)
@@ -179,7 +159,6 @@ def replay_worker(args: tuple) -> ReplayResult:
             tstamp=tstamp,
             db=db,
             plan=ReplayPlan.from_dict(plan_dict),
-            collect_only=True,
         )
     except Exception as exc:  # pragma: no cover - worker crash safety net
         return ReplayResult(tstamp=tstamp, filename=filename, error=f"{type(exc).__name__}: {exc}")

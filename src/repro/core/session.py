@@ -261,11 +261,8 @@ class Session:
         return self._buffer.pending_loops
 
     def take_pending_records(self) -> tuple[list[LogRecord], list[LoopRecord]]:
-        """Drain staged records as record objects *without* writing them.
-
-        Used by collect-only replay, whose parent process is the sole
-        database writer.
-        """
+        """Drain staged records as record objects *without* writing them (how a
+        replay hands what it produced to the engine, the sole writer)."""
         return self._buffer.drain_records()
 
     def stage(self, logs: Iterable[tuple] = (), loops: Iterable[tuple] = ()) -> None:

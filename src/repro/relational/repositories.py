@@ -201,6 +201,20 @@ class Ts2VidRepository:
             )
         return [Ts2VidRecord(*row) for row in rows]
 
+    def runs_of(
+        self, projid: str, filename: str, vids: Iterable[str] | None = None
+    ) -> list[tuple[str, str]]:
+        """``(vid, ts_start)`` of the epochs (of ``vids`` only, if given) that hold a log
+        or loop row of ``filename``, oldest first — two index seeks per epoch."""
+        wanted = None if vids is None else sorted(vids)
+        only = "" if wanted is None else f" AND e.vid IN ({','.join('?' * len(wanted))})"
+        row = "EXISTS (SELECT 1 FROM {} WHERE projid = ? AND tstamp = e.ts_start AND filename = ?)"
+        return self._db.query(
+            f"SELECT e.vid, e.ts_start FROM ts2vid AS e WHERE e.projid = ?{only}"
+            f" AND ({row.format('logs')} OR {row.format('loops')}) ORDER BY e.ts_start",
+            (projid, *(wanted or ()), projid, filename, projid, filename),
+        )
+
     def vid_for_tstamp(self, projid: str, tstamp: str) -> str | None:
         """Return the version id whose epoch covers ``tstamp``."""
         row = self._db.query_one(

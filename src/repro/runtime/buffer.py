@@ -109,7 +109,7 @@ class RecordBuffer:
         return log_rows, loops
 
     def drain_records(self) -> tuple[list[LogRecord], list[LoopRecord]]:
-        """Take everything staged as record objects (collect-only replay)."""
+        """Take everything staged as record objects (what a replay hands back)."""
         log_rows, loop_rows = self.drain_rows()
         return [LogRecord(*row) for row in log_rows], [LoopRecord(*row) for row in loop_rows]
 

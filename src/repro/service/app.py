@@ -51,8 +51,9 @@ die with a worker:
 
 * ``POST /projects/<name>/jobs/backfill`` — persist a backfill (or, with
   ``"kind": "replay"``, a plain replay) job and return ``202`` immediately;
-  the body carries ``filename`` plus optional ``new_source``, ``versions``,
-  ``plan``, ``priority`` and ``max_attempts``.
+  the body carries ``filename`` plus optional ``new_source``, ``versions``
+  (every recorded run of these version ids), ``plan``, ``priority`` and
+  ``max_attempts``.
 * ``GET /jobs`` — recent jobs (``?project=``/``?state=``/``?limit=``).
 * ``GET /jobs/<id>`` — the job's durable state-machine row.
 * ``GET /jobs/<id>/events`` — its append-only trail (state transitions and

@@ -224,23 +224,22 @@ class VersionedScriptWorkload:
             '            flor.log("weight", state["w"])',
         )
 
-    def record_all_versions(self, session: Session) -> list[str]:
-        """Execute and commit every version; returns the version ids."""
+    def record_version(self, session: Session, version: int) -> str:
+        """Execute and commit one run of ``version``'s source; returns its version id."""
         from ..core.api import flor as flor_facade
         from ..core.session import active_session
 
-        vids = []
-        root = session.config.root
+        source = self.source_for_version(version)
         session.track(self.filename)
-        for version in range(self.versions):
-            source = self.source_for_version(version)
-            (Path(root) / self.filename).write_text(source)
-            namespace = {"__name__": "__main__", "__file__": self.filename, "flor": flor_facade}
-            with active_session(session):
-                exec(compile(source, self.filename, "exec"), namespace)  # noqa: S102
-                vid = session.commit(f"version {version}")
-            vids.append(vid)
-        return vids
+        (Path(session.config.root) / self.filename).write_text(source)
+        namespace = {"__name__": "__main__", "__file__": self.filename, "flor": flor_facade}
+        with active_session(session):
+            exec(compile(source, self.filename, "exec"), namespace)  # noqa: S102
+            return session.commit(f"version {version}")
+
+    def record_all_versions(self, session: Session) -> list[str]:
+        """Execute and commit every version; returns the version ids."""
+        return [self.record_version(session, version) for version in range(self.versions)]
 
 
 _PIPELINE_MAKEFILE = textwrap.dedent(

@@ -12,6 +12,13 @@ from repro.relational.repositories import LogRepository
 from repro.workloads import VersionedScriptWorkload
 
 
+#: Groups of ``logs`` holding the same cell more than once (must be empty).
+NO_ROW_TWICE = (
+    "SELECT projid, tstamp, filename, ctx_id, value_name, COUNT(*) FROM logs"
+    " GROUP BY projid, tstamp, filename, ctx_id, value_name HAVING COUNT(*) > 1"
+)
+
+
 @pytest.fixture()
 def versioned(free_session):
     """Three committed versions of train.py, none of which log 'weight'."""
@@ -125,6 +132,90 @@ class TestBackfill:
         engine = HindsightEngine(session)
         with pytest.raises(ReplayError):
             engine.backfill("train.py", new_source=workload.hindsight_source(), parallelism="gpu")
+
+
+class TestRecordedRunsOnly:
+    """The planner replays recorded runs of the file, not every epoch that holds it."""
+
+    @pytest.fixture()
+    def with_spectators(self, free_session):
+        """Two real runs of train.py, then two commits from another entry point."""
+        workload = VersionedScriptWorkload(versions=2, epochs=2, steps=2)
+        vids = workload.record_all_versions(free_session)
+        for i in range(2):
+            free_session.log("aside", i, filename="notebook.py")
+            free_session.commit(f"notebook commit {i}")
+        return free_session, workload, vids
+
+    def _counts(self, session):
+        return dict(session.db.query("SELECT value_name, COUNT(*) FROM logs GROUP BY value_name"))
+
+    def _tstamps(self, session, name):
+        return {r.tstamp for r in session.logs.by_names(session.projid, [name])}
+
+    def test_spectator_commits_are_not_runs(self, with_spectators):
+        session, workload, vids = with_spectators
+        engine = HindsightEngine(session)
+        assert len(session.ts2vid.all(session.projid)) == 4
+        assert [vid for vid, _ts in engine.version_epochs("train.py")] == vids
+
+        before, ran = self._counts(session), self._tstamps(session, "loss")
+        report = engine.backfill("train.py", new_source=workload.hindsight_source())
+        assert len(report.versions) == report.versions_replayed == 2
+        assert report.new_records == 2 * workload.epochs * workload.steps
+        after = self._counts(session)
+        assert self._tstamps(session, "weight") == ran
+        assert after.pop("weight") == report.new_records
+        assert after == before  # loss / lr / ... untouched: no run was made up
+
+    def test_include_latest_drops_the_newest_run_not_the_newest_epoch(self, with_spectators):
+        session, workload, vids = with_spectators
+        engine = HindsightEngine(session)
+        assert [vid for vid, _ts in engine.version_epochs("train.py", include_latest=False)] == vids[:1]
+        report = engine.backfill(
+            "train.py", new_source=workload.hindsight_source(), include_latest=False
+        )
+        assert [v.vid for v in report.versions] == vids[:1]
+        assert self._tstamps(session, "weight") == {report.versions[0].tstamp}
+
+    def test_include_latest_is_about_the_file_not_the_selection(self, with_spectators):
+        """Per-version calls add up to the unrestricted one, with or without the latest run."""
+        session, _workload, vids = with_spectators
+        engine = HindsightEngine(session)
+        for include_latest in (True, False):
+            whole = engine.version_epochs("train.py", include_latest=include_latest)
+            parts = [
+                run
+                for vid in vids
+                for run in engine.version_epochs("train.py", [vid], include_latest)
+            ]
+            assert parts == whole
+
+    def test_a_rerun_of_an_unchanged_version_is_one_run_per_epoch(self, free_session):
+        workload = VersionedScriptWorkload(versions=1, epochs=2, steps=2)
+        vids = {workload.record_version(free_session, 0) for _ in range(3)}
+        assert len(vids) == 1
+        engine = HindsightEngine(free_session)
+        assert len(engine.version_epochs("train.py")) == 3
+        report = engine.backfill(
+            "train.py", new_source=workload.hindsight_source(), versions=list(vids)
+        )
+        assert len(report.versions) == 3
+        assert report.new_records == 3 * workload.epochs * workload.steps
+        assert free_session.db.query(NO_ROW_TWICE) == []
+
+    def test_replay_runs_the_recorded_source_and_lands_through_the_session(self, with_spectators):
+        session, workload, vids = with_spectators
+        engine = HindsightEngine(session)
+        session.db.execute("DELETE FROM logs WHERE value_name = 'loss'")
+        before = session.flusher.stats.transactions
+        report = engine.replay("train.py")
+        assert [v.vid for v in report.versions] == vids
+        assert all(v.injected_statements == 0 and v.propagation is None for v in report.versions)
+        assert report.new_records == 2 * workload.epochs * workload.steps
+        assert session.flusher.stats.transactions == before + 1
+        assert self._counts(session)["loss"] == report.new_records
+        assert "weight" not in self._counts(session)
 
 
 class TestReplayKeyScope:

@@ -42,6 +42,13 @@ def recorded(project):
     session.close()
 
 
+def replay_and_land(session, source, **kwargs):
+    """Replay and land the new records the way the hindsight engine does."""
+    result = replay_source(source, db=session.db, **kwargs)
+    session.write_records(result.pending_logs, result.pending_loops)
+    return result
+
+
 class TestReplayPlan:
     def test_default_plan_selects_everything(self):
         plan = ReplayPlan.all()
@@ -67,12 +74,8 @@ class TestReplaySession:
 
     def test_arg_returns_historical_value(self, recorded, project):
         session, tstamp = recorded
-        result = replay_source(
-            REPLAY_SOURCE,
-            config=project,
-            filename="train.py",
-            tstamp=tstamp,
-            db=session.db,
+        result = replay_and_land(
+            session, REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp
         )
         assert result.ok
         # Historical lr was 0.5 (not the script default 0.25); weights reflect it.
@@ -81,15 +84,15 @@ class TestReplaySession:
 
     def test_replay_attributes_new_logs_to_original_tstamp(self, recorded, project):
         session, tstamp = recorded
-        replay_source(REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp, db=session.db)
+        replay_and_land(session, REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp)
         frame = session.dataframe("weight")
         assert set(frame["tstamp"].to_list()) == {tstamp}
 
     def test_replay_deduplicates_existing_log_values(self, recorded, project):
         session, tstamp = recorded
         before = len(session.logs.by_names(session.projid, ["loss"]))
-        result = replay_source(
-            REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp, db=session.db
+        result = replay_and_land(
+            session, REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp
         )
         after = len(session.logs.by_names(session.projid, ["loss"]))
         assert before == after  # loss values already existed; only weight is new
@@ -97,14 +100,14 @@ class TestReplaySession:
 
     def test_replay_is_idempotent(self, recorded, project):
         session, tstamp = recorded
-        first = replay_source(REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp, db=session.db)
-        second = replay_source(REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp, db=session.db)
+        first = replay_and_land(session, REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp)
+        second = replay_and_land(session, REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp)
         assert first.new_log_records == 4
         assert second.new_log_records == 0
 
     def test_replay_reuses_recorded_ctx_ids(self, recorded, project):
         session, tstamp = recorded
-        replay_source(REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp, db=session.db)
+        replay_and_land(session, REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp)
         frame = session.dataframe("loss", "weight")
         # weight joins loss on the same per-epoch rows: no row has one without the other.
         assert len(frame) == 4
@@ -127,8 +130,8 @@ class TestReplaySession:
     def test_differential_replay_restores_state_from_checkpoints(self, recorded, project):
         """Replaying only the last epoch must produce the same weight as a full replay."""
         session, tstamp = recorded
-        full = replay_source(
-            REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp, db=session.db
+        full = replay_and_land(
+            session, REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp
         )
         assert full.ok
         full_weights = {row["epoch"]: row["weight"] for row in session.dataframe("weight").to_records()}
@@ -141,7 +144,6 @@ class TestReplaySession:
             tstamp=tstamp,
             db=session.db,
             plan=ReplayPlan.only(epoch=[3]),
-            collect_only=True,
         )
         partial_weights = {
             record.ctx_id: record.decoded()
@@ -177,7 +179,6 @@ class TestReplaySession:
             tstamp=tstamp,
             db=session.db,
             plan=ReplayPlan.all(),
-            collect_only=True,
         )
         assert result.new_log_records == 4
         assert len(result.pending_logs) == 4

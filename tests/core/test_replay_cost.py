@@ -60,7 +60,6 @@ def replay_cost(make_session, versions: int, plan: ReplayPlan) -> CountingStore:
         db=store,
         repository=session.repository,
         plan=plan,
-        collect_only=True,
     )
     assert result.ok, result.error
     assert result.new_log_records > 0

@@ -105,6 +105,92 @@ class TestExecutor:
         assert _weight_rows(root) == 0  # no propagation happened
 
 
+class TestRerunsOfOneVersion:
+    """Jobs replay what inline ``backfill()`` replays: every recorded run of a version."""
+
+    SCRIPT = WORKLOAD.script_workload()
+    RUN_ROWS = WORKLOAD.epochs * WORKLOAD.steps  #: ``weight`` rows one run gains
+    NO_ROW_TWICE = (
+        "SELECT projid, tstamp, filename, ctx_id, value_name, COUNT(*) FROM logs"
+        " GROUP BY projid, tstamp, filename, ctx_id, value_name HAVING COUNT(*) > 1"
+    )
+
+    def _record(self, root, runs):
+        """Run and commit ``train.py`` once per entry of ``runs`` (a source version each)."""
+        name = WORKLOAD.project_names()[0]
+        with Session(ProjectConfig(root / name, name)) as session:
+            return [self.SCRIPT.record_version(session, version) for version in runs]
+
+    def _rows(self, root):
+        name = WORKLOAD.project_names()[0]
+        with Session(ProjectConfig(root / name, name)) as session:
+            assert session.db.query(self.NO_ROW_TWICE) == []
+            return len(session.logs.by_names(session.projid, ["weight"]))
+
+    def test_job_and_inline_backfill_both_cover_every_rerun(self, tmp_path):
+        expected = 3 * self.RUN_ROWS
+        (vid,) = set(self._record(tmp_path / "inline", [0, 0, 0]))
+        assert WORKLOAD.backfill_inline(tmp_path / "inline") == expected
+        assert self._rows(tmp_path / "inline") == expected
+
+        root = tmp_path / "jobs"
+        assert set(self._record(root, [0, 0, 0])) == {vid}
+        with JobStore.open(root) as store:
+            job_id = WORKLOAD.submit_all(store)[0]
+            claimed = store.claim("w1")
+            store.mark_running(job_id, "w1")
+            summary = execute_job(claimed, store, _open_sessions(root), worker="w1")
+            assert summary["versions_total"] == summary["versions_replayed"] == 1
+            assert summary["new_records"] == expected
+            assert store.completed_versions(job_id) == {vid}
+            (event,) = [e for e in store.events(job_id) if e.kind == "version"]
+            assert event.payload["runs"] == 3 and event.payload["new_records"] == expected
+        assert self._rows(root) == expected
+
+    def test_inline_backfill_of_one_version_covers_its_reruns(self, tmp_path):
+        from repro import HindsightEngine
+
+        (vid,) = set(self._record(tmp_path, [0, 0, 0]))
+        name = WORKLOAD.project_names()[0]
+        with Session(ProjectConfig(tmp_path / name, name)) as session:
+            report = HindsightEngine(session).backfill(
+                WORKLOAD.filename, new_source=WORKLOAD.hindsight_source(), versions=[vid]
+            )
+            assert len(report.versions) == 3
+            assert report.new_records == 3 * self.RUN_ROWS
+        assert self._rows(tmp_path) == 3 * self.RUN_ROWS
+
+    def test_interrupted_then_resumed_job_writes_no_row_twice(self, tmp_path):
+        """Version 0 runs three times, version 1 once; the job stops after
+        its first vid and a second attempt finishes the rest."""
+        root = tmp_path / "root"
+        first, *_, other = vids = self._record(root, [0, 0, 0, 1])
+        assert vids == [first, first, first, other]
+        with JobStore.open(root) as store:
+            job_id = WORKLOAD.submit_all(store)[0]
+            claimed = store.claim("w1")
+            store.mark_running(job_id, "w1")
+            calls = iter([False, True])
+            with pytest.raises(JobInterrupted):
+                execute_job(
+                    claimed, store, _open_sessions(root), worker="w1",
+                    should_stop=lambda: next(calls),
+                )
+            assert store.completed_versions(job_id) == {first}
+            assert self._rows(root) == 3 * self.RUN_ROWS  # all runs of the first vid
+            assert store.release(job_id, "w1", reason="shutdown")
+
+            claimed = store.claim("w2")
+            store.mark_running(job_id, "w2")
+            summary = execute_job(claimed, store, _open_sessions(root), worker="w2")
+            assert summary["versions_total"] == 2
+            assert summary["versions_checkpointed"] == summary["versions_replayed"] == 1
+            assert summary["new_records"] == self.RUN_ROWS
+            assert store.completed_versions(job_id) == {first, other}
+            assert [e.kind for e in store.events(job_id)].count("version") == 2
+        assert self._rows(root) == 4 * self.RUN_ROWS
+
+
 class TestRunner:
     def test_runner_drains_a_submitted_job_to_succeeded(self, populated_root, store):
         root, _ = populated_root

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.jobs import JobRunner, pool_session_provider
+from repro.relational.queries import log_watermark
 from repro.service import FlorService
 from repro.webapp.framework import TestClient
 from repro.workloads import BackfillJobWorkload
@@ -156,3 +160,46 @@ class TestEndToEnd:
         assert sum(1 for r in after["records"] if r["weight"] is not None) == (
             WORKLOAD.expected_new_records
         )
+
+
+class TestReplayJobLandsThroughTheShard:
+    """A ``replay`` job's rows take the shard session's landing path like any
+    other write: counted by its flusher and published to the project tail."""
+
+    def test_rows_are_counted_by_the_shards_flusher_and_wake_the_tail(self, client, service):
+        with service.pool.checkout(PROJECT) as shard:
+            # Lose every recorded ``loss`` row so the replay has rows to regenerate.
+            lost = shard.session.db.execute("DELETE FROM logs WHERE value_name = 'loss'").rowcount
+            watermark = log_watermark(shard.session.db, PROJECT)
+            transactions = shard.session.flusher.stats.transactions
+        assert lost == WORKLOAD.versions * WORKLOAD.epochs * WORKLOAD.steps
+
+        job = client.post(
+            f"/projects/{PROJECT}/jobs/backfill",
+            json_body={"kind": "replay", "filename": WORKLOAD.filename},
+        ).json()["job"]
+        runner = JobRunner(
+            service.jobs, pool_session_provider(service.pool), workers=1, poll_interval=0.01
+        )
+        started = []
+
+        def run_job_once_the_subscriber_waits():
+            time.sleep(0.3)
+            started.append(time.monotonic())
+            runner.run_until_idle(timeout=60.0)
+
+        worker = threading.Thread(target=run_job_once_the_subscriber_waits)
+        worker.start()
+        try:
+            # keepalive=60: only a publish can wake this subscriber in time.
+            stream = client.sse(f"/projects/{PROJECT}/tail?keepalive=60&since_seq={watermark}")
+            events = stream.collect(max_events=lost, timeout=30)
+            arrived = time.monotonic()
+        finally:
+            worker.join()
+        assert [e.json()["name"] for e in events] == ["loss"] * lost
+        assert arrived - started[0] < 2.0
+
+        assert service.jobs.require(job["id"]).result["new_records"] == lost
+        with service.pool.checkout(PROJECT) as shard:
+            assert shard.session.flusher.stats.transactions == transactions + WORKLOAD.versions

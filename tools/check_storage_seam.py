@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Enforce the storage seam (``sqlite3`` stays behind the storage layer) and
-the metrics seam (no component holds an optional registry).
+"""Enforce the storage seam (``sqlite3`` stays behind the storage layer), the
+metrics seam (no component holds an optional registry) and the replay seam
+(one planner: only the hindsight engine decides which runs replay).
 
 The whole point of the :mod:`repro.storage` protocols is that every layer
 above storage is backend-agnostic — repositories, the query engine, the
@@ -18,6 +19,13 @@ once, so there is no "metrics off" branch to test for.  A comparison of
 anything named ``metrics`` with ``None`` (``if self.metrics is not None``)
 anywhere under ``src/repro`` means an optional registry — and with it a
 second, hand-kept copy of the counts — is creeping back in.
+
+A third seam keeps the replay planner single: ``replay_source`` is called
+only by :mod:`repro.core.hindsight` and :mod:`repro.core.replay` (every
+replay collects, the engine lands), and nothing under ``repro.jobs`` names
+``version_epochs``, ``seen_vids`` or ``first_epoch`` — the job executor asks
+the engine for its plan instead of walking epochs or deduping version ids
+itself.
 
 Detection is AST-based — docstrings and comments that merely *mention*
 sqlite3 or the guard are fine; only actual statements count.
@@ -84,6 +92,26 @@ def metrics_none_guards(tree: ast.AST) -> list[int]:
     return lines
 
 
+#: The only modules that may call ``replay_source``, and the planner's names
+#: that must not reappear in the job layer.
+REPLAY_CALLERS = ("repro.core.hindsight", "repro.core.replay")
+PLANNER_NAMES = {"version_epochs", "seen_vids", "first_epoch"}
+
+
+def second_planner_signs(name: str, tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` where ``name`` replays or plans outside the hindsight engine."""
+    found = []
+    for node in ast.walk(tree):
+        used = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.Call) and name not in REPLAY_CALLERS:
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if callee == "replay_source":
+                found.append((node.lineno, "calls replay_source"))
+        elif used in PLANNER_NAMES and name.startswith("repro.jobs"):
+            found.append((node.lineno, f"names {used}"))
+    return found
+
+
 def main(argv: list[str]) -> int:
     src_root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src"
     violations = 0
@@ -94,6 +122,12 @@ def main(argv: list[str]) -> int:
             print(
                 f"{path}:{lineno}: {name} tests a metrics registry for None — "
                 f"components always hold a scope (see repro.obs.metrics)"
+            )
+            violations += 1
+        for lineno, what in second_planner_signs(name, tree):
+            print(
+                f"{path}:{lineno}: {name} {what} — which runs replay and how they "
+                f"land is HindsightEngine's decision alone (see repro.core.hindsight)"
             )
             violations += 1
         if any(name == p or name.startswith(p + ".") for p in ALLOWED_PREFIXES):
@@ -107,6 +141,7 @@ def main(argv: list[str]) -> int:
     if violations == 0:
         print("storage seam intact: sqlite3 imports confined to", ", ".join(ALLOWED_PREFIXES))
         print("metrics seam intact: no registry is tested for None")
+        print("replay seam intact: one planner, replay_source called by", ", ".join(REPLAY_CALLERS))
     return violations
 
 

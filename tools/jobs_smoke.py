@@ -4,14 +4,17 @@
 What CI runs (and any developer can run locally):
 
 1. populate a temp multi-tenant root with one project holding two committed
-   versions of ``train.py`` that never logged ``weight``;
+   versions of ``train.py`` that never logged ``weight``, then re-run the
+   newest one unchanged (same version id, one more recorded run) and commit
+   once from another entry point (an epoch that is *not* a run of it);
 2. start ``repro serve --job-workers 1`` as a real subprocess on an
    ephemeral port;
 3. submit a tiny backfill job over HTTP (``POST
    /projects/<name>/jobs/backfill``);
 4. poll ``GET /jobs/<id>`` until the embedded worker drives it to
    ``succeeded``, then confirm the backfilled column through the dataframe
-   endpoint;
+   endpoint: one row per epoch × step of every recorded *run* — the re-run
+   included, nothing under the other entry point's commit;
 5. send SIGTERM and verify the server drains and exits cleanly (exit code
    0) — the graceful-shutdown path container deployments rely on.
 
@@ -22,135 +25,78 @@ Exits non-zero with a diagnostic on any failure.  Usage::
 
 from __future__ import annotations
 
-import json
-import re
-import signal
-import subprocess
 import sys
 import tempfile
 import time
-import urllib.request
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import ProjectConfig, Session  # noqa: E402
+from repro.jobs import JobStore  # noqa: E402
+from repro.testing import ServerProcess  # noqa: E402
 from repro.workloads import BackfillJobWorkload  # noqa: E402
 
 POLL_SECONDS = 0.2
-STARTUP_TIMEOUT = 30.0
 JOB_TIMEOUT = 60.0
-SHUTDOWN_TIMEOUT = 20.0
-
-
-def _request(method: str, url: str, payload: dict | None = None) -> dict:
-    data = json.dumps(payload).encode() if payload is not None else None
-    request = urllib.request.Request(
-        url, data=data, method=method, headers={"Content-Type": "application/json"}
-    )
-    with urllib.request.urlopen(request, timeout=10) as response:
-        return json.load(response)
 
 
 def main() -> int:
     workload = BackfillJobWorkload(projects=1, versions=2, epochs=2, steps=1)
     project = workload.project_names()[0]
+    runs = workload.versions + 1
+    expected = runs * workload.epochs * workload.steps
     with tempfile.TemporaryDirectory(prefix="flor-jobs-smoke-") as tmp:
         root = Path(tmp) / "host"
-        workload.populate(root)
-        print(f"populated {project} under {root} ({workload.versions} versions)")
+        vids = workload.populate(root)[project]
+        with Session(ProjectConfig(root / project, project)) as session:
+            rerun = workload.script_workload().record_version(session, workload.versions - 1)
+            session.log("aside", 1, filename="notebook.py")
+            session.commit("from another entry point")
+        assert rerun == vids[-1], "re-running an unchanged script must reuse its version id"
+        print(f"populated {project} under {root} ({len(vids)} versions, {runs} runs, 1 other commit)")
 
-        server = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "--project",
-                str(root),
-                "serve",
-                "--port",
-                "0",
-                "--job-workers",
-                "1",
-                "--quiet",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            cwd=str(REPO_ROOT),
-            env={**__import__("os").environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-        )
-        try:
-            # The ready banner prints the bound ephemeral port.
-            base = None
-            deadline = time.monotonic() + STARTUP_TIMEOUT
-            while time.monotonic() < deadline:
-                line = server.stdout.readline()
-                if not line:
-                    time.sleep(POLL_SECONDS)
-                    continue
-                match = re.search(r"at (http://[\d.]+:\d+)", line)
-                if match:
-                    base = match.group(1)
-                    break
-            if base is None:
-                print("FAIL: server never printed its address", file=sys.stderr)
-                return 1
-            print(f"server up at {base}")
-
-            body = _request(
-                "POST",
-                f"{base}/projects/{project}/jobs/backfill",
-                {"filename": workload.filename, "new_source": workload.hindsight_source()},
-            )
+        with ServerProcess(root, job_workers=1) as server:
+            print(f"server up at {server.base_url}")
+            body = server.post(f"/projects/{project}/jobs/backfill", workload.job_payload())
             job_id = body["job"]["id"]
             print(f"submitted job {job_id} ({body['job']['state']})")
 
-            state = None
+            job = {}
             deadline = time.monotonic() + JOB_TIMEOUT
             while time.monotonic() < deadline:
-                state = _request("GET", f"{base}/jobs/{job_id}")["job"]["state"]
-                if state in ("succeeded", "failed", "cancelled"):
+                job = server.get(f"/jobs/{job_id}")["job"]
+                if job["state"] in ("succeeded", "failed", "cancelled"):
                     break
                 time.sleep(POLL_SECONDS)
-            events = _request("GET", f"{base}/jobs/{job_id}/events")["events"]
-            print(f"job {job_id} -> {state}; events: {[e['kind'] for e in events]}")
-            if state != "succeeded":
-                print(f"FAIL: job finished {state!r}, wanted 'succeeded'", file=sys.stderr)
+            events = server.get(f"/jobs/{job_id}/events")["events"]
+            print(f"job {job_id} -> {job.get('state')}; events: {[e['kind'] for e in events]}")
+            if job.get("state") != "succeeded":
+                print(f"FAIL: job finished {job.get('state')!r}, wanted 'succeeded'", file=sys.stderr)
+                return 1
+            if job["result"]["new_records"] != expected:
+                print(f"FAIL: job reports {job['result']['new_records']} new records,"
+                      f" wanted {expected} ({runs} runs)", file=sys.stderr)
                 return 1
 
-            frame = _request(
-                "GET", f"{base}/projects/{project}/dataframe?names=weight"
-            )
+            frame = server.get(f"/projects/{project}/dataframe?names=weight")
             backfilled = sum(
                 1 for record in frame["records"] if record.get("weight") is not None
             )
-            expected = workload.expected_new_records
             print(f"backfilled weight rows visible over HTTP: {backfilled}/{expected}")
             if backfilled != expected:
-                print("FAIL: backfilled column incomplete", file=sys.stderr)
+                print("FAIL: backfilled column is not one row per recorded run", file=sys.stderr)
                 return 1
 
-            server.send_signal(signal.SIGTERM)
-            try:
-                code = server.wait(timeout=SHUTDOWN_TIMEOUT)
-            except subprocess.TimeoutExpired:
-                print("FAIL: server did not drain after SIGTERM", file=sys.stderr)
-                return 1
+            code = server.terminate()
             if code != 0:
                 print(f"FAIL: server exited {code} after SIGTERM", file=sys.stderr)
                 return 1
             print("server drained and exited 0 after SIGTERM")
-        finally:
-            if server.poll() is None:
-                server.kill()
-                server.wait(timeout=10)
 
         # Durability outlives the process: the job row and its trail are
         # still readable straight from the root.
-        from repro.jobs import JobStore
-
         with JobStore.open(root) as store:
             job = store.require(job_id)
             assert job.state == "succeeded", job.state
@@ -158,7 +104,7 @@ def main() -> int:
                   f"{len(store.events(job.id))} events on disk")
         with Session(ProjectConfig(root / project, project)) as session:
             rows = len(session.dataframe("weight"))
-            assert rows == workload.expected_new_records, rows
+            assert rows == expected, rows
 
     print("jobs smoke: OK")
     return 0
