@@ -103,7 +103,7 @@ def _measure_reads(tmp_path, label: str, *, replicas: int, duration: float):
 
     def read_replica(slot: int) -> None:
         while time.perf_counter() < deadline:
-            shard.replicas.dataframe(("metric",))
+            shard.replicas.read(lambda engine: engine.dataframe("metric"))
             counts[slot] += 1
 
     def read_primary(slot: int) -> None:

@@ -154,6 +154,9 @@ def test_service_ingest_read_cycle_invalidates_cache(benchmark, tmp_path):
             stats = shard.session.query.stats.as_dict()
         assert stats["cold_builds"] == 1
         assert stats["fast_hits"] + stats["warm_hits"] >= 1
+        # Every repeat of the unchanged view was answered with the bytes the
+        # cold build's read encoded.
+        assert stats["body_hits"] == stats["lookups"] - 1
 
         ingest(1)  # a new run arrives through the append route
         second = read()
@@ -170,7 +173,8 @@ def test_service_ingest_read_cycle_invalidates_cache(benchmark, tmp_path):
             "T9: service ingest -> read cycle",
             [{"reads": stats["lookups"], "cold": stats["cold_builds"],
               "incremental": stats["incremental_refreshes"],
-              "fast_hits": stats["fast_hits"], "warm_hits": stats["warm_hits"]}],
+              "fast_hits": stats["fast_hits"], "warm_hits": stats["warm_hits"],
+              "body_hits": stats["body_hits"]}],
         )
     finally:
         service.close()

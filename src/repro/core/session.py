@@ -782,6 +782,12 @@ class Session:
         self.flush()
         return self.query.dataframe(*names, latest=latest, tstamp_range=tstamp_range)
 
+    def dataframe_body(self, names: Sequence[str], encode) -> bytes:
+        """:meth:`dataframe` of ``names`` as ``encode(frame)`` bytes, which the
+        query engine keeps with the materialized view (the service's read)."""
+        self.flush()
+        return self.query.dataframe_body(names, encode)
+
     def sql(self, query: str, names: Sequence[str] = (), params: Sequence[Any] = ()):
         """Read-only SQL over the context store (the paper's "or SQL" path).
 

@@ -113,7 +113,10 @@ class DataFrame:
 
     def to_records(self) -> list[dict[str, Any]]:
         """Materialize the frame as a list of row dicts."""
-        return [self.row(i) for i in range(self._length)]
+        names = list(self._columns)
+        if not names:
+            return [{} for _ in range(self._length)]
+        return [dict(zip(names, values)) for values in zip(*self._columns.values())]
 
     to_dicts = to_records
 

@@ -76,8 +76,8 @@ _BACKOFF_BASE = 0.05
 _BACKOFF_CAP = 1.0
 
 #: Headers that describe the router↔worker connection, not the payload;
-#: never relayed to the client (the router's own server re-frames the
-#: stream with its own chunked transfer encoding).
+#: never relayed to the client (the router's own server writes its own
+#: ``Server``/``Date`` and re-frames the body).
 _HOP_BY_HOP = frozenset(
     {
         "connection",
@@ -91,6 +91,11 @@ _HOP_BY_HOP = frozenset(
         "upgrade",
     }
 )
+
+
+def _end_to_end(headers: dict[str, str]) -> dict[str, str]:
+    """An upstream answer's headers minus the ones about that connection."""
+    return {k: v for k, v in headers.items() if k.lower() not in _HOP_BY_HOP}
 
 
 class FleetRouter:
@@ -245,6 +250,7 @@ class FleetRouter:
                 request.method, url, body=request.body, headers=headers
             ),
         )
+        response.headers = _end_to_end(response.headers)
         if annotate is not None and response.ok:
             try:
                 payload = annotate(json.loads(response.body))
@@ -275,18 +281,11 @@ class FleetRouter:
         )
         if isinstance(upstream, Response):
             return upstream  # the failover budget ran out: a 503
-        passthrough = {
-            k: v for k, v in upstream.headers.items() if k.lower() not in _HOP_BY_HOP
-        }
+        passthrough = _end_to_end(upstream.headers)
         if not upstream.ok:
             # Upstream refused the subscription (404 unknown job, 503
             # backpressure + Retry-After): a small buffered answer.
-            body = upstream.read()
-            return Response(
-                body=body.decode("utf-8", "replace"),
-                status=upstream.status,
-                headers=passthrough,
-            )
+            return Response(body=upstream.read(), status=upstream.status, headers=passthrough)
 
         def relay():
             try:

@@ -109,9 +109,10 @@ class HttpClient:
             try:
                 conn.request(method, url, body=body or None, headers=send_headers)
                 raw = conn.getresponse()
-                payload = raw.read()
+                # The payload stays bytes: a relayed read is written to the
+                # next socket as it arrived, not transcoded on the way.
                 return Response(
-                    body=payload.decode("utf-8"),
+                    body=raw.read(),
                     status=raw.status,
                     headers={k: v for k, v in raw.getheaders()},
                 )
@@ -172,7 +173,7 @@ class HttpClient:
         if not response.ok:
             raise TransportError(
                 f"GET http://{self.netloc}{url} returned {response.status}: "
-                f"{response.body[:200]}"
+                f"{response.text[:200]}"
             )
         return response.json()
 
@@ -182,7 +183,7 @@ class HttpClient:
         if not response.ok:
             raise TransportError(
                 f"POST http://{self.netloc}{url} returned {response.status}: "
-                f"{response.body[:200]}"
+                f"{response.text[:200]}"
             )
         return response.json()
 

@@ -5,7 +5,9 @@ long-format records once per ``(project, name)``, bucketed per run and kept
 in ``seq`` (append) order, plus the per-run pivots computed from them, keyed
 by the names actually *present* in the run.  A **view** — one per
 ``(projid, sorted names)`` — is thin: its finished frames per requested
-column order and the watermarks they were built at.  Views that name the
+column order, the encoded body a caller had made from each (see
+:meth:`PivotViewCache.dataframe_body`), and the watermarks they were built
+at.  Views that name the
 same log share its records, and a run's pivot is shared by every view whose
 names select the same records in it — so after a backfill logs a new name
 into a few old runs, the first read of ``(loss, new_name)`` fetches only the
@@ -47,7 +49,9 @@ in full only the names nobody has read (``cache.fetched_rows`` counts the
 log rows each of these pulls from SQLite).
 
 Returned frames are defensive copies; the cached master is never handed
-to callers.  The cache is thread-safe and LRU-capped — one instance is
+to callers.  A body is immutable bytes, made from the master once and dropped
+wherever the master is — it is owned by its view, so ``capacity`` bounds
+bodies too.  The cache is thread-safe and LRU-capped — one instance is
 shared per project shard in the service layer.
 """
 
@@ -57,7 +61,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..core.dataframe_view import (
     RunPivot,
@@ -90,6 +94,7 @@ _STATS = {
         "warm_hits",
         "incremental_refreshes",
         "cold_builds",
+        "body_hits",
         "evictions",
         "invalidations",
         "fetched_rows",
@@ -126,6 +131,8 @@ class _ViewState:
 
     #: requested column order -> finished frame.
     frames: dict[tuple[str, ...], DataFrame] = field(default_factory=dict)
+    #: requested column order -> the caller's encoding of ``frames[order]``.
+    bodies: dict[tuple[str, ...], bytes] = field(default_factory=dict)
     log_seq: int = -1
     loop_rowid: int = -1
     generation: int = -1
@@ -195,50 +202,95 @@ class PivotViewCache:
         only the final column order / join anchoring depend on the request
         order, which is re-derived per request from the cached state.
         """
+        with self._lock:
+            found = self._lookup(db, projid, names)
+            if found is None:
+                return DataFrame()
+            entry, order_key = found
+            # Hand out a copy: cached masters must survive callers that
+            # mutate their result (adding columns, fillna, ...).
+            return entry.frames[order_key].copy()
+
+    def dataframe_body(
+        self,
+        db: RelationalStore,
+        projid: str,
+        names: Sequence[str],
+        encode: Callable[[DataFrame], bytes],
+    ) -> bytes:
+        """``encode(frame)`` of the same view, made once per finished frame.
+
+        The same lookup as :meth:`dataframe` (one ``lookups`` and one tier
+        count per read); the bytes are kept beside the master frame they
+        were made from and dropped with it, so a repeat read of an unchanged
+        view costs no encoding (``body_hits``).  ``encode`` gets the master:
+        it must neither mutate nor keep it, and every caller of one cache
+        must pass the same function.
+        """
+        with self._lock:
+            found = self._lookup(db, projid, names)
+            if found is None:
+                return encode(DataFrame())
+            entry, order_key = found
+            body = entry.bodies.get(order_key)
+            if body is None:
+                body = entry.bodies[order_key] = encode(entry.frames[order_key])
+            else:
+                self.stats["body_hits"].inc()
+            return body
+
+    def _lookup(
+        self, db: RelationalStore, projid: str, names: Sequence[str]
+    ) -> tuple[_ViewState, tuple[str, ...]] | None:
+        """Bring the view of ``names`` up to date; call with the lock held.
+
+        Returns the view and the key of the finished frame for this request
+        order in it (``None`` when no name was asked for), having counted
+        the read against exactly one tier.
+        """
         ordered: list[str] = []
         for name in names:
             name = str(name)
             if name not in ordered:
                 ordered.append(name)
         if not ordered:
-            return DataFrame()
+            return None
         key = (projid, tuple(sorted(ordered)))
-        with self._lock:
-            self.stats["lookups"].inc()
-            generation = self._generations.get(projid, 0)
-            db_version = db.write_version
-            entry = self._entries.get(key)
-            if entry is None:
-                tier = "cold_builds"
-                entry = _ViewState()
-            else:
-                self._entries.move_to_end(key)
-                if entry.generation == generation and entry.db_version == db_version:
-                    self.stats["fast_hits"].inc()
-                    return self._frame_for(projid, entry, ordered)
-                tier = "incremental_refreshes"
-            # Watermarks are read *before* any record fetch and bound it
-            # (max_seq), so a concurrent append lands entirely after the
-            # watermark and is picked up — exactly once — by the next refresh.
-            current_seq = log_watermark(db, projid)
-            current_loop = loop_watermark(db, projid)
-            if current_seq == entry.log_seq and current_loop == entry.loop_rowid:
-                tier = "warm_hits"
-            else:
-                self._sync(db, projid, key[1], current_seq, current_loop)
-                self._entries[key] = entry
-            entry.generation = generation
-            # The snapshot from the top of this lookup, NOT a re-read: a
-            # concurrent untracked write landing during the refresh must
-            # leave the entry looking stale so the next read probes the
-            # watermarks again instead of fast-hitting past it.
-            entry.db_version = db_version
-            while len(self._entries) > self.capacity:
-                evicted, _ = self._entries.popitem(last=False)
-                self._drop_unreferenced(evicted[0])
-                self.stats["evictions"].inc()
-            self.stats[tier].inc()
-            return self._frame_for(projid, entry, ordered)
+        self.stats["lookups"].inc()
+        generation = self._generations.get(projid, 0)
+        db_version = db.write_version
+        entry = self._entries.get(key)
+        if entry is None:
+            tier = "cold_builds"
+            entry = _ViewState()
+        else:
+            self._entries.move_to_end(key)
+            if entry.generation == generation and entry.db_version == db_version:
+                self.stats["fast_hits"].inc()
+                return entry, self._finish(projid, entry, ordered)
+            tier = "incremental_refreshes"
+        # Watermarks are read *before* any record fetch and bound it
+        # (max_seq), so a concurrent append lands entirely after the
+        # watermark and is picked up — exactly once — by the next refresh.
+        current_seq = log_watermark(db, projid)
+        current_loop = loop_watermark(db, projid)
+        if current_seq == entry.log_seq and current_loop == entry.loop_rowid:
+            tier = "warm_hits"
+        else:
+            self._sync(db, projid, key[1], current_seq, current_loop)
+            self._entries[key] = entry
+        entry.generation = generation
+        # The snapshot from the top of this lookup, NOT a re-read: a
+        # concurrent untracked write landing during the refresh must
+        # leave the entry looking stale so the next read probes the
+        # watermarks again instead of fast-hitting past it.
+        entry.db_version = db_version
+        while len(self._entries) > self.capacity:
+            evicted, _ = self._entries.popitem(last=False)
+            self._drop_unreferenced(evicted[0])
+            self.stats["evictions"].inc()
+        self.stats[tier].inc()
+        return entry, self._finish(projid, entry, ordered)
 
     # ---------------------------------------------------------- maintenance
     def _sync(
@@ -319,20 +371,20 @@ class PivotViewCache:
                 del per_run[present]
 
     # ------------------------------------------------------------- compose
-    def _frame_for(self, projid: str, entry: _ViewState, ordered: list[str]) -> DataFrame:
+    def _finish(self, projid: str, entry: _ViewState, ordered: list[str]) -> tuple[str, ...]:
+        """Make sure ``entry`` holds the current frame for this request order."""
         records = self._records[projid]
         if (entry.log_seq, entry.loop_rowid) != (records.log_seq, records.loop_rowid):
             # The shared records moved (this read's sync, or another view's):
-            # frames composed before that are of an older snapshot.
+            # frames composed before that, and the bodies made from them,
+            # are of an older snapshot.
             entry.frames.clear()
+            entry.bodies.clear()
             entry.log_seq, entry.loop_rowid = records.log_seq, records.loop_rowid
         order_key = tuple(ordered)
-        frame = entry.frames.get(order_key)
-        if frame is None:
-            frame = entry.frames[order_key] = self._compose(projid, records, ordered)
-        # Hand out a copy: cached masters must survive callers that mutate
-        # their result (adding columns, fillna, ...).
-        return frame.copy()
+        if order_key not in entry.frames:
+            entry.frames[order_key] = self._compose(projid, records, ordered)
+        return order_key
 
     def _compose(self, projid: str, records: _ProjectRecords, ordered: list[str]) -> DataFrame:
         """Pivot ``ordered`` from the shared records, as ``build_dataframe`` would."""

@@ -4,7 +4,8 @@
 
 * **pivot reads** (``flor.dataframe``) with no explicit bounds go through
   the :class:`~repro.query.cache.PivotViewCache` — fast/warm hits return
-  the materialized view, appends merge incrementally;
+  the materialized view, appends merge incrementally; a server asks for the
+  same view already encoded (:meth:`QueryEngine.dataframe_body`);
 * **bounded reads** (a ``tstamp_range``) push the range into SQLite via
   :func:`repro.core.dataframe_view.build_dataframe` and bypass the cache —
   ad-hoc slices should not evict the hot unbounded views;
@@ -21,7 +22,7 @@ probe.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..core.dataframe_view import build_dataframe
 from ..dataframe import DataFrame
@@ -77,6 +78,16 @@ class QueryEngine:
         if latest:
             frame = latest_rows(frame)
         return frame
+
+    def dataframe_body(self, names: Sequence[str], encode: Callable[[DataFrame], bytes]) -> bytes:
+        """The unbounded pivot of ``names`` as ``encode(frame)`` bytes.
+
+        What a server sends for :meth:`dataframe`: the cache keeps the bytes
+        with the materialized view, so re-reading an unchanged view encodes
+        nothing (see :meth:`PivotViewCache.dataframe_body` for the contract
+        ``encode`` must keep).
+        """
+        return self.cache.dataframe_body(self.db, self.projid, names, encode)
 
     def sql(
         self,

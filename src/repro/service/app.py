@@ -12,7 +12,10 @@ Routes (all JSON; ``<name>`` is a tenant/project name):
 * ``POST /projects/<name>/commit`` — flush the shard's staged rows and run
   ``flor.commit`` (snapshot tracked files, record the ``ts2vid`` epoch).
 * ``GET /projects/<name>/dataframe?names=a,b[&latest=1]`` — the pivoted
-  view of the named log values, as ``{"columns": ..., "records": ...}``.
+  view of the named log values, as ``{"columns": ..., "records": ...,
+  "rows": N}`` (:func:`frame_body`; a NaN or infinite value is ``null``).
+  The unbounded view is encoded once per materialized frame and re-served
+  as the same bytes until an append replaces the frame.
 * ``GET /projects/<name>/sql?q=SELECT...[&names=a,b]`` — read-only SQL via
   :func:`repro.relational.sql.run_sql`; anything but SELECT/WITH is a 400.
 * ``GET /projects/<name>/stats`` — per-shard row counts and hand-off stats.
@@ -76,12 +79,15 @@ merged on the next read (benchmark T9 measures the effect).
 
 from __future__ import annotations
 
+import json
+import math
 import re
 import threading
 from pathlib import Path
 from typing import Any
 
 from ..config import FLOR_DIR_NAME
+from ..dataframe import DataFrame
 from ..errors import (
     DatabaseError,
     JobError,
@@ -95,7 +101,7 @@ from ..obs import MetricsRegistry, TailBroker
 from ..qos import AdmissionController, PolicyStore, rule_from_payload
 from ..relational.records import JOB_STATES
 from ..relational.schema import TABLES
-from ..webapp.framework import HttpError, JsonResponse, Request, WebApp
+from ..webapp.framework import HttpError, JsonResponse, Request, Response, WebApp
 from .pool import SERVICE_FILENAME, DatabasePool
 from .stats import service_stats_payload, shard_stats_payload, telemetry_payload
 from .streams import (
@@ -354,6 +360,41 @@ def enforce_admission(
         detail=detail,
         headers=headers,
     )
+
+
+_JSON = {"Content-Type": "application/json"}
+
+
+def _finite(value: Any) -> Any:
+    """``value`` with every non-finite float (NaN, ±Infinity) as ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
+def frame_body(frame: DataFrame) -> bytes:
+    """The one JSON body of a ``dataframe`` / ``sql`` answer, as sent.
+
+    ``{"columns": [...], "records": [{...}, ...], "rows": N}`` — the row
+    count comes last so a reader can take it from the tail without parsing
+    the records.  JSON has no NaN or Infinity (RFC 8259): a frame holding
+    one is encoded with ``null`` in its place, which is how
+    :class:`~repro.dataframe.Column` reads NaN anyway.
+    """
+    payload = {"columns": frame.columns, "records": frame.to_records(), "rows": len(frame)}
+    try:
+        return json.dumps(payload, allow_nan=False).encode("utf-8")
+    except ValueError:
+        return json.dumps(_finite(payload), allow_nan=False).encode("utf-8")
+
+
+def with_watermark(body: bytes, watermark: int) -> bytes:
+    """A :func:`frame_body` with the serving replica's watermark as last key."""
+    return b'%b, "watermark": %d}' % (body[:-1], watermark)
 
 
 def _json_body(request: Request) -> dict[str, Any]:
@@ -652,6 +693,13 @@ def create_app(service: FlorService) -> WebApp:
                 return None
             return read(shard.replicas)
 
+    def _replica_body(name: str, body_from) -> bytes | None:
+        """``body_from(engine)`` off a replica, stamped with the highest
+        ``logs.seq`` that replica had when it answered — the bounded-staleness
+        read: no flush barrier.  ``None`` when the pool runs without replicas."""
+        outcome = _replica_read(name, lambda replicas: replicas.read(body_from))
+        return None if outcome is None else with_watermark(*outcome)
+
     @app.route("/projects/<name>/dataframe")
     def dataframe(request: Request, name: str):
         names_arg = request.arg("names", "") or ""
@@ -662,29 +710,21 @@ def create_app(service: FlorService) -> WebApp:
         force_primary = request.arg("primary") in ("1", "true", "yes")
         name = _existing(name)
         enforce_admission(service.admission, name, ("dataframe",), request)
-        if not force_primary:
-            # Bounded-staleness read: no flush barrier, served from a snapshot
-            # replica; the watermark tells the client the highest logs.seq
-            # the replica had when it answered.
-            outcome = _replica_read(
-                name, lambda replicas: replicas.dataframe(names, latest=latest)
-            )
-            if outcome is not None:
-                frame, watermark = outcome
-                return JsonResponse(
-                    {
-                        "columns": frame.columns,
-                        "records": frame.to_records(),
-                        "rows": len(frame),
-                        "watermark": watermark,
-                    }
-                )
-        with pool.checkout(name) as shard:
-            shard.flush()
-            frame = shard.session.dataframe(*names, latest=latest)
-            return JsonResponse(
-                {"columns": frame.columns, "records": frame.to_records(), "rows": len(frame)}
-            )
+
+        def body_from(source) -> bytes:
+            """``source``: the shard's session, or a replica's query engine."""
+            if latest:
+                return frame_body(source.dataframe(*names, latest=True))
+            # The whole view: encoded once per materialized frame and served
+            # from beside it until an append replaces the frame.
+            return source.dataframe_body(names, frame_body)
+
+        body = None if force_primary else _replica_body(name, body_from)
+        if body is None:
+            with pool.checkout(name) as shard:
+                shard.flush()
+                body = body_from(shard.session)
+        return Response(body, headers=dict(_JSON))
 
     @app.route("/projects/<name>/sql")
     def sql(request: Request, name: str):
@@ -696,34 +736,26 @@ def create_app(service: FlorService) -> WebApp:
         force_primary = request.arg("primary") in ("1", "true", "yes")
         name = _existing(name)
         enforce_admission(service.admission, name, ("sql",), request)
+
+        def body_from(source) -> bytes:
+            return frame_body(source.sql(query, names=names))
+
+        body = None
         if not force_primary:
             try:
-                outcome = _replica_read(
-                    name, lambda replicas: replicas.sql(query, names=names)
-                )
+                body = _replica_body(name, body_from)
             except DatabaseError as exc:
                 raise HttpError(400, str(exc)) from exc
-            if outcome is not None:
-                frame, watermark = outcome
-                return JsonResponse(
-                    {
-                        "columns": frame.columns,
-                        "records": frame.to_records(),
-                        "rows": len(frame),
-                        "watermark": watermark,
-                    }
-                )
-        with pool.checkout(name) as shard:
-            shard.flush()
-            try:
-                frame = shard.session.sql(query, names=names)
-            except DatabaseError as exc:
-                # run_sql's read-only guard (and malformed SQL) land here:
-                # the context store is append-only from the query surface.
-                raise HttpError(400, str(exc)) from exc
-            return JsonResponse(
-                {"columns": frame.columns, "records": frame.to_records(), "rows": len(frame)}
-            )
+        if body is None:
+            with pool.checkout(name) as shard:
+                shard.flush()
+                try:
+                    body = body_from(shard.session)
+                except DatabaseError as exc:
+                    # run_sql's read-only guard (and malformed SQL) land here:
+                    # the context store is append-only from the query surface.
+                    raise HttpError(400, str(exc)) from exc
+        return Response(body, headers=dict(_JSON))
 
     @app.route("/projects/<name>/tail")
     def project_tail(request: Request, name: str):

@@ -94,17 +94,11 @@ class ShardReplicas:
         if self._engines:
             self._engines[index].note_write()
 
-    def dataframe(self, names, *, latest: bool = False):
-        """Replica-routed pivot read; returns ``(DataFrame, watermark)``."""
+    def read(self, query):
+        """``(query(engine), watermark)`` on the next replica in turn; ``query``
+        gets that replica's :class:`QueryEngine`."""
         with self.replicated.checkout_replica() as replica:
-            frame = self._engines[replica.index].dataframe(*names, latest=latest)
-            return frame, replica.watermark
-
-    def sql(self, query: str, names=(), params=()):
-        """Replica-routed SQL read; returns ``(DataFrame, watermark)``."""
-        with self.replicated.checkout_replica() as replica:
-            frame = self._engines[replica.index].sql(query, names, params)
-            return frame, replica.watermark
+            return query(self._engines[replica.index]), replica.watermark
 
     def refresh(self) -> None:
         self.replicated.refresh()

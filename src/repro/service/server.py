@@ -91,7 +91,8 @@ def _handler_class(app: WebApp, quiet: bool) -> type[BaseHTTPRequestHandler]:
             treatment as a departed stream subscriber: drop the connection,
             keep the handler thread.
             """
-            payload = response.body.encode("utf-8")
+            body = response.body
+            payload = body if isinstance(body, bytes) else body.encode("utf-8")
             head = self._head(
                 response.status, {**response.headers, "Content-Length": str(len(payload))}
             )

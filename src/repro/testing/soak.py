@@ -231,7 +231,7 @@ class ChaosSoak:
             try:
                 response = client.post(f"/projects/{project}/logs", json_body=payload)
                 ok = response.ok
-                detail = "" if ok else f"status {response.status}: {response.body[:200]}"
+                detail = "" if ok else f"status {response.status}: {response.text[:200]}"
             except Exception as exc:
                 ok = False
                 detail = repr(exc)
@@ -257,7 +257,7 @@ class ChaosSoak:
             if response.status == 404:
                 return _UNBORN
             if not response.ok:
-                self._probe_error = f"status {response.status}: {response.body[:200]}"
+                self._probe_error = f"status {response.status}: {response.text[:200]}"
                 return None
             return int(response.json().get("dropped_rows_total", 0))
         except Exception as exc:
@@ -329,7 +329,7 @@ class ChaosSoak:
                 f"?names={self._barrier_names(project)}&primary=1"
             )
             ok = response.ok
-            detail = "" if ok else f"status {response.status}: {response.body[:200]}"
+            detail = "" if ok else f"status {response.status}: {response.text[:200]}"
         except Exception as exc:
             ok = False
             detail = repr(exc)

@@ -47,14 +47,25 @@ class Request:
 
 @dataclass
 class Response:
-    """An HTTP-like response returned by a handler."""
+    """An HTTP-like response returned by a handler.
 
-    body: str = ""
+    ``body`` is text, or bytes that are already what goes on the wire (a
+    pre-encoded JSON document, a relayed upstream payload) — the transport
+    sends those untouched.
+    """
+
+    body: str | bytes = ""
     status: int = 200
     headers: dict[str, str] = field(default_factory=lambda: {"Content-Type": "text/html"})
 
     def json(self) -> Any:
         return json.loads(self.body)
+
+    @property
+    def text(self) -> str:
+        """The body as text, whichever way it is held (for messages)."""
+        body = self.body
+        return body.decode("utf-8", "replace") if isinstance(body, bytes) else body
 
     @property
     def ok(self) -> bool:

@@ -198,6 +198,15 @@ class TestConversionAndDisplay:
         records = frame.to_records()
         assert records[1] == {"run": "a", "epoch": 1, "acc": 0.7}
 
+    def test_to_records_is_row_by_row_in_column_order(self, frame):
+        records = frame.to_records()
+        assert records == [frame.row(i) for i in range(len(frame))]
+        assert all(list(record) == frame.columns for record in records)
+        records[0]["acc"] = -1  # fresh dicts: the frame is untouched
+        assert frame.row(0)["acc"] != -1
+        assert DataFrame().to_records() == []
+        assert DataFrame({"x": []}).to_records() == []
+
     def test_to_dict_orientations(self, frame):
         assert frame.to_dict()["epoch"] == [0, 1, 0, 1]
         assert frame.to_dict("records")[0]["run"] == "a"

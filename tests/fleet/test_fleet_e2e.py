@@ -8,6 +8,8 @@ worker self-identification, graceful shutdown.
 
 from __future__ import annotations
 
+import json
+import urllib.request
 from urllib.parse import quote
 
 import pytest
@@ -76,6 +78,16 @@ class TestFleetEndToEnd:
             stored = fleet.get(f"/projects/{project}/sql?q={query}")
             values = {float(record["value"]) for record in stored["records"]}
             assert {offset + 0.1, offset + 0.2} <= values
+
+    def test_a_proxied_read_carries_each_header_once(self, fleet, placed):
+        project = next(iter(placed))
+        _ingest(fleet, project, [0.5])
+        url = f"{fleet.base_url}/projects/{project}/dataframe?names=metric&primary=1"
+        with urllib.request.urlopen(url, timeout=30) as response:
+            body = response.read()
+            names = sorted(name.lower() for name in response.headers.keys())
+        assert names == ["content-length", "content-type", "date", "server"]
+        assert json.loads(body)["rows"] >= 1
 
     def test_project_stats_name_the_serving_worker(self, fleet, placed):
         for project, owner in placed.items():

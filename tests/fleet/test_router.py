@@ -10,6 +10,7 @@ served the request — without a single subprocess.
 
 from __future__ import annotations
 
+import http.client
 import threading
 
 import pytest
@@ -98,6 +99,31 @@ class TestProxy:
         _, _, client = fleet
         body = client.get("/projects/alpha/dataframe?names=metric&primary=1").json()
         assert body["query"] == {"names": "metric", "primary": "1"}
+
+    def test_a_relayed_answer_has_one_server_and_one_date_header(self, fleet):
+        """The worker's ``Server`` / ``Date`` / ``Content-Length`` describe the
+        router↔worker hop; relayed verbatim, the client saw each twice."""
+        _, router, client = fleet
+        relayed = client.get("/projects/alpha/dataframe?names=metric")
+        assert isinstance(relayed.body, bytes)  # as it arrived, not transcoded
+        assert sorted(relayed.headers) == ["Content-Type"]
+        front = make_server(router)
+        thread = threading.Thread(target=front.serve_forever, daemon=True)
+        thread.start()
+        try:
+            conn = http.client.HTTPConnection(*front.server_address[:2], timeout=5)
+            for path in ("/projects/alpha/dataframe?names=metric", "/projects/alpha/stats"):
+                conn.request("GET", path)
+                response = conn.getresponse()
+                body = response.read()
+                names = [name.lower() for name, _ in response.getheaders()]
+                assert sorted(names) == ["content-length", "content-type", "date", "server"]
+                assert response.getheader("Content-Length") == str(len(body))
+            conn.close()
+        finally:
+            front.shutdown()
+            front.server_close()
+            thread.join(timeout=2)
 
     def test_project_stats_are_annotated_with_the_worker_id(self, fleet):
         supervisor, _, client = fleet

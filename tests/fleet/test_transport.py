@@ -143,6 +143,16 @@ class TestErrors:
         with pytest.raises(TransportError, match="http://host:port"):
             HttpClient("ftp://127.0.0.1:21")
 
+    def test_the_payload_stays_bytes_and_still_reads_as_json_and_text(self, backend):
+        with HttpClient(backend.url) as client:
+            response = client.get("/ping")
+            assert response.body == b'{"pong": true, "body": {}}'
+            assert response.json() == {"pong": True, "body": {}}
+            assert response.text == '{"pong": true, "body": {}}'
+            # Error messages quote the text, not a bytes repr.
+            with pytest.raises(TransportError, match=r'503: \{"error": "backend unhappy"\}'):
+                client.get_json("/boom")
+
     def test_post_json_round_trips_a_body(self, backend):
         with HttpClient(backend.url) as client:
             body = client.post_json("/ping", {"records": [1, 2, 3]})

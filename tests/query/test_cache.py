@@ -7,15 +7,22 @@ warm, incremental, or cold — the frame must equal a from-scratch
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.dataframe_view import build_dataframe
 from repro.query import PivotViewCache
 from repro.relational.database import Database
 from repro.relational.records import LogRecord, LoopRecord
 from repro.relational.repositories import LogRepository, LoopRepository
+
+
+def encode(frame) -> bytes:
+    """A stand-in for the service's wire format: the cache only stores it."""
+    return json.dumps({"columns": frame.columns, "records": frame.to_records()}).encode()
 
 
 def add_run(db, tstamp: str, *, loops: int = 3, names=("loss", "acc"), filename="train.py"):
@@ -172,6 +179,85 @@ class TestLifecycle:
         assert len(cache) == 0
 
 
+class TestBodies:
+    """``dataframe_body``: the caller's encoding, kept beside the frame it is of."""
+
+    def test_a_repeat_read_returns_the_same_bytes_and_counts_both(self, db):
+        add_run(db, "t1")
+        cache = PivotViewCache()
+        first = cache.dataframe_body(db, "p", ["loss", "acc"], encode)
+        assert json.loads(first)["records"] == build_dataframe(db, "p", ["loss", "acc"]).to_records()
+        assert cache.dataframe_body(db, "p", ["loss", "acc"], encode) is first
+        stats = cache.stats
+        assert (stats.lookups, stats.cold_builds, stats.fast_hits, stats.body_hits) == (2, 1, 1, 1)
+
+    def test_a_frame_read_first_is_encoded_once_by_the_first_body_read(self, db):
+        add_run(db, "t1")
+        cache = PivotViewCache()
+        cache.dataframe(db, "p", ["loss"])
+        calls = []
+        body = cache.dataframe_body(db, "p", ["loss"], lambda f: calls.append(len(f)) or b"x")
+        assert cache.dataframe_body(db, "p", ["loss"], encode) is body
+        assert calls == [3] and cache.stats.body_hits == 1
+
+    def test_request_orders_share_a_view_but_not_a_body(self, db):
+        add_run(db, "t1")
+        cache = PivotViewCache()
+        ab = cache.dataframe_body(db, "p", ["loss", "acc"], encode)
+        ba = cache.dataframe_body(db, "p", ["acc", "loss"], encode)
+        assert len(cache) == 1
+        assert json.loads(ab)["columns"][-2:] == ["loss", "acc"]
+        assert json.loads(ba)["columns"][-2:] == ["acc", "loss"]
+        assert cache.dataframe_body(db, "p", ["loss", "acc"], encode) is ab
+
+    def test_an_append_replaces_the_body_with_the_frame(self, db):
+        add_run(db, "t1")
+        cache = PivotViewCache()
+        stale = cache.dataframe_body(db, "p", ["loss"], encode)
+        add_run(db, "t2")
+        fresh = cache.dataframe_body(db, "p", ["loss"], encode)
+        assert fresh is not stale
+        assert json.loads(fresh)["records"] == build_dataframe(db, "p", ["loss"]).to_records()
+        assert cache.stats.incremental_refreshes == 1 and cache.stats.body_hits == 0
+
+    def test_another_views_sync_drops_this_views_body_too(self, db):
+        add_run(db, "t1")
+        cache = PivotViewCache()
+        stale = cache.dataframe_body(db, "p", ["loss"], encode)
+        add_run(db, "t2")
+        cache.dataframe(db, "p", ["acc"])  # syncs the records both views share
+        # A fast hit by the generation tiers, yet the frame under it moved.
+        fresh = cache.dataframe_body(db, "p", ["loss"], encode)
+        assert fresh is not stale and len(json.loads(fresh)["records"]) == 6
+
+    def test_eviction_and_invalidation_release_the_body(self, db):
+        add_run(db, "t1")
+        cache = PivotViewCache(capacity=1)
+        body = cache.dataframe_body(db, "p", ["loss"], encode)
+        cache.dataframe_body(db, "p", ["acc"], encode)  # evicts the loss view
+        assert list(cache._entries) == [("p", ("acc",))]
+        held = [b for entry in cache._entries.values() for b in entry.bodies.values()]
+        assert len(held) == 1 and body not in held
+        cache.invalidate("p")
+        assert not cache._entries and not cache._records
+
+    def test_a_failed_encode_caches_nothing(self, db):
+        add_run(db, "t1")
+        cache = PivotViewCache()
+
+        def refuse(frame):
+            raise ValueError("cannot encode")
+
+        with pytest.raises(ValueError, match="cannot encode"):
+            cache.dataframe_body(db, "p", ["loss"], refuse)
+        assert json.loads(cache.dataframe_body(db, "p", ["loss"], encode))["columns"][-1] == "loss"
+
+    def test_empty_names_encode_the_empty_frame(self, db):
+        cache = PivotViewCache()
+        assert json.loads(cache.dataframe_body(db, "p", [], encode)) == {"columns": [], "records": []}
+        assert cache.stats.lookups == 0 and len(cache) == 0
+
+
 class TestSharedRecords:
     """Views share per-name records; what a view shows must not depend on it."""
 
@@ -280,6 +366,7 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
         #: per run: (tstamp, filename, [(ctx_id, parent, loop_name, iteration)])
         self.runs: list[tuple[str, str, list[tuple[int, int, str, int]]]] = []
         self.values = 0
+        self.reads = 0  # per cache: every read goes to both
 
     def teardown(self):
         self.db.close()
@@ -339,6 +426,33 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
             assert frame.columns == expected.columns
             assert frame.to_records() == expected.to_records()
             assert frame.equals(expected)
+        self.reads += 1
+
+    @rule(names=st.lists(st.sampled_from(PROPERTY_NAMES), min_size=1, unique=True))
+    def read_body(self, names):
+        """The encoded body of any requested order decodes to the rebuild's
+        records, columns in request order — whichever tier found it."""
+        expected = build_dataframe(self.db, "p", names)
+        for cache in (self.cache, self.other):
+            served = json.loads(cache.dataframe_body(self.db, "p", names, encode))
+            assert served["columns"] == expected.columns
+            assert served["records"] == expected.to_records()
+            assert all(list(record) == expected.columns for record in served["records"])
+        self.reads += 1
+
+    @invariant()
+    def a_view_with_no_frame_holds_no_body(self):
+        for cache in (self.cache, self.other):
+            for entry in cache._entries.values():
+                assert set(entry.bodies) <= set(entry.frames)
+
+    @invariant()
+    def every_read_is_one_lookup_in_one_tier(self):
+        for cache in (self.cache, self.other):
+            stats = cache.stats
+            tiers = stats.fast_hits + stats.warm_hits + stats.incremental_refreshes + stats.cold_builds
+            assert stats.lookups == tiers == self.reads
+            assert stats.body_hits <= stats.lookups
 
     @rule(whole=st.booleans())
     def invalidate(self, whole):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -190,6 +191,205 @@ class TestReads:
     def test_reads_work_once_the_project_exists(self, client):
         _append(client, "alpha", [0.5])
         assert client.get("/projects/alpha/stats").status == 200
+
+
+def _two_epochs(client, project: str, tstamp: str, losses) -> None:
+    """One run of ``len(losses)`` epochs, ``loss`` logged in each."""
+    client.post(
+        f"/projects/{project}/logs",
+        json_body={
+            "filename": "train.py",
+            "loops": [
+                {"tstamp": tstamp, "loop_name": "epoch", "loop_iteration": i, "ctx_id": i + 1,
+                 "iteration_value": str(i)}
+                for i in range(len(losses))
+            ],
+            "records": [
+                {"tstamp": tstamp, "name": "loss", "value": v, "ctx_id": i + 1}
+                for i, v in enumerate(losses)
+            ],
+        },
+    )
+
+
+def _literal(frame, **extra) -> bytes:
+    """The body as the routes spelled it before ``frame_body``."""
+    records = [frame.row(i) for i in range(len(frame))]
+    payload = {"columns": frame.columns, "records": records, "rows": len(frame), **extra}
+    return json.dumps(payload).encode("utf-8")
+
+
+class TestResponseBytes:
+    """``dataframe`` / ``sql`` bodies: one builder, byte-identical to the
+    hand-written literals it replaced, kept with the view between writes."""
+
+    URL = "/projects/alpha/dataframe?names=loss"
+
+    def _frame(self, service, *names, latest=False):
+        with service.pool.checkout("alpha") as shard:
+            return shard.session.dataframe(*names, latest=latest)
+
+    def test_primary_and_latest_bodies_are_the_old_literal(self, client, service):
+        _two_epochs(client, "alpha", "2024-01-01T00:00:00", [0.9, 0.7])
+        _two_epochs(client, "alpha", "2024-01-02T00:00:00", [0.5, 0.25, 0.125])
+        body = client.get(self.URL).body
+        assert isinstance(body, bytes)
+        assert body == _literal(self._frame(service, "loss"))
+        assert body.endswith(b'"rows": 5}')
+        latest = client.get(self.URL + "&latest=1").body
+        assert latest == _literal(self._frame(service, "loss", latest=True))
+        assert latest.endswith(b'"rows": 3}')
+
+    def test_sql_body_is_the_old_literal(self, client, service):
+        _two_epochs(client, "alpha", "2024-01-01T00:00:00", [0.9, 0.7])
+        query = "SELECT value_name, COUNT(*) AS n FROM logs GROUP BY value_name"
+        with service.pool.checkout("alpha") as shard:
+            shard.flush()
+            expected = _literal(shard.session.sql(query))
+        assert client.get(f"/projects/alpha/sql?q={query}").body == expected
+        over_pivot = "SELECT epoch, loss FROM pivot ORDER BY epoch"
+        with service.pool.checkout("alpha") as shard:
+            expected = _literal(shard.session.sql(over_pivot, names=["loss"]))
+        assert client.get(f"/projects/alpha/sql?q={over_pivot}&names=loss").body == expected
+
+    def test_replica_bodies_carry_the_watermark_last(self, tmp_path):
+        service = FlorService(
+            tmp_path / "replicated", flush_size=4, flush_interval=None,
+            replicas=1, replica_staleness=0.0,
+        )
+        try:
+            client = TestClient(service.app())
+            _two_epochs(client, "alpha", "2024-01-01T00:00:00", [0.9, 0.7])
+            assert client.get(self.URL + "&primary=1").json()["rows"] == 2  # the flush barrier
+            for url, frame in (
+                (self.URL, self._frame(service, "loss")),
+                (self.URL + "&latest=1", self._frame(service, "loss", latest=True)),
+            ):
+                response = client.get(url)
+                watermark = response.json()["watermark"]
+                assert watermark == 2
+                assert response.body == _literal(frame, watermark=watermark)
+            count = "SELECT COUNT(*) AS n FROM logs"
+            with service.pool.checkout("alpha") as shard:
+                expected = _literal(shard.session.sql(count), watermark=2)
+            assert client.get(f"/projects/alpha/sql?q={count}").body == expected
+            # The replica's engine keeps the unstamped body; each answer stamps a copy.
+            assert client.get(self.URL).body == client.get(self.URL).body
+            with service.pool.checkout("alpha") as shard:
+                assert shard.replicas.read(lambda engine: engine.stats.body_hits)[0] == 2
+        finally:
+            service.close()
+
+    def test_column_order_follows_the_request(self, client):
+        client.post(
+            "/projects/alpha/logs",
+            json_body={"records": [{"name": "a", "value": 1}, {"name": "b", "value": 2}]},
+        )
+        ab = client.get("/projects/alpha/dataframe?names=a,b")
+        ba = client.get("/projects/alpha/dataframe?names=b,a")
+        assert ab.json()["columns"][-2:] == ["a", "b"]
+        assert ba.json()["columns"][-2:] == ["b", "a"]
+        assert list(ba.json()["records"][0])[-2:] == ["b", "a"]
+        # Both orders stay cached beside the one view they share.
+        assert client.get("/projects/alpha/dataframe?names=a,b").body is ab.body
+        assert client.get("/projects/alpha/dataframe?names=b,a").body is ba.body
+
+    def test_an_unchanged_view_is_served_as_the_same_bytes_object(self, client, service):
+        _append(client, "alpha", [0.5])
+        first = client.get(self.URL)
+        second = client.get(self.URL)
+        assert second.body is first.body
+        with service.pool.checkout("alpha") as shard:
+            stats = shard.session.query.stats
+            assert (stats.lookups, stats.cold_builds, stats.fast_hits) == (2, 1, 1)
+            assert stats.body_hits == 1
+
+    def test_an_append_is_read_back_and_replaces_the_body(self, client, service):
+        _append(client, "alpha", [0.5])
+        before = client.get(self.URL)
+        _two_epochs(client, "alpha", "2024-01-02T00:00:00", [0.25])  # staged, not flushed
+        after = client.get(self.URL)
+        assert before.json()["rows"] == 1 and after.json()["rows"] == 2
+        assert after.json()["records"][-1]["loss"] == 0.25
+        assert client.get(self.URL).body is after.body
+        with service.pool.checkout("alpha") as shard:
+            stats = shard.session.query.stats
+            assert stats.incremental_refreshes == 1 and stats.body_hits == 1
+            assert shard.ingest["explicit_flushes"] == 2
+
+    def test_non_finite_values_are_null_not_bare_nan(self, client):
+        response = client.post(
+            "/projects/alpha/logs",
+            body=b'{"records": [{"tstamp": "r1", "name": "loss", "value": NaN},'
+                 b' {"tstamp": "r2", "name": "loss", "value": 0.5},'
+                 b' {"tstamp": "r3", "name": "loss", "value": -Infinity}]}',
+        )
+        assert response.status == 202
+
+        def strict(body):
+            def refuse(token):
+                raise AssertionError(f"{token} is not JSON")
+            return json.loads(body, parse_constant=refuse)
+
+        frame = strict(client.get(self.URL).body)
+        assert [(r["tstamp"], r["loss"]) for r in frame["records"]] == [
+            ("r1", None), ("r2", 0.5), ("r3", None)
+        ]
+        rows = strict(client.get("/projects/alpha/sql?q=SELECT loss FROM pivot&names=loss").body)
+        assert [r["loss"] for r in rows["records"]] == [None, 0.5, None]
+        # The fallback is cached like any other body.
+        assert client.get(self.URL).body is client.get(self.URL).body
+
+    def test_a_reader_beside_a_writer_sees_rows_only_grow(self, client):
+        _two_epochs(client, "alpha", "2024-01-01T00:00:00", [0.9])
+        errors, seen = [], []
+        done = threading.Event()
+
+        def write():
+            try:
+                for i in range(40):
+                    _two_epochs(client, "alpha", f"2024-02-{i + 1:02d}T00:00:00", [0.5, 0.25])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def read():
+            try:
+                while not done.is_set():
+                    seen.append(client.get(self.URL).json()["rows"])
+                seen.append(client.get(self.URL).json()["rows"])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write), threading.Thread(target=read)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert seen == sorted(seen)
+        assert seen[-1] == 1 + 40 * 2
+
+    def test_evicting_a_shard_releases_its_views_and_bodies(self, tmp_path):
+        import gc
+        import weakref
+
+        service = FlorService(tmp_path / "one", pool_capacity=1, flush_interval=None)
+        try:
+            client = TestClient(service.app())
+            _append(client, "alpha", [0.5])
+            assert client.get(self.URL).ok
+            with service.pool.checkout("alpha") as shard:
+                cache = weakref.ref(shard.session.query.cache)
+                assert any(entry.bodies for entry in cache()._entries.values())
+            del shard
+            _append(client, "beta", [0.5])  # pool of one: alpha is closed
+            assert service.pool.open_shards() == ["beta"]
+            gc.collect()
+            assert cache() is None
+        finally:
+            service.close()
 
 
 class TestCommit:

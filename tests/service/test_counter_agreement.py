@@ -32,7 +32,7 @@ FLUSHER_BLOCK = {
 }
 CACHE_BLOCK = {
     "lookups", "fast_hits", "warm_hits", "incremental_refreshes", "cold_builds",
-    "evictions", "invalidations", "fetched_rows",
+    "body_hits", "evictions", "invalidations", "fetched_rows",
 }
 INGEST_BLOCK = {"appended", "size_flushes", "interval_flushes", "explicit_flushes"}
 POOL_BLOCK = {"hits", "misses", "evictions", "reopens"}
@@ -58,6 +58,7 @@ TELEMETRY_COUNTERS = {
     "flush.write_retries", "flush.dropped_batches",
     "pool.reopens",
     "cache.lookups", "cache.evictions", "cache.invalidations", "cache.fetched_rows",
+    "cache.body_hits",
     "checkpoint.submitted", "checkpoint.written", "checkpoint.errors",
     "checkpoint.backpressure_waits", "checkpoint.pickle_seconds", "checkpoint.write_seconds",
 }
@@ -131,6 +132,9 @@ def test_process_counters_equal_the_sum_over_every_shard_incarnation(deployed):
     assert counters["pool.evictions"] >= 9 and counters["pool.reopens"] >= 6
     for tier in ("fast_hits", "warm_hits", "incremental_refreshes", "cold_builds"):
         assert counters[f"cache.{tier}"] >= 1, tier
+    # Three reads found their view unchanged — the fast hit, the warm hit and
+    # the one after the dropped batch — and were answered without encoding.
+    assert counters["cache.body_hits"] == 3
     # And the per-tenant route reads the live incarnation of the same scopes.
     stats = client.get("/projects/t4/stats").json()
     assert stats["flusher"] == incarnations[-1].session.flusher.stats.as_dict()

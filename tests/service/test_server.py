@@ -398,6 +398,40 @@ class TestClientDisconnect:
         assert capsys.readouterr().err == ""
 
 
+class TestBodyTypes:
+    """A ``str`` body is encoded on the way out, a ``bytes`` body is the wire
+    form already; either way ``Content-Length`` counts the bytes sent."""
+
+    TEXT = "naïve — ünïcode ✓ " * 4000  # multi-byte: characters != bytes
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_body_arrives_intact_with_its_byte_length(self, as_bytes):
+        app = WebApp("bodies")
+        encoded = self.TEXT.encode("utf-8")
+
+        @app.route("/body")
+        def body(_request: Request):
+            return Response(
+                body=encoded if as_bytes else self.TEXT, headers={"Content-Type": "text/plain"}
+            )
+
+        with _listening(app) as server:
+            with urllib.request.urlopen("http://%s:%d/body" % server.server_address[:2]) as response:
+                assert response.headers["Content-Length"] == str(len(encoded))
+                assert len(encoded) > len(self.TEXT)
+                assert response.read() == encoded
+
+    def test_an_encoded_dataframe_crosses_the_socket_unchanged(self, running_service):
+        base, service = running_service
+        _post(base + "/projects/alpha/logs", {"records": [{"name": "loss", "value": "é"}]})
+        with urllib.request.urlopen(base + "/projects/alpha/dataframe?names=loss") as response:
+            wire = response.read()
+            assert response.headers["Content-Length"] == str(len(wire))
+        with service.pool.checkout("alpha") as shard:
+            (entry,) = shard.session.query.cache._entries.values()
+            assert wire == entry.bodies[("loss",)]
+
+
 class TestMakeServer:
     def test_port_zero_binds_an_ephemeral_port(self, tmp_path):
         service = FlorService(tmp_path / "h2")

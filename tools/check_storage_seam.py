@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Enforce the storage seam (``sqlite3`` stays behind the storage layer), the
-metrics seam (no component holds an optional registry) and the replay seam
-(one planner: only the hindsight engine decides which runs replay).
+metrics seam (no component holds an optional registry), the replay seam
+(one planner: only the hindsight engine decides which runs replay) and the
+body seam (one builder of the service's ``dataframe`` / ``sql`` answer).
 
 The whole point of the :mod:`repro.storage` protocols is that every layer
 above storage is backend-agnostic — repositories, the query engine, the
@@ -26,6 +27,11 @@ replay collects, the engine lands), and nothing under ``repro.jobs`` names
 ``version_epochs``, ``seen_vids`` or ``first_epoch`` — the job executor asks
 the engine for its plan instead of walking epochs or deduping version ids
 itself.
+
+A fourth keeps the read answer single: in :mod:`repro.service.app` only
+``frame_body`` may call ``.to_records()`` or spell a dict with a
+``"records"`` key — a second body builder would be a second wire format,
+and one the pivot cache's kept bodies know nothing about.
 
 Detection is AST-based — docstrings and comments that merely *mention*
 sqlite3 or the guard are fine; only actual statements count.
@@ -112,6 +118,31 @@ def second_planner_signs(name: str, tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+#: The one module, and the one function in it, that builds a read's body.
+BODY_MODULE, BODY_BUILDER = "repro.service.app", "frame_body"
+
+
+def second_body_builders(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` where a frame is turned into a body outside the builder."""
+    inside = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name == BODY_BUILDER
+        for node in ast.walk(function)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "to_records":
+            found.append((node.lineno, "calls .to_records()"))
+        elif isinstance(node, ast.Dict) and any(
+            isinstance(key, ast.Constant) and key.value == "records" for key in node.keys
+        ):
+            found.append((node.lineno, 'spells a {"records": ...} literal'))
+    return found
+
+
 def main(argv: list[str]) -> int:
     src_root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src"
     violations = 0
@@ -130,6 +161,12 @@ def main(argv: list[str]) -> int:
                 f"land is HindsightEngine's decision alone (see repro.core.hindsight)"
             )
             violations += 1
+        for lineno, what in second_body_builders(tree) if name == BODY_MODULE else ():
+            print(
+                f"{path}:{lineno}: {name} {what} outside {BODY_BUILDER} — a read has "
+                f"one body builder, whose bytes the pivot cache keeps with the view"
+            )
+            violations += 1
         if any(name == p or name.startswith(p + ".") for p in ALLOWED_PREFIXES):
             continue
         for lineno in sqlite_imports(tree):
@@ -142,6 +179,7 @@ def main(argv: list[str]) -> int:
         print("storage seam intact: sqlite3 imports confined to", ", ".join(ALLOWED_PREFIXES))
         print("metrics seam intact: no registry is tested for None")
         print("replay seam intact: one planner, replay_source called by", ", ".join(REPLAY_CALLERS))
+        print(f"body seam intact: {BODY_MODULE} builds read bodies in {BODY_BUILDER} only")
     return violations
 
 
