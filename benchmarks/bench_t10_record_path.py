@@ -1,17 +1,12 @@
-"""T10 — Record path: logging throughput, async vs sync flush, commit cache.
+"""T10 — Record path: logging throughput and the commit cache.
 
-Three measurements of the write path rebuilt by the ``repro.runtime``
+Two measurements of the write path rebuilt by the ``repro.runtime``
 subsystem:
 
 * **Staging throughput** — raw ``flor.log`` calls per second against a plain
   ``list.append`` baseline.  The record path stages a tuple per call and
   defers value encoding, so the instrumented loop should stay within a small
   constant factor of the floor.
-* **Flush-bound workload** — many small flushes, the shape produced by
-  checkpoint loops and chatty services.  Sync mode pays one SQLite
-  transaction per flush on the recording thread; async mode hands batches to
-  the background flusher, which coalesces everything queued since its last
-  transaction.  Asserted: **async ≥ 3× sync**.
 * **Snapshot-cache commits** — per-epoch ``commit()`` over unchanged tracked
   files reuses cached object ids instead of re-reading and re-hashing every
   tracked byte.
@@ -22,18 +17,11 @@ from __future__ import annotations
 import os
 import time
 
-import pytest
 from conftest import report
 
 from repro import ProjectConfig, Session
 from repro.versioning.repository import Repository
 
-#: Flush counts per scale.  The >=3x speedup floor is asserted only at full
-#: scale (mirroring T5/T9's convention): CI's smoke-bench job runs the smoke
-#: scale purely to record the speedup trajectory in BENCH_*.json, where a
-#: noisy shared runner must not fail the build on a wall-clock ratio.
-FLUSH_SCALES = {"smoke": 200, "full": 1000}
-RECORDS_PER_FLUSH = 2
 STAGE_CALLS = 20_000
 
 
@@ -41,14 +29,6 @@ def _time(fn) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
-
-
-def _flush_bound(session: Session, flushes: int) -> None:
-    for batch in range(flushes):
-        for j in range(RECORDS_PER_FLUSH):
-            session.log("metric", batch + j * 1e-6)
-        session.flush(wait=False)
-    session.flush()  # final read-your-writes barrier
 
 
 def test_staging_throughput(benchmark, make_session):
@@ -86,45 +66,6 @@ def test_staging_throughput(benchmark, make_session):
     assert session.logs.count() == STAGE_CALLS
     # Conservative floor: staging must stay far above per-call SQLite rates.
     assert logs_per_second > 20_000
-
-
-@pytest.mark.parametrize("scale", sorted(FLUSH_SCALES))
-def test_async_flush_beats_sync_on_flush_bound_workload(benchmark, make_session, scale):
-    flushes = FLUSH_SCALES[scale]
-    warm = make_session(f"t10_warm_{scale}", default_filename="train.py", flush_mode="sync")
-    sync_session = make_session(f"t10_sync_{scale}", default_filename="train.py", flush_mode="sync")
-    async_session = make_session(f"t10_async_{scale}", default_filename="train.py", flush_mode="async")
-
-    _flush_bound(warm, flushes)  # warm imports, page caches, WAL files
-
-    sync_seconds = _time(lambda: _flush_bound(sync_session, flushes))
-    async_seconds = benchmark.pedantic(
-        lambda: _time(lambda: _flush_bound(async_session, flushes)), rounds=1, iterations=1
-    )
-    speedup = sync_seconds / async_seconds if async_seconds else float("inf")
-    stats = async_session.flusher.stats
-    report(
-        f"T10: flush-bound workload, {scale} scale (sync vs async)",
-        [
-            {
-                "flushes": flushes,
-                "records": flushes * RECORDS_PER_FLUSH,
-                "sync_s": sync_seconds,
-                "async_s": async_seconds,
-                "speedup_x": speedup,
-                "sync_txns": sync_session.flusher.stats.transactions,
-                "async_txns": stats.transactions,
-                "max_coalesced": stats.max_coalesced_batches,
-            }
-        ],
-    )
-    assert sync_session.logs.count() == flushes * RECORDS_PER_FLUSH
-    assert async_session.logs.count() == flushes * RECORDS_PER_FLUSH
-    # The headline claim of this PR: taking SQLite off the recording thread
-    # (and coalescing transactions) wins at least 3x on flush-bound work.
-    # Asserted at full scale only — the smoke scale records the trajectory.
-    if scale == "full":
-        assert speedup >= 3.0
 
 
 def test_snapshot_cache_accelerates_per_epoch_commits(benchmark, tmp_path):

@@ -30,8 +30,7 @@ def test_record_overhead(benchmark, make_session, epochs):
     workload = TrainingWorkload(samples=400, features=16, epochs=epochs, batch_size=32)
 
     baseline_session = make_session(f"t1_base_{epochs}")
-    instrumented_session = make_session(f"t1_flor_{epochs}")  # async record path
-    sync_session = make_session(f"t1_sync_{epochs}", flush_mode="sync")
+    instrumented_session = make_session(f"t1_flor_{epochs}")
     warmup_session = make_session(f"t1_warm_{epochs}")
 
     # Warm NumPy / import caches so the baseline is not penalized for being
@@ -39,7 +38,6 @@ def test_record_overhead(benchmark, make_session, epochs):
     workload.run(warmup_session, use_flor=False)
 
     baseline_seconds = _time(lambda: workload.run(baseline_session, use_flor=False))
-    sync_seconds = _time(lambda: workload.run(sync_session, use_flor=True))
     instrumented_seconds = benchmark.pedantic(
         lambda: _time(lambda: workload.run(instrumented_session, use_flor=True)),
         rounds=1,
@@ -47,7 +45,6 @@ def test_record_overhead(benchmark, make_session, epochs):
     )
 
     overhead = instrumented_seconds / baseline_seconds if baseline_seconds else float("inf")
-    sync_overhead = sync_seconds / baseline_seconds if baseline_seconds else float("inf")
     report(
         f"T1: record overhead ({epochs} epochs)",
         [
@@ -56,13 +53,12 @@ def test_record_overhead(benchmark, make_session, epochs):
                 "baseline_s": baseline_seconds,
                 "instrumented_s": instrumented_seconds,
                 "overhead_x": overhead,
-                "overhead_sync_x": sync_overhead,
                 "log_records": instrumented_session.logs.count(),
                 "checkpoints": instrumented_session.checkpoints.saved,
             }
         ],
     )
-    # Shape check: instrumentation does not blow up training time.  The async
+    # Shape check: instrumentation does not blow up training time.  The
     # record path (tuple staging + background flush + off-thread checkpoint
     # writes) tightened this bound from the historical 5x; it stays loose in
     # absolute terms (observed ~2x) because tiny workloads exaggerate

@@ -36,16 +36,11 @@ PROJECTS = 4
 
 
 def _drive(tmp_path, name: str, *, batch: int, clients: int) -> ServiceLoadReport:
-    # Pinned to the sync flusher: this benchmark isolates the *hand-off*
-    # batching ablation (transactions per flush_size), which the background
-    # flusher's own transaction coalescing would otherwise mask — the T10
-    # benchmark measures that second effect on its own.
     service = FlorService(
         tmp_path / name,
         pool_capacity=PROJECTS,
         flush_size=batch,
         flush_interval=None,
-        flush_mode="sync",
     )
     try:
         workload = ServiceWorkload(

@@ -30,7 +30,7 @@ Subpackages
 ``repro.runtime``     the record-path runtime: tuple staging with deferred
                       value encoding, a double-buffered background flusher
                       (single coalesced transaction per drain, bounded
-                      memory with backpressure, sync mode for replay), and
+                      memory with backpressure), and
                       asynchronous checkpoint serialization with a drain
                       barrier before restore/commit/close
 ``repro.service``     multi-tenant HTTP service layer: sharded database

@@ -75,9 +75,7 @@ from .relational.schema import TABLES
 
 
 def _open_session(args: argparse.Namespace) -> Session:
-    config = ProjectConfig(Path(args.project), args.projid or "")
-    flush_mode = "sync" if getattr(args, "sync_flush", False) else None
-    return Session(config, flush_mode=flush_mode)
+    return Session(ProjectConfig(Path(args.project), args.projid or ""))
 
 
 def _cmd_names(args: argparse.Namespace) -> int:
@@ -344,7 +342,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             worker_args=worker_args,
-            sync_flush=args.sync_flush,
             heartbeat_interval=args.fleet_heartbeat,
             quiet=args.quiet,
             ready=ready,
@@ -373,7 +370,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pool_capacity=args.pool_capacity,
         flush_size=args.flush_size,
         flush_interval=None if args.flush_interval <= 0 else args.flush_interval,
-        flush_mode="sync" if args.sync_flush else None,
         backend=args.backend,
         replicas=args.replicas,
         qos=args.qos,
@@ -780,11 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--project", default=".", help="project root (directory containing .flor)")
     parser.add_argument("--projid", default=None, help="override the project id")
-    parser.add_argument(
-        "--sync-flush",
-        action="store_true",
-        help="write records inline instead of on the background flusher thread",
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     sub = subparsers.add_parser("names", help="list recorded log names")

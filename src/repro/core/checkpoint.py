@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Protocol
 
 from ..errors import CheckpointError
-from ..relational.records import ObjectRecord
 from ..relational.repositories import ObjectRepository
 from ..runtime import AsyncCheckpointWriter
 
@@ -125,18 +124,18 @@ class CheckpointManager:
     restores the nearest prior checkpoint when the replay plan skips ahead.
 
     Cost accounting: ``serialize_seconds`` is strictly the *on-thread* cost
-    per checkpoint (snapshot + pickle when writing inline; snapshot only
-    when an :class:`~repro.runtime.AsyncCheckpointWriter` is attached) and
-    is the only number fed to the policy — the object-store write is I/O
-    the loop never waits on, so charging the policy with it would space
-    checkpoints out far more than the training loop's real overhead
-    warrants.  ``write_seconds`` accumulates everything else (the store
-    write inline; pickle + write when asynchronous).
+    per checkpoint (the deep-copied snapshot) and is the only number fed to
+    the policy — pickling and the object-store write are work the loop never
+    waits on, so charging the policy with them would space checkpoints out
+    far more than the training loop's real overhead warrants.
+    ``write_seconds`` accumulates that off-thread remainder.
 
-    With a ``writer``, ``save()`` deep-copies the snapshot and returns; the
-    pickle and store write happen on the writer's thread.  ``restore()``,
-    ``load()`` and ``available_checkpoints()`` drain the writer first so
-    callers never observe a checkpoint that is still in flight.
+    ``save()`` deep-copies the snapshot and returns; the pickle and store
+    write happen on the thread of ``writer`` (one over ``objects`` unless
+    passed in; it starts at the first save, so a replay manager that only
+    restores never has one).  ``restore()``, ``load()`` and
+    ``available_checkpoints()`` drain the writer first so callers never
+    observe a checkpoint that is still in flight.
     """
 
     def __init__(
@@ -148,7 +147,7 @@ class CheckpointManager:
         self._objects = objects
         self.policy = policy or AdaptiveCheckpointPolicy()
         self._registered: dict[str, Any] = {}
-        self._writer = writer
+        self._writer = writer or AsyncCheckpointWriter(objects)
         self.saved = 0
         self.restored = 0
         self.serialize_seconds = 0.0
@@ -176,9 +175,9 @@ class CheckpointManager:
         """Consult the policy and save a checkpoint if it says so."""
         if not self._registered:
             return False
-        # On-thread cost only: the store write happens off the loop's critical
-        # path (entirely so with an async writer) and must not inflate the
-        # per-checkpoint cost the adaptive policy spaces checkpoints by.
+        # On-thread cost only: pickle and store write happen off the loop's
+        # critical path and must not inflate the per-checkpoint cost the
+        # adaptive policy spaces checkpoints by.
         last_cost = self.serialize_seconds / self.saved if self.saved else 0.0
         if not self.policy.should_checkpoint(iteration, iter_seconds, last_cost):
             return False
@@ -189,36 +188,16 @@ class CheckpointManager:
         """Unconditionally serialize the registered objects under ``key``."""
         start = time.perf_counter()
         state = self._snapshot_state()
-        if self._writer is not None:
-            # Deep-copy inline so later mutations by the training loop cannot
-            # leak into the checkpoint, then hand pickling and the store
-            # write to the worker.  Unpicklable state surfaces as a
-            # CheckpointError at the next drain barrier.
-            try:
-                snapshot = copy.deepcopy(state)
-            except Exception as exc:
-                raise CheckpointError(f"cannot snapshot checkpoint objects: {exc}") from exc
-            self.serialize_seconds += time.perf_counter() - start
-            self._writer.submit(key, snapshot, on_written=self._account_async_write)
-            self.saved += 1
-            return
+        # Deep-copy inline so later mutations by the training loop cannot
+        # leak into the checkpoint, then hand pickling and the store write
+        # to the worker.  Unpicklable state surfaces as a CheckpointError at
+        # the next drain barrier.
         try:
-            payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+            snapshot = copy.deepcopy(state)
         except Exception as exc:
-            raise CheckpointError(f"cannot serialize checkpoint objects: {exc}") from exc
+            raise CheckpointError(f"cannot snapshot checkpoint objects: {exc}") from exc
         self.serialize_seconds += time.perf_counter() - start
-        written = time.perf_counter()
-        self._objects.put(
-            ObjectRecord(
-                projid=key.projid,
-                tstamp=key.tstamp,
-                filename=key.filename,
-                ctx_id=key.ctx_id,
-                value_name=key.value_name,
-                contents=payload,
-            )
-        )
-        self.write_seconds += time.perf_counter() - written
+        self._writer.submit(key, snapshot, on_written=self._account_async_write)
         self.saved += 1
 
     def _account_async_write(self, pickle_seconds: float, write_seconds: float) -> None:
@@ -228,13 +207,11 @@ class CheckpointManager:
     # ------------------------------------------------------------- lifecycle
     def drain(self) -> None:
         """Barrier: block until every in-flight checkpoint write is stored."""
-        if self._writer is not None:
-            self._writer.drain()
+        self._writer.drain()
 
     def close(self) -> None:
-        """Drain and stop the async writer (no-op for inline managers)."""
-        if self._writer is not None:
-            self._writer.close()
+        """Drain and stop the writer."""
+        self._writer.close()
 
     def _snapshot_state(self) -> dict[str, Any]:
         """Extract picklable state from registered objects.

@@ -14,7 +14,9 @@ one :class:`VersionBackfill` per replayed run.
 
 Replays are embarrassingly parallel; serial, thread-pool and process-pool
 execution (benchmark T4) differ only in where they run.  A replay never
-writes: it returns its new records, deduplicated against its own run.
+writes — its session has no write path, so a script that ends in
+``flor.commit()`` replays like one that does not: it returns its new
+records, deduplicated against its own run.
 """
 
 from __future__ import annotations

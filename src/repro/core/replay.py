@@ -10,8 +10,11 @@ checkpoints to skip over the rest.
 A replay reads its recorded run once (the session's snapshot of that run's
 log and loop rows) and nothing else of the project, through the caller's
 ``db`` (and ``repository``, when given): what one replay costs does not
-depend on how many other versions the project holds.  It writes nothing —
-the hindsight engine lands the records a replay hands back.
+depend on how many other versions the project holds.  It writes nothing,
+whatever the replayed script calls: a replay session's ``flush()`` and
+``commit()`` are no-ops, so ``flor.dataframe`` / ``flor.sql`` inside the
+script see the durable state (not the rows staged so far) and the
+hindsight engine lands the records a replay hands back.
 """
 
 from __future__ import annotations

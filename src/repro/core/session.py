@@ -4,14 +4,19 @@ A :class:`Session` owns the project database, the version repository and the
 checkpoint manager, and implements both execution modes:
 
 * **record** — the normal mode: log statements append to a buffer that is
-  flushed on ``commit()`` (or when a dataframe is requested), loops allocate
+  handed to the session's background flusher on ``commit()`` (or when a
+  dataframe is requested, or once enough have accumulated), loops allocate
   fresh context ids, and the checkpoint policy decides when to serialize
-  registered objects.
+  registered objects — on the checkpoint writer's thread.
 * **replay** — used by hindsight logging: the session is pinned to a
   historical ``(tstamp, filename)`` run, loops re-use the recorded context
   ids, iterations outside the replay plan are skipped (restoring the nearest
   checkpoint when needed), ``flor.arg`` returns historical values, and newly
-  logged values are attributed to the historical timestamp.  The recorded
+  logged values are attributed to the historical timestamp.  A replay
+  session *stages and never writes*: ``flush()`` and ``commit()`` are
+  no-ops, so the new rows wait in the buffer for
+  :meth:`Session.take_pending_records` and whoever replays (the hindsight
+  engine) lands them through the recording session's flusher.  The recorded
   run is read once — its log rows when the session opens, its loop rows on
   the first loop of each file — so a replay costs the same number of
   statements however many other runs the project holds.
@@ -47,8 +52,6 @@ from ..relational.repositories import (
     Ts2VidRepository,
 )
 from ..runtime import (
-    ASYNC,
-    SYNC,
     AsyncCheckpointWriter,
     BackgroundFlusher,
     FlushCallbackError,
@@ -111,14 +114,6 @@ class Session:
         Optional shared :class:`~repro.query.PivotViewCache` backing this
         session's query engine (the service layer shares one per shard); a
         private cache is created lazily when omitted.
-    flush_mode:
-        ``"async"`` (default in record mode) stages records as cheap tuples
-        and drains them to SQLite on a background flusher thread, with
-        checkpoint pickling and store writes likewise moved off-thread;
-        ``"sync"`` (default — and forced semantics-wise — in replay mode,
-        where the sandboxed run should not outlive its thread) executes
-        every flush inline, preserving the pre-runtime behaviour.
-        ``flush()`` is a read-your-writes barrier in both modes.
     """
 
     def __init__(
@@ -134,12 +129,9 @@ class Session:
         cli_args: Mapping[str, Any] | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
         query_cache: "Any | None" = None,
-        flush_mode: str | None = None,
     ):
         if mode not in (RECORD, REPLAY):
             raise RecordingError(f"unknown session mode: {mode!r}")
-        if flush_mode not in (None, SYNC, ASYNC):
-            raise RecordingError(f"unknown flush_mode: {flush_mode!r}")
         # With both stores injected (e.g. the in-memory service backend)
         # the session never touches disk, so skip materializing the
         # project directory layout.
@@ -148,7 +140,6 @@ class Session:
             self.config = self.config.ensure_layout()
         self.projid = self.config.projid
         self.mode = mode
-        self.flush_mode = flush_mode or (SYNC if mode == REPLAY else ASYNC)
         self.db = db if db is not None else Database(self.config.db_path)
         self._owns_db = db is None
         self.logs = LogRepository(self.db)
@@ -169,17 +160,15 @@ class Session:
         #: flusher, the checkpoint writer, its own pivot cache).  Private to
         #: a bare session; the service pool attaches it to the process's.
         self.metrics = MetricsRegistry()
-        self.flusher = BackgroundFlusher(
-            self.db, mode=self.flush_mode, name=f"flor-flush-{self.projid or 'default'}"
-        )
+        # Both workers start their thread at the first submit: a replay
+        # session, which never submits to either, never has one.
+        self.flusher = BackgroundFlusher(self.db, name=f"flor-flush-{self.projid or 'default'}")
         self.flusher.metrics.attach(self.metrics)
-        # Past this many staged records an async session submits to the
+        # Past this many staged records a recording session submits to the
         # flusher opportunistically, overlapping SQLite work with the loop.
         self._stage_threshold = 512
-        ckpt_writer = None
-        if self.flush_mode == ASYNC:
-            ckpt_writer = AsyncCheckpointWriter(self.objects)
-            ckpt_writer.metrics.attach(self.metrics)
+        ckpt_writer = AsyncCheckpointWriter(self.objects)
+        ckpt_writer.metrics.attach(self.metrics)
         self.checkpoints = CheckpointManager(
             self.objects, policy=checkpoint_policy, writer=ckpt_writer
         )
@@ -196,8 +185,8 @@ class Session:
         self._query_cache = query_cache
         self._query_engine: "Any | None" = None
         #: Optional ``(row_count) -> None`` hook, run after each transaction
-        #: that wrote this session's rows commits (on the flusher's thread in
-        #: async mode).  The service pool points it at the tail broker, so a
+        #: that wrote this session's rows commits (on the flusher's thread).
+        #: The service pool points it at the tail broker, so a
         #: woken subscriber can already read the rows.
         self.on_rows_written: Callable[[int], None] | None = None
         self._replay_plan = replay_plan
@@ -367,7 +356,7 @@ class Session:
                 return value
             self._existing_log_keys.add(key)
         self._buffer.stage_log(self.projid, self.tstamp, filename, ctx_id, name, value)
-        if self.flush_mode == ASYNC and self._buffer.pending >= self._stage_threshold:
+        if self._buffer.pending >= self._stage_threshold:
             self.flush(wait=False)
         return value
 
@@ -675,29 +664,32 @@ class Session:
 
         With ``wait`` (the default) this is the read-your-writes barrier:
         it returns only once every staged and previously submitted row is
-        durable, exactly like the historical synchronous flush.  With
-        ``wait=False`` (async sessions only, used at loop iteration
-        boundaries) the staged rows are handed to the background flusher
-        and the recording thread moves on immediately.
+        durable.  With ``wait=False`` (used at loop iteration boundaries)
+        the staged rows are handed to the background flusher and the
+        recording thread moves on immediately.
+
+        A replay session has no write path: this returns at once and the
+        staged rows stay in the buffer for :meth:`take_pending_records`.
 
         Each transaction that writes rows bumps the query cache's generation
         counter for this project — from the flusher's thread, *after* the
         commit — so materialized pivot views notice the append on their next
         read (and merge just the delta).
         """
+        if self.mode == REPLAY:
+            return
         log_rows, loop_rows = self._buffer.drain_rows()
         if log_rows or loop_rows:
             try:
                 self.flusher.submit(log_rows, loop_rows, on_written=self._note_rows_written)
             except FlushCallbackError:
-                # The rows are durable (sync/inline write committed before
+                # The rows are durable (the inline write committed before
                 # its callback failed); restoring them would duplicate.
                 raise
             except Exception:
-                # An inline write failed (sync mode, or a flusher already
-                # closed): the rows reached neither the queue nor the
-                # database, so restore them for a later retry — matching the
-                # historical keep-pending-on-failure semantics.
+                # An inline write failed (a flusher already closed): the
+                # rows reached neither the queue nor the database, so
+                # restore them for a later retry.
                 self._buffer.restore_rows(log_rows, loop_rows)
                 raise
         if wait:
@@ -721,12 +713,13 @@ class Session:
 
         Flushes buffered records, snapshots tracked files into the version
         store, records the ``ts2vid`` epoch and starts a new timestamp.
-        Returns the new version id (or None in replay mode, where commits are
-        no-ops beyond flushing).
+        Returns the new version id — or None in replay mode, where a commit
+        is a no-op: the run's version already exists and its new rows are
+        landed by whoever replays it.
         """
-        self.flush()
         if self.mode == REPLAY:
             return None
+        self.flush()
         # Checkpoints belonging to this epoch must be durable before the
         # version boundary — the drain barrier of the async writer.
         self.checkpoints.drain()
@@ -778,6 +771,9 @@ class Session:
         view, appends since the last read merge incrementally, and
         ``tstamp_range`` pushes an inclusive ``(since, until)`` bound into
         the SQLite scan.  ``latest`` keeps only the newest run's rows.
+
+        Inside a replayed script this (like :meth:`sql`) reads the durable
+        state: rows the replay has staged so far are not in it.
         """
         self.flush()
         return self.query.dataframe(*names, latest=latest, tstamp_range=tstamp_range)

@@ -40,7 +40,6 @@ def serve_fleet(
     host: str = "127.0.0.1",
     port: int = 8230,
     worker_args: Iterable[str] = (),
-    sync_flush: bool = False,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
     quiet: bool = False,
@@ -60,7 +59,6 @@ def serve_fleet(
     supervisor = FleetSupervisor(
         default_worker_argv(
             root,
-            sync_flush=sync_flush,
             heartbeat_interval=heartbeat_interval,
             extra=worker_args,
         ),

@@ -370,7 +370,6 @@ class FleetSupervisor:
 def default_worker_argv(
     root: Path | str,
     *,
-    sync_flush: bool = False,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     extra: Iterable[str] = (),
 ) -> Callable[[str, str], list[str]]:
@@ -383,8 +382,6 @@ def default_worker_argv(
 
     def argv_for(worker_id: str, register_url: str) -> list[str]:
         argv = [sys.executable, "-m", "repro.cli", "--project", str(root)]
-        if sync_flush:
-            argv.append("--sync-flush")
         argv += [
             "serve",
             "--port",

@@ -11,10 +11,8 @@ everywhere.  This package is where that promise is enforced mechanically:
   writer thread that drains staged rows to SQLite in single transactions,
   coalescing every batch queued since its last wakeup.  Memory is bounded:
   submitters block (backpressure) once ``max_pending_rows`` rows (1,024 by
-  default, which also caps a coalesced transaction) are in flight.  A
-  ``sync`` mode executes submissions inline on the caller's
-  thread, preserving the pre-runtime semantics for replay sandboxes and
-  tests.
+  default, which also caps a coalesced transaction) are in flight.  Only
+  a submit after ``close()`` writes inline (late stragglers).
 * :class:`~repro.runtime.checkpoint_writer.AsyncCheckpointWriter` — moves
   checkpoint pickling and object-store writes to a worker thread; the
   recording thread only snapshots registered state.  ``drain()`` is the
@@ -31,11 +29,9 @@ a buffer of its own.
 
 from .buffer import RecordBuffer
 from .checkpoint_writer import AsyncCheckpointWriter
-from .flusher import ASYNC, SYNC, BackgroundFlusher, FlushCallbackError
+from .flusher import BackgroundFlusher, FlushCallbackError
 
 __all__ = [
-    "ASYNC",
-    "SYNC",
     "AsyncCheckpointWriter",
     "BackgroundFlusher",
     "FlushCallbackError",

@@ -4,7 +4,7 @@ The original record path allocated a frozen :class:`LogRecord` dataclass and
 ran :func:`~repro.relational.records.encode_value` on every call — two costs
 paid inside the user's training loop.  :class:`RecordBuffer` stages raw
 tuples instead and defers encoding to drain time (i.e. onto the flush path,
-which in async mode runs on the background writer's schedule).
+which runs on the background writer's schedule).
 
 Snapshot semantics: scalars are immutable, so deferring their encoding is
 free.  Mutable values (dicts, lists, arbitrary objects) are encoded eagerly

@@ -10,11 +10,8 @@ collapses N small transactions into a handful of large ones, which is where
 the T10 speedup comes from — SQLite's per-transaction bookkeeping dwarfs the
 marginal cost of an extra ``executemany`` row.
 
-Semantics:
+Semantics (one mode — every handle writes through its worker):
 
-* **sync mode** executes each submission inline on the caller's thread in
-  one transaction — byte-for-byte the pre-runtime behaviour, used by replay
-  sandboxes, tests, and anyone passing ``flush_mode="sync"``.
 * **drain()** is the read-your-writes barrier: it returns only once every
   submitted row is durable (or raises the error that prevented it).
 * **backpressure**: submitters block once ``max_pending_rows`` rows
@@ -25,15 +22,16 @@ Semantics:
   write, never behind a giant one.
 * **errors** raised by the worker (or by ``on_written`` callbacks) are
   captured and re-raised on the *recording* thread at the next ``drain`` or
-  ``close`` (never from an async ``submit`` — a submit that raised after
+  ``close`` (never from a queueing ``submit`` — a submit that raised after
   accepting its batch, or before queueing it, would leave the caller unable
   to tell whether those rows are owed a retry).  The rows of the failed
   transaction are dropped — by then the producer has moved on, so
   requeueing could only retry forever.
 * **on_written** callbacks run after their batch's transaction commits (the
   query cache's invalidation hook relies on this ordering).
-* **close()** drains outstanding batches, stops the worker, and downgrades
-  the flusher to inline-sync so late stragglers (atexit commits) still land.
+* **close()** drains outstanding batches and stops the worker; a submit
+  after it writes inline on the caller's thread, raising its own failure at
+  the call site, so late stragglers (atexit commits) still land.
 """
 
 from __future__ import annotations
@@ -47,9 +45,6 @@ from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry, StatsView
 from ..storage.protocols import RelationalStore
 from ..relational.repositories import INSERT_LOG_SQL, INSERT_LOOP_SQL
-
-SYNC = "sync"
-ASYNC = "async"
 
 #: Rows one flusher may hold (queued + in flight) before ``submit`` blocks.
 #: Per database handle — a service pool of 8 shards holds at most 8× this.
@@ -95,9 +90,6 @@ class BackgroundFlusher:
         Destination database.  The worker writes through the same handle the
         session reads from, so ``Database.write_version`` staleness probes
         keep working.
-    mode:
-        ``"async"`` (background worker, lazily started) or ``"sync"``
-        (inline execution on the submitting thread).
     max_pending_rows:
         Backpressure bound: submit blocks while this many rows are already
         queued or in flight (a single larger submission is still admitted
@@ -114,20 +106,16 @@ class BackgroundFlusher:
         self,
         db: RelationalStore,
         *,
-        mode: str = ASYNC,
         max_pending_rows: int = DEFAULT_MAX_PENDING_ROWS,
         write_retries: int = 2,
         retry_backoff: float = 0.05,
         name: str = "flor-flusher",
     ):
-        if mode not in (SYNC, ASYNC):
-            raise ValueError(f"unknown flusher mode: {mode!r}")
         if max_pending_rows < 1:
             raise ValueError(f"max_pending_rows must be >= 1, got {max_pending_rows}")
         if write_retries < 0:
             raise ValueError(f"write_retries must be >= 0, got {write_retries}")
         self.db = db
-        self.mode = mode
         self.max_pending_rows = max_pending_rows
         self.write_retries = write_retries
         self.retry_backoff = retry_backoff
@@ -147,7 +135,7 @@ class BackgroundFlusher:
     # ------------------------------------------------------------- inspection
     @property
     def pending_rows(self) -> int:
-        """Rows submitted but not yet durable (0 in sync mode)."""
+        """Rows submitted but not yet durable."""
         with self._cond:
             return self._pending_rows
 
@@ -164,15 +152,14 @@ class BackgroundFlusher:
     ) -> int:
         """Hand a batch of rows to the writer; returns the row count.
 
-        Async mode returns as soon as the batch is queued (or after blocking
-        on backpressure) and never raises deferred worker errors — those
+        Returns as soon as the batch is queued (or after blocking on
+        backpressure) and never raises deferred worker errors — those
         surface at :meth:`drain`/:meth:`close`, where no batch is in hand to
-        be lost or double-submitted.  Sync mode — and any submit after
-        :meth:`close` — writes inline, raising this batch's own failure at
-        the call site.
+        be lost or double-submitted.  A submit after :meth:`close` writes
+        inline, raising this batch's own failure at the call site.
         """
         count = len(log_rows) + len(loop_rows)
-        if self.mode == SYNC or self._closed:
+        if self._closed:
             self._raise_pending()
             if count:
                 self.stats["submitted_batches"].inc()
@@ -201,9 +188,6 @@ class BackgroundFlusher:
     # ------------------------------------------------------------------ drain
     def drain(self) -> None:
         """Block until every submitted row is durable; re-raise worker errors."""
-        if self.mode == SYNC or self._closed:
-            self._raise_pending()
-            return
         with self._cond:
             while self._queue or self._inflight:
                 self._cond.wait(0.1)

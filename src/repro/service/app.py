@@ -5,10 +5,9 @@ Routes (all JSON; ``<name>`` is a tenant/project name):
 * ``POST /projects/<name>/logs`` — bulk-append log and loop records.  The
   body is ``{"records": [...], "loops": [...], "filename": ...}``; records
   are acknowledged with ``202`` once staged — ``"flushed": true`` in the
-  response means the batch was *handed to the shard's writer* (inline with
-  ``flush_mode="sync"``, to the background flusher otherwise), not that it
-  is already durable.  Durability comes from the next commit or read, both
-  of which drain the writer first.
+  response means the batch was *handed to the shard's background flusher*,
+  not that it is already durable.  Durability comes from the next commit or
+  read, both of which drain the flusher first.
 * ``POST /projects/<name>/commit`` — flush the shard's staged rows and run
   ``flor.commit`` (snapshot tracked files, record the ``ts2vid`` epoch).
 * ``GET /projects/<name>/dataframe?names=a,b[&latest=1]`` — the pivoted
@@ -129,9 +128,6 @@ class FlorService:
         Hand-off policy for appended rows, applied per shard (see
         :meth:`~repro.service.pool.ProjectShard.append`).  ``flush_size=1``
         disables batching (every append is its own transaction).
-    flush_mode:
-        ``"async"`` (default) or ``"sync"`` record path per shard; see
-        :class:`~repro.service.pool.DatabasePool`.
     backend:
         ``"sqlite"`` (default) or ``"memory"``; see
         :class:`~repro.service.pool.DatabasePool`.
@@ -159,7 +155,6 @@ class FlorService:
         pool_capacity: int = 8,
         flush_size: int = 64,
         flush_interval: float | None = 0.5,
-        flush_mode: str | None = None,
         backend: str = "sqlite",
         replicas: int = 0,
         replica_staleness: float = 0.25,
@@ -174,7 +169,6 @@ class FlorService:
         self.root = Path(root)
         self.flush_size = flush_size
         self.flush_interval = flush_interval
-        self.flush_mode = flush_mode
         self.replicas = replicas
         #: The observability plane: one outermost metrics registry and one
         #: tail broker per service process.  Every component counts in its
@@ -192,7 +186,6 @@ class FlorService:
             capacity=pool_capacity,
             flush_size=flush_size,
             flush_interval=flush_interval,
-            flush_mode=flush_mode,
             backend=backend,
             replicas=replicas,
             replica_staleness=replica_staleness,

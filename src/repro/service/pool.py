@@ -153,7 +153,7 @@ class ProjectShard:
     def pending(self) -> int:
         """Rows staged in the session's buffer, not yet handed to the flusher.
 
-        Rows already submitted to an async flusher are tracked by the
+        Rows already submitted to the flusher are tracked by the
         flusher's own ``pending_rows``, not here.
         """
         return self.session.pending_log_records + self.session.pending_loop_records
@@ -165,8 +165,8 @@ class ProjectShard:
         (``flush_size=1`` is the unbatched baseline T8 compares against) or
         ``flush_interval`` seconds passed since the last one — checked only
         here, so an idle shard holds its tail rows until the next append or
-        barrier.  It does not wait for the write: with an async session the
-        rows ride the background flusher and the request thread moves on.
+        barrier.  It does not wait for the write: the rows ride the
+        background flusher and the request thread moves on.
         Call with the shard lock held (:meth:`DatabasePool.checkout`) — the
         session's buffer is not thread-safe on its own.
         """
@@ -229,11 +229,6 @@ class DatabasePool:
     flush_size / flush_interval:
         Hand-off policy for appended rows, set on every shard the pool
         opens (see :meth:`ProjectShard.append`).
-    flush_mode:
-        ``"async"`` (default) or ``"sync"``, forwarded to each shard's
-        :class:`~repro.core.session.Session`.  With the default, one
-        background writer per shard serves appended rows and the
-        session's own ``log`` calls alike.
     backend:
         ``"sqlite"`` (default) stores each shard at
         ``<root>/<name>/.flor/flor.db``; ``"memory"`` builds shards on
@@ -274,7 +269,6 @@ class DatabasePool:
         capacity: int = 8,
         flush_size: int = 64,
         flush_interval: float | None = 0.5,
-        flush_mode: str | None = None,
         backend: str = "sqlite",
         replicas: int = 0,
         replica_staleness: float = 0.25,
@@ -294,7 +288,6 @@ class DatabasePool:
         self.capacity = capacity
         self.flush_size = flush_size
         self.flush_interval = flush_interval
-        self.flush_mode = flush_mode
         self.backend = backend
         self.replicas = replicas
         self.replica_staleness = replica_staleness
@@ -343,7 +336,6 @@ class DatabasePool:
             db=db,
             repository=repository,
             default_filename=SERVICE_FILENAME,
-            flush_mode=self.flush_mode,
         )
         shard_replicas = None
         if self.replicas > 0:

@@ -19,7 +19,9 @@ from repro.relational.repositories import ObjectRepository
 
 @pytest.fixture()
 def manager(db):
-    return CheckpointManager(ObjectRepository(db))
+    manager = CheckpointManager(ObjectRepository(db))
+    yield manager
+    manager.close()
 
 
 def key(ctx_id: int, loop: str = "epoch") -> CheckpointKey:
@@ -120,8 +122,9 @@ class TestManagerSaveRestore:
 
     def test_unpicklable_object_raises_checkpoint_error(self, manager):
         manager.register({"bad": lambda x: x})  # lambdas cannot be pickled
+        manager.save(key(1))  # the snapshot succeeds; the writer pickles
         with pytest.raises(CheckpointError):
-            manager.save(key(1))
+            manager.drain()
 
     def test_available_checkpoints_filters_by_file_and_prefix(self, manager, db):
         manager.register({"state": {"w": 1}})

@@ -7,7 +7,8 @@ import shutil
 import pytest
 
 from repro import HindsightEngine, ProjectConfig, ReplayPlan, Session
-from repro.core.session import REPLAY
+from repro.core.api import flor
+from repro.core.session import REPLAY, active_session
 from repro.relational.repositories import LogRepository
 from repro.workloads import VersionedScriptWorkload
 
@@ -380,3 +381,85 @@ class TestOneLandingPath:
         )
         assert failed[0].tstamp not in per_run
         assert sorted(per_run.values()) == [workload.epochs * workload.steps] * 2
+
+
+class TestScriptsThatFlushForThemselves:
+    """A replayed ``flor.commit()`` / ``flor.dataframe()`` / ``flor.flush()``
+    writes nothing: the engine lands the rows, however the script ends."""
+
+    MODES = ["serial", "thread", "process"]
+    RUNS, EPOCHS = 2, 3
+    SCRIPT = (
+        'lr = flor.arg("lr", 0.1)\n'
+        'for epoch in flor.loop("epoch", range(3)):\n'
+        '    flor.log("loss", lr / (1 + epoch))\n'
+    )
+    TAILS = {
+        "commit": "flor.commit()\n",
+        "dataframe": 'seen = len(flor.dataframe("loss"))\nflor.commit()\n',
+    }
+
+    def _record(self, session, source):
+        session.track("train.py")
+        (session.config.root / "train.py").write_text(source)
+        for _ in range(self.RUNS):
+            with active_session(session):
+                exec(compile(source, "train.py", "exec"), {"__file__": "train.py", "flor": flor})
+        assert len(session.ts2vid.all(session.projid)) == self.RUNS  # the script's own commits
+
+    def _with_acc(self, source):
+        loss = '    flor.log("loss", lr / (1 + epoch))\n'
+        return source.replace(loss, loss + '    flor.log("acc", 1 - lr / (1 + epoch))\n')
+
+    @pytest.fixture()
+    def replays_cannot_submit(self, monkeypatch):
+        """Fail any replay whose session hands its flusher a batch — also in a
+        forked process worker, whose flusher the parent cannot inspect."""
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a replay session wrote for itself")
+
+        class NoWriteSession(Session):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.flusher.submit = forbidden
+
+        monkeypatch.setattr("repro.core.replay.Session", NoWriteSession)
+
+    @pytest.mark.parametrize("tail", sorted(TAILS))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_backfill_lands_once_through_the_engine(self, free_session, replays_cannot_submit, mode, tail):
+        session, source = free_session, self.SCRIPT + self.TAILS[tail]
+        self._record(session, source)
+        before = session.dataframe("loss", "acc")
+        assert [row["acc"] for row in before.to_records()] == [None] * (self.RUNS * self.EPOCHS)
+        rows, transactions, fired = session.logs.count(), session.flusher.stats.transactions, []
+        session.on_rows_written = fired.append
+
+        report = HindsightEngine(session).backfill(
+            "train.py", new_source=self._with_acc(source), parallelism=mode, max_workers=2
+        )
+
+        assert [v.replay.error for v in report.versions] == [None] * self.RUNS
+        assert report.new_records == session.logs.count() - rows == self.RUNS * self.EPOCHS
+        assert session.flusher.stats.transactions == transactions + 1
+        assert fired == [self.RUNS * self.EPOCHS]
+        after = session.dataframe("loss", "acc")
+        assert len(after) == len(before)
+        assert None not in [row["acc"] for row in after.to_records()]
+        assert len(session.ts2vid.all(session.projid)) == self.RUNS  # replayed commits made no version
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_failed_replay_lands_nothing_even_after_it_flushed(self, free_session, mode):
+        source = self.SCRIPT + "flor.flush()\nflor.commit()\n"
+        self._record(free_session, source)
+        rows = free_session.logs.count()
+        broken = self._with_acc(source).replace(
+            "flor.flush()\n", 'flor.flush()\nflor.log("x", undefined_name)\n'
+        )
+        report = HindsightEngine(free_session).backfill(
+            "train.py", new_source=broken, parallelism=mode, max_workers=2
+        )
+        assert ["undefined_name" in v.replay.error for v in report.versions] == [True] * self.RUNS
+        assert report.versions_replayed == 0
+        assert free_session.logs.count() == rows

@@ -5,38 +5,46 @@ from __future__ import annotations
 import pytest
 
 from repro import ProjectConfig, Session
-from repro.errors import RecordingError
 from repro.relational.database import Database
-from repro.runtime import ASYNC, SYNC
+from repro.runtime import BackgroundFlusher
+from repro.service import DatabasePool, FlorService
 
 
 class TestFlushModes:
-    def test_record_sessions_default_to_async(self, session):
-        assert session.flush_mode == ASYNC
-        assert session.flusher.mode == ASYNC
+    def test_invalid_flush_mode_rejected(self, project, tmp_path):
+        """The knob is gone at every layer: no value of it is accepted."""
+        with pytest.raises(TypeError):
+            Session(project, flush_mode="sync")
+        with pytest.raises(TypeError):
+            BackgroundFlusher(None, mode="sync")
+        with pytest.raises(TypeError):
+            DatabasePool(tmp_path, flush_mode="sync")
+        with pytest.raises(TypeError):
+            FlorService(tmp_path, flush_mode="sync")
 
-    def test_replay_sessions_default_to_sync(self, project):
+    def test_replay_flush_and_commit_write_nothing(self, project):
+        """A replay session stages; whoever replays it lands the rows."""
         with Session(project, default_filename="t.py") as recorder:
             recorder.log("acc", 1.0)
+            tstamp = recorder.tstamp
             recorder.commit()
-        with Session(
-            project,
-            mode="replay",
-            default_filename="t.py",
-            replay_tstamp="2020-01-01T00:00:00.000000",
-        ) as replayer:
-            assert replayer.flush_mode == SYNC
-
-    def test_explicit_sync_mode(self, project):
-        with Session(project, default_filename="t.py", flush_mode="sync") as session:
-            assert session.flusher.mode == SYNC
-            session.log("acc", 1.0)
-            session.flush()
-            assert session.logs.count() == 1
-
-    def test_invalid_flush_mode_rejected(self, project):
-        with pytest.raises(RecordingError):
-            Session(project, flush_mode="weird")
+            replayer = Session(
+                project,
+                db=recorder.db,
+                repository=recorder.repository,
+                mode="replay",
+                default_filename="t.py",
+                replay_tstamp=tstamp,
+            )
+            replayer.log("loss", 0.5)
+            replayer.flush()
+            assert replayer.commit() is None
+            assert len(replayer.dataframe("acc")) == 1  # reads are not a write path either
+            replayer.close()
+            assert replayer.flusher.stats.submitted_batches == 0
+            assert recorder.logs.count() == 1
+            assert [r.value_name for r in replayer.take_pending_records()[0]] == ["loss"]
+            assert len(recorder.repository) == 1  # no second version either
 
 
 class TestAsyncFlush:
@@ -123,9 +131,14 @@ class TestAsyncFlush:
 
 class TestFlushFailure:
     def test_sync_flush_failure_keeps_records_for_retry(self, project, monkeypatch):
-        """Regression: a failed inline write must not lose staged records."""
-        with Session(project, default_filename="t.py", flush_mode="sync") as session:
+        """Regression: a failed inline write must not lose staged records.
+
+        Inline is what a closed flusher does (an atexit commit after
+        ``close()``): the failure reaches ``flush()`` itself, which restores
+        the rows.  A failure on the worker is retried and then dropped."""
+        with Session(project, default_filename="t.py") as session:
             session.log("acc", 0.9)
+            session.flusher.close()
 
             def broken_transaction():
                 raise RuntimeError("disk on fire")

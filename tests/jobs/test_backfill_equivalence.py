@@ -5,8 +5,9 @@ One planner decides which recorded runs a backfill replays
 ``backfill()`` call, one call per version in any order, or a durable job that
 dies at a version boundary and is resumed — the project must end up holding
 the same cells.  Hypothesis draws the history: up to three scripts, re-runs
-of unchanged sources, edits, and commits from an entry point that never ran
-any of them.
+of unchanged sources, edits (the last of which reads and commits for
+itself, as the paper's figures end), and commits from an entry point that
+never ran any of them.
 
 The run is derandomized (same examples every time); a failure prints the
 ``@reproduce_failure`` blob of the shrunk history.
@@ -28,9 +29,23 @@ from repro.testing import assert_invariants, check_single_replay
 from repro.workloads import VersionedScriptWorkload
 
 TENANT = "tenant"
-EDITS = 3
+EDITS = 4
+
+
+class Scripts(VersionedScriptWorkload):
+    """The last edit ends with its own ``flor.dataframe`` and ``flor.commit()``:
+    a replay of it must still only stage (``record_version``'s commit after
+    it is then an epoch without rows — a spectator)."""
+
+    def source_for_version(self, version: int) -> str:
+        source = super().source_for_version(version)
+        if version == self.versions - 1:
+            source += '\nseen = len(flor.dataframe("loss"))\nflor.commit()\n'
+        return source
+
+
 SCRIPTS = {
-    name: VersionedScriptWorkload(versions=EDITS, epochs=2, steps=1, filename=name)
+    name: Scripts(versions=EDITS, epochs=2, steps=1, filename=name)
     for name in ("train.py", "eval.py", "prep.py")
 }
 TARGET = SCRIPTS["train.py"]
@@ -41,7 +56,7 @@ NO_ROW_TWICE = (
 
 #: One history step: run (script, edit) and commit, or a spectator commit.
 #: Skewed towards the backfilled script and towards re-running an edit.
-runs_of_target = st.tuples(st.just(TARGET.filename), st.sampled_from([0, 0, 1, 2]))
+runs_of_target = st.tuples(st.just(TARGET.filename), st.sampled_from([0, 0, 1, 2, 3]))
 steps = st.one_of(
     runs_of_target,
     runs_of_target,

@@ -78,14 +78,14 @@ class TestDrainBarrier:
 
 class TestCostAccounting:
     def test_sync_manager_splits_serialize_from_write(self, db):
-        """Regression: the store write must not inflate the policy's cost."""
+        """Regression: the store write must not inflate the policy's cost —
+        with the manager's own writer (none passed in) as with an injected one."""
         objects = SlowObjectRepository(db, delay=0.08)
-        manager = CheckpointManager(objects)  # inline (sync) manager
+        manager = CheckpointManager(objects)
         manager.register({"state": {"w": list(range(100))}})
         manager.save(key(1))
         assert manager.saved == 1
-        # Pickling a tiny dict is microseconds; the slow store write (80ms)
-        # lands in write_seconds, not in the on-thread serialize cost.
+        manager.close()  # drains the 80ms store write
         assert manager.serialize_seconds < 0.04
         assert manager.write_seconds >= 0.08
 
@@ -107,6 +107,7 @@ class TestCostAccounting:
         # The second decision sees the measured cost of the first save —
         # which must exclude the 80ms store write.
         assert policy.costs[1] < 0.04
+        manager.close()
 
     def test_async_manager_charges_only_the_snapshot_on_thread(self, db):
         objects = SlowObjectRepository(db, delay=0.08)

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.relational.database import Database
-from repro.runtime import ASYNC, SYNC, BackgroundFlusher, FlushCallbackError
+from repro.runtime import BackgroundFlusher, FlushCallbackError
 from repro.runtime.flusher import DEFAULT_MAX_PENDING_ROWS
 
 
@@ -85,8 +85,17 @@ class FlakyDB:
 
 
 class TestSyncMode:
+    """What is left of it: a submit after ``close()`` writes synchronously,
+    on the caller's thread (late stragglers such as an atexit commit)."""
+
+    @staticmethod
+    def closed(db) -> BackgroundFlusher:
+        flusher = BackgroundFlusher(db)
+        flusher.close()
+        return flusher
+
     def test_submit_writes_inline(self, db):
-        flusher = BackgroundFlusher(db, mode=SYNC)
+        flusher = self.closed(db)
         flusher.submit([log_row(0), log_row(1)], [loop_row(0)])
         assert db.count("logs") == 2
         assert db.count("loops") == 1
@@ -94,14 +103,13 @@ class TestSyncMode:
         assert flusher.pending_rows == 0
 
     def test_inline_errors_raise_at_the_call_site(self):
-        flusher = BackgroundFlusher(BrokenDB(), mode=SYNC)
+        flusher = self.closed(BrokenDB())
         with pytest.raises(RuntimeError, match="disk on fire"):
             flusher.submit([log_row(0)])
 
     def test_on_written_called_with_batch_count(self, db):
         seen = []
-        flusher = BackgroundFlusher(db, mode=SYNC)
-        flusher.submit([log_row(0)], [loop_row(0)], on_written=seen.append)
+        self.closed(db).submit([log_row(0)], [loop_row(0)], on_written=seen.append)
         assert seen == [2]
 
 
@@ -129,7 +137,7 @@ class TestAsyncMode:
 
     def test_batches_coalesce_into_one_transaction(self, db):
         gated = GatedDB(db)
-        flusher = BackgroundFlusher(gated, mode=ASYNC)
+        flusher = BackgroundFlusher(gated)
         for i in range(5):
             flusher.submit([log_row(i)])
         # The worker is stuck on the gate (or about to be); everything
@@ -156,7 +164,7 @@ class TestAsyncMode:
 class TestErrorSurfacing:
     def test_transient_write_failure_is_retried_not_dropped(self, db):
         flaky = FlakyDB(db, failures=1)
-        flusher = BackgroundFlusher(flaky, mode=ASYNC, retry_backoff=0.01)
+        flusher = BackgroundFlusher(flaky, retry_backoff=0.01)
         flusher.submit([log_row(0), log_row(1)])
         flusher.drain()  # no error: the retry succeeded
         assert db.count("logs") == 2
@@ -165,7 +173,7 @@ class TestErrorSurfacing:
 
     def test_persistent_write_failure_drops_after_retries(self, db):
         flaky = FlakyDB(db, failures=10)
-        flusher = BackgroundFlusher(flaky, mode=ASYNC, write_retries=2, retry_backoff=0.01)
+        flusher = BackgroundFlusher(flaky, write_retries=2, retry_backoff=0.01)
         flusher.submit([log_row(0)])
         with pytest.raises(RuntimeError, match="database is locked"):
             flusher.drain()
@@ -173,7 +181,7 @@ class TestErrorSurfacing:
         flusher.close()
 
     def test_worker_error_surfaces_on_the_recording_thread(self, db):
-        flusher = BackgroundFlusher(BrokenDB(), mode=ASYNC)
+        flusher = BackgroundFlusher(BrokenDB())
         flusher.submit([log_row(0)])
         with pytest.raises(RuntimeError, match="disk on fire"):
             flusher.drain()
@@ -182,13 +190,14 @@ class TestErrorSurfacing:
         flusher.close()
 
     def test_error_also_surfaces_at_close(self):
-        flusher = BackgroundFlusher(BrokenDB(), mode=ASYNC)
+        flusher = BackgroundFlusher(BrokenDB())
         flusher.submit([log_row(0)])
         with pytest.raises(RuntimeError, match="disk on fire"):
             flusher.close()
 
     def test_callback_error_is_distinguishable_from_write_failure(self, db):
-        flusher = BackgroundFlusher(db, mode=SYNC)
+        flusher = BackgroundFlusher(db)
+        flusher.close()  # inline: the error reaches the submitting call
 
         def bad_callback(_count):
             raise ValueError("cache invalidation broke")
@@ -199,7 +208,7 @@ class TestErrorSurfacing:
 
     def test_one_failing_callback_does_not_skip_the_others(self, db):
         gated = GatedDB(db)
-        flusher = BackgroundFlusher(gated, mode=ASYNC)
+        flusher = BackgroundFlusher(gated)
         ran = []
 
         def bad_callback(_count):
@@ -218,7 +227,7 @@ class TestErrorSurfacing:
 class TestBackpressure:
     def test_submit_blocks_at_the_bound(self, db):
         gated = GatedDB(db)
-        flusher = BackgroundFlusher(gated, mode=ASYNC, max_pending_rows=4)
+        flusher = BackgroundFlusher(gated, max_pending_rows=4)
         flusher.submit([log_row(i) for i in range(4)])  # worker picks this up, blocks
         time.sleep(0.05)
 
@@ -241,8 +250,6 @@ class TestBackpressure:
 
     def test_invalid_configuration_rejected(self, db):
         with pytest.raises(ValueError):
-            BackgroundFlusher(db, mode="weird")
-        with pytest.raises(ValueError):
             BackgroundFlusher(db, max_pending_rows=0)
 
 
@@ -263,7 +270,7 @@ class TestDefaultBacklogBound:
 
     def test_four_producers_never_outgrow_the_bound(self, db):
         gated = GatedDB(db)
-        flusher = BackgroundFlusher(gated, mode=ASYNC)
+        flusher = BackgroundFlusher(gated)
         producers, batches = 4, 40  # 10,240 rows: ten times the bound
         peaks = []
 
@@ -300,7 +307,7 @@ class TestDefaultBacklogBound:
 
     def test_blocked_submit_resumes_after_a_single_transaction(self, db):
         stepped = SteppedDB(db)
-        flusher = BackgroundFlusher(stepped, mode=ASYNC)
+        flusher = BackgroundFlusher(stepped)
         filling = DEFAULT_MAX_PENDING_ROWS // self.BATCH
         flusher.submit(self.batch(0))
         time.sleep(0.05)  # the worker takes the first batch alone, waits on the store
@@ -332,7 +339,7 @@ class TestDefaultBacklogBound:
         flusher.close()
 
     def test_failed_writes_free_the_backlog_and_surface_at_drain(self):
-        flusher = BackgroundFlusher(BrokenDB(), mode=ASYNC, write_retries=0)
+        flusher = BackgroundFlusher(BrokenDB(), write_retries=0)
         batches = 3 * DEFAULT_MAX_PENDING_ROWS // self.BATCH
         for index in range(batches):
             flusher.submit(self.batch(index))  # never raises, never deadlocks at the bound

@@ -127,7 +127,7 @@ class TestEviction:
         from repro.service.pool import ProjectShard
 
         def bare_factory(name):
-            session = Session(ProjectConfig(tmp_path / "p" / name, name), flush_mode="sync")
+            session = Session(ProjectConfig(tmp_path / "p" / name, name))
             return ProjectShard(name, session)
 
         metrics = MetricsRegistry()
@@ -144,6 +144,7 @@ class TestEviction:
             shard = pool.get("alpha")
             assert (shard.flush_size, shard.flush_interval) == (2, None)
             assert shard.append([_log(shard, 0), _log(shard, 1)]) is True
+            shard.flush()  # the hook runs on the flusher's thread, post-commit
             assert published == [("alpha", 2)]
             assert metrics.snapshot()["counters"]["flush.rows"] == 2
         finally:
@@ -272,7 +273,7 @@ class TestDurabilityCounters:
     """The drop-total and closing-registry machinery behind the seal protocol."""
 
     def test_dropped_rows_total_is_monotone_across_reopens(self, tmp_path):
-        pool = DatabasePool(tmp_path / "p", capacity=2, flush_mode="async")
+        pool = DatabasePool(tmp_path / "p", capacity=2)
         try:
             first = pool.get("alpha")
             assert pool.dropped_rows_total("alpha") == 0
@@ -290,7 +291,7 @@ class TestDurabilityCounters:
             pool.close()
 
     def test_lru_eviction_banks_drops_too(self, tmp_path):
-        pool = DatabasePool(tmp_path / "p", capacity=1, flush_mode="async")
+        pool = DatabasePool(tmp_path / "p", capacity=1)
         try:
             pool.get("alpha").session.flusher.stats["dropped_rows"].inc(4)
             pool.get("beta")  # capacity 1: alpha evicted via the LRU path

@@ -13,7 +13,7 @@ from repro.webapp import TestClient
 
 
 def _service(tmp_path, **kwargs):
-    service = FlorService(tmp_path / "root", flush_mode="sync", **kwargs)
+    service = FlorService(tmp_path / "root", **kwargs)
     return service, TestClient(service.app())
 
 
@@ -101,7 +101,7 @@ class TestReplicaRouting:
 
 class TestMemoryBackend:
     def test_zero_disk_io(self, tmp_path):
-        pool = DatabasePool(tmp_path / "root", backend="memory", flush_mode="sync")
+        pool = DatabasePool(tmp_path / "root", backend="memory")
         shard = pool.get("beta")
         shard.session.log("acc", 0.9)
         shard.flush()
@@ -110,9 +110,7 @@ class TestMemoryBackend:
         assert not (tmp_path / "root").exists()
 
     def test_eviction_retains_shard_state(self, tmp_path):
-        pool = DatabasePool(
-            tmp_path / "root", backend="memory", flush_mode="sync", capacity=1
-        )
+        pool = DatabasePool(tmp_path / "root", backend="memory", capacity=1)
         shard = pool.get("beta")
         shard.session.log("acc", 1)
         shard.flush()

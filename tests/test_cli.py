@@ -255,6 +255,15 @@ class TestServeParser:
         assert "shard" in out
         assert "--flush-size" in out
 
+    def test_sync_flush_flag_is_gone(self, capsys):
+        """Removed outright: argparse's own error, no shim."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["--sync-flush", "serve", "--port", "0"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --sync-flush" in capsys.readouterr().err
+
 
 class TestBackfillDryRun:
     def test_dry_run_prints_the_patch_plan_without_replaying(

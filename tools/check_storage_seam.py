@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Enforce the storage seam (``sqlite3`` stays behind the storage layer), the
 metrics seam (no component holds an optional registry), the replay seam
-(one planner: only the hindsight engine decides which runs replay) and the
-body seam (one builder of the service's ``dataframe`` / ``sql`` answer).
+(one planner: only the hindsight engine decides which runs replay), the
+body seam (one builder of the service's ``dataframe`` / ``sql`` answer) and
+the writer seam (one record path: every handle writes through its session's
+background flusher).
 
 The whole point of the :mod:`repro.storage` protocols is that every layer
 above storage is backend-agnostic — repositories, the query engine, the
@@ -32,6 +34,12 @@ A fourth keeps the read answer single: in :mod:`repro.service.app` only
 ``frame_body`` may call ``.to_records()`` or spell a dict with a
 ``"records"`` key — a second body builder would be a second wire format,
 and one the pivot cache's kept bodies know nothing about.
+
+A fifth keeps the record path single: nothing under ``src/repro`` names
+``flush_mode`` or ``sync_flush`` (the deleted inline mode and its seven
+spellings), and ``.flusher.submit(...)`` is called only by
+:mod:`repro.core.session` — one writer per database handle, so every write
+is counted, tailed and invalidates the query cache.
 
 Detection is AST-based — docstrings and comments that merely *mention*
 sqlite3 or the guard are fine; only actual statements count.
@@ -143,6 +151,29 @@ def second_body_builders(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+#: The deleted mode's spellings, and the one module that hands rows to a flusher.
+MODE_NAMES = {"flush_mode", "sync_flush"}
+WRITER_MODULE = "repro.core.session"
+
+
+def second_record_paths(name: str, tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` where the flush-mode knob or a second submitter reappears."""
+    found = []
+    for node in ast.walk(tree):
+        used = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "arg", None)
+        if used in MODE_NAMES:
+            found.append((node.lineno, f"names {used}"))
+        elif (
+            name != WRITER_MODULE
+            and isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "submit"
+        ):
+            owner = node.func.value
+            if "flusher" in (getattr(owner, "attr", None), getattr(owner, "id", None)):
+                found.append((node.lineno, "calls .flusher.submit()"))
+    return found
+
+
 def main(argv: list[str]) -> int:
     src_root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src"
     violations = 0
@@ -167,6 +198,12 @@ def main(argv: list[str]) -> int:
                 f"one body builder, whose bytes the pivot cache keeps with the view"
             )
             violations += 1
+        for lineno, what in second_record_paths(name, tree):
+            print(
+                f"{path}:{lineno}: {name} {what} — there is one record path: rows reach "
+                f"the database through Session.flush / write_records on the background flusher"
+            )
+            violations += 1
         if any(name == p or name.startswith(p + ".") for p in ALLOWED_PREFIXES):
             continue
         for lineno in sqlite_imports(tree):
@@ -180,6 +217,7 @@ def main(argv: list[str]) -> int:
         print("metrics seam intact: no registry is tested for None")
         print("replay seam intact: one planner, replay_source called by", ", ".join(REPLAY_CALLERS))
         print(f"body seam intact: {BODY_MODULE} builds read bodies in {BODY_BUILDER} only")
+        print(f"writer seam intact: no flush-mode knob, .flusher.submit() called by {WRITER_MODULE} only")
     return violations
 
 
