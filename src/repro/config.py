@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigError
@@ -59,35 +60,31 @@ class ProjectConfig:
         projid = self.projid or root.name or "project"
         object.__setattr__(self, "projid", _sanitize_project_name(projid))
 
-    @property
+    @cached_property
     def flor_dir(self) -> Path:
         return self.root / FLOR_DIR_NAME
 
-    @property
+    @cached_property
     def db_path(self) -> Path:
         return self.flor_dir / DB_FILE_NAME
 
-    @property
+    @cached_property
     def objects_dir(self) -> Path:
         return self.flor_dir / OBJECTS_DIR_NAME
 
-    @property
+    @cached_property
     def checkpoints_dir(self) -> Path:
         return self.flor_dir / CHECKPOINTS_DIR_NAME
 
-    @property
+    @cached_property
     def staging_dir(self) -> Path:
         return self.flor_dir / STAGING_DIR_NAME
 
     def ensure_layout(self) -> "ProjectConfig":
         """Create the on-disk directory layout if it does not exist."""
-        for directory in (
-            self.flor_dir,
-            self.objects_dir,
-            self.checkpoints_dir,
-            self.staging_dir,
-        ):
-            directory.mkdir(parents=True, exist_ok=True)
+        for directory in (self.objects_dir, self.checkpoints_dir, self.staging_dir):
+            if not directory.is_dir():  # reopening a project: a stat, not a refused mkdir
+                directory.mkdir(parents=True, exist_ok=True)
         return self
 
     @classmethod

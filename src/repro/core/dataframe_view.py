@@ -171,37 +171,49 @@ def pivot_run(
     run_records = [r for r in records if r.value_name in group_names]
     if not run_records:
         return RunPivot(run_key)
+    max_depth = max(r.position.depth for r in run_records)
     dim_order: list[str] = []
-    for record in run_records:
-        for dim in record.dimensions:
-            if dim not in dim_order:
-                dim_order.append(dim)
-    max_depth = max(r.depth for r in run_records)
-    deep_records = [r for r in run_records if r.depth == max_depth]
-    shallow_records = [r for r in run_records if r.depth < max_depth]
-
+    seen: set[tuple] = set()
     rows: dict[tuple, dict[str, Any]] = {}
-    row_order: list[tuple] = []
-    for record in deep_records:
-        key = record.dimension_key()
-        if key not in rows:
-            rows[key] = _new_row(record)
-            row_order.append(key)
-        rows[key][record.value_name] = record.value
+    shallow_records: list[AnnotatedLog] = []
+    for record in run_records:
+        position = record.position
+        key = position.key
+        if key not in seen:
+            seen.add(key)
+            for dim, _iteration in key:
+                if dim not in dim_order:
+                    dim_order.append(dim)
+        if position.depth < max_depth:
+            shallow_records.append(record)
+            continue
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _new_row(record)
+        row[record.value_name] = record.value
+    # prefix length -> prefix -> the rows under it, bucketed the first time a
+    # record of that depth broadcasts, so a broadcast touches only its rows.
+    # (A row shallower than the length files under its whole key, which no
+    # prefix of that length equals.)
+    buckets: dict[int, dict[tuple, list[dict[str, Any]]]] = {}
     for record in shallow_records:
-        prefix = record.dimension_key()
-        matched = False
-        for key in row_order:
-            if key[: len(prefix)] == prefix:
-                rows[key][record.value_name] = record.value
-                matched = True
-        if not matched:
-            key = prefix
-            if key not in rows:
-                rows[key] = _new_row(record)
-                row_order.append(key)
-            rows[key][record.value_name] = record.value
-    return RunPivot(run_key, [rows[key] for key in row_order], dim_order)
+        prefix, depth = record.position.key, record.position.depth
+        by_prefix = buckets.get(depth)
+        if by_prefix is None:
+            by_prefix = buckets[depth] = {}
+            for key, row in rows.items():
+                by_prefix.setdefault(key[:depth], []).append(row)
+        targets = by_prefix.get(prefix)
+        if targets is None:
+            # Nothing deeper to land on: the record gets a row of its own,
+            # which later (shallower or equal) records broadcast onto too.
+            rows[prefix] = row = _new_row(record)
+            targets = [row]
+            for length, bucket in buckets.items():
+                bucket.setdefault(prefix[:length], []).append(row)
+        for row in targets:
+            row[record.value_name] = record.value
+    return RunPivot(run_key, list(rows.values()), dim_order)
 
 
 def _new_row(record: AnnotatedLog) -> dict[str, Any]:
@@ -210,8 +222,8 @@ def _new_row(record: AnnotatedLog) -> dict[str, Any]:
         "tstamp": record.tstamp,
         "filename": record.filename,
     }
-    row.update(record.dimensions)
-    row.update(record.dimension_values)
+    row.update(record.position.key)
+    row.update(record.position.values)
     return row
 
 

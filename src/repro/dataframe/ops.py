@@ -28,16 +28,8 @@ def from_records(records: Iterable[Mapping[str, Any]], columns: Sequence[str] | 
                 if key not in ordered:
                     ordered.append(key)
         columns = ordered
-    data: dict[str, list[Any]] = {name: [] for name in columns}
-    for row in rows:
-        for name in columns:
-            data[name].append(row.get(name))
-    frame = DataFrame(data)
-    if not rows:
-        # Preserve the requested schema even when empty.
-        for name in columns:
-            frame[name] = []
-    return frame
+    # An empty ``rows`` still yields the requested schema (empty columns).
+    return DataFrame({name: [row.get(name) for row in rows] for name in columns})
 
 
 def concat(frames: Sequence[DataFrame]) -> DataFrame:

@@ -406,9 +406,9 @@ class PivotViewCache:
                 per_run = records.pivots.setdefault(pair, {})
                 run_pivot = per_run.get(present)
                 if run_pivot is None:
-                    merged = sorted(
-                        (r for name in present for r in by_name[name][pair]), key=attrgetter("seq")
-                    )
+                    merged = [r for name in present for r in by_name[name][pair]]
+                    if len(present) > 1:  # one name's records are in seq order as filed
+                        merged.sort(key=attrgetter("seq"))
                     run_pivot = per_run[present] = pivot_run((projid, *pair), merged, set(present))
                 pivots.append(run_pivot)
             frames.append(compose_group(pivots, group))

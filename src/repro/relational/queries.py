@@ -6,37 +6,61 @@ the ``loops`` table to annotate every log record with its loop dimensions
 top of it lives in :mod:`repro.core.dataframe_view`.
 
 Filtering is pushed down into SQLite: the value-name set, timestamp range
-and ``seq`` bounds narrow the ``logs`` scan through the covering indexes of
-:mod:`repro.relational.schema`, and only the loop rows of *touched* runs are
-fetched (a join against the distinct ``(tstamp, filename)`` pairs of the
-filtered logs) instead of every loop ever recorded.  The ``seq``/``rowid``
-watermark helpers at the bottom let the materialized pivot-view cache of
-:mod:`repro.query` detect and fetch just the appended delta.
+and ``seq`` bounds narrow the one ``logs`` scan through the covering indexes
+of :mod:`repro.relational.schema`, and only the loop rows of the runs that
+scan returned are fetched — by run key, one index seek per run — instead of
+every loop ever recorded.  A record's loop ancestry belongs to its
+``(tstamp, filename, ctx_id)`` context, not to the record, so it is worked
+out once per context as an immutable :class:`LoopPosition` that every record
+logged there shares.  The ``seq``/``rowid`` watermark helpers at the bottom
+let the materialized pivot-view cache of :mod:`repro.query` detect and fetch
+just the appended delta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Any, NamedTuple, Sequence
 
 from ..dataframe import DataFrame, from_records
 from ..storage.protocols import RelationalStore
-from .records import LoopRecord, decode_value
+from .records import decode_value
 from .repositories import Ts2VidRepository
 
 #: Reserved dimension columns that always appear in the pivoted view.
 BASE_DIMENSIONS = ("projid", "tstamp", "filename")
 
+#: Runs per loop fetch: two bind variables each plus the projid stay under
+#: 999, the lowest ``SQLITE_LIMIT_VARIABLE_NUMBER`` an SQLite build defaults to.
+_RUNS_PER_FETCH = 400
 
-@dataclass
+
+class LoopPosition(NamedTuple):
+    """Where in its run's loop nest a logging context sits.
+
+    ``key`` is ``((loop_name, iteration), ...)`` from the outermost loop
+    inward — hashable, it keys the pivot's rows — ``values`` the matching
+    ``(("<loop_name>_value", iteration value), ...)`` and ``depth`` the
+    nesting level.  One instance is shared by every record of a context, so
+    it is immutable all the way down.
+    """
+
+    key: tuple[tuple[str, int], ...] = ()
+    values: tuple[tuple[str, Any], ...] = ()
+    depth: int = 0
+
+
+@dataclass(slots=True)
 class AnnotatedLog:
     """A log record joined with its loop-dimension ancestry.
 
-    ``dimensions`` maps loop name to iteration index and ``dimension_values``
-    maps ``<loop_name>_value`` to the stringified iteration value, ordered
-    from the outermost loop inward.  ``seq`` is the row's ``logs.seq`` —
-    append order, which is what lets records fetched name by name be put
-    back into the order one scan would have returned them in.
+    ``position`` is the (shared) :class:`LoopPosition` of the record's
+    context; ``dimensions`` and ``dimension_values`` read it as fresh dicts
+    — loop name to iteration index, ``<loop_name>_value`` to the stringified
+    iteration value.  ``seq`` is the row's ``logs.seq`` — append order, which
+    is what lets records fetched name by name be put back into the order one
+    scan would have returned them in.
     """
 
     projid: str
@@ -45,17 +69,24 @@ class AnnotatedLog:
     ctx_id: int
     value_name: str
     value: Any
-    dimensions: dict[str, int] = field(default_factory=dict)
-    dimension_values: dict[str, Any] = field(default_factory=dict)
+    position: LoopPosition = LoopPosition()
     seq: int = 0
 
     @property
+    def dimensions(self) -> dict[str, int]:
+        return dict(self.position.key)
+
+    @property
+    def dimension_values(self) -> dict[str, Any]:
+        return dict(self.position.values)
+
+    @property
     def depth(self) -> int:
-        return len(self.dimensions)
+        return self.position.depth
 
     def dimension_key(self) -> tuple:
         """Hashable key of the record's loop position (outermost first)."""
-        return tuple(self.dimensions.items())
+        return self.position.key
 
     def as_row(self) -> dict[str, Any]:
         row: dict[str, Any] = {
@@ -66,25 +97,30 @@ class AnnotatedLog:
             "value_name": self.value_name,
             "value": self.value,
         }
-        row.update(self.dimensions)
-        row.update(self.dimension_values)
+        row.update(self.position.key)
+        row.update(self.position.values)
         return row
 
 
-def _loop_ancestry(
-    loops_by_ctx: dict[int, LoopRecord], ctx_id: int
-) -> list[LoopRecord]:
-    """Return the loop chain for ``ctx_id`` from outermost to innermost."""
-    chain: list[LoopRecord] = []
+def _loop_position(loops_by_ctx: dict[int, tuple], ctx_id: int) -> LoopPosition:
+    """The position of ``ctx_id`` among its run's loop rows.
+
+    ``loops_by_ctx`` maps a context to its ``(parent_ctx_id, loop_name,
+    loop_iteration, iteration_value)``.  A context contributes once even
+    when a corrupted parent chain cycles.
+    """
+    chain: list[tuple] = []
     seen: set[int] = set()
     current = loops_by_ctx.get(ctx_id)
-    while current is not None and current.ctx_id not in seen:
+    while current is not None and ctx_id not in seen:
         chain.append(current)
-        seen.add(current.ctx_id)
-        parent = current.parent_ctx_id
-        current = loops_by_ctx.get(parent) if parent is not None else None
+        seen.add(ctx_id)
+        ctx_id = current[0]
+        current = loops_by_ctx.get(ctx_id)
     chain.reverse()
-    return chain
+    dimensions = {name: iteration for _parent, name, iteration, _value in chain}
+    values = {f"{name}_value": value for _parent, name, _iteration, value in chain}
+    return LoopPosition(tuple(dimensions.items()), tuple(values.items()), len(dimensions))
 
 
 def _logs_where(
@@ -95,7 +131,7 @@ def _logs_where(
     max_seq: int | None,
     run_keys: Sequence[tuple[str, str]] | None,
 ) -> tuple[str, list[Any]]:
-    """WHERE clause + bind parameters shared by the log scan and the run join."""
+    """WHERE clause + bind parameters of the log scan."""
     clauses = ["projid = ?"]
     params: list[Any] = [projid]
     if value_names is not None:
@@ -145,7 +181,7 @@ def long_format_records(
     bound the ``logs.seq`` rowid (exclusive / inclusive — the delta-read
     shape used by the pivot-view cache), and ``run_keys`` restricts the scan
     to the given ``(tstamp, filename)`` runs.  Only the loop rows of runs
-    actually touched by the filtered logs are fetched for annotation.
+    the filtered scan returned are fetched for annotation.
     """
     if value_names is not None and not value_names:
         return []
@@ -154,55 +190,52 @@ def long_format_records(
     value_names = None if value_names is None else [str(n) for n in value_names]
     where, params = _logs_where(projid, value_names, tstamp_range, min_seq, max_seq, run_keys)
     log_rows = db.query(
-        "SELECT projid, tstamp, filename, ctx_id, value_name, value, value_type, seq"
-        f" FROM logs WHERE {where} ORDER BY seq",
+        "SELECT tstamp, filename, ctx_id, value_name, value, value_type, seq"
+        f" FROM logs WHERE {where}",
         params,
     )
     if not log_rows:
         return []
-    # Ancestry join pushed into SQLite: only the loop rows belonging to runs
-    # present in the filtered logs come back, served by idx_loops_ancestry.
-    loop_rows = db.query(
-        "SELECT l.tstamp, l.filename, l.ctx_id, l.parent_ctx_id, l.loop_name,"
-        " l.loop_iteration, l.iteration_value"
-        " FROM loops AS l"
-        f" JOIN (SELECT DISTINCT tstamp, filename FROM logs WHERE {where}) AS runs"
-        " ON runs.tstamp = l.tstamp AND runs.filename = l.filename"
-        " WHERE l.projid = ?",
-        [*params, projid],
-    )
-    loops_index: dict[tuple[str, str], dict[int, LoopRecord]] = {}
-    for tstamp, filename, ctx_id, parent, loop_name, iteration, value in loop_rows:
-        loops_index.setdefault((tstamp, filename), {})[ctx_id] = LoopRecord(
-            projid=projid,
-            tstamp=tstamp,
-            filename=filename,
-            ctx_id=ctx_id,
-            parent_ctx_id=parent,
-            loop_name=loop_name,
-            loop_iteration=iteration,
-            iteration_value=value,
+    # Append order.  The covering index hands the rows over name by name, each
+    # name's nearly in seq order already: a merge of sorted runs here, where
+    # ORDER BY would have SQLite copy every row through a sorter first.
+    log_rows.sort(key=itemgetter(6))
+    # Loop rows of exactly the runs the scan returned: one seek per run into
+    # idx_loops_ancestry, a bounded number of runs per statement.
+    runs = list(dict.fromkeys((row[0], row[1]) for row in log_rows))
+    loops_index: dict[tuple[str, str], dict[int, tuple]] = {run: {} for run in runs}
+    for start in range(0, len(runs), _RUNS_PER_FETCH):
+        chunk = runs[start : start + _RUNS_PER_FETCH]
+        loop_rows = db.query(
+            f"WITH runs(tstamp, filename) AS (VALUES {','.join(['(?, ?)'] * len(chunk))})"
+            " SELECT l.tstamp, l.filename, l.ctx_id, l.parent_ctx_id, l.loop_name,"
+            " l.loop_iteration, l.iteration_value"
+            " FROM runs CROSS JOIN loops AS l"
+            " ON l.projid = ? AND l.tstamp = runs.tstamp AND l.filename = runs.filename",
+            [*(part for run in chunk for part in run), projid],
         )
+        for tstamp, filename, ctx_id, parent, loop_name, iteration, value in loop_rows:
+            loops_index[(tstamp, filename)][ctx_id] = (parent, loop_name, iteration, value)
 
+    positions: dict[tuple[str, str, int], LoopPosition] = {}
     annotated: list[AnnotatedLog] = []
-    for _projid, tstamp, filename, ctx_id, value_name, value, value_type, seq in log_rows:
-        loops_by_ctx = loops_index.get((tstamp, filename), {})
-        chain = _loop_ancestry(loops_by_ctx, ctx_id)
-        dimensions = {loop.loop_name: loop.loop_iteration for loop in chain}
-        dimension_values = {
-            f"{loop.loop_name}_value": loop.iteration_value for loop in chain
-        }
+    for tstamp, filename, ctx_id, value_name, value, value_type, seq in log_rows:
+        context = (tstamp, filename, ctx_id)
+        position = positions.get(context)
+        if position is None:
+            position = positions[context] = _loop_position(
+                loops_index[(tstamp, filename)], ctx_id
+            )
         annotated.append(
             AnnotatedLog(
-                projid=_projid,
-                tstamp=tstamp,
-                filename=filename,
-                ctx_id=ctx_id,
-                value_name=value_name,
-                value=decode_value(value, value_type),
-                dimensions=dimensions,
-                dimension_values=dimension_values,
-                seq=seq,
+                projid,
+                tstamp,
+                filename,
+                ctx_id,
+                value_name,
+                decode_value(value, value_type),
+                position,
+                seq,
             )
         )
     return annotated

@@ -668,7 +668,8 @@ def create_app(service: FlorService) -> WebApp:
         enough to grab a live ``ShardReplicas`` reference; if an LRU
         eviction closes the replicas mid-read (rare — the shard was hot a
         moment ago), the lookup retries against the reopened shard.
-        Returns ``None`` when the pool runs without replicas.
+        Only called when the service runs with replicas; returns ``None`` for
+        a shard that carries none (one built by a custom ``shard_factory``).
         """
         for _ in range(3):
             with pool.checkout(name) as shard:
@@ -689,7 +690,7 @@ def create_app(service: FlorService) -> WebApp:
     def _replica_body(name: str, body_from) -> bytes | None:
         """``body_from(engine)`` off a replica, stamped with the highest
         ``logs.seq`` that replica had when it answered — the bounded-staleness
-        read: no flush barrier.  ``None`` when the pool runs without replicas."""
+        read: no flush barrier.  ``None`` when the shard carries no replicas."""
         outcome = _replica_read(name, lambda replicas: replicas.read(body_from))
         return None if outcome is None else with_watermark(*outcome)
 
@@ -712,7 +713,8 @@ def create_app(service: FlorService) -> WebApp:
             # from beside it until an append replaces the frame.
             return source.dataframe_body(names, frame_body)
 
-        body = None if force_primary else _replica_body(name, body_from)
+        # Without replicas every read is a primary read: one checkout.
+        body = _replica_body(name, body_from) if service.replicas and not force_primary else None
         if body is None:
             with pool.checkout(name) as shard:
                 shard.flush()
@@ -734,7 +736,7 @@ def create_app(service: FlorService) -> WebApp:
             return frame_body(source.sql(query, names=names))
 
         body = None
-        if not force_primary:
+        if service.replicas and not force_primary:
             try:
                 body = _replica_body(name, body_from)
             except DatabaseError as exc:

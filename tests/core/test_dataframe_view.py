@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import time
 
-from repro.core.dataframe_view import build_dataframe
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.dataframe_view import _new_row, build_dataframe, pivot_run
+from repro.relational.queries import AnnotatedLog, LoopPosition
 
 
 class TestSingleRunPivot:
@@ -151,3 +155,95 @@ class TestBuildDataframeDirect:
         session.flush()
         frame = build_dataframe(session.db, session.projid, ["a_metric", "b_metric"])
         assert frame.columns[-2:] == ["a_metric", "b_metric"]
+
+
+# ---------------------------------------------------------------------------
+# pivot_run against the loop it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_pivot_run(records, group_names):
+    """The quadratic broadcast ``pivot_run`` had: every shallow record scans
+    every row.  Kept as the oracle; returns ``(rows, dim_order)``."""
+    run_records = [r for r in records if r.value_name in group_names]
+    if not run_records:
+        return [], []
+    dim_order = []
+    for record in run_records:
+        for dim in record.dimensions:
+            if dim not in dim_order:
+                dim_order.append(dim)
+    max_depth = max(r.depth for r in run_records)
+    rows, row_order = {}, []
+    for record in (r for r in run_records if r.depth == max_depth):
+        key = record.dimension_key()
+        if key not in rows:
+            rows[key] = _new_row(record)
+            row_order.append(key)
+        rows[key][record.value_name] = record.value
+    for record in (r for r in run_records if r.depth < max_depth):
+        prefix = record.dimension_key()
+        matched = False
+        for key in row_order:
+            if key[: len(prefix)] == prefix:
+                rows[key][record.value_name] = record.value
+                matched = True
+        if not matched:
+            if prefix not in rows:
+                rows[prefix] = _new_row(record)
+                row_order.append(prefix)
+            rows[prefix][record.value_name] = record.value
+    return [rows[key] for key in row_order], dim_order
+
+
+def _record(path, name, value, seq=0):
+    key = tuple(path)
+    values = tuple((f"{loop}_value", str(i)) for loop, i in key)
+    return AnnotatedLog("p", "t1", "train.py", 0, name, value, LoopPosition(key, values, len(key)), seq)
+
+
+#: Loop positions up to three deep over two loop names per level, so prefixes
+#: match, miss, and shallow records land both on deeper rows and on none.
+_paths = st.lists(
+    st.tuples(st.sampled_from(["epoch", "val"]), st.integers(0, 2)), max_size=3
+).map(lambda pairs: [(f"{loop}{depth}", i) for depth, (loop, i) in enumerate(pairs)])
+
+
+class TestPivotRunEqualsTheQuadraticLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        logged=st.lists(st.tuples(_paths, st.sampled_from(["a", "b", "c", "other"])), max_size=24),
+        group=st.sets(st.sampled_from(["a", "b", "c"]), min_size=1),
+    )
+    def test_rows_order_and_dimensions_agree(self, logged, group):
+        records = [_record(path, name, seq, seq) for seq, (path, name) in enumerate(logged)]
+        pivot = pivot_run(("p", "t1", "train.py"), records, group)
+        rows, dim_order = _reference_pivot_run(records, group)
+        assert pivot.rows == rows
+        assert [list(row) for row in pivot.rows] == [list(row) for row in rows]  # key order too
+        assert pivot.dim_order == dim_order
+
+    def test_a_per_epoch_name_costs_its_own_rows_not_every_row(self):
+        """400 epochs x 50 steps with one per-epoch metric: the broadcast is a
+        bucket lookup per epoch, not 400 passes over 20,000 rows."""
+        epochs, steps = 400, 50
+        deep = [
+            _record([("epoch", e), ("step", s)], "loss", e * steps + s)
+            for e in range(epochs)
+            for s in range(steps)
+        ]
+        shallow = [_record([("epoch", e)], "acc", float(e)) for e in range(epochs)]
+
+        def best_of_three(records, names):
+            timings = []
+            for _ in range(3):
+                started = time.perf_counter()
+                pivot = pivot_run(("p", "t1", "train.py"), records, names)
+                timings.append(time.perf_counter() - started)
+            return pivot, min(timings)
+
+        _plain, deep_only = best_of_three(deep, {"loss"})
+        pivot, with_broadcast = best_of_three(deep + shallow, {"loss", "acc"})
+        assert len(pivot.rows) == epochs * steps
+        assert all(row["acc"] == float(row["epoch"]) for row in pivot.rows)
+        # The quadratic loop spent ~40x the deep-only pivot here.
+        assert with_broadcast < 5 * deep_only

@@ -381,8 +381,9 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
         steps=st.sampled_from([0, 2]),
         filename=st.sampled_from(["train.py", "infer.py"]),
         holes=st.integers(0, 255),
+        per_epoch=st.sets(st.sampled_from(PROPERTY_NAMES), max_size=2),
     )
-    def record_run(self, names, epochs, steps, filename, holes):
+    def record_run(self, names, epochs, steps, filename, holes, per_epoch):
         tstamp = f"t{len(self.runs):03d}"
         contexts, ctx_id = [], 0
         for epoch in range(epochs):
@@ -398,6 +399,10 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
         deepest = [c for c, _p, loop, _i in contexts if loop == ("step" if steps else "epoch")] or [0]
         for position, (ctx, name) in enumerate((c, n) for c in deepest for n in sorted(names)):
             if not holes >> (position % 8) & 1:  # some positions stay unlogged, for later
+                self._log(tstamp, filename, ctx, name)
+        # Per-epoch names: with steps under them they are shallow, and broadcast.
+        for ctx in [c for c, _p, loop, _i in contexts if loop == "epoch"]:
+            for name in sorted(per_epoch):
                 self._log(tstamp, filename, ctx, name)
         self.runs.append((tstamp, filename, contexts))
 
@@ -439,6 +444,53 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
             assert served["records"] == expected.to_records()
             assert all(list(record) == expected.columns for record in served["records"])
         self.reads += 1
+
+    def _rows_a_sync_must_fetch(self, cache, names) -> int:
+        """Log rows the next read of ``names`` has to pull, with no loop row
+        rewritten since the cache last synced: the append delta of every name
+        a live view holds, and the whole of each name nobody holds."""
+        records = cache._records.get("p")
+        held = set(records.names) if records else set()
+        total = 0
+        for name in held | set(names):
+            (count,) = self.db.query_one(
+                "SELECT COUNT(*) FROM logs WHERE projid = 'p' AND value_name = ? AND seq > ?",
+                (name, records.log_seq if name in held else 0),
+            )
+            total += count
+        return total
+
+    @precondition(lambda self: self.runs)
+    @rule(
+        order=st.permutations(PROPERTY_NAMES),
+        pick=st.integers(0, 1000),
+        where=st.integers(0, 1000),
+        rows=st.integers(1, 5),
+    )
+    def read_two_views_sharing_a_name_after_a_backfill(self, order, pick, where, rows):
+        """Both views current, then ``rows`` of the name they share land in an
+        old run: between them the two reads fetch exactly those rows (plus, at
+        capacity one, the name the other view's eviction dropped)."""
+        shared, left, right = order[:3]
+        views = ([shared, left], [left, right, shared])
+        for names in views:
+            self.read(names)
+        tstamp, filename, contexts = self.runs[pick % len(self.runs)]
+        ctx_ids = [0] + [c for c, *_ in contexts]
+        for n in range(rows):
+            self._log(tstamp, filename, ctx_ids[(where + n) % len(ctx_ids)], shared)
+        fetched = []
+        for names in views:
+            for cache in (self.cache, self.other):
+                before = cache.stats.fetched_rows
+                due = self._rows_a_sync_must_fetch(cache, names)
+                assert cache.dataframe(self.db, "p", names).equals(build_dataframe(self.db, "p", names))
+                assert cache.stats.fetched_rows - before == due
+                fetched.append(due)
+            self.reads += 1
+        # ``other`` never evicts: the first view's read took the delta, the
+        # second found the shared records already current.
+        assert fetched[1::2] == [rows, 0]
 
     @invariant()
     def a_view_with_no_frame_holds_no_body(self):

@@ -392,6 +392,91 @@ class TestResponseBytes:
             service.close()
 
 
+class TestReadCheckouts:
+    """A read checks its shard out once; ``pool.hits`` counts it once."""
+
+    READS = (
+        "/projects/alpha/dataframe?names=loss",
+        "/projects/alpha/dataframe?names=loss&latest=1",
+        "/projects/alpha/dataframe?names=loss&primary=1",
+        "/projects/alpha/sql?q=SELECT COUNT(*) AS n FROM logs",
+        "/projects/alpha/sql?q=SELECT loss FROM pivot&names=loss",
+    )
+
+    def test_n_reads_move_pool_hits_by_n(self, client, service):
+        _append(client, "alpha", [0.5, 0.25])
+        pool = service.pool.stats
+        for url in self.READS * 2:
+            hits = pool.hits
+            assert client.get(url).ok
+            assert pool.hits == hits + 1
+        assert pool.misses == 1
+        with service.pool.checkout("alpha") as shard:
+            # Every one of them still took the flush barrier and one lookup.
+            assert shard.ingest["explicit_flushes"] == 1
+            assert shard.session.query.stats.lookups == 2 * 4  # plain sql reads no view
+
+    def test_replica_routing_keeps_its_checkouts(self, tmp_path):
+        service = FlorService(
+            tmp_path / "replicated", flush_size=4, flush_interval=None,
+            replicas=1, replica_staleness=0.0,
+        )
+        try:
+            client = TestClient(service.app())
+            _append(client, "alpha", [0.5, 0.25])
+            pool = service.pool.stats
+
+            def replica_reads():
+                with service.pool.checkout("alpha") as shard:
+                    return shard.replicas.replicated.stats.replica_reads
+
+            # primary=1 bypasses the replicas: one checkout, no replica read.
+            before, hits = replica_reads(), pool.hits
+            body = client.get(self.READS[2]).json()
+            assert body["rows"] == 1 and "watermark" not in body
+            assert pool.hits == hits + 1
+            assert replica_reads() == before
+            # A replica read checks out once, only to take the replicas handle.
+            for url in (self.READS[0], self.READS[3]):
+                before, hits = replica_reads(), pool.hits
+                assert client.get(url).json()["watermark"] == 2
+                assert pool.hits == hits + 1
+                assert replica_reads() == before + 1
+        finally:
+            service.close()
+
+    def test_a_replica_read_evicted_mid_flight_retries_on_the_reopened_shard(self, tmp_path):
+        from repro.errors import DatabaseError
+        from repro.service.pool import ShardReplicas
+
+        service = FlorService(
+            tmp_path / "replicated", flush_size=4, flush_interval=None,
+            replicas=1, replica_staleness=0.0,
+        )
+        try:
+            client = TestClient(service.app())
+            _append(client, "alpha", [0.5, 0.25])
+            assert client.get(self.READS[2]).ok  # flushed
+            real_read, evicted = ShardReplicas.read, []
+
+            def read_after_eviction(replicas, query):
+                if not evicted:
+                    evicted.append(service.pool.evict("alpha"))
+                    raise DatabaseError("SQL error: Cannot operate on a closed database.")
+                return real_read(replicas, query)
+
+            ShardReplicas.read = read_after_eviction
+            try:
+                body = client.get(self.READS[0]).json()
+            finally:
+                ShardReplicas.read = real_read
+            assert evicted == [True]
+            assert body["rows"] == 1 and body["watermark"] == 2
+            assert service.pool.stats.misses == 2 and service.pool.stats.reopens == 1
+        finally:
+            service.close()
+
+
 class TestCommit:
     def test_commit_flushes_the_queue_and_returns_a_vid(self, client, service):
         _append(client, "alpha", [0.5])  # pending, below flush_size

@@ -78,7 +78,8 @@ def _check_agreement(server: ServerProcess, projects: list[str]) -> int:
 
     Call after a seal (nothing in flight) on a server that has evicted
     nothing, so every shard that ever counted still answers ``/stats``.
-    The per-project reads come first: a checkout is itself a ``pool.hits``.
+    The per-project reads come first: each checks its shard out once, and a
+    checkout of an open shard is itself a ``pool.hits``.
     Returns how many counters were compared.
     """
     shards = [server.get(f"/projects/{project}/stats") for project in projects]
