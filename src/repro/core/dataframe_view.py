@@ -142,19 +142,31 @@ def records_by_run(records: Iterable[AnnotatedLog]) -> dict[RunKey, list[Annotat
 class RunPivot:
     """The pivoted rows of one run, restricted to one co-occurrence group.
 
-    ``rows`` are complete row dicts in emission order; ``dim_order`` lists
-    the run's loop names outermost-first as they first appeared.  The pivot
-    of a group is the concatenation of its runs' rows (:func:`compose_group`)
-    — this is the unit the incremental cache recomputes when a run changes.
+    ``columns`` holds the ``length`` rows in emission order, a list per column;
+    ``dim_order`` lists the run's loop names outermost-first as they first
+    appeared.  A group's pivot concatenates its runs' columns
+    (:func:`compose_group`); a run pivot is the unit the incremental cache
+    recomputes, and holds the cache's encoding of its rows per column tuple.
     """
 
     run_key: RunKey
-    rows: list[dict[str, Any]] = field(default_factory=list)
+    columns: dict[str, list[Any]] = field(default_factory=dict)
     dim_order: list[str] = field(default_factory=list)
+    length: int = 0
+    fragments: dict[tuple[str, ...], bytes] = field(default_factory=dict)
 
     @property
     def empty(self) -> bool:
-        return not self.rows
+        return not self.length
+
+    def column(self, name: str) -> list[Any]:
+        """The run's values of ``name``: nulls for a column it lacks."""
+        values = self.columns.get(name)
+        return [None] * self.length if values is None else values
+
+    def records(self, columns: Sequence[str]) -> list[dict[str, Any]]:
+        """The rows as dicts over ``columns``, in order."""
+        return [dict(zip(columns, row)) for row in zip(*map(self.column, columns))]
 
 
 def pivot_run(
@@ -213,7 +225,10 @@ def pivot_run(
                 bucket.setdefault(prefix[:length], []).append(row)
         for row in targets:
             row[record.value_name] = record.value
-    return RunPivot(run_key, list(rows.values()), dim_order)
+    pivoted = list(rows.values())
+    names = RUN_COLUMNS + _dimension_columns(dim_order) + sorted(group_names)
+    columns = {name: [row.get(name) for row in pivoted] for name in names}
+    return RunPivot(run_key, columns, dim_order, len(pivoted))
 
 
 def _new_row(record: AnnotatedLog) -> dict[str, Any]:
@@ -242,8 +257,12 @@ def compose_group(run_pivots: Iterable[RunPivot], group: Sequence[str]) -> DataF
         for dim in pivot.dim_order:
             if dim not in dim_order:
                 dim_order.append(dim)
-    columns = RUN_COLUMNS + _dimension_columns(dim_order) + list(group)
-    return from_records((row for pivot in pivots for row in pivot.rows), columns)
+    data: dict[str, list[Any]] = {}
+    for name in RUN_COLUMNS + _dimension_columns(dim_order) + list(group):
+        values = data[name] = []
+        for pivot in pivots:
+            values.extend(pivot.column(name))
+    return DataFrame(data)
 
 
 def _dimension_columns(dim_order: Sequence[str]) -> list[str]:
@@ -337,4 +356,5 @@ def _order_columns(frame: DataFrame, names: Sequence[str]) -> DataFrame:
     run_cols = [c for c in RUN_COLUMNS if c in frame.columns]
     name_cols = [c for c in names if c in frame.columns]
     dim_cols = [c for c in frame.columns if c not in run_cols and c not in name_cols]
-    return frame.select(run_cols + dim_cols + name_cols)
+    order = run_cols + dim_cols + name_cols
+    return frame if frame.columns == order else frame.select(order)

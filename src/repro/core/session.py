@@ -778,11 +778,11 @@ class Session:
         self.flush()
         return self.query.dataframe(*names, latest=latest, tstamp_range=tstamp_range)
 
-    def dataframe_body(self, names: Sequence[str], encode) -> bytes:
-        """:meth:`dataframe` of ``names`` as ``encode(frame)`` bytes, which the
-        query engine keeps with the materialized view (the service's read)."""
+    def dataframe_body(self, names: Sequence[str], *, latest: bool = False) -> bytes:
+        """:meth:`dataframe` of ``names`` as the JSON bytes a server sends,
+        which the query engine keeps with the materialized view."""
         self.flush()
-        return self.query.dataframe_body(names, encode)
+        return self.query.dataframe_body(names, latest=latest)
 
     def sql(self, query: str, names: Sequence[str] = (), params: Sequence[Any] = ()):
         """Read-only SQL over the context store (the paper's "or SQL" path).

@@ -5,9 +5,9 @@ long-format records once per ``(project, name)``, bucketed per run and kept
 in ``seq`` (append) order, plus the per-run pivots computed from them, keyed
 by the names actually *present* in the run.  A **view** — one per
 ``(projid, sorted names)`` — is thin: its finished frames per requested
-column order, the encoded body a caller had made from each (see
-:meth:`PivotViewCache.dataframe_body`), and the watermarks they were built
-at.  Views that name the
+column order, the run pivots each was composed from, the encoded bodies
+(see :meth:`PivotViewCache.dataframe_body`), and the watermarks they were
+built at.  Views that name the
 same log share its records, and a run's pivot is shared by every view whose
 names select the same records in it — so after a backfill logs a new name
 into a few old runs, the first read of ``(loss, new_name)`` fetches only the
@@ -49,10 +49,13 @@ in full only the names nobody has read (``cache.fetched_rows`` counts the
 log rows each of these pulls from SQLite).
 
 Returned frames are defensive copies; the cached master is never handed
-to callers.  A body is immutable bytes, made from the master once and dropped
-wherever the master is — it is owned by its view, so ``capacity`` bounds
-bodies too.  The cache is thread-safe and LRU-capped — one instance is
-shared per project shard in the service layer.
+to callers.  A body (:mod:`repro.dataframe.wire`; the whole view or its
+``latest`` rows) is immutable bytes, made once per master and dropped
+wherever the master is, so ``capacity`` bounds bodies too.  A view of one
+group is spliced from per-run fragments kept on the pivots (one per final
+column tuple), so after an append only re-pivoted runs are encoded; a
+joined view is one block.  The cache is thread-safe and LRU-capped — one
+instance is shared per project shard in the service layer.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..core.dataframe_view import (
     RunPivot,
@@ -70,11 +73,12 @@ from ..core.dataframe_view import (
     finalize,
     pivot_run,
 )
-from ..dataframe import DataFrame
+from ..dataframe import DataFrame, wire
 from ..obs.metrics import MetricsRegistry, StatsView
 from ..storage.protocols import RelationalStore
 from ..relational.queries import (
     AnnotatedLog,
+    latest as latest_rows,
     log_watermark,
     long_format_records,
     loop_watermark,
@@ -131,8 +135,10 @@ class _ViewState:
 
     #: requested column order -> finished frame.
     frames: dict[tuple[str, ...], DataFrame] = field(default_factory=dict)
-    #: requested column order -> the caller's encoding of ``frames[order]``.
-    bodies: dict[tuple[str, ...], bytes] = field(default_factory=dict)
+    #: requested column order -> the run pivots ``frames[order]`` is, end to end.
+    parts: dict[tuple[str, ...], list[RunPivot] | None] = field(default_factory=dict)
+    #: (requested column order, latest) -> the encoded ``frames[order]``.
+    bodies: dict[tuple[tuple[str, ...], bool], bytes] = field(default_factory=dict)
     log_seq: int = -1
     loop_rowid: int = -1
     generation: int = -1
@@ -212,31 +218,37 @@ class PivotViewCache:
             return entry.frames[order_key].copy()
 
     def dataframe_body(
-        self,
-        db: RelationalStore,
-        projid: str,
-        names: Sequence[str],
-        encode: Callable[[DataFrame], bytes],
+        self, db: RelationalStore, projid: str, names: Sequence[str], *, latest: bool = False
     ) -> bytes:
-        """``encode(frame)`` of the same view, made once per finished frame.
+        """:func:`~repro.dataframe.frame_body` of the same view (``latest``:
+        of its newest run's rows), made once per finished frame.
 
         The same lookup as :meth:`dataframe` (one ``lookups`` and one tier
         count per read); the bytes are kept beside the master frame they
         were made from and dropped with it, so a repeat read of an unchanged
-        view costs no encoding (``body_hits``).  ``encode`` gets the master:
-        it must neither mutate nor keep it, and every caller of one cache
-        must pass the same function.
+        view costs no encoding (``body_hits``).
         """
         with self._lock:
             found = self._lookup(db, projid, names)
             if found is None:
-                return encode(DataFrame())
+                return wire.frame_body(DataFrame())
             entry, order_key = found
-            body = entry.bodies.get(order_key)
-            if body is None:
-                body = entry.bodies[order_key] = encode(entry.frames[order_key])
-            else:
+            body = entry.bodies.get((order_key, latest))
+            if body is not None:
                 self.stats["body_hits"].inc()
+                return body
+            frame = entry.frames[order_key]
+            parts = None if latest else entry.parts[order_key]
+            if parts is None:  # one block: the newest run's rows, or a join
+                body = wire.frame_body(latest_rows(frame) if latest else frame)
+            else:  # each run's rows encoded once per pivot and column tuple
+                columns = tuple(frame.columns)
+                for pivot in parts:
+                    if columns not in pivot.fragments:
+                        pivot.fragments[columns] = wire.rows_fragment(pivot.records(columns))
+                fragments = (pivot.fragments[columns] for pivot in parts)
+                body = wire.splice_body(columns, fragments, len(frame))
+            entry.bodies[(order_key, latest)] = body
             return body
 
     def _lookup(
@@ -379,15 +391,20 @@ class PivotViewCache:
             # frames composed before that, and the bodies made from them,
             # are of an older snapshot.
             entry.frames.clear()
+            entry.parts.clear()
             entry.bodies.clear()
             entry.log_seq, entry.loop_rowid = records.log_seq, records.loop_rowid
         order_key = tuple(ordered)
         if order_key not in entry.frames:
-            entry.frames[order_key] = self._compose(projid, records, ordered)
+            composed = self._compose(projid, records, ordered)
+            entry.frames[order_key], entry.parts[order_key] = composed
         return order_key
 
-    def _compose(self, projid: str, records: _ProjectRecords, ordered: list[str]) -> DataFrame:
-        """Pivot ``ordered`` from the shared records, as ``build_dataframe`` would."""
+    def _compose(
+        self, projid: str, records: _ProjectRecords, ordered: list[str]
+    ) -> tuple[DataFrame, list[RunPivot] | None]:
+        """Pivot ``ordered`` from the shared records, as ``build_dataframe``
+        would, and the pivots the frame's rows are (``None`` for a join)."""
         by_name = {name: records.names[name] for name in ordered}
         # Runs in first-appearance order among the *requested* names.
         first_seq: dict[RunPair, int] = {}
@@ -396,7 +413,7 @@ class PivotViewCache:
                 seq = run_records[0].seq
                 first_seq[pair] = min(seq, first_seq.get(pair, seq))
         run_order = sorted(first_seq, key=first_seq.__getitem__)
-        frames = []
+        frames, parts = [], []
         for group in co_occurrence_groups({n: by_name[n].keys() for n in ordered}, ordered):
             pivots: list[RunPivot] = []
             for pair in run_order:
@@ -412,4 +429,7 @@ class PivotViewCache:
                     run_pivot = per_run[present] = pivot_run((projid, *pair), merged, set(present))
                 pivots.append(run_pivot)
             frames.append(compose_group(pivots, group))
-        return finalize(frames, ordered)
+            if pivots:
+                parts.append(pivots)
+        joined = len(parts) > 1  # a join's rows belong to no one run
+        return finalize(frames, ordered), None if joined else [p for group in parts for p in group]

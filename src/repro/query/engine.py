@@ -22,7 +22,7 @@ probe.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from ..core.dataframe_view import build_dataframe
 from ..dataframe import DataFrame
@@ -79,15 +79,15 @@ class QueryEngine:
             frame = latest_rows(frame)
         return frame
 
-    def dataframe_body(self, names: Sequence[str], encode: Callable[[DataFrame], bytes]) -> bytes:
-        """The unbounded pivot of ``names`` as ``encode(frame)`` bytes.
+    def dataframe_body(self, names: Sequence[str], *, latest: bool = False) -> bytes:
+        """The unbounded pivot of ``names`` (``latest``: its newest run's
+        rows) as the JSON bytes a server sends for :meth:`dataframe`.
 
-        What a server sends for :meth:`dataframe`: the cache keeps the bytes
-        with the materialized view, so re-reading an unchanged view encodes
-        nothing (see :meth:`PivotViewCache.dataframe_body` for the contract
-        ``encode`` must keep).
+        The cache keeps the bytes with the materialized view, so re-reading
+        an unchanged view encodes nothing (see
+        :meth:`PivotViewCache.dataframe_body`).
         """
-        return self.cache.dataframe_body(self.db, self.projid, names, encode)
+        return self.cache.dataframe_body(self.db, self.projid, names, latest=latest)
 
     def sql(
         self,

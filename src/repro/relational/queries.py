@@ -7,7 +7,8 @@ top of it lives in :mod:`repro.core.dataframe_view`.
 
 Filtering is pushed down into SQLite: the value-name set, timestamp range
 and ``seq`` bounds narrow the one ``logs`` scan through the covering indexes
-of :mod:`repro.relational.schema`, and only the loop rows of the runs that
+of :mod:`repro.relational.schema` (or the ``seq`` range alone, for a delta
+read), and only the loop rows of the runs that
 scan returned are fetched — by run key, one index seek per run — instead of
 every loop ever recorded.  A record's loop ancestry belongs to its
 ``(tstamp, filename, ctx_id)`` context, not to the record, so it is worked
@@ -131,12 +132,15 @@ def _logs_where(
     max_seq: int | None,
     run_keys: Sequence[tuple[str, str]] | None,
 ) -> tuple[str, list[Any]]:
-    """WHERE clause + bind parameters of the log scan."""
-    clauses = ["projid = ?"]
+    """WHERE clause + bind parameters of the log scan.  A delta read
+    (``min_seq``) walks its ``seq`` range: unary ``+`` keeps SQLite off the
+    name indexes, whose range for a name is its whole history."""
+    plus = "+" if min_seq is not None else ""
+    clauses = [f"{plus}projid = ?"]
     params: list[Any] = [projid]
     if value_names is not None:
         placeholders = ",".join("?" for _ in value_names)
-        clauses.append(f"value_name IN ({placeholders})")
+        clauses.append(f"{plus}value_name IN ({placeholders})")
         params.extend(value_names)
     if tstamp_range is not None:
         since, until = tstamp_range
@@ -283,9 +287,10 @@ def loop_watermark(db: RelationalStore, projid: str) -> int:
 
 
 def runs_touched_since(db: RelationalStore, projid: str, loop_rowid: int) -> set[tuple[str, str]]:
-    """Distinct ``(tstamp, filename)`` runs with loop rows newer than the watermark."""
+    """Distinct ``(tstamp, filename)`` runs with loop rows newer than the
+    watermark: a ``rowid`` range (``+projid``), not the project's loop index."""
     rows = db.query(
-        "SELECT DISTINCT tstamp, filename FROM loops WHERE projid = ? AND rowid > ?",
+        "SELECT DISTINCT tstamp, filename FROM loops WHERE +projid = ? AND rowid > ?",
         (projid, loop_rowid),
     )
     return {(row[0], row[1]) for row in rows}

@@ -12,9 +12,10 @@ Routes (all JSON; ``<name>`` is a tenant/project name):
   ``flor.commit`` (snapshot tracked files, record the ``ts2vid`` epoch).
 * ``GET /projects/<name>/dataframe?names=a,b[&latest=1]`` — the pivoted
   view of the named log values, as ``{"columns": ..., "records": ...,
-  "rows": N}`` (:func:`frame_body`; a NaN or infinite value is ``null``).
-  The unbounded view is encoded once per materialized frame and re-served
-  as the same bytes until an append replaces the frame.
+  "rows": N}`` (:mod:`repro.dataframe.wire`; a NaN or infinite value is
+  ``null``).  The view, and its ``latest=1`` rows, are encoded once per
+  materialized frame and re-served as the same bytes until an append
+  replaces the frame.
 * ``GET /projects/<name>/sql?q=SELECT...[&names=a,b]`` — read-only SQL via
   :func:`repro.relational.sql.run_sql`; anything but SELECT/WITH is a 400.
 * ``GET /projects/<name>/stats`` — per-shard row counts and hand-off stats.
@@ -78,15 +79,13 @@ merged on the next read (benchmark T9 measures the effect).
 
 from __future__ import annotations
 
-import json
-import math
 import re
 import threading
 from pathlib import Path
 from typing import Any
 
 from ..config import FLOR_DIR_NAME
-from ..dataframe import DataFrame
+from ..dataframe import frame_body
 from ..errors import (
     DatabaseError,
     JobError,
@@ -358,35 +357,9 @@ def enforce_admission(
 _JSON = {"Content-Type": "application/json"}
 
 
-def _finite(value: Any) -> Any:
-    """``value`` with every non-finite float (NaN, ±Infinity) as ``None``."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _finite(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite(item) for item in value]
-    return value
-
-
-def frame_body(frame: DataFrame) -> bytes:
-    """The one JSON body of a ``dataframe`` / ``sql`` answer, as sent.
-
-    ``{"columns": [...], "records": [{...}, ...], "rows": N}`` — the row
-    count comes last so a reader can take it from the tail without parsing
-    the records.  JSON has no NaN or Infinity (RFC 8259): a frame holding
-    one is encoded with ``null`` in its place, which is how
-    :class:`~repro.dataframe.Column` reads NaN anyway.
-    """
-    payload = {"columns": frame.columns, "records": frame.to_records(), "rows": len(frame)}
-    try:
-        return json.dumps(payload, allow_nan=False).encode("utf-8")
-    except ValueError:
-        return json.dumps(_finite(payload), allow_nan=False).encode("utf-8")
-
-
 def with_watermark(body: bytes, watermark: int) -> bytes:
-    """A :func:`frame_body` with the serving replica's watermark as last key."""
+    """A :func:`~repro.dataframe.frame_body` with the serving replica's
+    watermark as last key."""
     return b'%b, "watermark": %d}' % (body[:-1], watermark)
 
 
@@ -707,11 +680,7 @@ def create_app(service: FlorService) -> WebApp:
 
         def body_from(source) -> bytes:
             """``source``: the shard's session, or a replica's query engine."""
-            if latest:
-                return frame_body(source.dataframe(*names, latest=True))
-            # The whole view: encoded once per materialized frame and served
-            # from beside it until an append replaces the frame.
-            return source.dataframe_body(names, frame_body)
+            return source.dataframe_body(names, latest=latest)
 
         # Without replicas every read is a primary read: one checkout.
         body = _replica_body(name, body_from) if service.replicas and not force_primary else None

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dataframe_view import _new_row, build_dataframe, pivot_run
+from repro.core.dataframe_view import RUN_COLUMNS, _new_row, build_dataframe, pivot_run
 from repro.relational.queries import AnnotatedLog, LoopPosition
 
 
@@ -218,9 +218,14 @@ class TestPivotRunEqualsTheQuadraticLoop:
         records = [_record(path, name, seq, seq) for seq, (path, name) in enumerate(logged)]
         pivot = pivot_run(("p", "t1", "train.py"), records, group)
         rows, dim_order = _reference_pivot_run(records, group)
-        assert pivot.rows == rows
-        assert [list(row) for row in pivot.rows] == [list(row) for row in rows]  # key order too
         assert pivot.dim_order == dim_order
+        assert pivot.length == len(rows)
+        dims = [c for dim in dim_order for c in (dim, f"{dim}_value")]
+        columns = RUN_COLUMNS + dims + sorted(group)
+        if rows:  # the run's columns, each holding every row, nulls where a row has no cell
+            assert list(pivot.columns) == columns
+            assert pivot.columns == {c: [row.get(c) for row in rows] for c in columns}
+        assert pivot.records(columns) == [{c: row.get(c) for c in columns} for row in rows]
 
     def test_a_per_epoch_name_costs_its_own_rows_not_every_row(self):
         """400 epochs x 50 steps with one per-epoch metric: the broadcast is a
@@ -243,7 +248,7 @@ class TestPivotRunEqualsTheQuadraticLoop:
 
         _plain, deep_only = best_of_three(deep, {"loss"})
         pivot, with_broadcast = best_of_three(deep + shallow, {"loss", "acc"})
-        assert len(pivot.rows) == epochs * steps
-        assert all(row["acc"] == float(row["epoch"]) for row in pivot.rows)
+        assert pivot.length == epochs * steps
+        assert pivot.column("acc") == [float(e) for e in pivot.column("epoch")]
         # The quadratic loop spent ~40x the deep-only pivot here.
         assert with_broadcast < 5 * deep_only

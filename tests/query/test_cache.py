@@ -13,16 +13,34 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.core import dataframe_view
 from repro.core.dataframe_view import build_dataframe
+from repro.dataframe import DataFrame, frame_body, wire
 from repro.query import PivotViewCache
 from repro.relational.database import Database
+from repro.relational.queries import latest
 from repro.relational.records import LogRecord, LoopRecord
 from repro.relational.repositories import LogRepository, LoopRepository
 
 
-def encode(frame) -> bytes:
-    """A stand-in for the service's wire format: the cache only stores it."""
-    return json.dumps({"columns": frame.columns, "records": frame.to_records()}).encode()
+def rebuilt_body(db, names, *, latest_only=False) -> bytes:
+    """What the cache must serve: the wire form of a pivot built afresh."""
+    frame = build_dataframe(db, "p", names)
+    return frame_body(latest(frame) if latest_only else frame)
+
+
+@pytest.fixture()
+def encoded(monkeypatch):
+    """Spy on the fragment encoder: one entry per call, its row count."""
+    calls: list[int] = []
+    real = wire.rows_fragment
+
+    def spy(records):
+        calls.append(len(records))
+        return real(records)
+
+    monkeypatch.setattr(wire, "rows_fragment", spy)
+    return calls
 
 
 def add_run(db, tstamp: str, *, loops: int = 3, names=("loss", "acc"), filename="train.py"):
@@ -180,82 +198,168 @@ class TestLifecycle:
 
 
 class TestBodies:
-    """``dataframe_body``: the caller's encoding, kept beside the frame it is of."""
+    """``dataframe_body``: the wire form, kept beside the frame it is of."""
 
     def test_a_repeat_read_returns_the_same_bytes_and_counts_both(self, db):
         add_run(db, "t1")
         cache = PivotViewCache()
-        first = cache.dataframe_body(db, "p", ["loss", "acc"], encode)
-        assert json.loads(first)["records"] == build_dataframe(db, "p", ["loss", "acc"]).to_records()
-        assert cache.dataframe_body(db, "p", ["loss", "acc"], encode) is first
+        first = cache.dataframe_body(db, "p", ["loss", "acc"])
+        assert first == rebuilt_body(db, ["loss", "acc"])
+        assert cache.dataframe_body(db, "p", ["loss", "acc"]) is first
         stats = cache.stats
         assert (stats.lookups, stats.cold_builds, stats.fast_hits, stats.body_hits) == (2, 1, 1, 1)
 
-    def test_a_frame_read_first_is_encoded_once_by_the_first_body_read(self, db):
+    def test_a_frame_read_first_is_encoded_once_by_the_first_body_read(self, db, encoded):
         add_run(db, "t1")
         cache = PivotViewCache()
         cache.dataframe(db, "p", ["loss"])
-        calls = []
-        body = cache.dataframe_body(db, "p", ["loss"], lambda f: calls.append(len(f)) or b"x")
-        assert cache.dataframe_body(db, "p", ["loss"], encode) is body
-        assert calls == [3] and cache.stats.body_hits == 1
+        body = cache.dataframe_body(db, "p", ["loss"])
+        assert cache.dataframe_body(db, "p", ["loss"]) is body
+        assert encoded == [3] and cache.stats.body_hits == 1
 
     def test_request_orders_share_a_view_but_not_a_body(self, db):
         add_run(db, "t1")
         cache = PivotViewCache()
-        ab = cache.dataframe_body(db, "p", ["loss", "acc"], encode)
-        ba = cache.dataframe_body(db, "p", ["acc", "loss"], encode)
+        ab = cache.dataframe_body(db, "p", ["loss", "acc"])
+        ba = cache.dataframe_body(db, "p", ["acc", "loss"])
         assert len(cache) == 1
         assert json.loads(ab)["columns"][-2:] == ["loss", "acc"]
         assert json.loads(ba)["columns"][-2:] == ["acc", "loss"]
-        assert cache.dataframe_body(db, "p", ["loss", "acc"], encode) is ab
+        assert ba == rebuilt_body(db, ["acc", "loss"])
+        assert cache.dataframe_body(db, "p", ["loss", "acc"]) is ab
 
     def test_an_append_replaces_the_body_with_the_frame(self, db):
         add_run(db, "t1")
         cache = PivotViewCache()
-        stale = cache.dataframe_body(db, "p", ["loss"], encode)
+        stale = cache.dataframe_body(db, "p", ["loss"])
         add_run(db, "t2")
-        fresh = cache.dataframe_body(db, "p", ["loss"], encode)
+        fresh = cache.dataframe_body(db, "p", ["loss"])
         assert fresh is not stale
-        assert json.loads(fresh)["records"] == build_dataframe(db, "p", ["loss"]).to_records()
+        assert fresh == rebuilt_body(db, ["loss"])
         assert cache.stats.incremental_refreshes == 1 and cache.stats.body_hits == 0
 
     def test_another_views_sync_drops_this_views_body_too(self, db):
         add_run(db, "t1")
         cache = PivotViewCache()
-        stale = cache.dataframe_body(db, "p", ["loss"], encode)
+        stale = cache.dataframe_body(db, "p", ["loss"])
+        stale_latest = cache.dataframe_body(db, "p", ["loss"], latest=True)
         add_run(db, "t2")
         cache.dataframe(db, "p", ["acc"])  # syncs the records both views share
         # A fast hit by the generation tiers, yet the frame under it moved.
-        fresh = cache.dataframe_body(db, "p", ["loss"], encode)
+        fresh = cache.dataframe_body(db, "p", ["loss"])
         assert fresh is not stale and len(json.loads(fresh)["records"]) == 6
+        fresh_latest = cache.dataframe_body(db, "p", ["loss"], latest=True)
+        assert fresh_latest != stale_latest
+        assert fresh_latest == rebuilt_body(db, ["loss"], latest_only=True)
 
     def test_eviction_and_invalidation_release_the_body(self, db):
         add_run(db, "t1")
         cache = PivotViewCache(capacity=1)
-        body = cache.dataframe_body(db, "p", ["loss"], encode)
-        cache.dataframe_body(db, "p", ["acc"], encode)  # evicts the loss view
+        body = cache.dataframe_body(db, "p", ["loss"])
+        cache.dataframe_body(db, "p", ["acc"])  # evicts the loss view
         assert list(cache._entries) == [("p", ("acc",))]
         held = [b for entry in cache._entries.values() for b in entry.bodies.values()]
         assert len(held) == 1 and body not in held
         cache.invalidate("p")
         assert not cache._entries and not cache._records
 
-    def test_a_failed_encode_caches_nothing(self, db):
+    def test_a_failed_encode_caches_nothing(self, db, monkeypatch):
         add_run(db, "t1")
         cache = PivotViewCache()
+        real = wire.rows_fragment
 
-        def refuse(frame):
+        def refuse(records):
             raise ValueError("cannot encode")
 
+        monkeypatch.setattr(wire, "rows_fragment", refuse)
         with pytest.raises(ValueError, match="cannot encode"):
-            cache.dataframe_body(db, "p", ["loss"], refuse)
-        assert json.loads(cache.dataframe_body(db, "p", ["loss"], encode))["columns"][-1] == "loss"
+            cache.dataframe_body(db, "p", ["loss"])
+        monkeypatch.setattr(wire, "rows_fragment", real)
+        assert cache.dataframe_body(db, "p", ["loss"]) == rebuilt_body(db, ["loss"])
 
     def test_empty_names_encode_the_empty_frame(self, db):
         cache = PivotViewCache()
-        assert json.loads(cache.dataframe_body(db, "p", [], encode)) == {"columns": [], "records": []}
+        assert cache.dataframe_body(db, "p", []) == frame_body(DataFrame())
+        assert json.loads(cache.dataframe_body(db, "p", [], latest=True)) == {
+            "columns": [], "records": [], "rows": 0
+        }
         assert cache.stats.lookups == 0 and len(cache) == 0
+
+    def test_the_latest_body_is_kept_beside_the_full_body(self, db):
+        add_run(db, "t1")
+        add_run(db, "t2", loops=2)
+        cache = PivotViewCache()
+        full = cache.dataframe_body(db, "p", ["loss"])
+        newest = cache.dataframe_body(db, "p", ["loss"], latest=True)
+        assert newest == rebuilt_body(db, ["loss"], latest_only=True)
+        assert json.loads(newest)["rows"] == 2
+        assert cache.dataframe_body(db, "p", ["loss"], latest=True) is newest
+        assert cache.dataframe_body(db, "p", ["loss"]) is full
+        assert cache.stats.body_hits == 2
+        add_run(db, "t3", loops=1)
+        again = cache.dataframe_body(db, "p", ["loss"], latest=True)
+        assert json.loads(again)["rows"] == 1
+        assert again == rebuilt_body(db, ["loss"], latest_only=True)
+
+    def test_a_joined_view_is_one_block(self, db, encoded):
+        add_run(db, "t1", names=("a_metric",))
+        add_run(db, "t2", names=("b_metric",), filename="infer.py")
+        cache = PivotViewCache()
+        body = cache.dataframe_body(db, "p", ["a_metric", "b_metric"])
+        assert encoded == [3]  # the joined frame's rows, not a fragment per run
+        assert body == rebuilt_body(db, ["a_metric", "b_metric"])
+
+
+class TestDeltaCost:
+    """After a 16-row append to a 4,000-row view, the next body read costs
+    what changed: the dirty run's rows are pivoted and encoded, no others."""
+
+    NAMES = ["m0", "m1", "m2", "m3"]
+
+    @pytest.fixture()
+    def rows_built(self, monkeypatch):
+        built: list[int] = []
+        real = dataframe_view._new_row
+
+        def spy(record):
+            built.append(1)
+            return real(record)
+
+        monkeypatch.setattr(dataframe_view, "_new_row", spy)
+        return built
+
+    def _warm(self, db):
+        for n in range(10):
+            add_run(db, f"t{n:02d}", loops=100, names=self.NAMES)
+        cache = PivotViewCache()
+        assert json.loads(cache.dataframe_body(db, "p", self.NAMES))["rows"] == 1000
+        assert cache.stats.fetched_rows == 4000
+        return cache
+
+    def _read(self, db, cache, encoded, rows_built):
+        """The next body read: (log rows fetched, rows encoded, rows built)."""
+        before = cache.stats.fetched_rows
+        del encoded[:], rows_built[:]
+        body = cache.dataframe_body(db, "p", self.NAMES)
+        cost = (cache.stats.fetched_rows - before, list(encoded), len(rows_built))
+        assert body == rebuilt_body(db, self.NAMES)
+        assert cache.stats.incremental_refreshes == 1
+        return cost
+
+    def test_a_new_run_is_the_only_one_pivoted_and_encoded(self, db, encoded, rows_built):
+        cache = self._warm(db)
+        add_run(db, "t10", loops=4, names=self.NAMES)  # 16 log rows
+        assert self._read(db, cache, encoded, rows_built) == (16, [4], 4)
+
+    def test_a_grown_run_is_the_only_one_pivoted_and_encoded(self, db, encoded, rows_built):
+        cache = self._warm(db)
+        loops, logs = LoopRepository(db), LogRepository(db)
+        for i in range(100, 104):  # the newest run keeps going: 16 more rows
+            loops.add(LoopRecord("p", "t09", "train.py", i + 1, 0, "epoch", i, str(i)))
+            logs.add_many([LogRecord.create("p", "t09", "train.py", i + 1, m, float(i)) for m in self.NAMES])
+        # Its loop rows moved, so the run is re-read whole (400 + 16), not
+        # just the delta; the other nine runs are neither read nor touched.
+        assert self._read(db, cache, encoded, rows_built) == (416, [104], 104)
 
 
 class TestSharedRecords:
@@ -349,11 +453,16 @@ class TestSharedRecords:
 # ---------------------------------------------------------------------------
 
 PROPERTY_NAMES = ("a", "b", "c", "d")
+#: What reads ask for: the logged names and one nobody ever logs.
+READ_NAMES = PROPERTY_NAMES + ("never",)
+#: Values JSON has no spelling for; the wire form sends them as null.
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 
 class CacheEqualsRebuild(RuleBasedStateMachine):
     """Random appends, backfills, loop rewrites, reads and invalidations over
-    one project; whatever tier serves a read, the frame is ``build_dataframe``'s."""
+    one project; whatever tier serves a read, the frame is ``build_dataframe``'s
+    and the body is its wire form, byte for byte."""
 
     capacity = 32
 
@@ -371,20 +480,30 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
     def teardown(self):
         self.db.close()
 
-    def _log(self, tstamp, filename, ctx_id, name):
+    def _log(self, tstamp, filename, ctx_id, name, value=None):
         self.values += 1
-        self.logs.add(LogRecord.create("p", tstamp, filename, ctx_id, name, self.values))
+        value = self.values if value is None else value
+        self.logs.add(LogRecord.create("p", tstamp, filename, ctx_id, name, value))
 
     @rule(
         names=st.sets(st.sampled_from(PROPERTY_NAMES), min_size=1),
         epochs=st.integers(0, 3),
         steps=st.sampled_from([0, 2]),
+        inner=st.sampled_from(["step", "batch"]),
         filename=st.sampled_from(["train.py", "infer.py"]),
         holes=st.integers(0, 255),
         per_epoch=st.sets(st.sampled_from(PROPERTY_NAMES), max_size=2),
+        share_tstamp=st.booleans(),
     )
-    def record_run(self, names, epochs, steps, filename, holes, per_epoch):
+    def record_run(self, names, epochs, steps, inner, filename, holes, per_epoch, share_tstamp):
+        """A run; a later one may enter a loop (``inner``) no earlier run had,
+        or share the previous run's tstamp under the other filename."""
         tstamp = f"t{len(self.runs):03d}"
+        if share_tstamp and self.runs:
+            shared, last = self.runs[-1][0], self.runs[-1][1]
+            other = "infer.py" if last == "train.py" else "train.py"
+            if (shared, other) not in {(t, f) for t, f, _c in self.runs}:
+                tstamp, filename = shared, other
         contexts, ctx_id = [], 0
         for epoch in range(epochs):
             ctx_id += 1
@@ -392,11 +511,11 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
             contexts.append((epoch_ctx, 0, "epoch", epoch))
             for step in range(steps):
                 ctx_id += 1
-                contexts.append((ctx_id, epoch_ctx, "step", step))
+                contexts.append((ctx_id, epoch_ctx, inner, step))
         self.loops.add_many(
             [LoopRecord("p", tstamp, filename, c, parent, loop, i, str(i)) for c, parent, loop, i in contexts]
         )
-        deepest = [c for c, _p, loop, _i in contexts if loop == ("step" if steps else "epoch")] or [0]
+        deepest = [c for c, _p, loop, _i in contexts if loop == (inner if steps else "epoch")] or [0]
         for position, (ctx, name) in enumerate((c, n) for c in deepest for n in sorted(names)):
             if not holes >> (position % 8) & 1:  # some positions stay unlogged, for later
                 self._log(tstamp, filename, ctx, name)
@@ -407,13 +526,19 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
         self.runs.append((tstamp, filename, contexts))
 
     @precondition(lambda self: self.runs)
-    @rule(pick=st.integers(0, 1000), name=st.sampled_from(PROPERTY_NAMES), where=st.integers(0, 1000))
-    def log_into_an_old_run(self, pick, name, where):
+    @rule(
+        pick=st.integers(0, 1000),
+        name=st.sampled_from(PROPERTY_NAMES),
+        where=st.integers(0, 1000),
+        value=st.one_of(st.none(), st.sampled_from(NON_FINITE)),
+    )
+    def log_into_an_old_run(self, pick, name, where, value):
         """The backfill shape: a (maybe new) name lands in a run recorded earlier,
-        at any depth — top level and epoch level broadcast, and re-logs overwrite."""
+        at any depth — top level and epoch level broadcast, and re-logs overwrite.
+        The value may be NaN or ±Infinity."""
         tstamp, filename, contexts = self.runs[pick % len(self.runs)]
         ctx_ids = [0] + [c for c, *_ in contexts]
-        self._log(tstamp, filename, ctx_ids[where % len(ctx_ids)], name)
+        self._log(tstamp, filename, ctx_ids[where % len(ctx_ids)], name, value)
 
     @precondition(lambda self: any(contexts for *_, contexts in self.runs))
     @rule(pick=st.integers(0, 1000), where=st.integers(0, 1000), label=st.sampled_from(["x", "y"]))
@@ -423,26 +548,23 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
         ctx, parent, loop, i = contexts[where % len(contexts)]
         self.loops.add(LoopRecord("p", tstamp, filename, ctx, parent, loop, i, label))
 
-    @rule(names=st.lists(st.sampled_from(PROPERTY_NAMES), min_size=1, unique=True))
+    @rule(names=st.lists(st.sampled_from(READ_NAMES), min_size=1, unique=True))
     def read(self, names):
         expected = build_dataframe(self.db, "p", names)
         for cache in (self.cache, self.other):
             frame = cache.dataframe(self.db, "p", names)
             assert frame.columns == expected.columns
-            assert frame.to_records() == expected.to_records()
+            assert repr(frame.to_records()) == repr(expected.to_records())  # NaN included
             assert frame.equals(expected)
         self.reads += 1
 
-    @rule(names=st.lists(st.sampled_from(PROPERTY_NAMES), min_size=1, unique=True))
-    def read_body(self, names):
-        """The encoded body of any requested order decodes to the rebuild's
-        records, columns in request order — whichever tier found it."""
-        expected = build_dataframe(self.db, "p", names)
+    @rule(names=st.lists(st.sampled_from(READ_NAMES), min_size=1, unique=True), newest=st.booleans())
+    def read_body(self, names, newest):
+        """The body of any requested order, whole or ``latest``, is the wire
+        form of the rebuild byte for byte — whichever tier found it."""
+        expected = rebuilt_body(self.db, names, latest_only=newest)
         for cache in (self.cache, self.other):
-            served = json.loads(cache.dataframe_body(self.db, "p", names, encode))
-            assert served["columns"] == expected.columns
-            assert served["records"] == expected.to_records()
-            assert all(list(record) == expected.columns for record in served["records"])
+            assert cache.dataframe_body(self.db, "p", names, latest=newest) == expected
         self.reads += 1
 
     def _rows_a_sync_must_fetch(self, cache, names) -> int:
@@ -496,7 +618,8 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
     def a_view_with_no_frame_holds_no_body(self):
         for cache in (self.cache, self.other):
             for entry in cache._entries.values():
-                assert set(entry.bodies) <= set(entry.frames)
+                assert {order for order, _latest in entry.bodies} <= set(entry.frames)
+                assert set(entry.parts) == set(entry.frames)
 
     @invariant()
     def every_read_is_one_lookup_in_one_tier(self):
@@ -520,6 +643,8 @@ class CacheEqualsRebuildAtCapacityOne(CacheEqualsRebuild):
 
 
 for _machine in (CacheEqualsRebuild, CacheEqualsRebuildAtCapacityOne):
-    _machine.TestCase.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
+    _machine.TestCase.settings = settings(
+        max_examples=100, stateful_step_count=30, deadline=None, derandomize=True, print_blob=True
+    )
 TestCacheEqualsRebuild = CacheEqualsRebuild.TestCase
 TestCacheEqualsRebuildAtCapacityOne = CacheEqualsRebuildAtCapacityOne.TestCase

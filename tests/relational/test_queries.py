@@ -396,21 +396,22 @@ def _seed_runs(db, runs, steps, names=("m0", "m1", "m2", "m3"), first_run=0):
         )
 
 
+ROWID_RANGE = "SEARCH logs USING INTEGER PRIMARY KEY (rowid>? AND rowid<?)"
+
+
 class TestStatementCost:
     def test_the_scan_and_the_loop_fetch_are_index_searches(self, db):
         """The log scan is answered from ``idx_logs_pushdown`` and the loop
         fetch seeks ``idx_loops_ancestry`` run by run: no table scan of either."""
         _seed_runs(db, runs=3, steps=4)
         store = RecordingStore(db)
-        # A two-sided seq bound may also be served by idx_logs_name, whose
-        # implicit rowid suffix turns the bound into the index range itself;
-        # a time range over every name is what idx_logs_tstamp is for.
+        # A delta read (min_seq) walks its seq range, filtered by name; a
+        # time range over every name is what idx_logs_tstamp is for.
         pushdown = r"COVERING INDEX idx_logs_pushdown \(projid=\? AND value_name=\?"
         shapes = [
             (dict(value_names=["m0", "m1"]), pushdown),
             (dict(value_names=["m0", "m3"], max_seq=40), pushdown),
-            (dict(value_names=["m0"], min_seq=4, max_seq=40),
-             pushdown + r"|idx_logs_name \(.*rowid>\? AND rowid<\?\)"),
+            (dict(value_names=["m0"], min_seq=4, max_seq=40), re.escape(ROWID_RANGE)),
             (dict(value_names=["m0", "m3"], run_keys=[("t001", "train.py")]), pushdown),
             (dict(value_names=["m1"], tstamp_range=("t001", None)), pushdown),
             (dict(value_names=None, tstamp_range=("t001", None)), r"idx_logs_tstamp \(projid=\?"),
@@ -443,6 +444,31 @@ class TestStatementCost:
         assert cache.stats.fetched_rows == 4000 + 16
         assert sum(count for _sql, _params, count in store.reads) <= 2 + 1 + 16 + 4
         assert len(store.reads) <= 6  # two watermarks, touched runs, scan, loop fetch
+
+    def test_the_delta_read_is_a_seq_range_not_a_walk_of_each_names_history(self, db):
+        """The refresh's multi-name log scan seeks the rowid range of the delta;
+        a walk of ``idx_logs_pushdown`` per name would read every row cached."""
+        names = ["m0", "m1", "m2", "m3"]
+        _seed_runs(db, runs=10, steps=100)
+        cache = PivotViewCache()
+        cache.dataframe(db, "p", names)
+        _seed_runs(db, runs=1, steps=4, first_run=10)
+        store = RecordingStore(db)
+        cache.dataframe(store, "p", names)
+        ((delta_sql, params, rows),) = [read for read in store.reads if "seq > ?" in read[0]]
+        assert rows == 16
+        plan = [row[3] for row in db.query("EXPLAIN QUERY PLAN " + delta_sql, params)]
+        assert plan[0] == ROWID_RANGE, plan
+        # So is the probe for runs whose loop rows moved.
+        ((touched_sql, params, _),) = [read for read in store.reads if "FROM loops WHERE" in read[0]]
+        plan = [row[3] for row in db.query("EXPLAIN QUERY PLAN " + touched_sql, params)]
+        assert plan[0] == "SEARCH loops USING INTEGER PRIMARY KEY (rowid>?)", plan
+        # A cold build's full-name scan keeps its covering index.
+        del store.reads[:]
+        PivotViewCache().dataframe(store, "p", names)
+        ((full_sql, params, _),) = [read for read in store.reads if "FROM logs WHERE" in read[0]]
+        plan = [row[3] for row in db.query("EXPLAIN QUERY PLAN " + full_sql, params)]
+        assert "COVERING INDEX idx_logs_pushdown (projid=? AND value_name=?)" in plan[0], plan
 
 
 class TestWatermarks:

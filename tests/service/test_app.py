@@ -7,6 +7,9 @@ import threading
 
 import pytest
 
+from repro.core.dataframe_view import build_dataframe
+from repro.dataframe import frame_body
+from repro.relational.queries import latest
 from repro.service import FlorService
 from repro.webapp.framework import TestClient
 
@@ -316,6 +319,23 @@ class TestResponseBytes:
             stats = shard.session.query.stats
             assert stats.incremental_refreshes == 1 and stats.body_hits == 1
             assert shard.ingest["explicit_flushes"] == 2
+
+    def test_a_latest_body_is_kept_beside_the_view_until_an_append(self, client, service):
+        _two_epochs(client, "alpha", "2024-01-01T00:00:00", [0.9, 0.7])
+        _two_epochs(client, "alpha", "2024-01-02T00:00:00", [0.5, 0.25, 0.125])
+        url = self.URL + "&latest=1"
+        first = client.get(url)
+        assert client.get(url).body is first.body
+        assert first.body == frame_body(self._frame(service, "loss", latest=True))
+        with service.pool.checkout("alpha") as shard:
+            stats = shard.session.query.stats
+            assert stats.body_hits == 1 and stats.lookups == 3
+        _two_epochs(client, "alpha", "2024-01-03T00:00:00", [0.0625])
+        after = client.get(url)
+        assert after.body is not first.body and after.json()["rows"] == 1
+        with service.pool.checkout("alpha") as shard:
+            rebuilt = build_dataframe(shard.session.db, shard.session.projid, ["loss"])
+        assert after.body == frame_body(latest(rebuilt))
 
     def test_non_finite_values_are_null_not_bare_nan(self, client):
         response = client.post(

@@ -96,6 +96,8 @@ def _mixed_run(service, client, plan) -> None:
     frame = "/projects/t4/dataframe?names=m"
     assert client.get(frame).ok  # cold build
     assert client.get(frame).ok  # fast hit
+    assert client.get(frame + "&latest=1").ok  # fast hit: encodes the newest run's rows
+    assert client.get(frame + "&latest=1").ok  # fast hit, answered with those bytes
     assert client.get("/projects/t4/sql?q=SELECT COUNT(*) AS n FROM pivot&names=m").ok
     assert client.get(frame).ok  # the temp table moved write_version: warm hit
     _append(client, "t4", 9, 9.5)
@@ -132,9 +134,10 @@ def test_process_counters_equal_the_sum_over_every_shard_incarnation(deployed):
     assert counters["pool.evictions"] >= 9 and counters["pool.reopens"] >= 6
     for tier in ("fast_hits", "warm_hits", "incremental_refreshes", "cold_builds"):
         assert counters[f"cache.{tier}"] >= 1, tier
-    # Three reads found their view unchanged — the fast hit, the warm hit and
-    # the one after the dropped batch — and were answered without encoding.
-    assert counters["cache.body_hits"] == 3
+    # Four reads found their view unchanged — the fast hit, the second
+    # ``latest=1`` read, the warm hit and the one after the dropped batch —
+    # and were answered without encoding.
+    assert counters["cache.body_hits"] == 4
     # And the per-tenant route reads the live incarnation of the same scopes.
     stats = client.get("/projects/t4/stats").json()
     assert stats["flusher"] == incarnations[-1].session.flusher.stats.as_dict()

@@ -429,7 +429,7 @@ class TestBodyTypes:
             assert response.headers["Content-Length"] == str(len(wire))
         with service.pool.checkout("alpha") as shard:
             (entry,) = shard.session.query.cache._entries.values()
-            assert wire == entry.bodies[("loss",)]
+            assert wire == entry.bodies[(("loss",), False)]
 
 
 class TestMakeServer:

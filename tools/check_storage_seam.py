@@ -30,10 +30,12 @@ replay collects, the engine lands), and nothing under ``repro.jobs`` names
 the engine for its plan instead of walking epochs or deduping version ids
 itself.
 
-A fourth keeps the read answer single: in :mod:`repro.service.app` only
-``frame_body`` may call ``.to_records()`` or spell a dict with a
-``"records"`` key — a second body builder would be a second wire format,
-and one the pivot cache's kept bodies know nothing about.
+A fourth keeps the read answer single: the wire form lives in
+:mod:`repro.dataframe.wire`, where only ``frame_body`` may call
+``.to_records()`` or spell a dict with a ``"records"`` key, and
+:mod:`repro.service.app` may do neither — a second body builder would be a
+second wire format, and one the pivot cache's spliced bodies know nothing
+about.
 
 A fifth keeps the record path single: nothing under ``src/repro`` names
 ``flush_mode`` or ``sync_flush`` (the deleted inline mode and its seven
@@ -126,8 +128,9 @@ def second_planner_signs(name: str, tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
-#: The one module, and the one function in it, that builds a read's body.
-BODY_MODULE, BODY_BUILDER = "repro.service.app", "frame_body"
+#: Modules that could grow a second body builder, and the one function (in
+#: the wire module) that turns a frame into a read's body.
+BODY_MODULES, BODY_BUILDER = ("repro.service.app", "repro.dataframe.wire"), "frame_body"
 
 
 def second_body_builders(tree: ast.AST) -> list[tuple[int, str]]:
@@ -192,10 +195,10 @@ def main(argv: list[str]) -> int:
                 f"land is HindsightEngine's decision alone (see repro.core.hindsight)"
             )
             violations += 1
-        for lineno, what in second_body_builders(tree) if name == BODY_MODULE else ():
+        for lineno, what in second_body_builders(tree) if name in BODY_MODULES else ():
             print(
                 f"{path}:{lineno}: {name} {what} outside {BODY_BUILDER} — a read has "
-                f"one body builder, whose bytes the pivot cache keeps with the view"
+                f"one wire format, whose fragments the pivot cache keeps with the view"
             )
             violations += 1
         for lineno, what in second_record_paths(name, tree):
@@ -216,7 +219,7 @@ def main(argv: list[str]) -> int:
         print("storage seam intact: sqlite3 imports confined to", ", ".join(ALLOWED_PREFIXES))
         print("metrics seam intact: no registry is tested for None")
         print("replay seam intact: one planner, replay_source called by", ", ".join(REPLAY_CALLERS))
-        print(f"body seam intact: {BODY_MODULE} builds read bodies in {BODY_BUILDER} only")
+        print(f"body seam intact: read bodies built in {BODY_BUILDER} only ({', '.join(BODY_MODULES)})")
         print(f"writer seam intact: no flush-mode knob, .flusher.submit() called by {WRITER_MODULE} only")
     return violations
 
