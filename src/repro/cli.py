@@ -304,8 +304,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         "--backend",
         args.backend,
     ]
-    if args.replicas > 0:
-        worker_args += ["--replicas", str(args.replicas)]
     if args.job_workers > 0:
         # JobStore claiming is CAS-safe across processes, so every worker
         # can run its own drain loop over the shared host-level queue.
@@ -371,7 +369,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flush_size=args.flush_size,
         flush_interval=None if args.flush_interval <= 0 else args.flush_interval,
         backend=args.backend,
-        replicas=args.replicas,
         qos=args.qos,
         qos_policy_file=args.qos_policy,
     )
@@ -426,8 +423,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("        POST /projects/<name>/jobs/backfill | GET /jobs/<id> | POST /jobs/<id>/cancel")
         if args.backend != "sqlite":
             print(f"storage backend: {args.backend} (rows and blobs never touch disk)")
-        if args.replicas > 0:
-            print(f"read replicas: {args.replicas} per shard (bounded staleness; ?primary=1 bypasses)")
         if service.admission is not None:
             print("admission control: per-tenant rate/quota limits (429 + Retry-After; policy at /service/policy)")
         if runner is not None:
@@ -839,12 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="embed N durable job workers draining the root's job queue (0 disables)",
-    )
-    sub.add_argument(
-        "--replicas",
-        type=int,
-        default=0,
-        help="route dataframe/sql reads to N snapshot read replicas per shard (0 disables)",
     )
     sub.add_argument(
         "--backend",

@@ -117,29 +117,6 @@ class Database:
         rows = self.query(sql, params)
         return rows[0] if rows else None
 
-    # ------------------------------------------------------------- snapshots
-    def snapshot_into(self, target: "Database") -> int:
-        """Copy this database's full contents into ``target``, page by page.
-
-        Uses SQLite's online backup API, so the copy is transactionally
-        consistent even while this handle keeps serving traffic.  Holds both
-        handles' locks for the duration, which makes the returned
-        ``write_version`` exactly the version the snapshot corresponds to —
-        the replica layer relies on that pairing for its staleness math.
-
-        Note the backup API writes pages directly, bypassing SQL: the
-        *target*'s ``total_changes`` (and therefore its ``write_version``)
-        does NOT advance.  Consumers caching on the target must be
-        invalidated out-of-band (see ``ReplicatedDatabase.on_sync``).
-        """
-        with self._lock:
-            with target._lock:
-                try:
-                    self._connection.backup(target._connection)
-                except sqlite3.Error as exc:
-                    raise DatabaseError(f"snapshot failed: {exc}") from exc
-            return self._connection.total_changes
-
     # --------------------------------------------------------------- counts
     def count(self, table: str) -> int:
         from .schema import TABLES

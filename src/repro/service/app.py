@@ -130,16 +130,6 @@ class FlorService:
     backend:
         ``"sqlite"`` (default) or ``"memory"``; see
         :class:`~repro.service.pool.DatabasePool`.
-    replicas:
-        When > 0, ``dataframe``/``sql`` reads are routed round-robin to
-        that many snapshot read replicas per shard.  Replica reads do not
-        flush the shard's staged rows — they trade read-your-writes for
-        bounded staleness, and every response carries the serving
-        replica's ``logs.seq`` ``watermark`` so clients can reason about
-        freshness.  A client that needs read-your-writes passes
-        ``?primary=1`` to bypass the replicas for one request.
-    replica_staleness:
-        Seconds a replica may lag before a read re-ships a snapshot.
     shard_factory:
         ``(name) -> ProjectShard`` hook forwarded to the pool, replacing
         how a shard's session is built — the chaos harness uses it to
@@ -155,8 +145,6 @@ class FlorService:
         flush_size: int = 64,
         flush_interval: float | None = 0.5,
         backend: str = "sqlite",
-        replicas: int = 0,
-        replica_staleness: float = 0.25,
         shard_factory=None,
         job_store: JobStore | None = None,
         qos: bool = False,
@@ -168,7 +156,6 @@ class FlorService:
         self.root = Path(root)
         self.flush_size = flush_size
         self.flush_interval = flush_interval
-        self.replicas = replicas
         #: The observability plane: one outermost metrics registry and one
         #: tail broker per service process.  Every component counts in its
         #: own scope; the pool attaches each shard session's to this
@@ -186,8 +173,6 @@ class FlorService:
             flush_size=flush_size,
             flush_interval=flush_interval,
             backend=backend,
-            replicas=replicas,
-            replica_staleness=replica_staleness,
             shard_factory=shard_factory,
             metrics=self.metrics,
             on_ingest=self._publish_ingest,
@@ -355,12 +340,6 @@ def enforce_admission(
 
 
 _JSON = {"Content-Type": "application/json"}
-
-
-def with_watermark(body: bytes, watermark: int) -> bytes:
-    """A :func:`~repro.dataframe.frame_body` with the serving replica's
-    watermark as last key."""
-    return b'%b, "watermark": %d}' % (body[:-1], watermark)
 
 
 def _json_body(request: Request) -> dict[str, Any]:
@@ -632,41 +611,6 @@ def create_app(service: FlorService) -> WebApp:
             vid = shard.session.commit(message)
             return JsonResponse({"vid": vid, "tstamp": shard.session.tstamp})
 
-    def _replica_read(name: str, read):
-        """Run ``read`` against the shard's replicas *outside* the shard lock.
-
-        Replica reads never mutate shard state, and serializing them behind
-        the per-shard handler lock would forfeit exactly the horizontal read
-        scaling replicas exist for.  The shard lock is taken only long
-        enough to grab a live ``ShardReplicas`` reference; if an LRU
-        eviction closes the replicas mid-read (rare — the shard was hot a
-        moment ago), the lookup retries against the reopened shard.
-        Only called when the service runs with replicas; returns ``None`` for
-        a shard that carries none (one built by a custom ``shard_factory``).
-        """
-        for _ in range(3):
-            with pool.checkout(name) as shard:
-                replicas = shard.replicas
-            if replicas is None:
-                return None
-            try:
-                return read(replicas)
-            except DatabaseError:
-                if shard.closed:
-                    continue  # evicted mid-read; retry with a fresh shard
-                raise
-        with pool.checkout(name) as shard:  # pragma: no cover - eviction storm
-            if shard.replicas is None:
-                return None
-            return read(shard.replicas)
-
-    def _replica_body(name: str, body_from) -> bytes | None:
-        """``body_from(engine)`` off a replica, stamped with the highest
-        ``logs.seq`` that replica had when it answered — the bounded-staleness
-        read: no flush barrier.  ``None`` when the shard carries no replicas."""
-        outcome = _replica_read(name, lambda replicas: replicas.read(body_from))
-        return None if outcome is None else with_watermark(*outcome)
-
     @app.route("/projects/<name>/dataframe")
     def dataframe(request: Request, name: str):
         names_arg = request.arg("names", "") or ""
@@ -674,20 +618,11 @@ def create_app(service: FlorService) -> WebApp:
         if not names:
             raise HttpError(400, "the 'names' query parameter is required (comma-separated)")
         latest = request.arg("latest") in ("1", "true", "yes")
-        force_primary = request.arg("primary") in ("1", "true", "yes")
         name = _existing(name)
         enforce_admission(service.admission, name, ("dataframe",), request)
-
-        def body_from(source) -> bytes:
-            """``source``: the shard's session, or a replica's query engine."""
-            return source.dataframe_body(names, latest=latest)
-
-        # Without replicas every read is a primary read: one checkout.
-        body = _replica_body(name, body_from) if service.replicas and not force_primary else None
-        if body is None:
-            with pool.checkout(name) as shard:
-                shard.flush()
-                body = body_from(shard.session)
+        with pool.checkout(name) as shard:
+            shard.flush()
+            body = shard.session.dataframe_body(names, latest=latest)
         return Response(body, headers=dict(_JSON))
 
     @app.route("/projects/<name>/sql")
@@ -697,28 +632,16 @@ def create_app(service: FlorService) -> WebApp:
             raise HttpError(400, "the 'q' query parameter is required")
         names_arg = request.arg("names", "") or ""
         names = [n for n in names_arg.split(",") if n]
-        force_primary = request.arg("primary") in ("1", "true", "yes")
         name = _existing(name)
         enforce_admission(service.admission, name, ("sql",), request)
-
-        def body_from(source) -> bytes:
-            return frame_body(source.sql(query, names=names))
-
-        body = None
-        if service.replicas and not force_primary:
+        with pool.checkout(name) as shard:
+            shard.flush()
             try:
-                body = _replica_body(name, body_from)
+                body = frame_body(shard.session.sql(query, names=names))
             except DatabaseError as exc:
+                # run_sql's read-only guard (and malformed SQL) land here:
+                # the context store is append-only from the query surface.
                 raise HttpError(400, str(exc)) from exc
-        if body is None:
-            with pool.checkout(name) as shard:
-                shard.flush()
-                try:
-                    body = body_from(shard.session)
-                except DatabaseError as exc:
-                    # run_sql's read-only guard (and malformed SQL) land here:
-                    # the context store is append-only from the query surface.
-                    raise HttpError(400, str(exc)) from exc
         return Response(body, headers=dict(_JSON))
 
     @app.route("/projects/<name>/tail")

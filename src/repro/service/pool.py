@@ -43,7 +43,6 @@ from typing import Callable, Iterator, Sequence
 from ..config import ProjectConfig
 from ..core.session import Session
 from ..obs.metrics import MetricsRegistry, StatsView
-from ..query.engine import QueryEngine
 
 #: Filename stamped on records that arrive without one; mirrors how the
 #: feedback webapp stamps ``app.py`` on human-in-the-loop records.
@@ -55,56 +54,6 @@ SERVICE_FILENAME = "service"
 _STATS = {
     field: f"pool.{field}" for field in ("hits", "misses", "evictions", "reopens")
 }
-
-
-class ShardReplicas:
-    """Read replicas for one shard: snapshot handles plus warm query engines.
-
-    Wraps a :class:`~repro.storage.replica.ReplicatedDatabase` over the
-    shard session's primary handle and keeps one :class:`QueryEngine` (with
-    its own pivot-view cache) per replica.  The replica layer's ``on_sync``
-    callback bumps the matching engine's cache generation — SQLite's backup
-    API rewrites pages underneath the replica connection without advancing
-    its ``write_version``, so without this hook the per-replica materialized
-    views would serve stale fast hits forever.
-
-    Reads here deliberately do NOT flush the shard's staged rows: the
-    whole point of replica routing is bounded staleness instead of
-    read-your-writes, and every response carries the replica's ``logs.seq``
-    watermark so clients can see exactly how fresh their read was.
-    """
-
-    def __init__(self, session: Session, *, count: int, max_staleness: float):
-        from ..storage.replica import ReplicatedDatabase
-
-        self._engines: list[QueryEngine] = []
-        self.replicated = ReplicatedDatabase(
-            session.db,
-            replicas=count,
-            max_staleness=max_staleness,
-            on_sync=self._on_sync,
-        )
-        self.replicated.metrics.attach(session.metrics)
-        self._engines = [
-            QueryEngine(replica.db, session.projid)
-            for replica in self.replicated.replicas
-        ]
-
-    def _on_sync(self, index: int) -> None:
-        if self._engines:
-            self._engines[index].note_write()
-
-    def read(self, query):
-        """``(query(engine), watermark)`` on the next replica in turn; ``query``
-        gets that replica's :class:`QueryEngine`."""
-        with self.replicated.checkout_replica() as replica:
-            return query(self._engines[replica.index]), replica.watermark
-
-    def refresh(self) -> None:
-        self.replicated.refresh()
-
-    def close(self) -> None:
-        self.replicated.close()
 
 
 #: Process-wide shard incarnation numbers.  Flush statistics (including the
@@ -125,7 +74,6 @@ class ProjectShard:
         self,
         name: str,
         session: Session,
-        replicas: ShardReplicas | None = None,
         *,
         flush_size: int = 64,
         flush_interval: float | None = 0.5,
@@ -133,7 +81,6 @@ class ProjectShard:
     ):
         self.name = name
         self.session = session
-        self.replicas = replicas
         self.flush_size = flush_size
         self.flush_interval = flush_interval
         self.clock = clock
@@ -211,8 +158,6 @@ class ProjectShard:
             if self.closed:
                 return
             self.flush()
-            if self.replicas is not None:
-                self.replicas.close()
             self.session.close()
             self.closed = True
 
@@ -235,13 +180,6 @@ class DatabasePool:
         :mod:`repro.storage.memory` backends — zero disk I/O, with shard
         state retained across LRU evictions inside the pool (an evicted
         in-memory shard would otherwise lose its data on close).
-    replicas:
-        When > 0, each shard carries that many snapshot-shipped read
-        replicas (:class:`ShardReplicas`); the service layer routes
-        ``dataframe``/``sql`` reads to them with bounded staleness while
-        writes stay on the single-owner primary.
-    replica_staleness:
-        Seconds a replica snapshot may lag before a read re-syncs it.
     shard_factory:
         ``(name) -> ProjectShard`` hook replacing how a shard's session is
         built (the chaos harness wraps its stores in faults).  The pool
@@ -270,8 +208,6 @@ class DatabasePool:
         flush_size: int = 64,
         flush_interval: float | None = 0.5,
         backend: str = "sqlite",
-        replicas: int = 0,
-        replica_staleness: float = 0.25,
         shard_factory: Callable[[str], ProjectShard] | None = None,
         metrics=None,
         on_ingest: Callable[[str, int], None] | None = None,
@@ -282,15 +218,11 @@ class DatabasePool:
             raise ValueError(f"flush_size must be >= 1, got {flush_size}")
         if backend not in self.BACKENDS:
             raise ValueError(f"unknown pool backend: {backend!r}")
-        if replicas < 0:
-            raise ValueError(f"replicas must be >= 0, got {replicas}")
         self.root = Path(root)
         self.capacity = capacity
         self.flush_size = flush_size
         self.flush_interval = flush_interval
         self.backend = backend
-        self.replicas = replicas
-        self.replica_staleness = replica_staleness
         # backend="memory": shard stores survive LRU eviction here, keyed by
         # tenant name, so a reopened shard sees its full history exactly like
         # a reopened SQLite file would.
@@ -337,12 +269,7 @@ class DatabasePool:
             repository=repository,
             default_filename=SERVICE_FILENAME,
         )
-        shard_replicas = None
-        if self.replicas > 0:
-            shard_replicas = ShardReplicas(
-                session, count=self.replicas, max_staleness=self.replica_staleness
-            )
-        return ProjectShard(name, session, replicas=shard_replicas)
+        return ProjectShard(name, session)
 
     def _open(self, name: str) -> ProjectShard:
         """Build a shard, then apply the pool's policy, hooks and metrics —

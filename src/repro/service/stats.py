@@ -20,13 +20,6 @@ from typing import Any
 from .pool import ProjectShard
 
 
-def replica_stats(shard: ProjectShard) -> dict[str, Any] | None:
-    """The shard's replica-routing counters, or None without replicas."""
-    if shard.replicas is None:
-        return None
-    return shard.replicas.replicated.stats.as_dict()
-
-
 def qos_stats(service, tenant: str | None = None) -> dict[str, Any] | None:
     """The admission snapshot (one tenant's or fleet-wide); None with QoS off."""
     if service.admission is None:
@@ -39,7 +32,7 @@ def shard_stats_payload(service, shard: ProjectShard) -> dict[str, Any]:
 
     ``dropped_rows_total`` is the tenant's monotone (per service process)
     count of acknowledged rows its writers shed; a client that sees it
-    unchanged across a primary read knows no acked row was dropped in
+    unchanged across a read knows no acked row was dropped in
     between (the chaos harness's seal protocol; see docs/testing.md).
     The ``incarnation`` identifies the live shard handle, whose own
     flusher counters reset on reopen.
@@ -54,7 +47,6 @@ def shard_stats_payload(service, shard: ProjectShard) -> dict[str, Any]:
         "flusher": shard.session.flusher.stats.as_dict(),
         "qos": qos_stats(service, shard.session.projid),
         "query_cache": shard.session.query.stats.as_dict(),
-        "replicas": replica_stats(shard),
     }
 
 
@@ -67,7 +59,6 @@ def service_stats_payload(service) -> dict[str, Any]:
         "pool": pool.stats.as_dict(),
         "flush_size": service.flush_size,
         "flush_interval": service.flush_interval,
-        "replicas": service.replicas,
         "jobs": service.job_counts(),
     }
     qos = qos_stats(service)

@@ -17,8 +17,6 @@ __all__ = [
     "FaultyRelationalStore",
     "MemoryBlobStore",
     "MemoryRelationalStore",
-    "ReplicatedDatabase",
-    "Replica",
     "TieredBlobStore",
     "select_cold_ids",
 ]
@@ -28,8 +26,6 @@ _LAZY = {
     "FaultyRelationalStore": ".faults",
     "MemoryBlobStore": ".memory",
     "MemoryRelationalStore": ".memory",
-    "ReplicatedDatabase": ".replica",
-    "Replica": ".replica",
     "TieredBlobStore": ".tiering",
     "select_cold_ids": ".tiering",
 }

@@ -97,7 +97,7 @@ class FaultyRelationalStore:
         self.inner.close()
 
     def __getattr__(self, name: str):
-        # Backend extras beyond the protocol (e.g. snapshot_into) pass
+        # Backend extras beyond the protocol (e.g. ``path``) pass
         # through un-faulted; only the seam's members inject.
         return getattr(self.inner, name)
 

@@ -9,9 +9,7 @@ through two small structural interfaces:
   ``obj_store``, ``build_deps``, ``jobs``/``job_events``).  The reference
   implementation is :class:`repro.relational.database.Database` (one SQLite
   connection); :class:`repro.storage.memory.MemoryRelationalStore` backs
-  tests and benchmarks with zero disk I/O, and
-  :class:`repro.storage.replica.ReplicatedDatabase` adds snapshot-shipped
-  read replicas behind the same interface.
+  tests and benchmarks with zero disk I/O.
 * :class:`BlobStore` — the content-addressed blob store holding version
   snapshots.  The reference implementation is
   :class:`repro.versioning.objects.ObjectStore` (git-style fan-out

@@ -8,7 +8,7 @@ read-your-writes read (both flush first).  The :class:`AckLedger` therefore
 tracks two levels:
 
 * **acked** — the service accepted the batch (a 202 came back);
-* **sealed** — a durability barrier (a ``?primary=1`` read or a commit)
+* **sealed** — a durability barrier (a ``dataframe`` read or a commit)
   *started after the batch was acked* later succeeded.
 
 The headline invariant — *zero lost acked rows* — is asserted over sealed

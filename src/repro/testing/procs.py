@@ -202,7 +202,7 @@ class ServerProcess:
         return self.request("POST", path, payload or {})
 
     def wait_healthy(self, projects: tuple[str, ...] = (), timeout: float = 30.0) -> float:
-        """Seconds until ``/healthz`` plus one primary read per project succeed."""
+        """Seconds until ``/healthz`` plus one ``stats`` read per project succeed."""
         start = time.monotonic()
         deadline = start + timeout
         pending = ["/healthz"] + [

@@ -7,8 +7,8 @@ and the tier-1 mini-soak.  One run is ``cycles`` rounds of:
    traces plus multi-project fan-out) through a :class:`FlorService` whose
    shards are built over fault-wrapped stores (``database is locked``
    contention, slow I/O), while reader threads issue barrier reads
-   (``?primary=1`` — each success *seals* the batches acked before it) and
-   ad-hoc SQL, and an embedded :class:`~repro.jobs.JobRunner` drains
+   (a ``dataframe`` read — each success *seals* the batches acked before
+   it) and ad-hoc SQL, and an embedded :class:`~repro.jobs.JobRunner` drains
    hindsight-backfill jobs on a lease clock skewed by the same plan.
    Failed requests are retried at-least-once, exactly as a real client
    treats an ambiguous ack.
@@ -285,9 +285,9 @@ class ChaosSoak:
             self._post_batch(client, project, payload)
 
     def _seal_barrier(self, client: TestClient, project: str) -> bool:
-        """One durability barrier: a read-your-writes primary read.
+        """One durability barrier: a ``dataframe`` read (reads flush first).
 
-        A 200 from ``?primary=1`` alone is not proof the batches acked
+        A 200 from a ``dataframe`` read alone is not proof the batches acked
         before it survived: the flusher drops a batch after exhausting its
         write retries and defers the error, which *any* flushing request
         (a stats call, an eviction, another tenant's barrier) may consume
@@ -326,7 +326,7 @@ class ChaosSoak:
         try:
             response = client.get(
                 f"/projects/{project}/dataframe"
-                f"?names={self._barrier_names(project)}&primary=1"
+                f"?names={self._barrier_names(project)}"
             )
             ok = response.ok
             detail = "" if ok else f"status {response.status}: {response.text[:200]}"

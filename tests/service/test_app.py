@@ -215,10 +215,10 @@ def _two_epochs(client, project: str, tstamp: str, losses) -> None:
     )
 
 
-def _literal(frame, **extra) -> bytes:
+def _literal(frame) -> bytes:
     """The body as the routes spelled it before ``frame_body``."""
     records = [frame.row(i) for i in range(len(frame))]
-    payload = {"columns": frame.columns, "records": records, "rows": len(frame), **extra}
+    payload = {"columns": frame.columns, "records": records, "rows": len(frame)}
     return json.dumps(payload).encode("utf-8")
 
 
@@ -254,34 +254,6 @@ class TestResponseBytes:
         with service.pool.checkout("alpha") as shard:
             expected = _literal(shard.session.sql(over_pivot, names=["loss"]))
         assert client.get(f"/projects/alpha/sql?q={over_pivot}&names=loss").body == expected
-
-    def test_replica_bodies_carry_the_watermark_last(self, tmp_path):
-        service = FlorService(
-            tmp_path / "replicated", flush_size=4, flush_interval=None,
-            replicas=1, replica_staleness=0.0,
-        )
-        try:
-            client = TestClient(service.app())
-            _two_epochs(client, "alpha", "2024-01-01T00:00:00", [0.9, 0.7])
-            assert client.get(self.URL + "&primary=1").json()["rows"] == 2  # the flush barrier
-            for url, frame in (
-                (self.URL, self._frame(service, "loss")),
-                (self.URL + "&latest=1", self._frame(service, "loss", latest=True)),
-            ):
-                response = client.get(url)
-                watermark = response.json()["watermark"]
-                assert watermark == 2
-                assert response.body == _literal(frame, watermark=watermark)
-            count = "SELECT COUNT(*) AS n FROM logs"
-            with service.pool.checkout("alpha") as shard:
-                expected = _literal(shard.session.sql(count), watermark=2)
-            assert client.get(f"/projects/alpha/sql?q={count}").body == expected
-            # The replica's engine keeps the unstamped body; each answer stamps a copy.
-            assert client.get(self.URL).body == client.get(self.URL).body
-            with service.pool.checkout("alpha") as shard:
-                assert shard.replicas.read(lambda engine: engine.stats.body_hits)[0] == 2
-        finally:
-            service.close()
 
     def test_column_order_follows_the_request(self, client):
         client.post(
@@ -418,7 +390,6 @@ class TestReadCheckouts:
     READS = (
         "/projects/alpha/dataframe?names=loss",
         "/projects/alpha/dataframe?names=loss&latest=1",
-        "/projects/alpha/dataframe?names=loss&primary=1",
         "/projects/alpha/sql?q=SELECT COUNT(*) AS n FROM logs",
         "/projects/alpha/sql?q=SELECT loss FROM pivot&names=loss",
     )
@@ -427,74 +398,20 @@ class TestReadCheckouts:
         _append(client, "alpha", [0.5, 0.25])
         pool = service.pool.stats
         for url in self.READS * 2:
-            hits = pool.hits
-            assert client.get(url).ok
-            assert pool.hits == hits + 1
+            # ``primary=1`` is an unknown argument: accepted and ignored.
+            bodies = []
+            for suffix in ("", "&primary=1"):
+                hits = pool.hits
+                response = client.get(url + suffix)
+                assert response.ok
+                assert pool.hits == hits + 1
+                bodies.append(response.body)
+            assert bodies[0] == bodies[1]
         assert pool.misses == 1
         with service.pool.checkout("alpha") as shard:
             # Every one of them still took the flush barrier and one lookup.
             assert shard.ingest["explicit_flushes"] == 1
-            assert shard.session.query.stats.lookups == 2 * 4  # plain sql reads no view
-
-    def test_replica_routing_keeps_its_checkouts(self, tmp_path):
-        service = FlorService(
-            tmp_path / "replicated", flush_size=4, flush_interval=None,
-            replicas=1, replica_staleness=0.0,
-        )
-        try:
-            client = TestClient(service.app())
-            _append(client, "alpha", [0.5, 0.25])
-            pool = service.pool.stats
-
-            def replica_reads():
-                with service.pool.checkout("alpha") as shard:
-                    return shard.replicas.replicated.stats.replica_reads
-
-            # primary=1 bypasses the replicas: one checkout, no replica read.
-            before, hits = replica_reads(), pool.hits
-            body = client.get(self.READS[2]).json()
-            assert body["rows"] == 1 and "watermark" not in body
-            assert pool.hits == hits + 1
-            assert replica_reads() == before
-            # A replica read checks out once, only to take the replicas handle.
-            for url in (self.READS[0], self.READS[3]):
-                before, hits = replica_reads(), pool.hits
-                assert client.get(url).json()["watermark"] == 2
-                assert pool.hits == hits + 1
-                assert replica_reads() == before + 1
-        finally:
-            service.close()
-
-    def test_a_replica_read_evicted_mid_flight_retries_on_the_reopened_shard(self, tmp_path):
-        from repro.errors import DatabaseError
-        from repro.service.pool import ShardReplicas
-
-        service = FlorService(
-            tmp_path / "replicated", flush_size=4, flush_interval=None,
-            replicas=1, replica_staleness=0.0,
-        )
-        try:
-            client = TestClient(service.app())
-            _append(client, "alpha", [0.5, 0.25])
-            assert client.get(self.READS[2]).ok  # flushed
-            real_read, evicted = ShardReplicas.read, []
-
-            def read_after_eviction(replicas, query):
-                if not evicted:
-                    evicted.append(service.pool.evict("alpha"))
-                    raise DatabaseError("SQL error: Cannot operate on a closed database.")
-                return real_read(replicas, query)
-
-            ShardReplicas.read = read_after_eviction
-            try:
-                body = client.get(self.READS[0]).json()
-            finally:
-                ShardReplicas.read = real_read
-            assert evicted == [True]
-            assert body["rows"] == 1 and body["watermark"] == 2
-            assert service.pool.stats.misses == 2 and service.pool.stats.reopens == 1
-        finally:
-            service.close()
+            assert shard.session.query.stats.lookups == 2 * 2 * 3  # plain sql reads no view
 
 
 class TestCommit:

@@ -38,10 +38,10 @@ INGEST_BLOCK = {"appended", "size_flushes", "interval_flushes", "explicit_flushe
 POOL_BLOCK = {"hits", "misses", "evictions", "reopens"}
 PROJECT_STATS_KEYS = {
     "tables", "project", "incarnation", "dropped_rows_total", "pending", "ingest",
-    "flusher", "qos", "query_cache", "replicas",
+    "flusher", "qos", "query_cache",
 }
 SERVICE_STATS_KEYS = {
-    "open_shards", "capacity", "pool", "flush_size", "flush_interval", "replicas", "jobs",
+    "open_shards", "capacity", "pool", "flush_size", "flush_interval", "jobs",
 }
 TELEMETRY_KEYS = {
     "uptime_seconds", "counters", "gauges", "histograms", "tail", "open_shards", "jobs",

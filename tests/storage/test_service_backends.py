@@ -1,4 +1,4 @@
-"""Service-level behaviour of the pluggable backends: replicas, memory, gc."""
+"""Service-level behaviour of the pluggable backends: memory, gc."""
 
 from __future__ import annotations
 
@@ -26,77 +26,12 @@ def _append(client, name, records):
     return response
 
 
-class TestReplicaRouting:
-    def test_replica_reads_carry_a_watermark(self, tmp_path):
-        service, client = _service(tmp_path, replicas=2, replica_staleness=0.0)
-        try:
-            _append(client, "alpha", [("acc", 0.9)])
-            client.post("/projects/alpha/commit", {})  # flushes the queue
-            response = client.get("/projects/alpha/dataframe?names=acc")
-            body = response.json()
-            assert response.status == 200
-            assert body["rows"] == 1
-            assert body["watermark"] == 1
-        finally:
-            service.close()
-
-    def test_replica_reads_are_bounded_stale_not_read_your_writes(self, tmp_path):
-        # A huge staleness bound plus no flush: the replica legitimately
-        # serves the pre-write snapshot, and the watermark says so.
-        service, client = _service(tmp_path, replicas=1, replica_staleness=3600.0)
-        try:
-            _append(client, "alpha", [("acc", 1)])
-            first = client.get("/projects/alpha/dataframe?names=acc").json()
-            assert first["watermark"] == 0  # queued write not flushed yet
-            assert first["rows"] == 0
-            # Primary read flushes and sees the write immediately.
-            primary = client.get("/projects/alpha/dataframe?names=acc&primary=1").json()
-            assert primary["rows"] == 1
-            assert "watermark" not in primary
-        finally:
-            service.close()
-
-    def test_sql_routes_to_replicas_with_watermark(self, tmp_path):
-        service, client = _service(tmp_path, replicas=2, replica_staleness=0.0)
-        try:
-            _append(client, "alpha", [("acc", i) for i in range(4)])
-            client.get("/projects/alpha/dataframe?names=acc&primary=1")  # flush
-            response = client.get(
-                "/projects/alpha/sql?q=SELECT COUNT(*) AS n FROM logs"
-            )
-            body = response.json()
-            assert body["records"] == [{"n": 4}]
-            assert body["watermark"] == 4
-        finally:
-            service.close()
-
-    def test_replica_cache_invalidated_after_sync(self, tmp_path):
-        """Regression: SQLite's backup API bypasses the replica's
-        write_version, so without the on_sync hook the per-replica pivot
-        cache would serve the old materialized view forever."""
-        service, client = _service(tmp_path, replicas=1, replica_staleness=0.0)
-        try:
-            _append(client, "alpha", [("acc", 1)])
-            client.post("/projects/alpha/commit", {})
-            assert client.get("/projects/alpha/dataframe?names=acc").json()["rows"] == 1
-            _append(client, "alpha", [("acc", 2)])
-            client.post("/projects/alpha/commit", {})
-            body = client.get("/projects/alpha/dataframe?names=acc").json()
-            assert body["rows"] == 2
-            assert body["watermark"] == 2
-        finally:
-            service.close()
-
-    def test_stats_surface_replica_counters(self, tmp_path):
-        service, client = _service(tmp_path, replicas=2, replica_staleness=0.0)
-        try:
-            _append(client, "alpha", [("acc", 1)])
-            client.get("/projects/alpha/dataframe?names=acc")
-            stats = client.get("/projects/alpha/stats").json()
-            assert stats["replicas"]["replica_reads"] >= 1
-            assert client.get("/service/stats").json()["replicas"] == 2
-        finally:
-            service.close()
+class TestReadReplicasAreGone:
+    @pytest.mark.parametrize("factory", [DatabasePool, FlorService])
+    def test_the_replicas_knob_is_rejected(self, tmp_path, factory):
+        # One read path: every read flushes its shard and reads that database.
+        with pytest.raises(TypeError):
+            factory(tmp_path / "root", replicas=1)
 
 
 class TestMemoryBackend:
@@ -132,17 +67,6 @@ class TestMemoryBackend:
         finally:
             service.close()
         assert not (tmp_path / "root").exists()
-
-    def test_composes_with_replicas(self, tmp_path):
-        service, client = _service(tmp_path, backend="memory", replicas=2, replica_staleness=0.0)
-        try:
-            _append(client, "beta", [("x", 1)])
-            client.get("/projects/beta/dataframe?names=x&primary=1")  # flush
-            body = client.get("/projects/beta/dataframe?names=x").json()
-            assert body["rows"] == 1
-            assert body["watermark"] == 1
-        finally:
-            service.close()
 
     def test_unknown_backend_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,17 +1,12 @@
 """Backend-parameterized conformance suite for the storage protocols.
 
-Every backend — SQLite file, SQLite memory, snapshot-replicated, directory
-blob store, dict blob store, tiered blob store (hot and archived) — must
-prove the same :mod:`repro.storage.protocols` semantics:
+Every backend — SQLite file, SQLite memory, directory blob store, dict
+blob store, tiered blob store (hot and archived) — must prove the same :mod:`repro.storage.protocols` semantics:
 
 * ``transaction()`` rolls back every statement on an exception;
 * ``write_version`` is monotonic, advances on committed writes, and never
   advances on reads;
 * blob ``put`` is idempotent and ``get`` round-trips bytes exactly.
-
-The replicated backend runs with ``max_staleness=0`` so every read is
-forced fresh — that mode degenerates to read-your-writes, which is what
-lets it pass the same assertions as the single-handle backends.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ from repro.storage import (
     MemoryBlobStore,
     MemoryRelationalStore,
     RelationalStore,
-    ReplicatedDatabase,
     TieredBlobStore,
 )
 from repro.versioning.objects import ObjectStore, hash_bytes
@@ -35,7 +29,7 @@ INSERT = (
     " VALUES ('p', 't0', 'f.py', 0, ?, ?, 1)"
 )
 
-RELATIONAL_BACKENDS = ("sqlite-file", "sqlite-memory", "replicated")
+RELATIONAL_BACKENDS = ("sqlite-file", "sqlite-memory")
 BLOB_BACKENDS = ("directory", "memory", "tiered-hot", "tiered-archived")
 
 
@@ -54,21 +48,13 @@ class _EagerArchiveStore(TieredBlobStore):
 
 @pytest.fixture(params=RELATIONAL_BACKENDS)
 def store(request, tmp_path):
-    """One RelationalStore per backend; closed (and primaries released) after."""
+    """One RelationalStore per backend; closed after."""
     if request.param == "sqlite-file":
         backend = Database(tmp_path / "contract.db")
-        yield backend
-        backend.close()
-    elif request.param == "sqlite-memory":
-        backend = MemoryRelationalStore()
-        yield backend
-        backend.close()
     else:
-        primary = Database(tmp_path / "primary.db")
-        backend = ReplicatedDatabase(primary, replicas=2, max_staleness=0)
-        yield backend
-        backend.close()
-        primary.close()
+        backend = MemoryRelationalStore()
+    yield backend
+    backend.close()
 
 
 @pytest.fixture(params=BLOB_BACKENDS)

@@ -264,6 +264,15 @@ class TestServeParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --sync-flush" in capsys.readouterr().err
 
+    def test_replicas_flag_is_gone(self, capsys):
+        """Reads have one path; the read-replica flag is rejected like any typo."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--port", "0", "--replicas", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --replicas 2" in capsys.readouterr().err
+
 
 class TestBackfillDryRun:
     def test_dry_run_prints_the_patch_plan_without_replaying(
