@@ -43,6 +43,10 @@ Freshness is detected in two tiers:
   REPLACE`` allocates a fresh rowid, so rewrites advance the loop watermark
   and show up in ``runs_touched_since``).
 
+A cache handed to a new database handle gets a generation bump (a new
+connection's ``write_version`` restarts at 0); a watermark *below* the
+cached one (an older copy of the file) drops the project's views.
+
 The first read of a name set is a *cold build* whatever it finds cached: it
 probes the watermarks, syncs the names other views already hold and fetches
 in full only the names nobody has read (``cache.fetched_rows`` counts the
@@ -286,6 +290,11 @@ class PivotViewCache:
         # watermark and is picked up — exactly once — by the next refresh.
         current_seq = log_watermark(db, projid)
         current_loop = loop_watermark(db, projid)
+        held = self._records.get(projid)
+        if held is not None and (current_seq < held.log_seq or current_loop < held.loop_rowid):
+            # Watermarks only grow: the file was replaced by an older copy.
+            self.invalidate(projid)
+            tier, entry = "cold_builds", _ViewState()
         if current_seq == entry.log_seq and current_loop == entry.loop_rowid:
             tier = "warm_hits"
         else:

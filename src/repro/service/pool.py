@@ -13,6 +13,10 @@ shard's staged rows first, so eviction never loses acknowledged records —
 a re-opened shard sees everything that was appended before eviction
 (exercised by the pool tests).
 
+A tenant's views outlive its handle: a cleanly closed shard leaves its
+pivot cache to the next incarnation, whose first read re-checks it by
+watermark instead of rebuilding it from the whole tenant.
+
 Appended rows wait in exactly one place: the shard session's
 :class:`~repro.runtime.RecordBuffer`, the same buffer ``Session.log``
 stages into.  SQLite pays a fixed cost per committed transaction that
@@ -43,6 +47,7 @@ from typing import Callable, Iterator, Sequence
 from ..config import ProjectConfig
 from ..core.session import Session
 from ..obs.metrics import MetricsRegistry, StatsView
+from ..query import PivotViewCache
 
 #: Filename stamped on records that arrive without one; mirrors how the
 #: feedback webapp stamps ``app.py`` on human-in-the-loop records.
@@ -170,7 +175,7 @@ class DatabasePool:
     root:
         Directory holding one project subdirectory per tenant.
     capacity:
-        Maximum number of simultaneously open shards (SQLite handles).
+        Maximum number of open shards (SQLite handles), and of detached views.
     flush_size / flush_interval:
         Hand-off policy for appended rows, set on every shard the pool
         opens (see :meth:`ProjectShard.append`).
@@ -236,6 +241,8 @@ class DatabasePool:
         # could no longer reinstate the shard — orphaning its staged,
         # already-acknowledged records.
         self._closing: dict[str, threading.Event] = {}
+        # Pivot caches of cleanly closed shards, coldest first (see _open).
+        self._detached: "OrderedDict[str, PivotViewCache]" = OrderedDict()
         self._lock = threading.RLock()
         self._ever_opened: set[str] = set()
         self.metrics = metrics or MetricsRegistry()
@@ -272,17 +279,24 @@ class DatabasePool:
         return ProjectShard(name, session)
 
     def _open(self, name: str) -> ProjectShard:
-        """Build a shard, then apply the pool's policy, hooks and metrics —
-        here only, whichever factory built the session."""
+        """Build a shard, then apply the pool's policy, hooks, metrics and kept
+        views — here only, whichever factory built the session."""
         shard = self._factory(name)
         shard.flush_size = self.flush_size
         shard.flush_interval = self.flush_interval
         session = shard.session
         # The session's query engine carries the shard's materialized pivot
-        # views (one cache per shard, warm across requests).  Resolve it
+        # views (one cache per tenant, warm across requests).  Resolve it
         # here, once, so the session's post-commit invalidation hook — which
         # runs on the flusher's thread — never races its lazy construction.
-        _ = session.query
+        engine = session.query
+        with self._lock:
+            detached = self._detached.pop(name, None)
+        if detached is not None:
+            # write_version restarts with the connection: without the bump a
+            # view could fast-hit past rows another process wrote meanwhile.
+            detached.bump_generation(session.projid)
+            engine.cache = detached
         session.metrics.attach(self.metrics)
         if self.on_ingest is not None:
             session.on_rows_written = partial(self.on_ingest, name)
@@ -347,8 +361,9 @@ class DatabasePool:
         propagates.  The ``_closing`` reservation taken when the shard was
         popped guarantees the name was not concurrently rebuilt, so
         reinstating always succeeds.  Only a successful close counts as an
-        eviction, and banks the incarnation's dropped-row count so the
-        tenant's drop total stays monotone across reopens.
+        eviction, banks the incarnation's dropped-row count so the tenant's
+        drop total stays monotone across reopens, and detaches the shard's
+        pivot cache before releasing the reservation a reopen waits on.
         """
         try:
             shard.close()
@@ -360,12 +375,15 @@ class DatabasePool:
         else:
             self.stats["evictions"].inc()
             dropped = shard.session.flusher.stats.dropped_rows
-            if dropped:
-                with self._lock:
+            with self._lock:
+                self._detached[shard.name] = shard.session.query.cache
+                while len(self._detached) > self.capacity:
+                    self._detached.popitem(last=False)
+                if dropped:
                     self._dropped_banked[shard.name] = (
                         self._dropped_banked.get(shard.name, 0) + dropped
                     )
-                self._banked_total.inc(dropped)
+            self._banked_total.inc(dropped)
         finally:
             with self._lock:
                 event = self._closing.pop(shard.name)
@@ -436,9 +454,22 @@ class DatabasePool:
         return sum(shard.flush() for shard in shards)
 
     def close(self) -> None:
-        """Flush and close every open shard."""
+        """Flush and close every open shard, and drop the detached views.
+
+        A shard whose close fails is put back, its records still staged, for
+        a later call to retry; the rest still close, and the first failure
+        propagates."""
         with self._lock:
             shards = list(self._shards.values())
             self._shards.clear()
+            self._detached.clear()
+        error: BaseException | None = None
         for shard in shards:
-            shard.close()
+            try:
+                shard.close()
+            except BaseException as exc:  # noqa: BLE001 - reinstated, re-raised below
+                error = error or exc
+                with self._lock:
+                    self._shards[shard.name] = shard
+        if error is not None:
+            raise error

@@ -8,6 +8,9 @@ warm, incremental, or cold — the frame must equal a from-scratch
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -468,8 +471,9 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.db = Database(":memory:")
-        self.logs, self.loops = LogRepository(self.db), LoopRepository(self.db)
+        self.dir = tempfile.mkdtemp()
+        self.path = os.path.join(self.dir, "flor.db")
+        self._open()
         self.cache = PivotViewCache(capacity=self.capacity)
         self.other = PivotViewCache()  # a second cache on the same handle
         #: per run: (tstamp, filename, [(ctx_id, parent, loop_name, iteration)])
@@ -477,8 +481,23 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
         self.values = 0
         self.reads = 0  # per cache: every read goes to both
 
+    def _open(self):
+        self.db = Database(self.path)
+        self.logs, self.loops = LogRepository(self.db), LoopRepository(self.db)
+
     def teardown(self):
         self.db.close()
+        shutil.rmtree(self.dir)
+
+    @rule()
+    def reopen(self):
+        """A new handle on the same file, as the service pool's next
+        incarnation of a shard: its ``write_version`` restarts at 0, so the
+        caches are handed over with a generation bump, as the pool does."""
+        self.db.close()
+        self._open()
+        for cache in (self.cache, self.other):
+            cache.bump_generation("p")
 
     def _log(self, tstamp, filename, ctx_id, name, value=None):
         self.values += 1

@@ -376,8 +376,12 @@ class TestResponseBytes:
                 cache = weakref.ref(shard.session.query.cache)
                 assert any(entry.bodies for entry in cache()._entries.values())
             del shard
-            _append(client, "beta", [0.5])  # pool of one: alpha is closed
+            _append(client, "beta", [0.5])  # pool of one: alpha is closed...
             assert service.pool.open_shards() == ["beta"]
+            gc.collect()
+            assert cache() is not None  # ...and its views wait for a reopen
+            _append(client, "gamma", [0.5])  # beta's views displace alpha's
+            assert service.pool.open_shards() == ["gamma"]
             gc.collect()
             assert cache() is None
         finally:

@@ -103,7 +103,7 @@ def _mixed_run(service, client, plan) -> None:
     _append(client, "t4", 9, 9.5)
     assert client.get(frame).ok  # incremental refresh
     assert service.pool.evict("t4")  # explicit evict...
-    assert client.get(frame).ok  # ...and reopen
+    assert client.get(frame).ok  # ...and reopen: a warm hit on the kept view
     # One dropped batch: all three attempts of t4's next write find the
     # database locked; the barrier that follows surfaces the loss.
     plan.force("locked", "shard.t4.db.transaction", times=3)
@@ -125,8 +125,12 @@ def test_process_counters_equal_the_sum_over_every_shard_incarnation(deployed):
     for field, name in runtime_flusher._STATS.items():
         if name is not None:
             assert counters[name] == summed(lambda s: s.session.flusher.stats, field), name
+    # A tenant's pivot cache outlives its handle: count each cache once,
+    # however many incarnations read through it.
+    caches = {id(s.session.query.cache): s.session.query.cache for s in incarnations}
+    assert len(caches) < len(incarnations)
     for field, name in query_cache._STATS.items():
-        assert counters[name] == summed(lambda s: s.session.query.stats, field), name
+        assert counters[name] == sum(getattr(c.stats, field) for c in caches.values()), name
     for field, name in service_pool._STATS.items():
         assert counters[name] == getattr(service.pool.stats, field), name
     # The run did what it set out to do.
@@ -134,10 +138,10 @@ def test_process_counters_equal_the_sum_over_every_shard_incarnation(deployed):
     assert counters["pool.evictions"] >= 9 and counters["pool.reopens"] >= 6
     for tier in ("fast_hits", "warm_hits", "incremental_refreshes", "cold_builds"):
         assert counters[f"cache.{tier}"] >= 1, tier
-    # Four reads found their view unchanged — the fast hit, the second
-    # ``latest=1`` read, the warm hit and the one after the dropped batch —
-    # and were answered without encoding.
-    assert counters["cache.body_hits"] == 4
+    # Five reads found their view unchanged — the fast hit, the second
+    # ``latest=1`` read, the warm hit, the first read after the reopen and
+    # the one after the dropped batch — and were answered without encoding.
+    assert counters["cache.body_hits"] == 5
     # And the per-tenant route reads the live incarnation of the same scopes.
     stats = client.get("/projects/t4/stats").json()
     assert stats["flusher"] == incarnations[-1].session.flusher.stats.as_dict()

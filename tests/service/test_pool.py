@@ -76,6 +76,30 @@ class TestEviction:
         assert all(shard.closed for shard in shards)
         assert len(pool) == 0
 
+    def test_one_failed_close_neither_stops_close_nor_orphans_its_shard(
+        self, tmp_path, monkeypatch
+    ):
+        pool = DatabasePool(tmp_path / "p", capacity=4)
+        shards = [pool.get(name) for name in ("a", "b", "c")]
+        for shard in shards:
+            shard.append([_log(shard, 0)])
+        first = shards[0]
+        original_flush = first.session.flush
+
+        def failing_once(wait=True):
+            monkeypatch.setattr(first.session, "flush", original_flush)
+            raise RuntimeError("disk hiccup")
+
+        monkeypatch.setattr(first.session, "flush", failing_once)
+        with pytest.raises(RuntimeError, match="disk hiccup"):
+            pool.close()
+        # The later shards were still flushed and closed...
+        assert [(s.closed, s.pending) for s in shards[1:]] == [(True, 0), (True, 0)]
+        # ...and the failed one is back in the pool, its row still staged.
+        assert pool.open_shards() == ["a"] and first.pending == 1
+        pool.close()  # the retry closes it
+        assert first.closed and first.pending == 0 and len(pool) == 0
+
     def test_failed_eviction_flush_reinstates_the_shard(self, pool, monkeypatch):
         """A flush failure during eviction must not drop acknowledged records."""
         alpha = pool.get("alpha")
@@ -337,3 +361,163 @@ class TestDurabilityCounters:
         assert evict_failed  # the explicit evict propagated its failure
         assert got == [alpha]  # same handle, reinstated
         assert not alpha.closed
+
+
+class TestRetainedViews:
+    """An evicted shard's pivot views wait for the tenant's next incarnation,
+    which re-validates them by watermark.  Every read is compared with a
+    ``build_dataframe`` on a fresh handle."""
+
+    NAMES = ["m"]
+
+    @staticmethod
+    def _db_path(pool, name):
+        return pool.root / name / ".flor" / "flor.db"
+
+    def _read(self, pool, name):
+        """Read through the pool; assert it equals a rebuild; return the frame."""
+        from repro.core.dataframe_view import build_dataframe
+        from repro.relational.database import Database
+
+        with pool.checkout(name) as shard:
+            frame = shard.session.dataframe(*self.NAMES)
+        with Database(self._db_path(pool, name)) as fresh:
+            assert frame.equals(build_dataframe(fresh, name, self.NAMES))
+        return frame
+
+    @staticmethod
+    def _cache(pool, name):
+        with pool.checkout(name) as shard:
+            return shard.session.query.cache
+
+    @staticmethod
+    def _write_through_a_second_handle(path, tstamp, values):
+        from repro.relational.database import Database
+        from repro.relational.records import LogRecord
+        from repro.relational.repositories import LogRepository
+
+        with Database(path) as other:
+            LogRepository(other).add_many(
+                [LogRecord.create("alpha", tstamp, "other.py", 0, "m", v) for v in values]
+            )
+
+    def _seeded(self, tmp_path):
+        """A pool of two whose tenant ``alpha`` holds one run of three rows."""
+        pool = DatabasePool(tmp_path / "p", capacity=2, flush_interval=None)
+        with pool.checkout("alpha") as shard:
+            shard.append([_log(shard, i) for i in range(3)])
+            shard.flush()
+        return pool
+
+    def test_a_reopen_rechecks_a_view_a_read_only_incarnation_built(self, tmp_path):
+        """The second incarnation's connection counts writes from 0 again,
+        like the first one's did: only the generation bump on hand-over keeps
+        its read from fast-hitting past rows another process appended."""
+        pool = self._seeded(tmp_path)
+        try:
+            assert pool.evict("alpha")
+            assert len(self._read(pool, "alpha")) == 1  # read-only incarnation
+            cache = self._cache(pool, "alpha")
+            assert pool.evict("alpha")
+            self._write_through_a_second_handle(
+                self._db_path(pool, "alpha"), "2030-01-01T00:00:00", [7.0, 8.0]
+            )
+            assert len(self._read(pool, "alpha")) == 2  # the other process's run
+            assert self._cache(pool, "alpha") is cache
+            assert (cache.stats.cold_builds, cache.stats.incremental_refreshes) == (1, 1)
+        finally:
+            pool.close()
+
+    def test_an_unchanged_tenant_is_a_warm_hit_after_a_reopen(self, tmp_path):
+        pool = self._seeded(tmp_path)
+        try:
+            self._read(pool, "alpha")
+            cache = self._cache(pool, "alpha")
+            pool.get("beta")
+            pool.get("gamma")  # LRU: alpha closes
+            assert "alpha" not in pool
+            self._read(pool, "alpha")
+            assert self._cache(pool, "alpha") is cache
+            assert (cache.stats.cold_builds, cache.stats.warm_hits) == (1, 1)
+            assert pool.stats.misses == 4  # the reopen is still a pool miss
+        finally:
+            pool.close()
+
+    def test_an_older_copy_of_the_file_is_a_cold_build(self, tmp_path):
+        """Watermarks only grow: one that went down drops the project's views."""
+        import shutil
+
+        pool = self._seeded(tmp_path)
+        path = self._db_path(pool, "alpha")
+        try:
+            assert pool.evict("alpha")
+            shutil.copy(path, tmp_path / "older.db")  # closed: no WAL left beside it
+            with pool.checkout("alpha") as shard:
+                shard.append([_log(shard, i) for i in range(4)])
+            assert len(self._read(pool, "alpha")) == 2
+            cache = self._cache(pool, "alpha")
+            assert pool.evict("alpha")
+            shutil.copy(tmp_path / "older.db", path)
+            cold = cache.stats.cold_builds
+            assert len(self._read(pool, "alpha")) == 1  # not the cached 2
+            assert cache.stats.cold_builds == cold + 1
+        finally:
+            pool.close()
+
+    def test_a_failed_close_retains_nothing(self, tmp_path, monkeypatch):
+        pool = self._seeded(tmp_path)
+        try:
+            self._read(pool, "alpha")
+            alpha = pool.get("alpha")
+            alpha.append([_log(alpha, 9)])
+            cache = alpha.session.query.cache
+            original_flush = alpha.session.flush
+
+            def failing_once(wait=True):
+                monkeypatch.setattr(alpha.session, "flush", original_flush)
+                raise RuntimeError("disk hiccup")
+
+            monkeypatch.setattr(alpha.session, "flush", failing_once)
+            with pytest.raises(RuntimeError, match="disk hiccup"):
+                pool.evict("alpha")
+            assert "alpha" not in pool._detached
+            assert pool.get("alpha") is alpha  # reinstated...
+            assert alpha.session.query.cache is cache  # ...its own cache with it
+        finally:
+            pool.close()
+
+    def test_an_append_to_an_evicted_tenant_fetches_only_the_append(self, tmp_path):
+        pool = self._seeded(tmp_path)
+        try:
+            self._read(pool, "alpha")
+            cache = self._cache(pool, "alpha")
+            assert pool.evict("alpha")
+            with pool.checkout("alpha") as shard:  # a new incarnation: a new run
+                shard.append([_log(shard, i) for i in range(2)])
+            before = cache.stats.as_dict()
+            self._read(pool, "alpha")
+            after = cache.stats.as_dict()
+            assert after["fetched_rows"] - before["fetched_rows"] == 2
+            assert after["incremental_refreshes"] - before["incremental_refreshes"] == 1
+            assert after["cold_builds"] == before["cold_builds"]
+        finally:
+            pool.close()
+
+    def test_the_detached_views_share_the_pools_one_bound(self, tmp_path):
+        import gc
+        import weakref
+
+        pool = self._seeded(tmp_path)
+        try:
+            self._read(pool, "alpha")
+            cache = weakref.ref(self._cache(pool, "alpha"))
+            assert pool.evict("alpha")
+            gc.collect()
+            assert cache() is not None
+            for i in range(pool.capacity + 1):
+                pool.get(f"t{i}")
+                assert pool.evict(f"t{i}")
+            gc.collect()
+            assert cache() is None
+        finally:
+            pool.close()
