@@ -1,92 +1,26 @@
-"""T12 — Storage layer at scale: cold-tier cache, seam cost.
+"""T12 — Storage layer at scale: the cost of the protocol seam.
 
-Two measurements of the pluggable storage layer (``repro.storage``):
+One measurement of the pluggable storage layer (``repro.storage``): the
+T8-shape batched-vs-unbatched ingest sweep runs through the protocol seam,
+and batched ingestion must still clear the **≥ 5×** floor T8 asserts,
+proving the storage seam costs the write path nothing.
 
-* **Warm archive reads** — cold blobs are packed into append-only archives
-  behind an LRU byte cache (``repro gc --tier-cold``).  A warm cold read is
-  a dict hit instead of a file open, so it must stay **within 2× of a
-  hot-path read** (in practice it is faster).
-* **Ingest non-regression** — the T8-shape batched-vs-unbatched sweep runs
-  through the protocol seam; batched ingestion must still clear the
-  **≥ 5×** floor T8 asserts, proving the storage seam costs the write path
-  nothing.
-
-Assertions fire at full scale only (T5/T9/T10's convention); CI's
+The assertion fires at full scale only (T5/T9/T10's convention); CI's
 smoke-bench job records the smoke-scale trajectory in ``BENCH_*.json``.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 from conftest import report
 
 from repro.service import FlorService
-from repro.storage.tiering import TieredBlobStore
-from repro.versioning.objects import ObjectStore
 from repro.webapp.framework import TestClient
 from repro.workloads import ServiceLoadReport, ServiceWorkload
-
-BLOB_SCALES = {"smoke": 40, "full": 150}
-BLOB_SIZE = 8_192
-BLOB_ROUNDS = 30
 
 INGEST_SCALES = {"smoke": 10, "full": 30}  # requests per client
 INGEST_CLIENTS = 8
 INGEST_PROJECTS = 4
-
-
-# ------------------------------------------------------------ cold tiering
-@pytest.mark.parametrize("scale", sorted(BLOB_SCALES))
-def test_warm_archive_reads_within_bound_of_hot(benchmark, tmp_path, scale):
-    blobs = BLOB_SCALES[scale]
-    tiered = TieredBlobStore(
-        ObjectStore(tmp_path / "objects"),
-        tmp_path / "archive",
-        cache_bytes=4 * blobs * BLOB_SIZE,
-    )
-    hot_ids = [
-        tiered.put(bytes([i % 251]) * BLOB_SIZE + f"hot{i}".encode())
-        for i in range(blobs)
-    ]
-    cold_ids = [
-        tiered.put(bytes([i % 251]) * BLOB_SIZE + f"cold{i}".encode())
-        for i in range(blobs)
-    ]
-    assert tiered.archive(cold_ids) == blobs
-    for object_id in cold_ids:  # first touch seeks into the pack
-        tiered.get(object_id)
-
-    def sweep(ids) -> float:
-        start = time.perf_counter()
-        for _ in range(BLOB_ROUNDS):
-            for object_id in ids:
-                tiered.get(object_id)
-        return (time.perf_counter() - start) / (BLOB_ROUNDS * len(ids))
-
-    hot_seconds = sweep(hot_ids)
-    warm_seconds = benchmark.pedantic(lambda: sweep(cold_ids), rounds=1, iterations=1)
-    ratio = warm_seconds / hot_seconds if hot_seconds else float("inf")
-    stats = tiered.stats()
-    report(
-        f"T12: warm archive vs hot blob reads, {scale} scale",
-        [
-            {
-                "blobs": blobs,
-                "hot_us": hot_seconds * 1e6,
-                "warm_us": warm_seconds * 1e6,
-                "warm_vs_hot_x": ratio,
-                "cache_hits": stats["cache_hits"],
-                "cache_misses": stats["cache_misses"],
-            }
-        ],
-    )
-    if scale == "full":
-        assert ratio <= 2.0, (
-            f"warm archive-cache reads are {ratio:.2f}x hot-path reads "
-            f"(bound: 2.0x)"
-        )
 
 
 # --------------------------------------------------------- ingest no-regress

@@ -21,9 +21,6 @@ the Python API and the HTTP service use.
                (``--dry-run`` prints the propagation patch plan per version
                without executing any replay)
 ``build``      incremental (optionally parallel) build of a Makefile target
-``gc``         storage maintenance: ``--tier-cold`` packs version blobs
-               older than ``--keep-epochs`` commits into append-only
-               archive files (see :mod:`repro.storage.tiering`)
 ``serve``      multi-tenant HTTP service over the projects under a root
                directory (sharded pool + batched ingestion; see
                :mod:`repro.service`); ``--job-workers N`` embeds N durable
@@ -245,40 +242,6 @@ def _install_shutdown_signals(shutdown_event) -> None:
             signal.signal(sig, _handler)
         except ValueError:  # not the main thread
             return
-
-
-def _cmd_gc(args: argparse.Namespace) -> int:
-    """Tier cold version blobs into the archive (``repro gc --tier-cold``)."""
-    from .storage.tiering import TieredBlobStore, select_cold_ids
-
-    if not args.tier_cold:
-        print("nothing to do (pass --tier-cold to archive cold version blobs)")
-        return 0
-    if args.keep_epochs < 0:
-        print("error: --keep-epochs must be >= 0", file=sys.stderr)
-        return 2
-    with _open_session(args) as session:
-        repository = session.repository
-        store = repository.store
-        if not isinstance(store, TieredBlobStore):
-            print(
-                "error: this repository's blob store does not support tiering",
-                file=sys.stderr,
-            )
-            return 2
-        commits = repository.log()
-        hot, cold = select_cold_ids(commits, keep_epochs=args.keep_epochs)
-        candidates = sorted(cid for cid in cold if store.hot.exists(cid))
-        kept = min(args.keep_epochs, len(commits))
-        print(f"commits: {len(commits)} total, newest {kept} kept hot")
-        print(f"hot blobs referenced: {len(hot)}")
-        if args.dry_run:
-            print(f"would archive: {len(candidates)} blob(s)")
-            return 0
-        moved = store.archive(candidates)
-        stats = store.stats()
-        print(f"archived: {moved} blob(s) (archive now holds {stats['archived']})")
-    return 0
 
 
 def _cmd_serve_fleet(args: argparse.Namespace) -> int:
@@ -902,28 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = policy_sub.add_parser("delete", help="remove one policy rule")
     sub.add_argument("selector")
     sub.set_defaults(func=_cmd_policy_delete)
-
-    sub = subparsers.add_parser(
-        "gc",
-        help="storage maintenance: tier cold version blobs into archive packs",
-    )
-    sub.add_argument(
-        "--tier-cold",
-        action="store_true",
-        help="pack blobs only referenced by commits older than --keep-epochs into the archive",
-    )
-    sub.add_argument(
-        "--keep-epochs",
-        type=int,
-        default=8,
-        help="newest commits whose blobs stay on the hot path (default 8)",
-    )
-    sub.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="report what would be archived without moving anything",
-    )
-    sub.set_defaults(func=_cmd_gc)
 
     jobs = subparsers.add_parser(
         "jobs",

@@ -110,10 +110,6 @@ class Session:
     cli_args:
         Explicit argument mapping consulted by ``arg()`` before falling back
         to ``sys.argv`` and then to defaults.
-    query_cache:
-        Optional shared :class:`~repro.query.PivotViewCache` backing this
-        session's query engine (the service layer shares one per shard); a
-        private cache is created lazily when omitted.
     """
 
     def __init__(
@@ -128,7 +124,6 @@ class Session:
         replay_plan: "Any | None" = None,
         cli_args: Mapping[str, Any] | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
-        query_cache: "Any | None" = None,
     ):
         if mode not in (RECORD, REPLAY):
             raise RecordingError(f"unknown session mode: {mode!r}")
@@ -182,7 +177,6 @@ class Session:
         # + database scan that ``iteration(index=None)`` would otherwise
         # need.  Cleared when commit() rotates the timestamp.
         self._loop_iteration_next: dict[tuple[str, str], int] = {}
-        self._query_cache = query_cache
         self._query_engine: "Any | None" = None
         #: Optional ``(row_count) -> None`` hook, run after each transaction
         #: that wrote this session's rows commits (on the flusher's thread).
@@ -699,12 +693,6 @@ class Session:
         """Invalidation hook run after each transaction that wrote our rows."""
         if self._query_engine is not None:
             self._query_engine.note_write()
-        elif self._query_cache is not None:
-            # A shared cache must learn about this write even though this
-            # session never read through it — another engine on a
-            # different database handle sees neither our write_version
-            # nor (without this) a generation bump.
-            self._query_cache.bump_generation(self.projid)
         if self.on_rows_written is not None:
             self.on_rows_written(count)
 
@@ -752,11 +740,8 @@ class Session:
         if self._query_engine is None:
             from ..query import QueryEngine
 
-            self._query_engine = QueryEngine(self.db, self.projid, cache=self._query_cache)
-            if self._query_cache is None:
-                # A cache this session made counts in this session's scope;
-                # a shared one belongs to whoever handed it in.
-                self._query_engine.cache.metrics.attach(self.metrics)
+            self._query_engine = QueryEngine(self.db, self.projid)
+            self._query_engine.cache.metrics.attach(self.metrics)
         return self._query_engine
 
     def dataframe(

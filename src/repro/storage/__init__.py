@@ -17,8 +17,6 @@ __all__ = [
     "FaultyRelationalStore",
     "MemoryBlobStore",
     "MemoryRelationalStore",
-    "TieredBlobStore",
-    "select_cold_ids",
 ]
 
 _LAZY = {
@@ -26,8 +24,6 @@ _LAZY = {
     "FaultyRelationalStore": ".faults",
     "MemoryBlobStore": ".memory",
     "MemoryRelationalStore": ".memory",
-    "TieredBlobStore": ".tiering",
-    "select_cold_ids": ".tiering",
 }
 
 

@@ -106,10 +106,7 @@ class FaultyBlobStore:
     """A :class:`BlobStore` whose ``put``/``get`` paths may stall.
 
     Blob storage has no lock to contend on — its failure mode under load
-    is latency — so the wrapper injects slow I/O only.  Extras beyond the
-    protocol (``archive``, ``verify``, ``stats`` on the tiered store) pass
-    through via ``__getattr__`` so a wrapped store still composes with
-    ``repro gc --tier-cold``.
+    is latency — so the wrapper injects slow I/O only.
     """
 
     def __init__(self, inner, plan, *, site: str = "blob"):
@@ -121,10 +118,6 @@ class FaultyBlobStore:
         self.plan.maybe_sleep(f"{self.site}.put")
         return self.inner.put(data)
 
-    def put_text(self, text: str) -> str:
-        self.plan.maybe_sleep(f"{self.site}.put")
-        return self.inner.put_text(text)
-
     def get(self, object_id: str) -> bytes:
         self.plan.maybe_sleep(f"{self.site}.get")
         return self.inner.get(object_id)
@@ -132,21 +125,3 @@ class FaultyBlobStore:
     def get_text(self, object_id: str) -> str:
         self.plan.maybe_sleep(f"{self.site}.get")
         return self.inner.get_text(object_id)
-
-    def exists(self, object_id: str) -> bool:
-        return self.inner.exists(object_id)
-
-    def delete(self, object_id: str) -> bool:
-        return self.inner.delete(object_id)
-
-    def ids(self):
-        return self.inner.ids()
-
-    def __contains__(self, object_id: str) -> bool:
-        return object_id in self.inner
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)

@@ -20,8 +20,6 @@ storage-seam costs from disk costs.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from ..errors import ObjectNotFoundError
 from ..relational.database import Database
 from ..versioning.objects import hash_bytes
@@ -64,9 +62,6 @@ class MemoryBlobStore:
             self._blobs[object_id] = bytes(data)
         return object_id
 
-    def put_text(self, text: str) -> str:
-        return self.put(text.encode("utf-8"))
-
     def get(self, object_id: str) -> bytes:
         self._validate(object_id)
         try:
@@ -76,21 +71,3 @@ class MemoryBlobStore:
 
     def get_text(self, object_id: str) -> str:
         return self.get(object_id).decode("utf-8")
-
-    def exists(self, object_id: str) -> bool:
-        try:
-            return self._validate(object_id) in self._blobs
-        except ObjectNotFoundError:
-            return False
-
-    def delete(self, object_id: str) -> bool:
-        return self._blobs.pop(object_id, None) is not None
-
-    def __contains__(self, object_id: str) -> bool:
-        return self.exists(object_id)
-
-    def ids(self) -> Iterator[str]:
-        yield from sorted(self._blobs)
-
-    def __len__(self) -> int:
-        return len(self._blobs)

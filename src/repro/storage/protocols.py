@@ -14,9 +14,7 @@ through two small structural interfaces:
   snapshots.  The reference implementation is
   :class:`repro.versioning.objects.ObjectStore` (git-style fan-out
   directory); :class:`repro.storage.memory.MemoryBlobStore` is the
-  dict-backed test double and :class:`repro.storage.tiering.TieredBlobStore`
-  layers epoch-based cold archives with an LRU cache on top of any hot
-  store.
+  dict-backed test double.
 
 The protocols are :func:`typing.runtime_checkable` so the conformance suite
 (``tests/storage/test_store_contract.py``) can assert that every backend
@@ -36,7 +34,7 @@ suite):
 
 from __future__ import annotations
 
-from typing import Any, ContextManager, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Any, ContextManager, Protocol, Sequence, runtime_checkable
 
 
 @runtime_checkable
@@ -101,32 +99,10 @@ class BlobStore(Protocol):
         """Store ``data`` and return its object id (idempotent)."""
         ...
 
-    def put_text(self, text: str) -> str:
-        """Store UTF-8 encoded text."""
-        ...
-
     def get(self, object_id: str) -> bytes:
         """Return the stored bytes; raise ObjectNotFoundError when absent."""
         ...
 
     def get_text(self, object_id: str) -> str:
         """Return the stored bytes decoded as UTF-8."""
-        ...
-
-    def exists(self, object_id: str) -> bool:
-        """Whether ``object_id`` is retrievable (malformed ids are False)."""
-        ...
-
-    def delete(self, object_id: str) -> bool:
-        """Forget one object; True if it was present."""
-        ...
-
-    def ids(self) -> Iterator[str]:
-        """Iterate over every retrievable object id."""
-        ...
-
-    def __contains__(self, object_id: str) -> bool:
-        ...
-
-    def __len__(self) -> int:
         ...

@@ -72,7 +72,6 @@ def chaos_shard_factory(root: Path | str, plan: FaultPlan):
     from ..core.session import Session
     from ..service.pool import SERVICE_FILENAME, ProjectShard
     from ..storage.faults import FaultyBlobStore, FaultyRelationalStore
-    from ..storage.tiering import TieredBlobStore
     from ..versioning.objects import ObjectStore
     from ..versioning.repository import Repository
 
@@ -84,11 +83,7 @@ def chaos_shard_factory(root: Path | str, plan: FaultPlan):
             Database(config.db_path), plan, site=f"shard.{name}.db"
         )
         blob_store = FaultyBlobStore(
-            TieredBlobStore(
-                ObjectStore(config.objects_dir), Path(config.objects_dir) / "archive"
-            ),
-            plan,
-            site=f"shard.{name}.blob",
+            ObjectStore(config.objects_dir), plan, site=f"shard.{name}.blob"
         )
         repository = Repository(config.objects_dir, config.root, store=blob_store)
         session = Session(

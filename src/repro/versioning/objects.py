@@ -6,15 +6,16 @@ uses.  Writing is idempotent: storing identical contents twice costs one hash
 computation and no extra disk space.
 
 This is the reference implementation of the
-:class:`repro.storage.protocols.BlobStore` protocol; the in-memory and
-cold-tiered backends live in :mod:`repro.storage`.
+:class:`repro.storage.protocols.BlobStore` protocol; the in-memory backend
+lives in :mod:`repro.storage`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import shutil
 from pathlib import Path
-from typing import Iterator
 from uuid import uuid4
 
 from ..errors import ObjectNotFoundError
@@ -34,6 +35,35 @@ class ObjectStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._sweep_stale_tmp()
+        self._unpack_legacy_archive()
+
+    def _unpack_legacy_archive(self) -> None:
+        """Move blobs an older release packed into ``archive/`` back home.
+
+        Releases with cold tiering kept some blobs only in append-only
+        ``archive/pack-NNNN.bin`` files, indexed by ``archive/index.json`` as
+        ``id -> {pack, offset, length}``.  Every indexed blob is read, checked
+        against its id and ``put`` before the index, then the directory, is
+        removed, so a damaged pack raises and leaves the archive as it was.
+        A file vanishing because a concurrent unpacker finished first is fine.
+        """
+        archive = self.root / "archive"
+        index_path = archive / "index.json"
+        try:
+            index = json.loads(index_path.read_text("utf-8"))
+            for object_id, entry in index.items():
+                pack, offset, length = entry["pack"], int(entry["offset"]), int(entry["length"])
+                with open(archive / pack, "rb") as handle:
+                    handle.seek(offset)
+                    data = handle.read(length)
+                if hash_bytes(data) != object_id:  # a short read fails this too
+                    raise ObjectNotFoundError(f"archived object {object_id} is damaged in {pack}")
+                self.put(data)
+            index_path.unlink()
+            shutil.rmtree(archive)
+        except FileNotFoundError:
+            if index_path.exists():
+                raise
 
     def _sweep_stale_tmp(self) -> None:
         """Remove ``*.tmp`` debris left by writers that crashed mid-put.
@@ -76,61 +106,11 @@ class ObjectStore:
                 raise
         return object_id
 
-    def put_text(self, text: str) -> str:
-        return self.put(text.encode("utf-8"))
-
     def get(self, object_id: str) -> bytes:
-        path = self._path_for(object_id)
-        if not path.exists():
-            raise ObjectNotFoundError(f"object {object_id} not found in {self.root}")
-        return path.read_bytes()
+        try:
+            return self._path_for(object_id).read_bytes()
+        except FileNotFoundError:
+            raise ObjectNotFoundError(f"object {object_id} not found in {self.root}") from None
 
     def get_text(self, object_id: str) -> str:
         return self.get(object_id).decode("utf-8")
-
-    def exists(self, object_id: str) -> bool:
-        try:
-            return self._path_for(object_id).exists()
-        except ObjectNotFoundError:
-            return False
-
-    def delete(self, object_id: str) -> bool:
-        """Forget one object; True if it was present (used by tiering GC)."""
-        try:
-            path = self._path_for(object_id)
-        except ObjectNotFoundError:
-            return False
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            return False
-        try:
-            path.parent.rmdir()  # drop the fan-out dir if now empty
-        except OSError:
-            pass
-        return True
-
-    def __contains__(self, object_id: str) -> bool:
-        return self.exists(object_id)
-
-    def ids(self) -> Iterator[str]:
-        """Iterate over every object id currently stored.
-
-        Only two-hex-char fan-out directories are scanned, so sibling
-        bookkeeping (archives, indexes, stray files) can never masquerade
-        as objects; ``*.tmp`` staging files are excluded defensively even
-        though init sweeps them.
-        """
-        for prefix_dir in sorted(self.root.iterdir()):
-            if not prefix_dir.is_dir():
-                continue
-            name = prefix_dir.name
-            if len(name) != 2 or not all(c in _HEX for c in name):
-                continue
-            for obj in sorted(prefix_dir.iterdir()):
-                if obj.suffix == ".tmp":
-                    continue
-                yield name + obj.name
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.ids())

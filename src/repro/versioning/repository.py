@@ -84,7 +84,7 @@ class Repository:
     """Linear version history over a set of tracked files.
 
     Storage is pluggable through the :class:`repro.storage.protocols.BlobStore`
-    seam: pass ``store`` to supply any backend (in-memory, tiered, …).  When
+    seam: pass ``store`` to supply any backend (in-memory, fault-wrapped).  When
     ``store`` is omitted, a directory-backed :class:`ObjectStore` is built at
     ``objects_dir``.  When ``objects_dir`` is ``None`` the journal is kept
     purely in memory (no snapshot/log files) — the in-memory service backend
@@ -106,15 +106,7 @@ class Repository:
         if store is None:
             if objects_dir is None:
                 raise VersioningError("Repository needs an objects_dir or a store")
-            # Default to the tiered store so blobs archived by
-            # ``repro gc --tier-cold`` stay readable from every session.
-            # The archive directory is created lazily on the first archive
-            # pass, so untier-ed projects pay nothing for the wrapper.
-            from ..storage.tiering import TieredBlobStore
-
-            store = TieredBlobStore(
-                ObjectStore(objects_dir), Path(objects_dir) / "archive"
-            )
+            store = ObjectStore(objects_dir)
         self.store = store
         self.working_dir = Path(working_dir)
         if objects_dir is not None:

@@ -73,26 +73,15 @@ class TestEngine:
         assert shared.stats.cold_builds == 1
         assert shared.stats.hits == 1
 
-    def test_flush_bumps_shared_cache_before_engine_exists(self, make_session):
-        """Regression: a session given a shared cache must invalidate it on
-        flush even if its own query engine was never created — an engine on
-        a *different* database handle sees neither our write_version nor,
-        without the bump, any staleness signal."""
-        from repro.relational.database import Database
+    def test_the_query_cache_knob_is_rejected(self, tmp_path):
+        # The pool hands a retained cache over through ``session.query.cache``.
+        import pytest
 
-        shared = PivotViewCache()
-        session = make_session("sharedflush", query_cache=shared)
-        other_db = Database(session.config.db_path)
-        try:
-            engine = QueryEngine(other_db, session.projid, cache=shared)
-            session.log("m", 1.0)
-            session.flush()
-            assert engine.dataframe("m").row(0)["m"] == 1.0
-            session.log("m", 2.0)
-            session.flush()  # session's own engine still does not exist
-            assert engine.dataframe("m").row(0)["m"] == 2.0
-        finally:
-            other_db.close()
+        from repro.config import ProjectConfig
+        from repro.core.session import Session
+
+        with pytest.raises(TypeError):
+            Session(ProjectConfig(tmp_path / "p", "p"), query_cache=PivotViewCache())
 
     def test_rejected_sql_fails_before_pivot_builds(self, session):
         """Regression: the read-only guard must fire before the pivot work."""

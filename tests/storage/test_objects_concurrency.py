@@ -1,11 +1,13 @@
-"""ObjectStore durability regressions: tmp-file races and crash debris."""
+"""ObjectStore durability: tmp-file races, crash debris, legacy archives."""
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
 
+from repro.errors import ObjectNotFoundError
 from repro.versioning.objects import ObjectStore, hash_bytes
 
 
@@ -64,7 +66,7 @@ class TestConcurrentPut:
 
         assert len(set(results)) == 100
         for object_id in results:
-            assert store.exists(object_id)
+            assert hash_bytes(store.get(object_id)) == object_id
 
 
 class TestStaleTmpSweep:
@@ -81,42 +83,105 @@ class TestStaleTmpSweep:
         assert not stale.exists()
         assert reopened.get(object_id) == b"real blob"
 
-    def test_ids_excludes_tmp_files_defensively(self, tmp_path):
-        """Even an unswept tmp file never shows up as an object id."""
-        root = tmp_path / "objects"
-        store = ObjectStore(root)
-        object_id = store.put(b"real blob")
-        # Plant debris *after* init so the sweep has not seen it.
-        (root / object_id[:2] / "0123456789.tmp").write_bytes(b"junk")
-        assert list(store.ids()) == [object_id]
-        assert len(store) == 1
-
-    def test_ids_ignores_non_fanout_directories(self, tmp_path):
-        """Bookkeeping dirs (e.g. the tiering archive) never pollute ids()."""
-        root = tmp_path / "objects"
-        store = ObjectStore(root)
-        object_id = store.put(b"real blob")
-        (root / "archive").mkdir()
-        (root / "archive" / "pack-0000.bin").write_bytes(b"packed")
-        (root / "zz-not-hex").mkdir()
-        (root / "zz-not-hex" / "file").write_bytes(b"x")
-        assert list(store.ids()) == [object_id]
-
     def test_sweep_tolerates_clean_store(self, tmp_path):
         store = ObjectStore(tmp_path / "objects")
-        assert list(store.ids()) == []
+        assert list(store.root.iterdir()) == []
 
 
-class TestDelete:
-    def test_delete_removes_object_and_empty_fanout_dir(self, tmp_path):
+def _archive_by_hand(root, blobs):
+    """Write the layout releases with cold tiering left: one pack, one index."""
+    archive = root / "archive"
+    archive.mkdir(parents=True)
+    index, offset = {}, 0
+    with open(archive / "pack-0000.bin", "wb") as pack:
+        for data in blobs:
+            pack.write(data)
+            index[hash_bytes(data)] = {
+                "pack": "pack-0000.bin", "offset": offset, "length": len(data)
+            }
+            offset += len(data)
+    (archive / "index.json").write_text(json.dumps(index, indent=2))
+    return list(index)
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestLegacyArchiveUnpack:
+    BLOBS = [b"print('epoch 0')\n", b"print('epoch 1')\n", bytes(range(256))]
+
+    def test_intact_archive_is_unpacked_then_removed(self, tmp_path):
         root = tmp_path / "objects"
+        ids = _archive_by_hand(root, self.BLOBS)
         store = ObjectStore(root)
-        object_id = store.put(b"bye")
-        assert store.delete(object_id)
-        assert not store.exists(object_id)
-        assert not (root / object_id[:2]).exists()
+        assert [store.get(object_id) for object_id in ids] == self.BLOBS
+        assert not (root / "archive").exists()
 
-    def test_delete_missing_is_false(self, tmp_path):
-        store = ObjectStore(tmp_path / "objects")
-        assert not store.delete(hash_bytes(b"never"))
-        assert not store.delete("not-hex!")
+    def test_flipped_byte_raises_and_leaves_the_archive(self, tmp_path):
+        root = tmp_path / "objects"
+        ids = _archive_by_hand(root, self.BLOBS)
+        pack = root / "archive" / "pack-0000.bin"
+        raw = bytearray(pack.read_bytes())
+        raw[len(self.BLOBS[0]) + 3] ^= 0x01  # inside the second blob
+        pack.write_bytes(bytes(raw))
+        before = _files(root / "archive")
+        with pytest.raises(ObjectNotFoundError, match=ids[1]) as failure:
+            ObjectStore(root)
+        assert "pack-0000.bin" in str(failure.value)
+        assert _files(root / "archive") == before
+
+    def test_truncated_pack_raises_and_leaves_the_archive(self, tmp_path):
+        root = tmp_path / "objects"
+        ids = _archive_by_hand(root, self.BLOBS)
+        pack = root / "archive" / "pack-0000.bin"
+        pack.write_bytes(pack.read_bytes()[:-10])
+        before = _files(root / "archive")
+        with pytest.raises(ObjectNotFoundError, match=ids[-1]):
+            ObjectStore(root)
+        assert _files(root / "archive") == before
+
+    def test_id_still_hot_is_unpacked_once(self, tmp_path):
+        # A crash mid-archive left the first blob in both places.
+        root = tmp_path / "objects"
+        hot_id = ObjectStore(root).put(self.BLOBS[0])
+        ids = _archive_by_hand(root, self.BLOBS)
+        store = ObjectStore(root)
+        assert ids[0] == hot_id
+        assert [store.get(object_id) for object_id in ids] == self.BLOBS
+        assert len(list(root.glob("??/*"))) == len(self.BLOBS)
+        assert not (root / "archive").exists()
+
+    def test_second_open_is_a_no_op(self, tmp_path):
+        root = tmp_path / "objects"
+        ids = _archive_by_hand(root, self.BLOBS)
+        ObjectStore(root)
+        stamps = {p: p.stat().st_mtime_ns for p in root.glob("??/*")}
+        store = ObjectStore(root)
+        assert {p: p.stat().st_mtime_ns for p in root.glob("??/*")} == stamps
+        assert [store.get(object_id) for object_id in ids] == self.BLOBS
+        assert not (root / "archive").exists()
+
+    def test_racing_opens_all_succeed(self, tmp_path):
+        root = tmp_path / "objects"
+        ids = _archive_by_hand(root, self.BLOBS + [b"x" * 512 * i for i in range(1, 30)])
+        barrier = threading.Barrier(4)
+        errors: list[BaseException] = []
+
+        def opener() -> None:
+            try:
+                barrier.wait(timeout=10)
+                ObjectStore(root)
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=opener) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        store = ObjectStore(root)
+        assert all(hash_bytes(store.get(object_id)) == object_id for object_id in ids)
+        assert not (root / "archive").exists()

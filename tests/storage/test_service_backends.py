@@ -1,12 +1,10 @@
-"""Service-level behaviour of the pluggable backends: memory, gc."""
+"""Service-level behaviour of the pluggable backends."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cli import main
-from repro.config import ProjectConfig
-from repro.core.session import Session
 from repro.service import FlorService
 from repro.service.pool import DatabasePool
 from repro.webapp import TestClient
@@ -73,50 +71,17 @@ class TestMemoryBackend:
             DatabasePool(tmp_path / "root", backend="papyrus")
 
 
-class TestGcTierCold:
-    def _project_with_epochs(self, tmp_path, epochs=4):
-        root = tmp_path / "proj"
-        session = Session(ProjectConfig(root, "gcproj"), default_filename="train.py")
-        script = root / "train.py"
-        vids = []
-        for epoch in range(epochs):
-            script.write_text(f"print('version {epoch}')\n")
-            session.repository.track("train.py")
-            session.log("epoch", epoch)
-            vids.append(session.commit(f"epoch {epoch}"))
-        session.close()
-        return root, vids
+class TestColdTieringIsGone:
+    def test_gc_is_an_invalid_choice(self, tmp_path, capsys):
+        # Blobs have one layout; an archive an older release left is
+        # unpacked when its object store opens.
+        with pytest.raises(SystemExit) as exited:
+            main(["--project", str(tmp_path / "proj"), "gc", "--tier-cold"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'gc'" in capsys.readouterr().err
 
-    def test_gc_archives_cold_blobs_and_history_stays_readable(self, tmp_path, capsys):
-        root, vids = self._project_with_epochs(tmp_path, epochs=4)
-        assert main(["--project", str(root), "gc", "--tier-cold", "--keep-epochs", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "archived: 3 blob(s)" in out
-        # Every historical version — including the archived ones — still reads.
-        session = Session(ProjectConfig(root, "gcproj"), default_filename="train.py")
-        try:
-            for epoch, vid in enumerate(vids):
-                assert f"version {epoch}" in session.repository.read_file(vid, "train.py")
-        finally:
-            session.close()
+    def test_the_tiered_store_is_not_exported(self):
+        import repro.storage
 
-    def test_dry_run_moves_nothing(self, tmp_path, capsys):
-        root, _ = self._project_with_epochs(tmp_path, epochs=3)
-        assert main(
-            ["--project", str(root), "gc", "--tier-cold", "--keep-epochs", "1", "--dry-run"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "would archive: 2 blob(s)" in out
-        assert not (root / ".flor" / "objects" / "archive").exists()
-
-    def test_gc_without_tier_cold_is_a_noop(self, tmp_path, capsys):
-        root, _ = self._project_with_epochs(tmp_path, epochs=2)
-        assert main(["--project", str(root), "gc"]) == 0
-        assert "nothing to do" in capsys.readouterr().out
-
-    def test_second_pass_archives_nothing_new(self, tmp_path, capsys):
-        root, _ = self._project_with_epochs(tmp_path, epochs=3)
-        main(["--project", str(root), "gc", "--tier-cold", "--keep-epochs", "1"])
-        capsys.readouterr()
-        assert main(["--project", str(root), "gc", "--tier-cold", "--keep-epochs", "1"]) == 0
-        assert "archived: 0 blob(s)" in capsys.readouterr().out
+        with pytest.raises(AttributeError):
+            repro.storage.TieredBlobStore

@@ -4,7 +4,7 @@ metrics seam (no component holds an optional registry), the replay seam
 (one planner: only the hindsight engine decides which runs replay), the
 body seam (one builder of the service's ``dataframe`` / ``sql`` answer) and
 the writer seam (one record path: every handle writes through its session's
-background flusher).
+background flusher) and the blob seam (one blob layout, no cold tier).
 
 The whole point of the :mod:`repro.storage` protocols is that every layer
 above storage is backend-agnostic — repositories, the query engine, the
@@ -42,6 +42,11 @@ A fifth keeps the record path single: nothing under ``src/repro`` names
 spellings), and ``.flusher.submit(...)`` is called only by
 :mod:`repro.core.session` — one writer per database handle, so every write
 is counted, tailed and invalidates the query cache.
+
+A sixth keeps blobs in one layout: no module other than
+:mod:`repro.versioning.objects` (which unpacks archives older releases
+left) spells ``pack-``, ``index.json`` or an ``archive`` path segment in a
+string — a cold tier would need all three.
 
 Detection is AST-based — docstrings and comments that merely *mention*
 sqlite3 or the guard are fine; only actual statements count.
@@ -177,6 +182,30 @@ def second_record_paths(name: str, tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+#: The one module that may name the legacy archive layout, and its names.
+LAYOUT_MODULE = "repro.versioning.objects"
+
+
+def cold_tier_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` where a string names a pack file, an index or an archive dir."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Constant) or not isinstance(node.value, str):
+            continue
+        if id(node) in docstrings:
+            continue
+        if "pack-" in node.value or "index.json" in node.value or "archive" in node.value.split("/"):
+            found.append((node.lineno, f"spells {node.value!r}"))
+    return found
+
+
 def main(argv: list[str]) -> int:
     src_root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src"
     violations = 0
@@ -207,6 +236,12 @@ def main(argv: list[str]) -> int:
                 f"the database through Session.flush / write_records on the background flusher"
             )
             violations += 1
+        for lineno, what in cold_tier_names(tree) if name != LAYOUT_MODULE else ():
+            print(
+                f"{path}:{lineno}: {name} {what} — blobs have one layout; only "
+                f"{LAYOUT_MODULE} reads the archives older releases left"
+            )
+            violations += 1
         if any(name == p or name.startswith(p + ".") for p in ALLOWED_PREFIXES):
             continue
         for lineno in sqlite_imports(tree):
@@ -221,6 +256,7 @@ def main(argv: list[str]) -> int:
         print("replay seam intact: one planner, replay_source called by", ", ".join(REPLAY_CALLERS))
         print(f"body seam intact: read bodies built in {BODY_BUILDER} only ({', '.join(BODY_MODULES)})")
         print(f"writer seam intact: no flush-mode knob, .flusher.submit() called by {WRITER_MODULE} only")
+        print(f"blob seam intact: no archive layout named outside {LAYOUT_MODULE}")
     return violations
 
 
