@@ -137,70 +137,77 @@ class Session:
         self.mode = mode
         self.db = db if db is not None else Database(self.config.db_path)
         self._owns_db = db is None
-        self.logs = LogRepository(self.db)
-        self.loops = LoopRepository(self.db)
-        self.ts2vid = Ts2VidRepository(self.db)
-        self.objects = ObjectRepository(self.db)
-        self.build_deps = BuildDepRepository(self.db)
-        # Explicit None-check: an empty Repository is falsy (len() == 0), and
-        # an injected fresh repository must not be silently replaced by a
-        # disk-backed default.
-        self.repository = (
-            repository
-            if repository is not None
-            else Repository(self.config.objects_dir, self.config.root)
-        )
-        self._buffer = RecordBuffer()
-        #: Registry scope of everything this session's workers count (the
-        #: flusher, the checkpoint writer, its own pivot cache).  Private to
-        #: a bare session; the service pool attaches it to the process's.
-        self.metrics = MetricsRegistry()
-        # Both workers start their thread at the first submit: a replay
-        # session, which never submits to either, never has one.
-        self.flusher = BackgroundFlusher(self.db, name=f"flor-flush-{self.projid or 'default'}")
-        self.flusher.metrics.attach(self.metrics)
-        # Past this many staged records a recording session submits to the
-        # flusher opportunistically, overlapping SQLite work with the loop.
-        self._stage_threshold = 512
-        ckpt_writer = AsyncCheckpointWriter(self.objects)
-        ckpt_writer.metrics.attach(self.metrics)
-        self.checkpoints = CheckpointManager(
-            self.objects, policy=checkpoint_policy, writer=ckpt_writer
-        )
-        self.default_filename = default_filename
-        self._cli_args = dict(cli_args or {})
-        self._contexts: dict[str, ContextState] = {}
-        self._ckpt_block_depth: dict[str, int] = {}
-        # Next auto index per (filename, loop_name) for the current epoch.
-        # Record mode only: rows under this session's fresh tstamp can only
-        # come from this session, so the counter replaces the flush barrier
-        # + database scan that ``iteration(index=None)`` would otherwise
-        # need.  Cleared when commit() rotates the timestamp.
-        self._loop_iteration_next: dict[tuple[str, str], int] = {}
-        self._query_engine: "Any | None" = None
-        #: Optional ``(row_count) -> None`` hook, run after each transaction
-        #: that wrote this session's rows commits (on the flusher's thread).
-        #: The service pool points it at the tail broker, so a
-        #: woken subscriber can already read the rows.
-        self.on_rows_written: Callable[[int], None] | None = None
-        self._replay_plan = replay_plan
-        self.replay_stats = {"iterations_executed": 0, "iterations_skipped": 0, "checkpoints_restored": 0}
-        # The recorded run of a replay session: its log rows (``log`` probes
-        # their keys, ``arg`` reads their values) and, per filename, its loop
-        # rows.  Only this run's rows — a replay never rotates ``self.tstamp``.
-        self._recorded_logs: list[LogRecord] = []
-        self._recorded_loops: dict[str, list[LoopRecord]] = {}
-        if mode == REPLAY:
-            if not replay_tstamp:
-                raise ReplayError("replay sessions require replay_tstamp")
-            self.tstamp = replay_tstamp
-            self._recorded_logs = self.logs.by_tstamp(self.projid, replay_tstamp)
-        else:
-            self.tstamp = _timestamps.next()
-        self._existing_log_keys = {
-            (r.tstamp, r.filename, r.ctx_id, r.value_name) for r in self._recorded_logs
-        }
-        self.epoch_start = self.tstamp
+        try:
+            self.logs = LogRepository(self.db)
+            self.loops = LoopRepository(self.db)
+            self.ts2vid = Ts2VidRepository(self.db)
+            self.objects = ObjectRepository(self.db)
+            self.build_deps = BuildDepRepository(self.db)
+            # Explicit None-check: an empty Repository is falsy (len() == 0), and
+            # an injected fresh repository must not be silently replaced by a
+            # disk-backed default.
+            self.repository = (
+                repository
+                if repository is not None
+                else Repository(self.config.objects_dir, self.config.root)
+            )
+            self._buffer = RecordBuffer()
+            #: Registry scope of everything this session's workers count (the
+            #: flusher, the checkpoint writer, its own pivot cache).  Private to
+            #: a bare session; the service pool attaches it to the process's.
+            self.metrics = MetricsRegistry()
+            # Both workers start their thread at the first submit: a replay
+            # session, which never submits to either, never has one.
+            self.flusher = BackgroundFlusher(self.db, name=f"flor-flush-{self.projid or 'default'}")
+            self.flusher.metrics.attach(self.metrics)
+            # Past this many staged records a recording session submits to the
+            # flusher opportunistically, overlapping SQLite work with the loop.
+            self._stage_threshold = 512
+            ckpt_writer = AsyncCheckpointWriter(self.objects)
+            ckpt_writer.metrics.attach(self.metrics)
+            self.checkpoints = CheckpointManager(
+                self.objects, policy=checkpoint_policy, writer=ckpt_writer
+            )
+            self.default_filename = default_filename
+            self._cli_args = dict(cli_args or {})
+            self._contexts: dict[str, ContextState] = {}
+            self._ckpt_block_depth: dict[str, int] = {}
+            # Next auto index per (filename, loop_name) for the current epoch.
+            # Record mode only: rows under this session's fresh tstamp can only
+            # come from this session, so the counter replaces the flush barrier
+            # + database scan that ``iteration(index=None)`` would otherwise
+            # need.  Cleared when commit() rotates the timestamp.
+            self._loop_iteration_next: dict[tuple[str, str], int] = {}
+            self._query_engine: "Any | None" = None
+            #: Optional ``(row_count) -> None`` hook, run after each transaction
+            #: that wrote this session's rows commits (on the flusher's thread).
+            #: The service pool points it at the tail broker, so a
+            #: woken subscriber can already read the rows.
+            self.on_rows_written: Callable[[int], None] | None = None
+            self._replay_plan = replay_plan
+            self.replay_stats = {"iterations_executed": 0, "iterations_skipped": 0, "checkpoints_restored": 0}
+            # The recorded run of a replay session: its log rows (``log`` probes
+            # their keys, ``arg`` reads their values) and, per filename, its loop
+            # rows.  Only this run's rows — a replay never rotates ``self.tstamp``.
+            self._recorded_logs: list[LogRecord] = []
+            self._recorded_loops: dict[str, list[LoopRecord]] = {}
+            if mode == REPLAY:
+                if not replay_tstamp:
+                    raise ReplayError("replay sessions require replay_tstamp")
+                self.tstamp = replay_tstamp
+                self._recorded_logs = self.logs.by_tstamp(self.projid, replay_tstamp)
+            else:
+                self.tstamp = _timestamps.next()
+            self._existing_log_keys = {
+                (r.tstamp, r.filename, r.ctx_id, r.value_name) for r in self._recorded_logs
+            }
+            self.epoch_start = self.tstamp
+        except BaseException:
+            # Nothing else holds the handle yet: a failed open (a damaged
+            # legacy archive, say) must not leak it to every retry.
+            if self._owns_db:
+                self.db.close()
+            raise
 
     # ------------------------------------------------------------ bookkeeping
     def close(self) -> None:

@@ -37,8 +37,12 @@ class Database:
         except sqlite3.Error as exc:  # pragma: no cover - environment dependent
             raise DatabaseError(f"cannot open database at {self.path}: {exc}") from exc
         self._lock = threading.RLock()
-        self._configure()
-        create_schema(self._connection)
+        try:
+            self._configure()
+            create_schema(self._connection)
+        except BaseException:
+            self._connection.close()
+            raise
 
     def _configure(self) -> None:
         cursor = self._connection.cursor()

@@ -205,13 +205,17 @@ class Ts2VidRepository:
         self, projid: str, filename: str, vids: Iterable[str] | None = None
     ) -> list[tuple[str, str]]:
         """``(vid, ts_start)`` of the epochs (of ``vids`` only, if given) that hold a log
-        or loop row of ``filename``, oldest first — two index seeks per epoch."""
+        or loop row of ``filename``, oldest first.  Each epoch seeks the ``loops``
+        key, then (only if no loop row matched) its own ``logs`` rows by
+        ``(projid, tstamp)`` — left to itself SQLite would walk the project's
+        whole ``idx_logs_pushdown`` range per epoch instead."""
         wanted = None if vids is None else sorted(vids)
         only = "" if wanted is None else f" AND e.vid IN ({','.join('?' * len(wanted))})"
         row = "EXISTS (SELECT 1 FROM {} WHERE projid = ? AND tstamp = e.ts_start AND filename = ?)"
         return self._db.query(
             f"SELECT e.vid, e.ts_start FROM ts2vid AS e WHERE e.projid = ?{only}"
-            f" AND ({row.format('logs')} OR {row.format('loops')}) ORDER BY e.ts_start",
+            f" AND ({row.format('loops')} OR {row.format('logs INDEXED BY idx_logs_tstamp')})"
+            " ORDER BY e.ts_start",
             (projid, *(wanted or ()), projid, filename, projid, filename),
         )
 

@@ -12,6 +12,7 @@ state machine, ``job_events`` is an append-only audit/progress trail — see
 from __future__ import annotations
 
 import sqlite3
+import zlib
 
 from ..errors import SchemaError
 
@@ -47,8 +48,6 @@ CREATE TABLE IF NOT EXISTS logs (
     value_type      INTEGER NOT NULL DEFAULT 0,
     seq             INTEGER PRIMARY KEY AUTOINCREMENT
 );
-CREATE INDEX IF NOT EXISTS idx_logs_name ON logs (projid, value_name);
-CREATE INDEX IF NOT EXISTS idx_logs_ctx ON logs (projid, tstamp, filename, ctx_id);
 -- Covering index for the query engine's pushdown scans: a name-filtered
 -- read (the flor.dataframe hot path) is answered entirely from the index,
 -- and the trailing columns let SQLite skip the rowid lookup per match.
@@ -57,6 +56,11 @@ CREATE INDEX IF NOT EXISTS idx_logs_pushdown
 -- Range pushdown (--since/--until, latest-run reads) ordered by append
 -- sequence within a run.
 CREATE INDEX IF NOT EXISTS idx_logs_tstamp ON logs (projid, tstamp, seq);
+-- Indexes older releases kept that no statement seeks: every append paid for
+-- them.  Dropping them here migrates the files those releases wrote.
+DROP INDEX IF EXISTS idx_logs_name;
+DROP INDEX IF EXISTS idx_logs_ctx;
+DROP INDEX IF EXISTS idx_loops_parent;
 
 CREATE TABLE IF NOT EXISTS loops (
     projid          TEXT NOT NULL,
@@ -69,7 +73,6 @@ CREATE TABLE IF NOT EXISTS loops (
     iteration_value TEXT,
     PRIMARY KEY (projid, tstamp, filename, ctx_id)
 );
-CREATE INDEX IF NOT EXISTS idx_loops_parent ON loops (projid, tstamp, filename, parent_ctx_id);
 -- Covering index for the run-scoped ancestry join: fetching every loop row
 -- of one (tstamp, filename) run never touches the base table.
 CREATE INDEX IF NOT EXISTS idx_loops_ancestry
@@ -166,14 +169,20 @@ CREATE TABLE IF NOT EXISTS job_events (
 CREATE INDEX IF NOT EXISTS idx_job_events_job ON job_events (job_id, seq);
 """
 
+#: ``PRAGMA user_version`` of a file the script above has run on.  Derived
+#: from the text, so any edit to ``_DDL`` re-runs it once on every existing
+#: file (the migration) and later opens skip it.
+DDL_STAMP = zlib.crc32(_DDL.encode()) & 0x7FFFFFFF
+
 
 def create_schema(connection: sqlite3.Connection) -> None:
-    """Create all tables and indexes if they do not already exist.
+    """Create all tables and indexes unless this ``_DDL`` already ran.
 
     Raises :class:`SchemaError` if the database was written by an
-    incompatible library version.
+    incompatible library version — checked on every open, stamped or not.
     """
-    connection.executescript(_DDL)
+    if connection.execute("PRAGMA user_version").fetchone()[0] != DDL_STAMP:
+        connection.executescript(f"{_DDL}PRAGMA user_version = {DDL_STAMP};")
     row = connection.execute("SELECT value FROM meta WHERE key = 'schema_version'").fetchone()
     if row is None:
         connection.execute(

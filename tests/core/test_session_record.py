@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import ProjectConfig, Session, active_session, flor
 from repro.core.session import get_active_session
-from repro.errors import RecordingError
+from repro.errors import DatabaseError, ObjectNotFoundError, RecordingError, ReplayError
 
 
 class TestLog:
@@ -226,3 +228,37 @@ class TestActiveSession:
     def test_invalid_session_mode_rejected(self, project):
         with pytest.raises(RecordingError):
             Session(project, mode="weird")
+
+
+class TestFailedOpen:
+    def test_a_damaged_legacy_archive_closes_the_database_it_opened(self, project, monkeypatch):
+        """The repository raises after the database opened: every retry of the
+        tenant must release its handle rather than leak one."""
+        from repro.core import session as session_module
+
+        opened = []
+
+        class RecordingDatabase(session_module.Database):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(session_module, "Database", RecordingDatabase)
+        archive = project.objects_dir / "archive"
+        archive.mkdir()
+        (archive / "pack-0000.bin").write_bytes(b"not the archived blob")
+        (archive / "index.json").write_text(
+            json.dumps({"ab" * 32: {"pack": "pack-0000.bin", "offset": 0, "length": 21}})
+        )
+        for _retry in range(2):
+            with pytest.raises(ObjectNotFoundError, match="damaged"):
+                Session(project)
+        assert len(opened) == 2
+        for db in opened:
+            with pytest.raises(DatabaseError, match="closed"):
+                db.query("SELECT 1")
+
+    def test_an_injected_database_stays_open(self, project, db):
+        with pytest.raises(ReplayError):
+            Session(project, db=db, mode="replay")
+        assert db.query("SELECT 1") == [(1,)]

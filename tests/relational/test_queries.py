@@ -23,8 +23,8 @@ from repro.relational.queries import (
     long_format_frame,
     long_format_records,
 )
-from repro.relational.records import LogRecord, LoopRecord, decode_value
-from repro.relational.repositories import LogRepository, LoopRepository
+from repro.relational.records import LogRecord, LoopRecord, Ts2VidRecord, decode_value
+from repro.relational.repositories import LogRepository, LoopRepository, Ts2VidRepository
 from repro.versioning.repository import Repository
 
 
@@ -469,6 +469,49 @@ class TestStatementCost:
         ((full_sql, params, _),) = [read for read in store.reads if "FROM logs WHERE" in read[0]]
         plan = [row[3] for row in db.query("EXPLAIN QUERY PLAN " + full_sql, params)]
         assert "COVERING INDEX idx_logs_pushdown (projid=? AND value_name=?)" in plan[0], plan
+
+    def test_runs_of_seeks_each_epoch_by_tstamp(self, db):
+        """Each epoch probes the loop key, then its own log rows by
+        ``(projid, tstamp)`` — never the project's whole pushdown range."""
+        _seed_runs(db, runs=3, steps=4)
+        LogRepository(db).add(LogRecord.create("p", "t003", "eval.py", 0, "acc", 1))
+        for n in range(4):
+            Ts2VidRepository(db).add(Ts2VidRecord("p", f"t{n:03d}", f"t{n:03d}", f"v{n}", None))
+        store = RecordingStore(db)
+        assert Ts2VidRepository(store).runs_of("p", "train.py") == [
+            ("v0", "t000"), ("v1", "t001"), ("v2", "t002")
+        ]
+        assert Ts2VidRepository(store).runs_of("p", "eval.py", ["v3", "v1"]) == [("v3", "t003")]
+        for sql, params, _ in store.reads:
+            plan = [row[3] for row in db.query("EXPLAIN QUERY PLAN " + sql, params)]
+            loop_seek = plan.index(
+                "SEARCH loops USING COVERING INDEX sqlite_autoindex_loops_1"
+                " (projid=? AND tstamp=? AND filename=?)"
+            )
+            log_seek = plan.index("SEARCH logs USING INDEX idx_logs_tstamp (projid=? AND tstamp=?)")
+            assert loop_seek < log_seek, plan
+            assert not any("idx_logs_pushdown" in step for step in plan), plan
+
+    def test_every_log_and_loop_index_is_in_a_pinned_plan(self, db):
+        """An index no statement seeks costs every append: each one on ``logs``
+        and ``loops`` must show up in a plan this class pins."""
+        _seed_runs(db, runs=3, steps=4)
+        Ts2VidRepository(db).add(Ts2VidRecord("p", "t000", "t002", "v0", None))
+        store = RecordingStore(db)
+        long_format_records(store, "p", ["m0", "m1"])
+        long_format_records(store, "p", None, tstamp_range=("t001", None))
+        Ts2VidRepository(store).runs_of("p", "train.py")
+        sought = {
+            index
+            for sql, params, _ in store.reads
+            for row in db.query("EXPLAIN QUERY PLAN " + sql, params)
+            for index in re.findall(r"INDEX (\w+)", row[3])
+        }
+        indexes = {row[1] for table in ("logs", "loops") for row in db.query(f"PRAGMA index_list({table})")}
+        assert indexes == {
+            "idx_logs_pushdown", "idx_logs_tstamp", "idx_loops_ancestry", "sqlite_autoindex_loops_1"
+        }
+        assert indexes <= sought, indexes - sought
 
 
 class TestWatermarks:

@@ -4,7 +4,8 @@ metrics seam (no component holds an optional registry), the replay seam
 (one planner: only the hindsight engine decides which runs replay), the
 body seam (one builder of the service's ``dataframe`` / ``sql`` answer) and
 the writer seam (one record path: every handle writes through its session's
-background flusher) and the blob seam (one blob layout, no cold tier).
+background flusher), the blob seam (one blob layout, no cold tier) and the
+schema seam (one module spells the physical schema and its DDL stamp).
 
 The whole point of the :mod:`repro.storage` protocols is that every layer
 above storage is backend-agnostic — repositories, the query engine, the
@@ -48,6 +49,14 @@ A sixth keeps blobs in one layout: no module other than
 left) spells ``pack-``, ``index.json`` or an ``archive`` path segment in a
 string — a cold tier would need all three.
 
+A seventh keeps the physical schema in one place: no module other than
+:mod:`repro.relational.schema` spells ``CREATE INDEX``, ``DROP INDEX`` or
+``PRAGMA user_version`` in a string — the script there runs once per edit
+(its text is the ``user_version`` stamp), so an index created anywhere else
+would be created on some files and not others.  And the schema script
+itself may not ``CREATE`` the indexes it dropped because no statement read
+them (``idx_logs_name``, ``idx_logs_ctx``, ``idx_loops_parent``).
+
 Detection is AST-based — docstrings and comments that merely *mention*
 sqlite3 or the guard are fine; only actual statements count.
 
@@ -61,6 +70,7 @@ Run it locally after touching anything under ``src/repro``.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -186,8 +196,8 @@ def second_record_paths(name: str, tree: ast.AST) -> list[tuple[int, str]]:
 LAYOUT_MODULE = "repro.versioning.objects"
 
 
-def cold_tier_names(tree: ast.AST) -> list[tuple[int, str]]:
-    """``(line, what)`` where a string names a pack file, an index or an archive dir."""
+def code_strings(tree: ast.AST) -> list[ast.Constant]:
+    """Every string constant in a module except its docstrings."""
     docstrings = {
         id(node.body[0].value)
         for node in ast.walk(tree)
@@ -195,14 +205,44 @@ def cold_tier_names(tree: ast.AST) -> list[tuple[int, str]]:
         and node.body
         and isinstance(node.body[0], ast.Expr)
     }
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+    ]
+
+
+def cold_tier_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` where a string names a pack file, an index or an archive dir."""
     found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Constant) or not isinstance(node.value, str):
-            continue
-        if id(node) in docstrings:
-            continue
+    for node in code_strings(tree):
         if "pack-" in node.value or "index.json" in node.value or "archive" in node.value.split("/"):
             found.append((node.lineno, f"spells {node.value!r}"))
+    return found
+
+
+#: The one module that spells index DDL and the DDL stamp, and the indexes it
+#: dropped because no statement read them.
+SCHEMA_MODULE = "repro.relational.schema"
+SCHEMA_DDL = re.compile(r"\b(?:CREATE\s+INDEX|DROP\s+INDEX|PRAGMA\s+user_version)\b", re.IGNORECASE)
+DROPPED_INDEXES = ("idx_logs_name", "idx_logs_ctx", "idx_loops_parent")
+DROPPED_CREATE = re.compile(
+    r"\bCREATE\b[^;]*?\b(" + "|".join(DROPPED_INDEXES) + r")\b", re.IGNORECASE
+)
+
+
+def stray_schema_ddl(name: str, tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` where index DDL or the stamp is spelled outside the schema
+    module, or where the schema script creates an index it dropped."""
+    found = []
+    for node in code_strings(tree):
+        if name != SCHEMA_MODULE:
+            found.extend((node.lineno, f"spells {m.group(0)!r}") for m in SCHEMA_DDL.finditer(node.value))
+            continue
+        sql = re.sub(r"--[^\n]*", "", node.value)  # a comment may name a dropped index
+        for match in DROPPED_CREATE.finditer(sql):
+            line = node.lineno + sql.count("\n", 0, match.start(1))
+            found.append((line, f"creates {match.group(1)}, an index no statement reads"))
     return found
 
 
@@ -242,6 +282,12 @@ def main(argv: list[str]) -> int:
                 f"{LAYOUT_MODULE} reads the archives older releases left"
             )
             violations += 1
+        for lineno, what in stray_schema_ddl(name, tree):
+            print(
+                f"{path}:{lineno}: {name} {what} — the physical schema is {SCHEMA_MODULE}'s "
+                f"_DDL alone, applied once per edit under its PRAGMA user_version stamp"
+            )
+            violations += 1
         if any(name == p or name.startswith(p + ".") for p in ALLOWED_PREFIXES):
             continue
         for lineno in sqlite_imports(tree):
@@ -257,6 +303,7 @@ def main(argv: list[str]) -> int:
         print(f"body seam intact: read bodies built in {BODY_BUILDER} only ({', '.join(BODY_MODULES)})")
         print(f"writer seam intact: no flush-mode knob, .flusher.submit() called by {WRITER_MODULE} only")
         print(f"blob seam intact: no archive layout named outside {LAYOUT_MODULE}")
+        print(f"schema seam intact: index DDL and the DDL stamp spelled in {SCHEMA_MODULE} only")
     return violations
 
 
