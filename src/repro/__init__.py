@@ -30,9 +30,9 @@ Subpackages
 ``repro.runtime``     the record-path runtime: tuple staging with deferred
                       value encoding, a double-buffered background flusher
                       (single coalesced transaction per drain, bounded
-                      memory with backpressure), and
-                      asynchronous checkpoint serialization with a drain
-                      barrier before restore/commit/close
+                      memory with backpressure) that also pickles and
+                      writes checkpoints, with one drain barrier before
+                      restore/commit/close
 ``repro.service``     multi-tenant HTTP service layer: sharded database
                       pool (one SQLite file per project, LRU handle cache),
                       batched ingestion (one batch per flush, riding the
@@ -63,7 +63,7 @@ from .dataframe import DataFrame
 from .errors import ReproError
 from .jobs import JobRunner, JobStore
 from .query import PivotViewCache, QueryEngine
-from .runtime import AsyncCheckpointWriter, BackgroundFlusher, RecordBuffer
+from .runtime import BackgroundFlusher, RecordBuffer
 
 __version__ = "1.0.0"
 
@@ -83,7 +83,6 @@ __all__ = [
     "JobRunner",
     "RecordBuffer",
     "BackgroundFlusher",
-    "AsyncCheckpointWriter",
     "ReproError",
     "__version__",
 ]

@@ -28,7 +28,7 @@ from typing import Any, Mapping, Protocol
 
 from ..errors import CheckpointError
 from ..relational.repositories import ObjectRepository
-from ..runtime import AsyncCheckpointWriter
+from ..runtime import BackgroundFlusher
 
 #: Prefix for checkpoint entries in the obj_store table.
 CHECKPOINT_PREFIX = "ckpt::"
@@ -128,26 +128,23 @@ class CheckpointManager:
     the policy — pickling and the object-store write are work the loop never
     waits on, so charging the policy with them would space checkpoints out
     far more than the training loop's real overhead warrants.
-    ``write_seconds`` accumulates that off-thread remainder.
+    ``write_seconds`` accumulates that off-thread remainder: each
+    checkpoint's pickle time plus the time of the transaction that carried
+    it.
 
-    ``save()`` deep-copies the snapshot and returns; the pickle and store
-    write happen on the thread of ``writer`` (one over ``objects`` unless
-    passed in; it starts at the first save, so a replay manager that only
-    restores never has one).  ``restore()``, ``load()`` and
-    ``available_checkpoints()`` drain the writer first so callers never
-    observe a checkpoint that is still in flight.
+    ``save()`` deep-copies the snapshot and hands it to ``flusher``, the
+    session's background writer, which pickles it and writes it in the same
+    transaction as the rows queued beside it.  ``restore()``, ``load()`` and
+    ``available_checkpoints()`` take the flusher's ``drain()`` barrier first
+    so callers never observe a checkpoint that is still in flight; they read
+    through the flusher's own database handle.
     """
 
-    def __init__(
-        self,
-        objects: ObjectRepository,
-        policy: CheckpointPolicy | None = None,
-        writer: AsyncCheckpointWriter | None = None,
-    ):
-        self._objects = objects
+    def __init__(self, flusher: BackgroundFlusher, policy: CheckpointPolicy | None = None):
+        self._flusher = flusher
+        self._objects = ObjectRepository(flusher.db)
         self.policy = policy or AdaptiveCheckpointPolicy()
         self._registered: dict[str, Any] = {}
-        self._writer = writer or AsyncCheckpointWriter(objects)
         self.saved = 0
         self.restored = 0
         self.serialize_seconds = 0.0
@@ -190,28 +187,23 @@ class CheckpointManager:
         state = self._snapshot_state()
         # Deep-copy inline so later mutations by the training loop cannot
         # leak into the checkpoint, then hand pickling and the store write
-        # to the worker.  Unpicklable state surfaces as a CheckpointError at
+        # to the flusher.  Unpicklable state surfaces as a CheckpointError at
         # the next drain barrier.
         try:
             snapshot = copy.deepcopy(state)
         except Exception as exc:
             raise CheckpointError(f"cannot snapshot checkpoint objects: {exc}") from exc
         self.serialize_seconds += time.perf_counter() - start
-        self._writer.submit(key, snapshot, on_written=self._account_async_write)
+        self._flusher.submit_checkpoint(
+            (key.projid, key.tstamp, key.filename, key.ctx_id, key.value_name),
+            snapshot,
+            on_written=self._account_write,
+        )
         self.saved += 1
 
-    def _account_async_write(self, pickle_seconds: float, write_seconds: float) -> None:
-        # Runs on the writer thread after the off-thread work finishes.
+    def _account_write(self, pickle_seconds: float, write_seconds: float) -> None:
+        # Runs on the flusher's thread after the checkpoint's transaction.
         self.write_seconds += pickle_seconds + write_seconds
-
-    # ------------------------------------------------------------- lifecycle
-    def drain(self) -> None:
-        """Barrier: block until every in-flight checkpoint write is stored."""
-        self._writer.drain()
-
-    def close(self) -> None:
-        """Drain and stop the writer."""
-        self._writer.close()
 
     def _snapshot_state(self) -> dict[str, Any]:
         """Extract picklable state from registered objects.
@@ -229,7 +221,7 @@ class CheckpointManager:
     # --------------------------------------------------------------- restore
     def load(self, key: CheckpointKey) -> dict[str, Any] | None:
         """Load the raw checkpoint payload stored under ``key`` (or None)."""
-        self.drain()
+        self._flusher.drain()
         record = self._objects.get(key.projid, key.tstamp, key.filename, key.ctx_id, key.value_name)
         if record is None:
             return None
@@ -268,7 +260,7 @@ class CheckpointManager:
 
     def available_checkpoints(self, projid: str, tstamp: str, filename: str) -> list[tuple[int, str]]:
         """Return ``(ctx_id, loop_name)`` of all checkpoints stored for a run."""
-        self.drain()
+        self._flusher.drain()
         out = []
         for _ts, _fn, ctx_id, value_name in self._objects.list_keys(projid, tstamp):
             if _fn == filename and value_name.startswith(CHECKPOINT_PREFIX):

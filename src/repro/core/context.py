@@ -77,10 +77,6 @@ class ContextState:
         return self.stack[-1].ctx_id if self.stack else TOP_LEVEL_CTX
 
     @property
-    def current_parent_ctx_id(self) -> int:
-        return self.stack[-1].parent_ctx_id if self.stack else TOP_LEVEL_CTX
-
-    @property
     def depth(self) -> int:
         return len(self.stack)
 

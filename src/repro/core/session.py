@@ -7,7 +7,8 @@ checkpoint manager, and implements both execution modes:
   handed to the session's background flusher on ``commit()`` (or when a
   dataframe is requested, or once enough have accumulated), loops allocate
   fresh context ids, and the checkpoint policy decides when to serialize
-  registered objects — on the checkpoint writer's thread.
+  registered objects — pickled and written on the flusher's thread, in the
+  same transactions as the rows.
 * **replay** — used by hindsight logging: the session is pinned to a
   historical ``(tstamp, filename)`` run, loops re-use the recorded context
   ids, iterations outside the replay plan are skipped (restoring the nearest
@@ -51,12 +52,7 @@ from ..relational.repositories import (
     ObjectRepository,
     Ts2VidRepository,
 )
-from ..runtime import (
-    AsyncCheckpointWriter,
-    BackgroundFlusher,
-    FlushCallbackError,
-    RecordBuffer,
-)
+from ..runtime import BackgroundFlusher, FlushCallbackError, RecordBuffer
 from ..versioning.repository import Commit, Repository
 from .checkpoint import CheckpointKey, CheckpointManager, CheckpointPolicy
 from .context import (
@@ -152,22 +148,18 @@ class Session:
                 else Repository(self.config.objects_dir, self.config.root)
             )
             self._buffer = RecordBuffer()
-            #: Registry scope of everything this session's workers count (the
-            #: flusher, the checkpoint writer, its own pivot cache).  Private to
-            #: a bare session; the service pool attaches it to the process's.
+            #: Registry scope of everything this session counts (the flusher's
+            #: rows and checkpoints, its own pivot cache).  Private to a bare
+            #: session; the service pool attaches it to the process's.
             self.metrics = MetricsRegistry()
-            # Both workers start their thread at the first submit: a replay
-            # session, which never submits to either, never has one.
+            # The handle's one writer thread, started at the first submit: a
+            # replay session, which never submits, never has one.
             self.flusher = BackgroundFlusher(self.db, name=f"flor-flush-{self.projid or 'default'}")
             self.flusher.metrics.attach(self.metrics)
             # Past this many staged records a recording session submits to the
             # flusher opportunistically, overlapping SQLite work with the loop.
             self._stage_threshold = 512
-            ckpt_writer = AsyncCheckpointWriter(self.objects)
-            ckpt_writer.metrics.attach(self.metrics)
-            self.checkpoints = CheckpointManager(
-                self.objects, policy=checkpoint_policy, writer=ckpt_writer
-            )
+            self.checkpoints = CheckpointManager(self.flusher, policy=checkpoint_policy)
             self.default_filename = default_filename
             self._cli_args = dict(cli_args or {})
             self._contexts: dict[str, ContextState] = {}
@@ -211,25 +203,22 @@ class Session:
 
     # ------------------------------------------------------------ bookkeeping
     def close(self) -> None:
-        """Flush pending records, stop the write workers, release the database.
+        """Flush pending records, stop the writer, release the database.
 
-        Flush-on-close: staged rows and in-flight checkpoint writes are
-        drained before the workers stop, so nothing recorded is ever lost to
-        a clean shutdown.  A deferred worker error re-raised by the flush
-        still releases every resource (worker threads, the database handle)
-        before propagating.
+        Flush-on-close: staged rows and in-flight checkpoints are drained
+        before the flusher stops, so nothing recorded is ever lost to a
+        clean shutdown.  A deferred worker error re-raised by the flush
+        still releases every resource (the writer thread, the database
+        handle) before propagating.
         """
         try:
             self.flush()
         finally:
             try:
-                self.checkpoints.close()
+                self.flusher.close()
             finally:
-                try:
-                    self.flusher.close()
-                finally:
-                    if self._owns_db:
-                        self.db.close()
+                if self._owns_db:
+                    self.db.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -460,7 +449,7 @@ class Session:
                 if is_checkpoint_loop:
                     # Submit without waiting: the iteration boundary hands
                     # rows (and, below, the checkpoint) to the background
-                    # workers instead of blocking the loop on SQLite.
+                    # flusher instead of blocking the loop on SQLite.
                     self.flush(wait=False)
                     self.checkpoints.maybe_save(
                         CheckpointKey(self.projid, self.tstamp, filename, frame.ctx_id, name),
@@ -714,10 +703,9 @@ class Session:
         """
         if self.mode == REPLAY:
             return None
+        # Checkpoints of this epoch ride the flusher too: the flush's drain
+        # makes them durable before the version boundary.
         self.flush()
-        # Checkpoints belonging to this epoch must be durable before the
-        # version boundary — the drain barrier of the async writer.
-        self.checkpoints.drain()
         ts_end = _timestamps.next()
         commit: Commit = self.repository.commit(message=message, tstamp=self.tstamp)
         self.ts2vid.add(

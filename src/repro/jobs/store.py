@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from ..errors import JobError, JobNotFoundError
 from ..obs.metrics import MetricsRegistry
@@ -350,13 +350,6 @@ class JobStore:
             )
             self._append_event(conn, int(job_id), EVENT_CANCELLED, {"from_state": JOB_QUEUED}, now)
 
-    def reclaim_expired(self) -> None:
-        """Run the expired-lease sweep outside a claim (e.g. for stats pages)."""
-        with self.db.transaction() as conn:
-            now = self._clock()
-            self._reclaim_expired(conn, now)
-            self._finish_cancelled_queued(conn, now)
-
     # ------------------------------------------------------------- execution
     def heartbeat(
         self, job_id: int, worker: str, *, lease_seconds: float | None = None
@@ -598,10 +591,3 @@ class JobStore:
             "INSERT INTO job_events (job_id, kind, payload, created_at) VALUES (?, ?, ?, ?)",
             (job_id, kind, json.dumps(payload, default=str), now),
         )
-
-
-def iter_event_payloads(events: Iterable[JobEventRecord], kind: str) -> Iterable[dict]:
-    """Payloads of one event kind, in order (CLI/report helper)."""
-    for event in events:
-        if event.kind == kind:
-            yield event.payload

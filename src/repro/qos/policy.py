@@ -463,21 +463,31 @@ def rule_from_payload(selector: str, payload: dict[str, Any]) -> PolicyRule:
             return None
         try:
             return float(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise QosError(f"policy field {key!r} must be a number, got {value!r}") from exc
 
-    byte_quota = payload.get("byte_quota")
-    if byte_quota is not None:
-        try:
-            byte_quota = int(byte_quota)
-        except (TypeError, ValueError) as exc:
-            raise QosError(f"policy field 'byte_quota' must be an integer, got {byte_quota!r}") from exc
+    def integer(key: str) -> int | None:
+        # ``1.5`` is not a position or a byte count: reject it, never
+        # truncate, and never round an int through a float (past 2**53).
+        value = payload.get(key)
+        if value is None:
+            return None
+        parsed = value if type(value) is int else None
+        if (isinstance(value, float) and value.is_integer()
+                or isinstance(value, str) and re.fullmatch(r"\s*[+-]?\d{1,19}\s*", value)):
+            parsed = int(value)
+        if parsed is None or not -(2**63) <= parsed < 2**63:  # a SQLite INTEGER
+            raise QosError(f"policy field {key!r} must be a 64-bit integer, got {value!r}")
+        return parsed
+
+    window_seconds = number("window_seconds")
     return PolicyRule(
         selector=validate_selector(selector),
         rate=number("rate"),
         burst=number("burst"),
-        byte_quota=byte_quota,
-        window_seconds=number("window_seconds") or 60.0,
+        byte_quota=integer("byte_quota"),
+        # An explicit 0 is kept, so validate_rule rejects it as a contradiction.
+        window_seconds=60.0 if window_seconds is None else window_seconds,
         priority=str(payload.get("priority", "normal")),
-        position=int(payload.get("position", 0) or 0),
+        position=integer("position") or 0,
     )

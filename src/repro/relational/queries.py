@@ -27,7 +27,6 @@ from typing import Any, NamedTuple, Sequence
 from ..dataframe import DataFrame, from_records
 from ..storage.protocols import RelationalStore
 from .records import decode_value
-from .repositories import Ts2VidRepository
 
 #: Reserved dimension columns that always appear in the pivoted view.
 BASE_DIMENSIONS = ("projid", "tstamp", "filename")
@@ -330,8 +329,3 @@ def latest(frame: DataFrame, column: str = "tstamp") -> DataFrame:
     if maximum is None:
         return frame
     return frame[frame[column] == maximum]
-
-
-def distinct_versions(db: RelationalStore, projid: str) -> list[str]:
-    """All version ids recorded for a project, oldest first."""
-    return [record.vid for record in Ts2VidRepository(db).all(projid)]

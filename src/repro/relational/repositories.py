@@ -21,7 +21,8 @@ from .records import (
 
 #: Insert statements shared with :mod:`repro.runtime.flusher`, which replays
 #: them through a single transaction when coalescing batched submissions;
-#: bind parameters come from ``LogRecord.as_row`` / ``LoopRecord.as_row``.
+#: bind parameters come from ``LogRecord.as_row`` / ``LoopRecord.as_row``
+#: and, for a checkpoint, its ``obj_store`` key columns plus the pickle.
 INSERT_LOG_SQL = (
     "INSERT INTO logs (projid, tstamp, filename, ctx_id, value_name, value, value_type)"
     " VALUES (?, ?, ?, ?, ?, ?, ?)"
@@ -30,6 +31,10 @@ INSERT_LOOP_SQL = (
     "INSERT OR REPLACE INTO loops"
     " (projid, tstamp, filename, ctx_id, parent_ctx_id, loop_name, loop_iteration, iteration_value)"
     " VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
+)
+INSERT_OBJECT_SQL = (
+    "INSERT OR REPLACE INTO obj_store (projid, tstamp, filename, ctx_id, value_name, contents)"
+    " VALUES (?, ?, ?, ?, ?, ?)"
 )
 
 
@@ -248,8 +253,7 @@ class ObjectRepository:
 
     def put(self, record: ObjectRecord) -> None:
         self._db.execute(
-            "INSERT OR REPLACE INTO obj_store (projid, tstamp, filename, ctx_id, value_name, contents)"
-            " VALUES (?, ?, ?, ?, ?, ?)",
+            INSERT_OBJECT_SQL,
             (
                 record.projid,
                 record.tstamp,

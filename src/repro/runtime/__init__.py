@@ -12,27 +12,26 @@ everywhere.  This package is where that promise is enforced mechanically:
   coalescing every batch queued since its last wakeup.  Memory is bounded:
   submitters block (backpressure) once ``max_pending_rows`` rows (1,024 by
   default, which also caps a coalesced transaction) are in flight.  Only
-  a submit after ``close()`` writes inline (late stragglers).
-* :class:`~repro.runtime.checkpoint_writer.AsyncCheckpointWriter` — moves
-  checkpoint pickling and object-store writes to a worker thread; the
-  recording thread only snapshots registered state.  ``drain()`` is the
-  barrier that ``restore()``/``commit()``/``close()`` take before relying
-  on stored checkpoints.
+  a submit after ``close()`` writes inline (late stragglers).  Checkpoints
+  ride the same thread: the recording thread only snapshots registered
+  state, and the flusher pickles each snapshot and writes it to
+  ``obj_store`` in the transaction of the rows queued beside it (a snapshot
+  weighs a quarter of the bound).  ``drain()`` is the one barrier that
+  ``restore()``/``commit()``/``close()`` take before relying on stored
+  checkpoints.
 
 Layering: this package depends only on :mod:`repro.relational`,
-:mod:`repro.errors` and the instruments of :mod:`repro.obs.metrics` (both
-workers count what they do in a registry scope of their own);
+:mod:`repro.errors` and the instruments of :mod:`repro.obs.metrics` (the
+flusher counts what it does in a registry scope of its own);
 :mod:`repro.core.session` builds on top of it, and
 the service stages appended rows through the shard's session rather than
 a buffer of its own.
 """
 
 from .buffer import RecordBuffer
-from .checkpoint_writer import AsyncCheckpointWriter
 from .flusher import BackgroundFlusher, FlushCallbackError
 
 __all__ = [
-    "AsyncCheckpointWriter",
     "BackgroundFlusher",
     "FlushCallbackError",
     "RecordBuffer",

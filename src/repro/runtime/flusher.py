@@ -1,11 +1,13 @@
-"""Double-buffered background writer for staged log/loop rows.
+"""Double-buffered background writer for staged rows and checkpoints.
 
 One :class:`BackgroundFlusher` serves one :class:`~repro.relational.database.
-Database` handle.  Producers call :meth:`submit` with insert-ready row tuples
-(from :meth:`~repro.runtime.buffer.RecordBuffer.drain_rows` or
-``record.as_row()``); the worker thread wakes, takes *every* batch queued
-since its last transaction (the double-buffer swap), and writes them all in
-a single SQLite transaction.  Under a flush-heavy workload this coalescing
+Database` handle, and its thread is the handle's only writer.  Producers call
+:meth:`submit` with insert-ready row tuples (from
+:meth:`~repro.runtime.buffer.RecordBuffer.drain_rows` or ``record.as_row()``)
+and :meth:`submit_checkpoint` with a deep-copied checkpoint snapshot; the
+worker thread wakes, takes *every* entry queued since its last transaction
+(the double-buffer swap), pickles the snapshots among them, and writes it all
+in a single SQLite transaction.  Under a flush-heavy workload this coalescing
 collapses N small transactions into a handful of large ones, which is where
 the T10 speedup comes from — SQLite's per-transaction bookkeeping dwarfs the
 marginal cost of an extra ``executemany`` row.
@@ -13,10 +15,12 @@ marginal cost of an extra ``executemany`` row.
 Semantics (one mode — every handle writes through its worker):
 
 * **drain()** is the read-your-writes barrier: it returns only once every
-  submitted row is durable (or raises the error that prevented it).
+  submitted row and checkpoint is durable (or raises the error that
+  prevented it).
 * **backpressure**: submitters block once ``max_pending_rows`` rows
   (:data:`DEFAULT_MAX_PENDING_ROWS` unless a caller says otherwise) are
   queued or in flight, bounding memory under a writer that cannot keep up.
+  A queued snapshot weighs ``max_pending_rows // SNAPSHOTS_PER_BOUND`` rows.
   The worker takes everything queued per transaction, so the same number
   caps a coalesced transaction: a blocked producer waits for one short
   write, never behind a giant one.
@@ -27,24 +31,32 @@ Semantics (one mode — every handle writes through its worker):
   to tell whether those rows are owed a retry).  The rows of the failed
   transaction are dropped — by then the producer has moved on, so
   requeueing could only retry forever.
-* **on_written** callbacks run after their batch's transaction commits (the
+* **checkpoints** are pickled on the worker's thread before the transaction
+  opens, outside both locks, and once: a retried transaction reuses the
+  bytes.  A snapshot that cannot be pickled is dropped alone — it counts in
+  ``checkpoint.errors``, surfaces as a :class:`~repro.errors.CheckpointError`
+  at the next drain, and the rows beside it still commit.  Once a
+  transaction's retries run out, its checkpoints drop and its rows try once
+  more alone.
+* **on_written** callbacks run after their entry's transaction commits (the
   query cache's invalidation hook relies on this ordering).
-* **close()** drains outstanding batches and stops the worker; a submit
+* **close()** drains outstanding entries and stops the worker; a submit
   after it writes inline on the caller's thread, raising its own failure at
   the call site, so late stragglers (atexit commits) still land.
 """
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-from ..errors import ReproError
-from ..obs.metrics import MetricsRegistry, StatsView
+from ..errors import CheckpointError, ReproError
+from ..obs.metrics import Counter, MetricsRegistry, StatsView
 from ..storage.protocols import RelationalStore
-from ..relational.repositories import INSERT_LOG_SQL, INSERT_LOOP_SQL
+from ..relational.repositories import INSERT_LOG_SQL, INSERT_LOOP_SQL, INSERT_OBJECT_SQL
 
 #: Rows one flusher may hold (queued + in flight) before ``submit`` blocks.
 #: Per database handle — a service pool of 8 shards holds at most 8× this.
@@ -55,6 +67,10 @@ from ..relational.repositories import INSERT_LOG_SQL, INSERT_LOOP_SQL
 #: flat from 512 to 4,096 and a third lower at 100,000.
 DEFAULT_MAX_PENDING_ROWS = 1_024
 
+#: Whole-state snapshots that fill the backlog bound on their own: each
+#: queued checkpoint weighs ``max_pending_rows // SNAPSHOTS_PER_BOUND`` rows.
+SNAPSHOTS_PER_BOUND = 4
+
 
 class FlushCallbackError(ReproError):
     """An ``on_written`` callback raised *after* its transaction committed.
@@ -63,8 +79,26 @@ class FlushCallbackError(ReproError):
     rows are durable — retrying the write would duplicate them.
     """
 
-#: One queued submission: (log_rows, loop_rows, on_written, row_count).
-_Batch = tuple[Sequence[tuple], Sequence[tuple], "Callable[[int], None] | None", int]
+
+class _Rows(NamedTuple):
+    """One queued row submission; ``on_written(count)`` runs after its commit."""
+
+    log_rows: Sequence[tuple]
+    loop_rows: Sequence[tuple]
+    on_written: "Callable[[int], None] | None"
+    count: int
+
+
+class _Checkpoint(NamedTuple):
+    """One queued snapshot; ``on_written(pickle_s, write_s)`` runs after its commit."""
+
+    key: tuple  # obj_store key columns: projid, tstamp, filename, ctx_id, value_name
+    state: Any
+    on_written: "Callable[[float, float], None] | None"
+
+
+#: A pickled checkpoint: (obj_store row, on_written, pickle seconds).
+_Pickled = tuple[tuple, "Callable[[float, float], None] | None", float]
 
 
 #: ``BackgroundFlusher.stats`` field → telemetry counter.
@@ -80,9 +114,17 @@ _STATS = {
     "dropped_rows": "flush.dropped_rows",
 }
 
+#: ``BackgroundFlusher.checkpoint_stats`` field → telemetry counter.
+#: ``backpressure_waits`` counts checkpoint submits that blocked, and
+#: ``write_seconds`` the transactions that carried checkpoints.
+_CHECKPOINT_STATS = {
+    field: f"checkpoint.{field}"
+    for field in ("submitted", "written", "errors", "backpressure_waits", "pickle_seconds", "write_seconds")
+}
+
 
 class BackgroundFlusher:
-    """Drain staged rows to SQLite off the recording thread.
+    """Drain staged rows and checkpoints to SQLite off the recording thread.
 
     Parameters
     ----------
@@ -123,10 +165,13 @@ class BackgroundFlusher:
         #: This flusher's scope; its owner (the session) attaches it upward.
         self.metrics = MetricsRegistry()
         self.stats = StatsView(self.metrics, _STATS)
+        self.checkpoint_stats = StatsView(self.metrics, _CHECKPOINT_STATS)
+        self._snapshot_rows = max(1, max_pending_rows // SNAPSHOTS_PER_BOUND)
         self._cond = threading.Condition()
-        self._queue: "deque[_Batch]" = deque()
-        self._pending_rows = 0  # queued + in-flight rows (memory bound)
-        self._inflight = 0
+        self._queue: "deque[_Rows | _Checkpoint]" = deque()
+        self._pending_rows = 0  # queued + in-flight rows
+        self._pending_weight = 0  # ... plus _snapshot_rows per snapshot (the bound)
+        self._inflight: "list[_Rows | _Checkpoint]" = []
         self._thread: threading.Thread | None = None
         self._stop = False
         self._closed = False
@@ -161,33 +206,51 @@ class BackgroundFlusher:
         count = len(log_rows) + len(loop_rows)
         if self._closed:
             self._raise_pending()
-            if count:
-                self.stats["submitted_batches"].inc()
-                self.stats["submitted_rows"].inc(count)
-                self._write([(log_rows, loop_rows, on_written, count)])
-            return count
+        if not count:
+            return 0
+        self.stats["submitted_batches"].inc()
+        self.stats["submitted_rows"].inc(count)
+        batch = _Rows(log_rows, loop_rows, on_written, count)
+        if self._closed:
+            self._write([batch], [])
+        else:
+            self._enqueue(batch, count, count, self.stats["backpressure_waits"])
+        return count
+
+    def submit_checkpoint(
+        self, key: tuple, state: Any, on_written: "Callable[[float, float], None] | None" = None
+    ) -> None:
+        """Queue a snapshot under its ``obj_store`` key columns; blocks and
+        writes inline like :meth:`submit`.  The worker pickles ``state`` and,
+        once its transaction commits, calls ``on_written(pickle_s, write_s)``."""
+        checkpoint = _Checkpoint(key, state, on_written)
+        self.checkpoint_stats["submitted"].inc()
+        if self._closed:
+            self._raise_pending()
+            self._write([], [self._pickle(checkpoint)])
+        else:
+            self._enqueue(checkpoint, 0, self._snapshot_rows, self.checkpoint_stats["backpressure_waits"])
+
+    def _enqueue(self, entry: "_Rows | _Checkpoint", rows: int, weight: int, waits: Counter) -> None:
         with self._cond:
-            if not count:
-                return 0
             blocked = False
-            while self._pending_rows and self._pending_rows + count > self.max_pending_rows:
+            while self._pending_weight and self._pending_weight + weight > self.max_pending_rows:
                 if not blocked:
-                    self.stats["backpressure_waits"].inc()
+                    waits.inc()
                     blocked = True
                 # The timeout is a safety net only; the worker notifies after
                 # every transaction (including failed ones, which free rows).
                 self._cond.wait(0.1)
-            self._queue.append((log_rows, loop_rows, on_written, count))
-            self._pending_rows += count
-            self.stats["submitted_batches"].inc()
-            self.stats["submitted_rows"].inc(count)
+            self._queue.append(entry)
+            self._pending_rows += rows
+            self._pending_weight += weight
             self._ensure_worker_locked()
             self._cond.notify_all()
-        return count
 
     # ------------------------------------------------------------------ drain
     def drain(self) -> None:
-        """Block until every submitted row is durable; re-raise worker errors."""
+        """Block until every submitted row and checkpoint is durable; re-raise
+        worker errors."""
         with self._cond:
             while self._queue or self._inflight:
                 self._cond.wait(0.1)
@@ -222,73 +285,108 @@ class BackgroundFlusher:
                     return
                 # Double-buffer swap: take everything queued since the last
                 # transaction and write it in one go.
-                batches = list(self._queue)
+                entries = self._inflight = list(self._queue)
                 self._queue.clear()
-                self._inflight = sum(batch[3] for batch in batches)
+            batches = [entry for entry in entries if isinstance(entry, _Rows)]
+            rows = sum(batch.count for batch in batches)
             try:
+                # Pickled once, before the transaction: a retry reuses the
+                # bytes, and a snapshot that will not pickle drops alone.
+                pickled = []
+                for entry in entries:
+                    if isinstance(entry, _Checkpoint):
+                        try:
+                            pickled.append(self._pickle(entry))
+                        except CheckpointError as exc:
+                            self._defer(exc)
                 attempts = 0
                 while True:
                     try:
-                        self._write(batches)
+                        self._write(batches, pickled)
                         break
                     except FlushCallbackError as exc:
                         # The transaction committed; retrying would duplicate
                         # every row.  Record the callback failure and move on.
-                        with self._cond:
-                            if self._error is None:
-                                self._error = exc
+                        self._defer(exc)
                         break
                     except BaseException as exc:  # noqa: BLE001 - retried, then surfaced
                         attempts += 1
-                        if attempts > self.write_retries:
+                        if attempts <= self.write_retries:
+                            self.stats["write_retries"].inc()
+                            time.sleep(self.retry_backoff)
+                        elif pickled:
+                            # The checkpoints may be what failed (a state past
+                            # SQLite's length limit): the rows try once more alone.
+                            self.checkpoint_stats["errors"].inc(len(pickled))
+                            self._defer(CheckpointError(f"cannot write checkpoint: {exc}"))
+                            pickled = []
+                            if not batches:
+                                break
+                        else:
                             with self._cond:
-                                if self._error is None:
-                                    self._error = exc
-                                # Monotone drop counters, bumped before the
-                                # rows are released below: the deferred error
-                                # is consumed by whichever drain surfaces it
-                                # first, but any observer (the service's
-                                # /stats endpoint, the chaos harness's seal
-                                # protocol) can still tell that acknowledged
-                                # rows were lost on this handle.
+                                self._error = self._error or exc
+                                # Monotone drop counters, bumped before the rows
+                                # are released below: the deferred error goes to
+                                # the first drain, but an observer (/stats, the
+                                # chaos seal protocol) can still tell that
+                                # acknowledged rows were lost on this handle.
                                 self.stats["dropped_batches"].inc(len(batches))
-                                self.stats["dropped_rows"].inc(self._inflight)
+                                self.stats["dropped_rows"].inc(rows)
                             break
-                        self.stats["write_retries"].inc()
-                        time.sleep(self.retry_backoff)
             finally:
                 with self._cond:
-                    self._pending_rows -= self._inflight
-                    self._inflight = 0
+                    self._pending_rows -= rows
+                    self._pending_weight -= rows + (len(entries) - len(batches)) * self._snapshot_rows
+                    self._inflight = []
                     self._cond.notify_all()
 
-    def _write(self, batches: "list[_Batch]") -> None:
-        log_rows = [row for batch in batches for row in batch[0]]
-        loop_rows = [row for batch in batches for row in batch[1]]
-        if log_rows or loop_rows:
+    def _pickle(self, checkpoint: _Checkpoint) -> _Pickled:
+        started = time.perf_counter()
+        try:
+            contents = pickle.dumps(checkpoint.state, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            self.checkpoint_stats["errors"].inc()
+            raise CheckpointError(f"cannot serialize checkpoint objects: {exc}") from exc
+        seconds = time.perf_counter() - started
+        self.checkpoint_stats["pickle_seconds"].inc(seconds)
+        return (*checkpoint.key, contents), checkpoint.on_written, seconds
+
+    def _write(self, batches: "list[_Rows]", pickled: "list[_Pickled]") -> None:
+        log_rows = [row for batch in batches for row in batch.log_rows]
+        loop_rows = [row for batch in batches for row in batch.loop_rows]
+        seconds = 0.0
+        if log_rows or loop_rows or pickled:
             started = time.perf_counter()
             with self.db.transaction() as connection:
                 if log_rows:
                     connection.executemany(INSERT_LOG_SQL, log_rows)
                 if loop_rows:
                     connection.executemany(INSERT_LOOP_SQL, loop_rows)
-            self.metrics.observe("flush.ms", (time.perf_counter() - started) * 1000.0)
+                if pickled:
+                    connection.executemany(INSERT_OBJECT_SQL, [row for row, _, _ in pickled])
+            seconds = time.perf_counter() - started
+            self.metrics.observe("flush.ms", seconds * 1000.0)
             self.stats["transactions"].inc()
             self.stats["written_rows"].inc(len(log_rows) + len(loop_rows))
+            if pickled:
+                self.checkpoint_stats["written"].inc(len(pickled))
+                self.checkpoint_stats["write_seconds"].inc(seconds)
             high_water = self.stats["max_coalesced_batches"]
             if len(batches) > high_water.value:
                 high_water.set(len(batches))
             self.metrics.set("flush.pending_rows", self.pending_rows)
-        # Every batch's callback runs even if an earlier one raised: a skipped
+        # Every callback runs even if an earlier one raised: a skipped
         # callback is a skipped query-cache invalidation for rows that *did*
         # commit, which would serve stale views indefinitely.  The first
         # error is re-raised afterwards, wrapped so callers can tell "write
         # failed" (retryable) from "post-commit callback failed" (not).
+        callbacks = [(batch.on_written, (batch.count,)) for batch in batches]
+        callbacks += [(on_written, (pickle_s, seconds)) for _row, on_written, pickle_s in pickled]
         callback_error: BaseException | None = None
-        for _logs, _loops, on_written, count in batches:
-            if on_written is not None and count:
+        for on_written, args in callbacks:
+            if on_written is not None:
                 try:
-                    on_written(count)
+                    on_written(*args)
                 except BaseException as exc:  # noqa: BLE001 - isolate callbacks
                     if callback_error is None:
                         callback_error = exc
@@ -298,6 +396,11 @@ class BackgroundFlusher:
             ) from callback_error
 
     # ----------------------------------------------------------------- errors
+    def _defer(self, error: BaseException) -> None:
+        """Keep the first worker error for the next drain to raise."""
+        with self._cond:
+            self._error = self._error or error
+
     def _raise_pending(self) -> None:
         with self._cond:
             self._raise_pending_locked()

@@ -15,13 +15,18 @@ from repro.core.checkpoint import (
 from repro.errors import CheckpointError
 from repro.ml.mlp import MLPClassifier
 from repro.relational.repositories import ObjectRepository
+from repro.runtime import BackgroundFlusher
 
 
 @pytest.fixture()
-def manager(db):
-    manager = CheckpointManager(ObjectRepository(db))
-    yield manager
-    manager.close()
+def flusher(db):
+    with BackgroundFlusher(db) as flusher:
+        yield flusher
+
+
+@pytest.fixture()
+def manager(flusher):
+    return CheckpointManager(flusher)
 
 
 def key(ctx_id: int, loop: str = "epoch") -> CheckpointKey:
@@ -112,7 +117,7 @@ class TestManagerSaveRestore:
             assert (original[name] == restored[name]).all()
 
     def test_maybe_save_respects_policy(self, db):
-        manager = CheckpointManager(ObjectRepository(db), policy=NeverCheckpointPolicy())
+        manager = CheckpointManager(BackgroundFlusher(db), policy=NeverCheckpointPolicy())
         manager.register({"state": {}})
         assert manager.maybe_save(key(1), iteration=0, iter_seconds=0.1) is False
         assert manager.saved == 0
@@ -120,11 +125,11 @@ class TestManagerSaveRestore:
     def test_maybe_save_without_registrations_is_noop(self, manager):
         assert manager.maybe_save(key(1), iteration=0, iter_seconds=0.1) is False
 
-    def test_unpicklable_object_raises_checkpoint_error(self, manager):
+    def test_unpicklable_object_raises_checkpoint_error(self, manager, flusher):
         manager.register({"bad": lambda x: x})  # lambdas cannot be pickled
-        manager.save(key(1))  # the snapshot succeeds; the writer pickles
+        manager.save(key(1))  # the snapshot succeeds; the flusher pickles
         with pytest.raises(CheckpointError):
-            manager.drain()
+            flusher.drain()
 
     def test_available_checkpoints_filters_by_file_and_prefix(self, manager, db):
         manager.register({"state": {"w": 1}})

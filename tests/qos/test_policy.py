@@ -213,3 +213,34 @@ class TestPolicyDocuments:
         assert rule.byte_quota == 1024
         assert rule.window_seconds == 60.0
         assert rule.priority == "normal"
+
+    def test_payload_zero_window_is_a_contradiction_not_the_default(self, store):
+        rule = rule_from_payload("t", {"window_seconds": 0, "byte_quota": 10})
+        assert rule.window_seconds == 0.0
+        with pytest.raises(PolicyConflictError) as exc_info:
+            store.put(rule)
+        assert exc_info.value.code == "contradiction"
+        assert exc_info.value.field == "window_seconds"
+        assert store.get("t") is None
+
+    @pytest.mark.parametrize("field", ["position", "byte_quota"])
+    @pytest.mark.parametrize(
+        "value",
+        ["abc", 1.5, "1.5", [1], float("nan"), float("inf"), True, 10**400, 2**63, "-9223372036854775809"],
+    )
+    def test_payload_rejects_non_integer_integers(self, field, value):
+        with pytest.raises(QosError, match=f"'{field}' must be a 64-bit integer"):
+            rule_from_payload("t", {field: value})
+
+    def test_payload_rejects_a_rate_no_float_holds(self):
+        with pytest.raises(QosError, match="'rate' must be a number"):
+            rule_from_payload("t", {"rate": 10**400})
+
+    def test_payload_accepts_integral_positions(self):
+        assert rule_from_payload("t", {"position": 3}).position == 3
+        assert rule_from_payload("t", {"position": "3"}).position == 3
+        assert rule_from_payload("t", {"position": 3.0}).position == 3
+        assert rule_from_payload("t", {"position": None}).position == 0
+        # An int is taken exactly: a float round trip would read 2**53.
+        assert rule_from_payload("t", {"byte_quota": 2**53 + 1}).byte_quota == 2**53 + 1
+        assert rule_from_payload("t", {"byte_quota": 2**63 - 1}).byte_quota == 2**63 - 1

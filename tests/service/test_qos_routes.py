@@ -152,6 +152,18 @@ class TestPolicyRoutes:
         assert client.put("/service/policy/hot", json_body={"speed": 9}).status == 400
         assert client.put("/service/policy/bad name", json_body={"rate": 1.0}).status == 400
 
+    @pytest.mark.parametrize("position", ["abc", 1.5, 10**400])
+    def test_non_integer_position_is_400_and_stores_nothing(self, client, position):
+        response = client.put("/service/policy/hot", json_body={"rate": 1.0, "position": position})
+        assert response.status == 400
+        assert "'position' must be a 64-bit integer" in response.json()["error"]
+        assert client.get("/service/policy/hot").json()["rule"] is None
+
+    def test_zero_window_is_409_naming_the_field(self, client):
+        response = client.put("/service/policy/hot", json_body={"window_seconds": 0, "byte_quota": 10})
+        assert response.status == 409
+        assert response.json()["detail"]["field"] == "window_seconds"
+
     def test_delete_then_404(self, client):
         client.put("/service/policy/hot", json_body={"rate": 1.0})
         assert client.delete("/service/policy/hot").status == 200

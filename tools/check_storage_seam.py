@@ -3,9 +3,10 @@
 metrics seam (no component holds an optional registry), the replay seam
 (one planner: only the hindsight engine decides which runs replay), the
 body seam (one builder of the service's ``dataframe`` / ``sql`` answer) and
-the writer seam (one record path: every handle writes through its session's
-background flusher), the blob seam (one blob layout, no cold tier) and the
-schema seam (one module spells the physical schema and its DDL stamp).
+the writer seam (one record path and one writer thread: every handle writes
+rows and checkpoints through its session's background flusher), the blob
+seam (one blob layout, no cold tier) and the schema seam (one module spells
+the physical schema and its DDL stamp).
 
 The whole point of the :mod:`repro.storage` protocols is that every layer
 above storage is backend-agnostic — repositories, the query engine, the
@@ -40,9 +41,14 @@ about.
 
 A fifth keeps the record path single: nothing under ``src/repro`` names
 ``flush_mode`` or ``sync_flush`` (the deleted inline mode and its seven
-spellings), and ``.flusher.submit(...)`` is called only by
-:mod:`repro.core.session` — one writer per database handle, so every write
-is counted, tailed and invalidates the query cache.
+spellings) or ``AsyncCheckpointWriter`` / ``checkpoint_writer`` (the deleted
+second writer thread), a flusher's ``submit`` / ``submit_checkpoint`` is
+called only by :mod:`repro.core.session` and :mod:`repro.core.checkpoint`,
+and the ``obj_store`` insert is spelled once, in
+:mod:`repro.relational.repositories` (``INSERT_OBJECT_SQL``, shared by
+``ObjectRepository.put`` and the flusher) — one writer per database handle,
+so every write is counted, tailed and invalidates the query cache, and a
+checkpoint rides a flusher transaction instead of one of its own.
 
 A sixth keeps blobs in one layout: no module other than
 :mod:`repro.versioning.objects` (which unpacks archives older releases
@@ -169,26 +175,45 @@ def second_body_builders(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
-#: The deleted mode's spellings, and the one module that hands rows to a flusher.
-MODE_NAMES = {"flush_mode", "sync_flush"}
-WRITER_MODULE = "repro.core.session"
+#: The deleted writers' spellings, the modules that hand work to a flusher,
+#: and the one module that spells the ``obj_store`` insert.
+DELETED_WRITER_NAMES = {"flush_mode", "sync_flush", "AsyncCheckpointWriter", "checkpoint_writer"}
+WRITER_MODULES = ("repro.core.session", "repro.core.checkpoint")
+OBJECT_INSERT_MODULE = "repro.relational.repositories"
+OBJECT_INSERT = re.compile(r"\bINSERT\b[^;]*?\bINTO\s+obj_store\b", re.IGNORECASE)
+
+
+def identifiers(node: ast.AST) -> list[str]:
+    """The names a node spells: a use, a keyword, a definition or an import."""
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")
+    found = [getattr(node, field, None) for field in ("id", "attr", "arg", "name", "asname")]
+    if isinstance(node, ast.alias):
+        found.extend(node.name.split("."))
+    return [name for name in found if isinstance(name, str)]
 
 
 def second_record_paths(name: str, tree: ast.AST) -> list[tuple[int, str]]:
-    """``(line, what)`` where the flush-mode knob or a second submitter reappears."""
+    """``(line, what)`` where a deleted writer, a second submitter or a second
+    ``obj_store`` insert reappears."""
     found = []
     for node in ast.walk(tree):
-        used = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "arg", None)
-        if used in MODE_NAMES:
+        for used in set(identifiers(node)) & DELETED_WRITER_NAMES:
             found.append((node.lineno, f"names {used}"))
-        elif (
-            name != WRITER_MODULE
+        if (
+            name not in WRITER_MODULES
             and isinstance(node, ast.Call)
-            and getattr(node.func, "attr", None) == "submit"
+            and getattr(node.func, "attr", "").startswith("submit")
         ):
             owner = node.func.value
-            if "flusher" in (getattr(owner, "attr", None), getattr(owner, "id", None)):
-                found.append((node.lineno, "calls .flusher.submit()"))
+            owner_name = getattr(owner, "attr", None) or getattr(owner, "id", None) or ""
+            if owner_name.endswith("flusher"):
+                found.append((node.lineno, f"calls .{owner_name}.{node.func.attr}()"))
+    inserts = [node for node in code_strings(tree) if OBJECT_INSERT.search(node.value)]
+    if name != OBJECT_INSERT_MODULE:
+        found.extend((node.lineno, "spells the obj_store insert") for node in inserts)
+    else:
+        found.extend((node.lineno, "spells the obj_store insert twice") for node in inserts[1:])
     return found
 
 
@@ -272,8 +297,8 @@ def main(argv: list[str]) -> int:
             violations += 1
         for lineno, what in second_record_paths(name, tree):
             print(
-                f"{path}:{lineno}: {name} {what} — there is one record path: rows reach "
-                f"the database through Session.flush / write_records on the background flusher"
+                f"{path}:{lineno}: {name} {what} — there is one record path: rows and "
+                f"checkpoints reach the database through the session's background flusher"
             )
             violations += 1
         for lineno, what in cold_tier_names(tree) if name != LAYOUT_MODULE else ():
@@ -301,7 +326,10 @@ def main(argv: list[str]) -> int:
         print("metrics seam intact: no registry is tested for None")
         print("replay seam intact: one planner, replay_source called by", ", ".join(REPLAY_CALLERS))
         print(f"body seam intact: read bodies built in {BODY_BUILDER} only ({', '.join(BODY_MODULES)})")
-        print(f"writer seam intact: no flush-mode knob, .flusher.submit() called by {WRITER_MODULE} only")
+        print(
+            f"writer seam intact: no second writer, flusher submits from {', '.join(WRITER_MODULES)} "
+            f"only, the obj_store insert spelled in {OBJECT_INSERT_MODULE} once"
+        )
         print(f"blob seam intact: no archive layout named outside {LAYOUT_MODULE}")
         print(f"schema seam intact: index DDL and the DDL stamp spelled in {SCHEMA_MODULE} only")
     return violations

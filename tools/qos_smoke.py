@@ -12,8 +12,12 @@ What CI runs (and any developer can run locally):
 3. check ``GET /service/stats`` reports the admission counters (hot
    throttled > 0, cold throttled == 0) and ``GET /service/policy`` shows
    the enforcing table;
-4. PUT a conflicting rule and require the structured ``409`` rejection;
+4. PUT a conflicting rule and require the structured ``409`` rejection,
+   and a rule with a non-integer ``position`` and require a ``400``;
 5. SIGTERM the server expecting a clean exit 0.
+
+Every request goes through :class:`repro.fleet.transport.HttpClient`, the
+keep-alive client the fleet router uses.
 
 Exits non-zero with a diagnostic on any failure.  Usage::
 
@@ -25,30 +29,25 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.fleet.transport import HttpClient  # noqa: E402
 from repro.testing import ServerProcess  # noqa: E402
 
 POLICY = {"rules": [{"selector": "hot", "rate": 5.0, "burst": 3.0}]}
 ROUNDS = 12  #: each round: 10 hot posts, 1 cold post (the 10:1 mix)
 
 
-def _post(server: ServerProcess, project: str, tag: str):
+def _post(client: HttpClient, project: str, tag: str):
     """One append; returns (status, retry_after_header_or_None)."""
-    try:
-        server.post(
-            f"/projects/{project}/logs",
-            {"records": [{"name": "metric", "value": tag, "ctx_id": 0}]},
-        )
-        return 202, None
-    except urllib.error.HTTPError as error:
-        error.read()
-        return error.code, error.headers.get("Retry-After")
+    response = client.post(
+        f"/projects/{project}/logs",
+        json_body={"records": [{"name": "metric", "value": tag, "ctx_id": 0}]},
+    )
+    return response.status, response.headers.get("Retry-After")
 
 
 def main() -> int:
@@ -58,13 +57,13 @@ def main() -> int:
         root = Path(tmp) / "host"
         with ServerProcess(
             root, job_workers=0, extra_args=("--qos-policy", str(policy_file))
-        ) as server:
+        ) as server, HttpClient(server.base_url, timeout=10.0) as client:
             print(f"qos service up at {server.base_url} (policy: {POLICY['rules']})")
 
             hot_throttled = cold_denied = 0
             for i in range(ROUNDS):
                 for j in range(10):
-                    status, retry_after = _post(server, "hot", f"hot.{i}.{j}")
+                    status, retry_after = _post(client, "hot", f"hot.{i}.{j}")
                     if status == 429:
                         hot_throttled += 1
                         if retry_after is None or float(retry_after) <= 0:
@@ -76,7 +75,7 @@ def main() -> int:
                     elif status != 202:
                         print(f"FAIL: hot tenant got {status}", file=sys.stderr)
                         return 1
-                status, _ = _post(server, "cold", f"cold.{i}")
+                status, _ = _post(client, "cold", f"cold.{i}")
                 if status != 202:
                     cold_denied += 1
             print(f"mix done: hot saw {hot_throttled} 429s, cold saw {cold_denied} denials")
@@ -87,7 +86,7 @@ def main() -> int:
                 print(f"FAIL: cold tenant denied {cold_denied} times", file=sys.stderr)
                 return 1
 
-            qos = server.get("/service/stats")["qos"]
+            qos = client.get_json("/service/stats")["qos"]
             hot_stats = qos["tenants"]["hot"]
             cold_stats = qos["tenants"]["cold"]
             print(
@@ -103,30 +102,27 @@ def main() -> int:
                 print("FAIL: cold tenant counters wrong", file=sys.stderr)
                 return 1
 
-            table = server.get("/service/policy")
+            table = client.get_json("/service/policy")
             if not table["enforcing"] or not table["rules"]:
                 print(f"FAIL: policy table not enforcing: {table}", file=sys.stderr)
                 return 1
 
             # A rule shadowed by hot's prefix sibling must be rejected 409
             # with the structured conflict detail.
-            request = urllib.request.Request(
-                f"{server.base_url}/service/policy/h*",
-                data=json.dumps({"rate": 50.0, "position": -1}).encode(),
-                method="PUT",
-                headers={"Content-Type": "application/json"},
-            )
-            try:
-                urllib.request.urlopen(request, timeout=10)
-                print("FAIL: conflicting policy write was accepted", file=sys.stderr)
+            conflict = client.put("/service/policy/h*", json_body={"rate": 50.0, "position": -1})
+            detail = conflict.json().get("detail") if not conflict.ok else None
+            if conflict.status != 409 or (detail or {}).get("code") != "shadows":
+                print(f"FAIL: bad conflict answer {conflict.status}: {conflict.text}", file=sys.stderr)
                 return 1
-            except urllib.error.HTTPError as error:
-                detail = json.load(error)["detail"]
-                if error.code != 409 or detail.get("code") != "shadows":
-                    print(f"FAIL: bad conflict answer {error.code}: {detail}", file=sys.stderr)
-                    return 1
-                error.read()
             print(f"conflicting write rejected 409 ({detail})")
+
+            # A position that is not an integer is a malformed payload: a 400,
+            # not a 500 and not a silently truncated rule.
+            malformed = client.put("/service/policy/warm", json_body={"rate": 1.0, "position": "abc"})
+            if malformed.status != 400 or client.get_json("/service/policy/warm")["rule"] is not None:
+                print(f"FAIL: non-integer position answered {malformed.status}: {malformed.text}", file=sys.stderr)
+                return 1
+            print(f"non-integer position rejected 400 ({malformed.json()['error']})")
 
             code = server.terminate()
             if code != 0:
