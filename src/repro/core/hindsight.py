@@ -21,6 +21,7 @@ records, deduplicated against its own run.
 
 from __future__ import annotations
 
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -203,7 +204,7 @@ class HindsightEngine:
             try:
                 source = self.historical_source(vid, filename)
                 if new_source is not None:
-                    propagation = propagate_statements(source, new_source)
+                    propagation = propagate_statements(source, new_source, filename=filename)
                     entry.injected_statements = propagation.injected_count
                     entry.skipped_statements = len(propagation.skipped)
                     entry.propagation = propagation
@@ -229,9 +230,15 @@ class HindsightEngine:
     ) -> None:
         if parallelism not in {"serial", "thread", "process"}:
             raise ReplayError(f"unknown parallelism mode: {parallelism!r}")
+        if parallelism == "process":
+            try:
+                pickle.dumps(extra_globals)
+            except Exception as exc:
+                raise ReplayError(f"extra_globals must pickle to reach a process worker: {exc}") from exc
 
         def replay_one(task: tuple[VersionBackfill, str]) -> ReplayResult:
             entry, source = task
+            patch = entry.propagation
             return replay_source(
                 source,
                 config=self.session.config,
@@ -241,6 +248,8 @@ class HindsightEngine:
                 repository=self.session.repository,
                 plan=plan,
                 extra_globals=extra_globals,
+                landing=None if patch is None else patch.landing,
+                code=None if patch is None else patch.code,
             )
 
         if parallelism == "serial" or len(tasks) <= 1:
@@ -260,6 +269,8 @@ class HindsightEngine:
                     entry.filename,
                     entry.tstamp,
                     plan.to_dict(),
+                    None if entry.propagation is None else entry.propagation.landing,
+                    extra_globals,
                 )
                 for entry, source in tasks
             ]

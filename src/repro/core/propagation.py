@@ -13,8 +13,9 @@ line-anchor variant of that idea:
    below it if it opens the file); the matched partner of the anchor in the
    old source determines the injection point, and indentation is re-based on
    the anchor so the statement lands inside the same block.
-4. The patched old source must still parse; statements whose injection would
-   break the parse are dropped and reported, never silently mangled.
+4. The patched old source must still compile; statements whose injection
+   would break it are dropped and reported, never silently mangled.  The
+   compiled patch rides on the result for a replay in this process.
 
 A deliberately naive alternative (inject at the same absolute line number) is
 provided for the A2 ablation benchmark.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import CodeType
 from typing import Callable, Sequence
 
 from ..errors import PropagationError
@@ -133,6 +135,16 @@ class PropagationResult:
     #: file).  Dry-run reporting prints these so a developer can audit the
     #: patch plan without executing any replay.
     placements: list[tuple[FlorStatement, int]] = field(default_factory=list)
+    #: ``patched_source`` compiled (None after the one-at-a-time fallback).
+    code: CodeType | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def landing(self) -> frozenset[str] | None:
+        """The names a replay of the patch can land: the literal names of the
+        injected ``flor.log`` statements — or None, the whole recorded run,
+        when one of them names its value with an expression."""
+        names = [s.logged_name for s in self.injected if s.call_name == "log"]
+        return None if None in names else frozenset(names)
 
     @property
     def injected_count(self) -> int:
@@ -148,13 +160,15 @@ def propagate_statements(
     new_source: str,
     module_alias: str = "flor",
     statement_filter: Callable[[FlorStatement], bool] | None = None,
+    filename: str = "<patched>",
 ) -> PropagationResult:
     """Inject new-version logging statements into an old version of the source.
 
     Returns a :class:`PropagationResult` whose ``patched_source`` is the old
-    source with the new logging statements inserted at anchored positions.
-    The patched source is guaranteed to parse; statements that cannot be
-    placed safely are reported in ``skipped``.
+    source with the new logging statements inserted at anchored positions,
+    and whose ``code`` is that source compiled under ``filename`` (None when
+    the one-at-a-time fallback below built it: a replay then compiles it).
+    Injections that would keep it from compiling are reported in ``skipped``.
     """
     new_statements = find_flor_statements(new_source, module_alias=module_alias)
     if statement_filter is not None:
@@ -209,20 +223,21 @@ def propagate_statements(
     injected = [s for s in to_inject if s not in skipped]
     placements = [(stmt, index) for stmt, index, _lines in insertions]
     try:
-        ast.parse(patched_source)
+        code = compile(patched_source, filename, "exec")
     except SyntaxError:
-        # A combination of insertions broke the parse: fall back to inserting
-        # statements one at a time, dropping the ones that break it.
+        # A combination of insertions broke the compile: fall back to
+        # inserting statements one at a time, dropping the ones that break it.
         patched_source, injected, newly_skipped, placements = _insert_incrementally(
             old_source, to_inject, old_lines, new_lines, old_for_new
         )
-        skipped = skipped + newly_skipped
+        skipped, code = skipped + newly_skipped, None
     return PropagationResult(
         patched_source=patched_source,
         injected=injected,
         skipped=skipped,
         already_present=already,
         placements=placements,
+        code=code,
     )
 
 
@@ -303,7 +318,7 @@ def _insert_incrementally(
     new_lines: Sequence[str],
     old_for_new: dict[int, int],
 ) -> tuple[str, list[FlorStatement], list[FlorStatement], list[tuple[FlorStatement, int]]]:
-    """Insert statements one at a time, dropping any that break the parse."""
+    """Insert statements one at a time, dropping any that break the compile."""
     current = old_source
     injected: list[FlorStatement] = []
     skipped: list[FlorStatement] = []
@@ -319,7 +334,7 @@ def _insert_incrementally(
         candidate_lines[index:index] = text_lines
         candidate = "\n".join(candidate_lines)
         try:
-            ast.parse(candidate)
+            compile(candidate, "<patched>", "exec")
         except SyntaxError:
             skipped.append(statement)
             continue

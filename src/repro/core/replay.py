@@ -7,8 +7,8 @@ original run's timestamp.  The :class:`ReplayPlan` controls differential
 execution — which loop iterations actually run — and the session restores
 checkpoints to skip over the rest.
 
-A replay reads its recorded run once (the session's snapshot of that run's
-log and loop rows) and nothing else of the project, through the caller's
+A replay reads its recorded run once (with a ``landing`` set, only those
+names' rows of it) and nothing else of the project, through the caller's
 ``db`` (and ``repository``, when given): what one replay costs does not
 depend on how many other versions the project holds.  It writes nothing,
 whatever the replayed script calls: a replay session's ``flush()`` and
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from types import CodeType
+from typing import Any, Iterable, Mapping
 
 from ..config import ProjectConfig
 from ..relational.database import Database
@@ -104,6 +105,8 @@ def replay_source(
     repository: Repository | None = None,
     plan: ReplayPlan | None = None,
     extra_globals: Mapping[str, Any] | None = None,
+    landing: Iterable[str] | None = None,
+    code: CodeType | None = None,
 ) -> ReplayResult:
     """Execute ``source`` under a replay session pinned to ``(tstamp, filename)``.
 
@@ -112,7 +115,9 @@ def replay_source(
     newly produced records come back on the result (``pending_logs`` /
     ``pending_loops``) for the caller to land.  Pass the caller's
     ``repository`` along with its ``db``: a replay never reads the version
-    store, and opening a second one costs a journal load.
+    store, and opening a second one costs a journal load.  ``landing``
+    narrows what the replay reads and stages to those log names; ``code`` is
+    ``source`` already compiled under ``filename``.
     """
     from .api import flor as flor_facade  # local import to avoid a cycle
 
@@ -124,6 +129,7 @@ def replay_source(
         default_filename=filename,
         replay_tstamp=tstamp,
         replay_plan=plan,
+        replay_landing=landing,
     )
     result = ReplayResult(tstamp=tstamp, filename=filename)
     started = time.perf_counter()
@@ -131,7 +137,9 @@ def replay_source(
     namespace.update(extra_globals or {})
     try:
         with active_session(session):
-            exec(compile(source, filename, "exec"), namespace)  # noqa: S102 - project code by design
+            if code is None:
+                code = compile(source, filename, "exec")
+            exec(code, namespace)  # noqa: S102 - project code by design
     except Exception as exc:  # a SyntaxError of the patched source included
         result.error = f"{type(exc).__name__}: {exc}"
     result.wall_seconds = time.perf_counter() - started
@@ -146,12 +154,12 @@ def replay_source(
 def replay_worker(args: tuple) -> ReplayResult:
     """Process-pool entry point for parallel multiversion replay.
 
-    ``args`` is ``(root, projid, db_path, source, filename, tstamp, plan_dict)``
-    — all picklable.  The worker opens its own database handle (and version
-    store), replays and ships the new records back to the parent, which is
-    the sole writer.
+    ``args`` is ``(root, projid, db_path, source, filename, tstamp, plan_dict,
+    landing, extra_globals)`` — all picklable (the worker compiles ``source``
+    itself).  The worker opens its own database handle (and version store),
+    replays and ships the new records back to the parent, the sole writer.
     """
-    root, projid, db_path, source, filename, tstamp, plan_dict = args
+    root, projid, db_path, source, filename, tstamp, plan_dict, landing, extra_globals = args
     config = ProjectConfig(root, projid)
     db = Database(db_path)
     try:
@@ -162,6 +170,8 @@ def replay_worker(args: tuple) -> ReplayResult:
             tstamp=tstamp,
             db=db,
             plan=ReplayPlan.from_dict(plan_dict),
+            extra_globals=extra_globals,
+            landing=landing,
         )
     except Exception as exc:  # pragma: no cover - worker crash safety net
         return ReplayResult(tstamp=tstamp, filename=filename, error=f"{type(exc).__name__}: {exc}")

@@ -103,6 +103,9 @@ class Session:
     replay_plan:
         Optional :class:`~repro.core.replay.ReplayPlan` restricting which
         loop iterations execute during replay.
+    replay_landing:
+        In replay mode, the only log names to read of the recorded run and
+        to stage (a backfill's injected ones); None reads the whole run.
     cli_args:
         Explicit argument mapping consulted by ``arg()`` before falling back
         to ``sys.argv`` and then to defaults.
@@ -118,6 +121,7 @@ class Session:
         default_filename: str | None = None,
         replay_tstamp: str | None = None,
         replay_plan: "Any | None" = None,
+        replay_landing: Iterable[str] | None = None,
         cli_args: Mapping[str, Any] | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
     ):
@@ -178,16 +182,22 @@ class Session:
             self.on_rows_written: Callable[[int], None] | None = None
             self._replay_plan = replay_plan
             self.replay_stats = {"iterations_executed": 0, "iterations_skipped": 0, "checkpoints_restored": 0}
-            # The recorded run of a replay session: its log rows (``log`` probes
-            # their keys, ``arg`` reads their values) and, per filename, its loop
-            # rows.  Only this run's rows — a replay never rotates ``self.tstamp``.
+            # The recorded run of a replay session: its log rows (of the landing
+            # names, if any; ``log`` probes their keys), per name the rows ``arg``
+            # reads, and per filename its loop rows.  Only this run's rows.
+            self._landing = None if replay_landing is None else frozenset(replay_landing)
             self._recorded_logs: list[LogRecord] = []
+            self._arg_rows: dict[str, list[LogRecord]] = {}
             self._recorded_loops: dict[str, list[LoopRecord]] = {}
             if mode == REPLAY:
                 if not replay_tstamp:
                     raise ReplayError("replay sessions require replay_tstamp")
                 self.tstamp = replay_tstamp
-                self._recorded_logs = self.logs.by_tstamp(self.projid, replay_tstamp)
+                self._recorded_logs = (
+                    self.logs.by_tstamp(self.projid, replay_tstamp)
+                    if self._landing is None
+                    else self.logs.of_run(self.projid, replay_tstamp, sorted(self._landing))
+                )
             else:
                 self.tstamp = _timestamps.next()
             self._existing_log_keys = {
@@ -341,6 +351,8 @@ class Session:
         ctx = self._context_for(filename)
         ctx_id = ctx.current_ctx_id
         if self.mode == REPLAY:
+            if self._landing is not None and name not in self._landing:
+                return value
             key = (self.tstamp, filename, ctx_id, name)
             if key in self._existing_log_keys:
                 return value
@@ -388,7 +400,13 @@ class Session:
 
     def _historical_arg(self, name: str, filename: str) -> Any:
         """The replayed run's first value of ``name``, this file's if it has one."""
-        named = [r for r in self._recorded_logs if r.value_name == name]
+        named = self._arg_rows.get(name)
+        if named is None:
+            named = self._arg_rows[name] = (
+                [r for r in self._recorded_logs if r.value_name == name]
+                if self._landing is None
+                else self.logs.of_run(self.projid, self.tstamp, [name])
+            )
         for record in named:
             if record.filename == filename:
                 return record.decoded()

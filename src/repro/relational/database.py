@@ -2,13 +2,16 @@
 
 A :class:`Database` owns exactly one SQLite connection, configured for
 durable-but-fast appends (WAL journal, NORMAL synchronous) and exposing a
-transaction context manager.  All SQL in this package is parameterized; no
-user-provided string is ever interpolated into a statement.
+transaction context manager — plus, once its writer thread takes over WAL
+checkpoints (:meth:`Database.checkpoint`), a second connection that runs
+them.  All SQL in this package is parameterized; no user-provided string is
+ever interpolated into a statement.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -16,6 +19,9 @@ from typing import Any, Iterator, Sequence
 
 from ..errors import DatabaseError
 from .schema import create_schema
+
+#: WAL pages at which :meth:`Database.checkpoint` runs one (SQLite's default).
+CHECKPOINT_PAGES = 1_000
 
 
 class Database:
@@ -37,6 +43,8 @@ class Database:
         except sqlite3.Error as exc:  # pragma: no cover - environment dependent
             raise DatabaseError(f"cannot open database at {self.path}: {exc}") from exc
         self._lock = threading.RLock()
+        self._checkpointer: sqlite3.Connection | None = None  # opened when first due
+        self._checkpoints_taken = False
         try:
             self._configure()
             create_schema(self._connection)
@@ -54,6 +62,8 @@ class Database:
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
+        if self._checkpointer is not None:  # first: the last one out removes the WAL
+            self._checkpointer.close()
         with self._lock:
             self._connection.close()
 
@@ -75,6 +85,30 @@ class Database:
         """
         with self._lock:
             return self._connection.total_changes
+
+    def checkpoint(self) -> bool:
+        """Run a ``PASSIVE`` WAL checkpoint on a second connection, which holds
+        none of this handle's locks, if the WAL holds :data:`CHECKPOINT_PAGES`
+        pages; returns whether one ran.  The first call takes checkpoints
+        over from SQLite's commits: the caller (the handle's writer thread,
+        after each transaction) keeps calling."""
+        if self.path == ":memory:":
+            return False
+        if not self._checkpoints_taken:
+            self.execute("PRAGMA wal_autocheckpoint=0")
+            self._checkpoints_taken = True
+        try:
+            with open(f"{self.path}-shm", "rb", buffering=0) as shm:
+                # mxFrame of the wal-index header (SQLite's WAL format): pages, 0 after a reset.
+                if int.from_bytes(shm.read(20)[16:], sys.byteorder) < CHECKPOINT_PAGES:
+                    return False
+        except FileNotFoundError:
+            return False
+        if self._checkpointer is None:
+            self._checkpointer = sqlite3.connect(self.path, check_same_thread=False)
+            self._checkpointer.execute("PRAGMA synchronous=NORMAL")
+        self._checkpointer.execute("PRAGMA wal_checkpoint(PASSIVE)").fetchall()
+        return True
 
     # ----------------------------------------------------------- execution
     @contextmanager

@@ -97,6 +97,17 @@ class LogRepository:
         )
         return self._rows_to_records(rows)
 
+    def of_run(self, projid: str, tstamp: str, names: Sequence[str]) -> list[LogRecord]:
+        """The rows of ``names`` in run ``tstamp``, in ``seq`` order: a covering
+        seek of ``idx_logs_pushdown`` per name, not a walk of the run."""
+        rows = self._db.query(
+            "SELECT projid, tstamp, filename, ctx_id, value_name, value, value_type"
+            " FROM logs INDEXED BY idx_logs_pushdown WHERE projid = ?"
+            f" AND value_name IN ({','.join('?' * len(names))}) AND tstamp = ? ORDER BY seq",
+            (projid, *names, tstamp),
+        )
+        return self._rows_to_records(rows)
+
     def distinct_names(self, projid: str) -> list[str]:
         rows = self._db.query(
             "SELECT DISTINCT value_name FROM logs WHERE projid = ? ORDER BY value_name",

@@ -40,6 +40,8 @@ Semantics (one mode — every handle writes through its worker):
   more alone.
 * **on_written** callbacks run after their entry's transaction commits (the
   query cache's invalidation hook relies on this ordering).
+* **WAL checkpoints** are the worker's: it runs a due one after each
+  transaction, once the drain waiters are woken, never inside a commit.
 * **close()** drains outstanding entries and stops the worker; a submit
   after it writes inline on the caller's thread, raising its own failure at
   the call site, so late stragglers (atexit commits) still land.
@@ -112,6 +114,7 @@ _STATS = {
     "write_retries": "flush.write_retries",
     "dropped_batches": "flush.dropped_batches",
     "dropped_rows": "flush.dropped_rows",
+    "wal_checkpoints": "flush.checkpoints",
 }
 
 #: ``BackgroundFlusher.checkpoint_stats`` field → telemetry counter.
@@ -277,6 +280,7 @@ class BackgroundFlusher:
             self._thread.start()
 
     def _run(self) -> None:
+        self._checkpoint_wal()  # takes WAL checkpoints over from the handle's commits
         while True:
             with self._cond:
                 while not self._queue and not self._stop:
@@ -339,6 +343,14 @@ class BackgroundFlusher:
                     self._pending_weight -= rows + (len(entries) - len(batches)) * self._snapshot_rows
                     self._inflight = []
                     self._cond.notify_all()
+            self._checkpoint_wal()
+
+    def _checkpoint_wal(self) -> None:
+        try:
+            if self.db.checkpoint():
+                self.stats["wal_checkpoints"].inc()
+        except Exception:  # noqa: BLE001 - the WAL keeps every row; the next transaction retries
+            pass
 
     def _pickle(self, checkpoint: _Checkpoint) -> _Pickled:
         started = time.perf_counter()

@@ -93,6 +93,9 @@ class FaultyRelationalStore:
     def count(self, table: str) -> int:
         return self.inner.count(table)
 
+    def checkpoint(self) -> bool:
+        return self.inner.checkpoint()
+
     def close(self) -> None:
         self.inner.close()
 

@@ -28,6 +28,7 @@ suite):
   statement issued through the yielded connection;
 * ``write_version`` is monotonic — it never decreases, advances on every
   committed write, and never advances on reads;
+* ``checkpoint`` keeps every committed row;
 * ``put`` is idempotent — storing identical bytes twice returns the same
   object id and stores one copy.
 """
@@ -80,6 +81,11 @@ class RelationalStore(Protocol):
 
     def count(self, table: str) -> int:
         """Row count of one schema table."""
+        ...
+
+    def checkpoint(self) -> bool:
+        """Fold a write-ahead log past its threshold into the store (returns
+        whether it ran); the first call hands this upkeep to the caller."""
         ...
 
     def close(self) -> None:

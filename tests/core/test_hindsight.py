@@ -9,6 +9,7 @@ import pytest
 from repro import HindsightEngine, ProjectConfig, ReplayPlan, Session
 from repro.core.api import flor
 from repro.core.session import REPLAY, active_session
+from repro.errors import ReplayError
 from repro.relational.repositories import LogRepository
 from repro.workloads import VersionedScriptWorkload
 
@@ -18,6 +19,14 @@ NO_ROW_TWICE = (
     "SELECT projid, tstamp, filename, ctx_id, value_name, COUNT(*) FROM logs"
     " GROUP BY projid, tstamp, filename, ctx_id, value_name HAVING COUNT(*) > 1"
 )
+
+
+def checked_weight(weight, lr, epoch):
+    """An ``extra_globals`` helper that fails version 1's second epoch; at
+    module level, so a process worker can unpickle it."""
+    if lr == 0.02 and epoch == 1:
+        raise RuntimeError("replay failed half-way")
+    return weight
 
 
 @pytest.fixture()
@@ -85,6 +94,23 @@ class TestBackfill:
         second = engine.backfill("train.py", new_source=workload.hindsight_source())
         assert first.new_records > 0
         assert second.new_records == 0
+
+    def test_a_version_that_does_not_compile_fails_alone(self, versioned, monkeypatch):
+        """Version 1 gains a module-level ``return`` (``ast.parse`` accepts it,
+        ``compile`` does not): its replay fails, the other two land."""
+        session, workload, vids = versioned
+        engine = HindsightEngine(session)
+        recorded = engine.historical_source
+
+        def source_of(vid, filename):
+            source = recorded(vid, filename)
+            return source.rstrip("\n") + "\nreturn\n" if vid == vids[1] else source
+
+        monkeypatch.setattr(engine, "historical_source", source_of)
+        report = engine.backfill("train.py", new_source=workload.hindsight_source())
+        assert [v.ok for v in report.versions] == [True, False, True]
+        assert "SyntaxError" in report.versions[1].replay.error
+        assert report.new_records == 2 * workload.epochs * workload.steps
 
     def test_backfill_restricted_to_selected_versions(self, versioned):
         session, workload, vids = versioned
@@ -356,22 +382,17 @@ class TestOneLandingPath:
         HindsightEngine(session).backfill("train.py", new_source=workload.hindsight_source())
         assert session.flusher.stats.transactions == before + 1
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_failed_replay_lands_nothing_of_its_run(self, recorded_copies, mode):
         """A version whose replay raises lands none of the rows it staged before that."""
         workload, sessions = recorded_copies
         session = sessions[mode]
-
-        def checked(weight, lr, epoch):
-            if lr == 0.02 and epoch == 1:  # version 1, second epoch
-                raise RuntimeError("replay failed half-way")
-            return weight
-
         source = workload.hindsight_source().replace(
             'flor.log("weight", state["w"])', 'flor.log("weight", checked(state["w"], lr, epoch))'
         )
         report = HindsightEngine(session).backfill(
-            "train.py", new_source=source, parallelism=mode, extra_globals={"checked": checked}
+            "train.py", new_source=source, parallelism=mode, max_workers=2,
+            extra_globals={"checked": checked_weight},
         )
         failed = [v for v in report.versions if not v.ok]
         assert len(failed) == 1 and "half-way" in failed[0].replay.error
@@ -381,6 +402,39 @@ class TestOneLandingPath:
         )
         assert failed[0].tstamp not in per_run
         assert sorted(per_run.values()) == [workload.epochs * workload.steps] * 2
+
+    def test_every_mode_reads_extra_globals(self, recorded_copies):
+        """A statement reading a name only ``extra_globals`` binds lands the
+        same rows in every mode — a process worker gets the mapping too."""
+        workload, sessions = recorded_copies
+        source = workload.hindsight_source().replace(
+            'flor.log("weight", state["w"])', 'flor.log("weight", state["w"] * SCALE)'
+        )
+        rows = {}
+        for mode, session in sessions.items():
+            report = HindsightEngine(session).backfill(
+                "train.py", new_source=source, parallelism=mode, max_workers=2,
+                extra_globals={"SCALE": 10},
+            )
+            assert [v.replay.error for v in report.versions] == [None] * 3, mode
+            assert report.new_records == 3 * workload.epochs * workload.steps
+            rows[mode] = session.db.query(self.ROWS)
+        assert rows["thread"] == rows["serial"]
+        assert rows["process"] == rows["serial"]
+
+    def test_extra_globals_that_do_not_pickle_fail_a_process_backfill_up_front(
+        self, recorded_copies
+    ):
+        workload, sessions = recorded_copies
+        session = sessions["process"]
+        session.flush()
+        before = (session.logs.count(), session.flusher.stats.transactions)
+        with pytest.raises(ReplayError, match="extra_globals must pickle"):
+            HindsightEngine(session).backfill(
+                "train.py", new_source=workload.hindsight_source(), parallelism="process",
+                extra_globals={"scale": lambda value: value * 10},
+            )
+        assert (session.logs.count(), session.flusher.stats.transactions) == before
 
 
 class TestScriptsThatFlushForThemselves:

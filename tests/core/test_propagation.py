@@ -121,6 +121,29 @@ class TestPropagation:
         loss_idx = next(i for i, line in enumerate(lines) if '"loss"' in line)
         assert weight_idx == loss_idx + 1  # still right after the loss log, inside the loop
 
+    def test_the_patch_comes_compiled(self):
+        result = propagate_statements(OLD_SOURCE, NEW_SOURCE, filename="train.py")
+        assert result.code.co_filename == "train.py"
+        assert result.code == compile(result.patched_source, "train.py", "exec")
+        assert "code" not in repr(result)
+        assert result == propagate_statements(OLD_SOURCE, NEW_SOURCE, filename="other.py")
+
+    def test_landing_is_the_literal_names_of_the_injected_logs(self):
+        assert propagate_statements(OLD_SOURCE, NEW_SOURCE).landing == {"weight"}
+        assert propagate_statements(NEW_SOURCE, NEW_SOURCE).landing == frozenset()
+        computed = NEW_SOURCE.replace('flor.log("weight"', 'flor.log(f"weight_{lr}"')
+        assert propagate_statements(OLD_SOURCE, computed).landing is None
+
+    def test_a_source_the_parser_accepts_but_the_compiler_rejects_injects_nothing(self):
+        """A module-level ``return`` parses but does not compile: no injection
+        can fix that, so every statement is reported dropped and there is no
+        code object — the replay of that version fails on its own."""
+        broken = OLD_SOURCE.rstrip("\n") + "\nreturn\n"
+        ast.parse(broken)
+        result = propagate_statements(broken, NEW_SOURCE)
+        assert result.injected_count == 0 and len(result.skipped) == 1
+        assert result.code is None and result.patched_source == broken
+
     def test_statement_filter_restricts_injection(self):
         result = propagate_statements(
             OLD_SOURCE,

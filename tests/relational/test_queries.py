@@ -492,6 +492,21 @@ class TestStatementCost:
             assert loop_seek < log_seek, plan
             assert not any("idx_logs_pushdown" in step for step in plan), plan
 
+    def test_a_replays_landing_read_seeks_its_names_in_its_run(self, db):
+        """``LogRepository.of_run`` — what a landing-set replay reads of its
+        recorded run — is one covering seek per name, not a walk of the run."""
+        _seed_runs(db, runs=3, steps=4)
+        store = RecordingStore(db)
+        records = LogRepository(store).of_run("p", "t001", ["m2", "m0"])
+        assert [(r.tstamp, r.value_name) for r in records] == [("t001", "m0"), ("t001", "m2")] * 4
+        ((sql, params, rows),) = store.reads
+        assert rows == 8
+        plan = [row[3] for row in db.query("EXPLAIN QUERY PLAN " + sql, params)]
+        assert plan[0] == (
+            "SEARCH logs USING COVERING INDEX idx_logs_pushdown"
+            " (projid=? AND value_name=? AND tstamp=?)"
+        ), plan
+
     def test_every_log_and_loop_index_is_in_a_pinned_plan(self, db):
         """An index no statement seeks costs every append: each one on ``logs``
         and ``loops`` must show up in a plan this class pins."""

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from contextlib import contextmanager
 
 import pytest
 
-from repro.relational.database import Database
+from repro import ProjectConfig, Session
+from repro.errors import DatabaseError
+from repro.relational.database import CHECKPOINT_PAGES, Database
 from repro.runtime import BackgroundFlusher, FlushCallbackError
 from repro.runtime.flusher import DEFAULT_MAX_PENDING_ROWS
 
@@ -27,7 +30,14 @@ def loop_row(i: int) -> tuple:
     return ("p", "t1", "train.py", i, 0, "epoch", i, str(i))
 
 
-class GatedDB:
+class StandIn:
+    """The seam's WAL hook for the stand-ins below: no WAL, nothing to fold."""
+
+    def checkpoint(self) -> bool:
+        return False
+
+
+class GatedDB(StandIn):
     """Database stand-in whose transactions block until released."""
 
     def __init__(self, real: Database):
@@ -43,7 +53,7 @@ class GatedDB:
             yield connection
 
 
-class SteppedDB:
+class SteppedDB(StandIn):
     """Database stand-in that commits one transaction per ``step()``."""
 
     def __init__(self, real: Database):
@@ -60,14 +70,34 @@ class SteppedDB:
             yield connection
 
 
-class BrokenDB:
+class TurnstileDB:
+    """A file database whose transactions each announce themselves on
+    ``entered``, then wait for one ``go``."""
+
+    def __init__(self, real: Database):
+        self.real = real
+        self.entered = threading.Semaphore(0)
+        self.go = threading.Semaphore(0)
+
+    @contextmanager
+    def transaction(self):
+        self.entered.release()
+        self.go.acquire(timeout=5.0)
+        with self.real.transaction() as connection:
+            yield connection
+
+    def checkpoint(self) -> bool:
+        return self.real.checkpoint()
+
+
+class BrokenDB(StandIn):
     @contextmanager
     def transaction(self):
         raise RuntimeError("disk on fire")
         yield  # pragma: no cover
 
 
-class FlakyDB:
+class FlakyDB(StandIn):
     """Fails the first ``failures`` transactions, then delegates to a real db."""
 
     def __init__(self, real: Database, failures: int = 1):
@@ -348,3 +378,114 @@ class TestDefaultBacklogBound:
         assert flusher.stats.dropped_rows == batches * self.BATCH
         assert flusher.pending_rows == 0
         flusher.close()
+
+
+class TestWalCheckpoints:
+    """The worker checkpoints the WAL after a transaction's waiters are
+    released — never inside a commit a producer waits for."""
+
+    BIG = "x" * 3_000
+
+    def wal_bytes(self, db: Database) -> int:
+        try:
+            return os.path.getsize(f"{db.path}-wal")
+        except FileNotFoundError:
+            return 0
+
+    def threshold_bytes(self, db: Database) -> int:
+        return 32 + CHECKPOINT_PAGES * (db.query_one("PRAGMA page_size")[0] + 24)
+
+    def big_rows(self, first: int, count: int) -> list[tuple]:
+        return [("p", "t1", "train.py", i, "blob", self.BIG, 0) for i in range(first, first + count)]
+
+    def test_commit_returns_before_the_checkpoint_does(self, tmp_path, monkeypatch):
+        session = Session(ProjectConfig(tmp_path / "proj", "p"), default_filename="train.py")
+        db = session.db
+        statements: list[str] = []
+        db._connection.set_trace_callback(statements.append)
+        started, release, returned = threading.Event(), threading.Event(), threading.Event()
+        checkpoint = db.checkpoint
+
+        def gated() -> bool:
+            if self.wal_bytes(db) >= self.threshold_bytes(db):
+                started.set()
+                release.wait(10.0)
+            return checkpoint()
+
+        def rounds() -> None:
+            # Commit rounds until one leaves the WAL past the threshold.
+            while self.wal_bytes(db) < self.threshold_bytes(db):
+                for _ in range(100):
+                    session.log("blob", self.BIG)
+                session.commit()
+            returned.set()
+
+        monkeypatch.setattr(db, "checkpoint", gated)
+        recorder = threading.Thread(target=rounds, daemon=True)
+        recorder.start()
+        try:
+            assert started.wait(5.0)  # the checkpoint is due, and held at the gate...
+            assert returned.wait(2.0)  # ...while the commit that made it due returned
+            assert session.flusher.stats.wal_checkpoints == 0
+            release.set()
+            deadline = time.monotonic() + 5.0
+            while session.flusher.stats.wal_checkpoints == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert session.flusher.stats.wal_checkpoints == 1
+            assert not [s for s in statements if "wal_checkpoint" in s], statements
+        finally:
+            release.set()
+            recorder.join(15.0)
+            session.close()
+        assert not os.path.exists(f"{db.path}-wal")
+
+    def test_a_never_idle_writer_keeps_the_wal_under_twice_the_threshold(self, tmp_path):
+        """Each batch is queued while the one before it is in flight, so no
+        transaction ends on an empty queue: there is no idle turn to wait for."""
+        db = Database(tmp_path / "flor.db")
+        turnstile = TurnstileDB(db)
+        flusher = BackgroundFlusher(turnstile)
+        sizes: list[int] = []
+        batches, rows = 60, 50
+
+        def submit(index: int) -> None:
+            flusher.submit(
+                self.big_rows(index * rows, rows),
+                on_written=lambda _count: sizes.append(self.wal_bytes(db)),
+            )
+
+        try:
+            submit(0)
+            for index in range(1, batches + 1):
+                assert turnstile.entered.acquire(timeout=5.0)  # batch index - 1 in flight
+                if index < batches:
+                    submit(index)
+                turnstile.go.release()
+            flusher.drain()
+            assert db.count("logs") == batches * rows
+            assert flusher.stats.transactions == batches
+            assert flusher.stats.wal_checkpoints >= 3
+            assert max(sizes) < 2 * self.threshold_bytes(db)
+            assert flusher.metrics.snapshot()["counters"]["flush.checkpoints"] == flusher.stats.wal_checkpoints
+        finally:
+            flusher.close()
+            db.close()
+
+    def test_a_failed_checkpoint_costs_no_row_and_raises_nowhere(self, tmp_path, monkeypatch):
+        db = Database(tmp_path / "flor.db")
+
+        def broken() -> bool:
+            raise DatabaseError("WAL checkpoint failed: disk I/O error")
+
+        monkeypatch.setattr(db, "checkpoint", broken)
+        flusher = BackgroundFlusher(db)
+        try:
+            for index in range(20):
+                assert flusher.submit(self.big_rows(index * 100, 100)) == 100
+                flusher.drain()
+            assert db.count("logs") == 2_000
+            assert flusher.stats.dropped_rows == 0
+            assert flusher.stats.wal_checkpoints == 0
+        finally:
+            flusher.close()
+            db.close()

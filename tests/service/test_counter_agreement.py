@@ -28,7 +28,7 @@ TENANTS = [f"t{i}" for i in range(5)]
 FLUSHER_BLOCK = {
     "submitted_batches", "submitted_rows", "transactions", "written_rows",
     "max_coalesced_batches", "backpressure_waits", "write_retries",
-    "dropped_batches", "dropped_rows",
+    "dropped_batches", "dropped_rows", "wal_checkpoints",
 }
 CACHE_BLOCK = {
     "lookups", "fast_hits", "warm_hits", "incremental_refreshes", "cold_builds",
@@ -55,7 +55,7 @@ TELEMETRY_COUNTERS = {
     "cache.fast_hits", "cache.warm_hits", "cache.incremental_refreshes", "cache.cold_builds",
     # newly visible
     "flush.submitted_batches", "flush.submitted_rows", "flush.backpressure_waits",
-    "flush.write_retries", "flush.dropped_batches",
+    "flush.write_retries", "flush.dropped_batches", "flush.checkpoints",
     "pool.reopens",
     "cache.lookups", "cache.evictions", "cache.invalidations", "cache.fetched_rows",
     "cache.body_hits",

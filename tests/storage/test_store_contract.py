@@ -6,6 +6,7 @@ blob store — must prove the same :mod:`repro.storage.protocols` semantics:
 * ``transaction()`` rolls back every statement on an exception;
 * ``write_version`` is monotonic, advances on committed writes, and never
   advances on reads;
+* ``checkpoint`` keeps every committed row;
 * blob ``put`` is idempotent and ``get`` round-trips bytes exactly.
 """
 
@@ -100,6 +101,13 @@ class TestRelationalContract:
 
     def test_query_one_empty(self, store):
         assert store.query_one("SELECT value FROM logs WHERE value_name = 'nope'") is None
+
+    def test_checkpoint_never_loses_a_row(self, store):
+        store.execute(INSERT, ("acc", "0.9"))
+        assert store.checkpoint() in (True, False)
+        store.execute(INSERT, ("loss", "0.1"))
+        assert store.checkpoint() in (True, False)
+        assert store.count("logs") == 2
 
     def test_count_rejects_unknown_table(self, store):
         with pytest.raises(DatabaseError):

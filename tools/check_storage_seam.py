@@ -5,8 +5,9 @@ metrics seam (no component holds an optional registry), the replay seam
 body seam (one builder of the service's ``dataframe`` / ``sql`` answer) and
 the writer seam (one record path and one writer thread: every handle writes
 rows and checkpoints through its session's background flusher), the blob
-seam (one blob layout, no cold tier) and the schema seam (one module spells
-the physical schema and its DDL stamp).
+seam (one blob layout, no cold tier), the schema seam (one module spells
+the physical schema and its DDL stamp) and the WAL seam (one module spells
+the WAL's upkeep).
 
 The whole point of the :mod:`repro.storage` protocols is that every layer
 above storage is backend-agnostic — repositories, the query engine, the
@@ -62,6 +63,14 @@ A seventh keeps the physical schema in one place: no module other than
 would be created on some files and not others.  And the schema script
 itself may not ``CREATE`` the indexes it dropped because no statement read
 them (``idx_logs_name``, ``idx_logs_ctx``, ``idx_loops_parent``).
+
+An eighth keeps the WAL's upkeep in one place: no module other than
+:mod:`repro.relational.database` spells ``wal_checkpoint``,
+``wal_autocheckpoint`` or ``journal_size_limit`` in a string or a name —
+``Database.checkpoint`` runs a handle's checkpoints on a second connection,
+off every commit, once its writer thread takes them over, so a checkpoint
+spelled anywhere else would land back on a commit or under a lock a reader
+waits on.
 
 Detection is AST-based — docstrings and comments that merely *mention*
 sqlite3 or the guard are fine; only actual statements count.
@@ -271,6 +280,25 @@ def stray_schema_ddl(name: str, tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+#: The one module that spells the WAL's upkeep, and its spellings.
+WAL_MODULE = "repro.relational.database"
+WAL_UPKEEP = re.compile(r"\b(?:wal_checkpoint|wal_autocheckpoint|journal_size_limit)\b", re.IGNORECASE)
+
+
+def stray_wal_upkeep(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` where a string or a name spells a WAL upkeep pragma."""
+    found = [
+        (node.lineno, f"spells {match.group(0)!r}")
+        for node in code_strings(tree)
+        for match in WAL_UPKEEP.finditer(node.value)
+    ]
+    for node in ast.walk(tree):
+        found.extend(
+            (node.lineno, f"names {used}") for used in identifiers(node) if WAL_UPKEEP.fullmatch(used)
+        )
+    return found
+
+
 def main(argv: list[str]) -> int:
     src_root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src"
     violations = 0
@@ -313,6 +341,12 @@ def main(argv: list[str]) -> int:
                 f"_DDL alone, applied once per edit under its PRAGMA user_version stamp"
             )
             violations += 1
+        for lineno, what in stray_wal_upkeep(tree) if name != WAL_MODULE else ():
+            print(
+                f"{path}:{lineno}: {name} {what} — WAL checkpoints are {WAL_MODULE}'s: "
+                f"Database.checkpoint runs them on a second connection, off every commit"
+            )
+            violations += 1
         if any(name == p or name.startswith(p + ".") for p in ALLOWED_PREFIXES):
             continue
         for lineno in sqlite_imports(tree):
@@ -332,6 +366,7 @@ def main(argv: list[str]) -> int:
         )
         print(f"blob seam intact: no archive layout named outside {LAYOUT_MODULE}")
         print(f"schema seam intact: index DDL and the DDL stamp spelled in {SCHEMA_MODULE} only")
+        print(f"WAL seam intact: checkpoint pragmas spelled in {WAL_MODULE} only")
     return violations
 
 

@@ -50,7 +50,7 @@ READ_TIMEOUT = 15.0
 #: counter is not simply ``<prefix>.<field>``.  ``max_coalesced_batches`` is
 #: each flusher's own high-water mark, which has no process-wide sum.
 _SHARD_BLOCKS = {"flusher": "flush", "query_cache": "cache"}
-_RENAMED = {"written_rows": "rows"}
+_RENAMED = {"written_rows": "rows", "wal_checkpoints": "checkpoints"}
 _UNSUMMED = {"max_coalesced_batches"}
 
 
