@@ -40,7 +40,9 @@ def main() -> None:
 
     print("\ndeveloper adds flor.log('weight', state['w']) to the latest version only")
     engine = HindsightEngine(session)
-    report = engine.backfill("train.py", new_source=workload.hindsight_source(), parallelism="thread")
+    report = engine.backfill(
+        "train.py", new_source=workload.hindsight_source(), parallelism="process", max_workers=2
+    )
     print("backfill report:", report.summary())
     for version in report.versions:
         replay = version.replay

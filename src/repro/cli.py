@@ -762,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("backfill", help="multiversion hindsight logging for a script")
     sub.add_argument("filename", help="script path relative to the project root (as recorded)")
     sub.add_argument("--source", default=None, help="file holding the new source (default: working copy)")
-    sub.add_argument("--parallelism", choices=["serial", "thread", "process"], default="serial")
+    sub.add_argument("--parallelism", choices=["serial", "process"], default="serial")
     sub.add_argument("--workers", type=int, default=4)
     sub.add_argument("--loop", default="epoch", help="loop name restricted by --epoch")
     sub.add_argument("--epoch", type=int, nargs="*", default=None, help="only replay these iterations")

@@ -12,18 +12,17 @@ on return — each record under the *original* run's timestamp, so
 ``flor.dataframe`` shows the new column across all of history.  **Report** —
 one :class:`VersionBackfill` per replayed run.
 
-Replays are embarrassingly parallel; serial, thread-pool and process-pool
-execution (benchmark T4) differ only in where they run.  A replay never
-writes — its session has no write path, so a script that ends in
-``flor.commit()`` replays like one that does not: it returns its new
-records, deduplicated against its own run.
+Replays are embarrassingly parallel; serial and process-pool execution
+(benchmark T4) differ only in where they run.  A replay never writes — its
+session has no write path, so a script that ends in ``flor.commit()``
+replays like one that does not: it returns its new records, deduplicated
+against its own run.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from ..errors import ReplayError
@@ -144,7 +143,6 @@ class HindsightEngine:
         parallelism: str = "serial",
         max_workers: int = 4,
         include_latest: bool = True,
-        extra_globals: dict | None = None,
         dry_run: bool = False,
     ) -> BackfillReport:
         """Propagate the latest logging statements into prior versions and replay.
@@ -165,7 +163,8 @@ class HindsightEngine:
             iterations, which is required when the new statement could fire
             in any iteration.
         parallelism:
-            ``"serial"``, ``"thread"`` or ``"process"``.
+            ``"serial"`` or ``"process"`` (a pool of ``max_workers``).  A
+            replay is pure-Python ``exec``, so only processes run two at once.
         include_latest:
             Whether to also replay the file's most recent run (it usually
             has the values already; replaying keeps the view complete when
@@ -179,8 +178,7 @@ class HindsightEngine:
             new_source = self.working_source(filename)
         return self._run(
             filename, new_source, versions=versions, plan=plan, parallelism=parallelism,
-            max_workers=max_workers, include_latest=include_latest,
-            extra_globals=extra_globals, dry_run=dry_run,
+            max_workers=max_workers, include_latest=include_latest, dry_run=dry_run,
         )
 
     def replay(self, filename: str, **options) -> BackfillReport:
@@ -193,7 +191,7 @@ class HindsightEngine:
 
     def _run(
         self, filename, new_source, *, versions=None, plan=None, parallelism="serial",
-        max_workers=4, include_latest=True, extra_globals=None, dry_run=False,
+        max_workers=4, include_latest=True, dry_run=False,
     ) -> BackfillReport:
         # Plan, patch (when ``new_source`` is given), execute, land: both entry points.
         started = time.perf_counter()
@@ -215,7 +213,7 @@ class HindsightEngine:
             report.versions.append(entry)
 
         if tasks and not dry_run:
-            self._execute(tasks, plan or ReplayPlan.all(), parallelism, max_workers, extra_globals)
+            self._execute(tasks, plan or ReplayPlan.all(), parallelism, max_workers)
         report.wall_seconds = time.perf_counter() - started
         return report
 
@@ -226,51 +224,38 @@ class HindsightEngine:
         plan: ReplayPlan,
         parallelism: str,
         max_workers: int,
-        extra_globals: dict | None,
     ) -> None:
-        if parallelism not in {"serial", "thread", "process"}:
+        if parallelism not in {"serial", "process"}:
             raise ReplayError(f"unknown parallelism mode: {parallelism!r}")
-        if parallelism == "process":
-            try:
-                pickle.dumps(extra_globals)
-            except Exception as exc:
-                raise ReplayError(f"extra_globals must pickle to reach a process worker: {exc}") from exc
-
-        def replay_one(task: tuple[VersionBackfill, str]) -> ReplayResult:
-            entry, source = task
-            patch = entry.propagation
-            return replay_source(
-                source,
-                config=self.session.config,
-                filename=entry.filename,
-                tstamp=entry.tstamp,
-                db=self.session.db,
-                repository=self.session.repository,
-                plan=plan,
-                extra_globals=extra_globals,
-                landing=None if patch is None else patch.landing,
-                code=None if patch is None else patch.code,
-            )
-
+        session = self.session
         if parallelism == "serial" or len(tasks) <= 1:
-            results = [replay_one(task) for task in tasks]
-        elif parallelism == "thread":
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                results = list(pool.map(replay_one, tasks))
+            results = [
+                replay_source(
+                    source,
+                    config=session.config,
+                    filename=entry.filename,
+                    tstamp=entry.tstamp,
+                    db=session.db,
+                    repository=session.repository,
+                    plan=plan,
+                    landing=None if entry.propagation is None else entry.propagation.landing,
+                    code=None if entry.propagation is None else entry.propagation.code,
+                )
+                for entry, source in tasks
+            ]
         else:
             # Process pool: ship picklable task tuples; workers open their own
             # database handle and version store.
             worker_args = [
                 (
-                    str(self.session.config.root),
-                    self.session.projid,
-                    self.session.db.path,
+                    str(session.config.root),
+                    session.projid,
+                    session.db.path,
                     source,
                     entry.filename,
                     entry.tstamp,
                     plan.to_dict(),
                     None if entry.propagation is None else entry.propagation.landing,
-                    extra_globals,
                 )
                 for entry, source in tasks
             ]
@@ -282,4 +267,4 @@ class HindsightEngine:
             if result.ok:
                 new_logs.extend(result.pending_logs)
                 new_loops.extend(result.pending_loops)
-        self.session.write_records(new_logs, new_loops)
+        session.write_records(new_logs, new_loops)

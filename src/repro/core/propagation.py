@@ -27,13 +27,14 @@ import ast
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import CodeType
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..errors import PropagationError
 from ..versioning.diff import matching_lines
 
-#: Default predicate: which call attributes count as "logging statements".
-_FLOR_CALL_NAMES = {"log", "arg", "commit"}
+#: Which ``flor.<attr>`` calls count as "logging statements".  A replay binds
+#: the facade as ``flor``, so that is the only module name looked for.
+_FLOR_CALL_NAMES = frozenset({"log", "arg", "commit"})
 
 
 def _indentation(line: str) -> str:
@@ -55,11 +56,7 @@ class FlorStatement:
         return self.end_lineno - self.lineno + 1
 
 
-def find_flor_statements(
-    source: str,
-    call_names: set[str] | None = None,
-    module_alias: str = "flor",
-) -> list[FlorStatement]:
+def find_flor_statements(source: str) -> list[FlorStatement]:
     """Find top-level-or-nested statements whose value is a ``flor.*`` call.
 
     Only *expression statements* and simple assignments whose right-hand side
@@ -70,13 +67,11 @@ def find_flor_statements(
     backfill asks about its one new source once per version, and a version
     still inside the next backfill's window is not parsed again.
     """
-    return list(_flor_statements(source, frozenset(call_names or _FLOR_CALL_NAMES), module_alias))
+    return list(_flor_statements(source))
 
 
 @lru_cache(maxsize=128)
-def _flor_statements(
-    source: str, call_names: frozenset[str], module_alias: str
-) -> tuple[FlorStatement, ...]:
+def _flor_statements(source: str) -> tuple[FlorStatement, ...]:
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
@@ -99,8 +94,8 @@ def _flor_statements(
         if not (
             isinstance(func, ast.Attribute)
             and isinstance(func.value, ast.Name)
-            and func.value.id == module_alias
-            and func.attr in call_names
+            and func.value.id == "flor"
+            and func.attr in _FLOR_CALL_NAMES
         ):
             continue
         logged_name = None
@@ -158,8 +153,6 @@ class PropagationResult:
 def propagate_statements(
     old_source: str,
     new_source: str,
-    module_alias: str = "flor",
-    statement_filter: Callable[[FlorStatement], bool] | None = None,
     filename: str = "<patched>",
 ) -> PropagationResult:
     """Inject new-version logging statements into an old version of the source.
@@ -170,13 +163,11 @@ def propagate_statements(
     the one-at-a-time fallback below built it: a replay then compiles it).
     Injections that would keep it from compiling are reported in ``skipped``.
     """
-    new_statements = find_flor_statements(new_source, module_alias=module_alias)
-    if statement_filter is not None:
-        new_statements = [s for s in new_statements if statement_filter(s)]
+    new_statements = find_flor_statements(new_source)
     old_lines = old_source.splitlines()
     new_lines = new_source.splitlines()
     old_text_set = {line.strip() for line in old_lines}
-    old_logged_names = _logged_name_keys(old_source, module_alias)
+    old_logged_names = _logged_name_keys(old_source)
 
     pairs = matching_lines(old_lines, new_lines)
     old_for_new = {j: i for i, j in pairs}
@@ -348,25 +339,25 @@ def _insert_incrementally(
     return current, injected, skipped, placements
 
 
-def _logged_name_keys(source: str, module_alias: str) -> set[tuple[str, str | None]]:
+def _logged_name_keys(source: str) -> set[tuple[str, str | None]]:
     """``(call_name, logged_name)`` pairs already present in ``source``."""
     keys = set()
-    for statement in find_flor_statements(source, module_alias=module_alias):
+    for statement in find_flor_statements(source):
         if statement.logged_name is not None:
             keys.add((statement.call_name, statement.logged_name))
     return keys
 
 
-def propagate_by_line_number(old_source: str, new_source: str, module_alias: str = "flor") -> PropagationResult:
+def propagate_by_line_number(old_source: str, new_source: str) -> PropagationResult:
     """Naive baseline: inject each new statement at the same absolute line number.
 
     This is the strawman the A2 ablation compares against — it works when the
     old and new versions are line-aligned and falls apart under refactorings.
     """
-    statements = find_flor_statements(new_source, module_alias=module_alias)
+    statements = find_flor_statements(new_source)
     old_lines = old_source.splitlines()
     old_text = {line.strip() for line in old_lines}
-    old_logged_names = _logged_name_keys(old_source, module_alias)
+    old_logged_names = _logged_name_keys(old_source)
     injected: list[FlorStatement] = []
     skipped: list[FlorStatement] = []
     already: list[FlorStatement] = []

@@ -104,7 +104,6 @@ def replay_source(
     db: Database,
     repository: Repository | None = None,
     plan: ReplayPlan | None = None,
-    extra_globals: Mapping[str, Any] | None = None,
     landing: Iterable[str] | None = None,
     code: CodeType | None = None,
 ) -> ReplayResult:
@@ -134,7 +133,6 @@ def replay_source(
     result = ReplayResult(tstamp=tstamp, filename=filename)
     started = time.perf_counter()
     namespace = {"__name__": "__flor_replay__", "__file__": filename, "flor": flor_facade}
-    namespace.update(extra_globals or {})
     try:
         with active_session(session):
             if code is None:
@@ -155,11 +153,11 @@ def replay_worker(args: tuple) -> ReplayResult:
     """Process-pool entry point for parallel multiversion replay.
 
     ``args`` is ``(root, projid, db_path, source, filename, tstamp, plan_dict,
-    landing, extra_globals)`` — all picklable (the worker compiles ``source``
+    landing)`` — all picklable (the worker compiles ``source``
     itself).  The worker opens its own database handle (and version store),
     replays and ships the new records back to the parent, the sole writer.
     """
-    root, projid, db_path, source, filename, tstamp, plan_dict, landing, extra_globals = args
+    root, projid, db_path, source, filename, tstamp, plan_dict, landing = args
     config = ProjectConfig(root, projid)
     db = Database(db_path)
     try:
@@ -170,7 +168,6 @@ def replay_worker(args: tuple) -> ReplayResult:
             tstamp=tstamp,
             db=db,
             plan=ReplayPlan.from_dict(plan_dict),
-            extra_globals=extra_globals,
             landing=landing,
         )
     except Exception as exc:  # pragma: no cover - worker crash safety net

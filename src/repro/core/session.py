@@ -816,8 +816,8 @@ def _coerce_like(value: Any, default: Any) -> Any:
 # Active-session management
 # --------------------------------------------------------------------------
 #
-# The stack lives in a ContextVar so that concurrently replaying threads (the
-# hindsight engine's thread pool) each see their own activation, while
+# The stack lives in a ContextVar so that concurrently replaying threads (a
+# job runner's workers) each see their own activation, while
 # ordinary single-threaded scripts behave like a plain global.
 
 _session_stack: ContextVar[tuple["Session", ...]] = ContextVar("flor_session_stack", default=())
@@ -833,21 +833,18 @@ def set_default_session_factory(factory: Callable[[], Session] | None) -> None:
     _default_session = None
 
 
-def get_active_session(create_default: bool = True) -> Session:
+def get_active_session() -> Session:
     """The session that module-level flor calls should use.
 
-    When no session has been activated and ``create_default`` is True, a
-    default record-mode session rooted at the current working directory (or
-    ``FLOR_PROJECT_DIR``) is created lazily and kept for the process
-    lifetime; its pending records are committed at interpreter exit, which is
-    the paper's ``atexit`` behaviour.
+    When no session has been activated, a default record-mode session rooted
+    at the current working directory (or ``FLOR_PROJECT_DIR``) is created
+    lazily and kept for the process lifetime; its pending records are
+    committed at interpreter exit, which is the paper's ``atexit`` behaviour.
     """
     global _atexit_registered, _default_session
     stack = _session_stack.get()
     if stack:
         return stack[-1]
-    if not create_default:
-        raise RecordingError("no active FlorDB session")
     if _default_session is None:
         factory = _default_session_factory or (lambda: Session(ProjectConfig.discover(os.getcwd())))
         _default_session = factory()

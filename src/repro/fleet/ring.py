@@ -6,7 +6,7 @@ of those answers stable when a worker joins or leaves.  A modulo table
 (``hash(p) % N``) reshuffles nearly every project when N changes; the
 classic consistent-hash ring moves only ~1/N of them.
 
-Each worker id is hashed onto ``vnodes`` points of a circular keyspace;
+Each worker id is hashed onto :data:`VNODES` points of a circular keyspace;
 a project routes to the owner of the first point clockwise of its own
 hash.  Virtual nodes smooth the load split (with one point per worker,
 two adjacent workers can end up owning wildly uneven arcs).
@@ -27,7 +27,7 @@ from ..errors import FleetError
 
 #: Virtual nodes per worker.  64 keeps the max/min arc ratio tight enough
 #: for single-digit worker counts while the ring stays tiny (N*64 points).
-DEFAULT_VNODES = 64
+VNODES = 64
 
 
 def _point(key: str) -> int:
@@ -42,10 +42,7 @@ class HashRing:
     changes and routing reads behind its registry lock.
     """
 
-    def __init__(self, *, vnodes: int = DEFAULT_VNODES):
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self):
         self._workers: set[str] = set()
         # Sorted, parallel arrays: ring position -> owning worker id.
         self._points: list[int] = []
@@ -59,7 +56,7 @@ class HashRing:
         if worker_id in self._workers:
             raise FleetError(f"worker {worker_id!r} is already on the ring")
         self._workers.add(worker_id)
-        for i in range(self.vnodes):
+        for i in range(VNODES):
             point = _point(f"{worker_id}#{i}")
             index = bisect_right(self._points, point)
             self._points.insert(index, point)

@@ -69,6 +69,8 @@ T = TypeVar("T")
 
 #: Seconds a proxy attempt will wait for a crashed owner to come back.
 DEFAULT_FAILOVER_TIMEOUT = 20.0
+#: Seconds one proxied request may take on its worker.
+PROXY_TIMEOUT = 60.0
 
 #: Failover retry backoff: first retry after ``_BACKOFF_BASE`` seconds,
 #: doubling (with jitter) up to ``_BACKOFF_CAP`` per attempt.
@@ -111,13 +113,11 @@ class FleetRouter:
         supervisor: FleetSupervisor,
         *,
         failover_timeout: float = DEFAULT_FAILOVER_TIMEOUT,
-        proxy_timeout: float = 60.0,
         policies: PolicyStore | None = None,
         admission: AdmissionController | None = None,
     ):
         self.supervisor = supervisor
         self.failover_timeout = failover_timeout
-        self.proxy_timeout = proxy_timeout
         #: QoS lives at the front door: the router holds the one policy
         #: view (and per-tenant buckets) for the whole fleet, denying
         #: over-limit requests before they ever reach a worker — workers
@@ -198,7 +198,7 @@ class FleetRouter:
         with self._clients_lock:
             client = self._clients.get(url)
             if client is None:
-                client = HttpClient(url, timeout=self.proxy_timeout)
+                client = HttpClient(url, timeout=PROXY_TIMEOUT)
                 self._clients[url] = client
             return client
 

@@ -50,6 +50,8 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 #: well above the supervisor's ``DEFAULT_HEARTBEAT_TIMEOUT`` (10s): if the
 #: supervisor is alive it recycles a silent worker first.
 DEFAULT_ORPHAN_TIMEOUT = 30.0
+#: Seconds :meth:`WorkerAgent.start` retries registering before it raises.
+REGISTER_TIMEOUT = 10.0
 
 
 class WorkerAgent:
@@ -77,11 +79,11 @@ class WorkerAgent:
         self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------- lifecycle
-    def start(self, url: str, *, register_timeout: float = 10.0) -> "WorkerAgent":
+    def start(self, url: str) -> "WorkerAgent":
         """Register under ``url`` (the worker's bound address) and start beating."""
         self.url = url
         payload = {"worker_id": self.worker_id, "url": url, "pid": self.pid}
-        deadline = time.monotonic() + register_timeout
+        deadline = time.monotonic() + REGISTER_TIMEOUT
         while True:
             try:
                 self._client.post_json("/fleet/register", payload)

@@ -115,17 +115,10 @@ class JobRunner:
         lease_seconds: float | None = None,
         heartbeat_interval: float | None = None,
         name: str | None = None,
-        fair_share: int | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = store
-        if fair_share is not None:
-            # The runner owns scheduling policy for its store: how often a
-            # claim ignores priority for the FIFO head (0 = strict priority).
-            if fair_share < 0:
-                raise ValueError(f"fair_share must be >= 0, got {fair_share}")
-            store.fair_share = fair_share
         self.open_session = open_session
         self.workers = workers
         self.poll_interval = poll_interval

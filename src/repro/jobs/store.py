@@ -11,7 +11,7 @@ relies on:
   state = 'queued'`` inside one transaction), so two workers — even in two
   *processes* sharing the database file — never own the same job.  Claiming
   orders by priority (higher first), then FIFO — except that every
-  ``fair_share``-th claim takes the global FIFO head regardless of
+  :data:`FAIR_SHARE`-th claim takes the global FIFO head regardless of
   priority, so low-priority tenants make progress without ever starving
   high-priority work (the QoS scheduling contract; see :mod:`repro.qos`).
 * **Lease + heartbeat** — a claimed job carries ``lease_owner`` and
@@ -77,6 +77,14 @@ EVENT_CANCELLED = "cancelled"
 EVENT_RETRIED = "retried"
 EVENT_VERSION = "version"
 
+#: Weighted-fair claiming: every ``FAIR_SHARE``-th claim through a store
+#: takes the *oldest* queued job regardless of priority, so a low-priority
+#: tenant's backlog drains at a bounded fraction of worker capacity instead
+#: of starving behind a hot high-priority tenant — while the other
+#: ``FAIR_SHARE - 1`` claims still go to the highest priority first
+#: (high-priority work never starves either).
+FAIR_SHARE = 4
+
 
 class JobStore:
     """Queue operations over one ``jobs``/``job_events`` table pair.
@@ -93,15 +101,6 @@ class JobStore:
     retry_backoff:
         Base of the exponential retry delay: attempt *n* re-queues with
         ``not_before = now + retry_backoff * 2**(n-1)``.
-    fair_share:
-        Weighted-fair claiming: every ``fair_share``-th claim through this
-        store takes the *oldest* queued job regardless of priority, so a
-        low-priority tenant's backlog drains at a bounded fraction of
-        worker capacity instead of starving behind a hot high-priority
-        tenant — while the other ``fair_share - 1`` claims still go to the
-        highest priority first (high-priority work never starves either).
-        ``0`` disables fairness (strict priority order, the pre-QoS
-        behaviour).
     clock:
         Unix-time source, injectable so tests control lease expiry.
     """
@@ -112,17 +111,13 @@ class JobStore:
         *,
         lease_seconds: float = 30.0,
         retry_backoff: float = 0.5,
-        fair_share: int = 4,
         clock: Callable[[], float] = time.time,
     ):
         if lease_seconds <= 0:
             raise JobError(f"lease_seconds must be positive, got {lease_seconds}")
-        if fair_share < 0:
-            raise JobError(f"fair_share must be >= 0, got {fair_share}")
         self.db = db
         self.lease_seconds = lease_seconds
         self.retry_backoff = retry_backoff
-        self.fair_share = fair_share
         self._claim_count = 0
         self._clock = clock
         self._owns_db = False
@@ -256,21 +251,19 @@ class JobStore:
         a runner polling ``claim`` doubles as the crash supervisor: a job
         whose worker died becomes claimable as soon as its lease lapses.
 
-        Ordering is weighted-fair (see ``fair_share``): usually best
-        priority first then FIFO, but every ``fair_share``-th claim takes
+        Ordering is weighted-fair (see :data:`FAIR_SHARE`): usually best
+        priority first then FIFO, but every ``FAIR_SHARE``-th claim takes
         the global FIFO head so low-priority work keeps a guaranteed
         fraction of throughput.
         """
         lease = self.lease_seconds if lease_seconds is None else lease_seconds
         now = self._clock()
-        fair_turn = False
-        if self.fair_share > 0:
-            # A per-process counter is all fairness needs: each worker
-            # process independently dedicates 1/fair_share of its claims to
-            # the FIFO head, so the aggregate guarantee holds fleet-wide
-            # without cross-process coordination.
-            self._claim_count += 1
-            fair_turn = self._claim_count % self.fair_share == 0
+        # A per-process counter is all fairness needs: each worker process
+        # independently dedicates 1/FAIR_SHARE of its claims to the FIFO
+        # head, so the aggregate guarantee holds fleet-wide without
+        # cross-process coordination.
+        self._claim_count += 1
+        fair_turn = self._claim_count % FAIR_SHARE == 0
         order = "id ASC" if fair_turn else "priority DESC, id ASC"
         with self.db.transaction() as conn:
             self._reclaim_expired(conn, now)

@@ -166,13 +166,12 @@ class MetricsRegistry:
     what ``GET /service/telemetry`` serves.
     """
 
-    def __init__(self, *, histogram_window: int = DEFAULT_WINDOW):
+    def __init__(self):
         self._lock = threading.Lock()
         self._parent: MetricsRegistry | None = None
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._histogram_window = histogram_window
         self.started_at = time.time()
 
     # ---------------------------------------------------------------- scopes
@@ -193,7 +192,7 @@ class MetricsRegistry:
 
     def scope(self) -> "MetricsRegistry":
         """A new registry attached to this one."""
-        child = MetricsRegistry(histogram_window=self._histogram_window)
+        child = MetricsRegistry()
         child.attach(self)
         return child
 
@@ -222,7 +221,7 @@ class MetricsRegistry:
         with self._lock:
             instrument = self._histograms.get(name)
             if instrument is None:
-                instrument = self._histograms[name] = Histogram(self._histogram_window)
+                instrument = self._histograms[name] = Histogram()
             return instrument
 
     # ----------------------------------------------------------- convenience

@@ -89,10 +89,9 @@ def register_pivot_view(
     db: Database,
     projid: str,
     names: Sequence[str],
-    table_name: str = "pivot",
     frame: DataFrame | None = None,
 ) -> list[str]:
-    """Materialize the pivoted view of ``names`` into a temporary table.
+    """Materialize the pivoted view of ``names`` into the temporary table ``pivot``.
 
     Returns the column names of the created table.  The table lives in the
     connection's temp schema, so it never dirties the durable database and
@@ -102,23 +101,21 @@ def register_pivot_view(
     """
     from ..core.dataframe_view import build_dataframe
 
-    if not _IDENTIFIER_RE.match(table_name):
-        raise DatabaseError(f"invalid table name: {table_name!r}")
     if frame is None:
         frame = build_dataframe(db, projid, list(names))
     columns = frame.columns or ["projid", "tstamp", "filename", *names]
     quoted = [_quote_identifier(c) for c in columns]
     with db.transaction() as connection:
-        connection.execute(f"DROP TABLE IF EXISTS temp.{table_name}")
+        connection.execute("DROP TABLE IF EXISTS temp.pivot")
         # NUMERIC affinity lets SQLite treat numeric-looking log values as
         # numbers (so MAX(recall) compares 0.9 > 0.85, not lexicographically).
         connection.execute(
-            f"CREATE TEMP TABLE {table_name} ({', '.join(f'{c} NUMERIC' for c in quoted)})"
+            f"CREATE TEMP TABLE pivot ({', '.join(f'{c} NUMERIC' for c in quoted)})"
         )
         if len(frame):
             placeholders = ", ".join("?" for _ in columns)
             connection.executemany(
-                f"INSERT INTO {table_name} ({', '.join(quoted)}) VALUES ({placeholders})",
+                f"INSERT INTO pivot ({', '.join(quoted)}) VALUES ({placeholders})",
                 [
                     tuple(_sqlite_value(row.get(c)) for c in columns)
                     for row in frame.to_records()
@@ -142,17 +139,15 @@ def sql_over_names(
     names: Sequence[str],
     sql: str,
     params: Sequence[Any] = (),
-    table_name: str = "pivot",
     frame: DataFrame | None = None,
 ) -> DataFrame:
     """Materialize the pivoted view of ``names`` and run ``sql`` against it.
 
-    The statement refers to the view by ``table_name`` (default ``pivot``);
-    ``frame`` optionally supplies the pivot (see :func:`register_pivot_view`)::
+    The statement refers to the view as ``pivot``; ``frame`` optionally supplies the pivot (see :func:`register_pivot_view`)::
 
         sql_over_names(db, "proj", ["acc", "recall"],
                        "SELECT tstamp, MAX(recall) AS best FROM pivot GROUP BY tstamp")
     """
     _require_read_only(sql)
-    register_pivot_view(db, projid, names, table_name, frame=frame)
+    register_pivot_view(db, projid, names, frame=frame)
     return run_sql(db, sql, params)

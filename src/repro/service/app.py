@@ -79,6 +79,7 @@ merged on the next read (benchmark T9 measures the effect).
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from pathlib import Path
@@ -447,9 +448,14 @@ def _record_list(payload: dict[str, Any], key: str) -> list[dict[str, Any]]:
 def _int_field(item: dict[str, Any], key: str, default: int = 0) -> int:
     value = item.get(key, default)
     try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise HttpError(400, f"{key!r} must be an integer, got {value!r}") from exc
+        parsed = int(value)
+        # A SQLite INTEGER: a key past 64 bits is refused here, not by the
+        # flusher after the request was acked.
+        if -(2**63) <= parsed < 2**63:
+            return parsed
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise HttpError(400, f"{key!r} must be a 64-bit integer, got {value!r}")
 
 
 def _float_arg(request: Request, name: str, default: float, *, lo: float, hi: float) -> float:
@@ -458,8 +464,10 @@ def _float_arg(request: Request, name: str, default: float, *, lo: float, hi: fl
         return default
     try:
         value = float(raw)
-    except ValueError as exc:
-        raise HttpError(400, f"{name!r} must be a number, got {raw!r}") from exc
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):  # NaN would pass the clamp and spin a wait
+        raise HttpError(400, f"{name!r} must be a finite number, got {raw!r}")
     return min(max(value, lo), hi)
 
 
@@ -658,10 +666,7 @@ def create_app(service: FlorService) -> WebApp:
 
     # ----------------------------------------------------------------- jobs
     def _job_id(raw: str) -> int:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise HttpError(400, f"job id must be an integer, got {raw!r}") from exc
+        return _int_field({"job id": raw}, "job id")
 
     def _required_job(raw: str):
         job = service.jobs.get(_job_id(raw))

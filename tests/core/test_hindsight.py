@@ -21,12 +21,11 @@ NO_ROW_TWICE = (
 )
 
 
-def checked_weight(weight, lr, epoch):
-    """An ``extra_globals`` helper that fails version 1's second epoch; at
-    module level, so a process worker can unpickle it."""
-    if lr == 0.02 and epoch == 1:
-        raise RuntimeError("replay failed half-way")
-    return weight
+#: A ``weight`` statement whose replay fails in version 1's second epoch.
+FAILS_HALF_WAY = (
+    'flor.log("weight", state["w"] if (lr, epoch) != (0.02, 1)'
+    ' else int("replay failed half-way"))'
+)
 
 
 @pytest.fixture()
@@ -152,13 +151,12 @@ class TestBackfill:
         with pytest.raises(ReplayError):
             engine.backfill("never_committed.py")
 
-    def test_backfill_unknown_parallelism_raises(self, versioned):
-        from repro.errors import ReplayError
-
+    @pytest.mark.parametrize("mode", ["thread", "gpu"])
+    def test_backfill_unknown_parallelism_raises(self, versioned, mode):
         session, workload, _vids = versioned
         engine = HindsightEngine(session)
-        with pytest.raises(ReplayError):
-            engine.backfill("train.py", new_source=workload.hindsight_source(), parallelism="gpu")
+        with pytest.raises(ReplayError, match="unknown parallelism mode"):
+            engine.backfill("train.py", new_source=workload.hindsight_source(), parallelism=mode)
 
 
 class TestRecordedRunsOnly:
@@ -283,7 +281,7 @@ class TestReplayKeyScope:
 
 
 class TestParallelBackfill:
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["process"])
     def test_parallel_modes_produce_same_results_as_serial(self, make_session, mode):
         workload = VersionedScriptWorkload(versions=3, epochs=3, steps=2)
 
@@ -319,7 +317,7 @@ class TestParallelBackfill:
 class TestOneLandingPath:
     """Every mode collects its replays and lands them once, through the session."""
 
-    MODES = ["serial", "thread", "process"]
+    MODES = ["serial", "process"]
     ROWS = (
         "SELECT projid, tstamp, filename, ctx_id, value_name, value, value_type FROM logs"
         " ORDER BY tstamp, ctx_id, value_name"
@@ -352,7 +350,6 @@ class TestOneLandingPath:
             assert report.new_records == 3 * workload.epochs * workload.steps
             assert session.logs.count() == before + report.new_records  # durable on return
             rows[mode] = session.db.query(self.ROWS)
-        assert rows["thread"] == rows["serial"]
         assert rows["process"] == rows["serial"]
 
     @pytest.mark.parametrize("mode", MODES)
@@ -387,12 +384,9 @@ class TestOneLandingPath:
         """A version whose replay raises lands none of the rows it staged before that."""
         workload, sessions = recorded_copies
         session = sessions[mode]
-        source = workload.hindsight_source().replace(
-            'flor.log("weight", state["w"])', 'flor.log("weight", checked(state["w"], lr, epoch))'
-        )
+        source = workload.hindsight_source().replace('flor.log("weight", state["w"])', FAILS_HALF_WAY)
         report = HindsightEngine(session).backfill(
-            "train.py", new_source=source, parallelism=mode, max_workers=2,
-            extra_globals={"checked": checked_weight},
+            "train.py", new_source=source, parallelism=mode, max_workers=2
         )
         failed = [v for v in report.versions if not v.ok]
         assert len(failed) == 1 and "half-way" in failed[0].replay.error
@@ -403,45 +397,12 @@ class TestOneLandingPath:
         assert failed[0].tstamp not in per_run
         assert sorted(per_run.values()) == [workload.epochs * workload.steps] * 2
 
-    def test_every_mode_reads_extra_globals(self, recorded_copies):
-        """A statement reading a name only ``extra_globals`` binds lands the
-        same rows in every mode — a process worker gets the mapping too."""
-        workload, sessions = recorded_copies
-        source = workload.hindsight_source().replace(
-            'flor.log("weight", state["w"])', 'flor.log("weight", state["w"] * SCALE)'
-        )
-        rows = {}
-        for mode, session in sessions.items():
-            report = HindsightEngine(session).backfill(
-                "train.py", new_source=source, parallelism=mode, max_workers=2,
-                extra_globals={"SCALE": 10},
-            )
-            assert [v.replay.error for v in report.versions] == [None] * 3, mode
-            assert report.new_records == 3 * workload.epochs * workload.steps
-            rows[mode] = session.db.query(self.ROWS)
-        assert rows["thread"] == rows["serial"]
-        assert rows["process"] == rows["serial"]
-
-    def test_extra_globals_that_do_not_pickle_fail_a_process_backfill_up_front(
-        self, recorded_copies
-    ):
-        workload, sessions = recorded_copies
-        session = sessions["process"]
-        session.flush()
-        before = (session.logs.count(), session.flusher.stats.transactions)
-        with pytest.raises(ReplayError, match="extra_globals must pickle"):
-            HindsightEngine(session).backfill(
-                "train.py", new_source=workload.hindsight_source(), parallelism="process",
-                extra_globals={"scale": lambda value: value * 10},
-            )
-        assert (session.logs.count(), session.flusher.stats.transactions) == before
-
 
 class TestScriptsThatFlushForThemselves:
     """A replayed ``flor.commit()`` / ``flor.dataframe()`` / ``flor.flush()``
     writes nothing: the engine lands the rows, however the script ends."""
 
-    MODES = ["serial", "thread", "process"]
+    MODES = ["serial", "process"]
     RUNS, EPOCHS = 2, 3
     SCRIPT = (
         'lr = flor.arg("lr", 0.1)\n'

@@ -207,10 +207,6 @@ class TestActiveSession:
                 assert get_active_session() is other
             assert get_active_session() is session
 
-    def test_no_active_session_raises_when_default_disabled(self):
-        with pytest.raises(RecordingError):
-            get_active_session(create_default=False)
-
     def test_facade_dataframe_and_utils_latest(self, session):
         with active_session(session):
             for epoch in flor.loop("epoch", range(2)):

@@ -121,7 +121,3 @@ class TestMembershipErrors:
         assert len(ring) == 2
         assert "w0" in ring and "w9" not in ring
         assert ring.workers() == ["w0", "w1"]
-
-    def test_vnodes_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HashRing(vnodes=0)

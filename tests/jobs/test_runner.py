@@ -315,21 +315,3 @@ class TestSessionProviders:
             final = store.require(job.id)
             assert final.state == "failed"
             assert "unknown project" in final.error
-
-
-class TestFairSharePassthrough:
-    def test_runner_overrides_store_fair_share(self, populated_root, store):
-        root, _ = populated_root
-        runner = JobRunner(store, _open_sessions(root), fair_share=2)
-        assert store.fair_share == 2
-        assert runner.store is store
-
-    def test_runner_leaves_store_policy_alone_by_default(self, populated_root, store):
-        root, _ = populated_root
-        JobRunner(store, _open_sessions(root))
-        assert store.fair_share == 4  # the store default, untouched
-
-    def test_runner_rejects_negative_fair_share(self, populated_root, store):
-        root, _ = populated_root
-        with pytest.raises(ValueError):
-            JobRunner(store, _open_sessions(root), fair_share=-2)

@@ -304,7 +304,7 @@ class TestCancelRaces:
 
 class TestWeightedFairClaiming:
     def test_every_fair_share_th_claim_takes_the_fifo_head(self, store):
-        # store fixture uses the default fair_share=4: claims 4, 8, 12 …
+        # FAIR_SHARE is 4: claims 4, 8, 12 …
         # go to the global FIFO head instead of the best priority.
         old_low = store.submit("batch", "backfill", {}, priority=-100)
         high = [store.submit("vip", "backfill", {}, priority=100) for _ in range(6)]
@@ -318,21 +318,3 @@ class TestWeightedFairClaiming:
     def test_fair_turn_is_a_noop_when_fifo_head_is_highest_priority(self, store):
         jobs = [store.submit("vip", "backfill", {}, priority=100) for _ in range(5)]
         assert [store.claim("w").id for _ in range(5)] == [j.id for j in jobs]
-
-    def test_fair_share_zero_disables_fairness(self, clock):
-        with JobStore(Database(":memory:"), fair_share=0, clock=clock) as store:
-            low = store.submit("batch", "backfill", {}, priority=-100)
-            high = [store.submit("vip", "backfill", {}, priority=100) for _ in range(8)]
-            claimed = [store.claim("w").id for _ in range(9)]
-            assert claimed == [j.id for j in high] + [low.id]  # pure priority order
-
-    def test_fair_share_one_is_pure_fifo(self, clock):
-        with JobStore(Database(":memory:"), fair_share=1, clock=clock) as store:
-            low = store.submit("batch", "backfill", {}, priority=-100)
-            high = store.submit("vip", "backfill", {}, priority=100)
-            assert store.claim("w").id == low.id  # every claim is a fair turn
-            assert store.claim("w").id == high.id
-
-    def test_negative_fair_share_rejected(self, clock):
-        with pytest.raises(JobError):
-            JobStore(Database(":memory:"), fair_share=-1, clock=clock)

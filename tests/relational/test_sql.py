@@ -107,8 +107,6 @@ class TestPivotSql:
     def test_invalid_identifier_rejected(self, recorded):
         with pytest.raises(DatabaseError):
             recorded.sql("SELECT * FROM pivot", names=["bad-name!"])
-        with pytest.raises(DatabaseError):
-            register_pivot_view(recorded.db, recorded.projid, ["acc"], table_name="bad;drop")
 
     def test_empty_history_yields_empty_view(self, make_session):
         fresh = make_session("sqlfresh", default_filename="x.py")

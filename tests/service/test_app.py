@@ -112,6 +112,36 @@ class TestAppend:
         assert response.status == 400
         assert "integer" in response.json()["error"]
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"records": [{"name": "x", "ctx_id": 10**30}]},
+            {"loops": [{"loop_name": "epoch", "ctx_id": 2**63}]},
+            {"loops": [{"loop_name": "epoch", "parent_ctx_id": -(2**63) - 1}]},
+            {"loops": [{"loop_name": "epoch", "loop_iteration": 10**30}]},
+        ],
+    )
+    def test_a_key_past_64_bits_is_a_400_and_costs_no_neighbour_a_row(self, client, payload):
+        """SQLite cannot store it, so it is refused before the ack — an acked
+        one failed the tenant's next transaction, and the good rows with it."""
+        assert _append(client, "alpha", [0.5]).status == 202
+        response = client.post("/projects/alpha/logs", json_body=payload)
+        assert response.status == 400
+        assert "64-bit integer" in response.json()["error"]
+        read = client.get("/projects/alpha/dataframe?names=loss")
+        assert read.status == 200
+        assert [row["loss"] for row in read.json()["records"]] == [0.5]
+        assert client.get("/projects/alpha/stats").json()["dropped_rows_total"] == 0
+
+    def test_the_64_bit_bounds_themselves_are_keys(self, client):
+        for ctx_id in (2**63 - 1, -(2**63)):
+            response = client.post(
+                "/projects/alpha/logs", json_body={"records": [{"name": "x", "ctx_id": ctx_id}]}
+            )
+            assert response.status == 202
+        response = client.get("/projects/alpha/sql?q=SELECT ctx_id FROM logs ORDER BY ctx_id")
+        assert response.json()["records"] == [{"ctx_id": -(2**63)}, {"ctx_id": 2**63 - 1}]
+
 
 class TestReads:
     def test_dataframe_reads_its_own_queued_writes(self, client):

@@ -66,6 +66,13 @@ class TestSubmit:
         assert _submit(client, {"plan": [1]}).status == 400
         assert _submit(client, {"new_source": 42}).status == 400
 
+    @pytest.mark.parametrize("field", ["priority", "max_attempts"])
+    def test_a_number_past_64_bits_is_a_400(self, client, service, field):
+        response = _submit(client, {field: 10**30})
+        assert response.status == 400
+        assert "64-bit integer" in response.json()["error"]
+        assert service.jobs.list_jobs() == []
+
     def test_submit_accepts_plan_and_versions(self, client):
         response = _submit(
             client, {"versions": ["abc"], "plan": {"epoch": [0]}, "include_latest": False}
@@ -105,6 +112,13 @@ class TestStatusAndEvents:
         assert client.get(f"/jobs?project={PROJECT}&limit=1").json()["jobs"][0]["id"] == second
         assert client.get("/jobs?state=succeeded").json()["jobs"] == []
         assert client.get("/jobs?state=bogus").status == 400
+
+    def test_query_numbers_past_64_bits_are_a_400(self, client):
+        job_id = _submit(client).json()["job"]["id"]
+        assert client.get(f"/jobs?limit={10**30}").status == 400
+        assert client.get(f"/jobs/{job_id}/events?after={-(10**30)}").status == 400
+        assert client.get(f"/jobs/{10**30}").status == 400
+        assert client.get(f"/jobs/{job_id}/events?after={2**63 - 1}").json()["events"] == []
 
     def test_service_stats_reports_job_counts(self, client):
         _submit(client)

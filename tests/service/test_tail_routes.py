@@ -105,6 +105,15 @@ class TestProjectTailLive:
         _flush(service, "alpha")
         assert [e.id for e in events] == ["3", "4"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_a_non_finite_keepalive_is_a_400(self, client, service, value):
+        """NaN passed the clamp, and a wait of NaN seconds returns at once:
+        the tail re-read the shard in a busy loop."""
+        _ingest(client, "alpha", [0.5])
+        _flush(service, "alpha")
+        with client.sse(f"/projects/alpha/tail?keepalive={value}") as stream:
+            assert stream.status == 400
+
     def test_stale_cursor_beyond_the_watermark_is_clamped(self, client, service):
         """A Last-Event-ID from before a project reset must not make the
         subscriber wait forever for sequence numbers that never come."""
@@ -269,3 +278,11 @@ class TestTelemetryRoute:
 
     def test_bad_interval_is_a_400(self, client):
         assert client.get("/service/telemetry?stream=1&interval=abc").status == 400
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_a_non_finite_interval_is_a_400(self, client, value):
+        """NaN passed the clamp, and the stream died in ``time.sleep(nan)``
+        after its first frame."""
+        response = client.get(f"/service/telemetry?stream=1&interval={value}")
+        assert response.status == 400
+        assert "finite" in response.json()["error"]

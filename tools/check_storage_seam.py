@@ -6,8 +6,8 @@ body seam (one builder of the service's ``dataframe`` / ``sql`` answer) and
 the writer seam (one record path and one writer thread: every handle writes
 rows and checkpoints through its session's background flusher), the blob
 seam (one blob layout, no cold tier), the schema seam (one module spells
-the physical schema and its DDL stamp) and the WAL seam (one module spells
-the WAL's upkeep).
+the physical schema and its DDL stamp), the WAL seam (one module spells
+the WAL's upkeep) and the settings seam (one value per setting).
 
 The whole point of the :mod:`repro.storage` protocols is that every layer
 above storage is backend-agnostic — repositories, the query engine, the
@@ -71,6 +71,14 @@ An eighth keeps the WAL's upkeep in one place: no module other than
 off every commit, once its writer thread takes them over, so a checkpoint
 spelled anywhere else would land back on a commit or under a lock a reader
 waits on.
+
+A ninth keeps one value per setting: no function under ``src/repro`` takes a
+parameter named after a setting that only tests ever set and that is now a
+constant (``extra_globals``, ``fair_share``, ``histogram_window``,
+``module_alias``, ``statement_filter``, ``create_default``,
+``proxy_timeout``, ``register_timeout``, ``vnodes``), and
+:mod:`repro.core.hindsight` does not name ``ThreadPoolExecutor`` — a replay
+is pure-Python ``exec``, so it runs serially or in processes.
 
 Detection is AST-based — docstrings and comments that merely *mention*
 sqlite3 or the guard are fine; only actual statements count.
@@ -299,6 +307,27 @@ def stray_wal_upkeep(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+#: Parameters deleted because no caller outside the tests set another value,
+#: and the module whose thread pool went with ``parallelism="thread"``.
+DELETED_SETTINGS = {
+    "extra_globals", "fair_share", "histogram_window", "module_alias", "statement_filter",
+    "create_default", "proxy_timeout", "register_timeout", "vnodes",
+}
+REPLAY_MODULE = "repro.core.hindsight"
+
+
+def deleted_settings(name: str, tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` where a deleted setting is a parameter again, or the
+    replay engine names a thread pool."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.arg in DELETED_SETTINGS:
+            found.append((node.lineno, f"takes a {node.arg!r} parameter"))
+        elif name == REPLAY_MODULE and "ThreadPoolExecutor" in identifiers(node):
+            found.append((node.lineno, "names ThreadPoolExecutor"))
+    return found
+
+
 def main(argv: list[str]) -> int:
     src_root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src"
     violations = 0
@@ -347,6 +376,12 @@ def main(argv: list[str]) -> int:
                 f"Database.checkpoint runs them on a second connection, off every commit"
             )
             violations += 1
+        for lineno, what in deleted_settings(name, tree):
+            print(
+                f"{path}:{lineno}: {name} {what} — a setting only tests set is a "
+                f"constant, and a replay runs serially or in processes"
+            )
+            violations += 1
         if any(name == p or name.startswith(p + ".") for p in ALLOWED_PREFIXES):
             continue
         for lineno in sqlite_imports(tree):
@@ -367,6 +402,7 @@ def main(argv: list[str]) -> int:
         print(f"blob seam intact: no archive layout named outside {LAYOUT_MODULE}")
         print(f"schema seam intact: index DDL and the DDL stamp spelled in {SCHEMA_MODULE} only")
         print(f"WAL seam intact: checkpoint pragmas spelled in {WAL_MODULE} only")
+        print(f"settings seam intact: no deleted setting is a parameter, no thread pool in {REPLAY_MODULE}")
     return violations
 
 
