@@ -9,11 +9,11 @@ Two call sites need the same thing:
   real sockets in T8/T14, and a client that reconnects per request
   measures connection setup, not server throughput.
 
-:class:`HttpClient` keeps one persistent :class:`http.client.HTTPConnection`
-per ``(thread, host:port)`` in thread-local storage — each workload thread
-(or long-lived router handler thread) reuses its own connection for the
-whole run, which is exactly the keep-alive behaviour ``ThreadingHTTPServer``
-with ``protocol_version = "HTTP/1.1"`` supports on the other side.
+:class:`HttpClient` keeps one raw keep-alive socket per ``(thread,
+host:port)`` in thread-local storage.  A request leaves in one write, the
+answer's head is read by :mod:`repro.webapp.http1` (the server's codec),
+and one reader, :func:`_body`, serves ``request`` and ``stream`` for
+``Content-Length``, chunked and close-delimited bodies.
 
 A request that fails on a cached connection (the peer restarted, an idle
 keep-alive socket timed out) is retried once on a fresh connection; a
@@ -24,24 +24,69 @@ re-register, then retries).
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 import threading
-from typing import Any, Mapping
+import weakref
+from typing import Any, BinaryIO, Iterator, Mapping
 from urllib.parse import urlsplit
 
 from ..errors import TransportError
 from ..webapp.framework import Response, SSEStream
+from ..webapp.http1 import Headers, read_headers, read_line
 
-#: Connection-level failures worth one retry on a fresh socket.
-_RETRYABLE = (
-    http.client.HTTPException,
-    ConnectionError,
-    socket.timeout,
-    BrokenPipeError,
-    OSError,
-)
+#: Worth one retry on a fresh socket: socket errors, unframeable answers.
+_RETRYABLE = (OSError, ValueError)
+
+
+class _Connection:
+    """One socket to a peer, with Nagle off, and the buffered reader over it."""
+
+    def __init__(self, sock: socket.socket):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock, self.rfile = sock, sock.makefile("rb")
+
+    def exchange(
+        self, method: str, url: str, body: bytes, headers: Mapping[str, str]
+    ) -> tuple[int, Headers, bool]:
+        """One request, one write; the answer's status, head and reusability."""
+        lines = [f"{method} {url} HTTP/1.1", f"Content-Length: {len(body)}"]
+        lines.extend(f"{key}: {value}" for key, value in headers.items())
+        self.sock.sendall(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
+        status_line = read_line(self.rfile)  # b"" when a kept socket went stale
+        version, _, rest = status_line.decode("latin-1").partition(" ")
+        if not (version.startswith("HTTP/1.") and rest[:3].isdigit()):
+            raise ConnectionError(f"no HTTP/1.x status line: {status_line!r}")
+        head = read_headers(self.rfile)
+        framed = (head.get("Content-Length") or head.get("Transfer-Encoding")) is not None
+        return int(rest[:3]), head, framed and head.get("Connection", "").lower() != "close"
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+    __del__ = close  # a thread's connection dies with the thread
+
+
+def _body(rfile: BinaryIO, head: Headers) -> Iterator[bytes]:
+    """The body as it arrives: chunk by chunk when chunked (an SSE frame is
+    one chunk), else ``Content-Length`` bytes, else bytes until the close."""
+    if head.get("Transfer-Encoding", "").lower() == "chunked":
+        while size := int(read_line(rfile).split(b";")[0], 16):
+            data = rfile.read(size + 2)
+            if data[size:] != b"\r\n":
+                raise ConnectionError("chunk cut short")
+            yield data[:size]
+        while read_line(rfile) not in (b"\r\n", b"\n", b""):
+            pass  # trailer fields, unread
+        return
+    length = head.get("Content-Length")
+    if length is None:
+        yield from iter(lambda: rfile.read1(65536), b"")
+    elif not length.isdigit() or len(data := rfile.read(int(length))) < int(length):
+        raise ConnectionError(f"body not of Content-Length {length!r}")
+    else:
+        yield data
 
 
 class HttpClient:
@@ -55,34 +100,34 @@ class HttpClient:
 
     def __init__(self, base_url: str, *, timeout: float = 30.0):
         parts = urlsplit(base_url)
-        if parts.scheme != "http" or not parts.netloc:
+        if parts.scheme != "http" or not parts.hostname:
             raise TransportError(f"expected an http://host:port base url, got {base_url!r}")
         self.base_url = f"http://{parts.netloc}"
         self.netloc = parts.netloc
+        self.address = (parts.hostname, parts.port or 80)
         self.timeout = timeout
         self._local = threading.local()
-        # Every connection ever opened, for close(): thread-locals are not
-        # enumerable from the closing thread.
-        self._all: list[http.client.HTTPConnection] = []
-        self._all_lock = threading.Lock()
+        # For close(): thread-locals are not enumerable from another thread.
+        self._open: weakref.WeakSet[_Connection] = weakref.WeakSet()
+        self._open_lock = threading.Lock()
 
     # ---------------------------------------------------------- connections
-    def _connection(self, *, fresh: bool = False) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if fresh and conn is not None:
-            conn.close()
-            conn = None
-        if conn is None:
-            conn = http.client.HTTPConnection(self.netloc, timeout=self.timeout)
-            self._local.conn = conn
-            with self._all_lock:
-                self._all.append(conn)
+    def _connect(self) -> _Connection:
+        conn = _Connection(socket.create_connection(self.address, self.timeout))
+        with self._open_lock:
+            self._open.add(conn)
         return conn
 
+    def _release(self) -> None:
+        """Close this thread's connection; its next request connects again."""
+        conn, self._local.conn = getattr(self._local, "conn", None), None
+        if conn is not None:
+            conn.close()
+
     def close(self) -> None:
-        """Close every connection this client ever opened (any thread's)."""
-        with self._all_lock:
-            conns, self._all = self._all, []
+        """Close every connection this client holds (any thread's)."""
+        with self._open_lock:
+            conns = list(self._open)
         for conn in conns:
             conn.close()
 
@@ -102,28 +147,28 @@ class HttpClient:
         headers: Mapping[str, str] | None = None,
     ) -> Response:
         """One round trip; retries once on a stale keep-alive connection."""
-        send_headers = dict(headers or {})
-        send_headers.setdefault("Content-Type", "application/json")
+        send_headers = {"Host": self.netloc, "Content-Type": "application/json", **(headers or {})}
         for attempt in (0, 1):
-            conn = self._connection(fresh=attempt > 0)
             try:
-                conn.request(method, url, body=body or None, headers=send_headers)
-                raw = conn.getresponse()
+                conn = getattr(self._local, "conn", None) or self._connect()
+                self._local.conn = conn
+                status, head, reusable = conn.exchange(method, url, body, send_headers)
                 # The payload stays bytes: a relayed read is written to the
                 # next socket as it arrived, not transcoded on the way.
-                return Response(
-                    body=raw.read(),
-                    status=raw.status,
-                    headers={k: v for k, v in raw.getheaders()},
-                )
+                payload = b"".join(_body(conn.rfile, head))
             except _RETRYABLE as exc:
                 # A dead keep-alive socket surfaces only when reused; give
                 # the request one fresh connection before declaring the peer
                 # unreachable.
+                self._release()
                 if attempt == 1:
                     raise TransportError(
                         f"{method} http://{self.netloc}{url} failed: {exc}"
                     ) from exc
+                continue
+            if not reusable:
+                self._release()
+            return Response(body=payload, status=status, headers=head)
 
     def stream(
         self, url: str, *, headers: Mapping[str, str] | None = None
@@ -137,18 +182,16 @@ class HttpClient:
         immediately — resuming a broken stream is the caller's job (the
         cursor in ``Last-Event-ID`` makes it lossless).
         """
-        conn = http.client.HTTPConnection(self.netloc, timeout=self.timeout)
-        with self._all_lock:
-            self._all.append(conn)
+        conn = None
         try:
-            conn.request("GET", url, headers=dict(headers or {}))
-            raw = conn.getresponse()
+            conn = self._connect()
+            send_headers = {"Host": self.netloc, **(headers or {})}
+            status, head, _ = conn.exchange("GET", url, b"", send_headers)
         except _RETRYABLE as exc:
-            conn.close()
-            raise TransportError(
-                f"GET http://{self.netloc}{url} failed: {exc}"
-            ) from exc
-        return StreamedResponse(conn, raw)
+            if conn is not None:
+                conn.close()
+            raise TransportError(f"GET http://{self.netloc}{url} failed: {exc}") from exc
+        return StreamedResponse(conn, status, head)
 
     # TestClient-compatible surface -----------------------------------------
     def get(self, url: str) -> Response:
@@ -169,20 +212,16 @@ class HttpClient:
 
     def get_json(self, url: str) -> Any:
         """GET expecting a 2xx JSON body; raises TransportError otherwise."""
-        response = self.get(url)
-        if not response.ok:
-            raise TransportError(
-                f"GET http://{self.netloc}{url} returned {response.status}: "
-                f"{response.text[:200]}"
-            )
-        return response.json()
+        return self._json("GET", url, self.get(url))
 
     def post_json(self, url: str, payload: Any = None) -> Any:
         """POST expecting a 2xx JSON body; raises TransportError otherwise."""
-        response = self.post(url, json_body=payload if payload is not None else {})
+        return self._json("POST", url, self.post(url, json_body={} if payload is None else payload))
+
+    def _json(self, method: str, url: str, response: Response) -> Any:
         if not response.ok:
             raise TransportError(
-                f"POST http://{self.netloc}{url} returned {response.status}: "
+                f"{method} http://{self.netloc}{url} returned {response.status}: "
                 f"{response.text[:200]}"
             )
         return response.json()
@@ -191,19 +230,15 @@ class HttpClient:
 class StreamedResponse:
     """An in-flight streaming response on its own dedicated connection.
 
-    ``chunks()`` yields decoded-transfer-encoding bytes as they arrive
-    (``http.client`` strips the chunked framing; ``read1`` returns per
-    network read instead of blocking for a full buffer, which is what
-    keeps SSE latency at one round trip).  A connection failure mid-body
-    raises :class:`~repro.errors.TransportError` from ``chunks()`` —
-    stream consumers resume by reconnecting with their cursor.
+    ``chunks()`` yields the body as it arrives (see :func:`_body`); a
+    connection failure mid-body raises :class:`~repro.errors.TransportError`
+    from it — stream consumers resume by reconnecting with their cursor.
     """
 
-    def __init__(self, conn: http.client.HTTPConnection, raw: http.client.HTTPResponse):
+    def __init__(self, conn: _Connection, status: int, headers: Headers):
         self._conn = conn
-        self._raw = raw
-        self.status = raw.status
-        self.headers = {k: v for k, v in raw.getheaders()}
+        self.status = status
+        self.headers = headers
 
     @property
     def ok(self) -> bool:
@@ -211,21 +246,13 @@ class StreamedResponse:
 
     def read(self) -> bytes:
         """Drain the remaining body (for non-200s that are really buffered)."""
-        try:
-            return self._raw.read()
-        finally:
-            self.close()
+        return b"".join(self.chunks())
 
-    def chunks(self, size: int = 8192):
+    def chunks(self) -> Iterator[bytes]:
         try:
-            while True:
-                try:
-                    data = self._raw.read1(size)
-                except _RETRYABLE as exc:
-                    raise TransportError(f"stream interrupted: {exc}") from exc
-                if not data:
-                    return
-                yield data
+            yield from _body(self._conn.rfile, self.headers)
+        except _RETRYABLE as exc:
+            raise TransportError(f"stream interrupted: {exc}") from exc
         finally:
             self.close()
 

@@ -7,25 +7,31 @@ This module is the thin bridge that ``repro serve`` uses to put the same
 on the standard library:
 
 * :func:`make_server` — a :class:`http.server.ThreadingHTTPServer` whose
-  handler translates each socket request into a framework
-  :class:`~repro.webapp.framework.Request`, dispatches it, and writes the
-  framework :class:`~repro.webapp.framework.Response` back.  Thread-per-
-  request matches the service layer's locking model (per-shard RLocks).
+  handler parses each request head with :mod:`repro.webapp.http1`, turns it
+  into a framework :class:`~repro.webapp.framework.Request`, dispatches it,
+  and writes the :class:`~repro.webapp.framework.Response` back.  Thread-
+  per-request matches the service layer's locking model (per-shard RLocks).
 * :func:`serve` — ``make_server`` + ``serve_forever`` with a clean
   KeyboardInterrupt exit; the CLI calls this.
 
 Unexpected handler exceptions become a 500 JSON error instead of killing
-the worker thread, so one bad request never takes the service down.
+the worker thread, so one bad request never takes the service down, and
+every refusal of a request head is a JSON error that closes the connection.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
 from ..webapp.framework import JsonResponse, Request, Response, StreamingResponse, WebApp
+from ..webapp.http1 import HeadError, http_date, read_headers
+
+#: ``METHOD target HTTP/major.minor`` — one space apart, as RFC 7230 has it.
+_REQUEST_LINE = re.compile(r"(\S+) (\S+) HTTP/(\d+)\.(\d+)")
 
 
 def _handler_class(app: WebApp, quiet: bool) -> type[BaseHTTPRequestHandler]:
@@ -36,25 +42,53 @@ def _handler_class(app: WebApp, quiet: bool) -> type[BaseHTTPRequestHandler]:
         # write per response (see _send) there is nothing for Nagle to merge.
         disable_nagle_algorithm = True
 
+        def parse_request(self) -> bool:
+            """Read ``command``, ``path``, ``headers`` and ``body_length``, or
+            refuse and close: a line not ``METHOD target HTTP/1.x`` (505 for
+            HTTP/2+), a head :mod:`repro.webapp.http1` refuses, and framing
+            but one ``Content-Length`` (past it the next request is lost)."""
+            self.command, self.close_connection = None, True
+            self.requestline = line = self.raw_requestline.decode("latin-1").rstrip("\r\n")
+            try:
+                match = _REQUEST_LINE.fullmatch(line)
+                if match is None or match[3] != "1":
+                    status = 400 if match is None else 505
+                    raise HeadError(status, f"not an HTTP/1.x request line: {line!r}")
+                self.headers = headers = read_headers(self.rfile)
+                if headers.get("Transfer-Encoding") is not None:
+                    raise HeadError(411, "Transfer-Encoding is not accepted; send Content-Length")
+                raw_length = headers.get("Content-Length", "0")
+                lengths = {value.strip() for value in raw_length.split(",")}
+                length = lengths.pop()
+                if lengths or not (length.isascii() and length.isdigit()):
+                    raise HeadError(400, f"invalid Content-Length: {raw_length!r}")
+            except HeadError as exc:
+                self.send_error(exc.status, str(exc))
+                return False
+            self.command, self.path, self.body_length = match[1], match[2], int(length)
+            if self.path.startswith("//"):  # gh-87389: not a scheme-less URL
+                self.path = "/" + self.path.lstrip("/")
+            connection, http10 = headers.get("Connection", "").lower(), match[4] == "0"
+            self.close_connection = connection == "close" or (http10 and connection != "keep-alive")
+            if not http10 and headers.get("Expect", "").lower() == "100-continue":
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            return True
+
+        def send_error(self, code: int, message: str | None = None, explain=None) -> None:
+            """Every refusal (the stdlib's 414 and 501 too): JSON, then close."""
+            self.close_connection = True
+            error = message or self.responses.get(code, ("error",))[0]
+            self._send(JsonResponse({"error": error}, status=code, headers={"Connection": "close"}))
+
         def _dispatch(self) -> None:
-            raw_length = self.headers.get("Content-Length") or "0"
-            if not (raw_length.isascii() and raw_length.isdigit()):
-                # Without a usable length the body's end — and so the next
-                # request's start — is unknown: answer, then drop the
-                # connection.  (read(-1) would block until the peer closes.)
-                self.close_connection = True
-                error = {"error": f"invalid Content-Length: {raw_length!r}"}
-                self._send(JsonResponse(error, status=400, headers={"Connection": "close"}))
-                return
-            length = int(raw_length)
-            body = self.rfile.read(length) if length else b""
+            body = self.rfile.read(self.body_length)
             parts = urlsplit(self.path)
             query = {k: v[-1] for k, v in parse_qs(parts.query).items()}
             request = Request(
                 method=self.command,
                 path=parts.path or "/",
                 query=query,
-                headers={k: v for k, v in self.headers.items()},
+                headers=self.headers,
                 body=body,
             )
             try:
@@ -71,13 +105,11 @@ def _handler_class(app: WebApp, quiet: bool) -> type[BaseHTTPRequestHandler]:
             same write as the body (what ``send_response`` + ``send_header``
             + ``end_headers`` would have written on their own)."""
             self.log_request(status)
-            if self.request_version == "HTTP/0.9":
-                return b""
             reason = self.responses[status][0] if status in self.responses else ""
             lines = [
                 f"{self.protocol_version} {status} {reason}",
                 f"Server: {self.version_string()}",
-                f"Date: {self.date_time_string()}",
+                f"Date: {http_date()}",
                 *(f"{key}: {value}" for key, value in headers.items()),
             ]
             return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")

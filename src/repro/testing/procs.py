@@ -4,7 +4,8 @@ In-process fault wrappers can model contention and latency, but the only
 honest crash is a dead process: no ``finally`` blocks, no flusher drain, no
 atexit — exactly what SIGKILL delivers.  :class:`ServerProcess` spawns the
 real CLI (``repro serve --job-workers N``) on an ephemeral port, parses the
-ready banner for the bound address, speaks JSON over urllib, and offers
+ready banner for the bound address, speaks JSON over one keep-alive
+:class:`~repro.fleet.transport.HttpClient`, and offers
 :meth:`kill_at`: poll an observable predicate (a job's first progress
 event, a sealed read) and SIGKILL the instant it holds.  Barriers are
 *named* so a soak report reads "killed at backfill_started", not "killed
@@ -33,9 +34,12 @@ import subprocess
 import sys
 import time
 import urllib.error
-import urllib.request
+from io import BytesIO
 from pathlib import Path
 from typing import Any, Callable
+
+from ..errors import TransportError
+from ..fleet.transport import HttpClient
 
 #: Matches the serve banner: ``... at http://127.0.0.1:PORT``.
 _BANNER = re.compile(r"at (http://[\d.]+:\d+)")
@@ -63,6 +67,7 @@ class ServerProcess:
         self.request_timeout = request_timeout
         self.extra_args = tuple(extra_args)
         self.base_url: str | None = None
+        self.client: HttpClient | None = None
         self.process: subprocess.Popen | None = None
         self.killed_at: str | None = None
 
@@ -107,6 +112,7 @@ class ServerProcess:
             match = _BANNER.search(line)
             if match:
                 self.base_url = match.group(1)
+                self.client = HttpClient(self.base_url, timeout=self.request_timeout)
                 return self
         raise ServerProcessError(
             f"server did not print its address within {self.startup_timeout}s"
@@ -152,7 +158,7 @@ class ServerProcess:
                 if predicate():
                     self.kill9(barrier)
                     return
-            except (urllib.error.URLError, OSError, ServerProcessError):
+            except (OSError, TransportError, ServerProcessError):
                 pass  # transient while the predicate polls over HTTP
             time.sleep(interval)
         raise ServerProcessError(f"barrier {barrier!r} not reached within {timeout}s")
@@ -174,6 +180,8 @@ class ServerProcess:
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
+        if self.client is not None:
+            self.client.close()
         if self.process is not None and self.process.poll() is None:
             self.process.kill()
             self.process.wait(timeout=10)
@@ -182,18 +190,18 @@ class ServerProcess:
     def request(
         self, method: str, path: str, payload: dict | None = None
     ) -> dict[str, Any]:
-        """One JSON request against the live server."""
-        if self.base_url is None:
+        """One JSON request against the live server; a non-2xx answer raises
+        :class:`urllib.error.HTTPError`, an unreachable one ``TransportError``."""
+        if self.client is None:
             raise ServerProcessError("server not started")
-        data = json.dumps(payload).encode() if payload is not None else None
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=self.request_timeout) as response:
-            return json.load(response)
+        body = json.dumps(payload).encode() if payload is not None else b""
+        response = self.client.request(method, path, body=body)
+        if not response.ok:
+            raise urllib.error.HTTPError(
+                f"{self.base_url}{path}", response.status, response.text[:200],
+                response.headers, BytesIO(response.body),  # type: ignore[arg-type]
+            )
+        return response.json()
 
     def get(self, path: str) -> dict[str, Any]:
         return self.request("GET", path)
@@ -212,7 +220,7 @@ class ServerProcess:
             try:
                 self.get(pending[0])
                 pending.pop(0)
-            except (urllib.error.URLError, OSError):
+            except (OSError, TransportError):
                 time.sleep(0.05)
         if pending:
             raise ServerProcessError(
@@ -311,7 +319,7 @@ class FleetProcess(ServerProcess):
                     and view.get("pid") not in (None, old_pid)
                 ):
                     return time.monotonic() - start
-            except (urllib.error.URLError, OSError, ServerProcessError):
+            except (OSError, TransportError, ServerProcessError):
                 pass
             time.sleep(0.05)
         raise ServerProcessError(

@@ -432,6 +432,18 @@ class TestBodyTypes:
             assert wire == entry.bodies[(("loss",), False)]
 
 
+class TestDateHeader:
+    def test_the_date_header_is_an_rfc_7231_date_of_now(self):
+        from email.utils import formatdate, parsedate_to_datetime
+
+        from repro.webapp.http1 import http_date
+
+        value = http_date()
+        stamp = parsedate_to_datetime(value).timestamp()
+        assert value == formatdate(stamp, usegmt=True)
+        assert abs(stamp - time.time()) < 2
+
+
 class TestMakeServer:
     def test_port_zero_binds_an_ephemeral_port(self, tmp_path):
         service = FlorService(tmp_path / "h2")
@@ -441,3 +453,213 @@ class TestMakeServer:
         finally:
             server.server_close()
             service.close()
+
+
+# --------------------------------------------------------------------------
+# The wire: what the request-head parser accepts and refuses, byte by byte.
+# --------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _raw(base: str):
+    """A raw socket to ``base`` and a buffered reader over it."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        with sock.makefile("rb") as reader:
+            yield sock, reader
+
+
+def _read_one(reader) -> tuple[int, dict[str, str], bytes]:
+    """One ``Content-Length``-framed response: status, headers (lower-case
+    names), body.  A page without a status line fails the assertion."""
+    status_line = reader.readline()
+    assert status_line.startswith(b"HTTP/1.1 "), status_line
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        key, _, value = line.decode("latin-1").partition(":")
+        headers[key.strip().lower()] = value.strip()
+    status = int(status_line.split()[1])
+    body = b"" if status == 100 else reader.read(int(headers.get("content-length", 0)))
+    return status, headers, body
+
+
+def _append_body(value: int = 1) -> bytes:
+    return json.dumps({"records": [{"name": "loss", "value": value}]}).encode()
+
+
+def _answered_then_closed(base: str, raw: bytes, status: int) -> bytes:
+    """Send ``raw``; expect one ``status`` answer with ``Connection: close``,
+    then the server's close (each byte sent was read before the answer, so
+    the close is a FIN, never a reset that could drop the answer)."""
+    with _raw(base) as (sock, reader):
+        sock.sendall(raw)
+        got, headers, body = _read_one(reader)
+        assert got == status, body
+        assert headers["connection"] == "close"
+        assert reader.read() == b""
+    return body
+
+
+def _healthz_round_trip(sock, reader) -> None:
+    """The connection still frames requests: a second one is answered."""
+    sock.sendall(_get_bytes("/healthz"))
+    status, _, body = _read_one(reader)
+    assert status == 200 and json.loads(body)["status"] == "ok"
+
+
+class TestWireRefusals:
+    """A framing the keep-alive stream cannot survive, or a head that is not
+    HTTP/1.x, gets one JSON refusal behind a real status line; then the
+    server closes instead of reading leftover bytes as the next request."""
+
+    @staticmethod
+    def _refused(base: str, raw: bytes, status: int) -> dict:
+        return json.loads(_answered_then_closed(base, raw, status))
+
+    def test_a_chunked_request_is_411_and_closes(self, running_service):
+        base, _ = running_service
+        body = _append_body()
+        raw = (
+            b"POST /projects/p1/logs HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"
+        )
+        assert "Transfer-Encoding" in self._refused(base, raw, 411)["error"]
+
+    @pytest.mark.parametrize("first", [b"Content-Length", b"content-length"])
+    def test_conflicting_content_lengths_are_400_and_close(self, running_service, first):
+        base, _ = running_service
+        body = _append_body()
+        raw = (
+            b"POST /projects/p1/logs HTTP/1.1\r\nHost: t\r\n"
+            + first + b": 5\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+        )
+        assert "Content-Length" in self._refused(base, raw, 400)["error"]
+
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            (b"HELLO\r\n\r\n", 400),
+            (b"POST /healthz\r\n\r\n", 400),
+            (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+            (b"GET /healthz HTTP/1.1\r\nHost : t\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nHost: t\r\nX-Folded: a\r\n  b\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\nHost: t\r\nno colon here\r\n\r\n", 400),
+        ],
+        ids=["one-word", "no-version", "http-2", "space-before-colon", "obs-fold", "no-colon"],
+    )
+    def test_a_malformed_head_gets_a_json_error_and_closes(self, running_service, raw, status):
+        base, _ = running_service
+        assert self._refused(base, raw, status)["error"]
+
+
+class TestWireBehaviourKept:
+    """What the stdlib parser did that clients rely on: its limits, the
+    ``//`` guard, HTTP/1.0 and ``Expect`` handling, header names in any case."""
+
+    def test_a_request_line_over_64_kib_is_414(self, running_service):
+        base, _ = running_service
+        line = b"GET /" + b"a" * 65536
+        _answered_then_closed(base, line[:65537], 414)
+
+    def test_a_header_line_over_64_kib_is_431(self, running_service):
+        base, _ = running_service
+        header = b"X-Big: " + b"a" * 65530
+        _answered_then_closed(base, b"GET /healthz HTTP/1.1\r\n" + header, 431)
+
+    def test_more_than_100_headers_is_431(self, running_service):
+        base, _ = running_service
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(101))
+        _answered_then_closed(base, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n", 431)
+
+    def test_99_headers_are_accepted(self, running_service):
+        # The stdlib counts the blank line that ends the head as the 100th.
+        base, _ = running_service
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(99))
+        with _raw(base) as (sock, reader):
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n")
+            assert _read_one(reader)[0] == 200
+
+    def test_a_double_slash_target_is_served_as_a_path(self, running_service):
+        base, _ = running_service
+        with _raw(base) as (sock, reader):
+            sock.sendall(_get_bytes("//healthz"))
+            status, _, body = _read_one(reader)
+            assert status == 200 and json.loads(body)["status"] == "ok"
+
+    def test_http_1_0_closes_after_the_response(self, running_service):
+        base, _ = running_service
+        with _raw(base) as (sock, reader):
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            assert _read_one(reader)[0] == 200
+            assert reader.read() == b""
+
+    def test_http_1_0_keep_alive_keeps_the_connection(self, running_service):
+        base, _ = running_service
+        with _raw(base) as (sock, reader):
+            for _ in range(2):
+                sock.sendall(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+                assert _read_one(reader)[0] == 200
+
+    def test_expect_100_continue_is_answered_before_the_body(self, running_service):
+        base, _ = running_service
+        body = _append_body()
+        with _raw(base) as (sock, reader):
+            sock.sendall(
+                b"POST /projects/p1/logs HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Type: application/json\r\nContent-Length: %d\r\n"
+                b"Expect: 100-continue\r\n\r\n" % len(body)
+            )
+            assert _read_one(reader)[0] == 100
+            sock.sendall(body)
+            status, _, answer = _read_one(reader)
+            assert status == 202 and json.loads(answer)["queued"] == 1
+
+    @pytest.mark.parametrize("name", [b"content-length", b"CONTENT-LENGTH"])
+    def test_any_case_content_length_frames_the_body(self, running_service, name):
+        base, _ = running_service
+        body = _append_body()
+        with _raw(base) as (sock, reader):
+            sock.sendall(
+                b"POST /projects/p1/logs HTTP/1.1\r\nHost: t\r\n"
+                + name + b": %d\r\n\r\n" % len(body) + body
+            )
+            assert _read_one(reader)[0] == 202
+            _healthz_round_trip(sock, reader)
+
+    def test_identical_repeated_content_lengths_are_accepted(self, running_service):
+        base, _ = running_service
+        body = _append_body()
+        with _raw(base) as (sock, reader):
+            sock.sendall(
+                b"POST /projects/p1/logs HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: %d\r\ncontent-length: %d\r\n\r\n" % (len(body), len(body))
+                + body
+            )
+            assert _read_one(reader)[0] == 202
+            _healthz_round_trip(sock, reader)
+
+    def test_headers_are_found_whatever_their_case(self):
+        from repro.service.app import request_header
+
+        app = WebApp("probe")
+
+        @app.route("/probe")
+        def probe(request: Request):
+            return Response(body=request_header(request, "x-probe") or "", headers={})
+
+        seen = []
+        with _listening(app) as server:
+            cls = server.RequestHandlerClass
+            do_get = cls.do_GET
+
+            def spying(handler):  # what the perf ledger's tracer does
+                seen.append(handler.headers.get("x-ledger-op"))
+                return do_get(handler)
+
+            cls.do_GET = spying
+            with _raw("http://%s:%d" % server.server_address[:2]) as (sock, reader):
+                sock.sendall(b"GET /probe HTTP/1.1\r\nX-PROBE: v1\r\nX-Ledger-Op: 7\r\n\r\n")
+                status, _, body = _read_one(reader)
+        assert (status, body) == (200, b"v1")
+        assert seen == ["7"]

@@ -7,7 +7,8 @@ the writer seam (one record path and one writer thread: every handle writes
 rows and checkpoints through its session's background flusher), the blob
 seam (one blob layout, no cold tier), the schema seam (one module spells
 the physical schema and its DDL stamp), the WAL seam (one module spells
-the WAL's upkeep) and the settings seam (one value per setting).
+the WAL's upkeep), the settings seam (one value per setting) and the wire
+seam (one HTTP/1.1 codec).
 
 The whole point of the :mod:`repro.storage` protocols is that every layer
 above storage is backend-agnostic — repositories, the query engine, the
@@ -79,6 +80,11 @@ constant (``extra_globals``, ``fair_share``, ``histogram_window``,
 ``proxy_timeout``, ``register_timeout``, ``vnodes``), and
 :mod:`repro.core.hindsight` does not name ``ThreadPoolExecutor`` — a replay
 is pure-Python ``exec``, so it runs serially or in processes.
+
+A tenth keeps one HTTP/1.1 codec: no module under ``src/repro`` imports
+``http.client``, ``email`` or ``urllib.request`` (the stdlib parsers
+:mod:`repro.webapp.http1` replaced on both ends of a socket), and only
+:mod:`repro.service.server` defines a ``parse_request``.
 
 Detection is AST-based — docstrings and comments that merely *mention*
 sqlite3 or the guard are fine; only actual statements count.
@@ -328,6 +334,34 @@ def deleted_settings(name: str, tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+#: Stdlib HTTP parsers the codec replaced, and the one request-head parser.
+STDLIB_WIRE = ("http.client", "email", "urllib.request")
+SERVER_MODULE = "repro.service.server"
+
+
+def second_wire_codecs(name: str, tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` where a module imports a stdlib HTTP parser, or a
+    module other than the server defines ``parse_request``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            imported = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            imported = []
+        banned = [m for m in imported for b in STDLIB_WIRE if m == b or m.startswith(b + ".")]
+        if banned:
+            found.append((node.lineno, f"imports {banned[0]}"))
+        if (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "parse_request"
+            and name != SERVER_MODULE
+        ):
+            found.append((node.lineno, "defines parse_request"))
+    return found
+
+
 def main(argv: list[str]) -> int:
     src_root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src"
     violations = 0
@@ -382,6 +416,12 @@ def main(argv: list[str]) -> int:
                 f"constant, and a replay runs serially or in processes"
             )
             violations += 1
+        for lineno, what in second_wire_codecs(name, tree):
+            print(
+                f"{path}:{lineno}: {name} {what} — HTTP/1.1 heads are parsed by "
+                f"repro.webapp.http1 and read by {SERVER_MODULE} / repro.fleet.transport"
+            )
+            violations += 1
         if any(name == p or name.startswith(p + ".") for p in ALLOWED_PREFIXES):
             continue
         for lineno in sqlite_imports(tree):
@@ -403,6 +443,7 @@ def main(argv: list[str]) -> int:
         print(f"schema seam intact: index DDL and the DDL stamp spelled in {SCHEMA_MODULE} only")
         print(f"WAL seam intact: checkpoint pragmas spelled in {WAL_MODULE} only")
         print(f"settings seam intact: no deleted setting is a parameter, no thread pool in {REPLAY_MODULE}")
+        print(f"wire seam intact: no {' / '.join(STDLIB_WIRE)} import, parse_request in {SERVER_MODULE} only")
     return violations
 
 

@@ -4,9 +4,9 @@
 What CI runs (and any developer can run locally):
 
 1. boot a real ``repro serve --access-log`` on an ephemeral port;
-2. ingest a batch, then tail ``GET /projects/<name>/tail`` with a *raw*
-   stdlib HTTP client — no repro transport code — and assert the sealed
-   rows arrive as SSE frames with ``logs.seq`` ids;
+2. ingest a batch, then tail ``GET /projects/<name>/tail`` through
+   ``HttpClient.stream`` (the reader the router relays streams with) and
+   assert the sealed rows arrive as SSE frames with ``logs.seq`` ids;
 3. ingest more while the tail is open and assert the new rows arrive
    live on the same connection;
 4. reconnect with ``Last-Event-ID`` and assert the stream resumes after
@@ -29,19 +29,19 @@ Exits non-zero with a diagnostic on any failure.  Usage::
 
 from __future__ import annotations
 
-import http.client
 import os
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
-from urllib.parse import urlparse
+from typing import Iterator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.testing import FleetProcess, ServerProcess  # noqa: E402
+from repro.webapp.framework import SSEEvent, iter_sse_events  # noqa: E402
 
 BATCH = 6
 READ_TIMEOUT = 15.0
@@ -103,45 +103,32 @@ def _check_agreement(server: ServerProcess, projects: list[str]) -> int:
     return len(expected)
 
 
-def _open_tail(base_url: str, project: str, last_event_id: int = 0):
-    """A raw stdlib SSE subscription: connection + streaming response."""
-    netloc = urlparse(base_url).netloc
-    conn = http.client.HTTPConnection(netloc, timeout=READ_TIMEOUT)
+def _open_tail(server: ServerProcess, project: str, last_event_id: int = 0):
+    """An SSE subscription on its own connection: the stream and its events."""
     headers = {"Accept": "text/event-stream"}
     if last_event_id:
         headers["Last-Event-ID"] = str(last_event_id)
-    conn.request("GET", f"/projects/{project}/tail?keepalive=1.0", headers=headers)
-    resp = conn.getresponse()
-    if resp.status != 200:
-        raise AssertionError(f"tail answered {resp.status}: {resp.read()!r}")
-    content_type = resp.headers.get("Content-Type", "")
+    stream = server.client.stream(f"/projects/{project}/tail?keepalive=1.0", headers=headers)
+    if stream.status != 200:
+        raise AssertionError(f"tail answered {stream.status}: {stream.read()!r}")
+    content_type = stream.headers.get("Content-Type", "")
     if "text/event-stream" not in content_type:
         raise AssertionError(f"tail Content-Type is {content_type!r}")
-    return conn, resp
+    return stream, iter_sse_events(stream.chunks())
 
 
-def _read_events(resp, count: int) -> list[dict[str, str]]:
-    """Parse ``count`` SSE event frames off the wire, skipping comments."""
+def _read_events(events: Iterator[SSEEvent], count: int) -> list[SSEEvent]:
+    """The next ``count`` SSE events (keepalive comments are skipped)."""
     deadline = time.monotonic() + READ_TIMEOUT
-    events: list[dict[str, str]] = []
-    frame: dict[str, str] = {}
-    while len(events) < count:
+    read: list[SSEEvent] = []
+    while len(read) < count:
         if time.monotonic() > deadline:
-            raise AssertionError(f"read {len(events)} of {count} events before timeout")
-        line = resp.readline().decode("utf-8")
-        if not line:
-            raise AssertionError(f"stream ended after {len(events)} of {count} events")
-        line = line.rstrip("\n")
-        if not line:
-            if frame:
-                events.append(frame)
-                frame = {}
-            continue
-        if line.startswith(":"):
-            continue
-        key, _, value = line.partition(":")
-        frame[key] = value.strip()
-    return events
+            raise AssertionError(f"read {len(read)} of {count} events before timeout")
+        event = next(events, None)
+        if event is None:
+            raise AssertionError(f"stream ended after {len(read)} of {count} events")
+        read.append(event)
+    return read
 
 
 def main() -> int:
@@ -153,32 +140,32 @@ def main() -> int:
             _ingest(server, "alpha", "pre")
             _seal(server, "alpha")
 
-            conn, resp = _open_tail(server.base_url, "alpha")
-            backlog = _read_events(resp, BATCH)
-            ids = [int(e["id"]) for e in backlog]
+            stream, events = _open_tail(server, "alpha")
+            backlog = _read_events(events, BATCH)
+            ids = [int(e.id) for e in backlog]
             if ids != list(range(1, BATCH + 1)):
                 print(f"FAIL: backlog ids {ids}", file=sys.stderr)
                 return 1
-            print(f"raw-socket tail delivered the {BATCH}-row backlog, ids {ids[0]}..{ids[-1]}")
+            print(f"the tail delivered the {BATCH}-row backlog, ids {ids[0]}..{ids[-1]}")
 
             _ingest(server, "alpha", "live")
             _seal(server, "alpha")
-            live = _read_events(resp, BATCH)
-            live_ids = [int(e["id"]) for e in live]
+            live = _read_events(events, BATCH)
+            live_ids = [int(e.id) for e in live]
             if live_ids != list(range(BATCH + 1, 2 * BATCH + 1)):
                 print(f"FAIL: live ids {live_ids}", file=sys.stderr)
                 return 1
-            conn.close()
+            stream.close()
             print(f"rows ingested mid-stream arrived live, ids {live_ids[0]}..{live_ids[-1]}")
 
             cursor = live_ids[2]
-            conn, resp = _open_tail(server.base_url, "alpha", last_event_id=cursor)
-            resumed = _read_events(resp, 2 * BATCH - cursor)
-            resumed_ids = [int(e["id"]) for e in resumed]
+            stream, events = _open_tail(server, "alpha", last_event_id=cursor)
+            resumed = _read_events(events, 2 * BATCH - cursor)
+            resumed_ids = [int(e.id) for e in resumed]
             if resumed_ids != list(range(cursor + 1, 2 * BATCH + 1)):
                 print(f"FAIL: resume from {cursor} gave {resumed_ids}", file=sys.stderr)
                 return 1
-            conn.close()
+            stream.close()
             print(f"Last-Event-ID {cursor} resumed at {resumed_ids[0]} — no gap, no duplicate")
 
             telemetry = server.get("/service/telemetry")
