@@ -796,6 +796,12 @@ class Session:
         self.flush()
         return self.query.sql(query, names=names, params=params)
 
+    def sql_body(self, query: str, names: Sequence[str] = ()) -> bytes:
+        """:meth:`sql` as the JSON bytes a server sends, which the query
+        engine keeps with a plain statement's answer."""
+        self.flush()
+        return self.query.sql_body(query, names=names)
+
 
 def _coerce_like(value: Any, default: Any) -> Any:
     """Cast ``value`` to the type of ``default`` when sensible."""

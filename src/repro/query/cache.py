@@ -31,9 +31,11 @@ Freshness is detected in two tiers:
   (:meth:`~repro.core.session.Session.flush`, which service appends go
   through as well) bump a per-project counter, and the database handle's
   :attr:`~repro.relational.database.Database.write_version` catches any
-  other writer sharing the connection (raw repository writes).  A read
-  whose view matches both returns the cached frame without touching SQLite
-  at all (a *fast hit*).
+  other writer: one sharing the connection (raw repository writes) by its
+  ``total_changes``, one on another connection or in another process by
+  ``PRAGMA data_version``.  A read whose view matches both returns the
+  cached frame for the price of that one pragma, reading no table (a
+  *fast hit*).
 * **watermarks** — after a generation bump the cache probes
   ``MAX(logs.seq)`` and ``MAX(loops.rowid)`` (indexed, O(1)).  Unchanged
   watermarks re-validate the view (*warm hit*); advanced watermarks trigger
@@ -46,6 +48,17 @@ Freshness is detected in two tiers:
 A cache handed to a new database handle gets a generation bump (a new
 connection's ``write_version`` restarts at 0); a watermark *below* the
 cached one (an older copy of the file) drops the project's views.
+
+**SQL answers** are entries too.  A plain statement (no temp ``pivot``
+table) is keyed by ``(projid, statement, params)`` and kept with its frame
+and its body while the same two values hold, both read *before* the
+statement ran — so a commit that lands during the run leaves the entry
+stale.  Only a *stable* statement is kept: one that read the physical
+tables and called deterministic built-ins alone
+(:func:`repro.relational.sql.run_sql` says so); ``random()``, the date and
+time functions and anything unknown run on every read.  SQL entries sit in
+their own LRU of ``capacity``, so a burst of distinct statements never
+evicts a view (``sql_hits`` / ``sql_runs`` count them, not ``lookups``).
 
 The first read of a name set is a *cold build* whatever it finds cached: it
 probes the watermarks, syncs the names other views already hold and fetches
@@ -68,7 +81,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from ..core.dataframe_view import (
     RunPivot,
@@ -106,6 +119,8 @@ _STATS = {
         "evictions",
         "invalidations",
         "fetched_rows",
+        "sql_hits",
+        "sql_runs",
     )
 }
 
@@ -149,6 +164,17 @@ class _ViewState:
     db_version: int = -1
 
 
+@dataclass
+class _SqlEntry:
+    """One kept SQL answer: its frame, its body once asked for, and the
+    freshness values read before the statement ran."""
+
+    frame: DataFrame
+    generation: int
+    db_version: int
+    body: bytes | None = None
+
+
 class PivotViewCache:
     """LRU-capped cache of incrementally-maintained pivot views.
 
@@ -157,7 +183,8 @@ class PivotViewCache:
     capacity:
         Maximum number of simultaneously materialized views; the coldest
         entry is dropped beyond that, and with it the records of any name
-        no remaining view asks for.
+        no remaining view asks for.  SQL answers have an LRU of their own
+        of the same size.
     """
 
     def __init__(self, capacity: int = 32):
@@ -166,6 +193,7 @@ class PivotViewCache:
         self.capacity = capacity
         self._entries: "OrderedDict[tuple[str, tuple[str, ...]], _ViewState]" = OrderedDict()
         self._records: dict[str, _ProjectRecords] = {}
+        self._sql: "OrderedDict[tuple[str, str, tuple], _SqlEntry]" = OrderedDict()
         self._generations: dict[str, int] = {}
         self._lock = threading.RLock()
         self.metrics = MetricsRegistry()
@@ -188,9 +216,12 @@ class PivotViewCache:
             return value
 
     def invalidate(self, projid: str | None = None) -> int:
-        """Drop materialized views (all of them, or one project's) and the
-        records under them; returns the count of views."""
+        """Drop materialized views (all of them, or one project's), the
+        records under them and the kept SQL answers; returns the count of
+        views."""
         with self._lock:
+            for key in [k for k in self._sql if projid is None or k[0] == projid]:
+                del self._sql[key]
             keys = [k for k in self._entries if projid is None or k[0] == projid]
             for key in keys:
                 del self._entries[key]
@@ -254,6 +285,66 @@ class PivotViewCache:
                 body = wire.splice_body(columns, fragments, len(frame))
             entry.bodies[(order_key, latest)] = body
             return body
+
+    def sql(
+        self,
+        db: RelationalStore,
+        projid: str,
+        statement: str,
+        params: Sequence[Any],
+        run: "Callable[[], tuple[DataFrame, bool]]",
+    ) -> DataFrame:
+        """The answer of a plain SQL statement: kept, or ``run()`` now.
+
+        ``run`` executes the statement and says whether its answer is
+        stable; only a stable one is kept.
+        """
+        with self._lock:
+            return self._sql_lookup(db, projid, statement, params, run).frame.copy()
+
+    def sql_body(
+        self,
+        db: RelationalStore,
+        projid: str,
+        statement: str,
+        params: Sequence[Any],
+        run: "Callable[[], tuple[DataFrame, bool]]",
+    ) -> bytes:
+        """:func:`~repro.dataframe.frame_body` of :meth:`sql`'s answer, made
+        once per kept answer."""
+        with self._lock:
+            entry = self._sql_lookup(db, projid, statement, params, run)
+            if entry.body is None:
+                entry.body = wire.frame_body(entry.frame)
+            return entry.body
+
+    def _sql_lookup(
+        self,
+        db: RelationalStore,
+        projid: str,
+        statement: str,
+        params: Sequence[Any],
+        run: "Callable[[], tuple[DataFrame, bool]]",
+    ) -> _SqlEntry:
+        """The kept answer while the project's generation and the handle's
+        ``write_version`` hold; else a fresh one; call with the lock held."""
+        key = (projid, statement, tuple(params))
+        generation = self._generations.get(projid, 0)
+        db_version = db.write_version
+        entry = self._sql.get(key)
+        if entry is not None and (entry.generation, entry.db_version) == (generation, db_version):
+            self._sql.move_to_end(key)
+            self.stats["sql_hits"].inc()
+            return entry
+        frame, stable = run()
+        self.stats["sql_runs"].inc()
+        entry = _SqlEntry(frame, generation, db_version)
+        if stable:
+            self._sql[key] = entry
+            self._sql.move_to_end(key)
+            while len(self._sql) > self.capacity:
+                self._sql.popitem(last=False)
+        return entry
 
     def _lookup(
         self, db: RelationalStore, projid: str, names: Sequence[str]

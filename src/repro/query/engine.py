@@ -9,10 +9,17 @@
 * **bounded reads** (a ``tstamp_range``) push the range into SQLite via
   :func:`repro.core.dataframe_view.build_dataframe` and bypass the cache —
   ad-hoc slices should not evict the hot unbounded views;
+* **plain SQL** (``session.sql(statement)``, ``flor.sql``, the CLI's
+  ``sql``, the service's ``GET .../sql``) is an entry of the same cache: a
+  stable statement's answer and its body are served again until the
+  project's generation or the handle's ``write_version`` moves; a
+  statement calling ``random()``, a date/time function or any
+  non-deterministic built-in runs every time (:meth:`QueryEngine.sql_body`
+  is the encoded form);
 * **SQL over a pivot** (``session.sql(..., names=[...])``) materializes
   the temp ``pivot`` table from the *cached* frame instead of rebuilding
   it, so the CLI's ``sql --names`` and the service's ``GET .../sql`` warm
-  and reuse the same views as ``dataframe``.
+  and reuse the same views as ``dataframe``; its answer is not kept.
 
 Writers call :meth:`note_write` (wired into ``Session.flush``, which the
 service's appends go through too), which bumps the cache's per-project generation
@@ -22,12 +29,14 @@ probe.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Sequence
 
 from ..core.dataframe_view import build_dataframe
-from ..dataframe import DataFrame
+from ..dataframe import DataFrame, frame_body
 from ..storage.protocols import RelationalStore
 from ..relational.queries import latest as latest_rows
+from ..relational.sql import _require_read_only, run_sql, sql_over_names
 from ..obs.metrics import StatsView
 from .cache import PivotViewCache
 
@@ -97,21 +106,28 @@ class QueryEngine:
     ) -> DataFrame:
         """Read-only SQL; with ``names`` the cached pivot backs the temp table.
 
-        The read-only guard runs *before* the pivot is materialized, so a
-        rejected statement costs nothing.  Registering the temp ``pivot``
-        table writes through the shared connection, which advances its
-        ``write_version`` and demotes the next dataframe read from a fast
-        hit to a warm hit — two O(1) watermark seeks, after which the fast
-        tier resumes.
+        Without ``names`` a stable statement's answer is kept by the cache
+        (see :meth:`PivotViewCache.sql`).  With them, the read-only guard
+        runs *before* the pivot is materialized, so a rejected statement
+        costs nothing.  Registering the temp ``pivot`` table writes through
+        the shared connection, which advances its ``write_version`` and
+        demotes the next dataframe read from a fast hit to a warm hit — two
+        O(1) watermark seeks, after which the fast tier resumes.
         """
-        from ..relational.sql import _require_read_only, run_sql, sql_over_names
-
         if names:
             _require_read_only(query)
             names = [str(n) for n in names]
             frame = self.dataframe(*names)
             return sql_over_names(self.db, self.projid, names, query, params, frame=frame)
-        return run_sql(self.db, query, params)
+        run = partial(run_sql, self.db, query, params)
+        return self.cache.sql(self.db, self.projid, query, params, run)
+
+    def sql_body(self, query: str, names: Sequence[str] = ()) -> bytes:
+        """:meth:`sql` as the JSON bytes a server sends; a plain statement's
+        body is kept with its answer (:meth:`PivotViewCache.sql_body`)."""
+        if names:
+            return frame_body(self.sql(query, names))
+        return self.cache.sql_body(self.db, self.projid, query, (), partial(run_sql, self.db, query))
 
     # --------------------------------------------------------------- writes
     def note_write(self) -> None:

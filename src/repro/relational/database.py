@@ -75,16 +75,18 @@ class Database:
 
     @property
     def write_version(self) -> int:
-        """Monotonic count of rows written through this handle.
+        """Monotonic count of the commits this handle can see.
 
-        Backed by ``sqlite3``'s ``total_changes``: every INSERT/UPDATE/DELETE
-        committed through this connection advances it, reads never do.  The
-        query engine's pivot-view cache uses it as a zero-cost staleness
-        probe — any writer sharing this handle (sessions, the ingestion
-        queue, replay backfills) is detected without a single SQL statement.
+        ``sqlite3``'s ``total_changes`` counts every INSERT/UPDATE/DELETE
+        committed through this connection; ``PRAGMA data_version`` moves
+        when another connection — a second handle, another process —
+        commits to the file.  Reads advance neither.  The query cache serves
+        a view or an SQL answer while this value (and its own generation
+        counter) holds: one pragma, no table read.
         """
         with self._lock:
-            return self._connection.total_changes
+            (others,) = self._connection.execute("PRAGMA data_version").fetchone()
+            return self._connection.total_changes + others
 
     def checkpoint(self) -> bool:
         """Run a ``PASSIVE`` WAL checkpoint on a second connection, which holds

@@ -17,7 +17,10 @@ Routes (all JSON; ``<name>`` is a tenant/project name):
   materialized frame and re-served as the same bytes until an append
   replaces the frame.
 * ``GET /projects/<name>/sql?q=SELECT...[&names=a,b]`` — read-only SQL via
-  :func:`repro.relational.sql.run_sql`; anything but SELECT/WITH is a 400.
+  :func:`repro.relational.sql.run_sql`; anything but SELECT/WITH (after
+  leading comments) is a 400.  Without ``names`` a statement that reads
+  only the physical tables through deterministic built-ins is answered
+  from the shard's query cache — the same bytes — until something commits.
 * ``GET /projects/<name>/stats`` — per-shard row counts and hand-off stats.
 * ``GET /projects/<name>/tail`` — the live observability plane's tenant
   stream: committed log rows as server-sent events, resumable via
@@ -86,7 +89,6 @@ from pathlib import Path
 from typing import Any
 
 from ..config import FLOR_DIR_NAME
-from ..dataframe import frame_body
 from ..errors import (
     DatabaseError,
     JobError,
@@ -645,7 +647,7 @@ def create_app(service: FlorService) -> WebApp:
         with pool.checkout(name) as shard:
             shard.flush()
             try:
-                body = frame_body(shard.session.sql(query, names=names))
+                body = shard.session.sql_body(query, names=names)
             except DatabaseError as exc:
                 # run_sql's read-only guard (and malformed SQL) land here:
                 # the context store is append-only from the query surface.

@@ -27,7 +27,8 @@ suite):
 * ``transaction()`` is atomic — raising inside the block rolls back every
   statement issued through the yielded connection;
 * ``write_version`` is monotonic — it never decreases, advances on every
-  committed write, and never advances on reads;
+  committed write (through this store or, for a store on a file, through
+  any other connection to it), and never advances on reads;
 * ``checkpoint`` keeps every committed row;
 * ``put`` is idempotent — storing identical bytes twice returns the same
   object id and stores one copy.
@@ -48,11 +49,13 @@ class RelationalStore(Protocol):
 
     @property
     def write_version(self) -> int:
-        """Monotonic count of committed writes through this store.
+        """Monotonic count of the committed writes this store can see.
 
-        Reads never advance it; every committed INSERT/UPDATE/DELETE does.
-        The query engine's pivot-view cache uses it as a zero-cost
-        staleness probe.
+        Reads never advance it; every committed INSERT/UPDATE/DELETE does —
+        through this store, and through any other connection to the same
+        file.  The query cache serves a view or an SQL answer while it (and
+        the cache's own generation counter) holds, so it is read on every
+        cached read and must stay cheap: no table is read.
         """
         ...
 

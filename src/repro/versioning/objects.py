@@ -68,9 +68,10 @@ class ObjectStore:
     def _sweep_stale_tmp(self) -> None:
         """Remove ``*.tmp`` debris left by writers that crashed mid-put.
 
-        Safe against live writers: each writer's tmp name is unique (uuid),
-        so a concurrent ``replace`` can at worst make our ``unlink`` miss —
-        which we tolerate.
+        A live writer's tmp may be swept too (its name is unique, so nothing
+        else is harmed): :meth:`put` writes it again when its ``replace``
+        finds it gone, and a concurrent ``replace`` can at worst make our
+        ``unlink`` miss — which we tolerate.
         """
         for tmp in self.root.glob("??/*.tmp"):
             try:
@@ -94,16 +95,23 @@ class ObjectStore:
             # consume (or collide with) the other's half-written file.  The
             # final replace() is atomic, and both writers hold identical
             # bytes, so last-one-wins is correct.
-            tmp = path.parent / f"{path.name}.{uuid4().hex}.tmp"
-            try:
-                tmp.write_bytes(data)
-                tmp.replace(path)
-            except OSError:
+            for attempt in range(3):
+                tmp = path.parent / f"{path.name}.{uuid4().hex}.tmp"
                 try:
-                    tmp.unlink()
+                    tmp.write_bytes(data)
+                    tmp.replace(path)
+                    break
+                except FileNotFoundError:
+                    # Another store's open swept the tmp as a crashed
+                    # writer's debris before the replace: write it again.
+                    if attempt == 2:
+                        raise
                 except OSError:
-                    pass
-                raise
+                    try:
+                        tmp.unlink()
+                    except OSError:
+                        pass
+                    raise
         return object_id
 
     def get(self, object_id: str) -> bytes:

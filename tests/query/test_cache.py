@@ -2,7 +2,8 @@
 
 The invariant under test throughout: whatever tier serves a read — fast,
 warm, incremental, or cold — the frame must equal a from-scratch
-``build_dataframe`` over the same database.
+``build_dataframe`` over the same database, and a kept SQL answer must
+equal the statement run now.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core import dataframe_view
 from repro.core.dataframe_view import build_dataframe
 from repro.dataframe import DataFrame, frame_body, wire
+from repro.errors import DatabaseError
 from repro.query import PivotViewCache
 from repro.relational.database import Database
 from repro.relational.queries import latest
 from repro.relational.records import LogRecord, LoopRecord
 from repro.relational.repositories import LogRepository, LoopRepository
+from repro.relational.sql import run_sql
+from repro.storage import MemoryRelationalStore
 
 
 def rebuilt_body(db, names, *, latest_only=False) -> bytes:
@@ -451,6 +455,176 @@ class TestSharedRecords:
             assert cache.dataframe(db, "p", names).equals(build_dataframe(db, "p", names))
 
 
+class TestOtherConnections:
+    """A commit through another connection to the file — a second handle,
+    another process — moves ``write_version``, so no fast hit hides it."""
+
+    def test_a_run_appended_by_another_handle_reaches_the_next_read(self, session):
+        session.log("m", 1.0)
+        session.commit("one")
+        assert len(session.dataframe("m")) == 1
+        other = Database(session.db.path)
+        try:
+            other_run = LogRecord.create(session.projid, "2099-01-01T00:00:00", "train.py", 0, "m", 2.0)
+            LogRepository(other).add(other_run)
+        finally:
+            other.close()
+        assert len(session.dataframe("m")) == 2
+        assert session.sql("SELECT COUNT(*) AS n FROM logs WHERE value_name = 'm'").row(0)["n"] == 2
+
+    def test_a_kept_answer_is_dropped_by_another_handles_commit(self, tmp_path):
+        db, other = Database(tmp_path / "f.db"), Database(tmp_path / "f.db")
+        try:
+            add_run(db, "t1")
+            cache = PivotViewCache()
+            assert _sql(cache, db, COUNT).row(0)["n"] == 6
+            add_run(other, "t2")
+            assert _sql(cache, db, COUNT).row(0)["n"] == 12
+            assert (cache.stats.sql_hits, cache.stats.sql_runs) == (0, 2)
+        finally:
+            other.close()
+            db.close()
+
+
+COUNT = "SELECT COUNT(*) AS n FROM logs"
+
+
+def _sql(cache, db, statement, params=()):
+    return cache.sql(db, "p", statement, params, lambda: run_sql(db, statement, params))
+
+
+def _sql_body(cache, db, statement, params=()):
+    return cache.sql_body(db, "p", statement, params, lambda: run_sql(db, statement, params))
+
+
+class TestSqlAnswers:
+    """Plain SQL statements as cache entries: served while nothing commits."""
+
+    def test_a_repeat_statement_is_served_with_the_same_body(self, db):
+        add_run(db, "t1")
+        cache = PivotViewCache()
+        body = _sql_body(cache, db, COUNT)
+        assert body == frame_body(run_sql(db, COUNT).frame)
+        assert _sql_body(cache, db, COUNT) is body
+        assert _sql(cache, db, COUNT).equals(run_sql(db, COUNT).frame)
+        assert (cache.stats.sql_hits, cache.stats.sql_runs) == (2, 1)
+        assert cache.stats.lookups == 0  # not a view read
+
+    def test_params_are_part_of_the_key(self, db):
+        add_run(db, "t1", names=("loss",))
+        cache = PivotViewCache()
+        by_name = "SELECT COUNT(*) AS n FROM logs WHERE value_name = ?"
+        assert _sql(cache, db, by_name, ("loss",)).row(0)["n"] == 3
+        assert _sql(cache, db, by_name, ("acc",)).row(0)["n"] == 0
+        assert _sql(cache, db, by_name, ["loss"]).row(0)["n"] == 3
+        assert (cache.stats.sql_hits, cache.stats.sql_runs) == (1, 2)
+
+    def test_a_write_or_a_generation_bump_runs_it_again(self, db):
+        add_run(db, "t1")
+        cache = PivotViewCache()
+        _sql(cache, db, COUNT)
+        add_run(db, "t2")
+        assert _sql(cache, db, COUNT).row(0)["n"] == 12
+        cache.bump_generation("p")
+        _sql(cache, db, COUNT)
+        assert (cache.stats.sql_hits, cache.stats.sql_runs) == (0, 3)
+
+    def test_the_freshness_values_are_read_before_the_statement_runs(self, tmp_path):
+        db, other = Database(tmp_path / "f.db"), Database(tmp_path / "f.db")
+        cache = PivotViewCache()
+
+        def run_then_commit_elsewhere():
+            answer = run_sql(db, COUNT)
+            add_run(other, "late")
+            return answer
+
+        try:
+            stale = cache.sql(db, "p", COUNT, (), run_then_commit_elsewhere)
+            assert stale.row(0)["n"] == 0
+            assert _sql(cache, db, COUNT).row(0)["n"] == 6
+            assert cache.stats.sql_hits == 0
+        finally:
+            other.close()
+            db.close()
+
+    def test_returned_frames_are_copies(self, db):
+        add_run(db, "t1")
+        cache = PivotViewCache()
+        _sql(cache, db, COUNT)["n"] = [99]
+        assert _sql(cache, db, COUNT).row(0)["n"] == 6
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "SELECT random() AS r",
+            "SELECT datetime('now') AS t",
+            "SELECT CURRENT_TIMESTAMP AS t",
+            "SELECT COUNT(*) AS n FROM logs WHERE tstamp < strftime('%s', 'now')",
+            "SELECT name FROM sqlite_master",
+        ],
+    )
+    def test_an_unstable_statement_runs_on_every_read(self, db, statement):
+        cache = PivotViewCache()
+        for _ in range(3):
+            _sql(cache, db, statement)
+            _sql_body(cache, db, statement)
+        assert (cache.stats.sql_hits, cache.stats.sql_runs) == (0, 6)
+        assert not cache._sql
+
+    def test_the_temp_pivot_is_never_kept(self, session):
+        session.log("loss", 0.5)
+        session.sql("SELECT COUNT(*) AS n FROM pivot", names=["loss"])
+        for _ in range(2):
+            assert session.sql("SELECT COUNT(*) AS n FROM pivot").row(0)["n"] == 1
+        assert session.query.stats.sql_hits == 0
+
+    def test_the_authorizer_sees_every_execution(self, db):
+        # set_authorizer expires the connection's prepared statements, so a
+        # statement from sqlite3's statement cache is compiled (and judged)
+        # again: the verdict never leaks from one execution to the next.
+        for _ in range(3):
+            assert run_sql(db, "SELECT random() AS r").stable is False
+            assert run_sql(db, COUNT).stable is True
+        with pytest.raises(DatabaseError, match="SELECT/WITH"):
+            run_sql(db, "WITH t AS (SELECT 1) DELETE FROM logs")
+        assert run_sql(db, COUNT).stable is True
+
+    @pytest.mark.parametrize("statement", ["DELETE FROM logs", "WITH t AS (SELECT 1) DELETE FROM logs"])
+    def test_a_refused_write_keeps_nothing(self, db, statement):
+        add_run(db, "t1")
+        cache = PivotViewCache()
+        for _ in range(2):
+            with pytest.raises(DatabaseError, match="SELECT/WITH"):
+                _sql(cache, db, statement)
+        assert not cache._sql
+        assert db.count("logs") == 6
+
+    def test_a_burst_of_statements_evicts_no_view(self, db):
+        add_run(db, "t1")
+        cache = PivotViewCache(capacity=2)
+        cache.dataframe(db, "p", ["loss"])
+        cache.dataframe(db, "p", ["acc"])
+        for k in range(10):
+            _sql(cache, db, f"SELECT {k} AS k, COUNT(*) AS n FROM logs")
+        assert len(cache._sql) == 2 and len(cache) == 2
+        assert cache.stats.evictions == 0
+        cache.dataframe(db, "p", ["loss"])
+        assert cache.stats.fast_hits == 1
+        _sql(cache, db, "SELECT 9 AS k, COUNT(*) AS n FROM logs")
+        _sql(cache, db, "SELECT 0 AS k, COUNT(*) AS n FROM logs")  # the LRU dropped it
+        assert (cache.stats.sql_hits, cache.stats.sql_runs) == (1, 11)
+
+    def test_invalidate_drops_the_projects_answers(self, db):
+        add_run(db, "t1")
+        cache = PivotViewCache()
+        _sql(cache, db, COUNT)
+        cache.invalidate("other")
+        _sql(cache, db, COUNT)
+        cache.invalidate("p")
+        _sql(cache, db, COUNT)
+        assert (cache.stats.sql_hits, cache.stats.sql_runs) == (1, 2)
+
+
 # ---------------------------------------------------------------------------
 # The cache equals a rebuild, by property
 # ---------------------------------------------------------------------------
@@ -460,19 +634,32 @@ PROPERTY_NAMES = ("a", "b", "c", "d")
 READ_NAMES = PROPERTY_NAMES + ("never",)
 #: Values JSON has no spelling for; the wire form sends them as null.
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+#: Plain statements the machine reads through the cache: (statement, params).
+SQL_READS = (
+    ("SELECT value_name, COUNT(*) AS n FROM logs GROUP BY value_name ORDER BY value_name", ()),
+    ("SELECT COUNT(*) AS n, MAX(seq) AS top FROM logs", ()),
+    ("SELECT tstamp, filename, COUNT(*) AS n FROM loops GROUP BY 1, 2 ORDER BY 1, 2", ()),
+    ("SELECT ctx_id, value FROM logs WHERE value_name = ? ORDER BY seq", ("a",)),
+    ("SELECT ctx_id, value FROM logs WHERE value_name = ? ORDER BY seq", ("b",)),
+    # Volatile (a date function), so never kept; its answer is still the count.
+    ("SELECT COUNT(*) AS n FROM logs WHERE julianday('now') > 0", ()),
+)
 
 
 class CacheEqualsRebuild(RuleBasedStateMachine):
-    """Random appends, backfills, loop rewrites, reads and invalidations over
-    one project; whatever tier serves a read, the frame is ``build_dataframe``'s
-    and the body is its wire form, byte for byte."""
+    """Random appends, backfills, loop rewrites, commits through a second
+    connection, reads and invalidations over one project; whatever tier
+    serves a read, the frame is ``build_dataframe``'s and the body is its
+    wire form, byte for byte — and a plain SQL answer is the statement run
+    now, uncached."""
 
     capacity = 32
+    #: ``sqlite`` (a file; a second handle can write to it) or ``memory``.
+    backend = "sqlite"
 
     def __init__(self):
         super().__init__()
-        self.dir = tempfile.mkdtemp()
-        self.path = os.path.join(self.dir, "flor.db")
+        self.dir = tempfile.mkdtemp() if self.backend == "sqlite" else None
         self._open()
         self.cache = PivotViewCache(capacity=self.capacity)
         self.other = PivotViewCache()  # a second cache on the same handle
@@ -480,24 +667,47 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
         self.runs: list[tuple[str, str, list[tuple[int, int, str, int]]]] = []
         self.values = 0
         self.reads = 0  # per cache: every read goes to both
+        self.sql_reads = 0  # per cache, likewise
+
+    @property
+    def path(self) -> str:
+        return os.path.join(self.dir, "flor.db")
 
     def _open(self):
-        self.db = Database(self.path)
+        self.db = Database(self.path) if self.dir else MemoryRelationalStore()
         self.logs, self.loops = LogRepository(self.db), LoopRepository(self.db)
 
     def teardown(self):
         self.db.close()
-        shutil.rmtree(self.dir)
+        if self.dir:
+            shutil.rmtree(self.dir)
 
     @rule()
     def reopen(self):
-        """A new handle on the same file, as the service pool's next
-        incarnation of a shard: its ``write_version`` restarts at 0, so the
-        caches are handed over with a generation bump, as the pool does."""
-        self.db.close()
-        self._open()
+        """Evict and reattach, as the service pool does: the caches are
+        handed to the shard's next incarnation with a generation bump (on a
+        file, a new handle whose ``write_version`` restarts; in memory, the
+        one handle there is)."""
+        if self.dir:
+            self.db.close()
+            self._open()
         for cache in (self.cache, self.other):
             cache.bump_generation("p")
+
+    @precondition(lambda self: self.dir and self.runs)
+    @rule(pick=st.integers(0, 1000), name=st.sampled_from(PROPERTY_NAMES), where=st.integers(0, 1000))
+    def log_through_another_connection(self, pick, name, where):
+        """A commit neither cache's generation hears of: only the handle's
+        ``write_version`` (its ``data_version`` half) can tell."""
+        tstamp, filename, contexts = self.runs[pick % len(self.runs)]
+        ctx_ids = [0] + [c for c, *_ in contexts]
+        self.values += 1
+        other = Database(self.path)
+        try:
+            ctx = ctx_ids[where % len(ctx_ids)]
+            LogRepository(other).add(LogRecord.create("p", tstamp, filename, ctx, name, self.values))
+        finally:
+            other.close()
 
     def _log(self, tstamp, filename, ctx_id, name, value=None):
         self.values += 1
@@ -633,6 +843,22 @@ class CacheEqualsRebuild(RuleBasedStateMachine):
         # second found the shared records already current.
         assert fetched[1::2] == [rows, 0]
 
+    @rule(read=st.sampled_from(SQL_READS))
+    def read_sql(self, read):
+        statement, params = read
+        expected = run_sql(self.db, statement, params).frame
+        for cache in (self.cache, self.other):
+            assert _sql(cache, self.db, statement, params).equals(expected)
+            assert _sql_body(cache, self.db, statement, params) == frame_body(expected)
+            assert (("p", statement, params) in cache._sql) == ("julianday" not in statement)
+        self.sql_reads += 2
+
+    @invariant()
+    def every_sql_read_is_one_hit_or_one_run(self):
+        for cache in (self.cache, self.other):
+            assert cache.stats.sql_hits + cache.stats.sql_runs == self.sql_reads
+            assert len(cache._sql) <= cache.capacity
+
     @invariant()
     def a_view_with_no_frame_holds_no_body(self):
         for cache in (self.cache, self.other):
@@ -661,9 +887,14 @@ class CacheEqualsRebuildAtCapacityOne(CacheEqualsRebuild):
     capacity = 1
 
 
-for _machine in (CacheEqualsRebuild, CacheEqualsRebuildAtCapacityOne):
+class CacheEqualsRebuildInMemory(CacheEqualsRebuild):
+    backend = "memory"
+
+
+for _machine in (CacheEqualsRebuild, CacheEqualsRebuildAtCapacityOne, CacheEqualsRebuildInMemory):
     _machine.TestCase.settings = settings(
         max_examples=100, stateful_step_count=30, deadline=None, derandomize=True, print_blob=True
     )
 TestCacheEqualsRebuild = CacheEqualsRebuild.TestCase
 TestCacheEqualsRebuildAtCapacityOne = CacheEqualsRebuildAtCapacityOne.TestCase
+TestCacheEqualsRebuildInMemory = CacheEqualsRebuildInMemory.TestCase

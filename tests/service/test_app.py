@@ -201,6 +201,37 @@ class TestReads:
         count = client.get("/projects/alpha/sql?q=SELECT COUNT(*) AS n FROM logs").json()
         assert count["records"] == [{"n": 1}]
 
+    @pytest.mark.parametrize(
+        "comment", ["-- dashboard%0A", "/* d */ ", "  /* multi%0Aline */%0A-- and a line%0A"]
+    )
+    def test_a_statement_after_leading_comments_is_read(self, client, comment):
+        _append(client, "alpha", [0.5])
+        response = client.get(f"/projects/alpha/sql?q={comment}SELECT COUNT(*) AS n FROM logs")
+        assert response.status == 200
+        assert response.json()["records"] == [{"n": 1}]
+        smuggled = client.get(f"/projects/alpha/sql?q={comment}WITH t AS (SELECT 1) DELETE FROM logs")
+        assert smuggled.status == 400
+        assert "SELECT/WITH" in smuggled.json()["error"]
+
+    def test_a_refused_write_is_refused_again(self, client, service):
+        _append(client, "alpha", [0.5])
+        smuggled = "/projects/alpha/sql?q=WITH t AS (SELECT 1) DELETE FROM logs"
+        for _ in range(2):
+            assert client.get(smuggled).status == 400
+        with service.pool.checkout("alpha") as shard:
+            assert shard.session.query.stats.sql_hits == 0
+
+    def test_a_repeat_read_is_the_kept_answer_until_an_append(self, client, service):
+        _append(client, "alpha", [0.5])
+        url = "/projects/alpha/sql?q=SELECT COUNT(*) AS n FROM logs"
+        first = client.get(url).body
+        assert client.get(url).body is first
+        _append(client, "alpha", [0.4])
+        assert client.get(url).json()["records"] == [{"n": 2}]
+        with service.pool.checkout("alpha") as shard:
+            stats = shard.session.query.stats
+            assert (stats.sql_hits, stats.sql_runs) == (1, 2)
+
     def test_malformed_sql_is_a_400_not_a_500(self, client):
         _append(client, "alpha", [0.5])
         response = client.get("/projects/alpha/sql?q=SELECT * FROM no_such_table")

@@ -32,7 +32,7 @@ FLUSHER_BLOCK = {
 }
 CACHE_BLOCK = {
     "lookups", "fast_hits", "warm_hits", "incremental_refreshes", "cold_builds",
-    "body_hits", "evictions", "invalidations", "fetched_rows",
+    "body_hits", "evictions", "invalidations", "fetched_rows", "sql_hits", "sql_runs",
 }
 INGEST_BLOCK = {"appended", "size_flushes", "interval_flushes", "explicit_flushes"}
 POOL_BLOCK = {"hits", "misses", "evictions", "reopens"}
@@ -58,7 +58,7 @@ TELEMETRY_COUNTERS = {
     "flush.write_retries", "flush.dropped_batches", "flush.checkpoints",
     "pool.reopens",
     "cache.lookups", "cache.evictions", "cache.invalidations", "cache.fetched_rows",
-    "cache.body_hits",
+    "cache.body_hits", "cache.sql_hits", "cache.sql_runs",
     "checkpoint.submitted", "checkpoint.written", "checkpoint.errors",
     "checkpoint.backpressure_waits", "checkpoint.pickle_seconds", "checkpoint.write_seconds",
 }
@@ -100,10 +100,15 @@ def _mixed_run(service, client, plan) -> None:
     assert client.get(frame + "&latest=1").ok  # fast hit, answered with those bytes
     assert client.get("/projects/t4/sql?q=SELECT COUNT(*) AS n FROM pivot&names=m").ok
     assert client.get(frame).ok  # the temp table moved write_version: warm hit
+    count = "/projects/t4/sql?q=SELECT COUNT(*) AS n FROM logs"
+    assert client.get(count).ok  # runs the statement
+    assert client.get(count).ok  # the kept answer
     _append(client, "t4", 9, 9.5)
     assert client.get(frame).ok  # incremental refresh
+    assert client.get(count).ok  # the append committed: runs again
     assert service.pool.evict("t4")  # explicit evict...
     assert client.get(frame).ok  # ...and reopen: a warm hit on the kept view
+    assert client.get(count).ok  # the kept cache's generation moved: runs again
     # One dropped batch: all three attempts of t4's next write find the
     # database locked; the barrier that follows surfaces the loss.
     plan.force("locked", "shard.t4.db.transaction", times=3)
@@ -142,6 +147,8 @@ def test_process_counters_equal_the_sum_over_every_shard_incarnation(deployed):
     # ``latest=1`` read, the warm hit, the first read after the reopen and
     # the one after the dropped batch — and were answered without encoding.
     assert counters["cache.body_hits"] == 5
+    # One of four plain SQL reads found nothing committed since the last.
+    assert (counters["cache.sql_hits"], counters["cache.sql_runs"]) == (1, 3)
     # And the per-tenant route reads the live incarnation of the same scopes.
     stats = client.get("/projects/t4/stats").json()
     assert stats["flusher"] == incarnations[-1].session.flusher.stats.as_dict()

@@ -4,8 +4,8 @@ Every backend — SQLite file, SQLite memory, directory blob store, dict
 blob store — must prove the same :mod:`repro.storage.protocols` semantics:
 
 * ``transaction()`` rolls back every statement on an exception;
-* ``write_version`` is monotonic, advances on committed writes, and never
-  advances on reads;
+* ``write_version`` is monotonic, advances on committed writes — another
+  connection's included — and never advances on reads;
 * ``checkpoint`` keeps every committed row;
 * blob ``put`` is idempotent and ``get`` round-trips bytes exactly.
 """
@@ -90,6 +90,23 @@ class TestRelationalContract:
         assert store.query_one("SELECT COUNT(*) FROM logs") == (1,)
         assert store.count("logs") == 1
         assert store.write_version == version
+
+    def test_a_commit_by_a_second_connection_advances_write_version(self, tmp_path):
+        # A file has other connections; :memory: has only its own.
+        first, second = Database(tmp_path / "shared.db"), Database(tmp_path / "shared.db")
+        try:
+            version = first.write_version
+            assert first.query_one("SELECT COUNT(*) FROM logs") == (0,)
+            assert second.query_one("SELECT COUNT(*) FROM logs") == (0,)
+            assert first.write_version == version
+            second.execute(INSERT, ("acc", "0.9"))
+            assert first.write_version > version
+            version = first.write_version
+            second.close()
+            assert first.write_version == version
+        finally:
+            second.close()
+            first.close()
 
     def test_rollback_does_not_lose_prior_commits(self, store):
         store.execute(INSERT, ("keep", "1"))

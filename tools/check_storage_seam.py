@@ -7,8 +7,9 @@ the writer seam (one record path and one writer thread: every handle writes
 rows and checkpoints through its session's background flusher), the blob
 seam (one blob layout, no cold tier), the schema seam (one module spells
 the physical schema and its DDL stamp), the WAL seam (one module spells
-the WAL's upkeep), the settings seam (one value per setting) and the wire
-seam (one HTTP/1.1 codec).
+the WAL's upkeep), the settings seam (one value per setting), the wire
+seam (one HTTP/1.1 codec) and the SQL seam (every SQL read goes through the
+query cache, and one module spells its freshness value).
 
 The whole point of the :mod:`repro.storage` protocols is that every layer
 above storage is backend-agnostic — repositories, the query engine, the
@@ -85,6 +86,14 @@ A tenth keeps one HTTP/1.1 codec: no module under ``src/repro`` imports
 ``http.client``, ``email`` or ``urllib.request`` (the stdlib parsers
 :mod:`repro.webapp.http1` replaced on both ends of a socket), and only
 :mod:`repro.service.server` defines a ``parse_request``.
+
+An eleventh keeps one freshness rule for every read: ``run_sql`` is named
+(imported or called) only by :mod:`repro.query.engine`, which runs a plain
+statement through the query cache, and :mod:`repro.relational.sql`, which
+defines it — so no route answers SQL past the cache — and only
+:mod:`repro.relational.database` spells ``data_version``, the half of
+``Database.write_version`` that sees other connections' commits; a second
+probe elsewhere would be a second notion of "unchanged".
 
 Detection is AST-based — docstrings and comments that merely *mention*
 sqlite3 or the guard are fine; only actual statements count.
@@ -362,6 +371,31 @@ def second_wire_codecs(name: str, tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+#: The modules that may name ``run_sql``, and the one that spells ``data_version``.
+SQL_MODULES = ("repro.query.engine", "repro.relational.sql")
+VERSION_MODULE = "repro.relational.database"
+DATA_VERSION = re.compile(r"\bdata_version\b", re.IGNORECASE)
+
+
+def uncached_sql_reads(name: str, tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` where a module names ``run_sql`` outside the engine and
+    the SQL module, or spells ``data_version`` outside the database module."""
+    found = []
+    for node in ast.walk(tree):
+        for used in set(identifiers(node)):
+            if used == "run_sql" and name not in SQL_MODULES:
+                found.append((node.lineno, "names run_sql"))
+            elif DATA_VERSION.fullmatch(used) and name != VERSION_MODULE:
+                found.append((node.lineno, f"names {used}"))
+    if name != VERSION_MODULE:
+        found.extend(
+            (node.lineno, f"spells {match.group(0)!r}")
+            for node in code_strings(tree)
+            for match in DATA_VERSION.finditer(node.value)
+        )
+    return found
+
+
 def main(argv: list[str]) -> int:
     src_root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src"
     violations = 0
@@ -422,6 +456,12 @@ def main(argv: list[str]) -> int:
                 f"repro.webapp.http1 and read by {SERVER_MODULE} / repro.fleet.transport"
             )
             violations += 1
+        for lineno, what in uncached_sql_reads(name, tree):
+            print(
+                f"{path}:{lineno}: {name} {what} — every read has one freshness rule: SQL "
+                f"goes through the query cache, kept fresh by {VERSION_MODULE}'s write_version"
+            )
+            violations += 1
         if any(name == p or name.startswith(p + ".") for p in ALLOWED_PREFIXES):
             continue
         for lineno in sqlite_imports(tree):
@@ -444,6 +484,10 @@ def main(argv: list[str]) -> int:
         print(f"WAL seam intact: checkpoint pragmas spelled in {WAL_MODULE} only")
         print(f"settings seam intact: no deleted setting is a parameter, no thread pool in {REPLAY_MODULE}")
         print(f"wire seam intact: no {' / '.join(STDLIB_WIRE)} import, parse_request in {SERVER_MODULE} only")
+        print(
+            f"SQL seam intact: run_sql named in {', '.join(SQL_MODULES)} only, "
+            f"data_version spelled in {VERSION_MODULE} only"
+        )
     return violations
 
 
