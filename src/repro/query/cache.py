@@ -47,7 +47,12 @@ Freshness is detected in two tiers:
 
 A cache handed to a new database handle gets a generation bump (a new
 connection's ``write_version`` restarts at 0); a watermark *below* the
-cached one (an older copy of the file) drops the project's views.
+cached one (an older copy of the file) drops the project's views.  Between
+handles a cache answers fast hits alone (:meth:`PivotViewCache.fast_dataframe_body`,
+:meth:`PivotViewCache.fast_sql_body`), at the ``write_version`` the last
+handle closed at: the service pool asks for one when a closed tenant's
+file is unchanged since that close, and a miss counts nothing, so the read
+that then reopens the tenant is counted once.
 
 **SQL answers** are entries too.  A plain statement (no temp ``pivot``
 table) is keyed by ``(projid, statement, params)`` and kept with its frame
@@ -175,6 +180,11 @@ class _SqlEntry:
     body: bytes | None = None
 
 
+def _distinct(names: Sequence[str]) -> list[str]:
+    """The requested names as strings, first occurrence kept, in order."""
+    return list(dict.fromkeys(str(name) for name in names))
+
+
 class PivotViewCache:
     """LRU-capped cache of incrementally-maintained pivot views.
 
@@ -267,24 +277,40 @@ class PivotViewCache:
             found = self._lookup(db, projid, names)
             if found is None:
                 return wire.frame_body(DataFrame())
-            entry, order_key = found
-            body = entry.bodies.get((order_key, latest))
-            if body is not None:
-                self.stats["body_hits"].inc()
-                return body
-            frame = entry.frames[order_key]
-            parts = None if latest else entry.parts[order_key]
-            if parts is None:  # one block: the newest run's rows, or a join
-                body = wire.frame_body(latest_rows(frame) if latest else frame)
-            else:  # each run's rows encoded once per pivot and column tuple
-                columns = tuple(frame.columns)
-                for pivot in parts:
-                    if columns not in pivot.fragments:
-                        pivot.fragments[columns] = wire.rows_fragment(pivot.records(columns))
-                fragments = (pivot.fragments[columns] for pivot in parts)
-                body = wire.splice_body(columns, fragments, len(frame))
-            entry.bodies[(order_key, latest)] = body
+            return self._body(*found, latest)
+
+    def fast_dataframe_body(
+        self, projid: str, names: Sequence[str], *, latest: bool, write_version: int
+    ) -> bytes | None:
+        """:meth:`dataframe_body` if a fast hit at ``write_version`` serves
+        it, else None — reading no database, and counting nothing unless it
+        answers (then one ``lookups`` and one ``fast_hits``), so a read that
+        falls back to :meth:`dataframe_body` is counted once.  How the
+        service pool answers a closed tenant whose file is unchanged."""
+        with self._lock:
+            hit = self._fast_hit(projid, _distinct(names), write_version)
+            return None if hit is None else self._body(*hit, latest)
+
+    def _body(self, entry: _ViewState, order_key: tuple[str, ...], latest: bool) -> bytes:
+        """The kept body of ``entry.frames[order_key]``, made now if it is
+        not kept; call with the lock held."""
+        body = entry.bodies.get((order_key, latest))
+        if body is not None:
+            self.stats["body_hits"].inc()
             return body
+        frame = entry.frames[order_key]
+        parts = None if latest else entry.parts[order_key]
+        if parts is None:  # one block: the newest run's rows, or a join
+            body = wire.frame_body(latest_rows(frame) if latest else frame)
+        else:  # each run's rows encoded once per pivot and column tuple
+            columns = tuple(frame.columns)
+            for pivot in parts:
+                if columns not in pivot.fragments:
+                    pivot.fragments[columns] = wire.rows_fragment(pivot.records(columns))
+            fragments = (pivot.fragments[columns] for pivot in parts)
+            body = wire.splice_body(columns, fragments, len(frame))
+        entry.bodies[(order_key, latest)] = body
+        return body
 
     def sql(
         self,
@@ -313,10 +339,33 @@ class PivotViewCache:
         """:func:`~repro.dataframe.frame_body` of :meth:`sql`'s answer, made
         once per kept answer."""
         with self._lock:
-            entry = self._sql_lookup(db, projid, statement, params, run)
-            if entry.body is None:
-                entry.body = wire.frame_body(entry.frame)
-            return entry.body
+            return self._sql_body(self._sql_lookup(db, projid, statement, params, run))
+
+    def fast_sql_body(self, projid: str, statement: str, write_version: int) -> bytes | None:
+        """:meth:`sql_body` of a parameterless statement if its kept answer
+        holds at ``write_version``, else None — reading no database, and
+        counting a ``sql_hits`` only when it answers."""
+        with self._lock:
+            entry = self._sql_fast_hit((projid, statement, ()), write_version)
+            return None if entry is None else self._sql_body(entry)
+
+    @staticmethod
+    def _sql_body(entry: _SqlEntry) -> bytes:
+        if entry.body is None:
+            entry.body = wire.frame_body(entry.frame)
+        return entry.body
+
+    def _sql_fast_hit(self, key: tuple[str, str, tuple], db_version: int) -> _SqlEntry | None:
+        """The kept answer under ``key`` if the project's generation and
+        ``db_version`` still match the ones it was run at (counted as a
+        ``sql_hits``); call with the lock held."""
+        entry = self._sql.get(key)
+        generation = self._generations.get(key[0], 0)
+        if entry is None or (entry.generation, entry.db_version) != (generation, db_version):
+            return None
+        self._sql.move_to_end(key)
+        self.stats["sql_hits"].inc()
+        return entry
 
     def _sql_lookup(
         self,
@@ -329,13 +378,11 @@ class PivotViewCache:
         """The kept answer while the project's generation and the handle's
         ``write_version`` hold; else a fresh one; call with the lock held."""
         key = (projid, statement, tuple(params))
-        generation = self._generations.get(projid, 0)
         db_version = db.write_version
-        entry = self._sql.get(key)
-        if entry is not None and (entry.generation, entry.db_version) == (generation, db_version):
-            self._sql.move_to_end(key)
-            self.stats["sql_hits"].inc()
+        entry = self._sql_fast_hit(key, db_version)
+        if entry is not None:
             return entry
+        generation = self._generations.get(projid, 0)
         frame, stable = run()
         self.stats["sql_runs"].inc()
         entry = _SqlEntry(frame, generation, db_version)
@@ -355,26 +402,22 @@ class PivotViewCache:
         order in it (``None`` when no name was asked for), having counted
         the read against exactly one tier.
         """
-        ordered: list[str] = []
-        for name in names:
-            name = str(name)
-            if name not in ordered:
-                ordered.append(name)
+        ordered = _distinct(names)
         if not ordered:
             return None
+        db_version = db.write_version
+        hit = self._fast_hit(projid, ordered, db_version)
+        if hit is not None:
+            return hit
         key = (projid, tuple(sorted(ordered)))
         self.stats["lookups"].inc()
         generation = self._generations.get(projid, 0)
-        db_version = db.write_version
         entry = self._entries.get(key)
         if entry is None:
             tier = "cold_builds"
             entry = _ViewState()
         else:
             self._entries.move_to_end(key)
-            if entry.generation == generation and entry.db_version == db_version:
-                self.stats["fast_hits"].inc()
-                return entry, self._finish(projid, entry, ordered)
             tier = "incremental_refreshes"
         # Watermarks are read *before* any record fetch and bound it
         # (max_seq), so a concurrent append lands entirely after the
@@ -402,6 +445,22 @@ class PivotViewCache:
             self._drop_unreferenced(evicted[0])
             self.stats["evictions"].inc()
         self.stats[tier].inc()
+        return entry, self._finish(projid, entry, ordered)
+
+    def _fast_hit(
+        self, projid: str, ordered: list[str], db_version: int
+    ) -> tuple[_ViewState, tuple[str, ...]] | None:
+        """The view of ``ordered`` and its frame's key if the project's
+        generation and ``db_version`` still match the ones it was checked at
+        (counted: one ``lookups``, one ``fast_hits``); call with the lock held."""
+        key = (projid, tuple(sorted(ordered)))
+        entry = self._entries.get(key)
+        generation = self._generations.get(projid, 0)
+        if entry is None or (entry.generation, entry.db_version) != (generation, db_version):
+            return None
+        self._entries.move_to_end(key)
+        self.stats["lookups"].inc()
+        self.stats["fast_hits"].inc()
         return entry, self._finish(projid, entry, ordered)
 
     # ---------------------------------------------------------- maintenance

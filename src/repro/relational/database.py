@@ -10,14 +10,17 @@ ever interpolated into a statement.
 
 from __future__ import annotations
 
+import os
 import sqlite3
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from ..errors import DatabaseError
+from ..versioning.repository import RACY_WINDOW_NS
 from .schema import create_schema
 
 #: WAL pages at which :meth:`Database.checkpoint` runs one (SQLite's default).
@@ -66,6 +69,30 @@ class Database:
             self._checkpointer.close()
         with self._lock:
             self._connection.close()
+
+    def at_rest(self) -> tuple[int, ...] | None:
+        """``(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)`` of the
+        database file at rest, else None (always for ``:memory:``, and while
+        this handle is open).
+
+        At rest means no ``-wal`` beside the file (a connection that is
+        open, or one that died, may hold commits the file does not show
+        yet) and a modification older than the racy window (a rewrite inside
+        one timestamp tick could leave the same stat).  Two equal identities
+        of a file at rest mean nothing committed to it in between: a write
+        reaches the file only through a WAL that is folded in, and removed,
+        by the last connection's close — which moves the mtime — and a
+        restored copy moves the ctime.  Callable after :meth:`close`.
+        """
+        if self.path == ":memory:" or os.path.exists(f"{self.path}-wal"):
+            return None
+        try:
+            st = os.stat(self.path)
+        except OSError:
+            return None
+        if st.st_mtime_ns + RACY_WINDOW_NS > time.time_ns():
+            return None
+        return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
     def __enter__(self) -> "Database":
         return self

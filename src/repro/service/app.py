@@ -15,12 +15,15 @@ Routes (all JSON; ``<name>`` is a tenant/project name):
   "rows": N}`` (:mod:`repro.dataframe.wire`; a NaN or infinite value is
   ``null``).  The view, and its ``latest=1`` rows, are encoded once per
   materialized frame and re-served as the same bytes until an append
-  replaces the frame.
+  replaces the frame.  A tenant whose shard is closed and whose database
+  file is unchanged since the close is answered from those kept bytes
+  without reopening SQLite (``pool.rest_hits``).
 * ``GET /projects/<name>/sql?q=SELECT...[&names=a,b]`` — read-only SQL via
   :func:`repro.relational.sql.run_sql`; anything but SELECT/WITH (after
   leading comments) is a 400.  Without ``names`` a statement that reads
   only the physical tables through deterministic built-ins is answered
-  from the shard's query cache — the same bytes — until something commits.
+  from the shard's query cache — the same bytes — until something commits,
+  a closed tenant's as well.
 * ``GET /projects/<name>/stats`` — per-shard row counts and hand-off stats.
 * ``GET /projects/<name>/tail`` — the live observability plane's tenant
   stream: committed log rows as server-sent events, resumable via
@@ -621,6 +624,18 @@ def create_app(service: FlorService) -> WebApp:
             vid = shard.session.commit(message)
             return JsonResponse({"vid": vid, "tstamp": shard.session.tstamp})
 
+    def _read(name: str, at_rest, through_shard) -> Response:
+        """A tenant read: ``at_rest(cache, projid, write_version)`` when the
+        tenant is closed and its file unchanged since (see
+        :meth:`DatabasePool.read_at_rest`), else ``through_shard(session)``
+        on the checked-out, flushed shard."""
+        body = pool.read_at_rest(name, at_rest) if at_rest is not None else None
+        if body is None:
+            with pool.checkout(name) as shard:
+                shard.flush()
+                body = through_shard(shard.session)
+        return Response(body, headers=dict(_JSON))
+
     @app.route("/projects/<name>/dataframe")
     def dataframe(request: Request, name: str):
         names_arg = request.arg("names", "") or ""
@@ -630,10 +645,13 @@ def create_app(service: FlorService) -> WebApp:
         latest = request.arg("latest") in ("1", "true", "yes")
         name = _existing(name)
         enforce_admission(service.admission, name, ("dataframe",), request)
-        with pool.checkout(name) as shard:
-            shard.flush()
-            body = shard.session.dataframe_body(names, latest=latest)
-        return Response(body, headers=dict(_JSON))
+        return _read(
+            name,
+            lambda cache, projid, version: cache.fast_dataframe_body(
+                projid, names, latest=latest, write_version=version
+            ),
+            lambda session: session.dataframe_body(names, latest=latest),
+        )
 
     @app.route("/projects/<name>/sql")
     def sql(request: Request, name: str):
@@ -644,15 +662,20 @@ def create_app(service: FlorService) -> WebApp:
         names = [n for n in names_arg.split(",") if n]
         name = _existing(name)
         enforce_admission(service.admission, name, ("sql",), request)
-        with pool.checkout(name) as shard:
-            shard.flush()
+
+        def through_shard(session) -> bytes:
             try:
-                body = shard.session.sql_body(query, names=names)
+                return session.sql_body(query, names=names)
             except DatabaseError as exc:
                 # run_sql's read-only guard (and malformed SQL) land here:
                 # the context store is append-only from the query surface.
                 raise HttpError(400, str(exc)) from exc
-        return Response(body, headers=dict(_JSON))
+
+        # Only a plain statement's answer is kept (``names`` builds a view).
+        at_rest = None if names else (
+            lambda cache, projid, version: cache.fast_sql_body(projid, query, version)
+        )
+        return _read(name, at_rest, through_shard)
 
     @app.route("/projects/<name>/tail")
     def project_tail(request: Request, name: str):

@@ -15,7 +15,10 @@ a re-opened shard sees everything that was appended before eviction
 
 A tenant's views outlive its handle: a cleanly closed shard leaves its
 pivot cache to the next incarnation, whose first read re-checks it by
-watermark instead of rebuilding it from the whole tenant.
+watermark instead of rebuilding it from the whole tenant.  Until then a
+read of the closed tenant whose database file is still as the close left it
+(:meth:`DatabasePool.read_at_rest`) is answered from those views without
+opening SQLite at all.
 
 Appended rows wait in exactly one place: the shard session's
 :class:`~repro.runtime.RecordBuffer`, the same buffer ``Session.log``
@@ -39,6 +42,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import partial
 from itertools import count
 from pathlib import Path
@@ -56,8 +60,10 @@ SERVICE_FILENAME = "service"
 
 #: ``DatabasePool.stats`` field → telemetry counter.  ``evictions`` counts
 #: closes that succeeded; a shard whose close failed is reinstated, not evicted.
+#: ``rest_hits`` counts reads a closed tenant's kept views answered.
 _STATS = {
-    field: f"pool.{field}" for field in ("hits", "misses", "evictions", "reopens")
+    field: f"pool.{field}"
+    for field in ("hits", "misses", "evictions", "reopens", "rest_hits")
 }
 
 
@@ -66,6 +72,21 @@ _STATS = {
 #: evicted and reopened; the incarnation lets an observer distinguish "no
 #: drops" from "fresh handle, history unknown".
 _incarnations = count(1)
+
+
+@dataclass(frozen=True)
+class _Detached:
+    """A cleanly closed tenant: its pivot cache, and its file as the close left it."""
+
+    cache: PivotViewCache
+    projid: str
+    #: The handle's ``write_version`` after the final flush: a view checked
+    #: at it still holds while the file is unchanged.
+    write_version: int
+    #: The file's identity at the close (None: it was not at rest) ...
+    identity: tuple[int, ...] | None
+    #: ... and how to take it again.
+    at_rest: Callable[[], tuple[int, ...] | None]
 
 
 class ProjectShard:
@@ -100,6 +121,8 @@ class ProjectShard:
         self.incarnation = next(_incarnations)
         self.lock = threading.RLock()
         self.closed = False
+        #: ``session.db.write_version`` after the final flush of :meth:`close`.
+        self.closed_version = -1
 
     @property
     def pending(self) -> int:
@@ -163,6 +186,7 @@ class ProjectShard:
             if self.closed:
                 return
             self.flush()
+            self.closed_version = self.session.db.write_version
             self.session.close()
             self.closed = True
 
@@ -241,8 +265,9 @@ class DatabasePool:
         # could no longer reinstate the shard — orphaning its staged,
         # already-acknowledged records.
         self._closing: dict[str, threading.Event] = {}
-        # Pivot caches of cleanly closed shards, coldest first (see _open).
-        self._detached: "OrderedDict[str, PivotViewCache]" = OrderedDict()
+        # Pivot caches of cleanly closed shards, coldest first (see _open
+        # and read_at_rest).
+        self._detached: "OrderedDict[str, _Detached]" = OrderedDict()
         self._lock = threading.RLock()
         self._ever_opened: set[str] = set()
         self.metrics = metrics or MetricsRegistry()
@@ -295,8 +320,8 @@ class DatabasePool:
         if detached is not None:
             # write_version restarts with the connection: without the bump a
             # view could fast-hit past rows another process wrote meanwhile.
-            detached.bump_generation(session.projid)
-            engine.cache = detached
+            detached.cache.bump_generation(session.projid)
+            engine.cache = detached.cache
         session.metrics.attach(self.metrics)
         if self.on_ingest is not None:
             session.on_rows_written = partial(self.on_ingest, name)
@@ -374,9 +399,17 @@ class DatabasePool:
             raise
         else:
             self.stats["evictions"].inc()
-            dropped = shard.session.flusher.stats.dropped_rows
+            session = shard.session
+            dropped = session.flusher.stats.dropped_rows
+            detached = _Detached(
+                session.query.cache,
+                session.projid,
+                shard.closed_version,
+                session.db.at_rest(),
+                session.db.at_rest,
+            )
             with self._lock:
-                self._detached[shard.name] = shard.session.query.cache
+                self._detached[shard.name] = detached
                 while len(self._detached) > self.capacity:
                     self._detached.popitem(last=False)
                 if dropped:
@@ -404,6 +437,37 @@ class DatabasePool:
         if shard is not None:
             total += shard.session.flusher.stats.dropped_rows
         return total
+
+    def read_at_rest(
+        self, name: str, read: Callable[[PivotViewCache, str, int], bytes | None]
+    ) -> bytes | None:
+        """``read(cache, projid, write_version)`` of a closed tenant whose
+        database file is as its clean close left it; else None, and the
+        caller checks the shard out.
+
+        ``read`` answers only from a fast hit at ``write_version`` — a view
+        or SQL answer last checked against the file's current state — and
+        returns None otherwise; the pool counts ``rest_hits`` when it
+        answers.  A tenant open, opening or closing never qualifies (checked
+        under the pool lock), nor one whose file was written since its
+        close, has a WAL beside it, or was modified inside the racy window
+        before it (see :meth:`repro.relational.database.Database.at_rest`).
+        A reopen takes the views from under a read that loses the race by
+        bumping their generation, which ends every fast hit.
+        """
+        with self._lock:
+            if name in self._shards or name in self._building or name in self._closing:
+                return None
+            rest = self._detached.get(name)
+            if rest is None or rest.identity is None:
+                return None
+            self._detached.move_to_end(name)
+        if rest.at_rest() != rest.identity:
+            return None
+        body = read(rest.cache, rest.projid, rest.write_version)
+        if body is not None:
+            self.stats["rest_hits"].inc()
+        return body
 
     @contextmanager
     def checkout(self, name: str) -> Iterator[ProjectShard]:

@@ -45,9 +45,12 @@ DEFAULT_KEEPALIVE = 15.0
 MIN_KEEPALIVE = 0.05
 MAX_KEEPALIVE = 60.0
 
+#: A seek of the ``seq`` (rowid) range past the cursor: ``+projid`` keeps
+#: SQLite off ``idx_logs_pushdown``, whose whole project range it would read
+#: and then sort.
 _TAIL_ROWS_SQL = (
     "SELECT seq, tstamp, filename, ctx_id, value_name, value, value_type"
-    " FROM logs WHERE projid = ? AND seq > ? ORDER BY seq LIMIT ?"
+    " FROM logs WHERE +projid = ? AND seq > ? ORDER BY seq LIMIT ?"
 )
 
 

@@ -99,6 +99,11 @@ class FaultyRelationalStore:
     def close(self) -> None:
         self.inner.close()
 
+    def at_rest(self) -> None:
+        # Never at rest: every read of a faulted tenant reaches the store,
+        # and with it the plan's stalls.
+        return None
+
     def __getattr__(self, name: str):
         # Backend extras beyond the protocol (e.g. ``path``) pass
         # through un-faulted; only the seam's members inject.

@@ -30,6 +30,7 @@ suite):
   committed write (through this store or, for a store on a file, through
   any other connection to it), and never advances on reads;
 * ``checkpoint`` keeps every committed row;
+* ``at_rest`` is None while the store is open, and for a store not on a file;
 * ``put`` is idempotent — storing identical bytes twice returns the same
   object id and stores one copy.
 """
@@ -93,6 +94,15 @@ class RelationalStore(Protocol):
 
     def close(self) -> None:
         """Release the backend's resources; the store is unusable after."""
+        ...
+
+    def at_rest(self) -> tuple[int, ...] | None:
+        """An identity of the stored file while nothing writes it (device,
+        inode, size, mtime and ctime), or None — for a store not on a file,
+        or one a connection may still be writing.  Callable after
+        :meth:`close`: equal identities taken at a close and at a later read
+        mean nothing committed in between (the service pool answers a closed
+        tenant's reads from its kept views on that alone)."""
         ...
 
 

@@ -470,6 +470,20 @@ class TestStatementCost:
         plan = [row[3] for row in db.query("EXPLAIN QUERY PLAN " + full_sql, params)]
         assert "COVERING INDEX idx_logs_pushdown (projid=? AND value_name=?)" in plan[0], plan
 
+    def test_an_sse_tail_poll_seeks_the_rows_past_its_cursor(self, db):
+        """A tail poll reads the ``seq`` range past its cursor, in rowid
+        order: no walk of the project's ``idx_logs_pushdown`` range and no
+        sort of it, on every poll."""
+        from repro.service.streams import _TAIL_ROWS_SQL
+
+        _seed_runs(db, runs=3, steps=4)  # seq 1..48
+        LogRepository(db).add(LogRecord.create("q", "t009", "other.py", 0, "m0", 1))
+        _seed_runs(db, runs=1, steps=1, first_run=3)  # seq 50..53
+        plan = [row[3] for row in db.query("EXPLAIN QUERY PLAN " + _TAIL_ROWS_SQL, ("p", 40, 200))]
+        assert plan == ["SEARCH logs USING INTEGER PRIMARY KEY (rowid>?)"], plan
+        rows = db.query(_TAIL_ROWS_SQL, ("p", 46, 5))
+        assert [row[0] for row in rows] == [47, 48, 50, 51, 52]
+
     def test_runs_of_seeks_each_epoch_by_tstamp(self, db):
         """Each epoch probes the loop key, then its own log rows by
         ``(projid, tstamp)`` — never the project's whole pushdown range."""

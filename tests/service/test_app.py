@@ -479,6 +479,43 @@ class TestReadCheckouts:
             assert shard.session.query.stats.lookups == 2 * 2 * 3  # plain sql reads no view
 
 
+    def test_a_closed_unchanged_tenant_is_read_without_a_checkout(self, tmp_path):
+        """A closed tenant whose file is as its close left it answers the
+        view, its ``latest=1`` rows and a plain statement from the kept
+        bytes (``pool.rest_hits``); a ``names`` statement builds a pivot
+        table on a connection, so it reopens the tenant."""
+        import os
+        import time
+
+        service = FlorService(tmp_path / "rest", pool_capacity=1, flush_interval=None)
+        client = TestClient(service.app())
+        path = tmp_path / "rest" / "alpha" / ".flor" / "flor.db"
+        try:
+            _append(client, "alpha", [0.5, 0.25])
+            # The names statement's temp table moves write_version: read it
+            # first, so the others are checked at the version the close keeps.
+            reads = self.READS[3:] + self.READS[:3]
+            served = [client.get(url).body for url in reads]
+            for _ in range(2):  # the first close folds the WAL in: racy, not at rest
+                assert service.pool.evict("alpha")
+                then = time.time() - 60
+                os.utime(path, (then, then))
+                assert [client.get(url).body for url in reads] == served
+            served = served[1:] + served[:1]
+            assert service.pool.evict("alpha")
+            misses = service.pool.stats.misses
+            at_rest = [client.get(url).body for url in self.READS]
+            assert at_rest == served
+            with service.pool.checkout("alpha") as shard:
+                frame = build_dataframe(shard.session.db, "alpha", ["loss"])
+            assert at_rest[:2] == [frame_body(frame), frame_body(latest(frame))]
+            assert service.pool.stats.misses == misses + 1  # the names statement
+            assert client.get("/service/stats").json()["pool"]["rest_hits"] == 3
+            assert client.get("/service/telemetry").json()["counters"]["pool.rest_hits"] == 3
+        finally:
+            service.close()
+
+
 class TestCommit:
     def test_commit_flushes_the_queue_and_returns_a_vid(self, client, service):
         _append(client, "alpha", [0.5])  # pending, below flush_size

@@ -35,7 +35,7 @@ CACHE_BLOCK = {
     "body_hits", "evictions", "invalidations", "fetched_rows", "sql_hits", "sql_runs",
 }
 INGEST_BLOCK = {"appended", "size_flushes", "interval_flushes", "explicit_flushes"}
-POOL_BLOCK = {"hits", "misses", "evictions", "reopens"}
+POOL_BLOCK = {"hits", "misses", "evictions", "reopens", "rest_hits"}
 PROJECT_STATS_KEYS = {
     "tables", "project", "incarnation", "dropped_rows_total", "pending", "ingest",
     "flusher", "qos", "query_cache",
@@ -56,7 +56,7 @@ TELEMETRY_COUNTERS = {
     # newly visible
     "flush.submitted_batches", "flush.submitted_rows", "flush.backpressure_waits",
     "flush.write_retries", "flush.dropped_batches", "flush.checkpoints",
-    "pool.reopens",
+    "pool.reopens", "pool.rest_hits",
     "cache.lookups", "cache.evictions", "cache.invalidations", "cache.fetched_rows",
     "cache.body_hits", "cache.sql_hits", "cache.sql_runs",
     "checkpoint.submitted", "checkpoint.written", "checkpoint.errors",
@@ -93,6 +93,9 @@ def _mixed_run(service, client, plan) -> None:
     for round_ in range(2):  # 5 tenants over 2 slots: LRU evictions, then reopens
         for tenant in TENANTS:
             _append(client, tenant, round_, round_ + 0.5)
+    # A closed tenant's read: its shards are fault-wrapped, so never at
+    # rest — it reopens and counts like any read that does.
+    assert client.get("/projects/t0/dataframe?names=m").ok
     frame = "/projects/t4/dataframe?names=m"
     assert client.get(frame).ok  # cold build
     assert client.get(frame).ok  # fast hit
@@ -141,6 +144,7 @@ def test_process_counters_equal_the_sum_over_every_shard_incarnation(deployed):
     # The run did what it set out to do.
     assert counters["flush.dropped_rows"] == 2 and counters["flush.write_retries"] == 2
     assert counters["pool.evictions"] >= 9 and counters["pool.reopens"] >= 6
+    assert counters["pool.rest_hits"] == 0
     for tier in ("fast_hits", "warm_hits", "incremental_refreshes", "cold_builds"):
         assert counters[f"cache.{tier}"] >= 1, tier
     # Five reads found their view unchanged — the fast hit, the second
@@ -178,3 +182,35 @@ def test_the_three_routes_keep_their_vocabulary(deployed):
     for block in blocks:
         for key, value in block.items():
             assert type(value) is int, (key, value)
+
+
+def test_a_read_at_rest_counts_once_in_the_process(tmp_path):
+    """A closed tenant answered from its kept views counts in the pool's
+    scope and in its cache's, which still feeds the process registry
+    through the session that first held it."""
+    import os
+    import time
+
+    service = FlorService(tmp_path / "rest", pool_capacity=1, flush_interval=None)
+    client = TestClient(service.app())
+    frame = "/projects/t0/dataframe?names=m"
+    try:
+        _append(client, "t0", 1, 1.5)
+        assert client.get(frame).ok
+        with service.pool.checkout("t0") as shard:
+            cache = shard.session.query.cache
+        assert service.pool.evict("t0")  # folds the WAL in: inside the racy window
+        then = time.time() - 60
+        os.utime(tmp_path / "rest" / "t0" / ".flor" / "flor.db", (then, then))
+        assert client.get(frame).ok  # reopens
+        assert service.pool.evict("t0")
+        assert client.get(frame).ok  # at rest
+        counters = client.get("/service/telemetry").json()["counters"]
+        assert counters["pool.rest_hits"] == service.pool.stats.rest_hits == 1
+        for field, name in service_pool._STATS.items():
+            assert counters[name] == getattr(service.pool.stats, field), name
+        for field, name in query_cache._STATS.items():
+            assert counters[name] == getattr(cache.stats, field), name
+        assert counters["cache.lookups"] == 3 and counters["cache.fast_hits"] == 1
+    finally:
+        service.close()

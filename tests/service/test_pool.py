@@ -521,3 +521,326 @@ class TestRetainedViews:
             assert cache() is None
         finally:
             pool.close()
+
+
+class TestAtRestReads:
+    """A read of a closed tenant whose database file is as its clean close
+    left it is answered from the kept views without opening SQLite; any
+    sign of a write since — a WAL, a changed stat, a modification inside
+    the racy window — reopens the tenant.  Every body is compared, byte for
+    byte, with the wire form of a ``build_dataframe`` on a fresh handle."""
+
+    NAMES = ["m"]
+
+    @staticmethod
+    def _db_path(pool, name):
+        return pool.root / name / ".flor" / "flor.db"
+
+    @staticmethod
+    def _age(path, seconds=60.0):
+        """Date the file's last modification back past the racy window."""
+        import os
+        import time
+
+        then = time.time() - seconds
+        os.utime(path, (then, then))
+
+    def _body(self, pool, name, *, latest=False, check=True):
+        """A read the way the service's route makes it; with ``check``
+        asserted equal to a rebuild; returns the body."""
+        from repro.core.dataframe_view import build_dataframe
+        from repro.dataframe import frame_body
+        from repro.relational.database import Database
+        from repro.relational.queries import latest as latest_rows
+
+        body = pool.read_at_rest(
+            name,
+            lambda cache, projid, version: cache.fast_dataframe_body(
+                projid, self.NAMES, latest=latest, write_version=version
+            ),
+        )
+        if body is None:
+            with pool.checkout(name) as shard:
+                shard.flush()
+                body = shard.session.dataframe_body(self.NAMES, latest=latest)
+        if check:
+            with Database(self._db_path(pool, name)) as fresh:
+                frame = build_dataframe(fresh, name, self.NAMES)
+            assert body == frame_body(latest_rows(frame) if latest else frame)
+        return body
+
+    def _settled(self, pool, name):
+        """Close ``name`` with its file dated outside the racy window and its
+        views checked against the file: at rest."""
+        assert pool.evict(name)
+        self._age(self._db_path(pool, name))
+        self._body(pool, name)  # reopens: nothing was at rest yet
+        assert pool.evict(name)
+        assert pool._detached[name].identity is not None
+
+    def _seeded(self, tmp_path, **options):
+        """A pool of two whose tenant ``alpha`` holds one run of three rows."""
+        pool = DatabasePool(tmp_path / "p", capacity=2, flush_interval=None, **options)
+        with pool.checkout("alpha") as shard:
+            shard.append([_log(shard, i) for i in range(3)])
+            shard.flush()
+        return pool
+
+    @staticmethod
+    def _append_run(pool, name, filename, count=2):
+        """A new run of ``count`` rows through the pool (a new frame row)."""
+        with pool.checkout(name) as shard:
+            shard.append([(shard.session.tstamp, filename, i, "m", i) for i in range(count)])
+
+    @staticmethod
+    def _commit_through_a_second_handle(db, filename):
+        from repro.relational.records import LogRecord
+        from repro.relational.repositories import LogRepository
+
+        LogRepository(db).add_many(
+            [LogRecord.create("alpha", "2030-01-01T00:00:00", filename, 0, "m", v) for v in (7, 8)]
+        )
+
+    @staticmethod
+    def _rows(body):
+        import json
+
+        return json.loads(body)["rows"]
+
+    def test_an_unchanged_closed_tenant_is_served_from_its_kept_views(self, tmp_path):
+        pool = self._seeded(tmp_path)
+        try:
+            self._settled(pool, "alpha")
+            cache = pool._detached["alpha"].cache
+            before, misses = cache.stats.as_dict(), pool.stats.misses
+            kept = cache.fast_dataframe_body(
+                "alpha", self.NAMES, latest=False, write_version=pool._detached["alpha"].write_version
+            )
+            body = self._body(pool, "alpha")
+            assert body is kept  # the same bytes object, no encoding
+            self._body(pool, "alpha", latest=True)
+            assert "alpha" not in pool
+            assert (pool.stats.misses, pool.stats.rest_hits) == (misses, 2)
+            after = cache.stats.as_dict()
+            assert after["lookups"] - before["lookups"] == 3
+            assert after["fast_hits"] - before["fast_hits"] == 3
+            assert after["fetched_rows"] == before["fetched_rows"]
+        finally:
+            pool.close()
+
+    def test_a_second_handles_commits_reopen_the_tenant(self, tmp_path):
+        """While the other handle is open its commit sits in the WAL, with the
+        file's stat unmoved; after it closes the commit is in the file."""
+        from repro.relational.database import Database
+
+        pool = self._seeded(tmp_path)
+        path = self._db_path(pool, "alpha")
+        try:
+            self._settled(pool, "alpha")
+            other = Database(path)
+            try:
+                self._commit_through_a_second_handle(other, "other.py")
+                misses = pool.stats.misses
+                assert self._rows(self._body(pool, "alpha")) == 2
+                assert pool.stats.misses == misses + 1
+            finally:
+                other.close()
+            self._settled(pool, "alpha")
+            with Database(path) as other:
+                self._commit_through_a_second_handle(other, "third.py")
+            self._age(path)  # not the racy window: the stat itself moved
+            misses = pool.stats.misses
+            assert self._rows(self._body(pool, "alpha")) == 3
+            assert pool.stats.misses == misses + 1
+            assert pool.stats.rest_hits == 0
+        finally:
+            pool.close()
+
+    def test_a_wal_left_beside_the_file_reopens_the_tenant(self, tmp_path):
+        pool = self._seeded(tmp_path)
+        try:
+            self._settled(pool, "alpha")
+            (tmp_path / "p" / "alpha" / ".flor" / "flor.db-wal").touch()
+            misses = pool.stats.misses
+            self._body(pool, "alpha")
+            assert (pool.stats.misses, pool.stats.rest_hits) == (misses + 1, 0)
+        finally:
+            pool.close()
+
+    def test_an_older_copy_restored_with_its_mtime_is_a_cold_build(self, tmp_path):
+        import shutil
+
+        pool = self._seeded(tmp_path)
+        path = self._db_path(pool, "alpha")
+        try:
+            assert pool.evict("alpha")
+            self._age(path, seconds=3600)
+            shutil.copy2(path, tmp_path / "older.db")  # an hour old, no WAL beside it
+            self._append_run(pool, "alpha", "later.py")
+            self._settled(pool, "alpha")
+            cache = pool._detached["alpha"].cache
+            shutil.copy2(tmp_path / "older.db", path)  # outside the racy window
+            cold, misses = cache.stats.cold_builds, pool.stats.misses
+            assert self._rows(self._body(pool, "alpha")) == 1  # not the kept 2
+            assert (pool.stats.misses, pool.stats.rest_hits) == (misses + 1, 0)
+            assert cache.stats.cold_builds == cold + 1
+        finally:
+            pool.close()
+
+    def test_a_write_inside_the_racy_window_reopens_the_tenant(self, tmp_path):
+        import os
+
+        pool = self._seeded(tmp_path)
+        path = self._db_path(pool, "alpha")
+        try:
+            self._body(pool, "alpha")
+            assert pool.evict("alpha")  # the close folded the WAL in just now
+            assert pool._detached["alpha"].identity is None
+            misses = pool.stats.misses
+            self._body(pool, "alpha")
+            assert pool.stats.misses == misses + 1
+            self._settled(pool, "alpha")
+            os.utime(path)  # modified now: the stat no longer vouches for it
+            misses = pool.stats.misses
+            self._body(pool, "alpha")
+            assert (pool.stats.misses, pool.stats.rest_hits) == (misses + 1, 0)
+        finally:
+            pool.close()
+
+    def test_no_read_after_an_acknowledged_append_misses_its_rows(self, tmp_path):
+        """Readers hammer a closed tenant while appends reopen it: a read that
+        starts after an append returned sees that append's run."""
+        import time
+
+        pool = self._seeded(tmp_path)
+        acked = [1]  # frame rows every read starting now must see
+        stop = threading.Event()
+        errors: list[str] = []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    floor = acked[0]
+                    # No rebuild beside it: a second handle would put a WAL
+                    # beside the file and end the other reader's rest.
+                    rows = self._rows(self._body(pool, "alpha", check=False))
+                    if rows < floor:
+                        errors.append(f"{rows} rows after {floor} were acknowledged")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(repr(exc))
+
+        try:
+            for round_ in range(4):
+                self._settled(pool, "alpha")
+                rest_hits = pool.stats.rest_hits
+                threads = [threading.Thread(target=reader) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 10.0
+                while pool.stats.rest_hits == rest_hits and not errors:
+                    assert time.monotonic() < deadline  # until a reader is served at rest
+                self._append_run(pool, "alpha", f"append{round_}.py")
+                acked[0] += 1
+                self._body(pool, "alpha")
+                stop.set()
+                for thread in threads:
+                    thread.join()
+                stop.clear()
+            assert errors == []
+            assert self._rows(self._body(pool, "alpha")) == 5
+        finally:
+            stop.set()
+            pool.close()
+
+    @pytest.mark.parametrize("kind", ["memory", "chaos"])
+    def test_a_memory_or_fault_wrapped_shard_never_takes_the_tier(self, tmp_path, kind):
+        from repro.testing import FaultPlan, chaos_shard_factory
+
+        if kind == "memory":
+            options = {"backend": "memory"}
+        else:
+            options = {"shard_factory": chaos_shard_factory(tmp_path / "p", FaultPlan(seed=5))}
+        pool = self._seeded(tmp_path, **options)
+        try:
+            for _ in range(2):
+                with pool.checkout("alpha") as shard:
+                    shard.session.dataframe_body(self.NAMES)
+                assert pool.evict("alpha")
+                if kind == "chaos":
+                    self._age(self._db_path(pool, "alpha"))
+            assert pool._detached["alpha"].identity is None
+            misses = pool.stats.misses
+            with pool.checkout("alpha") as shard:
+                expected = shard.session.dataframe_body(self.NAMES)
+            assert pool.evict("alpha")
+            assert pool.read_at_rest("alpha", lambda *_: expected) is None
+            assert (pool.stats.misses, pool.stats.rest_hits) == (misses + 1, 0)
+        finally:
+            pool.close()
+
+    def test_a_fallback_read_is_counted_once(self, tmp_path):
+        """A fast-hit-only lookup that finds nothing counts nothing: the read
+        that reopens the tenant keeps ``lookups`` = the four tiers, and
+        ``sql_hits + sql_runs`` = the SQL reads."""
+        pool = self._seeded(tmp_path)
+        statement = "SELECT COUNT(*) AS n FROM logs"
+
+        def sql(name):
+            body = pool.read_at_rest(
+                name, lambda cache, projid, version: cache.fast_sql_body(projid, statement, version)
+            )
+            if body is None:
+                with pool.checkout(name) as shard:
+                    shard.flush()
+                    body = shard.session.sql_body(statement)
+            return body
+
+        try:
+            sql("alpha")
+            self._settled(pool, "alpha")
+            cache = pool._detached["alpha"].cache
+            answer = sql("alpha")  # kept by an older incarnation: reopens and runs
+            assert "alpha" in pool and pool.stats.rest_hits == 0
+            assert pool.evict("alpha")
+            assert sql("alpha") is answer and pool.stats.rest_hits == 1
+            self._append_run(pool, "alpha", "later.py")  # the kept answers go stale
+            assert pool.evict("alpha")
+            self._body(pool, "alpha")
+            assert b'"n": 5' in sql("alpha")
+            assert pool.stats.rest_hits == 1
+            stats = cache.stats
+            assert stats.lookups == (
+                stats.fast_hits + stats.warm_hits + stats.incremental_refreshes + stats.cold_builds
+            )
+            assert (stats.sql_hits, stats.sql_runs) == (1, 3)
+        finally:
+            pool.close()
+
+    def test_a_drained_tenant_reopens_after_a_foreign_write(self, tmp_path):
+        """``/fleet/drain`` seals every shard; a tenant another process then
+        writes to is read from the file, not from the views it left."""
+        from repro.relational.database import Database
+        from repro.service import FlorService
+        from repro.webapp.framework import TestClient
+
+        service = FlorService(tmp_path / "host", pool_capacity=2, flush_interval=None)
+        client = TestClient(service.app())
+        url = "/projects/alpha/dataframe?names=m"
+        path = self._db_path(service.pool, "alpha")
+        try:
+            records = [{"name": "m", "value": v, "ctx_id": i} for i, v in enumerate((1, 2))]
+            assert client.post("/projects/alpha/logs", json_body={"records": records}).status == 202
+            assert client.post("/fleet/drain").ok
+            self._age(path)
+            assert self._rows(client.get(url).body) == 1  # reopens: drained inside the window
+            assert client.post("/fleet/drain").json()["sealed_shards"] == ["alpha"]
+            assert client.get(url).ok and service.pool.stats.rest_hits == 1
+            with Database(path) as other:
+                self._commit_through_a_second_handle(other, "foreign.py")
+            misses = service.pool.stats.misses
+            body = client.get(url).body
+            assert body == self._body(service.pool, "alpha") and self._rows(body) == 2
+            assert service.pool.stats.misses == misses + 1
+            assert service.pool.stats.rest_hits == 1
+        finally:
+            service.close()

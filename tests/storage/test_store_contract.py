@@ -7,6 +7,8 @@ blob store — must prove the same :mod:`repro.storage.protocols` semantics:
 * ``write_version`` is monotonic, advances on committed writes — another
   connection's included — and never advances on reads;
 * ``checkpoint`` keeps every committed row;
+* ``at_rest`` is None while a store is open, and a closed file's identity
+  holds across reads and moves with a commit;
 * blob ``put`` is idempotent and ``get`` round-trips bytes exactly.
 """
 
@@ -125,6 +127,31 @@ class TestRelationalContract:
         store.execute(INSERT, ("loss", "0.1"))
         assert store.checkpoint() in (True, False)
         assert store.count("logs") == 2
+
+    def test_an_open_store_is_never_at_rest(self, store):
+        store.execute(INSERT, ("acc", "0.9"))
+        assert store.at_rest() is None
+
+    def test_a_closed_file_is_at_rest_until_something_commits(self, tmp_path):
+        import os
+        import time
+
+        path = tmp_path / "rest.db"
+        with Database(path) as first:
+            first.execute(INSERT, ("acc", "0.9"))
+        assert first.at_rest() is None  # modified just now: inside the racy window
+        then = time.time() - 60
+        os.utime(path, (then, then))
+        identity = first.at_rest()
+        assert identity is not None and identity == first.at_rest()
+        with Database(path) as second:
+            assert second.query_one("SELECT COUNT(*) FROM logs") == (1,)
+            assert first.at_rest() is None  # a connection is open: its WAL is there
+        assert first.at_rest() == identity  # a read leaves the file as it was
+        with Database(path) as second:
+            second.execute(INSERT, ("loss", "0.1"))
+        os.utime(path, (then, then))  # the same mtime as before the commit
+        assert first.at_rest() not in (None, identity)
 
     def test_count_rejects_unknown_table(self, store):
         with pytest.raises(DatabaseError):

@@ -8,8 +8,9 @@ rows and checkpoints through its session's background flusher), the blob
 seam (one blob layout, no cold tier), the schema seam (one module spells
 the physical schema and its DDL stamp), the WAL seam (one module spells
 the WAL's upkeep), the settings seam (one value per setting), the wire
-seam (one HTTP/1.1 codec) and the SQL seam (every SQL read goes through the
-query cache, and one module spells its freshness value).
+seam (one HTTP/1.1 codec), the SQL seam (every SQL read goes through the
+query cache, and one module spells its freshness value) and the rest seam
+(one module decides that a closed database file is unchanged).
 
 The whole point of the :mod:`repro.storage` protocols is that every layer
 above storage is backend-agnostic — repositories, the query engine, the
@@ -94,6 +95,13 @@ defines it — so no route answers SQL past the cache — and only
 :mod:`repro.relational.database` spells ``data_version``, the half of
 ``Database.write_version`` that sees other connections' commits; a second
 probe elsewhere would be a second notion of "unchanged".
+
+A twelfth keeps one notion of a file at rest: only
+:mod:`repro.relational.database` spells ``-wal`` in a string or
+``st_ctime_ns`` in a string or a name — ``Database.at_rest`` is what lets
+the service pool answer a closed tenant's read without opening SQLite, so a
+second, laxer check elsewhere (one that forgot the WAL, or the ctime a
+restored copy moves) would serve views a write has outdated.
 
 Detection is AST-based — docstrings and comments that merely *mention*
 sqlite3 or the guard are fine; only actual statements count.
@@ -396,6 +404,24 @@ def uncached_sql_reads(name: str, tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+#: The one module that tells a database file at rest, and its spellings.
+REST_MODULE = "repro.relational.database"
+REST_SPELLINGS = re.compile(r"-wal\b|\bst_ctime_ns\b")
+
+
+def stray_rest_checks(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` where a string spells a WAL file or the ctime field,
+    or a name is the ctime field."""
+    found = [
+        (node.lineno, f"spells {match.group(0)!r}")
+        for node in code_strings(tree)
+        for match in REST_SPELLINGS.finditer(node.value)
+    ]
+    for node in ast.walk(tree):
+        found.extend((node.lineno, f"names {used}") for used in identifiers(node) if used == "st_ctime_ns")
+    return found
+
+
 def main(argv: list[str]) -> int:
     src_root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src"
     violations = 0
@@ -462,6 +488,12 @@ def main(argv: list[str]) -> int:
                 f"goes through the query cache, kept fresh by {VERSION_MODULE}'s write_version"
             )
             violations += 1
+        for lineno, what in stray_rest_checks(tree) if name != REST_MODULE else ():
+            print(
+                f"{path}:{lineno}: {name} {what} — whether a closed database file is "
+                f"unchanged is {REST_MODULE}.Database.at_rest's call alone"
+            )
+            violations += 1
         if any(name == p or name.startswith(p + ".") for p in ALLOWED_PREFIXES):
             continue
         for lineno in sqlite_imports(tree):
@@ -488,6 +520,7 @@ def main(argv: list[str]) -> int:
             f"SQL seam intact: run_sql named in {', '.join(SQL_MODULES)} only, "
             f"data_version spelled in {VERSION_MODULE} only"
         )
+        print(f"rest seam intact: -wal and st_ctime_ns spelled in {REST_MODULE} only")
     return violations
 
 
