@@ -254,22 +254,14 @@ class Session:
         replay hands what it produced to the engine, the sole writer)."""
         return self._buffer.drain_records()
 
-    def stage(self, logs: Iterable[tuple] = (), loops: Iterable[tuple] = ()) -> None:
-        """Stage rows built outside ``log``/``loop`` (the service's append route).
-
-        ``logs`` are ``(tstamp, filename, ctx_id, value_name, value)`` and
-        ``loops`` are ``(tstamp, filename, ctx_id, parent_ctx_id, loop_name,
-        loop_iteration, iteration_value)``; the project id is this
-        session's.  The rows wait in the same buffer as ``log`` calls —
-        values raw, encoded at drain — until the next :meth:`flush`.  Like
-        ``log``, call it from one thread at a time (the service holds the
-        shard lock).
+    def stage(self, logs: Sequence[tuple] = (), loops: Sequence[tuple] = ()) -> None:
+        """Stage rows built outside ``log``/``loop`` (the service's append
+        route): :func:`~repro.runtime.buffer.log_row` rows and ``loops`` rows,
+        under this session's :attr:`projid`, into the buffer ``log`` stages
+        into.  Like ``log``, call it from one thread at a time (the service
+        holds the shard lock).
         """
-        buffer, projid = self._buffer, self.projid
-        for row in logs:
-            buffer.stage_log(projid, *row)
-        for row in loops:
-            buffer.stage_loop(projid, *row)
+        self._buffer.stage(logs, loops)
 
     def write_records(self, logs: Sequence[LogRecord], loops: Sequence[LoopRecord]) -> None:
         """Write records built elsewhere — a backfill's collected replays.
@@ -290,6 +282,13 @@ class Session:
         if filename not in self._contexts:
             self._contexts[filename] = ContextState(filename=filename)
         return self._contexts[filename]
+
+    def _stage_loop(self, filename: str, frame: Any, name: str, iteration: int, value: Any) -> None:
+        """Stage the ``loops`` row of ``frame`` at ``iteration`` over ``value``."""
+        self._buffer.stage_loop(
+            self.projid, self.tstamp, filename, frame.ctx_id, frame.parent_ctx_id, name, iteration,
+            stringify_iteration_value(value),
+        )
 
     def _note_loop_iteration(self, filename: str, loop_name: str, iteration: int) -> None:
         """Advance the epoch-local auto-index high-water mark for one loop."""
@@ -343,9 +342,10 @@ class Session:
         exactly as in the paper's examples.
 
         This is the record path's hot function: it stages one tuple in the
-        :class:`~repro.runtime.RecordBuffer` (value encoding deferred for
-        scalars) and only touches SQLite indirectly, via an opportunistic
-        background submit once enough records have accumulated.
+        :class:`~repro.runtime.RecordBuffer` (a plain scalar's encoding is
+        deferred to the writer; a value that cannot be encoded raises here)
+        and only touches SQLite indirectly, via an opportunistic background
+        submit once enough records have accumulated.
         """
         filename = filename or self.current_filename()
         ctx = self._context_for(filename)
@@ -450,16 +450,7 @@ class Session:
                 frame.ctx_id = ctx.allocate_ctx_id()
                 frame.iteration = i
                 frame.iteration_value = value
-                self._buffer.stage_loop(
-                    self.projid,
-                    self.tstamp,
-                    filename,
-                    frame.ctx_id,
-                    frame.parent_ctx_id,
-                    name,
-                    i,
-                    stringify_iteration_value(value),
-                )
+                self._stage_loop(filename, frame, name, i, value)
                 self._note_loop_iteration(filename, name, i)
                 started = time.perf_counter()
                 yield value
@@ -521,16 +512,7 @@ class Session:
                     frame.ctx_id = ctx.reserve_ctx_id(record.ctx_id)
                 else:
                     frame.ctx_id = ctx.allocate_ctx_id()
-                    self._buffer.stage_loop(
-                        self.projid,
-                        self.tstamp,
-                        filename,
-                        frame.ctx_id,
-                        parent,
-                        name,
-                        i,
-                        stringify_iteration_value(value),
-                    )
+                    self._stage_loop(filename, frame, name, i, value)
                 frame.iteration = i
                 frame.iteration_value = value
                 self.replay_stats["iterations_executed"] += 1
@@ -624,16 +606,7 @@ class Session:
         frame.ctx_id = ctx.allocate_ctx_id()
         frame.iteration = index
         frame.iteration_value = value
-        self._buffer.stage_loop(
-            self.projid,
-            self.tstamp,
-            filename,
-            frame.ctx_id,
-            frame.parent_ctx_id,
-            name,
-            index,
-            stringify_iteration_value(value),
-        )
+        self._stage_loop(filename, frame, name, index, value)
         self._note_loop_iteration(filename, name, index)
         try:
             yield value

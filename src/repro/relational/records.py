@@ -9,6 +9,7 @@ is read back into a dataframe.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -25,22 +26,42 @@ def encode_value(value: Any) -> tuple[str | None, int]:
     """Serialize a logged value to ``(text, value_type)``.
 
     Scalars keep their type tag; anything else is stored as JSON when
-    possible and as ``repr`` text otherwise.
+    possible and as ``repr`` text otherwise.  A numpy scalar and a
+    ``float`` / ``int`` / ``str`` subclass are stored exactly as the plain
+    Python value they stand for (``np.float64(0.25)`` as ``0.25``).
     """
+    kind = type(value)
+    if kind is float:
+        return repr(value), VALUE_TYPE_FLOAT
+    if kind is str:
+        return value, VALUE_TYPE_STR
+    if kind is int:
+        return str(value), VALUE_TYPE_INT
+    if kind is bool:
+        return ("1" if value else "0"), VALUE_TYPE_BOOL
     if value is None:
         return None, VALUE_TYPE_NONE
-    if isinstance(value, bool):
-        return ("1" if value else "0"), VALUE_TYPE_BOOL
-    if isinstance(value, int):
-        return str(value), VALUE_TYPE_INT
-    if isinstance(value, float):
-        return repr(value), VALUE_TYPE_FLOAT
-    if isinstance(value, str):
-        return value, VALUE_TYPE_STR
+    plain = _plain_scalar(value)
+    if plain is not value:
+        return encode_value(plain)
     try:
         return json.dumps(value, sort_keys=True, default=str), VALUE_TYPE_JSON
     except (TypeError, ValueError):
         return repr(value), VALUE_TYPE_STR
+
+
+def _plain_scalar(value: Any) -> Any:
+    """The plain Python scalar behind a numpy scalar or a ``float`` / ``int``
+    / ``str`` subclass, else ``value``.  numpy is looked up, not imported: a
+    process that never imported it holds no numpy scalar."""
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(value, numpy.generic):
+        item = value.item()  # np.longdouble's item() is itself
+        return value if isinstance(item, numpy.generic) else item
+    for kind, plain in ((float, float.__float__), (int, int.__int__), (str, str.__str__)):
+        if isinstance(value, kind):
+            return plain(value)
+    return value
 
 
 def decode_value(text: str | None, value_type: int) -> Any:

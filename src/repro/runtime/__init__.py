@@ -4,14 +4,18 @@ The paper's pitch is that hindsight logging is cheap enough to leave on
 everywhere.  This package is where that promise is enforced mechanically:
 
 * :class:`~repro.runtime.buffer.RecordBuffer` — per-call staging for
-  ``flor.log``/``flor.loop``.  A log call appends one tuple; value encoding
-  (``encode_value`` / JSON) is deferred to drain time so the training thread
-  never pays serialization costs inside the loop.
+  ``flor.log``/``flor.loop`` and the service's appends.  A log call appends
+  one tuple, built once as the INSERT's row (:func:`~repro.runtime.buffer.
+  log_row`): a plain scalar's encoding is deferred to the writer, anything
+  else is encoded at the call, where a value that cannot be encoded raises.
+  A drain is a list swap.
 * :class:`~repro.runtime.flusher.BackgroundFlusher` — a double-buffered
   writer thread that drains staged rows to SQLite in single transactions,
-  coalescing every batch queued since its last wakeup.  Memory is bounded:
-  submitters block (backpressure) once ``max_pending_rows`` rows (1,024 by
-  default, which also caps a coalesced transaction) are in flight.  Only
+  coalescing every batch queued since its last wakeup and encoding the
+  deferred values in the pass that flattens them, once per transaction.
+  Memory is bounded: submitters block (backpressure) once
+  ``max_pending_rows`` rows (1,024 by default, which also caps a coalesced
+  transaction) are in flight.  Only
   a submit after ``close()`` writes inline (late stragglers).  Checkpoints
   ride the same thread: the recording thread only snapshots registered
   state, and the flusher pickles each snapshot and writes it to

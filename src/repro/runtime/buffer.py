@@ -1,31 +1,40 @@
-"""Cheap tuple staging for the ``flor.log`` hot path.
+"""Cheap tuple staging for the ``flor.log`` hot path and the service's appends.
 
-The original record path allocated a frozen :class:`LogRecord` dataclass and
-ran :func:`~repro.relational.records.encode_value` on every call — two costs
-paid inside the user's training loop.  :class:`RecordBuffer` stages raw
-tuples instead and defers encoding to drain time (i.e. onto the flush path,
-which runs on the background writer's schedule).
-
-Snapshot semantics: scalars are immutable, so deferring their encoding is
-free.  Mutable values (dicts, lists, arbitrary objects) are encoded eagerly
-at stage time — a caller that logs a dict and then mutates it must still see
-the value *as logged*, exactly as before this optimization.
+A staged ``logs`` row is the INSERT's own tuple, built once by :func:`log_row`:
+``(projid, tstamp, filename, ctx_id, value_name, value, DEFERRED)`` while the
+value is a ``str``, ``float``, ``bool`` or ``None`` of exactly that type or an
+``int`` inside SQLite's 64 bits — whose encoding can neither fail nor change —
+and ``(..., text, value_type)`` for anything else, encoded at the stage call.
+The flusher's writer encodes the deferred values in the pass that collects a
+transaction's rows, so neither the training loop nor a request thread pays
+for ``repr``; a value that cannot be encoded raises where it is logged and
+stages nothing, instead of dropping the rows a writer batch holds beside it;
+and a mutable value is snapshotted as logged.
 """
 
 from __future__ import annotations
 
 from ..relational.records import LogRecord, LoopRecord, encode_value
 
-#: Sentinel ``value_type`` marking a staged log whose value is an immutable
-#: scalar still awaiting :func:`encode_value` (applied at drain time).
-_DEFERRED = object()
+#: ``value_type`` of a staged row whose ``value`` the writer still encodes.
+DEFERRED = object()
 
-#: Immutable types whose encoding can safely be deferred past the log call.
-_SCALARS = (str, int, float, bool, type(None))
+#: Types whose exact instances are deferred (``int`` only inside 64 bits).
+_DEFERRABLE = frozenset((str, float, bool, type(None)))
+
+
+def log_row(
+    projid: str, tstamp: str, filename: str, ctx_id: int, value_name: str, value: object
+) -> tuple:
+    """The staged ``logs`` row of one value (see the module docstring)."""
+    kind = type(value)
+    if kind in _DEFERRABLE or (kind is int and -(2**63) <= value < 2**63):
+        return (projid, tstamp, filename, ctx_id, value_name, value, DEFERRED)
+    return (projid, tstamp, filename, ctx_id, value_name, *encode_value(value))
 
 
 class RecordBuffer:
-    """Stages log and loop rows as tuples; materializes them on drain.
+    """Stages ``logs`` rows (built by :func:`log_row`) and ``loops`` rows.
 
     Not thread-safe — each :class:`~repro.core.session.Session` owns one
     buffer and stages from its recording thread only.  Thread-safety begins
@@ -39,21 +48,16 @@ class RecordBuffer:
         self._loops: list[tuple] = []
 
     # ---------------------------------------------------------------- staging
+    def stage(self, log_rows: list[tuple], loop_rows: list[tuple]) -> None:
+        """Stage rows built elsewhere: :func:`log_row` rows and ``loops`` rows."""
+        self._logs.extend(log_rows)
+        self._loops.extend(loop_rows)
+
     def stage_log(
-        self,
-        projid: str,
-        tstamp: str,
-        filename: str,
-        ctx_id: int,
-        value_name: str,
-        value: object,
+        self, projid: str, tstamp: str, filename: str, ctx_id: int, value_name: str, value: object
     ) -> None:
-        """Stage one ``logs`` row; encoding is deferred for scalar values."""
-        if isinstance(value, _SCALARS):
-            self._logs.append((projid, tstamp, filename, ctx_id, value_name, value, _DEFERRED))
-        else:
-            text, value_type = encode_value(value)
-            self._logs.append((projid, tstamp, filename, ctx_id, value_name, text, value_type))
+        """Stage one ``logs`` row (see :func:`log_row`)."""
+        self._logs.append(log_row(projid, tstamp, filename, ctx_id, value_name, value))
 
     def stage_loop(
         self,
@@ -94,32 +98,26 @@ class RecordBuffer:
 
     # ----------------------------------------------------------------- drain
     def drain_rows(self) -> tuple[list[tuple], list[tuple]]:
-        """Take everything staged as insert-ready row tuples.
-
-        This is where deferred scalar encoding happens — once per record, off
-        the logging call, in whatever thread is flushing.
-        """
+        """Take everything staged, as staged: the flusher's writer encodes
+        the deferred values, once per transaction."""
         logs, self._logs = self._logs, []
         loops, self._loops = self._loops, []
-        log_rows: list[tuple] = []
-        for projid, tstamp, filename, ctx_id, value_name, value, value_type in logs:
-            if value_type is _DEFERRED:
-                value, value_type = encode_value(value)
-            log_rows.append((projid, tstamp, filename, ctx_id, value_name, value, value_type))
-        return log_rows, loops
+        return logs, loops
 
     def drain_records(self) -> tuple[list[LogRecord], list[LoopRecord]]:
-        """Take everything staged as record objects (what a replay hands back)."""
-        log_rows, loop_rows = self.drain_rows()
-        return [LogRecord(*row) for row in log_rows], [LoopRecord(*row) for row in loop_rows]
+        """Take everything staged as encoded record objects (what a replay
+        hands back)."""
+        logs, loops = self.drain_rows()
+        return [
+            LogRecord.create(*row[:6]) if row[6] is DEFERRED else LogRecord(*row) for row in logs
+        ], [LoopRecord(*row) for row in loops]
 
     def restore_rows(self, log_rows: list[tuple], loop_rows: list[tuple]) -> None:
         """Put drained rows back at the front of the buffer.
 
-        Used when an inline write fails after :meth:`drain_rows`: the
-        already-encoded rows re-enter the staging area (an encoded row is a
-        valid staged row) so a later flush retries them, ahead of anything
-        staged meanwhile.
+        Used when an inline write fails after :meth:`drain_rows`: the rows
+        re-enter the staging area as they left it, so a later flush retries
+        them, ahead of anything staged meanwhile.
         """
         self._logs = log_rows + self._logs
         self._loops = loop_rows + self._loops

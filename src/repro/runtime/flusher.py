@@ -2,15 +2,16 @@
 
 One :class:`BackgroundFlusher` serves one :class:`~repro.relational.database.
 Database` handle, and its thread is the handle's only writer.  Producers call
-:meth:`submit` with insert-ready row tuples (from
-:meth:`~repro.runtime.buffer.RecordBuffer.drain_rows` or ``record.as_row()``)
+:meth:`submit` with row tuples (staged ones from
+:meth:`~repro.runtime.buffer.RecordBuffer.drain_rows`, or ``record.as_row()``)
 and :meth:`submit_checkpoint` with a deep-copied checkpoint snapshot; the
 worker thread wakes, takes *every* entry queued since its last transaction
-(the double-buffer swap), pickles the snapshots among them, and writes it all
-in a single SQLite transaction.  Under a flush-heavy workload this coalescing
-collapses N small transactions into a handful of large ones, which is where
-the T10 speedup comes from — SQLite's per-transaction bookkeeping dwarfs the
-marginal cost of an extra ``executemany`` row.
+(the double-buffer swap), encodes the deferred values of its rows, pickles the
+snapshots among them, and writes it all in a single SQLite transaction.  Under
+a flush-heavy workload this coalescing collapses N small transactions into a
+handful of large ones, which is where the T10 speedup comes from — SQLite's
+per-transaction bookkeeping dwarfs the marginal cost of an extra
+``executemany`` row.
 
 Semantics (one mode — every handle writes through its worker):
 
@@ -31,6 +32,10 @@ Semantics (one mode — every handle writes through its worker):
   to tell whether those rows are owed a retry).  The rows of the failed
   transaction are dropped — by then the producer has moved on, so
   requeueing could only retry forever.
+* **values** a row still defers (:data:`~repro.runtime.buffer.DEFERRED`)
+  are encoded in the pass that collects the transaction's rows, before it
+  opens and once: a retry reuses the rows.  Only scalars whose encoding
+  cannot fail are deferred (:func:`~repro.runtime.buffer.log_row`).
 * **checkpoints** are pickled on the worker's thread before the transaction
   opens, outside both locks, and once: a retried transaction reuses the
   bytes.  A snapshot that cannot be pickled is dropped alone — it counts in
@@ -58,7 +63,9 @@ from typing import Any, Callable, NamedTuple, Sequence
 from ..errors import CheckpointError, ReproError
 from ..obs.metrics import Counter, MetricsRegistry, StatsView
 from ..storage.protocols import RelationalStore
+from ..relational.records import encode_value
 from ..relational.repositories import INSERT_LOG_SQL, INSERT_LOOP_SQL, INSERT_OBJECT_SQL
+from .buffer import DEFERRED
 
 #: Rows one flusher may hold (queued + in flight) before ``submit`` blocks.
 #: Per database handle — a service pool of 8 shards holds at most 8× this.
@@ -101,6 +108,19 @@ class _Checkpoint(NamedTuple):
 
 #: A pickled checkpoint: (obj_store row, on_written, pickle seconds).
 _Pickled = tuple[tuple, "Callable[[float, float], None] | None", float]
+
+
+def _insert_rows(batches: "list[_Rows]") -> tuple[list[tuple], list[tuple]]:
+    """The INSERT parameters of ``batches``: their rows in one list per
+    table, each deferred value encoded on the way."""
+    log_rows = [
+        (projid, tstamp, filename, ctx_id, name, *encode_value(value))
+        if value_type is DEFERRED
+        else (projid, tstamp, filename, ctx_id, name, value, value_type)
+        for batch in batches
+        for projid, tstamp, filename, ctx_id, name, value, value_type in batch.log_rows
+    ]
+    return log_rows, [row for batch in batches for row in batch.loop_rows]
 
 
 #: ``BackgroundFlusher.stats`` field → telemetry counter.
@@ -215,7 +235,7 @@ class BackgroundFlusher:
         self.stats["submitted_rows"].inc(count)
         batch = _Rows(log_rows, loop_rows, on_written, count)
         if self._closed:
-            self._write([batch], [])
+            self._write([batch], *_insert_rows([batch]), [])
         else:
             self._enqueue(batch, count, count, self.stats["backpressure_waits"])
         return count
@@ -230,7 +250,7 @@ class BackgroundFlusher:
         self.checkpoint_stats["submitted"].inc()
         if self._closed:
             self._raise_pending()
-            self._write([], [self._pickle(checkpoint)])
+            self._write([], [], [], [self._pickle(checkpoint)])
         else:
             self._enqueue(checkpoint, 0, self._snapshot_rows, self.checkpoint_stats["backpressure_waits"])
 
@@ -294,8 +314,9 @@ class BackgroundFlusher:
             batches = [entry for entry in entries if isinstance(entry, _Rows)]
             rows = sum(batch.count for batch in batches)
             try:
-                # Pickled once, before the transaction: a retry reuses the
-                # bytes, and a snapshot that will not pickle drops alone.
+                # Encoded and pickled once, before the transaction: a retry
+                # reuses both, and a snapshot that will not pickle drops alone.
+                log_rows, loop_rows = _insert_rows(batches)
                 pickled = []
                 for entry in entries:
                     if isinstance(entry, _Checkpoint):
@@ -306,7 +327,7 @@ class BackgroundFlusher:
                 attempts = 0
                 while True:
                     try:
-                        self._write(batches, pickled)
+                        self._write(batches, log_rows, loop_rows, pickled)
                         break
                     except FlushCallbackError as exc:
                         # The transaction committed; retrying would duplicate
@@ -363,9 +384,9 @@ class BackgroundFlusher:
         self.checkpoint_stats["pickle_seconds"].inc(seconds)
         return (*checkpoint.key, contents), checkpoint.on_written, seconds
 
-    def _write(self, batches: "list[_Rows]", pickled: "list[_Pickled]") -> None:
-        log_rows = [row for batch in batches for row in batch.log_rows]
-        loop_rows = [row for batch in batches for row in batch.loop_rows]
+    def _write(
+        self, batches: "list[_Rows]", log_rows: list, loop_rows: list, pickled: "list[_Pickled]"
+    ) -> None:
         seconds = 0.0
         if log_rows or loop_rows or pickled:
             started = time.perf_counter()

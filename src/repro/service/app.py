@@ -105,6 +105,7 @@ from ..obs import MetricsRegistry, TailBroker
 from ..qos import AdmissionController, PolicyStore, rule_from_payload
 from ..relational.records import JOB_STATES
 from ..relational.schema import TABLES
+from ..runtime.buffer import log_row
 from ..webapp.framework import HttpError, JsonResponse, Request, Response, WebApp
 from .pool import SERVICE_FILENAME, DatabasePool
 from .stats import service_stats_payload, shard_stats_payload, telemetry_payload
@@ -510,40 +511,54 @@ def _keepalive_arg(request: Request) -> float:
 
 
 def _staged_rows(session, payload: dict[str, Any]) -> tuple[list[tuple], list[tuple]]:
-    """Validate an append body into :meth:`Session.stage` rows (values raw).
+    """Validate an append body into :meth:`Session.stage` rows, in one pass.
 
-    Raises before anything is staged, so a 400 leaves nothing behind for a
-    later flush to write.
+    Each item becomes its staged row directly (:func:`log_row` for a log
+    record).  Raises before anything is staged, so a 400 leaves nothing
+    behind for a later flush to write.  An integer already in SQLite's 64
+    bits is taken as is; anything else goes through :func:`_int_field`.
     """
+    projid, tstamp = session.projid, session.tstamp
     default_filename = str(payload.get("filename") or SERVICE_FILENAME)
-    logs, loops = [], []
+    logs = []
     for item in _record_list(payload, "records"):
         if "name" not in item:
             raise HttpError(400, "every log record needs a 'name'")
+        ctx_id = item.get("ctx_id", 0)
+        if type(ctx_id) is not int or not -(2**63) <= ctx_id < 2**63:
+            ctx_id = _int_field(item, "ctx_id")
         logs.append(
-            (
-                str(item.get("tstamp") or session.tstamp),
+            log_row(
+                projid,
+                str(item.get("tstamp") or tstamp),
                 str(item.get("filename") or default_filename),
-                _int_field(item, "ctx_id"),
+                ctx_id,
                 str(item["name"]),
                 item.get("value"),
             )
         )
+    loops = []
     for item in _record_list(payload, "loops"):
         if "loop_name" not in item:
             raise HttpError(400, "every loop record needs a 'loop_name'")
+        ctx_id = item.get("ctx_id", 0)
+        if type(ctx_id) is not int or not -(2**63) <= ctx_id < 2**63:
+            ctx_id = _int_field(item, "ctx_id")
+        parent = item.get("parent_ctx_id")
+        if parent is not None and (type(parent) is not int or not -(2**63) <= parent < 2**63):
+            parent = _int_field(item, "parent_ctx_id")
+        iteration = item.get("loop_iteration", 0)
+        if type(iteration) is not int or not -(2**63) <= iteration < 2**63:
+            iteration = _int_field(item, "loop_iteration")
         loops.append(
             (
-                str(item.get("tstamp") or session.tstamp),
+                projid,
+                str(item.get("tstamp") or tstamp),
                 str(item.get("filename") or default_filename),
-                _int_field(item, "ctx_id"),
-                (
-                    None
-                    if item.get("parent_ctx_id") is None
-                    else _int_field(item, "parent_ctx_id")
-                ),
+                ctx_id,
+                parent,
                 str(item["loop_name"]),
-                _int_field(item, "loop_iteration"),
+                iteration,
                 str(item.get("iteration_value", "")),
             )
         )

@@ -33,12 +33,17 @@ class Request:
     path_params: dict[str, str] = field(default_factory=dict)
 
     def get_json(self) -> Any:
-        """Parse the body as JSON (empty body yields an empty dict)."""
+        """Parse the body as JSON (empty body yields an empty dict).
+
+        Every body that does not parse raises :class:`WebAppError` — bad
+        syntax, invalid UTF-8, an integer past the int-to-str digit limit
+        (each a ``ValueError``) and nesting past the recursion limit.
+        """
         if not self.body:
             return {}
         try:
             return json.loads(self.body.decode("utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise WebAppError(f"request body is not valid JSON: {exc}") from exc
 
     def arg(self, name: str, default: str | None = None) -> str | None:

@@ -6,6 +6,7 @@ import pytest
 
 from repro import ProjectConfig, Session
 from repro.relational.database import Database
+from repro.relational.records import LogRecord
 from repro.runtime import BackgroundFlusher
 from repro.service import DatabasePool, FlorService
 
@@ -173,3 +174,32 @@ class TestLifecycle:
         assert session.checkpoints.saved >= 1
         stored = session.objects.count()
         assert stored >= session.checkpoints.saved
+
+
+class TestReplayHandBack:
+    def test_take_pending_records_returns_encoded_records(self, project):
+        """Staged rows defer their encoding to the writer; a replay's hand-back
+        bypasses the writer, so it encodes them itself."""
+        with Session(project, default_filename="t.py") as recorder:
+            recorder.log("acc", 1.0)
+            tstamp = recorder.tstamp
+            recorder.commit()
+            replayer = Session(
+                project,
+                db=recorder.db,
+                repository=recorder.repository,
+                mode="replay",
+                default_filename="t.py",
+                replay_tstamp=tstamp,
+            )
+            logged = {"loss": 0.5, "step": 3, "tag": "x", "cfg": {"lr": 0.1}, "none": None}
+            for name, value in logged.items():
+                replayer.log(name, value)
+            logs, loops = replayer.take_pending_records()
+            replayer.close()
+        assert loops == []
+        assert logs == [
+            LogRecord.create(recorder.projid, tstamp, "t.py", 0, name, value)
+            for name, value in logged.items()
+        ]
+        assert all(type(record.value_type) is int for record in logs)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import ProjectConfig, Session, active_session, flor
@@ -40,6 +41,46 @@ class TestLog:
         session.log("headings", ["Intro", "Methods"])
         frame = session.dataframe("headings")
         assert frame.row(0)["headings"] == ["Intro", "Methods"]
+
+    @pytest.mark.parametrize(
+        "value, plain",
+        [
+            (np.float64(0.25), 0.25),
+            (np.float32(2.5), 2.5),
+            (np.int64(7), 7),
+            (np.bool_(True), True),
+        ],
+        ids=["float64", "float32", "int64", "bool_"],
+    )
+    def test_numpy_scalars_are_stored_as_their_python_value(self, session, value, plain):
+        with active_session(session):
+            flor.log("numpy", value)
+            flor.log("plain", plain)
+            read = flor.dataframe("numpy").row(0)["numpy"]
+        assert read == plain and type(read) is type(plain)
+        stored = dict(
+            session.db.query("SELECT value_name, value || '|' || value_type FROM logs")
+        )
+        assert stored["numpy"] == stored["plain"]
+
+
+class TestUnencodableValues:
+    """A value that cannot be encoded raises at ``log`` and stages nothing;
+    the rows staged beside it still land."""
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["async", "closed"])
+    def test_raised_at_log_and_neighbours_land(self, session, closed):
+        if closed:
+            session.flusher.close()  # every submit now writes inline
+        session.log("ok", 1.5)
+        with pytest.raises(ValueError):
+            session.log("big", 10**5000)
+        assert session.pending_records == 1
+        session.flush()
+        assert [(r.value_name, r.decoded()) for r in session.logs.all(session.projid)] == [
+            ("ok", 1.5)
+        ]
+        assert session.pending_records == 0
 
 
 class TestArg:

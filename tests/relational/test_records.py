@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import enum
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +22,20 @@ from repro.relational.records import (
     decode_value,
     encode_value,
 )
+
+
+class Level(enum.IntEnum):
+    HIGH = 2
+
+
+class Tag(str):
+    def __str__(self) -> str:
+        return f"Tag({self!r})"
+
+
+class Ratio(float):
+    def __repr__(self) -> str:
+        return "Ratio(...)"
 
 
 class TestEncodeDecode:
@@ -62,6 +78,29 @@ class TestEncodeDecode:
 
     def test_malformed_json_decodes_to_raw_text(self):
         assert decode_value("{not json", VALUE_TYPE_JSON) == "{not json"
+
+    @pytest.mark.parametrize(
+        "value, plain",
+        [
+            (np.float64(0.1), 0.1),
+            (np.float32(2.5), 2.5),
+            (np.int64(-7), -7),
+            (np.uint8(255), 255),
+            (np.bool_(False), False),
+            (np.str_("näive"), "näive"),
+            (Level.HIGH, 2),
+            (Tag("x"), "x"),
+            (Ratio(0.5), 0.5),
+        ],
+        ids=["float64", "float32", "int64", "uint8", "bool_", "str_", "IntEnum", "str-sub", "float-sub"],
+    )
+    def test_numpy_scalars_and_subclasses_encode_as_their_plain_value(self, value, plain):
+        assert encode_value(value) == encode_value(plain)
+
+    def test_a_numpy_scalar_without_a_plain_value_still_encodes(self):
+        """``np.longdouble.item()`` is itself: no plain value, no recursion."""
+        text, value_type = encode_value(np.longdouble(1.5))
+        assert decode_value(text, value_type) == "1.5"
 
 
 class TestLogRecord:

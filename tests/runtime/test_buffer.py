@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.relational.database import Database
 from repro.relational.records import (
     VALUE_TYPE_FLOAT,
     VALUE_TYPE_INT,
@@ -9,8 +12,8 @@ from repro.relational.records import (
     VALUE_TYPE_NONE,
     VALUE_TYPE_STR,
 )
-from repro.runtime import RecordBuffer
-from repro.runtime.buffer import _DEFERRED
+from repro.runtime import BackgroundFlusher, RecordBuffer
+from repro.runtime.buffer import DEFERRED
 
 
 def stage(buffer: RecordBuffer, name: str, value, ctx_id: int = 0) -> None:
@@ -24,7 +27,7 @@ class TestStaging:
             stage(buffer, "v", value)
         # No encode_value work has happened yet: the staged tuples carry the
         # raw value plus the deferral sentinel.
-        assert all(row[6] is _DEFERRED for row in buffer._logs)
+        assert all(row[6] is DEFERRED for row in buffer._logs)
         assert buffer.pending == 5
 
     def test_mutable_values_encode_eagerly_for_snapshot_semantics(self):
@@ -46,19 +49,39 @@ class TestStaging:
 
 
 class TestDrain:
-    def test_drain_rows_encodes_deferred_scalars(self):
+    def test_drain_rows_hands_over_the_staged_rows(self):
+        """A drain is a swap: the rows leave as staged, values still raw."""
+        buffer = RecordBuffer()
+        stage(buffer, "f", 0.25)
+        stage(buffer, "cfg", [1])
+        log_rows, loop_rows = buffer.drain_rows()
+        assert loop_rows == []
+        assert log_rows == [
+            ("p", "t1", "train.py", 0, "f", 0.25, DEFERRED),
+            ("p", "t1", "train.py", 0, "cfg", "[1]", VALUE_TYPE_JSON),
+        ]
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["async", "closed"])
+    def test_written_rows_encode_deferred_scalars(self, closed):
+        """The writer encodes what the buffer deferred, on either write path."""
         buffer = RecordBuffer()
         stage(buffer, "i", 7)
         stage(buffer, "f", 0.25)
         stage(buffer, "s", "hi")
         stage(buffer, "n", None)
-        log_rows, loop_rows = buffer.drain_rows()
-        assert loop_rows == []
-        by_name = {row[4]: (row[5], row[6]) for row in log_rows}
-        assert by_name["i"] == ("7", VALUE_TYPE_INT)
-        assert by_name["f"] == ("0.25", VALUE_TYPE_FLOAT)
-        assert by_name["s"] == ("hi", VALUE_TYPE_STR)
-        assert by_name["n"] == (None, VALUE_TYPE_NONE)
+        with Database(":memory:") as db:
+            flusher = BackgroundFlusher(db)
+            if closed:
+                flusher.close()
+            flusher.submit(*buffer.drain_rows())
+            flusher.close()
+            written = db.query("SELECT value_name, value, value_type FROM logs")
+        assert {name: (value, value_type) for name, value, value_type in written} == {
+            "i": ("7", VALUE_TYPE_INT),
+            "f": ("0.25", VALUE_TYPE_FLOAT),
+            "s": ("hi", VALUE_TYPE_STR),
+            "n": (None, VALUE_TYPE_NONE),
+        }
         assert buffer.pending == 0
 
     def test_drain_records_materializes_dataclasses(self):
@@ -67,6 +90,7 @@ class TestDrain:
         buffer.stage_loop("p", "t1", "train.py", 3, 0, "epoch", 2, "2")
         logs, loops = buffer.drain_records()
         assert logs[0].value_name == "acc"
+        assert (logs[0].value, logs[0].value_type) == ("0.5", VALUE_TYPE_FLOAT)
         assert logs[0].decoded() == 0.5
         assert logs[0].ctx_id == 3
         assert loops[0].loop_name == "epoch"

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.runtime.buffer import log_row
 from repro.service.pool import DatabasePool
 
 
@@ -16,8 +17,8 @@ def pool(tmp_path):
     pool.close()
 
 
-def _log(shard, i: int) -> tuple:
-    return (shard.session.tstamp, "load.py", i, "m", i)
+def _log(shard, i: int, filename: str = "load.py") -> tuple:
+    return log_row(shard.session.projid, shard.session.tstamp, filename, i, "m", i)
 
 
 class TestLookup:
@@ -590,7 +591,7 @@ class TestAtRestReads:
     def _append_run(pool, name, filename, count=2):
         """A new run of ``count`` rows through the pool (a new frame row)."""
         with pool.checkout(name) as shard:
-            shard.append([(shard.session.tstamp, filename, i, "m", i) for i in range(count)])
+            shard.append([_log(shard, i, filename) for i in range(count)])
 
     @staticmethod
     def _commit_through_a_second_handle(db, filename):

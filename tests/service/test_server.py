@@ -280,6 +280,28 @@ def _recv_until(sock: socket.socket, marker: bytes, seen: bytes = b"") -> bytes:
     return seen
 
 
+class TestUnparsableBodies:
+    """A body ``json.loads`` refuses is the client's fault: 400, not 500."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"records": "\xff"}', b'{"records": [{"name": "m", "value": 1' + b"1" * 4300 + b"}]}",
+         b"[" * 100_000],
+        ids=["invalid-utf8", "int-past-digit-limit", "nested-100k-deep"],
+    )
+    def test_is_a_400_and_the_listener_serves_on(self, front, body):
+        with socket.create_connection(front.address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /projects/alpha/logs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            head, answer = _read_response(sock)
+            assert head.startswith(b"HTTP/1.1 400 "), head
+            assert "not valid JSON" in json.loads(answer)["error"]
+            sock.sendall(_get_bytes(front.small_get))
+            assert _read_response(sock)[0].startswith(b"HTTP/1.1 200 ")
+
+
 class TestSmallResponseFloor:
     """Head and body used to leave as two small segments, the second held
     ≈40 ms by Nagle until the client's delayed ACK — on every keep-alive

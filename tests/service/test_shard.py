@@ -13,6 +13,7 @@ import pytest
 from repro.config import ProjectConfig
 from repro.core.session import Session
 from repro.runtime import FlushCallbackError
+from repro.runtime.buffer import log_row
 from repro.service.pool import DatabasePool, ProjectShard
 
 TSTAMP = "2025-01-01T00:00:00"
@@ -24,11 +25,11 @@ BOTH_MODES = pytest.mark.parametrize("write_path", [SYNC, ASYNC])
 
 
 def _log(i: int) -> tuple:
-    return (TSTAMP, "load.py", i, "m", i)
+    return log_row("svc", TSTAMP, "load.py", i, "m", i)
 
 
 def _loop(i: int) -> tuple:
-    return (TSTAMP, "load.py", i, 0, "epoch", i, str(i))
+    return ("svc", TSTAMP, "load.py", i, 0, "epoch", i, str(i))
 
 
 @pytest.fixture()

@@ -48,7 +48,10 @@ A fifth keeps the record path single: nothing under ``src/repro`` names
 spellings) or ``AsyncCheckpointWriter`` / ``checkpoint_writer`` (the deleted
 second writer thread), a flusher's ``submit`` / ``submit_checkpoint`` is
 called only by :mod:`repro.core.session` and :mod:`repro.core.checkpoint`,
-and the ``obj_store`` insert is spelled once, in
+``encode_value`` is named only by :mod:`repro.relational.records`,
+:mod:`repro.runtime.buffer` and :mod:`repro.runtime.flusher` (a value is
+encoded at the stage call or by the writer, never in a pass of its own on
+a request thread), and the ``obj_store`` insert is spelled once, in
 :mod:`repro.relational.repositories` (``INSERT_OBJECT_SQL``, shared by
 ``ObjectRepository.put`` and the flusher) — one writer per database handle,
 so every write is counted, tailed and invalidates the query cache, and a
@@ -219,6 +222,9 @@ def second_body_builders(tree: ast.AST) -> list[tuple[int, str]]:
 #: and the one module that spells the ``obj_store`` insert.
 DELETED_WRITER_NAMES = {"flush_mode", "sync_flush", "AsyncCheckpointWriter", "checkpoint_writer"}
 WRITER_MODULES = ("repro.core.session", "repro.core.checkpoint")
+#: The modules that may name ``encode_value``: its definition, the staging
+#: rule that encodes what it does not defer, and the writer that encodes the rest.
+ENCODER_MODULES = ("repro.relational.records", "repro.runtime.buffer", "repro.runtime.flusher")
 OBJECT_INSERT_MODULE = "repro.relational.repositories"
 OBJECT_INSERT = re.compile(r"\bINSERT\b[^;]*?\bINTO\s+obj_store\b", re.IGNORECASE)
 
@@ -234,12 +240,15 @@ def identifiers(node: ast.AST) -> list[str]:
 
 
 def second_record_paths(name: str, tree: ast.AST) -> list[tuple[int, str]]:
-    """``(line, what)`` where a deleted writer, a second submitter or a second
-    ``obj_store`` insert reappears."""
+    """``(line, what)`` where a deleted writer, a second submitter, a second
+    ``obj_store`` insert or a second value-encoding pass reappears."""
     found = []
     for node in ast.walk(tree):
-        for used in set(identifiers(node)) & DELETED_WRITER_NAMES:
+        names = set(identifiers(node))
+        for used in names & DELETED_WRITER_NAMES:
             found.append((node.lineno, f"names {used}"))
+        if name not in ENCODER_MODULES and "encode_value" in names:
+            found.append((node.lineno, "names encode_value"))
         if (
             name not in WRITER_MODULES
             and isinstance(node, ast.Call)
@@ -509,7 +518,8 @@ def main(argv: list[str]) -> int:
         print(f"body seam intact: read bodies built in {BODY_BUILDER} only ({', '.join(BODY_MODULES)})")
         print(
             f"writer seam intact: no second writer, flusher submits from {', '.join(WRITER_MODULES)} "
-            f"only, the obj_store insert spelled in {OBJECT_INSERT_MODULE} once"
+            f"only, encode_value named in {', '.join(ENCODER_MODULES)} only, "
+            f"the obj_store insert spelled in {OBJECT_INSERT_MODULE} once"
         )
         print(f"blob seam intact: no archive layout named outside {LAYOUT_MODULE}")
         print(f"schema seam intact: index DDL and the DDL stamp spelled in {SCHEMA_MODULE} only")
