@@ -202,7 +202,7 @@ class CheckpointManager:
         self.saved += 1
 
     def _account_write(self, pickle_seconds: float, write_seconds: float) -> None:
-        # Runs on the flusher's thread after the checkpoint's transaction.
+        # Runs on the writing thread after the checkpoint's transaction.
         self.write_seconds += pickle_seconds + write_seconds
 
     def _snapshot_state(self) -> dict[str, Any]:

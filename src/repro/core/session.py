@@ -7,8 +7,8 @@ checkpoint manager, and implements both execution modes:
   handed to the session's background flusher on ``commit()`` (or when a
   dataframe is requested, or once enough have accumulated), loops allocate
   fresh context ids, and the checkpoint policy decides when to serialize
-  registered objects — pickled and written on the flusher's thread, in the
-  same transactions as the rows.
+  registered objects — pickled and written by the flusher's one writer, in
+  the same transactions as the rows.
 * **replay** — used by hindsight logging: the session is pinned to a
   historical ``(tstamp, filename)`` run, loops re-use the recorded context
   ids, iterations outside the replay plan are skipped (restoring the nearest
@@ -176,7 +176,7 @@ class Session:
             self._loop_iteration_next: dict[tuple[str, str], int] = {}
             self._query_engine: "Any | None" = None
             #: Optional ``(row_count) -> None`` hook, run after each transaction
-            #: that wrote this session's rows commits (on the flusher's thread).
+            #: that wrote this session's rows commits (on the writing thread).
             #: The service pool points it at the tail broker, so a
             #: woken subscriber can already read the rows.
             self.on_rows_written: Callable[[int], None] | None = None
@@ -274,7 +274,7 @@ class Session:
         self.flusher.submit(
             [r.as_row() for r in logs],
             [r.as_row() for r in loops],
-            on_written=self._note_rows_written,
+            on_written=self._note_rows_written, wake=False,
         )
         self.flusher.drain()
 
@@ -645,15 +645,15 @@ class Session:
 
         With ``wait`` (the default) this is the read-your-writes barrier:
         it returns only once every staged and previously submitted row is
-        durable.  With ``wait=False`` (used at loop iteration boundaries)
-        the staged rows are handed to the background flusher and the
-        recording thread moves on immediately.
+        durable (written on this thread if the flusher is idle).  With
+        ``wait=False`` (used at loop iteration boundaries) the staged rows are
+        handed to the background flusher and the recording thread moves on.
 
         A replay session has no write path: this returns at once and the
         staged rows stay in the buffer for :meth:`take_pending_records`.
 
         Each transaction that writes rows bumps the query cache's generation
-        counter for this project — from the flusher's thread, *after* the
+        counter for this project — from the writing thread, *after* the
         commit — so materialized pivot views notice the append on their next
         read (and merge just the delta).
         """
@@ -662,7 +662,7 @@ class Session:
         log_rows, loop_rows = self._buffer.drain_rows()
         if log_rows or loop_rows:
             try:
-                self.flusher.submit(log_rows, loop_rows, on_written=self._note_rows_written)
+                self.flusher.submit(log_rows, loop_rows, on_written=self._note_rows_written, wake=not wait)
             except FlushCallbackError:
                 # The rows are durable (the inline write committed before
                 # its callback failed); restoring them would duplicate.

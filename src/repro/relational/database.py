@@ -115,23 +115,25 @@ class Database:
             (others,) = self._connection.execute("PRAGMA data_version").fetchone()
             return self._connection.total_changes + others
 
+    def checkpoint_due(self) -> bool:
+        """Whether the WAL holds :data:`CHECKPOINT_PAGES` pages (one read, no lock)."""
+        try:
+            with open(f"{self.path}-shm", "rb", buffering=0) as shm:
+                # mxFrame of the wal-index header (SQLite's WAL format): pages, 0 after a reset.
+                return int.from_bytes(shm.read(20)[16:], sys.byteorder) >= CHECKPOINT_PAGES
+        except FileNotFoundError:
+            return False
+
     def checkpoint(self) -> bool:
         """Run a ``PASSIVE`` WAL checkpoint on a second connection, which holds
-        none of this handle's locks, if the WAL holds :data:`CHECKPOINT_PAGES`
-        pages; returns whether one ran.  The first call takes checkpoints
-        over from SQLite's commits: the caller (the handle's writer thread,
-        after each transaction) keeps calling."""
+        none of this handle's locks, if :meth:`checkpoint_due`; returns whether
+        one ran.  The first call takes checkpoints over from SQLite's commits."""
         if self.path == ":memory:":
             return False
         if not self._checkpoints_taken:
             self.execute("PRAGMA wal_autocheckpoint=0")
             self._checkpoints_taken = True
-        try:
-            with open(f"{self.path}-shm", "rb", buffering=0) as shm:
-                # mxFrame of the wal-index header (SQLite's WAL format): pages, 0 after a reset.
-                if int.from_bytes(shm.read(20)[16:], sys.byteorder) < CHECKPOINT_PAGES:
-                    return False
-        except FileNotFoundError:
+        if not self.checkpoint_due():
             return False
         if self._checkpointer is None:
             self._checkpointer = sqlite3.connect(self.path, check_same_thread=False)
@@ -142,12 +144,12 @@ class Database:
     # ----------------------------------------------------------- execution
     @contextmanager
     def transaction(self) -> Iterator[sqlite3.Connection]:
-        """Run a block atomically; rolls back on any exception."""
+        """Run a block atomically; rolls back on any exception, an interrupt too."""
         with self._lock:
             try:
                 yield self._connection
                 self._connection.commit()
-            except Exception:
+            except BaseException:
                 self._connection.rollback()
                 raise
 

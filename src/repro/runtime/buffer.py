@@ -7,9 +7,9 @@ value is a ``str``, ``float``, ``bool`` or ``None`` of exactly that type or an
 and ``(..., text, value_type)`` for anything else, encoded at the stage call.
 The flusher's writer encodes the deferred values in the pass that collects a
 transaction's rows, so neither the training loop nor a request thread pays
-for ``repr``; a value that cannot be encoded raises where it is logged and
-stages nothing, instead of dropping the rows a writer batch holds beside it;
-and a mutable value is snapshotted as logged.
+for ``repr``; a value that cannot be encoded (or text with a lone surrogate)
+raises where it is logged and stages nothing, instead of dropping the rows a
+writer batch holds beside it; and a mutable value is snapshotted as logged.
 """
 
 from __future__ import annotations
@@ -29,8 +29,12 @@ def log_row(
     """The staged ``logs`` row of one value (see the module docstring)."""
     kind = type(value)
     if kind in _DEFERRABLE or (kind is int and -(2**63) <= value < 2**63):
-        return (projid, tstamp, filename, ctx_id, value_name, value, DEFERRED)
-    return (projid, tstamp, filename, ctx_id, value_name, *encode_value(value))
+        text, value_type = value, DEFERRED
+    else:
+        text, value_type = encode_value(value)
+    if not value_name.isascii() or (type(text) is str and not text.isascii()):
+        f"{value_name}{text}".encode("utf-8")  # a lone surrogate raises here
+    return (projid, tstamp, filename, ctx_id, value_name, text, value_type)
 
 
 class RecordBuffer:

@@ -1,53 +1,54 @@
-"""Double-buffered background writer for staged rows and checkpoints.
+"""Double-buffered writer for staged rows and checkpoints.
 
 One :class:`BackgroundFlusher` serves one :class:`~repro.relational.database.
-Database` handle, and its thread is the handle's only writer.  Producers call
-:meth:`submit` with row tuples (staged ones from
+Database` handle, with one writer at a time: its thread, or a draining caller.
+Producers call :meth:`submit` with row tuples (staged ones from
 :meth:`~repro.runtime.buffer.RecordBuffer.drain_rows`, or ``record.as_row()``)
 and :meth:`submit_checkpoint` with a deep-copied checkpoint snapshot; the
-worker thread wakes, takes *every* entry queued since its last transaction
-(the double-buffer swap), encodes the deferred values of its rows, pickles the
-snapshots among them, and writes it all in a single SQLite transaction.  Under
-a flush-heavy workload this coalescing collapses N small transactions into a
-handful of large ones, which is where the T10 speedup comes from — SQLite's
-per-transaction bookkeeping dwarfs the marginal cost of an extra
-``executemany`` row.
+writer takes *every* entry queued since the last transaction (the
+double-buffer swap into ``_inflight``, the writer's token), encodes the
+deferred values of its rows, pickles the snapshots among them, and writes it
+all in a single SQLite transaction.  Under a flush-heavy workload this
+coalescing collapses N small transactions into a handful of large ones (the
+T10 speedup): SQLite's per-transaction bookkeeping dwarfs an extra row.
 
-Semantics (one mode — every handle writes through its worker):
+Semantics (one transaction path, whichever thread runs it):
 
-* **drain()** is the read-your-writes barrier: it returns only once every
-  submitted row and checkpoint is durable (or raises the error that
-  prevented it).
+* **drain()** is the read-your-writes barrier: it returns once every
+  submitted row and checkpoint is durable (or raises what prevented it).
+  It waits only for a transaction in flight and writes what is queued
+  itself — no thread hop; taken in queue order, commits stay FIFO.
 * **backpressure**: submitters block once ``max_pending_rows`` rows
   (:data:`DEFAULT_MAX_PENDING_ROWS` unless a caller says otherwise) are
   queued or in flight, bounding memory under a writer that cannot keep up.
   A queued snapshot weighs ``max_pending_rows // SNAPSHOTS_PER_BOUND`` rows.
-  The worker takes everything queued per transaction, so the same number
+  The writer takes everything queued per transaction, so the same number
   caps a coalesced transaction: a blocked producer waits for one short
   write, never behind a giant one.
-* **errors** raised by the worker (or by ``on_written`` callbacks) are
+* **errors** raised by a write (or by ``on_written`` callbacks) are
   captured and re-raised on the *recording* thread at the next ``drain`` or
   ``close`` (never from a queueing ``submit`` — a submit that raised after
   accepting its batch, or before queueing it, would leave the caller unable
-  to tell whether those rows are owed a retry).  The rows of the failed
-  transaction are dropped — by then the producer has moved on, so
-  requeueing could only retry forever.
+  to tell whether those rows are owed a retry).  After ``write_retries``
+  the failed transaction's rows are dropped and counted — by then the
+  producer has moved on, so requeueing could only retry forever.
 * **values** a row still defers (:data:`~repro.runtime.buffer.DEFERRED`)
   are encoded in the pass that collects the transaction's rows, before it
   opens and once: a retry reuses the rows.  Only scalars whose encoding
   cannot fail are deferred (:func:`~repro.runtime.buffer.log_row`).
-* **checkpoints** are pickled on the worker's thread before the transaction
-  opens, outside both locks, and once: a retried transaction reuses the
-  bytes.  A snapshot that cannot be pickled is dropped alone — it counts in
+* **checkpoints** are pickled by the writer before the transaction opens,
+  outside both locks, and once: a retried transaction reuses the bytes.  A
+  snapshot that cannot be pickled is dropped alone — it counts in
   ``checkpoint.errors``, surfaces as a :class:`~repro.errors.CheckpointError`
   at the next drain, and the rows beside it still commit.  Once a
   transaction's retries run out, its checkpoints drop and its rows try once
   more alone.
 * **on_written** callbacks run after their entry's transaction commits (the
-  query cache's invalidation hook relies on this ordering).
-* **WAL checkpoints** are the worker's: it runs a due one after each
-  transaction, once the drain waiters are woken, never inside a commit.
-* **close()** drains outstanding entries and stops the worker; a submit
+  query cache's invalidation hook relies on this ordering), on the writing
+  thread: one must not take a lock a drainer may hold (a shard's lock).
+* **WAL checkpoints** are the thread's, never inside a commit; a drainer's
+  write only probes for a due one and wakes the thread (``_wake``) for it.
+* **close()** drains outstanding entries and stops the thread; a submit
   after it writes inline on the caller's thread, raising its own failure at
   the call site, so late stragglers (atexit commits) still land.
 """
@@ -152,7 +153,7 @@ class BackgroundFlusher:
     Parameters
     ----------
     db:
-        Destination database.  The worker writes through the same handle the
+        Destination database.  The writer writes through the same handle the
         session reads from, so ``Database.write_version`` staleness probes
         keep working.
     max_pending_rows:
@@ -160,7 +161,7 @@ class BackgroundFlusher:
         queued or in flight (a single larger submission is still admitted
         once nothing else is pending).
     write_retries / retry_backoff:
-        The worker retries a failed transaction this many times (after
+        The writer retries a failed transaction this many times (after
         ``retry_backoff`` seconds each) before dropping the batch and
         recording the error — a transient ``SQLITE_BUSY`` from a concurrent
         process should not cost acknowledged rows.  Callback failures are
@@ -190,13 +191,16 @@ class BackgroundFlusher:
         self.stats = StatsView(self.metrics, _STATS)
         self.checkpoint_stats = StatsView(self.metrics, _CHECKPOINT_STATS)
         self._snapshot_rows = max(1, max_pending_rows // SNAPSHOTS_PER_BOUND)
-        self._cond = threading.Condition()
+        lock = threading.RLock()
+        self._cond = threading.Condition(lock)  # drainers and blocked submitters
+        self._wake = threading.Condition(lock)  # the writer thread, only when it has work
         self._queue: "deque[_Rows | _Checkpoint]" = deque()
         self._pending_rows = 0  # queued + in-flight rows
         self._pending_weight = 0  # ... plus _snapshot_rows per snapshot (the bound)
         self._inflight: "list[_Rows | _Checkpoint]" = []
         self._thread: threading.Thread | None = None
         self._stop = False
+        self._wal_due = False  # a caller's write left a WAL checkpoint due
         self._closed = False
         self._error: BaseException | None = None
 
@@ -217,14 +221,16 @@ class BackgroundFlusher:
         log_rows: Sequence[tuple] = (),
         loop_rows: Sequence[tuple] = (),
         on_written: "Callable[[int], None] | None" = None,
+        wake: bool = True,
     ) -> int:
         """Hand a batch of rows to the writer; returns the row count.
 
         Returns as soon as the batch is queued (or after blocking on
-        backpressure) and never raises deferred worker errors — those
+        backpressure) and never raises deferred writer errors — those
         surface at :meth:`drain`/:meth:`close`, where no batch is in hand to
-        be lost or double-submitted.  A submit after :meth:`close` writes
-        inline, raising this batch's own failure at the call site.
+        be lost or double-submitted.  ``wake=False`` is for a caller whose
+        :meth:`drain` follows: the thread sleeps on.  A submit after
+        :meth:`close` writes inline, raising its own failure at the call site.
         """
         count = len(log_rows) + len(loop_rows)
         if self._closed:
@@ -237,14 +243,14 @@ class BackgroundFlusher:
         if self._closed:
             self._write([batch], *_insert_rows([batch]), [])
         else:
-            self._enqueue(batch, count, count, self.stats["backpressure_waits"])
+            self._enqueue(batch, count, count, self.stats["backpressure_waits"], wake)
         return count
 
     def submit_checkpoint(
         self, key: tuple, state: Any, on_written: "Callable[[float, float], None] | None" = None
     ) -> None:
         """Queue a snapshot under its ``obj_store`` key columns; blocks and
-        writes inline like :meth:`submit`.  The worker pickles ``state`` and,
+        writes inline like :meth:`submit`.  The writer pickles ``state`` and,
         once its transaction commits, calls ``on_written(pickle_s, write_s)``."""
         checkpoint = _Checkpoint(key, state, on_written)
         self.checkpoint_stats["submitted"].inc()
@@ -254,30 +260,45 @@ class BackgroundFlusher:
         else:
             self._enqueue(checkpoint, 0, self._snapshot_rows, self.checkpoint_stats["backpressure_waits"])
 
-    def _enqueue(self, entry: "_Rows | _Checkpoint", rows: int, weight: int, waits: Counter) -> None:
+    def _enqueue(self, entry: "_Rows | _Checkpoint", rows: int, weight: int, waits: Counter, wake=True) -> None:
         with self._cond:
             blocked = False
             while self._pending_weight and self._pending_weight + weight > self.max_pending_rows:
                 if not blocked:
                     waits.inc()
                     blocked = True
-                # The timeout is a safety net only; the worker notifies after
+                # The timeout is a safety net only; the writer notifies after
                 # every transaction (including failed ones, which free rows).
                 self._cond.wait(0.1)
             self._queue.append(entry)
             self._pending_rows += rows
             self._pending_weight += weight
             self._ensure_worker_locked()
-            self._cond.notify_all()
+            if wake:
+                self._wake.notify()
 
     # ------------------------------------------------------------------ drain
     def drain(self) -> None:
         """Block until every submitted row and checkpoint is durable; re-raise
-        worker errors."""
-        with self._cond:
-            while self._queue or self._inflight:
-                self._cond.wait(0.1)
-            self._raise_pending_locked()
+        writer errors.  Writes on this thread what no transaction in flight holds."""
+        while True:
+            with self._cond:
+                while self._inflight:
+                    self._cond.wait(0.1)
+                if not self._queue:
+                    self._raise_pending_locked()
+                    return
+                entries = self._inflight = list(self._queue)  # the swap, as on the thread
+                self._queue.clear()
+            self._write_entries(entries)
+            try:
+                due = self.db.checkpoint_due()  # the checkpoint itself is the thread's
+            except Exception:  # noqa: BLE001 - a store without a WAL to read
+                due = False
+            if due:
+                with self._cond:
+                    self._wal_due = True
+                    self._wake.notify()
 
     def close(self) -> None:
         """Drain, stop the worker, and fall back to inline writes thereafter."""
@@ -288,10 +309,10 @@ class BackgroundFlusher:
             self._closed = True
             self._stop = True
             thread = self._thread
-            self._cond.notify_all()
+            self._wake.notify()
         if thread is not None and thread.is_alive():
             thread.join()
-        self._raise_pending()
+        self.drain()  # a caller's transaction still in flight, or a straggler's entry
 
     # ----------------------------------------------------------------- worker
     def _ensure_worker_locked(self) -> None:
@@ -300,78 +321,83 @@ class BackgroundFlusher:
             self._thread.start()
 
     def _run(self) -> None:
-        self._checkpoint_wal()  # takes WAL checkpoints over from the handle's commits
         while True:
+            # Takes WAL checkpoints over, then runs each due after a write or a drainer's wake.
+            try:
+                if self.db.checkpoint():
+                    self.stats["wal_checkpoints"].inc()
+            except Exception:  # noqa: BLE001 - the WAL keeps every row; the next pass retries
+                pass
             with self._cond:
-                while not self._queue and not self._stop:
-                    self._cond.wait()
-                if not self._queue and self._stop:
+                while self._inflight or not (self._queue or self._wal_due or self._stop):
+                    self._wake.wait()
+                if self._stop and not self._queue:
                     return
-                # Double-buffer swap: take everything queued since the last
-                # transaction and write it in one go.
+                self._wal_due = False
+                # Double-buffer swap: what is queued becomes the one writer's token.
                 entries = self._inflight = list(self._queue)
                 self._queue.clear()
-            batches = [entry for entry in entries if isinstance(entry, _Rows)]
-            rows = sum(batch.count for batch in batches)
-            try:
-                # Encoded and pickled once, before the transaction: a retry
-                # reuses both, and a snapshot that will not pickle drops alone.
-                log_rows, loop_rows = _insert_rows(batches)
-                pickled = []
-                for entry in entries:
-                    if isinstance(entry, _Checkpoint):
-                        try:
-                            pickled.append(self._pickle(entry))
-                        except CheckpointError as exc:
-                            self._defer(exc)
-                attempts = 0
-                while True:
-                    try:
-                        self._write(batches, log_rows, loop_rows, pickled)
-                        break
-                    except FlushCallbackError as exc:
-                        # The transaction committed; retrying would duplicate
-                        # every row.  Record the callback failure and move on.
-                        self._defer(exc)
-                        break
-                    except BaseException as exc:  # noqa: BLE001 - retried, then surfaced
-                        attempts += 1
-                        if attempts <= self.write_retries:
-                            self.stats["write_retries"].inc()
-                            time.sleep(self.retry_backoff)
-                        elif pickled:
-                            # The checkpoints may be what failed (a state past
-                            # SQLite's length limit): the rows try once more alone.
-                            self.checkpoint_stats["errors"].inc(len(pickled))
-                            self._defer(CheckpointError(f"cannot write checkpoint: {exc}"))
-                            pickled = []
-                            if not batches:
-                                break
-                        else:
-                            with self._cond:
-                                self._error = self._error or exc
-                                # Monotone drop counters, bumped before the rows
-                                # are released below: the deferred error goes to
-                                # the first drain, but an observer (/stats, the
-                                # chaos seal protocol) can still tell that
-                                # acknowledged rows were lost on this handle.
-                                self.stats["dropped_batches"].inc(len(batches))
-                                self.stats["dropped_rows"].inc(rows)
-                            break
-            finally:
-                with self._cond:
-                    self._pending_rows -= rows
-                    self._pending_weight -= rows + (len(entries) - len(batches)) * self._snapshot_rows
-                    self._inflight = []
-                    self._cond.notify_all()
-            self._checkpoint_wal()
+            if entries:
+                self._write_entries(entries)
 
-    def _checkpoint_wal(self) -> None:
+    def _write_entries(self, entries: "list[_Rows | _Checkpoint]") -> None:
+        """Write ``entries`` in one transaction and release them — the one
+        path of the writer thread and of a draining caller alike."""
+        batches = [entry for entry in entries if isinstance(entry, _Rows)]
+        rows = sum(batch.count for batch in batches)
         try:
-            if self.db.checkpoint():
-                self.stats["wal_checkpoints"].inc()
-        except Exception:  # noqa: BLE001 - the WAL keeps every row; the next transaction retries
-            pass
+            # Encoded and pickled once, before the transaction: a retry
+            # reuses both, and a snapshot that will not pickle drops alone.
+            log_rows, loop_rows = _insert_rows(batches)
+            pickled = []
+            for entry in entries:
+                if isinstance(entry, _Checkpoint):
+                    try:
+                        pickled.append(self._pickle(entry))
+                    except CheckpointError as exc:
+                        self._defer(exc)
+            attempts = 0
+            while True:
+                try:
+                    self._write(batches, log_rows, loop_rows, pickled)
+                    break
+                except FlushCallbackError as exc:
+                    # The transaction committed; retrying would duplicate
+                    # every row.  Record the callback failure and move on.
+                    self._defer(exc)
+                    break
+                except BaseException as exc:  # noqa: BLE001 - retried, then surfaced
+                    attempts += 1
+                    if attempts <= self.write_retries and isinstance(exc, Exception):  # not an interrupt
+                        self.stats["write_retries"].inc()
+                        time.sleep(self.retry_backoff)
+                    elif pickled:
+                        # The checkpoints may be what failed (a state past
+                        # SQLite's length limit): the rows try once more alone.
+                        self.checkpoint_stats["errors"].inc(len(pickled))
+                        self._defer(CheckpointError(f"cannot write checkpoint: {exc}"))
+                        pickled = []
+                        if not batches:
+                            break
+                    else:
+                        with self._cond:
+                            self._error = self._error or exc
+                            # Monotone drop counters, bumped before the rows
+                            # are released below: the deferred error goes to
+                            # the first drain, but an observer (/stats, the
+                            # chaos seal protocol) can still tell that
+                            # acknowledged rows were lost on this handle.
+                            self.stats["dropped_batches"].inc(len(batches))
+                            self.stats["dropped_rows"].inc(rows)
+                        break
+        finally:
+            with self._cond:
+                self._pending_rows -= rows
+                self._pending_weight -= rows + (len(entries) - len(batches)) * self._snapshot_rows
+                self._inflight = []
+                self._cond.notify_all()
+                if self._queue or self._stop or self._wal_due:
+                    self._wake.notify()
 
     def _pickle(self, checkpoint: _Checkpoint) -> _Pickled:
         started = time.perf_counter()
@@ -430,7 +456,7 @@ class BackgroundFlusher:
 
     # ----------------------------------------------------------------- errors
     def _defer(self, error: BaseException) -> None:
-        """Keep the first worker error for the next drain to raise."""
+        """Keep the first writer error for the next drain to raise."""
         with self._cond:
             self._error = self._error or error
 

@@ -313,7 +313,7 @@ class DatabasePool:
         # The session's query engine carries the shard's materialized pivot
         # views (one cache per tenant, warm across requests).  Resolve it
         # here, once, so the session's post-commit invalidation hook — which
-        # runs on the flusher's thread — never races its lazy construction.
+        # runs on the writing thread — never races its lazy construction.
         engine = session.query
         with self._lock:
             detached = self._detached.pop(name, None)

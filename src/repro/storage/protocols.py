@@ -92,6 +92,10 @@ class RelationalStore(Protocol):
         whether it ran); the first call hands this upkeep to the caller."""
         ...
 
+    def checkpoint_due(self) -> bool:
+        """Whether :meth:`checkpoint` would run one now; a cheap probe."""
+        ...
+
     def close(self) -> None:
         """Release the backend's resources; the store is unusable after."""
         ...

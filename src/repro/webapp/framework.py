@@ -13,6 +13,7 @@ Provides exactly the surface the feedback application needs:
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -36,13 +37,16 @@ class Request:
         """Parse the body as JSON (empty body yields an empty dict).
 
         Every body that does not parse raises :class:`WebAppError` — bad
-        syntax, invalid UTF-8, an integer past the int-to-str digit limit
-        (each a ``ValueError``) and nesting past the recursion limit.
+        syntax, invalid UTF-8 or a lone surrogate escape, an integer past the
+        int-to-str digit limit (each a ``ValueError``) and deep nesting.
         """
         if not self.body:
             return {}
         try:
-            return json.loads(self.body.decode("utf-8"))
+            payload = json.loads(self.body.decode("utf-8"))
+            if re.search(rb"\\u[dD][89a-fA-F]", self.body):  # half a surrogate pair; a whole one is fine
+                json.dumps(payload, ensure_ascii=False).encode("utf-8")
+            return payload
         except (ValueError, RecursionError) as exc:
             raise WebAppError(f"request body is not valid JSON: {exc}") from exc
 

@@ -82,6 +82,25 @@ class TestUnencodableValues:
         ]
         assert session.pending_records == 0
 
+    @pytest.mark.parametrize("closed", [False, True], ids=["async", "closed"])
+    def test_a_lone_surrogate_raises_at_log_and_neighbours_land(self, session, closed):
+        """Text no UTF-8 column can hold, as a value or a name: once staged,
+        it failed the writer's transaction and dropped the rows beside it."""
+        if closed:
+            session.flusher.close()
+        session.log("ok", 1.5)
+        with pytest.raises(UnicodeEncodeError):
+            session.log("bad", "\ud800")
+        with pytest.raises(UnicodeEncodeError):
+            session.log("\udfff", 1)
+        session.log("smile", "\U0001f600")
+        assert session.pending_records == 2
+        session.flush()
+        assert [(r.value_name, r.decoded()) for r in session.logs.all(session.projid)] == [
+            ("ok", 1.5), ("smile", "\U0001f600")
+        ]
+        assert session.flusher.stats.dropped_rows == 0
+
 
 class TestArg:
     def test_arg_uses_default_when_unset(self, session):

@@ -379,24 +379,24 @@ class TestOneWriter:
             flushes = session.flusher.stats.transactions
             assert session.flusher.checkpoint_stats.written == 3
 
-        writer = session.flusher.name
         inserts = [(thread, sql) for thread, sql in statements if "INTO obj_store" in sql]
         assert len(inserts) == 3
-        # Every obj_store insert ran on the flusher's thread, between a
-        # BEGIN and a COMMIT there — never as an autocommit statement of
-        # the recording thread — and every COMMIT on that thread is one of
-        # the flusher's counted transactions.
-        assert {thread for thread, _ in inserts} == {writer}
-        open_transaction = False
+        # Every obj_store insert ran between a BEGIN and a COMMIT on the
+        # thread that wrote it — the flusher's, or a draining caller's —
+        # never as an autocommit statement of its own, and every
+        # transaction that wrote rows or checkpoints is one of the
+        # flusher's counted transactions.
+        open_transaction: dict[str, bool] = {}
+        wrote: dict[str, bool] = {}
+        commits = 0
         for thread, sql in statements:
-            if thread != writer:
-                continue
             if sql.startswith("BEGIN"):
-                open_transaction = True
+                open_transaction[thread], wrote[thread] = True, False
             elif sql == "COMMIT":
-                open_transaction = False
-            elif "INTO obj_store" in sql:
-                assert open_transaction
-        commits = sum(1 for thread, sql in statements if thread == writer and sql == "COMMIT")
+                open_transaction[thread] = False
+                commits += wrote.get(thread, False)
+            elif any(f"INTO {table} " in sql for table in ("logs", "loops", "obj_store")):
+                assert open_transaction.get(thread), sql
+                wrote[thread] = True
         assert commits == flushes
         assert flushes <= 3 + 1  # at most one per epoch boundary, plus the final flush

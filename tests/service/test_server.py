@@ -301,6 +301,32 @@ class TestUnparsableBodies:
             sock.sendall(_get_bytes(front.small_get))
             assert _read_response(sock)[0].startswith(b"HTTP/1.1 200 ")
 
+    @pytest.mark.parametrize(
+        "record",
+        [b'{"name": "bad", "value": "\\ud800"}', b'{"name": "\\udfff", "value": 1}',
+         b'{"name": "bad", "value": 1, "filename": "x\\uDA00.py"}'],
+        ids=["value", "name", "filename"],
+    )
+    def test_a_lone_surrogate_is_a_400_and_a_pair_is_accepted(self, front, record):
+        """A lone surrogate escape decodes to text no UTF-8 column can hold:
+        acked, it would drop every row coalesced beside it at the write."""
+        lone = b'{"records": [{"name": "ok", "value": 1}, ' + record + b"]}"
+        pair = b'{"records": [{"name": "smile", "value": "\\ud83d\\ude00"}]}'
+        with socket.create_connection(front.address, timeout=5) as sock:
+            for body, status in ((lone, b"400"), (pair, b"202")):
+                sock.sendall(
+                    b"POST /projects/alpha/logs HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(body) + body
+                )
+                head, answer = _read_response(sock)
+                assert head.startswith(b"HTTP/1.1 " + status + b" "), (head, answer)
+            sock.sendall(_get_bytes(front.small_get))
+            assert _read_response(sock)[0].startswith(b"HTTP/1.1 200 ")
+        with front.service.pool.checkout("alpha") as shard:
+            shard.flush()
+            stored = shard.session.db.query("SELECT value_name, value FROM logs ORDER BY seq")
+        assert stored == [("m", "0"), ("smile", "\U0001f600")]
+
 
 class TestSmallResponseFloor:
     """Head and body used to leave as two small segments, the second held

@@ -55,7 +55,12 @@ a request thread), and the ``obj_store`` insert is spelled once, in
 :mod:`repro.relational.repositories` (``INSERT_OBJECT_SQL``, shared by
 ``ObjectRepository.put`` and the flusher) — one writer per database handle,
 so every write is counted, tailed and invalidates the query cache, and a
-checkpoint rides a flusher transaction instead of one of its own.
+checkpoint rides a flusher transaction instead of one of its own.  And
+``threading.Thread(`` is spelled once under :mod:`repro.runtime` and
+:mod:`repro.core`, in :mod:`repro.runtime.flusher` (a draining caller may
+write, but no second writer thread grows back), and above the stores a
+handle's ``.checkpoint()`` is called only in that thread's loop, ``_run`` (a
+caller's write probes the WAL and wakes the thread; it never folds it).
 
 A sixth keeps blobs in one layout: no module other than
 :mod:`repro.versioning.objects` (which unpacks archives older releases
@@ -227,6 +232,16 @@ WRITER_MODULES = ("repro.core.session", "repro.core.checkpoint")
 ENCODER_MODULES = ("repro.relational.records", "repro.runtime.buffer", "repro.runtime.flusher")
 OBJECT_INSERT_MODULE = "repro.relational.repositories"
 OBJECT_INSERT = re.compile(r"\bINSERT\b[^;]*?\bINTO\s+obj_store\b", re.IGNORECASE)
+#: The one module that starts a thread under the packages that record, and
+#: its writer loop, the only caller of a handle's ``.checkpoint()`` above the
+#: stores (which delegate it).
+WRITER_THREAD_MODULE, WRITER_LOOP = "repro.runtime.flusher", "_run"
+RECORDING_PACKAGES = ("repro.runtime", "repro.core")
+STORE_PACKAGES = ("repro.storage", "repro.relational")
+
+
+def in_packages(name: str, packages: tuple[str, ...]) -> bool:
+    return any(name == package or name.startswith(package + ".") for package in packages)
 
 
 def identifiers(node: ast.AST) -> list[str]:
@@ -241,7 +256,8 @@ def identifiers(node: ast.AST) -> list[str]:
 
 def second_record_paths(name: str, tree: ast.AST) -> list[tuple[int, str]]:
     """``(line, what)`` where a deleted writer, a second submitter, a second
-    ``obj_store`` insert or a second value-encoding pass reappears."""
+    ``obj_store`` insert, a second value-encoding pass, a second thread where
+    the flusher's is the one, or a WAL checkpoint off its loop reappears."""
     found = []
     for node in ast.walk(tree):
         names = set(identifiers(node))
@@ -258,6 +274,19 @@ def second_record_paths(name: str, tree: ast.AST) -> list[tuple[int, str]]:
             owner_name = getattr(owner, "attr", None) or getattr(owner, "id", None) or ""
             if owner_name.endswith("flusher"):
                 found.append((node.lineno, f"calls .{owner_name}.{node.func.attr}()"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    if in_packages(name, RECORDING_PACKAGES):
+        threads = [node for node in calls if "Thread" in identifiers(node.func)]
+        allowed = 1 if name == WRITER_THREAD_MODULE else 0
+        found.extend((node.lineno, "starts a second writer thread") for node in threads[allowed:])
+    if not in_packages(name, STORE_PACKAGES):
+        loop = [ast.walk(node) for node in ast.walk(tree) if getattr(node, "name", None) == WRITER_LOOP]
+        in_loop = {id(node) for walk in loop for node in walk} if name == WRITER_THREAD_MODULE else set()
+        found.extend(
+            (node.lineno, "calls .checkpoint() outside the writer thread's loop")
+            for node in calls
+            if getattr(node.func, "attr", None) == "checkpoint" and not node.args and id(node) not in in_loop
+        )
     inserts = [node for node in code_strings(tree) if OBJECT_INSERT.search(node.value)]
     if name != OBJECT_INSERT_MODULE:
         found.extend((node.lineno, "spells the obj_store insert") for node in inserts)
@@ -519,7 +548,8 @@ def main(argv: list[str]) -> int:
         print(
             f"writer seam intact: no second writer, flusher submits from {', '.join(WRITER_MODULES)} "
             f"only, encode_value named in {', '.join(ENCODER_MODULES)} only, "
-            f"the obj_store insert spelled in {OBJECT_INSERT_MODULE} once"
+            f"the obj_store insert spelled in {OBJECT_INSERT_MODULE} once, one thread and "
+            f".checkpoint() caller in {WRITER_THREAD_MODULE}.{WRITER_LOOP}"
         )
         print(f"blob seam intact: no archive layout named outside {LAYOUT_MODULE}")
         print(f"schema seam intact: index DDL and the DDL stamp spelled in {SCHEMA_MODULE} only")
