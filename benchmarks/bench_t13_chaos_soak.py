@@ -8,17 +8,18 @@ Two measurements of the durability story end to end:
   scenario zoo: agent-session traces, multi-project fan-out and a
   hindsight backfill draining on an embedded runner.  Every cycle ends in
   a close/reopen recovery whose invariants are asserted **at every
-  scale**: zero lost sealed rows, monotone ``logs.seq`` watermarks, zero
-  double-replayed job versions, recovery under the bound.  The soak is
+  scale**: each value sent stored exactly once, monotone ``logs.seq``
+  watermarks, zero double-replayed job versions, recovery under the bound.  The soak is
   seeded; a red run prints ``REPRO_CHAOS_SEED=<n>`` for exact replay.
 * **SIGKILL recovery** — a real ``repro serve --job-workers`` subprocess
   is killed with SIGKILL at named barriers while a ledger-keeping client
-  runs the seal protocol (mark → drop-counter probe → primary read →
-  probe).  After each kill the client gives the restarted server no
-  continuity credit: it forces a repair (resubmits every unsealed batch)
-  before sealing again.  Asserted at every scale: no sealed row is ever
-  lost.  At full scale: mean kill-to-healthy recovery stays under the
-  bound.
+  sends every batch under an ``Idempotency-Key`` and seals with
+  :meth:`~repro.testing.AckLedger.seal` (a barrier read, then every
+  unsealed batch resent under its key).  After each kill the restarted
+  server answers a resend of a batch it committed with ``200`` and stages
+  a lost one again.  Asserted at every scale: no sealed row is ever lost,
+  and once settled every batch sent is stored exactly once.  At full
+  scale: mean kill-to-healthy recovery stays under the bound.
 
 Perf assertions fire at full scale only (T5/T9/T10's convention); CI's
 chaos-smoke job records the smoke-scale trajectory in ``BENCH_*.json``.
@@ -33,6 +34,7 @@ from urllib.parse import quote
 import pytest
 from conftest import report
 
+from repro.relational.database import Database
 from repro.testing import (
     SEED_ENV_VAR,
     AckLedger,
@@ -40,6 +42,7 @@ from repro.testing import (
     FaultPlan,
     ServerProcess,
     assert_invariants,
+    check_no_lost_rows,
 )
 
 #: Deterministic by default; export REPRO_CHAOS_SEED to replay a red run's
@@ -104,32 +107,14 @@ def test_soak_invariants_hold_under_continuous_faults(benchmark, tmp_path, scale
 
 
 # ------------------------------------------------------------ SIGKILL rounds
-def _post_batch(server: ServerProcess, ledger: AckLedger, project: str, values) -> None:
-    server.post(
-        f"/projects/{project}/logs",
-        {
-            "filename": "ingest.py",
-            "records": [{"name": "metric", "value": v, "ctx_id": 0} for v in values],
-        },
-    )
-    ledger.record(project, "metric", values)
+BARRIER = "/projects/alpha/dataframe?names=metric"
 
 
-def _seal(server: ServerProcess, ledger: AckLedger, project: str, state: dict) -> bool:
-    """The client-side seal protocol (see docs/testing.md)."""
-    mark = ledger.mark(project)
-    before = server.get(f"/projects/{project}/stats")["dropped_rows_total"]
-    if before != state.get(project, 0):
-        state[project] = before
-        return False
-    server.get(f"/projects/{project}/dataframe?names=metric&primary=1")
-    after = server.get(f"/projects/{project}/stats")["dropped_rows_total"]
-    if after != before:
-        state[project] = after
-        return False
-    ledger.seal_through(mark, project)
-    state[project] = after
-    return True
+def _batch(values) -> dict:
+    return {
+        "filename": "ingest.py",
+        "records": [{"name": "metric", "value": v, "ctx_id": 0} for v in values],
+    }
 
 
 def _stored_values(server: ServerProcess, project: str) -> set[str]:
@@ -139,7 +124,7 @@ def _stored_values(server: ServerProcess, project: str) -> set[str]:
 
 
 @pytest.mark.parametrize("scale", sorted(KILL_SCALES))
-def test_sigkill_rounds_lose_no_sealed_rows(benchmark, tmp_path, scale):
+def test_sigkill_rounds_store_each_row_once(benchmark, tmp_path, scale):
     rounds = KILL_SCALES[scale]
     root = tmp_path / "root"
     root.mkdir()
@@ -154,20 +139,14 @@ def test_sigkill_rounds_lose_no_sealed_rows(benchmark, tmp_path, scale):
         try:
             server.wait_healthy()
             for round_ in range(rounds):
-                state: dict = {}
-                # A fresh process starts its drop counter at 0 and, having
-                # been SIGKILL'd, earns no continuity credit: resubmit every
-                # unsealed batch before sealing anything.
-                for name, values in ledger.forget_unsealed(project):
-                    _post_batch(server, ledger, project, list(values))
                 for batch in range(KILL_BATCHES):
                     values = [
                         f"k{round_}.b{batch}.r{r}" for r in range(KILL_BATCH_ROWS)
                     ]
-                    _post_batch(server, ledger, project, values)
+                    ledger.post(server.client, project, _batch(values))
                     if batch % 2 == 0:
-                        _seal(server, ledger, project, state)
-                _seal(server, ledger, project, state)
+                        ledger.seal(server.client, project, BARRIER)
+                ledger.seal(server.client, project, BARRIER)
                 sealed_per_round.append(ledger.counts()["sealed_rows"])
                 server.kill9(barrier=f"mid_ingest_round{round_}")
                 started = time.perf_counter()
@@ -191,24 +170,11 @@ def test_sigkill_rounds_lose_no_sealed_rows(benchmark, tmp_path, scale):
         run_rounds, rounds=1, iterations=1
     )
     try:
-        # Final at-least-once sweep: after resubmitting the tail, nothing
-        # acked is missing at all — sealed or not.
-        for name, values in ledger.forget_unsealed(project):
-            _post_batch(server, ledger, project, list(values))
-        _seal(server, ledger, project, {})
-        stored = _stored_values(server, project)
-        acked = {
-            f"k{round_}.b{batch}.r{r}"
-            for round_ in range(rounds)
-            for batch in range(KILL_BATCHES)
-            for r in range(KILL_BATCH_ROWS)
-        }
-        missing = acked - stored
-        assert_invariants(
-            [f"{len(missing)} acked row(s) missing after repair: {sorted(missing)[:5]}"]
-            if missing
-            else []
-        )
+        # Settle: every batch is resent under its key until a resend finds
+        # it committed, so each row sent is stored exactly once.
+        assert ledger.seal(server.client, project, BARRIER, rounds=3) == 0
+        with Database(root / project / ".flor" / "flor.db") as db:
+            assert_invariants(check_no_lost_rows(db, ledger, project))
     finally:
         server.terminate()
     mean_recovery = sum(recoveries) / len(recoveries)

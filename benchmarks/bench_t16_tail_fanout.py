@@ -201,11 +201,11 @@ def _drive_storm(
         for consumer in crowd:
             consumer.start()
         result = workload.run(client)
-        # Seal every project (primary read = flush barrier), note the
+        # Seal every project (every read is a flush barrier), note the
         # watermarks, hand them to the crowd as drain targets, release.
         watermarks: dict[str, int] = {}
         for project in workload.project_names():
-            rows = client.get(f"/projects/{project}/sql?q={MAX_SEQ_SQL}&primary=1").json()
+            rows = client.get(f"/projects/{project}/sql?q={MAX_SEQ_SQL}").json()
             watermarks[project] = int(rows["records"][0]["max_seq"])
         for consumer in crowd:
             consumer.target = watermarks[consumer.project]
@@ -282,8 +282,8 @@ def test_sealed_rows_survive_a_forced_reconnect_exactly_once(benchmark, tmp_path
 
     A ledger-tracked ingest stream runs against one project while a
     single *live* subscriber consumes through forced reconnect cycles.
-    After the seal barrier the subscriber's trail must contain every
-    sealed value, and the contiguous-seq check makes the delivery
+    Once every keyed batch is sealed the subscriber's trail must contain
+    every sealed value, and the contiguous-seq check makes the delivery
     exactly-once.
     """
 
@@ -298,22 +298,17 @@ def test_sealed_rows_survive_a_forced_reconnect_exactly_once(benchmark, tmp_path
                 if batch == 1:
                     consumer.start()  # alpha exists now; consume the rest live
                 values = [f"b{batch}.r{r}" for r in range(8)]
-                response = client.post(
-                    "/projects/alpha/logs",
-                    json_body={
-                        "filename": "train.py",
-                        "records": [
-                            {"name": "metric", "value": v, "ctx_id": i}
-                            for i, v in enumerate(values)
-                        ],
-                    },
-                )
-                assert response.status == 202
-                ledger.record("alpha", "metric", values)
+                payload = {
+                    "filename": "train.py",
+                    "records": [
+                        {"name": "metric", "value": v, "ctx_id": i}
+                        for i, v in enumerate(values)
+                    ],
+                }
+                assert ledger.post(client, "alpha", payload).status == 202
 
-            mark = ledger.mark("alpha")
-            rows = client.get(f"/projects/alpha/sql?q={MAX_SEQ_SQL}&primary=1").json()
-            ledger.seal_through(mark, "alpha")
+            assert ledger.seal(client, "alpha", "/projects/alpha/dataframe?names=metric") == 0
+            rows = client.get(f"/projects/alpha/sql?q={MAX_SEQ_SQL}").json()
             watermark = int(rows["records"][0]["max_seq"])
 
             consumer.target = watermark

@@ -263,6 +263,17 @@ class Session:
         """
         self._buffer.stage(logs, loops)
 
+    def submit_keyed(self, key: str, logs: Sequence[tuple] = (), loops: Sequence[tuple] = ()) -> None:
+        """Hand rows staged as for :meth:`stage` to the writer now, as one
+        entry under an idempotency ``key``, behind the rows already staged.
+
+        The writer lands them once: a transaction that finds ``key``
+        committed, or written earlier in itself, skips them (see
+        :class:`~repro.runtime.flusher.BackgroundFlusher`).
+        """
+        self.flush(wait=False)
+        self.flusher.submit(logs, loops, on_written=self._note_rows_written, key=key)
+
     def write_records(self, logs: Sequence[LogRecord], loops: Sequence[LoopRecord]) -> None:
         """Write records built elsewhere — a backfill's collected replays.
 

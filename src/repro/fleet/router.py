@@ -211,7 +211,8 @@ class FleetRouter:
         jitter, so a hundred concurrent requests do not hammer the reborn
         worker in lockstep — until the failover budget runs out and the
         client gets a 503 with a Retry-After instead of blocking forever.
-        Retried appends are at-least-once.
+        A retried append lands exactly once under an ``Idempotency-Key``
+        (:meth:`_proxy` forwards it) and at-least-once without one.
         """
         deadline = time.monotonic() + self.failover_timeout
         retries = 0
@@ -244,6 +245,9 @@ class FleetRouter:
         query = urlencode(request.query)
         url = request.path + (f"?{query}" if query else "")
         headers = {"Content-Type": request.headers.get("Content-Type", "application/json")}
+        key = request_header(request, "Idempotency-Key")
+        if key is not None:
+            headers["Idempotency-Key"] = key
         response = self._with_failover(
             worker_id,
             lambda client: client.request(

@@ -197,10 +197,12 @@ class HttpClient:
     def get(self, url: str) -> Response:
         return self.request("GET", url)
 
-    def post(self, url: str, json_body: Any = None, body: bytes = b"") -> Response:
+    def post(
+        self, url: str, json_body: Any = None, body: bytes = b"", headers: Mapping[str, str] | None = None
+    ) -> Response:
         if json_body is not None:
             body = json.dumps(json_body).encode("utf-8")
-        return self.request("POST", url, body=body)
+        return self.request("POST", url, body=body, headers=headers)
 
     def put(self, url: str, json_body: Any = None, body: bytes = b"") -> Response:
         if json_body is not None:

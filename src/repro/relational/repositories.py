@@ -37,6 +37,24 @@ INSERT_OBJECT_SQL = (
     " VALUES (?, ?, ?, ?, ?, ?)"
 )
 
+#: Keyed appends (``POST /projects/<n>/logs`` with an ``Idempotency-Key``).
+#: The flusher inserts a batch's key in the transaction of its rows and
+#: skips the rows when the insert is ignored (the key landed before, or
+#: earlier in the same transaction); that transaction then prunes the table
+#: to the newest :data:`KEPT_APPEND_KEYS` keys.  A retry past that window is
+#: applied again.
+KEPT_APPEND_KEYS = 1_024
+INSERT_APPEND_KEY_SQL = "INSERT OR IGNORE INTO append_keys (key) VALUES (?)"
+PRUNE_APPEND_KEYS_SQL = (
+    "DELETE FROM append_keys WHERE rowid <= "
+    f"(SELECT MAX(rowid) FROM append_keys) - {KEPT_APPEND_KEYS}"
+)
+
+
+def append_key_landed(db: RelationalStore, key: str) -> bool:
+    """Whether a keyed append under ``key`` committed (and is still kept)."""
+    return db.query_one("SELECT 1 FROM append_keys WHERE key = ?", (key,)) is not None
+
 
 class LogRepository:
     """Append-only access to the ``logs`` table."""

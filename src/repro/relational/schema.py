@@ -6,7 +6,9 @@ are append-only; the mutable tables are ``build_deps.cached``, the job
 orchestration pair ``jobs``/``job_events`` (``jobs`` rows advance through a
 state machine, ``job_events`` is an append-only audit/progress trail — see
 :mod:`repro.jobs`) and the per-tenant admission-control rules in
-``qos_policies`` (see :mod:`repro.qos`).
+``qos_policies`` (see :mod:`repro.qos`).  ``append_keys`` holds the
+idempotency keys of the newest keyed appends (see
+:mod:`repro.relational.repositories`).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ TABLES = (
     "jobs",
     "job_events",
     "qos_policies",
+    "append_keys",
 )
 
 _DDL = """
@@ -167,6 +170,14 @@ CREATE TABLE IF NOT EXISTS job_events (
     created_at      REAL NOT NULL DEFAULT 0.0
 );
 CREATE INDEX IF NOT EXISTS idx_job_events_job ON job_events (job_id, seq);
+
+-- Idempotency keys of keyed appends: the writer inserts one in the
+-- transaction that writes its rows, and a key already here skips them.
+-- Rowids only grow and only the oldest are pruned, so the newest keys are
+-- the highest rowids.
+CREATE TABLE IF NOT EXISTS append_keys (
+    key             TEXT PRIMARY KEY
+);
 """
 
 #: ``PRAGMA user_version`` of a file the script above has run on.  Derived

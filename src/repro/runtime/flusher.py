@@ -36,6 +36,11 @@ Semantics (one transaction path, whichever thread runs it):
   are encoded in the pass that collects the transaction's rows, before it
   opens and once: a retry reuses the rows.  Only scalars whose encoding
   cannot fail are deferred (:func:`~repro.runtime.buffer.log_row`).
+* **keys**: a batch submitted under an idempotency key inserts the key in
+  its transaction and writes its rows only if the insert took, so a key
+  already committed, or met earlier in the same transaction, skips them —
+  and a dropped transaction rolls its keys back with its rows, leaving a
+  retry free to land.
 * **checkpoints** are pickled by the writer before the transaction opens,
   outside both locks, and once: a retried transaction reuses the bytes.  A
   snapshot that cannot be pickled is dropped alone — it counts in
@@ -65,7 +70,13 @@ from ..errors import CheckpointError, ReproError
 from ..obs.metrics import Counter, MetricsRegistry, StatsView
 from ..storage.protocols import RelationalStore
 from ..relational.records import encode_value
-from ..relational.repositories import INSERT_LOG_SQL, INSERT_LOOP_SQL, INSERT_OBJECT_SQL
+from ..relational.repositories import (
+    INSERT_APPEND_KEY_SQL,
+    INSERT_LOG_SQL,
+    INSERT_LOOP_SQL,
+    INSERT_OBJECT_SQL,
+    PRUNE_APPEND_KEYS_SQL,
+)
 from .buffer import DEFERRED
 
 #: Rows one flusher may hold (queued + in flight) before ``submit`` blocks.
@@ -91,12 +102,14 @@ class FlushCallbackError(ReproError):
 
 
 class _Rows(NamedTuple):
-    """One queued row submission; ``on_written(count)`` runs after its commit."""
+    """One queued row submission; ``on_written(count)`` runs after its commit.
+    A keyed one lands once: its rows are skipped when its ``key`` has."""
 
     log_rows: Sequence[tuple]
     loop_rows: Sequence[tuple]
     on_written: "Callable[[int], None] | None"
     count: int
+    key: str | None = None
 
 
 class _Checkpoint(NamedTuple):
@@ -122,6 +135,21 @@ def _insert_rows(batches: "list[_Rows]") -> tuple[list[tuple], list[tuple]]:
         for projid, tstamp, filename, ctx_id, name, value, value_type in batch.log_rows
     ]
     return log_rows, [row for batch in batches for row in batch.loop_rows]
+
+
+#: The INSERT parameters of a transaction, in queue order: ``(key, log_rows,
+#: loop_rows)`` for each keyed batch and for each run of unkeyed ones.
+_Segments = list[tuple["str | None", list[tuple], list[tuple]]]
+
+
+def _segments(batches: "list[_Rows]") -> _Segments:
+    runs: list[list[_Rows]] = []
+    for batch in batches:
+        if batch.key is None and runs and runs[-1][-1].key is None:
+            runs[-1].append(batch)
+        else:
+            runs.append([batch])
+    return [(run[0].key, *_insert_rows(run)) for run in runs]
 
 
 #: ``BackgroundFlusher.stats`` field → telemetry counter.
@@ -222,6 +250,7 @@ class BackgroundFlusher:
         loop_rows: Sequence[tuple] = (),
         on_written: "Callable[[int], None] | None" = None,
         wake: bool = True,
+        key: str | None = None,
     ) -> int:
         """Hand a batch of rows to the writer; returns the row count.
 
@@ -229,7 +258,9 @@ class BackgroundFlusher:
         backpressure) and never raises deferred writer errors — those
         surface at :meth:`drain`/:meth:`close`, where no batch is in hand to
         be lost or double-submitted.  ``wake=False`` is for a caller whose
-        :meth:`drain` follows: the thread sleeps on.  A submit after
+        :meth:`drain` follows: the thread sleeps on.  Under a ``key`` the
+        rows land once: the transaction that inserts the key writes them,
+        and one that finds it already there skips them.  A submit after
         :meth:`close` writes inline, raising its own failure at the call site.
         """
         count = len(log_rows) + len(loop_rows)
@@ -239,9 +270,9 @@ class BackgroundFlusher:
             return 0
         self.stats["submitted_batches"].inc()
         self.stats["submitted_rows"].inc(count)
-        batch = _Rows(log_rows, loop_rows, on_written, count)
+        batch = _Rows(log_rows, loop_rows, on_written, count, key)
         if self._closed:
-            self._write([batch], *_insert_rows([batch]), [])
+            self._write([batch], _segments([batch]), [])
         else:
             self._enqueue(batch, count, count, self.stats["backpressure_waits"], wake)
         return count
@@ -256,7 +287,7 @@ class BackgroundFlusher:
         self.checkpoint_stats["submitted"].inc()
         if self._closed:
             self._raise_pending()
-            self._write([], [], [], [self._pickle(checkpoint)])
+            self._write([], [], [self._pickle(checkpoint)])
         else:
             self._enqueue(checkpoint, 0, self._snapshot_rows, self.checkpoint_stats["backpressure_waits"])
 
@@ -348,7 +379,7 @@ class BackgroundFlusher:
         try:
             # Encoded and pickled once, before the transaction: a retry
             # reuses both, and a snapshot that will not pickle drops alone.
-            log_rows, loop_rows = _insert_rows(batches)
+            segments = _segments(batches)
             pickled = []
             for entry in entries:
                 if isinstance(entry, _Checkpoint):
@@ -359,7 +390,7 @@ class BackgroundFlusher:
             attempts = 0
             while True:
                 try:
-                    self._write(batches, log_rows, loop_rows, pickled)
+                    self._write(batches, segments, pickled)
                     break
                 except FlushCallbackError as exc:
                     # The transaction committed; retrying would duplicate
@@ -410,23 +441,28 @@ class BackgroundFlusher:
         self.checkpoint_stats["pickle_seconds"].inc(seconds)
         return (*checkpoint.key, contents), checkpoint.on_written, seconds
 
-    def _write(
-        self, batches: "list[_Rows]", log_rows: list, loop_rows: list, pickled: "list[_Pickled]"
-    ) -> None:
+    def _write(self, batches: "list[_Rows]", segments: _Segments, pickled: "list[_Pickled]") -> None:
         seconds = 0.0
-        if log_rows or loop_rows or pickled:
+        if segments or pickled:
             started = time.perf_counter()
+            written = 0
             with self.db.transaction() as connection:
-                if log_rows:
-                    connection.executemany(INSERT_LOG_SQL, log_rows)
-                if loop_rows:
-                    connection.executemany(INSERT_LOOP_SQL, loop_rows)
+                for key, log_rows, loop_rows in segments:
+                    if key is not None and not connection.execute(INSERT_APPEND_KEY_SQL, (key,)).rowcount:
+                        continue  # landed before, or earlier in this transaction
+                    if log_rows:
+                        connection.executemany(INSERT_LOG_SQL, log_rows)
+                    if loop_rows:
+                        connection.executemany(INSERT_LOOP_SQL, loop_rows)
+                    written += len(log_rows) + len(loop_rows)
+                if any(key is not None for key, _, _ in segments):
+                    connection.execute(PRUNE_APPEND_KEYS_SQL)
                 if pickled:
                     connection.executemany(INSERT_OBJECT_SQL, [row for row, _, _ in pickled])
             seconds = time.perf_counter() - started
             self.metrics.observe("flush.ms", seconds * 1000.0)
             self.stats["transactions"].inc()
-            self.stats["written_rows"].inc(len(log_rows) + len(loop_rows))
+            self.stats["written_rows"].inc(written)
             if pickled:
                 self.checkpoint_stats["written"].inc(len(pickled))
                 self.checkpoint_stats["write_seconds"].inc(seconds)

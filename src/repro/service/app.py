@@ -7,7 +7,13 @@ Routes (all JSON; ``<name>`` is a tenant/project name):
   are acknowledged with ``202`` once staged — ``"flushed": true`` in the
   response means the batch was *handed to the shard's background flusher*,
   not that it is already durable.  Durability comes from the next commit or
-  read, both of which drain the flusher first.
+  read, both of which drain the flusher first.  Under an
+  ``Idempotency-Key`` header (1–128 visible ASCII characters, else ``400``)
+  the batch lands once however often it is sent: it goes to the flusher at
+  once and ``202`` still means handed over, while a key that already
+  committed is answered ``200 {"replayed": true}`` — its rows are durable —
+  and stages nothing.  The newest ``KEPT_APPEND_KEYS`` keys of a tenant are
+  kept; an unkeyed batch that is retried may land twice.
 * ``POST /projects/<name>/commit`` — flush the shard's staged rows and run
   ``flor.commit`` (snapshot tracked files, record the ``ts2vid`` epoch).
 * ``GET /projects/<name>/dataframe?names=a,b[&latest=1]`` — the pivoted
@@ -119,6 +125,7 @@ from .streams import (
 
 #: Tenant names must be plain path-safe tokens (no separators, no ``..``).
 _PROJECT_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+_APPEND_KEY_RE = re.compile(r"[\x21-\x7e]{1,128}")
 
 
 class FlorService:
@@ -615,10 +622,18 @@ def create_app(service: FlorService) -> WebApp:
     def append_logs(request: Request, name: str):
         name = _validated_name(name)
         enforce_admission(service.admission, name, ("logs",), request)
+        key = request_header(request, "Idempotency-Key")
+        if key is not None and not _APPEND_KEY_RE.fullmatch(key):
+            raise HttpError(400, "an Idempotency-Key is 1 to 128 visible ASCII characters")
         payload = _json_body(request)
         with pool.checkout(name) as shard:
             logs, loops = _staged_rows(shard.session, payload)
-            flushed = shard.append(logs, loops)
+            if key is None:
+                flushed = shard.append(logs, loops)
+            elif shard.append_keyed(key, logs, loops):
+                flushed = True
+            else:
+                return JsonResponse({"replayed": True})
             return JsonResponse(
                 {
                     "queued": len(logs) + len(loops),

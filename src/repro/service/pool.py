@@ -44,7 +44,6 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import count
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -52,6 +51,7 @@ from ..config import ProjectConfig
 from ..core.session import Session
 from ..obs.metrics import MetricsRegistry, StatsView
 from ..query import PivotViewCache
+from ..relational.repositories import append_key_landed
 
 #: Filename stamped on records that arrive without one; mirrors how the
 #: feedback webapp stamps ``app.py`` on human-in-the-loop records.
@@ -65,13 +65,6 @@ _STATS = {
     field: f"pool.{field}"
     for field in ("hits", "misses", "evictions", "reopens", "rest_hits")
 }
-
-
-#: Process-wide shard incarnation numbers.  Flush statistics (including the
-#: dropped-row counters durability clients watch) reset when a shard is
-#: evicted and reopened; the incarnation lets an observer distinguish "no
-#: drops" from "fresh handle, history unknown".
-_incarnations = count(1)
 
 
 @dataclass(frozen=True)
@@ -118,7 +111,6 @@ class ProjectShard:
             "explicit_flushes": 0,
         }
         self._last_handoff = clock()
-        self.incarnation = next(_incarnations)
         self.lock = threading.RLock()
         self.closed = False
         #: ``session.db.write_version`` after the final flush of :meth:`close`.
@@ -157,6 +149,22 @@ class ProjectShard:
         else:
             return False
         self._hand_off(trigger, wait=False)
+        return True
+
+    def append_keyed(self, key: str, logs: Sequence[tuple] = (), loops: Sequence[tuple] = ()) -> bool:
+        """Hand rows to the writer now under an idempotency ``key`` (see
+        :meth:`Session.submit_keyed`); False, staging nothing, when a batch
+        under ``key`` already committed.
+
+        A batch still queued or in flight is not found here: its retry is
+        queued too, and the writer skips whichever lands second.  Call with
+        the shard lock held, like :meth:`append`.
+        """
+        if append_key_landed(self.session.db, key):
+            return False
+        self.session.submit_keyed(key, logs, loops)
+        self.ingest["appended"] += len(logs) + len(loops)
+        self._last_handoff = self.clock()
         return True
 
     def flush(self) -> int:
@@ -272,14 +280,6 @@ class DatabasePool:
         self._ever_opened: set[str] = set()
         self.metrics = metrics or MetricsRegistry()
         self.stats = StatsView(self.metrics, _STATS)
-        # Dropped-row counts banked from closed incarnations, per tenant.
-        # A shard's flusher counters die with it; summing the bank with the
-        # live counter gives each tenant a drop total that is monotone for
-        # the pool's lifetime (served by the /stats endpoint).  The counter
-        # is the bank's total; ``flush.dropped_rows`` counts drops as they
-        # happen.
-        self._dropped_banked: dict[str, int] = {}
-        self._banked_total = self.metrics.counter("pool.dropped_rows")
         self.on_ingest = on_ingest
 
     def _default_factory(self, name: str) -> ProjectShard:
@@ -386,9 +386,8 @@ class DatabasePool:
         propagates.  The ``_closing`` reservation taken when the shard was
         popped guarantees the name was not concurrently rebuilt, so
         reinstating always succeeds.  Only a successful close counts as an
-        eviction, banks the incarnation's dropped-row count so the tenant's
-        drop total stays monotone across reopens, and detaches the shard's
-        pivot cache before releasing the reservation a reopen waits on.
+        eviction and detaches the shard's pivot cache, before the
+        reservation a reopen waits on is released.
         """
         try:
             shard.close()
@@ -400,7 +399,6 @@ class DatabasePool:
         else:
             self.stats["evictions"].inc()
             session = shard.session
-            dropped = session.flusher.stats.dropped_rows
             detached = _Detached(
                 session.query.cache,
                 session.projid,
@@ -412,31 +410,10 @@ class DatabasePool:
                 self._detached[shard.name] = detached
                 while len(self._detached) > self.capacity:
                     self._detached.popitem(last=False)
-                if dropped:
-                    self._dropped_banked[shard.name] = (
-                        self._dropped_banked.get(shard.name, 0) + dropped
-                    )
-            self._banked_total.inc(dropped)
         finally:
             with self._lock:
                 event = self._closing.pop(shard.name)
             event.set()
-
-    def dropped_rows_total(self, name: str) -> int:
-        """Rows dropped by this tenant's writers over the pool's lifetime.
-
-        Monotone while the pool lives: banked counts from closed
-        incarnations plus the live shard's counter.  Durability clients
-        compare this across a read barrier — unchanged means no
-        acknowledged row was shed between the two looks (the chaos
-        harness's seal protocol; see ``repro.testing``).
-        """
-        with self._lock:
-            total = self._dropped_banked.get(name, 0)
-            shard = self._shards.get(name)
-        if shard is not None:
-            total += shard.session.flusher.stats.dropped_rows
-        return total
 
     def read_at_rest(
         self, name: str, read: Callable[[PivotViewCache, str, int], bytes | None]

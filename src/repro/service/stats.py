@@ -28,20 +28,10 @@ def qos_stats(service, tenant: str | None = None) -> dict[str, Any] | None:
 
 
 def shard_stats_payload(service, shard: ProjectShard) -> dict[str, Any]:
-    """The per-tenant block of ``GET /projects/<name>/stats``.
-
-    ``dropped_rows_total`` is the tenant's monotone (per service process)
-    count of acknowledged rows its writers shed; a client that sees it
-    unchanged across a read knows no acked row was dropped in
-    between (the chaos harness's seal protocol; see docs/testing.md).
-    The ``incarnation`` identifies the live shard handle, whose own
-    flusher counters reset on reopen.
-    """
-    pool = service.pool
+    """The per-tenant block of ``GET /projects/<name>/stats``: the live
+    shard's counters, which start again at 0 when it reopens."""
     return {
         "project": shard.session.projid,
-        "incarnation": shard.incarnation,
-        "dropped_rows_total": pool.dropped_rows_total(shard.name),
         "pending": shard.pending,
         "ingest": shard.ingest,
         "flusher": shard.session.flusher.stats.as_dict(),

@@ -5,8 +5,9 @@ Everything needed to stress the durability story deterministically:
 * :mod:`~repro.testing.chaos` — :class:`FaultPlan` (seeded, replayable
   fault schedules), :class:`ManualClock` (sleep-free lease tests) and
   :class:`SkewedClock` (seeded clock drift for lease logic);
-* :mod:`~repro.testing.invariants` — the :class:`AckLedger` and the
-  checkers comparing acknowledged writes against post-recovery state;
+* :mod:`~repro.testing.invariants` — the :class:`AckLedger` (keyed
+  batches, sealed by resending them under their keys) and the checkers
+  comparing what was sent against post-recovery state;
 * :mod:`~repro.testing.procs` — :class:`ServerProcess`, which SIGKILLs a
   real ``repro serve --job-workers`` subprocess at named barriers, and
   :class:`FleetProcess`, the same management for ``repro serve
@@ -29,8 +30,8 @@ from .chaos import (
     seeds_since,
 )
 from .invariants import (
+    APPEND_KEY_HEADER,
     AckLedger,
-    InvariantReport,
     InvariantViolation,
     assert_invariants,
     check_monotone_watermark,
@@ -38,18 +39,19 @@ from .invariants import (
     check_recovery_time,
     check_single_replay,
     logs_watermark,
+    post_keyed,
 )
 from .procs import FleetProcess, ServerProcess, ServerProcessError
 from .soak import ChaosSoak, SoakReport, chaos_shard_factory
 
 __all__ = [
+    "APPEND_KEY_HEADER",
     "AckLedger",
     "ChaosSoak",
     "FaultPlan",
     "FaultyBlobStore",
     "FaultyRelationalStore",
     "FleetProcess",
-    "InvariantReport",
     "InvariantViolation",
     "ManualClock",
     "SEED_ENV_VAR",
@@ -64,6 +66,7 @@ __all__ = [
     "check_recovery_time",
     "check_single_replay",
     "logs_watermark",
+    "post_keyed",
     "recent_mark",
     "seeds_since",
 ]

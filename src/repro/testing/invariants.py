@@ -3,18 +3,21 @@
 The harness's correctness claims are phrased against the service's *actual*
 acknowledgement semantics, not an idealized one.  ``POST /logs`` answering
 ``202`` means the batch was handed to the shard's writer — not that it is
-durable; durability comes from the next successful commit or
-read-your-writes read (both flush first).  The :class:`AckLedger` therefore
-tracks two levels:
+durable.  So every batch the harness sends goes under an
+``Idempotency-Key``, and the :class:`AckLedger` keeps each batch's key and
+payload at two levels:
 
-* **acked** — the service accepted the batch (a 202 came back);
-* **sealed** — a durability barrier (a ``dataframe`` read or a commit)
-  *started after the batch was acked* later succeeded.
+* **owed** — the client sent it (whatever the answer was);
+* **sealed** — the service answered a resend under its key with ``200
+  {"replayed": true}``: its rows are durable.
 
-The headline invariant — *zero lost acked rows* — is asserted over sealed
-batches: every value sealed before a fault, an eviction, or a SIGKILL must
-be present after recovery.  Unsealed batches are the client's at-least-once
-retry obligation, mirroring what a real client does with an ambiguous ack.
+:meth:`AckLedger.seal` is the one way to seal — a barrier read, then every
+unsealed batch POSTed again under its key — and repeating it until nothing
+is left unsealed *settles* a project.  The headline invariant, checked once
+a project is settled, is that its store holds each owed value exactly once
+(:func:`check_no_lost_rows`): a lost row and a duplicated one are both
+violations.  Before then, sealed values must survive any fault, eviction or
+SIGKILL.
 
 The remaining checkers cover the job layer (*zero double-replayed
 versions*: no ``(job, vid)`` pair ever earns two ``version`` progress
@@ -31,8 +34,9 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Any, Iterator, Sequence
 
 from .chaos import FaultPlan
 
@@ -53,138 +57,146 @@ def assert_invariants(violations: Sequence[str], plan: FaultPlan | None = None) 
 
 
 # ----------------------------------------------------------------- ledger
+#: The header a keyed append carries (``POST /projects/<name>/logs``).
+APPEND_KEY_HEADER = "Idempotency-Key"
+
+
+def post_keyed(client, project: str, key: str, payload: dict[str, Any]):
+    """POST ``payload`` to ``project``'s append route under ``key``, through any
+    client whose ``post`` takes ``json_body=`` and ``headers=`` (the in-process
+    ``TestClient``, or the ``HttpClient`` of a server or a fleet)."""
+    return client.post(
+        f"/projects/{project}/logs", json_body=payload, headers={APPEND_KEY_HEADER: key}
+    )
+
+
 @dataclass
 class _Batch:
-    batch_id: int
     project: str
-    name: str
-    values: tuple[str, ...]
+    key: str
+    payload: dict[str, Any]
     sealed: bool = False
+
+    def values(self) -> Iterator[tuple[str, str]]:
+        for record in self.payload.get("records", ()):
+            yield str(record["name"]), str(record.get("value"))
 
 
 class AckLedger:
-    """Thread-safe record of acknowledged batches and durability barriers.
+    """Thread-safe record of the keyed batches a client owes the store.
 
-    Writers call :meth:`record` *after* the service acknowledged a batch.
-    To seal, a reader takes :meth:`mark` *before* issuing its barrier
-    request and, on success, calls :meth:`seal_through` with that mark —
-    only batches acked before the barrier began are sealed, so a batch
-    racing the barrier is never credited with durability it wasn't given.
+    A writer takes :meth:`next_key`, sends its batch under it (retrying under
+    the same key) and, once done trying, hands it to :meth:`record` — or does
+    all three with :meth:`post`.  :meth:`seal` then proves batches durable.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._ids = itertools.count(1)
+        self._keys = itertools.count(1)
         self._batches: list[_Batch] = []
 
-    def record(self, project: str, name: str, values: Iterable[Any]) -> int:
-        """Note one acknowledged batch; returns its ledger id."""
+    def next_key(self) -> str:
+        """A key no batch of this ledger has used."""
         with self._lock:
-            batch = _Batch(
-                next(self._ids), project, name, tuple(str(v) for v in values)
-            )
-            self._batches.append(batch)
-            return batch.batch_id
+            return f"b{next(self._keys)}"
 
-    def mark(self, project: str | None = None) -> int:
-        """Snapshot token: the highest batch id acked so far."""
+    def record(self, project: str, key: str, payload: dict[str, Any]) -> None:
+        """Note one batch sent under ``key``, acknowledged or not."""
         with self._lock:
-            relevant = (
-                b for b in self._batches if project is None or b.project == project
-            )
-            return max((b.batch_id for b in relevant), default=0)
+            self._batches.append(_Batch(project, key, payload))
 
-    def seal_through(self, mark: int, project: str | None = None) -> int:
-        """Seal every batch acked at or before ``mark``; returns how many."""
-        sealed = 0
-        with self._lock:
-            for batch in self._batches:
-                if batch.batch_id > mark or batch.sealed:
-                    continue
-                if project is not None and batch.project != project:
-                    continue
-                batch.sealed = True
-                sealed += 1
-        return sealed
+    def post(self, client, project: str, payload: dict[str, Any]):
+        """Send ``payload`` once under a fresh key and record it; returns the
+        response (or raises what the client raised — the batch is owed anyway)."""
+        key = self.next_key()
+        try:
+            return post_keyed(client, project, key, payload)
+        finally:
+            self.record(project, key, payload)
+
+    def seal(self, client, project: str, barrier: str, rounds: int = 1) -> int:
+        """Seal ``project``'s batches whose rows are durable; returns how many of
+        those recorded before the last round began stay unsealed.
+
+        A round is one barrier read (``barrier``, a read route: every read
+        flushes what is staged first), then each batch unsealed when the
+        round began POSTed again under its key.  ``200 {"replayed": true}``
+        means its rows committed, and seals it.  ``202`` means they were
+        lost or still in flight: they are staged again — the writer lands a
+        key once — and the batch stays unsealed for the next round, as does
+        one whose resend failed.  Rounds repeat until none is left.
+        """
+        left = 0
+        for _ in range(rounds):
+            with self._lock:
+                batches = [b for b in self._batches if b.project == project and not b.sealed]
+            try:
+                client.get(barrier)
+            except Exception:  # noqa: BLE001 - a failed barrier leaves more to resend
+                pass
+            left = 0
+            for batch in batches:
+                try:
+                    response = post_keyed(client, project, batch.key, batch.payload)
+                    replayed = response.status == 200 and response.json().get("replayed") is True
+                except Exception:  # noqa: BLE001 - unsealed; the next round resends it
+                    replayed = False
+                if replayed:
+                    with self._lock:
+                        batch.sealed = True
+                else:
+                    left += 1
+            if not left:
+                break
+        return left
 
     def sealed_values(self, project: str, name: str) -> set[str]:
         with self._lock:
             return {
                 value
                 for batch in self._batches
-                if batch.sealed and batch.project == project and batch.name == name
-                for value in batch.values
+                if batch.sealed and batch.project == project
+                for value_name, value in batch.values()
+                if value_name == name
             }
 
-    def sealed_names(self, project: str) -> set[str]:
+    def owed(self, project: str) -> dict[str, Counter]:
+        """Every value recorded for ``project``, a multiset per name."""
+        owed: dict[str, Counter] = {}
         with self._lock:
+            for batch in self._batches:
+                if batch.project == project:
+                    for name, value in batch.values():
+                        owed.setdefault(name, Counter())[value] += 1
+        return owed
+
+    def counts(self, project: str | None = None) -> dict[str, int]:
+        with self._lock:
+            batches = [b for b in self._batches if project is None or b.project == project]
             return {
-                b.name for b in self._batches if b.sealed and b.project == project
-            }
-
-    def projects(self) -> set[str]:
-        with self._lock:
-            return {b.project for b in self._batches}
-
-    def unsealed(self, project: str) -> list[tuple[str, tuple[str, ...]]]:
-        """The at-least-once retry obligation: acked-but-unsealed batches."""
-        with self._lock:
-            return [
-                (b.name, b.values)
-                for b in self._batches
-                if not b.sealed and b.project == project
-            ]
-
-    def forget_unsealed(self, project: str) -> list[tuple[str, tuple[str, ...]]]:
-        """Drop and return the project's unsealed batches for resubmission.
-
-        Called when a client learns its acks may not have survived (the
-        flusher's dropped-row counter moved, or the shard was reopened with
-        history unknown).  The forgotten batches' values are resubmitted as
-        *new* batches — dropping the originals keeps a repeatedly-poisoned
-        tenant from re-resubmitting the same rows every repair.
-        """
-        with self._lock:
-            forgotten = [
-                (b.name, b.values)
-                for b in self._batches
-                if not b.sealed and b.project == project
-            ]
-            self._batches = [
-                b for b in self._batches if b.sealed or b.project != project
-            ]
-            return forgotten
-
-    def counts(self) -> dict[str, int]:
-        with self._lock:
-            sealed = sum(1 for b in self._batches if b.sealed)
-            rows = sum(len(b.values) for b in self._batches if b.sealed)
-            return {
-                "batches": len(self._batches),
-                "sealed_batches": sealed,
-                "sealed_rows": rows,
+                "batches": len(batches),
+                "sealed_batches": sum(1 for b in batches if b.sealed),
+                "sealed_rows": sum(len(list(b.values())) for b in batches if b.sealed),
             }
 
 
 # --------------------------------------------------------------- checkers
 def check_no_lost_rows(db, ledger: AckLedger, project: str) -> list[str]:
-    """Every sealed value must be readable from the recovered store."""
+    """Once ``project`` is settled, the store holds each value the ledger owes
+    exactly once: no lost row, no duplicate, no unsealed batch."""
     violations: list[str] = []
-    for name in sorted(ledger.sealed_names(project)):
-        expected = ledger.sealed_values(project, name)
-        stored = {
-            str(row[0])
-            for row in db.query(
-                "SELECT value FROM logs WHERE value_name = ?", (name,)
-            )
-        }
-        missing = expected - stored
-        if missing:
-            sample = ", ".join(sorted(missing)[:5])
-            violations.append(
-                f"{project}/{name}: {len(missing)} sealed row(s) lost "
-                f"(e.g. {sample})"
-            )
+    for name, owed in sorted(ledger.owed(project).items()):
+        stored = Counter(
+            str(row[0]) for row in db.query("SELECT value FROM logs WHERE value_name = ?", (name,))
+        )
+        for gap, what in ((owed - stored, "lost"), (stored - owed, "stored more often than sent")):
+            if gap:
+                sample = ", ".join(sorted(gap)[:5])
+                violations.append(f"{project}/{name}: {sum(gap.values())} row(s) {what} (e.g. {sample})")
+    counts = ledger.counts(project)
+    if counts["sealed_batches"] < counts["batches"]:
+        unsealed = counts["batches"] - counts["sealed_batches"]
+        violations.append(f"{project}: {unsealed} batch(es) never sealed")
     return violations
 
 
@@ -234,19 +246,3 @@ def check_recovery_time(label: str, seconds: float, bound: float) -> list[str]:
     if seconds > bound:
         return [f"{label}: recovery took {seconds:.2f}s (bound: {bound:.2f}s)"]
     return []
-
-
-@dataclass
-class InvariantReport:
-    """Accumulates checker output across one chaos run."""
-
-    violations: list[str] = field(default_factory=list)
-    checks: int = 0
-
-    def extend(self, found: Sequence[str]) -> None:
-        self.checks += 1
-        self.violations.extend(found)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations

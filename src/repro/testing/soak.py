@@ -4,20 +4,21 @@
 and the tier-1 mini-soak.  One run is ``cycles`` rounds of:
 
 1. **Storm** — ingest threads POST scenario-zoo batches (agent-session
-   traces plus multi-project fan-out) through a :class:`FlorService` whose
-   shards are built over fault-wrapped stores (``database is locked``
-   contention, slow I/O), while reader threads issue barrier reads
-   (a ``dataframe`` read — each success *seals* the batches acked before
-   it) and ad-hoc SQL, and an embedded :class:`~repro.jobs.JobRunner` drains
-   hindsight-backfill jobs on a lease clock skewed by the same plan.
-   Failed requests are retried at-least-once, exactly as a real client
-   treats an ambiguous ack.
+   traces plus multi-project fan-out), each under its own
+   ``Idempotency-Key``, through a :class:`FlorService` whose shards are
+   built over fault-wrapped stores (``database is locked`` contention,
+   slow I/O), while a sealer thread runs :meth:`AckLedger.seal` (a
+   ``dataframe`` barrier read, then every unsealed batch resent under its
+   key) and reader threads issue ad-hoc SQL, and an embedded
+   :class:`~repro.jobs.JobRunner` drains hindsight-backfill jobs on a lease
+   clock skewed by the same plan.  A batch whose POST failed is owed like
+   any other: the next seal resends it under its key, and it lands once.
 2. **Recover** — the service closes and a fresh one reopens over the same
    root; the wall-clock cost of that transition is the measured recovery
    time.
 3. **Verify** — every invariant checker runs against the recovered state:
-   zero lost sealed rows, monotone ``logs.seq`` watermarks, zero
-   double-replayed job versions, recovery within the scenario bound.
+   each sent value stored exactly once, monotone ``logs.seq`` watermarks,
+   zero double-replayed job versions, recovery within the scenario bound.
 
 Everything nondeterministic flows from one :class:`FaultPlan`, so a red
 soak is replayed by exporting the seed its failure printed.
@@ -50,11 +51,9 @@ from .invariants import (
 #: Names an agent-session tenant logs (the dataframe barrier reads these).
 AGENT_NAMES = "tokens_in,tokens_out,tool,tool_latency,tool_status,eval_score"
 
-#: ``_probe`` result for a tenant no acked POST has created yet.  GETs
-#: deliberately never create projects, so early in a storm the sealer can
-#: race the first ingest batch and draw a 404 — with nothing acked there
-#: is nothing to seal, and the barrier is skipped rather than failed.
-_UNBORN = -1
+#: Seal rounds that settle a tenant once faults are suspended: one lands
+#: what a storm lost, the next proves it.
+SETTLE_ROUNDS = 4
 
 
 def chaos_shard_factory(root: Path | str, plan: FaultPlan):
@@ -102,8 +101,6 @@ class SoakReport:
     cycles: int = 0
     requests: int = 0
     request_errors: int = 0
-    retried_batches: int = 0
-    dropped_batches: int = 0
     resubmitted_batches: int = 0
     sealed_rows: int = 0
     backfills_succeeded: int = 0
@@ -131,7 +128,6 @@ class SoakReport:
                 "cycles": self.cycles,
                 "requests": self.requests,
                 "errors": self.request_errors,
-                "retried": self.retried_batches,
                 "resubmitted": self.resubmitted_batches,
                 "sealed_rows": self.sealed_rows,
                 "locked": fired.get("locked", 0),
@@ -162,7 +158,6 @@ class ChaosSoak:
         flush_size: int = 32,
         flush_interval: float | None = 0.05,
         recovery_bound_seconds: float = 20.0,
-        max_batch_retries: int = 5,
     ):
         self.root = Path(root)
         self.plan = plan
@@ -179,15 +174,9 @@ class ChaosSoak:
         self.flush_size = flush_size
         self.flush_interval = flush_interval
         self.recovery_bound_seconds = recovery_bound_seconds
-        self.max_batch_retries = max_batch_retries
         self.ledger = AckLedger()
         self.report = SoakReport(seed=plan.seed)
         self._watermarks: dict[str, int] = {}
-        #: Per-project ``dropped_rows_total`` at the last seal (or repair
-        #: anchor); a probe that does not match breaks seal continuity
-        #: (see ``_seal_barrier``).
-        self._seal_state: dict[str, int] = {}
-        self._probe_error: str = ""
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------- plumbing
@@ -218,125 +207,31 @@ class ChaosSoak:
         )
         return service, store
 
-    def _post_batch(self, client: TestClient, project: str, payload: dict) -> bool:
-        """At-least-once delivery of one batch; ledger on first ack."""
-        for attempt in range(self.max_batch_retries + 1):
-            with self._lock:
-                self.report.requests += 1
-            try:
-                response = client.post(f"/projects/{project}/logs", json_body=payload)
-                ok = response.ok
-                detail = "" if ok else f"status {response.status}: {response.text[:200]}"
-            except Exception as exc:
-                ok = False
-                detail = repr(exc)
-            if ok:
-                by_name: dict[str, list[str]] = {}
-                for record in payload["records"]:
-                    by_name.setdefault(record["name"], []).append(str(record["value"]))
-                for name, values in by_name.items():
-                    self.ledger.record(project, name, values)
-                if attempt:
-                    with self._lock:
-                        self.report.retried_batches += 1
-                return True
-            self._note_error(f"post {project} attempt {attempt}: {detail}")
+    def _post_batch(self, client: TestClient, project: str, payload: dict) -> None:
+        """Send one batch under a fresh key; the ledger owes it either way."""
         with self._lock:
-            self.report.dropped_batches += 1
-        return False
-
-    def _probe(self, client: TestClient, project: str) -> int | None:
-        """Read the tenant's monotone ``dropped_rows_total`` from ``/stats``."""
+            self.report.requests += 1
         try:
-            response = client.get(f"/projects/{project}/stats")
-            if response.status == 404:
-                return _UNBORN
-            if not response.ok:
-                self._probe_error = f"status {response.status}: {response.text[:200]}"
-                return None
-            return int(response.json().get("dropped_rows_total", 0))
+            response = self.ledger.post(client, project, payload)
+            detail = "" if response.ok else f"status {response.status}: {response.text[:200]}"
         except Exception as exc:
-            self._probe_error = repr(exc)
-            return None
-
-    def _repair(self, client: TestClient, project: str) -> None:
-        """Resubmit the project's unsealed batches (the at-least-once leg).
-
-        Invoked when the drop-counter probe shows the shard may have shed
-        acked rows — or was reopened, resetting its counters so continuity
-        cannot be proven.  The originals are forgotten; the resubmissions
-        are fresh acks that the next clean barrier can seal.
-        """
-        batches = self.ledger.forget_unsealed(project)
-        with self._lock:
-            self.report.resubmitted_batches += len(batches)
-        for name, values in batches:
-            payload = {
-                "filename": "resubmit.py",
-                "records": [
-                    {"name": name, "value": value, "ctx_id": 0} for value in values
-                ],
-            }
-            self._post_batch(client, project, payload)
-
-    def _seal_barrier(self, client: TestClient, project: str) -> bool:
-        """One durability barrier: a ``dataframe`` read (reads flush first).
-
-        A 200 from a ``dataframe`` read alone is not proof the batches acked
-        before it survived: the flusher drops a batch after exhausting its
-        write retries and defers the error, which *any* flushing request
-        (a stats call, an eviction, another tenant's barrier) may consume
-        first — leaving this read to succeed over a store that silently
-        shed rows.  So sealing additionally requires the tenant's monotone
-        ``dropped_rows_total`` to be unchanged across the read *and* equal
-        to its value at the last successful seal.  Any break in that chain
-        downgrades the barrier to a repair: unsealed batches are
-        resubmitted rather than sealed.  (Across a service restart the
-        counter resets; a clean shutdown flushed everything, so continuity
-        from 0 is sound — a SIGKILL'd server gets no such credit, and its
-        client must force a repair, as the T13 bench does.)
-        """
-        mark = self.ledger.mark(project)
-        before = self._probe(client, project)
-        if before == _UNBORN:
-            # No acked POST has created this tenant yet, so the ledger
-            # holds nothing for it; skip the barrier without charging an
-            # error.  (An ack implies the POST path built the shard, so an
-            # unborn probe can never hide acked rows.)
-            return False
-        if before is None:
-            self._note_error(f"probe {project}: {self._probe_error}")
-            return False
-        state = self._seal_state.get(project)
-        continuous = before == state if state is not None else before == 0
-        if not continuous:
-            # Anchor the new baseline to the probe taken *before*
-            # resubmitting: a drop that hits the resubmissions themselves
-            # then shows up as a fresh discontinuity at the next barrier
-            # (probing after the repair would fold such a drop into the
-            # baseline and let the next barrier seal lost rows).
-            self._seal_state[project] = before
-            self._repair(client, project)
-            return False
-        try:
-            response = client.get(
-                f"/projects/{project}/dataframe"
-                f"?names={self._barrier_names(project)}"
-            )
-            ok = response.ok
-            detail = "" if ok else f"status {response.status}: {response.text[:200]}"
-        except Exception as exc:
-            ok = False
             detail = repr(exc)
-        if not ok:
-            self._note_error(f"barrier read {project}: {detail}")
-            return False
-        after = self._probe(client, project)
-        if after != before:
-            return False
-        self.ledger.seal_through(mark, project)
-        self._seal_state[project] = after
-        return True
+        if detail:
+            self._note_error(f"post {project}: {detail}")
+
+    def _seal(self, client: TestClient, project: str, rounds: int = 1) -> int:
+        """:meth:`AckLedger.seal` with a ``dataframe`` barrier, ``rounds`` times at
+        most; returns how many batches stay unsealed.  Each batch a round
+        stages again counts as resubmitted."""
+        barrier = f"/projects/{project}/dataframe?names={self._barrier_names(project)}"
+        left = 0
+        for _ in range(rounds):
+            left = self.ledger.seal(client, project, barrier)
+            with self._lock:
+                self.report.resubmitted_batches += left
+            if not left:
+                break
+        return left
 
     # -------------------------------------------------------------- traffic
     def _storm(self, service: FlorService, store: JobStore, cycle: int) -> None:
@@ -380,7 +275,7 @@ class ChaosSoak:
             index = 0
             projects = self._all_projects()
             while not stop.is_set():
-                self._seal_barrier(client, projects[index % len(projects)])
+                self._seal(client, projects[index % len(projects)])
                 index += 1
                 time.sleep(0.01)
 
@@ -460,11 +355,9 @@ class ChaosSoak:
                         self.report.backfills_succeeded += 1
             for project in self._all_projects():
                 # A flusher error recorded during the storm surfaces on the
-                # first post-storm drain and clears; retry so the cycle ends
-                # with every tenant's sealed frontier actually sealed.
-                for _ in range(3):
-                    if self._seal_barrier(client, project):
-                        break
+                # first post-storm drain and clears: settle past it, so the
+                # cycle ends with every owed batch sealed.
+                self._seal(client, project, SETTLE_ROUNDS)
             for project in self._all_projects():
                 shard = service.pool.get(project)
                 self._watermarks[project] = logs_watermark(shard.session.db)
@@ -508,7 +401,7 @@ class ChaosSoak:
                     service, store = self._open_service()
                     client = TestClient(service.app())
                     for project in self._all_projects():
-                        self._seal_barrier(client, project)
+                        self._seal(client, project, SETTLE_ROUNDS)
                     elapsed = time.perf_counter() - started
                     self.report.recovery_seconds.append(elapsed)
                     self.report.cycles += 1

@@ -468,8 +468,10 @@ class TestClient:
             )
         return SSEStream(iter([response.body]), headers=response.headers, status=response.status)
 
-    def post(self, url: str, json_body: Any = None, body: bytes = b"") -> Response:
-        return self._request("POST", url, json_body=json_body, body=body)
+    def post(
+        self, url: str, json_body: Any = None, body: bytes = b"", headers: Mapping[str, str] | None = None
+    ) -> Response:
+        return self._request("POST", url, json_body=json_body, body=body, headers=headers)
 
     def put(self, url: str, json_body: Any = None, body: bytes = b"") -> Response:
         return self._request("PUT", url, json_body=json_body, body=body)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sqlite3
+from collections import Counter
 
 import pytest
 
@@ -10,16 +11,19 @@ from repro import ProjectConfig, Session
 from repro.errors import DatabaseError
 from repro.relational.database import Database
 from repro.testing import (
+    APPEND_KEY_HEADER,
     SEED_ENV_VAR,
     AckLedger,
     FaultPlan,
     ManualClock,
     SkewedClock,
+    check_no_lost_rows,
     recent_mark,
     seeds_since,
 )
 from repro.storage import FaultyBlobStore, FaultyRelationalStore
 from repro.storage.memory import MemoryBlobStore
+from repro.webapp.framework import JsonResponse
 
 
 class TestFaultPlan:
@@ -207,37 +211,71 @@ class TestFaultyBlobStore:
         assert len(naps) == 4  # two puts + two gets
 
 
+class _Client:
+    """A GET fails when ``"get"`` is broken; a keyed POST raises when its key
+    is broken, and is a ``200`` replay when its key is in ``landed``."""
+
+    def __init__(self, landed=(), broken=()):
+        self.landed, self.broken, self.sent = set(landed), set(broken), []
+
+    def get(self, url):
+        if "get" in self.broken:
+            raise ConnectionError(url)
+
+    def post(self, url, json_body=None, headers=None):
+        key = headers[APPEND_KEY_HEADER]
+        self.sent.append(key)
+        if key in self.broken:
+            raise ConnectionError(key)
+        return JsonResponse({"replayed": True}) if key in self.landed else JsonResponse({}, status=202)
+
+
+def _batch(*values):
+    return {"records": [{"name": "m", "value": v} for v in values]}
+
+
 class TestAckLedger:
-    def test_seal_only_covers_batches_acked_before_mark(self):
+    def test_a_seal_resends_each_unsealed_batch_and_seals_the_replayed(self):
         ledger = AckLedger()
-        ledger.record("p", "m", ["1"])
-        mark = ledger.mark("p")
-        ledger.record("p", "m", ["2"])  # acked after the barrier began
-        assert ledger.seal_through(mark, "p") == 1
+        for project, value in (("p", "1"), ("p", "2"), ("p", "3"), ("q", "4")):
+            ledger.post(_Client(), project, _batch(value))
+        # A failed barrier or resend proves nothing; a 202 is staged again.
+        client = _Client(landed={"b1", "b2", "b4"}, broken={"get", "b2"})
+        assert ledger.seal(client, "p", "/barrier") == 2
+        assert client.sent == ["b1", "b2", "b3"]
         assert ledger.sealed_values("p", "m") == {"1"}
-        assert ledger.unsealed("p") == [("m", ("2",))]
+        client = _Client(landed={"b2", "b3"})
+        assert ledger.seal(client, "p", "/barrier") == 0
+        assert client.sent == ["b2", "b3"]  # a sealed batch is not sent again
+        assert ledger.counts() == {"batches": 4, "sealed_batches": 3, "sealed_rows": 3}
 
-    def test_marks_are_per_project(self):
+    def test_a_post_the_client_raised_on_is_still_owed(self):
         ledger = AckLedger()
-        ledger.record("p", "m", ["1"])
-        ledger.record("q", "m", ["2"])
-        ledger.seal_through(ledger.mark("p"), "p")
-        assert ledger.sealed_values("q", "m") == set()
-        assert ledger.counts() == {
-            "batches": 2,
-            "sealed_batches": 1,
-            "sealed_rows": 1,
-        }
+        with pytest.raises(ConnectionError):
+            ledger.post(_Client(broken={"b1"}), "p", _batch("1"))
+        assert ledger.owed("p") == {"m": Counter({"1": 1})}
 
-    def test_forget_unsealed_returns_and_removes(self):
+
+class TestNoLostRows:
+    def _check(self, stored, *batches, landed=True):
+        db = Database()
+        db.executemany(
+            "INSERT INTO logs (projid, tstamp, filename, ctx_id, value_name, value)"
+            " VALUES ('p', 't', 'f', 0, 'm', ?)",
+            [(value,) for value in stored],
+        )
         ledger = AckLedger()
-        ledger.record("p", "m", ["1"])
-        ledger.seal_through(ledger.mark("p"), "p")
-        ledger.record("p", "m", ["2"])
-        ledger.record("p", "n", ["3"])
-        forgotten = ledger.forget_unsealed("p")
-        assert forgotten == [("m", ("2",)), ("n", ("3",))]
-        assert ledger.unsealed("p") == []
-        # Sealed history is untouched; repeated repairs find nothing new.
-        assert ledger.sealed_values("p", "m") == {"1"}
-        assert ledger.forget_unsealed("p") == []
+        for values in batches:
+            ledger.post(_Client(), "p", _batch(*values))
+        ledger.seal(_Client(landed={f"b{i + 1}" for i in range(len(batches) if landed else 0)}), "p", "/b")
+        return check_no_lost_rows(db, ledger, "p")
+
+    def test_each_value_sent_stored_once_passes(self):
+        assert self._check(["1", "2", "2"], ["1", "2"], ["2"]) == []
+
+    def test_a_lost_row_a_duplicate_and_an_unsealed_batch_are_violations(self):
+        assert self._check(["1", "1"], ["1", "2"], landed=False) == [
+            "p/m: 1 row(s) lost (e.g. 2)",
+            "p/m: 1 row(s) stored more often than sent (e.g. 1)",
+            "p: 1 batch(es) never sealed",
+        ]

@@ -1,92 +1,70 @@
 """Fleet chaos: SIGKILL one worker mid-ingest, the fleet carries on.
 
-The single-process kill9 test (``test_soak_smoke``) proves sealed rows
-survive a server crash.  This one proves the *fleet* version of the same
-contract: with two workers owning disjoint projects, killing one worker
+The single-process kill9 test (``test_soak_smoke``) proves keyed rows are
+stored exactly once across a server crash.  This one proves the *fleet*
+version of the same contract: with two workers owning disjoint projects,
+killing one worker
 
 * never touches the surviving worker's projects,
 * is repaired by the supervisor (same worker id, new pid, same ring
   position — the router re-resolves to the restarted process),
-* and loses at most unsealed buffers, which the client's at-least-once
-  resubmit leg recovers — verified with the same :class:`AckLedger`
-  invariants the T13 soak uses.
+* and loses at most unsealed batches, which settling resends under their
+  keys — the router forwards the ``Idempotency-Key``, so a batch its
+  failover retried, or one resent after the kill, still lands once —
+  verified with the same :class:`AckLedger` invariants the T13 soak uses.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from urllib.parse import quote
 
-from repro.testing import AckLedger, FleetProcess
-
-
-def _post_metrics(fleet: FleetProcess, project: str, values: list[str]) -> None:
-    fleet.post(
-        f"/projects/{project}/logs",
-        {
-            "filename": "train.py",
-            "records": [
-                {"name": "metric", "value": value, "ctx_id": 0} for value in values
-            ],
-        },
-    )
+from repro.relational.database import Database
+from repro.testing import AckLedger, FleetProcess, assert_invariants, check_no_lost_rows
 
 
-def _stored_values(fleet: FleetProcess, project: str) -> set[str]:
-    query = quote("SELECT value FROM logs WHERE value_name = 'metric'")
-    body = fleet.get(f"/projects/{project}/sql?q={query}")
-    return {str(record["value"]) for record in body["records"]}
+def _metrics(values: list[str]) -> dict:
+    return {
+        "filename": "train.py",
+        "records": [{"name": "metric", "value": value, "ctx_id": 0} for value in values],
+    }
 
 
-def _seal(fleet: FleetProcess, ledger: AckLedger, project: str) -> None:
-    """The client seal protocol, verbatim, through the router proxy."""
-    mark = ledger.mark(project)
-    before = fleet.get(f"/projects/{project}/stats")["dropped_rows_total"]
-    fleet.get(f"/projects/{project}/dataframe?names=metric&primary=1")
-    after = fleet.get(f"/projects/{project}/stats")["dropped_rows_total"]
-    assert before == after, f"rows dropped while sealing {project}"
-    ledger.seal_through(mark, project)
+def _barrier(project: str) -> str:
+    return f"/projects/{project}/dataframe?names=metric"
 
 
 class TestFleetWorkerKill:
-    def test_sealed_rows_survive_a_worker_kill9(self, tmp_path):
+    def test_a_keyed_stream_is_stored_exactly_once_across_a_worker_kill9(self, tmp_path):
+        root = tmp_path / "root"
         ledger = AckLedger()
-        with FleetProcess(tmp_path / "root", workers=2) as fleet:
+        with FleetProcess(root, workers=2) as fleet:
             placed = fleet.projects_on_distinct_workers(2)
             (victim_project, victim), (survivor_project, survivor) = placed.items()
             assert victim != survivor
 
-            # Phase 1: acknowledged AND sealed batches on both workers.
+            # Phase 1: sealed batches on both workers.
             for batch in range(3):
                 for project in (victim_project, survivor_project):
                     values = [f"{project}.b{batch}.r{r}" for r in range(4)]
-                    _post_metrics(fleet, project, values)
-                    ledger.record(project, "metric", values)
+                    assert ledger.post(fleet.client, project, _metrics(values)).status == 202
             for project in (victim_project, survivor_project):
-                _seal(fleet, ledger, project)
+                assert ledger.seal(fleet.client, project, _barrier(project)) == 0
 
-            # Phase 2: an ingest stream is in flight against the victim's
-            # project while the kill lands.  Acks recorded by the ledger;
-            # everything past the seal mark is allowed to die with the
-            # worker (and must be resubmitted below).
+            # Phase 2: a keyed ingest stream is in flight against the
+            # victim's project while the kill lands.  The ledger owes every
+            # batch, answered or not: settling resends each under its key.
             stop = threading.Event()
-            streamed: list[str] = []
 
             def ingest_stream() -> None:
-                batch = 0
-                while not stop.is_set() and batch < 200:
+                for batch in range(200):
+                    if stop.is_set():
+                        return
                     values = [f"{victim_project}.live{batch}.r{r}" for r in range(2)]
                     try:
-                        _post_metrics(fleet, victim_project, values)
-                    except Exception:
-                        # A request caught mid-crash was never acked — the
-                        # ledger must not record it as a durability promise.
-                        batch += 1
-                        continue
-                    ledger.record(victim_project, "metric", values)
-                    streamed.extend(values)
-                    batch += 1
+                        ledger.post(fleet.client, victim_project, _metrics(values))
+                    except Exception:  # noqa: BLE001 - caught mid-crash; owed all the same
+                        pass
 
             streamer = threading.Thread(target=ingest_stream, daemon=True)
             streamer.start()
@@ -106,26 +84,18 @@ class TestFleetWorkerKill:
             assert fleet.resolve(victim_project) == victim
             assert recovery < 60.0
 
-            # Sealed rows survived the kill on BOTH workers.
+            # Sealed rows survived the kill on both workers; settling lands
+            # the rest, each batch exactly once.
             for project in (victim_project, survivor_project):
-                stored = _stored_values(fleet, project)
-                sealed = ledger.sealed_values(project, "metric")
-                assert sealed <= stored, (
-                    f"lost sealed rows on {project}: {sorted(sealed - stored)}"
-                )
+                assert ledger.seal(fleet.client, project, _barrier(project), rounds=3) == 0
 
             # The survivor never even noticed: zero restarts.
             assert fleet.worker_view(survivor)["restarts"] == 0
-
-            # At-least-once leg: resubmit every unsealed batch, then seal
-            # again — nothing may be missing anymore.
-            for name, values in ledger.forget_unsealed(victim_project):
-                _post_metrics(fleet, victim_project, list(values))
-                ledger.record(victim_project, name, values)
-            _seal(fleet, ledger, victim_project)
-            stored = _stored_values(fleet, victim_project)
-            sealed = ledger.sealed_values(victim_project, "metric")
-            assert sealed <= stored
-            assert set(streamed) <= stored
-
             assert fleet.terminate() == 0
+
+        violations = []
+        for project in (victim_project, survivor_project):
+            with Database(root / project / ".flor" / "flor.db") as db:
+                violations += check_no_lost_rows(db, ledger, project)
+        assert_invariants(violations)
+        assert ledger.counts(victim_project)["batches"] > 3

@@ -132,24 +132,15 @@ class TestBackpressureVersusEviction:
                 # Alternate tenants: every other request evicts the one
                 # whose flusher is still stalling through its backlog.
                 project = "busy" if index % 2 == 0 else "bystander"
-                response = client.post(f"/projects/{project}/logs", json_body=payload)
-                assert response.status == 202
-                for record in payload["records"]:
-                    ledger.record(project, record["name"], [str(record["value"])])
+                assert ledger.post(client, project, payload).status == 202
             assert service.pool.stats.evictions > 4
             for project in ("busy", "bystander"):
-                mark = ledger.mark(project)
-                barrier = client.get(
-                    f"/projects/{project}/dataframe?names={AGENT_NAMES}&primary=1"
-                )
-                assert barrier.ok
-                stats = client.get(f"/projects/{project}/stats").json()
-                assert stats["dropped_rows_total"] == 0
-                ledger.seal_through(mark, project)
+                barrier = f"/projects/{project}/dataframe?names={AGENT_NAMES}"
+                assert ledger.seal(client, project, barrier) == 0
         finally:
             service.close()
 
-        # Recovery read on the raw files: everything sealed is on disk.
+        # Recovery read on the raw files: everything sent is on disk, once.
         violations = []
         for project in ("busy", "bystander"):
             db = Database(ProjectConfig(root / project, project).db_path)

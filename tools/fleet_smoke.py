@@ -10,8 +10,8 @@ What CI runs (and any developer can run locally):
    (``GET /fleet/resolve``) and ingest a batch to each through the router;
 3. SIGKILL one worker by pid, poll ``GET /fleet/workers`` until the
    supervisor has respawned and re-registered the same worker id under a
-   new pid, then ingest again and read both projects back with a primary
-   read — routing must still resolve identically;
+   new pid, then ingest again and read both projects back (a read
+   flushes first) — routing must still resolve identically;
 4. check the aggregated ``GET /service/stats`` names every worker with
    its id, owned-shard count and a fresh heartbeat age;
 5. SIGTERM the supervisor and verify the drain hand-off exits 0.
@@ -56,7 +56,7 @@ def _ingest(fleet: FleetProcess, project: str, tag: str) -> list[str]:
 
 
 def _stored(fleet: FleetProcess, project: str) -> set[str]:
-    fleet.get(f"/projects/{project}/dataframe?names=metric&primary=1")
+    fleet.get(f"/projects/{project}/dataframe?names=metric")
     query = quote("SELECT value FROM logs WHERE value_name = 'metric'")
     body = fleet.get(f"/projects/{project}/sql?q={query}")
     return {str(record["value"]) for record in body["records"]}

@@ -70,7 +70,7 @@ def _ingest(server: ServerProcess, project: str, tag: str) -> None:
 
 
 def _seal(server: ServerProcess, project: str) -> None:
-    server.get(f"/projects/{project}/dataframe?names=metric&primary=1")
+    server.get(f"/projects/{project}/dataframe?names=metric")
 
 
 def _check_agreement(server: ServerProcess, projects: list[str]) -> int:
