@@ -1,14 +1,16 @@
-"""A2 — Ablation: AST-anchored propagation vs. naive line-number propagation.
+"""A2 — Ablation: statement-matched propagation vs. naive line-number propagation.
 
-docs/architecture.md's propagation design anchors injected statements to
-matched source lines.  The strawman alternative inserts at the same absolute
-line number.
+docs/architecture.md's propagation design matches the statements of the new
+and old sources and injects a statement after the partner of the statement it
+follows.  The strawman alternative inserts at the same absolute line number.
 This ablation evolves a script through increasingly invasive refactorings and
 measures, for each strategy, how often the injected statement lands in the
-correct position (immediately after the anchor statement, inside the loop
-body) and how often the patched file still parses.
-Expected shape: anchored propagation stays correct as refactorings grow;
-line-number propagation degrades.
+correct position (immediately after the ``loss`` log, inside the loop body)
+and how often the patched file still parses.  A second series edits that
+``loss`` log in every old version, so the statement S follows has no
+unchanged line to anchor on.
+Expected shape: statement-matched propagation stays correct as refactorings
+grow and when S's predecessor was edited; line-number propagation degrades.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ def test_propagation_strategy_ablation(benchmark, make_session):
     workload = VersionedScriptWorkload(versions=VERSIONS, epochs=2, steps=2, refactor=True)
     new_source = workload.hindsight_source()
     old_sources = [workload.source_for_version(v) for v in range(VERSIONS)]
+    # The same versions with S's predecessor, the loss log, spelled differently.
+    edited_sources = [old.replace("1.0 / (1.0 +", "1.0 / (2.0 +") for old in old_sources]
+    assert all(edited != old for edited, old in zip(edited_sources, old_sources))
 
     def run_both():
         anchored, baseline = [], []
@@ -48,6 +53,7 @@ def test_propagation_strategy_ablation(benchmark, make_session):
         return anchored, baseline
 
     anchored_results, baseline_results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    edited_results = [propagate_statements(old, new_source) for old in edited_sources]
 
     def score(results):
         parses = correct = 0
@@ -63,26 +69,33 @@ def test_propagation_strategy_ablation(benchmark, make_session):
 
     anchored_parses, anchored_correct = score(anchored_results)
     baseline_parses, baseline_correct = score(baseline_results)
+    _edited_parses, edited_correct = score(edited_results)
 
     report(
         "A2: propagation strategy ablation over refactored versions",
         [
             {
-                "strategy": "AST-anchored (ours)",
+                "strategy": "statement-matched (ours)",
                 "versions": VERSIONS,
                 "parses": anchored_parses,
                 "correctly_placed": anchored_correct,
+                "placed_after_edited_loss": edited_correct,
             },
             {
                 "strategy": "absolute line number (baseline)",
                 "versions": VERSIONS,
                 "parses": baseline_parses,
                 "correctly_placed": baseline_correct,
+                "placed_after_edited_loss": score(
+                    [propagate_by_line_number(old, new_source) for old in edited_sources]
+                )[1],
             },
         ],
     )
-    # Shape: the anchored strategy places every statement correctly; the
-    # baseline loses placements as the refactorings shift line numbers
-    # (version 0 is unshifted, so it gets at least that one right).
+    # Shape: the matched strategy places every statement correctly, after an
+    # edited predecessor too; the baseline loses placements as the
+    # refactorings shift line numbers (version 0 is unshifted, so it gets at
+    # least that one right).
     assert anchored_correct == VERSIONS
+    assert edited_correct == VERSIONS
     assert baseline_correct < VERSIONS

@@ -148,16 +148,9 @@ def _print_dry_run(report) -> None:
         )
         if propagation is None:
             continue
-        placed = dict((id(stmt), line) for stmt, line in propagation.placements)
-        for statement in propagation.injected:
-            anchor = placed.get(id(statement))
-            if anchor is None:
-                where = "anchor unknown"
-            elif anchor == 0:
-                where = "at top of file"
-            else:
-                # Insertion index N means the statement lands after old line N.
-                where = f"after old line {anchor}"
+        for statement, anchor in propagation.placements:
+            # Insertion index N means the statement lands after old line N.
+            where = "at top of file" if anchor == 0 else f"after old line {anchor}"
             print(f"    + {statement.text.strip().splitlines()[0]}  ({where})")
         for statement in propagation.skipped:
             print(

@@ -40,10 +40,12 @@ class FaultyRelationalStore:
     """A :class:`RelationalStore` that injects contention and stalls.
 
     Write entry points (``transaction``, ``execute``, ``executemany``) may
-    raise ``database is locked`` *before* touching the backend, so an
-    injected failure never leaves a partial transaction behind — it models
-    the moment SQLite refuses the lock, which is exactly what the
-    background flusher's retry loop exists to absorb.  Reads only stall.
+    raise ``database is locked`` *before* touching the backend — the moment
+    SQLite refuses the lock, which the background flusher's retry loop
+    exists to absorb.  A transaction may also fail at ``<site>.commit``,
+    after its block has written: the error is raised inside the backend's
+    transaction, which rolls those writes back, so a dropped transaction
+    takes everything it wrote with it.  Reads only stall.
     """
 
     def __init__(self, inner, plan, *, site: str = "relational"):
@@ -73,6 +75,8 @@ class FaultyRelationalStore:
         self._write_fault("transaction", wrapped=False)
         with self.inner.transaction() as connection:
             yield connection
+            if self.plan.decide("locked", f"{self.site}.commit"):
+                raise _locked_error()  # inside the block: the backend rolls it back
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Any:
         self._write_fault("execute", wrapped=True)

@@ -4,8 +4,8 @@ The version store uses this for two purposes:
 
 * rendering human-readable unified diffs between file versions, and
 * powering cross-version log-statement propagation, which needs to know
-  which lines of an old version survived into the new one (the "anchor"
-  lines of :mod:`repro.core.propagation`).
+  which lines of an old version survived into the new one (the alignment
+  :mod:`repro.core.propagation` matches statements on).
 """
 
 from __future__ import annotations

@@ -171,6 +171,20 @@ class TestFaultyRelationalStore:
             )
         assert store.count("logs") == 1
 
+    def test_commit_fault_rolls_back_what_the_transaction_wrote(self, db):
+        plan = FaultPlan(seed=1)
+        store = FaultyRelationalStore(db, plan, site="t")
+        plan.force("locked", "t.commit")
+        with pytest.raises(sqlite3.OperationalError, match="database is locked"):
+            with store.transaction() as connection:
+                connection.execute(
+                    "INSERT INTO logs (projid, tstamp, filename, ctx_id, value_name, value,"
+                    " value_type) VALUES ('p', 't', 'f', 0, 'n', 'v', 1)"
+                )
+        assert store.count("logs") == 0
+        with store.transaction():
+            pass  # the forced fault is spent; the store is usable
+
     def test_execute_fault_is_wrapped_database_error(self, db):
         plan = FaultPlan(seed=1)
         store = FaultyRelationalStore(db, plan, site="t")

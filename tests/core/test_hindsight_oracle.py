@@ -6,11 +6,13 @@ the start.  Hypothesis draws S from a small grammar — a ``flor.log`` at any
 loop depth, before or after the nested ``flor.loop``, inside or outside
 ``flor.checkpointing``, right after ``flor.arg``, under a literal or an
 f-string name — and a history of runs over four edits of the script.  The
-history is recorded twice under one checkpoint policy: once with S in every
-edit (foresight), once without it and then backfilled from the newest edit
-with S (hindsight).  The two projects must hold the same ``logs`` and
-``loops`` rows and the same ``flor.dataframe`` cell for cell, with each run's
-tstamp read as its position in the history.
+edits may also rewrite the update right above the ``step`` slot in each edit
+(same target, new text), or gain a statement directly above S's slot from a
+drawn edit on.  The history is recorded twice under one checkpoint policy:
+once with S in every edit (foresight), once without it and then backfilled
+from the newest edit with S (hindsight).  The two projects must hold the
+same ``logs`` and ``loops`` rows and the same ``flor.dataframe`` cell for
+cell, with each run's tstamp read as its position in the history.
 
 Every policy runs under ``serial`` and ``process`` replay.  Before the
 backfill, each recorded run is also replayed twice by hand — once reading
@@ -29,7 +31,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import HindsightEngine, ProjectConfig, Session
 from repro.core import EveryIterationPolicy, FixedIntervalPolicy, NeverCheckpointPolicy
@@ -55,6 +57,10 @@ SLOTS = {
 }
 #: ``(source text of the name, the name it logs under)``.
 NAMES = [('"hs"', "hs"), ('f"hs_{EPOCHS - 1}"', f"hs_{EPOCHS - 1}")]
+#: What else the edits change: nothing; ``"update"``, the statement right
+#: above the ``step`` slot, rewritten in every edit but for its target; or an
+#: edit number, from which on a new statement sits directly above S's slot.
+CHANGES = [None, "update", 1, 2, 3]
 POLICIES = {
     "every": EveryIterationPolicy,
     "interval2": lambda: FixedIntervalPolicy(2),
@@ -62,10 +68,11 @@ POLICIES = {
 }
 
 
-def script(version: int, statement: tuple[str | None, str, bool]) -> str:
+def script(version: int, statement: tuple[str, str, bool, object], logged: bool = True) -> str:
     """Edit ``version`` of the script; ``statement`` is ``(slot, name source,
-    checkpointing)``, with S placed in ``slot`` when ``slot`` is not None."""
-    slot, name, checkpointing = statement
+    checkpointing, change)``, with S placed in ``slot`` when ``logged``."""
+    slot, name, checkpointing, change = statement
+    update = f" + {version}" if change == "update" else ""
     lines = [
         f'"""Oracle script, version {version}."""',
         *(f"# revision note {i}: tuned after review" for i in range(version * 2)),
@@ -81,7 +88,7 @@ def script(version: int, statement: tuple[str | None, str, bool]) -> str:
         '    for epoch in flor.loop("epoch", range(EPOCHS)):',
         "<epoch_before>",
         '        for step in flor.loop("step", range(STEPS)):',
-        '            state["w"] += lr / (1 + epoch + step)',
+        f'            state["w"] += lr / (1 + epoch + step{update})',
         "<step>",
         '            flor.log("loss", 1.0 / (1.0 + state["w"]))',
         "<epoch_after>",
@@ -91,18 +98,20 @@ def script(version: int, statement: tuple[str | None, str, bool]) -> str:
     out = []
     for line in lines:
         if line.startswith("<"):
-            if line[1:-1] == slot:
+            if line[1:-1] == slot and isinstance(change, int) and version >= change:
+                out.append(f"{SLOTS[slot]}noted = {version}")
+            if line[1:-1] == slot and logged:
                 out.append(f'{SLOTS[slot]}flor.log({name}, state["w"] * 3 + lr)')
             continue
         out.append(line)
     return "\n".join(out) + "\n"
 
 
-def record(root: Path, history: list[int], statement, policy: str) -> None:
+def record(root: Path, history: list[int], statement, policy: str, logged: bool) -> None:
     with Session(ProjectConfig(root, "oracle"), checkpoint_policy=POLICIES[policy]()) as session:
         session.track(FILENAME)
         for version in history:
-            source = script(version, statement)
+            source = script(version, statement, logged)
             (root / FILENAME).write_text(source)
             namespace = {"__name__": "__main__", "__file__": FILENAME, "flor": flor}
             with active_session(session):
@@ -175,7 +184,8 @@ def assert_landing_replays_stage_what_whole_run_replays_do(root: Path, statement
 
 
 statements = st.tuples(
-    st.sampled_from(sorted(SLOTS)), st.sampled_from(NAMES), st.booleans()
+    st.sampled_from(sorted(SLOTS)), st.sampled_from(NAMES), st.booleans(),
+    st.sampled_from(CHANGES),
 )
 
 
@@ -186,16 +196,17 @@ statements = st.tuples(
     history=st.lists(st.integers(0, EDITS - 1), min_size=1, max_size=4),
     statement=statements,
 )
+# S right below an update whose text every edit changes: S must still follow it.
+@example(history=[0, 2], statement=("step", NAMES[0], True, "update"))
 def test_a_backfilled_statement_leaves_what_logging_it_from_the_start_would(
     policy, parallelism, history, statement
 ):
-    slot, (name_source, name), checkpointing = statement
-    placed = (slot, name_source, checkpointing)
-    absent = (None, name_source, checkpointing)
+    slot, (name_source, name), checkpointing, change = statement
+    placed = (slot, name_source, checkpointing, change)
     with tempfile.TemporaryDirectory(prefix="flor-oracle-") as tmp:
         foresight, hindsight = Path(tmp) / "foresight", Path(tmp) / "hindsight"
-        record(foresight, history, placed, policy)
-        record(hindsight, history, absent, policy)
+        record(foresight, history, placed, policy, logged=True)
+        record(hindsight, history, placed, policy, logged=False)
         expected = contents(foresight, name)
         s_rows = sum(1 for row in expected[0] if row[3] == name)
         assert s_rows > 0

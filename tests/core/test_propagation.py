@@ -235,3 +235,69 @@ class TestDroppedStatementReporting:
             '        flor.log("loss", 1.0 / (1.0 + state["w"]))'
         )
         assert index == loss_line + 1
+
+
+class TestStructuralAnchoring:
+    """S lands after the statement it follows in the new source, even when an
+    older version spells that statement differently."""
+
+    def test_s_follows_an_edited_update(self):
+        old = 'for step in range(3):\n    state["w"] += lr * 2\n    flor.log("loss", state["w"])\n'
+        new = old.replace("lr * 2", "lr / (1 + step)").replace(
+            '    flor.log("loss"', '    flor.log("hs", state["w"])\n    flor.log("loss"'
+        )
+        result = propagate_statements(old, new)
+        assert result.patched_source.splitlines() == [
+            "for step in range(3):",
+            '    state["w"] += lr * 2',
+            '    flor.log("hs", state["w"])',
+            '    flor.log("loss", state["w"])',
+        ]
+        assert [line for _s, line in result.placements] == [2]
+
+    def test_s_follows_an_edited_first_statement_of_a_loop(self):
+        old = "for i in range(3):\n    y = i * 2\n    total = y\n"
+        new = 'for i in range(3):\n    y = i * 3\n    flor.log("y", y)\n    total = y\n'
+        result = propagate_statements(old, new)
+        assert result.patched_source == (
+            'for i in range(3):\n    y = i * 2\n    flor.log("y", y)\n    total = y\n'
+        )
+
+    def test_s_follows_the_closing_line_of_an_edited_multiline_literal(self):
+        old = "sizes = [64,\n         32]\nmodel = build(sizes)\n"
+        new = 'sizes = [64,\n         16]\nflor.log("sizes", sizes)\nmodel = build(sizes)\n'
+        result = propagate_statements(old, new)
+        assert [s.logged_name for s in result.injected] == ["sizes"]
+        assert result.patched_source == (
+            'sizes = [64,\n         32]\nflor.log("sizes", sizes)\nmodel = build(sizes)\n'
+        )
+
+    def test_s_takes_its_neighbours_indentation_tabs_included(self):
+        old = "for i in range(2):\n\tx = i\n"
+        new = 'for i in range(2):\n\tx = i + 1\n\tflor.log("x", x)\n'
+        result = propagate_statements(old, new)
+        assert result.patched_source == 'for i in range(2):\n\tx = i\n\tflor.log("x", x)\n'
+
+    def test_s_with_no_matched_predecessor_goes_first_in_its_block(self):
+        old = "@decorate\ndef f(x):\n    return x\n"
+        new = 'flor.log("start", 1)\n@decorate\ndef f(x):\n    return x\n'
+        result = propagate_statements(old, new)
+        assert result.patched_source.startswith('flor.log("start", 1)\n@decorate\n')
+        assert [line for _s, line in result.placements] == [0]
+
+    def test_statements_planned_after_one_line_keep_their_order(self):
+        new = NEW_SOURCE + '\n        flor.log("w2", state["w"] ** 2)'
+        result = propagate_statements(OLD_SOURCE, new)
+        lines = result.patched_source.splitlines()
+        assert lines[-2:] == [
+            '        flor.log("weight", state["w"])',
+            '        flor.log("w2", state["w"] ** 2)',
+        ]
+        assert [line for _s, line in result.placements] == [6, 6]
+
+    def test_a_neighbour_that_shares_its_line_is_skipped_and_reported(self):
+        old = "a = 1; b = 2\nc = 3\n"
+        new = 'a = 1; b = 2\nflor.log("b", b)\nc = 3\n'
+        result = propagate_statements(old, new)
+        assert [s.logged_name for s in result.skipped] == ["b"]
+        assert result.injected == [] and result.patched_source == old

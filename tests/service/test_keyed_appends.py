@@ -2,7 +2,8 @@
 
 A :class:`FlorService` over fault-wrapped shards (on a file and in memory)
 takes keyed appends, retries of earlier keys (one racing its batch's
-transaction), barrier reads, evictions, close-and-reopen and forced drops.
+transaction), barrier reads, evictions, close-and-reopen and forced drops
+(before a transaction opens, or at its commit).
 Once settled, the store holds each value sent exactly once, and a ``200``
 replay is only ever given for rows already committed.
 """
@@ -160,10 +161,12 @@ class KeyedAppendsMatchTheModel(RuleBasedStateMachine):
         self._close()
         self._open()
 
-    @rule(tenant=st.sampled_from(TENANTS))
-    def drop(self, tenant):
-        """The tenant's next write finds the database locked on every attempt."""
-        self.plan.force("locked", f"shard.{tenant}.db.transaction", times=3)
+    @rule(tenant=st.sampled_from(TENANTS), site=st.sampled_from(["transaction", "commit"]))
+    def drop(self, tenant, site):
+        """The tenant's next write finds the database locked on every attempt:
+        before its transaction opens, or at commit, after its rows and keys
+        were written and must roll back."""
+        self.plan.force("locked", f"shard.{tenant}.db.{site}", times=3)
         self.drops += 1
 
     @rule()
