@@ -30,7 +30,7 @@ from types import CodeType
 from typing import NamedTuple, Sequence
 
 from ..errors import PropagationError
-from ..versioning.diff import matching_lines
+from ..versioning.diff import matching_lines, source_lines
 
 #: Which ``flor.<attr>`` calls count as "logging statements".  A replay binds
 #: the facade as ``flor``, so that is the only module name looked for.
@@ -93,7 +93,7 @@ def _index(source: str) -> _Index:
         tree = ast.parse(source)
     except SyntaxError as exc:
         raise PropagationError(f"cannot parse source: {exc}") from exc
-    lines = source.splitlines()
+    lines = source_lines(source)
     index = _Index([], {}, {})
 
     def walk(body: list[ast.stmt], block: tuple[int, object]) -> None:
@@ -197,7 +197,7 @@ def propagate_statements(
     Injections that would keep it from compiling are reported in ``skipped``.
     """
     old, new = _index(old_source), _index(new_source)
-    old_lines, new_lines = old_source.splitlines(), new_source.splitlines()
+    old_lines, new_lines = source_lines(old_source), source_lines(new_source)
     old_text_set = {line.strip() for line in old_lines}
     old_logged_names = _logged_name_keys(old_source)
     old_for_new = {j: i for i, j in matching_lines(old_lines, new_lines)}
@@ -323,7 +323,7 @@ def _placement(
         after < len(old.statements) and old.statements[after].lineno <= neighbour.end_lineno
     ):
         return None  # another statement shares the neighbour's first or last line
-    text = new.statements[k].flor.text.splitlines()
+    text = source_lines(new.statements[k].flor.text)
     base = _indentation(text[0])
     lines = [line[len(base):] if line.startswith(base) else line.lstrip() for line in text]
     lines = [neighbour.indent + line for line in lines]
@@ -354,7 +354,7 @@ def propagate_by_line_number(old_source: str, new_source: str) -> PropagationRes
     old and new versions are line-aligned and falls apart under refactorings.
     """
     statements = find_flor_statements(new_source)
-    old_lines = old_source.splitlines()
+    old_lines = source_lines(old_source)
     old_text = {line.strip() for line in old_lines}
     old_logged_names = _logged_name_keys(old_source)
     injected: list[FlorStatement] = []
@@ -371,7 +371,7 @@ def propagate_by_line_number(old_source: str, new_source: str) -> PropagationRes
             continue
         index = min(statement.lineno - 1 + offset, len(patched))
         candidate = list(patched)
-        candidate[index:index] = statement.text.splitlines()
+        candidate[index:index] = source_lines(statement.text)
         try:
             ast.parse("\n".join(candidate))
         except SyntaxError:

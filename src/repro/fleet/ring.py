@@ -21,6 +21,7 @@ fresh interpreter.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from hashlib import blake2b
 
 from ..errors import FleetError
@@ -30,6 +31,7 @@ from ..errors import FleetError
 VNODES = 64
 
 
+@lru_cache(maxsize=4096)  # every proxied request hashes its project name again
 def _point(key: str) -> int:
     """Deterministic 64-bit position on the ring for ``key``."""
     return int.from_bytes(blake2b(key.encode("utf-8"), digest_size=8).digest(), "big")

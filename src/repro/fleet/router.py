@@ -1,20 +1,25 @@
 """The fleet front door: a thin, stateless project-hash proxy.
 
 The router owns *placement*, never data: every ``/projects/<name>/...``
-request is forwarded verbatim to the one worker the consistent-hash ring
-assigns ``<name>`` to, and the response streams back untouched (the single
+request is relayed to the one worker the consistent-hash ring assigns
+``<name>`` to.  The relay writes the request head anew (the request line,
+``Host``, ``Content-Length`` and, of the client's fields, only
+``Content-Type`` and ``Idempotency-Key``) and sends it with the body in one
+write; the worker's answer comes back as the bytes it sent, head and body,
+and the client gets them unchanged — the worker's ``Server``, ``Date`` and
+``Content-Length`` included — unless the worker sent a field about its own
+connection (see :func:`repro.webapp.http1.relay_head`).  The single
 exception: ``/projects/<name>/stats`` is annotated with the serving worker
-id, so the per-process durability counters in it can be attributed).
+id, so the per-process durability counters in it can be attributed.
 Project-less job routes (``/jobs``, ``/jobs/<id>/...``) round-robin over
 the ring — the durable job store is one host-level SQLite file whose
 claiming is CAS-safe across processes, so any worker can answer for it.
 
 Failover is the router's other job: a proxy attempt that cannot reach the
 owner marks it unreachable and *waits* (bounded by ``failover_timeout``)
-for the supervisor to restart and re-register it, then retries.  Appends
-are therefore at-least-once across a worker crash — matching the service's
-existing ack semantics, where ``202`` means "handed to the writer" and the
-client seal protocol is what upgrades acknowledged to durable.
+for the supervisor to restart and re-register it, then sends the same
+request again.  An append with an ``Idempotency-Key`` therefore lands
+exactly once across a worker crash, and one without a key at least once.
 
 Control-plane routes served locally (never proxied):
 
@@ -32,8 +37,9 @@ admission control lives *here*: the router holds the single policy view and
 per-tenant token buckets, answers over-limit requests with ``429`` +
 ``Retry-After`` before any proxying, and its counters are the fleet-wide
 admission truth (workers run with admission off and trust the router).
-Proxied responses stream back untouched, so a worker-side header — or a
-router-side denial's ``Retry-After`` — reaches the client unchanged.
+Relayed answers reach the client as the worker sent them, so a
+worker-side header (a ``Retry-After`` on a 429 or 503) arrives unchanged,
+and so does a router-side denial's own ``Retry-After``.
 """
 
 from __future__ import annotations
@@ -62,10 +68,15 @@ from ..webapp.framework import (
     StreamingResponse,
     WebApp,
 )
+from ..webapp.http1 import end_to_end
 from .supervisor import FleetSupervisor
 from .transport import HttpClient
 
 T = TypeVar("T")
+
+#: The request fields a proxied request carries to its worker, by their
+#: lower-case names; the router writes the rest of the head itself.
+_FORWARDED = {"content-type": "Content-Type", "idempotency-key": "Idempotency-Key"}
 
 #: Seconds a proxy attempt will wait for a crashed owner to come back.
 DEFAULT_FAILOVER_TIMEOUT = 20.0
@@ -76,29 +87,6 @@ PROXY_TIMEOUT = 60.0
 #: doubling (with jitter) up to ``_BACKOFF_CAP`` per attempt.
 _BACKOFF_BASE = 0.05
 _BACKOFF_CAP = 1.0
-
-#: Headers that describe the router↔worker connection, not the payload;
-#: never relayed to the client (the router's own server writes its own
-#: ``Server``/``Date`` and re-frames the body).
-_HOP_BY_HOP = frozenset(
-    {
-        "connection",
-        "keep-alive",
-        "transfer-encoding",
-        "content-length",
-        "date",
-        "server",
-        "te",
-        "trailer",
-        "upgrade",
-    }
-)
-
-
-def _end_to_end(headers: dict[str, str]) -> dict[str, str]:
-    """An upstream answer's headers minus the ones about that connection."""
-    return {k: v for k, v in headers.items() if k.lower() not in _HOP_BY_HOP}
-
 
 class FleetRouter:
     """Routes requests across a :class:`FleetSupervisor`'s workers.
@@ -145,14 +133,14 @@ class FleetRouter:
             return JsonResponse(payload, status=exc.status, headers=exc.headers)
 
     def _dispatch(self, request: Request) -> Response:
-        segments = [s for s in request.path.split("/") if s]
+        segments = list(filter(None, request.path.split("/")))
         if len(segments) >= 2 and segments[0] == "projects":
-            name = validate_project_name(segments[1])
-            enforce_admission(self.admission, name, tuple(segments[2:]), request)
-            if segments[2:] == ["tail"]:
+            name, subpath = validate_project_name(segments[1]), tuple(segments[2:])
+            enforce_admission(self.admission, name, subpath, request)
+            if subpath == ("tail",):
                 return self._proxy_stream(self.supervisor.route(name), request)
             annotate = None
-            if segments[2:] == ["stats"]:
+            if subpath == ("stats",):
                 worker_id = self.supervisor.route(name)
 
                 def annotate(payload: dict, worker_id=worker_id) -> dict:
@@ -242,19 +230,20 @@ class FleetRouter:
         *,
         annotate: Callable[[dict], dict] | None = None,
     ) -> Response:
-        query = urlencode(request.query)
-        url = request.path + (f"?{query}" if query else "")
-        headers = {"Content-Type": request.headers.get("Content-Type", "application/json")}
-        key = request_header(request, "Idempotency-Key")
-        if key is not None:
-            headers["Idempotency-Key"] = key
+        url = request.path
+        if request.query:
+            url += "?" + urlencode(request.query)
+        headers = {"Content-Type": "application/json"}
+        for name, value in request.headers.items():
+            forwarded = _FORWARDED.get(name.lower())
+            if forwarded is not None:
+                headers[forwarded] = value
         response = self._with_failover(
             worker_id,
             lambda client: client.request(
                 request.method, url, body=request.body, headers=headers
             ),
         )
-        response.headers = _end_to_end(response.headers)
         if annotate is not None and response.ok:
             try:
                 payload = annotate(json.loads(response.body))
@@ -285,7 +274,7 @@ class FleetRouter:
         )
         if isinstance(upstream, Response):
             return upstream  # the failover budget ran out: a 503
-        passthrough = _end_to_end(upstream.headers)
+        passthrough = end_to_end(upstream.headers)
         if not upstream.ok:
             # Upstream refused the subscription (404 unknown job, 503
             # backpressure + Retry-After): a small buffered answer.

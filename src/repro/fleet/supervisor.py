@@ -7,7 +7,7 @@ their lifecycle plus the consistent-hash ring that maps each project to
 exactly one worker.  The split follows the admission/routing separation
 the ROADMAP calls for: the front process decides *placement* and holds no
 shard data, so a router restart loses nothing and a worker crash loses at
-most unflushed buffers (which the client seal protocol already covers).
+most unflushed buffers (a client that resends a keyed append lands it once).
 
 Lifecycle protocol:
 

@@ -10,10 +10,13 @@ Two call sites need the same thing:
   measures connection setup, not server throughput.
 
 :class:`HttpClient` keeps one raw keep-alive socket per ``(thread,
-host:port)`` in thread-local storage.  A request leaves in one write, the
-answer's head is read by :mod:`repro.webapp.http1` (the server's codec),
-and one reader, :func:`_body`, serves ``request`` and ``stream`` for
-``Content-Length``, chunked and close-delimited bodies.
+host:port)`` in thread-local storage.  A request leaves in one write, and
+the answer is read through a :class:`~repro.webapp.http1.Reader` (the
+server's codec): only its status line and framing fields are looked at,
+and :meth:`HttpClient.request` returns its head and body as they arrived,
+a :class:`~repro.webapp.framework.RelayedResponse` the router hands its
+client unchanged.  One body reader, :func:`_body`, serves ``request`` and
+``stream`` for ``Content-Length``, chunked and close-delimited bodies.
 
 A request that fails on a cached connection (the peer restarted, an idle
 keep-alive socket timed out) is retried once on a fresh connection; a
@@ -28,65 +31,59 @@ import json
 import socket
 import threading
 import weakref
-from typing import Any, BinaryIO, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 from urllib.parse import urlsplit
 
 from ..errors import TransportError
-from ..webapp.framework import Response, SSEStream
-from ..webapp.http1 import Headers, read_headers, read_line
+from ..webapp.framework import RelayedResponse, SSEStream
+from ..webapp.http1 import Headers, Reader, ResponseHead, relay_head, response_head, split_head
 
 #: Worth one retry on a fresh socket: socket errors, unframeable answers.
 _RETRYABLE = (OSError, ValueError)
 
 
 class _Connection:
-    """One socket to a peer, with Nagle off, and the buffered reader over it."""
+    """One socket to a peer, with Nagle off, and the reader over it."""
 
     def __init__(self, sock: socket.socket):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock, self.rfile = sock, sock.makefile("rb")
+        self.sock, self.reader = sock, Reader(sock)
 
     def exchange(
         self, method: str, url: str, body: bytes, headers: Mapping[str, str]
-    ) -> tuple[int, Headers, bool]:
-        """One request, one write; the answer's status, head and reusability."""
-        lines = [f"{method} {url} HTTP/1.1", f"Content-Length: {len(body)}"]
-        lines.extend(f"{key}: {value}" for key, value in headers.items())
-        self.sock.sendall(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
-        status_line = read_line(self.rfile)  # b"" when a kept socket went stale
-        version, _, rest = status_line.decode("latin-1").partition(" ")
-        if not (version.startswith("HTTP/1.") and rest[:3].isdigit()):
-            raise ConnectionError(f"no HTTP/1.x status line: {status_line!r}")
-        head = read_headers(self.rfile)
-        framed = (head.get("Content-Length") or head.get("Transfer-Encoding")) is not None
-        return int(rest[:3]), head, framed and head.get("Connection", "").lower() != "close"
+    ) -> tuple[bytes, ResponseHead]:
+        """One request, one write; the answer's head and its framing."""
+        head = f"{method} {url} HTTP/1.1\r\nContent-Length: {len(body)}\r\n"
+        for key, value in headers.items():
+            head += f"{key}: {value}\r\n"
+        self.sock.sendall(f"{head}\r\n".encode("latin-1") + body)
+        head = self.reader.head()
+        if not head:
+            raise ConnectionError("the peer closed the connection")  # a kept socket went stale
+        return head, response_head(head)
 
     def close(self) -> None:
-        self.rfile.close()
         self.sock.close()
 
     __del__ = close  # a thread's connection dies with the thread
 
 
-def _body(rfile: BinaryIO, head: Headers) -> Iterator[bytes]:
+def _body(reader: Reader, framing: ResponseHead) -> Iterator[bytes]:
     """The body as it arrives: chunk by chunk when chunked (an SSE frame is
     one chunk), else ``Content-Length`` bytes, else bytes until the close."""
-    if head.get("Transfer-Encoding", "").lower() == "chunked":
-        while size := int(read_line(rfile).split(b";")[0], 16):
-            data = rfile.read(size + 2)
+    if framing.chunked:
+        while size := int(reader.line().split(b";")[0], 16):
+            data = reader.read(size + 2)
             if data[size:] != b"\r\n":
                 raise ConnectionError("chunk cut short")
             yield data[:size]
-        while read_line(rfile) not in (b"\r\n", b"\n", b""):
+        while reader.line() not in (b"\r\n", b"\n", b""):
             pass  # trailer fields, unread
         return
-    length = head.get("Content-Length")
-    if length is None:
-        yield from iter(lambda: rfile.read1(65536), b"")
-    elif not length.isdigit() or len(data := rfile.read(int(length))) < int(length):
-        raise ConnectionError(f"body not of Content-Length {length!r}")
+    if framing.length is None:
+        yield from iter(reader.some, b"")
     else:
-        yield data
+        yield reader.read(framing.length)
 
 
 class HttpClient:
@@ -145,17 +142,17 @@ class HttpClient:
         *,
         body: bytes = b"",
         headers: Mapping[str, str] | None = None,
-    ) -> Response:
+    ) -> RelayedResponse:
         """One round trip; retries once on a stale keep-alive connection."""
         send_headers = {"Host": self.netloc, "Content-Type": "application/json", **(headers or {})}
         for attempt in (0, 1):
             try:
                 conn = getattr(self._local, "conn", None) or self._connect()
                 self._local.conn = conn
-                status, head, reusable = conn.exchange(method, url, body, send_headers)
-                # The payload stays bytes: a relayed read is written to the
-                # next socket as it arrived, not transcoded on the way.
-                payload = b"".join(_body(conn.rfile, head))
+                head, framing = conn.exchange(method, url, body, send_headers)
+                # The answer stays bytes: a relay writes it to the next
+                # socket as it arrived, not re-encoded on the way.
+                payload = b"".join(_body(conn.reader, framing))
             except _RETRYABLE as exc:
                 # A dead keep-alive socket surfaces only when reused; give
                 # the request one fresh connection before declaring the peer
@@ -166,9 +163,11 @@ class HttpClient:
                         f"{method} http://{self.netloc}{url} failed: {exc}"
                     ) from exc
                 continue
-            if not reusable:
+            if not framing.reusable:
                 self._release()
-            return Response(body=payload, status=status, headers=head)
+            if not framing.relayable:
+                head = relay_head(head, len(payload))
+            return RelayedResponse(head, payload, framing.status)
 
     def stream(
         self, url: str, *, headers: Mapping[str, str] | None = None
@@ -186,30 +185,31 @@ class HttpClient:
         try:
             conn = self._connect()
             send_headers = {"Host": self.netloc, **(headers or {})}
-            status, head, _ = conn.exchange("GET", url, b"", send_headers)
+            head, framing = conn.exchange("GET", url, b"", send_headers)
+            headers = split_head(head)[1]
         except _RETRYABLE as exc:
             if conn is not None:
                 conn.close()
             raise TransportError(f"GET http://{self.netloc}{url} failed: {exc}") from exc
-        return StreamedResponse(conn, status, head)
+        return StreamedResponse(conn, framing, headers)
 
     # TestClient-compatible surface -----------------------------------------
-    def get(self, url: str) -> Response:
+    def get(self, url: str) -> RelayedResponse:
         return self.request("GET", url)
 
     def post(
         self, url: str, json_body: Any = None, body: bytes = b"", headers: Mapping[str, str] | None = None
-    ) -> Response:
+    ) -> RelayedResponse:
         if json_body is not None:
             body = json.dumps(json_body).encode("utf-8")
         return self.request("POST", url, body=body, headers=headers)
 
-    def put(self, url: str, json_body: Any = None, body: bytes = b"") -> Response:
+    def put(self, url: str, json_body: Any = None, body: bytes = b"") -> RelayedResponse:
         if json_body is not None:
             body = json.dumps(json_body).encode("utf-8")
         return self.request("PUT", url, body=body)
 
-    def delete(self, url: str) -> Response:
+    def delete(self, url: str) -> RelayedResponse:
         return self.request("DELETE", url)
 
     def get_json(self, url: str) -> Any:
@@ -220,7 +220,7 @@ class HttpClient:
         """POST expecting a 2xx JSON body; raises TransportError otherwise."""
         return self._json("POST", url, self.post(url, json_body={} if payload is None else payload))
 
-    def _json(self, method: str, url: str, response: Response) -> Any:
+    def _json(self, method: str, url: str, response: RelayedResponse) -> Any:
         if not response.ok:
             raise TransportError(
                 f"{method} http://{self.netloc}{url} returned {response.status}: "
@@ -237,9 +237,10 @@ class StreamedResponse:
     from it — stream consumers resume by reconnecting with their cursor.
     """
 
-    def __init__(self, conn: _Connection, status: int, headers: Headers):
+    def __init__(self, conn: _Connection, framing: ResponseHead, headers: Headers):
         self._conn = conn
-        self.status = status
+        self._framing = framing
+        self.status = framing.status
         self.headers = headers
 
     @property
@@ -252,7 +253,7 @@ class StreamedResponse:
 
     def chunks(self) -> Iterator[bytes]:
         try:
-            yield from _body(self._conn.rfile, self.headers)
+            yield from _body(self._conn.reader, self._framing)
         except _RETRYABLE as exc:
             raise TransportError(f"stream interrupted: {exc}") from exc
         finally:

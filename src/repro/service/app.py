@@ -242,8 +242,9 @@ class FlorService:
     def jobs(self) -> JobStore:
         """The host-level durable job store (``<root>/.flor-jobs.db``), lazily
         opened — a service that never touches jobs never creates the file.
-        Handlers run on ThreadingHTTPServer threads, so the first-open is
-        locked: exactly one store (and SQLite handle) per service."""
+        Requests on different connections run on different server threads
+        at once, so the first-open is locked: exactly one store (and SQLite
+        handle) per service."""
         with self._jobs_lock:
             if self._job_store is None:
                 self._job_store = JobStore.open(self.root)

@@ -10,8 +10,21 @@ The version store uses this for two purposes:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
+
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
+def source_lines(source: str) -> list[str]:
+    """``source``'s lines as :mod:`ast` numbers them: broken at ``\\n``,
+    ``\\r\\n`` and ``\\r`` only (``str.splitlines`` also breaks at form
+    feeds and other separators, which shifts every later line number)."""
+    lines = _LINE_BREAK.split(source)
+    if lines[-1] == "":
+        lines.pop()  # the text after a final line break is no line
+    return lines
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from ..errors import CommitNotFoundError, VersioningError
-from .diff import diff_stats, unified_diff
+from .diff import diff_stats, source_lines, unified_diff
 from .objects import ObjectStore, hash_bytes
 
 
@@ -332,8 +332,8 @@ class Repository:
     # ------------------------------------------------------------------ diff
     def diff(self, old_vid: str, new_vid: str, filename: str) -> str:
         """Unified diff of one file between two versions."""
-        old = self.read_file(old_vid, filename).splitlines() if self.file_exists(old_vid, filename) else []
-        new = self.read_file(new_vid, filename).splitlines() if self.file_exists(new_vid, filename) else []
+        old = source_lines(self.read_file(old_vid, filename)) if self.file_exists(old_vid, filename) else []
+        new = source_lines(self.read_file(new_vid, filename)) if self.file_exists(new_vid, filename) else []
         return unified_diff(old, new, f"{filename}@{old_vid}", f"{filename}@{new_vid}")
 
     def change_summary(self, old_vid: str, new_vid: str) -> dict[str, dict[str, int]]:
@@ -343,12 +343,12 @@ class Repository:
         summary: dict[str, dict[str, int]] = {}
         for filename in sorted(set(old_commit.files) | set(new_commit.files)):
             old_lines = (
-                self.store.get_text(old_commit.files[filename]).splitlines()
+                source_lines(self.store.get_text(old_commit.files[filename]))
                 if filename in old_commit.files
                 else []
             )
             new_lines = (
-                self.store.get_text(new_commit.files[filename]).splitlines()
+                source_lines(self.store.get_text(new_commit.files[filename]))
                 if filename in new_commit.files
                 else []
             )

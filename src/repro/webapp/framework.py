@@ -20,6 +20,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from ..errors import RouteNotFoundError, WebAppError
+from .http1 import Headers, end_to_end, split_head
 
 
 @dataclass
@@ -125,6 +126,26 @@ class StreamingResponse(Response):
         close = getattr(self.chunks, "close", None)
         if close is not None:
             close()
+
+
+class RelayedResponse(Response):
+    """A peer's buffered answer, passed on as it arrived.
+
+    ``head`` is the peer's status line and header block through the blank
+    line, its ``Server``, ``Date`` and ``Content-Length`` included; the
+    socket bridge writes it and ``body`` unchanged.  ``headers`` are the
+    head's end-to-end fields, parsed on first read.
+    """
+
+    def __init__(self, head: bytes, body: bytes, status: int):
+        self.head, self.body, self.status = head, body, status
+        self._headers: Headers | None = None
+
+    @property
+    def headers(self) -> Headers:  # type: ignore[override]
+        if self._headers is None:
+            self._headers = end_to_end(split_head(self.head)[1])
+        return self._headers
 
 
 def sse_event(

@@ -301,3 +301,29 @@ class TestStructuralAnchoring:
         result = propagate_statements(old, new)
         assert [s.logged_name for s in result.skipped] == ["b"]
         assert result.injected == [] and result.patched_source == old
+
+
+class TestLineBreaks:
+    """Lines are numbered the way ``ast`` numbers them: only ``\\n``, ``\\r\\n``
+    and ``\\r`` end one.  ``str.splitlines`` also breaks at a form feed, so
+    every statement after one was read a line early."""
+
+    NEW = 'x = 1\n\x0c\nfor i in range(2):\n    y = i\n    flor.log("y", y)\n'
+
+    def test_a_statement_after_a_form_feed_is_found_on_its_line(self):
+        (statement,) = find_flor_statements(self.NEW)
+        assert (statement.lineno, statement.text) == (5, '    flor.log("y", y)')
+
+    def test_a_statement_after_a_form_feed_is_injected_and_the_form_feed_kept(self):
+        old = "x = 1\n\x0c\nfor i in range(2):\n    y = i\n"
+        result = propagate_statements(old, self.NEW)
+        assert result.injected_count == 1
+        assert result.patched_source == self.NEW
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_sources_line_up_with_ast(self, newline):
+        new = self.NEW.replace("\n", newline)
+        (statement,) = find_flor_statements(new)
+        assert statement.lineno == 5 and statement.text == '    flor.log("y", y)'
+        old = "x = 1\n\x0c\nfor i in range(2):\n    y = i\n".replace("\n", newline)
+        assert propagate_statements(old, new).injected_count == 1

@@ -10,12 +10,14 @@ import struct
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from types import SimpleNamespace
 
 import pytest
 
-from repro.fleet import FleetRouter, FleetSupervisor
+from repro.errors import TransportError
+from repro.fleet import FleetRouter, FleetSupervisor, HttpClient
 from repro.qos import AdmissionController, PolicyRule, PolicyStore
 from repro.service import FlorService
 from repro.service.server import make_server, serve
@@ -711,3 +713,121 @@ class TestWireBehaviourKept:
                 status, _, body = _read_one(reader)
         assert (status, body) == (200, b"v1")
         assert seen == ["7"]
+
+
+# --------------------------------------------------------------------------
+# The one-buffer reader: a head and a body however the peer cuts them,
+# through a service's own socket and through the router's.
+# --------------------------------------------------------------------------
+
+
+def _append_request(name: str, value: int) -> tuple[bytes, bytes]:
+    """The head and body of an append of one ``name`` record to ``alpha``."""
+    body = json.dumps({"records": [{"name": name, "value": value}]}).encode()
+    head = (
+        b"POST /projects/alpha/logs HTTP/1.1\r\nHost: t\r\n"
+        b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n" % len(body)
+    )
+    return head, body
+
+
+def _logged(front, name: str) -> list[float]:
+    """The stored values of ``name`` in ``alpha`` (the read flushes first)."""
+    query = urllib.parse.quote(f"SELECT value FROM logs WHERE value_name = '{name}' ORDER BY value")
+    records = _get(f"{front.base}/projects/alpha/sql?q={query}")[1]["records"]
+    return [float(record["value"]) for record in records]
+
+
+def _appended(reader) -> None:
+    status, _, answer = _read_one(reader)
+    assert status == 202 and json.loads(answer)["queued"] == 1
+
+
+class TestOneBufferReader:
+    def test_two_requests_pipelined_in_one_write_are_answered_in_order(self, front):
+        (head1, body1), (head2, body2) = _append_request("piped", 1), _append_request("piped", 2)
+        with _raw(front.base) as (sock, reader):
+            sock.sendall(head1 + body1 + head2 + body2)
+            _appended(reader)
+            _appended(reader)
+            _healthz_round_trip(sock, reader)
+        assert _logged(front, "piped") == [1.0, 2.0]
+
+    def test_a_head_sent_one_byte_per_write_is_read_whole(self, front):
+        head, body = _append_request("bytewise", 3)
+        with _raw(front.base) as (sock, reader):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(len(head)):
+                sock.sendall(head[i : i + 1])
+                time.sleep(0.001)
+            sock.sendall(body)
+            _appended(reader)
+            _healthz_round_trip(sock, reader)
+        assert _logged(front, "bytewise") == [3.0]
+
+    def test_a_body_that_arrives_in_three_pieces_is_read_whole(self, front):
+        head, body = _append_request("pieces", 4)
+        cut = len(body) // 3
+        with _raw(front.base) as (sock, reader):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.sendall(head)
+            for piece in (body[:cut], body[cut : 2 * cut], body[2 * cut :]):
+                time.sleep(0.02)
+                sock.sendall(piece)
+            _appended(reader)
+            _healthz_round_trip(sock, reader)
+        assert _logged(front, "pieces") == [4.0]
+
+
+    def test_a_declared_length_costs_only_the_bytes_that_arrive(self, front, capsys):
+        """A terabyte announced and ten bytes sent: the server waits for the
+        rest and closes at the peer's close, allocating nothing up front (an
+        eager buffer of the declared size is a MemoryError, or worse)."""
+        head = (
+            b"POST /projects/alpha/logs HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: %d\r\n\r\n" % 10**12
+        )
+        with _raw(front.base) as (sock, reader):
+            sock.sendall(head + b"0123456789")
+            sock.shutdown(socket.SHUT_WR)
+            assert reader.read() == b""
+        assert _get(front.base + "/healthz")[0] == 200
+        assert capsys.readouterr().err == ""
+
+
+class TestResponseHeadLimits:
+    """``HttpClient`` refuses a response head with a line over 64 KiB or more
+    than 100 lines, whether it reads it from a server or as the router's hop
+    (where the refusal is the router's 503 once failover gives up)."""
+
+    @staticmethod
+    def _app() -> WebApp:
+        app = WebApp("heads")
+
+        @app.route("/projects/<name>/big-field")
+        def big_field(_request: Request, name: str):
+            return Response(body="ok", headers={"X-Big": "a" * 65536})
+
+        @app.route("/projects/<name>/many-fields")
+        def many_fields(_request: Request, name: str):
+            return Response(body="ok", headers={f"X-H{i}": "v" for i in range(100)})
+
+        return app
+
+    @pytest.mark.parametrize("route", ["big-field", "many-fields"])
+    def test_is_refused_from_a_server_and_through_the_router(self, route):
+        path = f"/projects/alpha/{route}"
+        with contextlib.ExitStack() as stack:
+            server = stack.enter_context(_listening(self._app()))
+            base = "http://%s:%d" % server.server_address[:2]
+            with HttpClient(base, timeout=5.0) as client:
+                with pytest.raises(TransportError):
+                    client.get(path)
+            supervisor = FleetSupervisor(lambda wid, url: ["unused"], workers=1)
+            supervisor._handles["w0"].process = _AliveProcess()
+            supervisor.on_register("w0", base, pid=_AliveProcess.pid)
+            router = FleetRouter(supervisor, failover_timeout=0.3)
+            stack.callback(router.close)
+            front = stack.enter_context(_listening(router))
+            with HttpClient("http://%s:%d" % front.server_address[:2], timeout=5.0) as client:
+                assert client.get(path).status == 503

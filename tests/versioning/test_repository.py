@@ -115,6 +115,17 @@ class TestDiffing:
         assert summary["train.py"]["deleted"] == 0
         assert summary["infer.py"]["added"] == 0
 
+    def test_a_form_feed_line_is_one_line_of_the_diff(self, repo, workdir):
+        """Lines are numbered as ``ast`` numbers them; ``str.splitlines``
+        also broke at the form feed, counting four lines in a file of three."""
+        (workdir / "train.py").write_text("x = 1\n\x0c\ny = 2\n")
+        first = repo.commit("v1")
+        (workdir / "train.py").write_text("x = 1\n\x0c\ny = 3\n")
+        second = repo.commit("v2")
+        rendered = repo.diff(first.vid, second.vid, "train.py")
+        assert "@@ -1,3 +1,3 @@" in rendered and "\n \x0c\n" in rendered
+        assert repo.change_summary(first.vid, second.vid)["train.py"]["unchanged"] == 2
+
     def test_corrupt_journal_raises(self, workdir):
         objects = workdir / ".objects"
         objects.mkdir(exist_ok=True)

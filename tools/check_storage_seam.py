@@ -95,8 +95,15 @@ is pure-Python ``exec``, so it runs serially or in processes.
 
 A tenth keeps one HTTP/1.1 codec: no module under ``src/repro`` imports
 ``http.client``, ``email`` or ``urllib.request`` (the stdlib parsers
-:mod:`repro.webapp.http1` replaced on both ends of a socket), and only
-:mod:`repro.service.server` defines a ``parse_request``.
+:mod:`repro.webapp.http1` replaced on both ends of a socket), only
+:mod:`repro.service.server` imports ``http.server`` (for its listening
+socket, not its handler) or defines a ``parse_request``, and only
+:mod:`repro.webapp.http1` splits a head — no other module cuts text at a
+CRLF (``split`` / ``partition`` / ``find`` / ``index`` and their right-hand
+forms) or opens a line reader on a socket with ``.makefile()``.  And
+:mod:`repro.core.propagation` calls no ``.splitlines()``: it places
+statements by the line numbers ``ast`` gives, which break at ``\\n``,
+``\\r\\n`` and ``\\r`` only.
 
 An eleventh keeps one freshness rule for every read: ``run_sql`` is named
 (imported or called) only by :mod:`repro.query.engine`, which runs a plain
@@ -399,14 +406,20 @@ def deleted_settings(name: str, tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
-#: Stdlib HTTP parsers the codec replaced, and the one request-head parser.
+#: Stdlib HTTP parsers the codec replaced, the one request-head parser, the
+#: one module that splits a head, and the one that may import ``http.server``.
 STDLIB_WIRE = ("http.client", "email", "urllib.request")
 SERVER_MODULE = "repro.service.server"
+CODEC_MODULE = "repro.webapp.http1"
+#: Calls that cut text at a line end: with a CRLF argument, a head split.
+SPLITTERS = {"split", "rsplit", "partition", "rpartition", "find", "rfind", "index"}
 
 
 def second_wire_codecs(name: str, tree: ast.AST) -> list[tuple[int, str]]:
-    """``(line, what)`` where a module imports a stdlib HTTP parser, or a
-    module other than the server defines ``parse_request``."""
+    """``(line, what)`` where a module imports a stdlib HTTP parser, a module
+    other than the server imports ``http.server`` or defines
+    ``parse_request``, or a module other than the codec splits a head: cuts
+    text at a CRLF, or opens a line reader on a socket (``.makefile()``)."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -416,6 +429,8 @@ def second_wire_codecs(name: str, tree: ast.AST) -> list[tuple[int, str]]:
         else:
             imported = []
         banned = [m for m in imported for b in STDLIB_WIRE if m == b or m.startswith(b + ".")]
+        if name != SERVER_MODULE:
+            banned += [m for m in imported if m == "http.server" or m.startswith("http.server.")]
         if banned:
             found.append((node.lineno, f"imports {banned[0]}"))
         if (
@@ -424,7 +439,35 @@ def second_wire_codecs(name: str, tree: ast.AST) -> list[tuple[int, str]]:
             and name != SERVER_MODULE
         ):
             found.append((node.lineno, "defines parse_request"))
+        if name == CODEC_MODULE or not isinstance(node, ast.Call):
+            continue
+        method = getattr(node.func, "attr", None)
+        if method == "makefile":
+            found.append((node.lineno, "calls .makefile()"))
+        elif method in SPLITTERS and any(
+            isinstance(arg, ast.Constant)
+            and isinstance(arg.value, (str, bytes))
+            and (b"\r\n" if isinstance(arg.value, bytes) else "\r\n") in arg.value
+            for arg in node.args
+        ):
+            found.append((node.lineno, f"calls .{method}() at a CRLF"))
     return found
+
+
+#: The module whose line numbers must be the ones ``ast`` gives.
+PROPAGATION_MODULE = "repro.core.propagation"
+
+
+def ast_line_breaks(name: str, tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, what)`` where the propagation module calls ``.splitlines()``,
+    which also breaks at form feeds and other separators ``ast`` does not."""
+    if name != PROPAGATION_MODULE:
+        return []
+    return [
+        (node.lineno, "calls .splitlines()")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "splitlines"
+    ]
 
 
 #: The modules that may name ``run_sql``, and the one that spells ``data_version``.
@@ -549,8 +592,14 @@ def main(argv: list[str]) -> int:
             violations += 1
         for lineno, what in second_wire_codecs(name, tree):
             print(
-                f"{path}:{lineno}: {name} {what} — HTTP/1.1 heads are parsed by "
-                f"repro.webapp.http1 and read by {SERVER_MODULE} / repro.fleet.transport"
+                f"{path}:{lineno}: {name} {what} — HTTP/1.1 heads are read and split by "
+                f"{CODEC_MODULE} only, for {SERVER_MODULE} / repro.fleet.transport"
+            )
+            violations += 1
+        for lineno, what in ast_line_breaks(name, tree):
+            print(
+                f"{path}:{lineno}: {name} {what} — statements are placed by the line "
+                f"numbers ast gives; split source with repro.versioning.diff.source_lines"
             )
             violations += 1
         for lineno, what in uncached_sql_reads(name, tree):
@@ -595,7 +644,11 @@ def main(argv: list[str]) -> int:
         print(f"schema seam intact: index DDL and the DDL stamp spelled in {SCHEMA_MODULE} only")
         print(f"WAL seam intact: checkpoint pragmas spelled in {WAL_MODULE} only")
         print(f"settings seam intact: no deleted setting is a parameter, no thread pool in {REPLAY_MODULE}")
-        print(f"wire seam intact: no {' / '.join(STDLIB_WIRE)} import, parse_request in {SERVER_MODULE} only")
+        print(
+            f"wire seam intact: no {' / '.join(STDLIB_WIRE)} import, http.server imported and "
+            f"parse_request defined in {SERVER_MODULE} only, heads split in {CODEC_MODULE} only"
+        )
+        print(f"line seam intact: no .splitlines() in {PROPAGATION_MODULE}")
         print(
             f"SQL seam intact: run_sql named in {', '.join(SQL_MODULES)} only, "
             f"data_version spelled in {VERSION_MODULE} only"
