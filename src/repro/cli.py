@@ -757,8 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--source", default=None, help="file holding the new source (default: working copy)")
     sub.add_argument("--parallelism", choices=["serial", "process"], default="serial")
     sub.add_argument("--workers", type=int, default=4)
-    sub.add_argument("--loop", default="epoch", help="loop name restricted by --epoch")
-    sub.add_argument("--epoch", type=int, nargs="*", default=None, help="only replay these iterations")
+    sub.add_argument("--loop", default="epoch", help="the checkpointed loop, the only one --epoch restricts")
+    sub.add_argument("--epoch", type=int, nargs="*", default=None, help="only replay these; stopping short of the last ends the replay")
     sub.add_argument(
         "--dry-run",
         action="store_true",
@@ -871,8 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--kind", choices=["backfill", "replay"], default="backfill")
     sub.add_argument("--source", default=None, help="file holding the new source (default: project working copy)")
     sub.add_argument("--versions", nargs="*", default=None, help="restrict to these version ids")
-    sub.add_argument("--loop", default="epoch", help="loop name restricted by --epoch")
-    sub.add_argument("--epoch", type=int, nargs="*", default=None, help="only replay these iterations")
+    sub.add_argument("--loop", default="epoch", help="the checkpointed loop, the only one --epoch restricts")
+    sub.add_argument("--epoch", type=int, nargs="*", default=None, help="only replay these; stopping short of the last ends the replay")
     sub.add_argument("--priority", type=int, default=0, help="higher claims first")
     sub.add_argument("--max-attempts", type=int, default=3, help="retry budget before the job fails")
     sub.set_defaults(func=_cmd_jobs_submit)

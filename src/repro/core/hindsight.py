@@ -159,9 +159,11 @@ class HindsightEngine:
             Restrict to every recorded run of these version ids; default is
             every recorded run of the file (see :meth:`version_epochs`).
         plan:
-            Replay plan (differential execution).  Default replays all
-            iterations, which is required when the new statement could fire
-            in any iteration.
+            Replay plan (differential execution).  It restricts only the
+            checkpointed loop, and a replay that stops short of that loop's
+            last iteration ends there.  Default replays all iterations,
+            which is required when the new statement could fire in any
+            iteration.
         parallelism:
             ``"serial"`` or ``"process"`` (a pool of ``max_workers``).  A
             replay is pure-Python ``exec``, so only processes run two at once.
@@ -261,10 +263,8 @@ class HindsightEngine:
             ]
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
                 results = list(pool.map(replay_worker, worker_args))
-        new_logs, new_loops = [], []
         for (entry, _), result in zip(tasks, results):
             entry.replay = result
             if result.ok:
-                new_logs.extend(result.pending_logs)
-                new_loops.extend(result.pending_loops)
-        session.write_records(new_logs, new_loops)
+                session.stage(result.pending_logs, result.pending_loops)
+        session.flush()

@@ -27,17 +27,20 @@ from typing import Any, Iterable, Mapping
 from ..config import ProjectConfig
 from ..relational.database import Database
 from ..versioning.repository import Repository
-from .session import REPLAY, Session, active_session
+from .session import REPLAY, ReplayEnd, Session, active_session
 
 
 @dataclass(frozen=True)
 class ReplayPlan:
-    """Selects which loop iterations execute during replay.
+    """Selects which iterations of the checkpointed loop execute during replay.
 
     ``selections`` maps loop name to a frozenset of iteration indices to
-    execute; loops not mentioned execute fully.  An empty plan (no entries)
-    therefore replays everything, which is the correct default when a new
-    log statement could fire anywhere.
+    execute.  Only the loop a ``flor.checkpointing`` block holds is
+    restricted; any other loop, and a loop not mentioned, executes fully.  A
+    replay whose checkpointed loop stops short of its last iteration ends
+    there: nothing after the loop runs or stages.  An empty plan (no entries)
+    replays everything, which is the correct default when a new log
+    statement could fire anywhere.
     """
 
     selections: Mapping[str, frozenset[int]] = field(default_factory=dict)
@@ -51,9 +54,10 @@ class ReplayPlan:
     def only(cls, **loops: Any) -> "ReplayPlan":
         """Restrict named loops to the given iterations.
 
-        ``ReplayPlan.only(epoch=[7])`` executes only epoch 7 (restoring the
-        checkpoint taken after epoch 6 if one exists); ``ReplayPlan.only(
-        epoch=range(8, 10), step=[0])`` composes across nesting levels.
+        ``ReplayPlan.only(epoch=[7])`` executes only epoch 7 of a checkpointed
+        ``epoch`` loop (restoring the checkpoint taken after epoch 6 if one
+        exists, else re-executing from the nearest earlier one) and ends the
+        replay after it unless epoch 7 is the last.
         """
         selections = {name: frozenset(int(i) for i in iters) for name, iters in loops.items()}
         return cls(selections)
@@ -111,12 +115,12 @@ def replay_source(
 
     The executed namespace receives a ``flor`` binding to the facade so both
     ``import``-style and injected-name usage hit the replay session.  The
-    newly produced records come back on the result (``pending_logs`` /
-    ``pending_loops``) for the caller to land.  Pass the caller's
-    ``repository`` along with its ``db``: a replay never reads the version
-    store, and opening a second one costs a journal load.  ``landing``
-    narrows what the replay reads and stages to those log names; ``code`` is
-    ``source`` already compiled under ``filename``.
+    newly produced rows come back on the result (``pending_logs`` /
+    ``pending_loops``, deferred values encoded) for the caller to land.
+    Pass the caller's ``repository`` along with its ``db``: a replay never
+    reads the version store, and opening a second one costs a journal load.
+    ``landing`` narrows what the replay reads and stages to those log names;
+    ``code`` is ``source`` already compiled under ``filename``.
     """
     from .api import flor as flor_facade  # local import to avoid a cycle
 
@@ -138,6 +142,8 @@ def replay_source(
             if code is None:
                 code = compile(source, filename, "exec")
             exec(code, namespace)  # noqa: S102 - project code by design
+    except ReplayEnd:
+        pass  # the plan stopped short of the checkpointed loop's end
     except Exception as exc:  # a SyntaxError of the patched source included
         result.error = f"{type(exc).__name__}: {exc}"
     result.wall_seconds = time.perf_counter() - started
@@ -145,7 +151,7 @@ def replay_source(
     result.iterations_executed = session.replay_stats["iterations_executed"]
     result.iterations_skipped = session.replay_stats["iterations_skipped"]
     result.checkpoints_restored = session.replay_stats["checkpoints_restored"]
-    result.pending_logs, result.pending_loops = session.take_pending_records()
+    result.pending_logs, result.pending_loops = session.take_pending_rows()
     return result
 
 
@@ -155,7 +161,7 @@ def replay_worker(args: tuple) -> ReplayResult:
     ``args`` is ``(root, projid, db_path, source, filename, tstamp, plan_dict,
     landing)`` — all picklable (the worker compiles ``source``
     itself).  The worker opens its own database handle (and version store),
-    replays and ships the new records back to the parent, the sole writer.
+    replays and ships the new rows back to the parent, the sole writer.
     """
     root, projid, db_path, source, filename, tstamp, plan_dict, landing = args
     config = ProjectConfig(root, projid)

@@ -16,7 +16,7 @@ checkpoint manager, and implements both execution modes:
   logged values are attributed to the historical timestamp.  A replay
   session *stages and never writes*: ``flush()`` and ``commit()`` are
   no-ops, so the new rows wait in the buffer for
-  :meth:`Session.take_pending_records` and whoever replays (the hindsight
+  :meth:`Session.take_pending_rows` and whoever replays (the hindsight
   engine) lands them through the recording session's flusher.  The recorded
   run is read once — its log rows when the session opens, its loop rows on
   the first loop of each file — so a replay costs the same number of
@@ -83,6 +83,13 @@ def _classify_user_file(candidate: str) -> str | None:
 
 RECORD = "record"
 REPLAY = "replay"
+
+
+class ReplayEnd(BaseException):
+    """A replayed checkpointed loop exited with its last iteration not
+    executed: what follows the loop would read state the recorded run never
+    had, so the replay ends there, keeping what it staged.  Not an
+    ``Exception``, so a script's own ``except Exception`` lets it through."""
 
 
 class Session:
@@ -249,17 +256,18 @@ class Session:
     def pending_loop_records(self) -> int:
         return self._buffer.pending_loops
 
-    def take_pending_records(self) -> tuple[list[LogRecord], list[LoopRecord]]:
-        """Drain staged records as record objects *without* writing them (how a
-        replay hands what it produced to the engine, the sole writer)."""
-        return self._buffer.drain_records()
+    def take_pending_rows(self) -> tuple[list[tuple], list[tuple]]:
+        """Drain staged rows, deferred values encoded, *without* writing them
+        (how a replay hands what it produced to the engine, the sole writer,
+        which lands them with :meth:`stage` and :meth:`flush`)."""
+        return self._buffer.drain_encoded()
 
     def stage(self, logs: Sequence[tuple] = (), loops: Sequence[tuple] = ()) -> None:
         """Stage rows built outside ``log``/``loop`` (the service's append
-        route): :func:`~repro.runtime.buffer.log_row` rows and ``loops`` rows,
-        under this session's :attr:`projid`, into the buffer ``log`` stages
-        into.  Like ``log``, call it from one thread at a time (the service
-        holds the shard lock).
+        route, a backfill's collected replays): :func:`~repro.runtime.buffer.
+        log_row` rows and ``loops`` rows, under this session's :attr:`projid`,
+        into the buffer ``log`` stages into.  Like ``log``, call it from one
+        thread at a time (the service holds the shard lock).
         """
         self._buffer.stage(logs, loops)
 
@@ -273,21 +281,6 @@ class Session:
         """
         self.flush(wait=False)
         self.flusher.submit(logs, loops, on_written=self._note_rows_written, key=key)
-
-    def write_records(self, logs: Sequence[LogRecord], loops: Sequence[LoopRecord]) -> None:
-        """Write records built elsewhere — a backfill's collected replays.
-
-        One transaction through this session's flusher (counted, and
-        followed by the same post-commit hooks as a flush), durable on
-        return.  Unlike staged rows they are not kept for a retry when the
-        write fails: the error propagates and the caller replays again.
-        """
-        self.flusher.submit(
-            [r.as_row() for r in logs],
-            [r.as_row() for r in loops],
-            on_written=self._note_rows_written, wake=False,
-        )
-        self.flusher.drain()
 
     def _context_for(self, filename: str) -> ContextState:
         if filename not in self._contexts:
@@ -492,18 +485,12 @@ class Session:
         recorded_by_iteration = {r.loop_iteration: r for r in recorded}
         vals_list = list(vals)
         total = max(len(vals_list), len(recorded))
-        plan = self._replay_plan
         is_checkpoint_loop = (
             self.checkpoints.has_registrations
             and self._ckpt_block_depth.get(filename) is not None
             and ctx.depth == self._ckpt_block_depth[filename] + 1
         )
-        selected_iterations = {
-            i for i in range(total) if (plan.selects(name, i) if plan is not None else True)
-        }
-        must_execute = self._iterations_to_execute(
-            selected_iterations, total, filename, name, recorded, is_checkpoint_loop
-        )
+        must_execute = self._iterations_to_execute(total, filename, name, recorded, is_checkpoint_loop)
         last_executed = -1
         try:
             for i in range(total):
@@ -529,32 +516,31 @@ class Session:
                 self.replay_stats["iterations_executed"] += 1
                 yield value
                 last_executed = i
+            if last_executed < total - 1:
+                raise ReplayEnd(f"{name!r} ends at iteration {last_executed}")
         finally:
             ctx.pop_loop(frame)
 
     def _iterations_to_execute(
         self,
-        selected: set[int],
         total: int,
         filename: str,
         loop_name: str,
         recorded: list[LoopRecord],
         is_checkpoint_loop: bool,
     ) -> set[int]:
-        """Close the selected set under state dependencies.
+        """The iterations the replay plan selects, closed under state dependencies.
 
-        For a loop that carries state across iterations, executing iteration
-        ``i`` correctly requires resuming from the nearest checkpoint at
-        ``j <= i - 1`` and re-executing every iteration in ``(j, i)``.  For a
-        stateless loop (no checkpointing block) the selected set is used
-        as-is — the paper's differential execution at its most aggressive.
+        A plan restricts only the checkpointed loop: any other loop may carry
+        state across iterations that nothing restores, so it runs them all.
+        Executing iteration ``i`` of the checkpointed loop resumes from the
+        nearest checkpoint at ``j <= i - 1`` and re-executes every iteration
+        in ``(j, i)``.
         """
-        if selected >= set(range(total)):
-            return set(range(total))
-        if not is_checkpoint_loop:
-            return set(selected)
-        # Iterations that have a stored checkpoint, by iteration index.
-        with_ckpt = set()
+        plan, everything = self._replay_plan, set(range(total))
+        selected = {i for i in everything if plan is None or plan.selects(loop_name, i)}
+        if not is_checkpoint_loop or selected == everything:
+            return everything
         ckpt_ctx = {
             ctx_id
             for ctx_id, name_ in self.checkpoints.available_checkpoints(
@@ -562,9 +548,8 @@ class Session:
             )
             if name_ == loop_name
         }
-        for record in recorded:
-            if record.ctx_id in ckpt_ctx:
-                with_ckpt.add(record.loop_iteration)
+        # Iterations that have a stored checkpoint, by iteration index.
+        with_ckpt = {record.loop_iteration for record in recorded if record.ctx_id in ckpt_ctx}
         must = set()
         for i in sorted(selected):
             j = max((k for k in with_ckpt if k <= i - 1), default=-1)
@@ -661,7 +646,7 @@ class Session:
         handed to the background flusher and the recording thread moves on.
 
         A replay session has no write path: this returns at once and the
-        staged rows stay in the buffer for :meth:`take_pending_records`.
+        staged rows stay in the buffer for :meth:`take_pending_rows`.
 
         Each transaction that writes rows bumps the query cache's generation
         counter for this project — from the writing thread, *after* the

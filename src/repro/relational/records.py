@@ -98,12 +98,8 @@ class LogRecord:
         return decode_value(self.value, self.value_type)
 
     def as_row(self) -> tuple:
-        """Bind parameters for the ``logs`` INSERT.
-
-        The single record→row conversion shared by the repositories and
-        the background flusher, so each record is materialized as a tuple
-        exactly once on its way into SQLite.
-        """
+        """Bind parameters for the ``logs`` INSERT: the row form the
+        repositories write and every staged row already has."""
         return (
             self.projid,
             self.tstamp,

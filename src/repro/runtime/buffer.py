@@ -14,7 +14,7 @@ writer batch holds beside it; and a mutable value is snapshotted as logged.
 
 from __future__ import annotations
 
-from ..relational.records import LogRecord, LoopRecord, encode_value
+from ..relational.records import encode_value
 
 #: ``value_type`` of a staged row whose ``value`` the writer still encodes.
 DEFERRED = object()
@@ -108,13 +108,14 @@ class RecordBuffer:
         loops, self._loops = self._loops, []
         return logs, loops
 
-    def drain_records(self) -> tuple[list[LogRecord], list[LoopRecord]]:
-        """Take everything staged as encoded record objects (what a replay
-        hands back)."""
+    def drain_encoded(self) -> tuple[list[tuple], list[tuple]]:
+        """Take everything staged with each deferred value encoded: rows that
+        leave the session (a replay's hand-back, pickled from a process
+        worker), where :data:`DEFERRED` would not keep its identity."""
         logs, loops = self.drain_rows()
         return [
-            LogRecord.create(*row[:6]) if row[6] is DEFERRED else LogRecord(*row) for row in logs
-        ], [LoopRecord(*row) for row in loops]
+            (*row[:5], *encode_value(row[5])) if row[6] is DEFERRED else row for row in logs
+        ], loops
 
     def restore_rows(self, log_rows: list[tuple], loop_rows: list[tuple]) -> None:
         """Put drained rows back at the front of the buffer.

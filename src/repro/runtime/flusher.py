@@ -2,9 +2,10 @@
 
 One :class:`BackgroundFlusher` serves one :class:`~repro.relational.database.
 Database` handle, with one writer at a time: its thread, or a draining caller.
-Producers call :meth:`submit` with row tuples (staged ones from
-:meth:`~repro.runtime.buffer.RecordBuffer.drain_rows`, or ``record.as_row()``)
-and :meth:`submit_checkpoint` with a deep-copied checkpoint snapshot; the
+Producers call :meth:`submit` with staged row tuples (from
+:meth:`~repro.runtime.buffer.RecordBuffer.drain_rows`, or built by
+:func:`~repro.runtime.buffer.log_row` for a keyed append) and
+:meth:`submit_checkpoint` with a deep-copied checkpoint snapshot; the
 writer takes *every* entry queued since the last transaction (the
 double-buffer swap into ``_inflight``, the writer's token), encodes the
 deferred values of its rows, pickles the snapshots among them, and writes it

@@ -9,16 +9,20 @@ The invariants that must hold no matter how the old version was refactored:
 * each injected statement has one placement, a line of the old source, and
   ``weight`` lands right after ``loss`` even when the old version spells
   the ``loss`` line differently,
-* :func:`find_flor_statements` finds what a walk over every node finds.
+* :func:`find_flor_statements` finds what a walk over every node finds,
+* a line that holds a character ``str.splitlines`` breaks at, or a CRLF
+  source, moves no placement, and the patched source keeps the character.
 """
 
 from __future__ import annotations
 
 import ast
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.propagation import FlorStatement, find_flor_statements, propagate_statements
+from repro.versioning.diff import source_lines
 
 _NEW_SOURCE = """
 lr = flor.arg("lr", 0.01)
@@ -157,3 +161,47 @@ def test_property_find_flor_statements_matches_a_walk_over_every_node(old_source
     patched = propagate_statements(old_source, _NEW_SOURCE).patched_source
     for source in (old_source, patched, _NEW_SOURCE):
         assert find_flor_statements(source) == _walk_reference(source)
+
+
+#: Characters ``str.splitlines`` ends a line at and ``ast`` does not.  Only a
+#: form feed may stand on a line of its own; the others parse only inside a
+#: comment or a string literal.
+_SEPARATORS = ["\x0c", "\x1c", "\x85", "\u2028"]
+_FORMS = {"bare": "{c}", "comment": "# tuned{c}twice", "string": 'note = "a{c}b"'}
+
+
+@pytest.mark.parametrize("char", _SEPARATORS[1:])
+def test_only_a_form_feed_parses_on_a_line_of_its_own(char):
+    with pytest.raises(SyntaxError):
+        ast.parse(f"x = 1\n{char}\ny = 2\n")
+
+
+@st.composite
+def line_break_edits(draw) -> tuple[str, str | None]:
+    """An older version with a separator line inserted, or made CRLF, or both;
+    returns it and the inserted character."""
+    lines = draw(refactored_old_source()).split("\n")
+    char = draw(st.sampled_from([None, *_SEPARATORS]))
+    crlf = draw(st.booleans()) if char else True
+    if char:
+        form = draw(st.sampled_from(sorted(_FORMS) if char == "\x0c" else ["comment", "string"]))
+        at = draw(st.integers(0, len(lines)))
+        # Indented as the next statement, so an inserted one joins its block.
+        statement = next((line for line in lines[at:] if line.strip()), "")
+        indent = statement[: len(statement) - len(statement.lstrip())]
+        lines.insert(at, (indent if form == "string" else "") + _FORMS[form].format(c=char))
+    return ("\r\n" if crlf else "\n").join(lines), char
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(line_break_edits())
+def test_property_line_breaks_move_no_placement(edit):
+    old_source, char = edit
+    ast.parse(old_source)
+    result = propagate_statements(old_source, _NEW_SOURCE)
+    assert result.injected_count == 1 and not result.skipped
+    lines = source_lines(result.patched_source)
+    weight = next(i for i, line in enumerate(lines) if '"weight"' in line)
+    assert '"loss"' in lines[weight - 1]
+    if char:
+        assert result.patched_source.count(char) == old_source.count(char) == 1

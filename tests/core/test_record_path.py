@@ -44,7 +44,7 @@ class TestFlushModes:
             replayer.close()
             assert replayer.flusher.stats.submitted_batches == 0
             assert recorder.logs.count() == 1
-            assert [r.value_name for r in replayer.take_pending_records()[0]] == ["loss"]
+            assert [row[4] for row in replayer.take_pending_rows()[0]] == ["loss"]
             assert len(recorder.repository) == 1  # no second version either
 
 
@@ -177,9 +177,9 @@ class TestLifecycle:
 
 
 class TestReplayHandBack:
-    def test_take_pending_records_returns_encoded_records(self, project):
+    def test_take_pending_rows_returns_encoded_rows(self, project):
         """Staged rows defer their encoding to the writer; a replay's hand-back
-        bypasses the writer, so it encodes them itself."""
+        may cross a process boundary first, so it encodes them itself."""
         with Session(project, default_filename="t.py") as recorder:
             recorder.log("acc", 1.0)
             tstamp = recorder.tstamp
@@ -195,11 +195,11 @@ class TestReplayHandBack:
             logged = {"loss": 0.5, "step": 3, "tag": "x", "cfg": {"lr": 0.1}, "none": None}
             for name, value in logged.items():
                 replayer.log(name, value)
-            logs, loops = replayer.take_pending_records()
+            logs, loops = replayer.take_pending_rows()
             replayer.close()
         assert loops == []
         assert logs == [
-            LogRecord.create(recorder.projid, tstamp, "t.py", 0, name, value)
+            LogRecord.create(recorder.projid, tstamp, "t.py", 0, name, value).as_row()
             for name, value in logged.items()
         ]
-        assert all(type(record.value_type) is int for record in logs)
+        assert all(type(row[6]) is int for row in logs)

@@ -6,7 +6,8 @@ import textwrap
 
 import pytest
 
-from repro import ProjectConfig, Session, active_session, flor
+from repro import HindsightEngine, ProjectConfig, Session, active_session, flor
+from repro.core import EveryIterationPolicy
 from repro.core.replay import ReplayPlan, replay_source
 from repro.core.session import REPLAY
 from repro.errors import ReplayError
@@ -45,7 +46,8 @@ def recorded(project):
 def replay_and_land(session, source, **kwargs):
     """Replay and land the new records the way the hindsight engine does."""
     result = replay_source(source, db=session.db, **kwargs)
-    session.write_records(result.pending_logs, result.pending_loops)
+    session.stage(result.pending_logs, result.pending_loops)
+    session.flush()
     return result
 
 
@@ -128,33 +130,21 @@ class TestReplaySession:
         assert result.iterations_skipped >= 1
 
     def test_differential_replay_restores_state_from_checkpoints(self, recorded, project):
-        """Replaying only the last epoch must produce the same weight as a full replay."""
+        """Replaying only the last epoch lands the weight a full replay would."""
         session, tstamp = recorded
-        full = replay_and_land(
-            session, REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp
-        )
-        assert full.ok
-        full_weights = {row["epoch"]: row["weight"] for row in session.dataframe("weight").to_records()}
-
-        # Fresh project replaying only epoch 3 — weight at epoch 3 must match.
-        partial = replay_source(
-            REPLAY_SOURCE,
-            config=project,
-            filename="train.py",
-            tstamp=tstamp,
-            db=session.db,
+        partial = replay_and_land(
+            session, REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp,
             plan=ReplayPlan.only(epoch=[3]),
         )
-        partial_weights = {
-            record.ctx_id: record.decoded()
-            for record in partial.pending_logs
-            if record.value_name == "weight"
-        }
-        # Nothing new was pending for epoch 3 (already written by the full replay),
-        # so validate via execution stats instead: state closure executed epochs
-        # between the restored checkpoint and the target only.
-        assert partial.iterations_executed <= 4
-        assert full_weights[3] == pytest.approx(0.5 * (1 + 2 + 3 + 4))
+        assert partial.ok and partial.iterations_executed <= 4
+        expected = {e: pytest.approx(0.5 * sum(range(1, e + 2))) for e in range(4)}
+        # Epoch 3, and the epochs re-run since the nearest checkpoint, with
+        # the values a full replay gives them.
+        weights = {row["epoch"]: row["weight"] for row in session.dataframe("weight").to_records()}
+        assert 3 in weights and weights == {e: expected[e] for e in weights}
+        replay_and_land(session, REPLAY_SOURCE, config=project, filename="train.py", tstamp=tstamp)
+        weights = {row["epoch"]: row["weight"] for row in session.dataframe("weight").to_records()}
+        assert weights == expected
 
     def test_replay_reports_syntax_errors(self, recorded, project):
         session, tstamp = recorded
@@ -183,3 +173,64 @@ class TestReplaySession:
         assert result.new_log_records == 4
         assert len(result.pending_logs) == 4
         assert session.dataframe("weight").empty
+
+
+#: A checkpointed epoch loop around a step loop; lr 0.25, so the weight after
+#: (epoch e, step s) is 0.25 * the running sum of (e + s + 1).
+NESTED_SOURCE = textwrap.dedent(
+    """
+    lr = flor.arg("lr", 0.25)
+    state = {"w": 0.0}
+    with flor.checkpointing(state=state):
+        for epoch in flor.loop("epoch", range(3)):
+            for step in flor.loop("step", range(2)):
+                state["w"] += lr * (epoch + step + 1)
+                flor.log("loss", 1.0 / (1.0 + state["w"]))
+    flor.log("final", 1.0 / (1.0 + state["w"]))
+    """
+).strip()
+WEIGHTS = [0.25, 0.75, 1.25, 2.0, 2.75, 3.75]
+#: The statements added after the fact: one in the step body, one after the loop.
+IN_STEP = NESTED_SOURCE.replace(
+    'flor.log("loss", 1.0 / (1.0 + state["w"]))',
+    'flor.log("loss", 1.0 / (1.0 + state["w"]))\n            flor.log("w", state["w"])',
+)
+AFTER_LOOP = NESTED_SOURCE + '\nflor.log("w_end", state["w"])'
+
+
+class TestPartialPlans:
+    """A plan restricts only the checkpointed loop, and a replay that stops
+    short of that loop's last iteration ends there: a partial plan lands a
+    subset of what the default plan lands, never another value."""
+
+    @pytest.fixture()
+    def engine(self, project):
+        (project.root / "train.py").write_text(NESTED_SOURCE)
+        with Session(project, checkpoint_policy=EveryIterationPolicy()) as session:
+            session.track("train.py")
+            with active_session(session):
+                namespace = {"__file__": "train.py", "flor": flor}
+                exec(compile(NESTED_SOURCE, "train.py", "exec"), namespace)  # noqa: S102
+                session.commit("v1")
+            yield HindsightEngine(session)
+
+    @staticmethod
+    def landed(engine, name):
+        return sorted(engine.session.dataframe(name)[name].to_list())
+
+    def test_a_plan_ending_before_the_last_epoch_runs_nothing_after_the_loop(self, engine):
+        report = engine.backfill("train.py", AFTER_LOOP, plan=ReplayPlan.only(epoch=[0]))
+        assert [v.ok for v in report.versions] == [True]
+        assert report.new_records == 0  # not the weight after epoch 0
+        assert engine.backfill("train.py", AFTER_LOOP).new_records == 1
+        assert self.landed(engine, "w_end") == [pytest.approx(WEIGHTS[-1])]
+
+    def test_a_plan_reaching_the_last_epoch_runs_on_past_the_loop(self, engine):
+        report = engine.backfill("train.py", AFTER_LOOP, plan=ReplayPlan.only(epoch=[2]))
+        assert report.iterations_skipped == 2 and report.new_records == 1
+        assert self.landed(engine, "w_end") == [pytest.approx(WEIGHTS[-1])]
+
+    def test_a_plan_on_an_inner_loop_runs_all_of_it(self, engine):
+        report = engine.backfill("train.py", IN_STEP, plan=ReplayPlan.only(step=[1]))
+        assert report.iterations_skipped == 0
+        assert self.landed(engine, "w") == [pytest.approx(w) for w in WEIGHTS]

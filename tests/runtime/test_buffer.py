@@ -84,17 +84,20 @@ class TestDrain:
         }
         assert buffer.pending == 0
 
-    def test_drain_records_materializes_dataclasses(self):
+    def test_drain_encoded_encodes_only_deferred_values(self):
+        """Rows that leave the session carry no sentinel: it would not keep
+        its identity through a pickle."""
         buffer = RecordBuffer()
         stage(buffer, "acc", 0.5, ctx_id=3)
+        stage(buffer, "cfg", [1])
         buffer.stage_loop("p", "t1", "train.py", 3, 0, "epoch", 2, "2")
-        logs, loops = buffer.drain_records()
-        assert logs[0].value_name == "acc"
-        assert (logs[0].value, logs[0].value_type) == ("0.5", VALUE_TYPE_FLOAT)
-        assert logs[0].decoded() == 0.5
-        assert logs[0].ctx_id == 3
-        assert loops[0].loop_name == "epoch"
-        assert loops[0].loop_iteration == 2
+        logs, loops = buffer.drain_encoded()
+        assert logs == [
+            ("p", "t1", "train.py", 3, "acc", "0.5", VALUE_TYPE_FLOAT),
+            ("p", "t1", "train.py", 0, "cfg", "[1]", VALUE_TYPE_JSON),
+        ]
+        assert loops == [("p", "t1", "train.py", 3, 0, "epoch", 2, "2")]
+        assert buffer.pending == 0
 
     def test_drain_is_destructive(self):
         buffer = RecordBuffer()
